@@ -316,44 +316,40 @@ type nand_summary = {
 }
 
 let nand_page_demo ?(pages = 4) ?(strings = 8) () =
-  let block = M.Array_model.make (Params.device ()) ~pages ~strings in
-  let ctrl = M.Controller.make block in
+  let block = M.Nand_block.create (Params.device ()) ~pages ~strings in
   let checkerboard p = Array.init strings (fun s -> (p + s) mod 2) in
-  let rec write ctrl p =
-    if p >= pages then Ok ctrl
+  let rec write p =
+    if p >= pages then Ok ()
     else
-      match M.Controller.program_page ctrl ~page:p ~data:(checkerboard p) with
-      | Error e -> Error e
-      | Ok ctrl -> write ctrl (p + 1)
+      Result.bind (M.Nand_block.program_page block ~page:p ~data:(checkerboard p))
+        (fun () -> write (p + 1))
   in
-  match write ctrl 0 with
-  | Error e -> Error e
-  | Ok ctrl ->
-    let fails = ref 0 in
-    for p = 0 to pages - 1 do
-      if not (M.Controller.verify_page ctrl ~page:p ~data:(checkerboard p)) then incr fails
-    done;
-    (* worst drift among cells that were meant to stay erased *)
-    let disturb_dvt_max = ref 0. in
-    for p = 0 to pages - 1 do
-      let data = checkerboard p in
-      Array.iteri
-        (fun s bit ->
-           if bit = 1 then begin
-             let c = M.Array_model.get ctrl.M.Controller.block ~page:p ~string_:s in
-             disturb_dvt_max := max !disturb_dvt_max (M.Cell.dvt c)
-           end)
-        data
-    done;
-    let stats = ctrl.M.Controller.stats in
-    Ok
-      {
-        pages_written = stats.M.Controller.programs;
-        verify_failures = !fails;
-        disturb_dvt_max = !disturb_dvt_max;
-        mean_pulses =
-          (if stats.M.Controller.programs = 0 then 0.
-           else
-             float_of_int stats.M.Controller.disturb_events
-             /. float_of_int stats.M.Controller.programs);
-      }
+  Result.map
+    (fun () ->
+       let fails = ref 0 in
+       for p = 0 to pages - 1 do
+         if not (M.Nand_block.verify_page block ~page:p ~data:(checkerboard p))
+         then incr fails
+       done;
+       (* worst drift among cells that were meant to stay erased *)
+       let disturb_dvt_max = ref 0. in
+       for p = 0 to pages - 1 do
+         Array.iteri
+           (fun s bit ->
+              if bit = 1 then
+                disturb_dvt_max :=
+                  max !disturb_dvt_max (M.Nand_block.dvt block ~page:p ~string_:s))
+           (checkerboard p)
+       done;
+       let stats = M.Nand_block.stats block in
+       {
+         pages_written = stats.M.Nand_block.programs;
+         verify_failures = !fails;
+         disturb_dvt_max = !disturb_dvt_max;
+         mean_pulses =
+           (if stats.M.Nand_block.programs = 0 then 0.
+            else
+              float_of_int stats.M.Nand_block.disturb_events
+              /. float_of_int stats.M.Nand_block.programs);
+       })
+    (write 0)

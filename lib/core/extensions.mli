@@ -92,8 +92,8 @@ type nand_summary = {
 }
 
 val nand_page_demo : ?pages:int -> ?strings:int -> unit -> (nand_summary, string) result
-(** Program a checkerboard pattern across a small block through the
-    controller and report verify/disturb statistics. *)
+(** Program a checkerboard pattern across a small {!Gnrflash_memory.Nand_block}
+    and report verify/disturb statistics. *)
 
 (** {1 Ext K: retention after cycling} *)
 

@@ -5,8 +5,8 @@
 
     The FTL tracks page state and per-block erase counts (metadata
     simulation, the standard methodology for FTL studies); the underlying
-    per-cell physics lives in {!Controller} and is exercised by the
-    smaller array tests. The physical operations each host call performs
+    per-cell physics lives in {!Cell_store} (see {!Nand_block} and
+    {!Command_fsm}). The physical operations each host call performs
     are journaled (see {!phys_op}) so a command-level front end
     ({!Service}) can replay the exact op stream against a behavioral
     device model. *)

@@ -26,13 +26,20 @@ let default_config =
 type t = {
   config : config;
   store : S.t; (* one word line, struct-of-arrays *)
+  ememo : S.memo; (* erase-pulse outcomes over the word line's lifetime *)
   mutable programs : int;
   mutable total_supply_charge : float;
 }
 
 let make ?(config = default_config) device ~cells =
   if cells < 1 then invalid_arg "Nor_array.make: cells < 1";
-  { config; store = S.create ~n:cells device; programs = 0; total_supply_charge = 0. }
+  {
+    config;
+    store = S.create ~n:cells device;
+    ememo = S.memo ();
+    programs = 0;
+    total_supply_charge = 0.;
+  }
 
 let length t = S.length t.store
 let cell t i = S.view t.store i
@@ -90,26 +97,10 @@ let read_bit t ~index =
   | Ok () -> Ok (Cell.to_bit (Cell.read (S.view t.store index)))
 
 let erase_all t =
-  (* every cell erases independently; sweep boxed views across the domain
-     pool and report the first (lowest-index) failure for determinism —
-     the store is written back only on a fully clean sweep *)
-  let views = Array.init (S.length t.store) (S.view t.store) in
-  let results = Gnrflash_parallel.Sweep.map Cell.erase views in
-  let error =
-    Array.fold_left
-      (fun acc r -> match acc, r with None, Error e -> Some e | _ -> acc)
-      None results
-  in
-  match error with
-  | Some e -> Error e
-  | None ->
-    Array.iteri
-      (fun i r ->
-         match r with
-         | Ok c -> S.set t.store i c
-         | Error _ -> assert false)
-      results;
-    Ok t
+  S.apply_pulse_range t.store ~memo:t.ememo
+    ~pulse:D.Program_erase.default_erase_pulse ~surrogate:true ~lo:0
+    ~hi:(S.length t.store - 1)
+  |> Result.map (fun () -> t)
 
 let programming_current t ~simultaneous =
   if simultaneous < 0 then invalid_arg "Nor_array.programming_current: negative count";

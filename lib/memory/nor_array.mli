@@ -48,7 +48,11 @@ val read_bit : t -> index:int -> (int, string) result
 (** Random-access read of one cell (no pass-gating needed in NOR). *)
 
 val erase_all : t -> (t, string) result
-(** FN erase of the whole word line (source erase). *)
+(** FN erase of the whole word line (source erase): one default erase
+    pulse per cell in index order, served through an instance erase memo,
+    so the result is the same whatever the sweep job count. Stops at the
+    first failing cell (e.g. a broken oxide): cells before it keep their
+    erased state, cells from it on are untouched. *)
 
 val programming_current : t -> simultaneous:int -> float
 (** Supply current needed to program [simultaneous] cells at once [A] —

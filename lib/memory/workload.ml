@@ -163,48 +163,39 @@ type replay_stats = {
   broken_cells : int;
 }
 
-let page_holds_charge (ctrl : Controller.t) ~page =
-  let block = ctrl.Controller.block in
+let page_holds_charge block ~page =
   let dirty = ref false in
-  for s = 0 to block.Array_model.strings - 1 do
-    let c = Array_model.get block ~page ~string_:s in
-    if Cell.dvt c > 0.5 then dirty := true
+  for s = 0 to Nand_block.strings block - 1 do
+    if Nand_block.dvt block ~page ~string_:s > 0.5 then dirty := true
   done;
   !dirty
 
-let replay ctrl ops =
-  let rec go ctrl writes reads erases fails = function
+let replay block ops =
+  let rec go writes reads erases fails = function
     | [] ->
-      let _, max_fluence, broken = Array_model.wear_summary ctrl.Controller.block in
+      let _, max_fluence, broken = Nand_block.wear_summary block in
       Ok
-        ( ctrl,
-          {
-            writes;
-            reads;
-            erase_cycles = erases;
-            failed_verifies = fails;
-            max_fluence;
-            broken_cells = broken;
-          } )
+        {
+          writes;
+          reads;
+          erase_cycles = erases;
+          failed_verifies = fails;
+          max_fluence;
+          broken_cells = broken;
+        }
     | Read { page } :: rest ->
-      (match Controller.read_page ctrl ~page with
-       | Error e -> Error e
-       | Ok (ctrl, _bits) -> go ctrl writes (reads + 1) erases fails rest)
+      ignore (Nand_block.read_page block ~page : int array);
+      go writes (reads + 1) erases fails rest
     | Write { page; data } :: rest ->
-      let needs_erase = page_holds_charge ctrl ~page in
-      let prep =
-        if needs_erase then Controller.erase_block ctrl else Ok ctrl
-      in
-      (match prep with
+      let needs_erase = page_holds_charge block ~page in
+      let prep = if needs_erase then Nand_block.erase_block block else Ok () in
+      (match Result.bind prep (fun () -> Nand_block.program_page block ~page ~data) with
        | Error e -> Error e
-       | Ok ctrl ->
-         (match Controller.program_page ctrl ~page ~data with
-          | Error e -> Error e
-          | Ok ctrl ->
-            let ok = Controller.verify_page ctrl ~page ~data in
-            go ctrl (writes + 1) reads
-              (erases + if needs_erase then 1 else 0)
-              (fails + if ok then 0 else 1)
-              rest))
+       | Ok () ->
+         let ok = Nand_block.verify_page block ~page ~data in
+         go (writes + 1) reads
+           (erases + if needs_erase then 1 else 0)
+           (fails + if ok then 0 else 1)
+           rest)
   in
-  go ctrl 0 0 0 0 ops
+  go 0 0 0 0 ops

@@ -80,8 +80,8 @@ type replay_stats = {
   broken_cells : int;
 }
 
-val replay : Controller.t -> op list -> (Controller.t * replay_stats, string) result
-(** Drive the controller with the trace. A write to a page that already
-    holds programmed cells triggers a block erase first (flash semantics:
-    no in-place overwrite), counted in [erase_cycles]. Each write is
-    verified by reading back. *)
+val replay : Nand_block.t -> op list -> (replay_stats, string) result
+(** Drive the block with the trace (mutated in place). A write to a page
+    that already holds programmed cells triggers a block erase first
+    (flash semantics: no in-place overwrite), counted in [erase_cycles].
+    Each write is verified by reading back. *)

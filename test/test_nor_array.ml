@@ -1,5 +1,6 @@
 module N = Gnrflash_memory.Nor_array
 module F = Gnrflash_device.Fgt
+module Sweep = Gnrflash_parallel.Sweep
 open Gnrflash_testing.Testing
 
 let fresh () = N.make F.paper_default ~cells:8
@@ -49,6 +50,29 @@ let test_erase_all () =
     Alcotest.(check int) "erased" 1 (check_ok "read" (N.read_bit t ~index:i))
   done
 
+(* A 64-cell word line with two of every three cells programmed, erased
+   under the given default job count on its own device record (the
+   per-domain pulse caches are keyed on record identity); returns the
+   charge bits. *)
+let erase_bits_under ~jobs =
+  let device = { F.paper_default with F.vs = F.paper_default.F.vs } in
+  Sweep.set_default_jobs jobs;
+  let t = N.make device ~cells:64 in
+  for i = 0 to 63 do
+    if i mod 3 <> 0 then ignore (check_ok "program" (N.program_bit t ~index:i))
+  done;
+  let t = check_ok "erase" (N.erase_all t) in
+  Array.init 64 (fun i -> Int64.bits_of_float (N.cell t i).Gnrflash_memory.Cell.qfg)
+
+let test_erase_all_jobs_invariant () =
+  let saved = Sweep.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Sweep.set_default_jobs saved)
+    (fun () ->
+       let serial = erase_bits_under ~jobs:1 in
+       let parallel = erase_bits_under ~jobs:2 in
+       Alcotest.(check (array int64)) "charge bits" serial parallel)
+
 let test_bad_index () =
   check_error "program oob" (N.program_bit (fresh ()) ~index:99);
   check_error "read oob" (N.read_bit (fresh ()) ~index:(-1))
@@ -72,6 +96,7 @@ let () =
           case "CHE self-limiting" test_che_injection_self_limits;
           case "supply charge accounting" test_supply_charge_accounting;
           case "erase all" test_erase_all;
+          case "erase all independent of --jobs" test_erase_all_jobs_invariant;
           case "index errors" test_bad_index;
           case "programming current cap" test_programming_current_cap;
         ] );

@@ -1,6 +1,5 @@
 module W = Gnrflash_memory.Workload
-module Ctl = Gnrflash_memory.Controller
-module Am = Gnrflash_memory.Array_model
+module Nb = Gnrflash_memory.Nand_block
 module F = Gnrflash_device.Fgt
 open Gnrflash_testing.Testing
 
@@ -108,19 +107,19 @@ let test_generate_commands_fractions () =
 
 let test_replay_small_trace () =
   let pages = 2 and strings = 4 in
-  let ctrl = Ctl.make (Am.make F.paper_default ~pages ~strings) in
+  let block = Nb.create F.paper_default ~pages ~strings in
   let ops = W.generate ~seed:11 W.Sequential ~pages ~strings ~ops:6 ~read_fraction:0.5 in
-  let _, stats = check_ok "replay" (W.replay ctrl ops) in
+  let stats = check_ok "replay" (W.replay block ops) in
   Alcotest.(check int) "ops accounted" 6 (stats.W.writes + stats.W.reads);
   Alcotest.(check int) "no verify failures" 0 stats.W.failed_verifies;
   Alcotest.(check int) "no broken cells" 0 stats.W.broken_cells
 
 let test_replay_rewrite_triggers_erase () =
   let pages = 1 and strings = 2 in
-  let ctrl = Ctl.make (Am.make F.paper_default ~pages ~strings) in
+  let block = Nb.create F.paper_default ~pages ~strings in
   let data = [| 0; 0 |] in
   let ops = [ W.Write { page = 0; data }; W.Write { page = 0; data } ] in
-  let _, stats = check_ok "replay" (W.replay ctrl ops) in
+  let stats = check_ok "replay" (W.replay block ops) in
   Alcotest.(check int) "second write needs an erase" 1 stats.W.erase_cycles
 
 let () =
