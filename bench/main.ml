@@ -469,12 +469,14 @@ let system_tests =
              (Gnrflash_device.Electrostatics.solve stack ~vgs:15. ~vs:0.
                 ~sigma_fg:(-0.01))));
     Test.make ~name:"system-mlc-program-4-levels"
-      (stage (fun () ->
-           for level = 1 to 3 do
-             ignore
-               (Gnrflash_memory.Mlc.program_level Gnrflash_device.Fgt.paper_default
-                  ~qfg0:0. ~level)
-           done));
+      (stage
+         (let engine =
+            Gnrflash_device.Program_erase.engine Gnrflash_device.Fgt.paper_default
+          in
+          fun () ->
+            for level = 1 to 3 do
+              ignore (Gnrflash_memory.Mlc.program_level engine ~qfg0:0. ~level)
+            done));
     Test.make ~name:"system-ecc-encode-decode-64"
       (stage
          (let data = Array.init 64 (fun i -> i land 1) in
@@ -627,42 +629,44 @@ let perf_rows snap =
     };
   ]
 
-(* Flag plumbing probe, run while telemetry is still on: a short warm pulse
-   train and a cached Tsu-Esaki call under perf/flags_on (counters must
-   fire), then the same work with ~warm_start:false / ~wkb_cache:false
-   under perf/flags_off (the same counters must stay silent). The span
-   prefix keys the two runs apart in the snapshot. *)
+(* Flag plumbing probe, run while telemetry is still on: a short pulse
+   train on one engine and a cached Tsu-Esaki call under perf/flags_on
+   (counters must fire), then the same work with a fresh engine per pulse
+   and ~wkb_cache:false under perf/flags_off (the same counters must stay
+   silent). The span prefix keys the two runs apart in the snapshot. *)
 let perf_probe () =
   let phi_b = 3.2 *. Gnrflash_physics.Constants.ev in
   let m_b = 0.42 *. Gnrflash_physics.Constants.m0 in
   let ef = 0.1 *. Gnrflash_physics.Constants.ev in
-  let train ~warm_start =
-    (* a fresh device record per train (with_gcr rebuilds the record at the
-       paper's own GCR): the warm cache is keyed by physical identity, so
-       this guarantees a cold, deterministic start regardless of which pulse
-       workloads ran earlier in the bench *)
-    let t = Gnrflash_device.Fgt.(with_gcr paper_default 0.6) in
+  let train ~engine =
     let pp = { Gnrflash_device.Program_erase.vgs = 15.; duration = 100e-6 } in
     let ep = { Gnrflash_device.Program_erase.vgs = -15.; duration = 100e-6 } in
     let q = ref 0. in
-    (* surrogate off: it outranks the replay cache, so with it on the warm
-       counters this probe asserts on would never fire *)
     for _ = 1 to 6 do
-      match
-        Gnrflash_device.Program_erase.cycle ~warm_start ~surrogate:false
-          ~program_pulse:pp ~erase_pulse:ep t ~qfg:!q
-      with
-      | Ok (_, e) -> q := e.Gnrflash_device.Program_erase.qfg_after
-      | Error _ -> ()
+      List.iter
+        (fun pulse ->
+           match
+             Gnrflash_device.Program_erase.apply_pulse (engine ()) ~qfg:!q pulse
+           with
+           | Ok o -> q := o.Gnrflash_device.Program_erase.qfg_after
+           | Error _ -> ())
+        [ pp; ep ]
     done
   in
+  (* surrogate off: it outranks the replay cache, so with it on the warm
+     counters this probe asserts on would never fire *)
+  let cold () =
+    Gnrflash_device.Program_erase.engine ~surrogate:false
+      Gnrflash_device.Fgt.paper_default
+  in
   Tel.span "perf/flags_on" (fun () ->
-      train ~warm_start:true;
+      let warm = cold () in
+      train ~engine:(fun () -> warm);
       ignore
         (Gnrflash_quantum.Tsu_esaki.current_density ~wkb_cache:true ~phi_b
            ~field:1.2e9 ~thickness:5e-9 ~m_b ~ef ()));
   Tel.span "perf/flags_off" (fun () ->
-      train ~warm_start:false;
+      train ~engine:cold;
       ignore
         (Gnrflash_quantum.Tsu_esaki.current_density ~wkb_cache:false ~phi_b
            ~field:1.2e9 ~thickness:5e-9 ~m_b ~ef ()))
@@ -673,28 +677,23 @@ module Ps = Gnrflash_device.Pulse_surrogate
 module Dpe = Gnrflash_device.Program_erase
 
 (* Counter probe, telemetry on (mirrors perf_probe): a short cycle train
-   with the surrogate on must build tables and serve hits, an out-of-box
-   pulse must fall back; the same train with the flag off must leave every
-   surrogate counter silent. build_after is forced to 0 so the first pulse
-   of the train promotes immediately. *)
+   on one engine with the surrogate on must build tables (each polarity is
+   promoted on its third pulse) and serve hits, an out-of-box pulse must
+   fall back; the same train with the surrogate off must leave every
+   surrogate counter silent. *)
 let surrogate_probe () =
   let train ~surrogate =
-    let t = Gnrflash_device.Fgt.(with_gcr paper_default 0.6) in
+    let e = Dpe.engine ~surrogate Gnrflash_device.Fgt.paper_default in
     let pp = { Dpe.vgs = 15.; duration = 100e-6 } in
     let ep = { Dpe.vgs = -15.; duration = 100e-6 } in
     let q = ref 0. in
     for _ = 1 to 4 do
-      match Dpe.cycle ~surrogate ~program_pulse:pp ~erase_pulse:ep t ~qfg:!q with
-      | Ok (_, e) -> q := e.Dpe.qfg_after
+      match Dpe.cycle ~program_pulse:pp ~erase_pulse:ep e ~qfg:!q with
+      | Ok (_, o) -> q := o.Dpe.qfg_after
       | Error _ -> ()
     done;
-    ignore
-      (Dpe.apply_pulse ~surrogate ~warm_start:false t ~qfg:0.
-         { Dpe.vgs = 18.; duration = 100e-6 })
+    ignore (Dpe.apply_pulse e ~qfg:0. { Dpe.vgs = 18.; duration = 100e-6 })
   in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
   Tel.span "perf/surrogate_on" (fun () -> train ~surrogate:true);
   Tel.span "perf/surrogate_off" (fun () -> train ~surrogate:false)
 
@@ -780,17 +779,16 @@ let surrogate_report snap =
     ignore (Gnrflash_device.Transient.run ~qfg0:qfg t ~vgs:15. ~duration:100e-6)
   done;
   let sur_exact_s = (Unix.gettimeofday () -. t0) /. float_of_int n_exact in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
   let sur_pulse_s =
-    Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
+    let e = Dpe.engine t in
     let pulse = { Dpe.vgs = 15.; duration = 100e-6 } in
-    ignore (Dpe.apply_pulse t ~qfg:0. pulse) (* warm the domain cache *);
+    (* two warm-up consults; the third builds the table *)
+    for _ = 1 to 3 do ignore (Dpe.apply_pulse e ~qfg:0. pulse) done;
     let n = 20_000 in
     let t0 = Unix.gettimeofday () in
     for i = 0 to n - 1 do
       let qfg = lo +. (float_of_int (i mod 997) /. 997. *. (hi -. lo)) in
-      ignore (Dpe.apply_pulse t ~qfg pulse)
+      ignore (Dpe.apply_pulse e ~qfg pulse)
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int n
   in
@@ -898,7 +896,7 @@ let svc_ops_per_s_floor = 115_800.
    (the pool tier runs in other domains, invisible to the probe). The
    SoA store runs the memoized program/erase replays allocation-free —
    including settled out-of-box outcomes (see Cell_store /
-   Pulse_surrogate.response_static); the residual is workload generation,
+   Program_erase.memoizable); the residual is workload generation,
    the first-occurrence solves and the mirror-path bookkeeping — see
    DESIGN.md "Cell store". Measured ~620 words/op at ISSUE 10; the budget
    leaves ~30% headroom. *)

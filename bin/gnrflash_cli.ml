@@ -320,15 +320,17 @@ let pulse_cmd =
     end;
     with_stats stats @@ fun () ->
     with_budget budget_ms @@ fun () ->
-    let t = Gnrflash.Params.device () in
     let surrogate = not no_surrogate in
+    let engine =
+      Gnrflash_device.Program_erase.engine ~surrogate (Gnrflash.Params.device ())
+    in
     let pulse = { Gnrflash_device.Program_erase.vgs; duration = width } in
     let q = ref qfg0 in
     let last = ref None in
     let t0 = Unix.gettimeofday () in
     (try
        for _ = 1 to count do
-         match Gnrflash_device.Program_erase.apply_pulse ~surrogate t ~qfg:!q pulse with
+         match Gnrflash_device.Program_erase.apply_pulse engine ~qfg:!q pulse with
          | Error e ->
            prerr_endline ("pulse failed: " ^ Resilience.Solver_error.to_string e);
            (match e.Resilience.Solver_error.kind with

@@ -9,12 +9,13 @@ module F = Gnrflash_device.Fgt
 
 let () =
   let device = F.paper_default in
+  let engine = Gnrflash_device.Program_erase.engine device in
   let config = M.default_mlc in
   Printf.printf "MLC: %d bits/cell, %d levels\n" config.M.bits (M.levels config);
   Printf.printf "%-7s %-6s %-12s %-12s %-8s %-8s\n" "level" "bits" "target dVT"
     "placed dVT" "pulses" "margin";
   for level = 0 to M.levels config - 1 do
-    match M.program_level ~config device ~qfg0:0. ~level with
+    match M.program_level ~config engine ~qfg0:0. ~level with
     | Error e -> Printf.printf "level %d: FAILED (%s)\n" level e
     | Ok (qfg, pulses) ->
       let bits = M.level_to_bits config level in

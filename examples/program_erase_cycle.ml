@@ -14,11 +14,13 @@ let show_state label (cell : M.Cell.t) =
 
 let () =
   let cell = M.Cell.make D.Fgt.paper_default in
+  (* one engine carries the pulse caches across the whole session *)
+  let engine = D.Program_erase.engine D.Fgt.paper_default in
   show_state "fresh:" cell;
 
   (* Program with the default 15 V / 1 ms pulse. *)
   let programmed =
-    match M.Cell.program cell with
+    match M.Cell.program engine cell with
     | Ok c -> c
     | Error e -> failwith ("program failed: " ^ e)
   in
@@ -26,7 +28,7 @@ let () =
 
   (* Erase with -15 V. *)
   let erased =
-    match M.Cell.erase programmed with
+    match M.Cell.erase engine programmed with
     | Ok c -> c
     | Error e -> failwith ("erase failed: " ^ e)
   in
@@ -56,7 +58,7 @@ let () =
 
   (* ISPP: how production flash would program this cell to dVT = 2 V. *)
   print_newline ();
-  (match D.Ispp.run D.Fgt.paper_default ~qfg0:0. with
+  (match D.Ispp.run engine ~qfg0:0. with
    | Error e -> prerr_endline e
    | Ok r ->
      Printf.printf "ISPP to dVT = 2 V: %d pulses, passed = %b\n" r.D.Ispp.pulses_used

@@ -23,14 +23,15 @@ let () =
   (* over-erase: what an unmanaged NOR erase does, and the recovery *)
   print_newline ();
   let cell = Cell.make D.Fgt.paper_default in
-  let programmed = match Cell.program cell with Ok c -> c | Error e -> failwith e in
-  (match Cell.erase programmed with
+  let engine = D.Program_erase.engine D.Fgt.paper_default in
+  let programmed = match Cell.program engine cell with Ok c -> c | Error e -> failwith e in
+  (match Cell.erase engine programmed with
    | Error e -> failwith e
    | Ok erased ->
      Printf.printf "raw erase leaves dVT = %.2f V (over-erased: %b)\n"
        (Cell.dvt erased)
        (O.is_over_erased erased);
-     (match O.recover erased with
+     (match O.recover engine erased with
       | Error e -> Printf.printf "recovery failed: %s\n" e
       | Ok (fixed, pulses) ->
         Printf.printf "soft programming: %d pulses -> dVT = %.2f V (in window: %b)\n"

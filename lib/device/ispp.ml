@@ -22,7 +22,7 @@ type result = {
   pulses_used : int;
 }
 
-let run ?(config = default) ?surrogate t ~qfg0 =
+let run ?(config = default) engine ~qfg0 =
   if config.v_step <= 0. then Error "Ispp.run: v_step <= 0"
   else if config.pulse_width <= 0. then Error "Ispp.run: pulse_width <= 0"
   else begin
@@ -31,7 +31,7 @@ let run ?(config = default) ?surrogate t ~qfg0 =
         Ok { steps = List.rev acc; passed = false; pulses_used = idx }
       else begin
         let pulse = { Program_erase.vgs; duration = config.pulse_width } in
-        match Program_erase.apply_pulse ?surrogate t ~qfg pulse with
+        match Program_erase.apply_pulse engine ~qfg pulse with
         | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
         | Ok o ->
           let s =

@@ -29,12 +29,13 @@ type result = {
 }
 
 val run :
-  ?config:config -> ?surrogate:bool ->
-  Fgt.t -> qfg0:float -> (result, string) Stdlib.result
-(** Run the program-and-verify loop from the given initial charge.
-    [surrogate] is passed through to {!Program_erase.apply_pulse}; steps
-    whose bias climbs past the operating box (the default config tops out
-    at 20 V) fall back to the exact solver automatically. *)
+  ?config:config ->
+  Program_erase.engine -> qfg0:float -> (result, string) Stdlib.result
+(** Run the program-and-verify loop from the given initial charge on the
+    engine's device, every pulse through {!Program_erase.apply_pulse} on
+    that engine. Steps whose bias climbs past the surrogate's operating
+    box (the default config tops out at 20 V) fall back to the exact
+    solver automatically. *)
 
 val dvt_per_pulse_tail : result -> float list
 (** ΔVT increments of the staircase after the first verify-visible pulse —

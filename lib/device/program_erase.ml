@@ -21,73 +21,123 @@ type outcome = {
 let default_program_pulse = { vgs = 15.; duration = 1e-3 }
 let default_erase_pulse = { vgs = -15.; duration = 1e-3 }
 
-(* ---------- warm-started pulse trains ---------- *)
+(* ---------- the pulse engine ---------- *)
 
-(* Pulse trains (endurance cycling, program-verify loops) re-solve the same
-   transient over and over: successive same-polarity pulses see near-identical
-   initial conditions, and once the train settles into its floating-point
-   limit cycle the (vgs, duration, qfg) triple repeats *bit-exactly*. Two
-   levels of reuse exploit this:
+(* Pulse trains (endurance cycling, program-verify loops, a served
+   device's lifetime) re-solve the same transient over and over. An engine
+   is the caller-owned state that exploits this, in precedence order:
 
-   - step-size warm start: the first accepted step of the previous
-     same-polarity pulse seeds the next pulse's [h0], skipping the
-     cold-start step-size search ([transient/warm_start_hit]);
-   - exact replay: a pulse whose (device, vgs, duration, qfg) key repeats
-     bit-for-bit returns the memoized outcome without integrating at all
+   - surrogate tables: an in-box pulse is served from a certified
+     Pulse_surrogate table for its vgs ([surrogate/{hit,fallback,build}]).
+     A table is built only once its vgs has been asked for more than
+     [requests_before_build] times, so a caller that pulses a device once
+     or twice never pays a build it would not amortize;
+   - exact replay: a pulse whose (vgs, duration, qfg) key repeats
+     bit-for-bit returns the memoized outcome without integrating
      ([program_erase/pulse_replay]). The solve is a pure function of the
-     key, so the replayed outcome is bit-identical to a re-solve.
+     key, so the replay is bit-identical to a re-solve;
+   - step-size warm start: the first accepted step of the previous
+     same-polarity solve seeds the next solve's [h0], skipping the
+     cold-start step-size search ([transient/warm_start_hit]).
 
-   State is domain-local (pulse trains run inside one domain; parallel
-   sweeps get an independent cache per worker) and keyed to the device by
-   physical identity — a different device record, even field-for-field
-   equal, resets the cache. Under an active fault-injection plan both
-   lookup and store are bypassed: a fault-poisoned solve must not be
-   memoized, and a memoized clean outcome must not mask the fault path. *)
+   An engine's answers are a function of the pulses it has served, in
+   order, and of nothing else: nothing is shared between engines. Under an
+   active fault-injection plan all three layers are bypassed: a
+   fault-poisoned solve must not be memoized, and a memoized clean outcome
+   must not mask the fault path. *)
 
-type warm_state = {
-  mutable ws_device : Fgt.t option;
+type slot =
+  | Ready of Pulse_surrogate.t
+  | Unusable  (* build failed for a non-budget reason; don't re-ask *)
+
+type engine = {
+  device : Fgt.t;
+  surrogate : bool;
+  tables : (int64, slot) Hashtbl.t;  (* keyed by the bits of vgs *)
+  pending : (int64, int) Hashtbl.t;  (* promotion counters per vgs *)
   replays : (float * float * float, outcome) Hashtbl.t;
-  h_last : (bool, float) Hashtbl.t;
+  h_last : (bool, float) Hashtbl.t;  (* keyed by polarity, vgs >= 0 *)
 }
 
-let warm_key : warm_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { ws_device = None; replays = Hashtbl.create 32; h_last = Hashtbl.create 2 })
+let engine ?(surrogate = true) device =
+  {
+    device;
+    surrogate;
+    tables = Hashtbl.create 8;
+    pending = Hashtbl.create 8;
+    replays = Hashtbl.create 32;
+    h_last = Hashtbl.create 2;
+  }
+
+let requests_before_build = 2
+let max_tables = 32
 
 (* Limit cycles are short (a program/erase pair per distinct charge state);
    cap the table well above that and reset wholesale if it ever fills. *)
 let max_replay_entries = 64
 
-let warm_state_for t =
-  let ws = Domain.DLS.get warm_key in
-  (match ws.ws_device with
-   (* lint: allow L9 — [==] here is a conservative same-device check on the
-      per-domain warm cache: a false negative only resets the cache and
-      recomputes identical values *)
-   | Some d when d == t -> ()
-   | _ ->
-     Hashtbl.reset ws.replays;
-     Hashtbl.reset ws.h_last;
-     ws.ws_device <- Some t);
-  ws
+let table_for ?budget e ~vgs =
+  let key = Int64.bits_of_float vgs in
+  match Hashtbl.find_opt e.tables key with
+  | Some (Ready t) -> Some t
+  | Some Unusable -> None
+  | None ->
+    let asked = 1 + Option.value ~default:0 (Hashtbl.find_opt e.pending key) in
+    if asked <= requests_before_build then begin
+      Hashtbl.replace e.pending key asked;
+      None
+    end
+    else begin
+      Hashtbl.remove e.pending key;
+      if Hashtbl.length e.tables >= max_tables then Hashtbl.reset e.tables;
+      match Pulse_surrogate.build ?budget e.device ~vgs with
+      | Ok t ->
+        Hashtbl.replace e.tables key (Ready t);
+        Some t
+      | Error { Err.kind = Err.Budget_exhausted _; _ } ->
+        (* transient starvation: leave the slot empty and retry on a
+           later, possibly better-funded, pulse *)
+        None
+      | Error err ->
+        Tel.count ("surrogate/unusable/" ^ Err.label err);
+        Hashtbl.replace e.tables key Unusable;
+        None
+    end
 
-let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
+let in_box e pulse =
+  Pulse_surrogate.in_box e.device ~vgs:pulse.vgs ~duration:pulse.duration
+
+let surrogate_response ?budget e ~qfg pulse =
+  let served =
+    if not (in_box e pulse) then None
+    else
+      Option.bind (table_for ?budget e ~vgs:pulse.vgs) (fun t ->
+          Pulse_surrogate.query t ~qfg ~duration:pulse.duration)
+  in
+  Tel.count (if Option.is_some served then "surrogate/hit" else "surrogate/fallback");
+  served
+
+(* Once the pulse is outside the box or its vgs slot is settled (Ready or
+   Unusable), a consult can no longer count, build or reset anything, so a
+   caller may skip it and replay a remembered outcome without moving any
+   later table build. *)
+let memoizable e pulse =
+  e.surrogate
+  && pulse.duration > 0.
+  && (not (Fault.active ()))
+  && ((not (in_box e pulse))
+      || Hashtbl.mem e.tables (Int64.bits_of_float pulse.vgs))
+
+let apply_pulse ?budget e ~qfg pulse =
   if pulse.duration <= 0. then
     Error
       (Err.make ~solver:"Program_erase.apply_pulse"
          (Err.Invalid_input "duration <= 0"))
   else Tel.span "program_erase/pulse" @@ fun () ->
     Tel.count "program_erase/pulse";
-    let faulted = Fault.active () in
-    (* precedence: surrogate > exact replay > exact solve. The surrogate is
-       consulted first because it serves the whole operating box, not just
-       bit-exact key repeats; like the warm caches it is bypassed under an
-       active fault plan so a fault path is never masked by a table. *)
+    let cached = not (Fault.active ()) in
     let sur =
-      if surrogate && not faulted then
-        Pulse_surrogate.pulse_response ?budget t ~vgs:pulse.vgs
-          ~duration:pulse.duration ~qfg
-      else None
+      if e.surrogate && cached then surrogate_response ?budget e ~qfg pulse else None
     in
     match sur with
     | Some r ->
@@ -97,38 +147,25 @@ let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
         {
           qfg_before = qfg;
           qfg_after;
-          dvt_after = Fgt.threshold_shift t ~qfg:qfg_after;
+          dvt_after = Fgt.threshold_shift e.device ~qfg:qfg_after;
           injected_charge = abs_float (qfg_after -. qfg);
           saturated = r.Pulse_surrogate.saturated;
         }
     | None ->
-    let warm = warm_start && not faulted in
-    let ws = if warm then Some (warm_state_for t) else None in
     let key = (pulse.vgs, pulse.duration, qfg) in
-    let replayed =
-      match ws with Some ws -> Hashtbl.find_opt ws.replays key | None -> None
-    in
-    match replayed with
+    match if cached then Hashtbl.find_opt e.replays key else None with
     | Some outcome ->
       Tel.count "program_erase/pulse_replay";
       if outcome.saturated then Tel.count "program_erase/saturated";
       Ok outcome
     | None ->
-      let h0 =
-        match ws with
-        | None -> None
-        | Some ws ->
-          (match Hashtbl.find_opt ws.h_last (pulse.vgs >= 0.) with
-           | Some h ->
-             Tel.count "transient/warm_start_hit";
-             Some h
-           | None -> None)
-      in
+      let h0 = if cached then Hashtbl.find_opt e.h_last (pulse.vgs >= 0.) else None in
+      if Option.is_some h0 then Tel.count "transient/warm_start_hit";
       (match
          Budget.with_opt budget @@ fun () ->
-         Transient.run ?h0 ~qfg0:qfg t ~vgs:pulse.vgs ~duration:pulse.duration
+         Transient.run ?h0 ~qfg0:qfg e.device ~vgs:pulse.vgs ~duration:pulse.duration
        with
-       | Error e -> Error e
+       | Error err -> Error err
        | Ok r ->
          if Option.is_some r.Transient.tsat then Tel.count "program_erase/saturated";
          let outcome =
@@ -140,28 +177,25 @@ let apply_pulse ?budget ?(warm_start = true) ?(surrogate = true) t ~qfg pulse =
              saturated = Option.is_some r.Transient.tsat;
            }
          in
-         (match ws with
-          | None -> ()
-          | Some ws ->
-            (match r.Transient.h_first with
-             | Some h -> Hashtbl.replace ws.h_last (pulse.vgs >= 0.) h
-             | None -> ());
-            if Hashtbl.length ws.replays >= max_replay_entries then
-              Hashtbl.reset ws.replays;
-            Hashtbl.replace ws.replays key outcome);
+         if cached then begin
+           Option.iter (Hashtbl.replace e.h_last (pulse.vgs >= 0.)) r.Transient.h_first;
+           if Hashtbl.length e.replays >= max_replay_entries then
+             Hashtbl.reset e.replays;
+           Hashtbl.replace e.replays key outcome
+         end;
          Ok outcome)
 
-let program ?budget ?warm_start ?surrogate ?(pulse = default_program_pulse) t ~qfg =
-  apply_pulse ?budget ?warm_start ?surrogate t ~qfg pulse
+let program ?budget ?(pulse = default_program_pulse) e ~qfg =
+  apply_pulse ?budget e ~qfg pulse
 
-let erase ?budget ?warm_start ?surrogate ?(pulse = default_erase_pulse) t ~qfg =
-  apply_pulse ?budget ?warm_start ?surrogate t ~qfg pulse
+let erase ?budget ?(pulse = default_erase_pulse) e ~qfg =
+  apply_pulse ?budget e ~qfg pulse
 
-let cycle ?warm_start ?surrogate ?(program_pulse = default_program_pulse)
-    ?(erase_pulse = default_erase_pulse) t ~qfg =
-  match program ?warm_start ?surrogate ~pulse:program_pulse t ~qfg with
-  | Error e -> Error e
+let cycle ?(program_pulse = default_program_pulse)
+    ?(erase_pulse = default_erase_pulse) e ~qfg =
+  match program ~pulse:program_pulse e ~qfg with
+  | Error err -> Error err
   | Ok p ->
-    (match erase ?warm_start ?surrogate ~pulse:erase_pulse t ~qfg:p.qfg_after with
-     | Error e -> Error e
-     | Ok e -> Ok (p, e))
+    (match erase ~pulse:erase_pulse e ~qfg:p.qfg_after with
+     | Error err -> Error err
+     | Ok er -> Ok (p, er))

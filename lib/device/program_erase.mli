@@ -18,55 +18,72 @@ type outcome = {
   saturated : bool;       (** the Jin = Jout event fired inside the pulse *)
 }
 
+(** {1 Pulse engine} *)
+
+type engine
+(** The caller-owned pulse-caching state for one device. An engine holds,
+    in precedence order:
+
+    - the {!Pulse_surrogate} tables, one per [vgs], each built once its
+      [vgs] has been asked for more than twice (a device pulsed once or
+      twice never pays for a build), and capped at 32 tables;
+    - an exact-replay table: a pulse whose [(vgs, duration, qfg)] repeats
+      bit-for-bit returns the memoized outcome, bit-identical to a
+      re-solve since the solve is a pure function of that key (capped at
+      64 entries);
+    - the warm start: each polarity's last first accepted step size seeds
+      the next exact solve's initial step.
+
+    An engine's answers depend only on the pulses it has served, in
+    order. Two engines never share state, so a fresh engine is a cold
+    start. Not thread-safe: one engine per domain-local owner (a
+    {!Gnrflash_memory.Cell_store}, one top-level {!Ispp.run}, a sweep
+    element). *)
+
+val engine : ?surrogate:bool -> Fgt.t -> engine
+(** A cold engine for the device. [surrogate] (default [true]) lets
+    in-box pulses be served from the certified tables: O(log n)
+    interpolation with a table-certified divergence bound instead of an
+    adaptive ODE solve, with transparent fallback to the exact path for
+    anything a table cannot certify. Pass [~surrogate:false] for exact
+    solver answers. *)
+
 val apply_pulse :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  Fgt.t -> qfg:float -> pulse -> (outcome, error) result
-(** Run one bias pulse from the given initial charge.
+  engine -> qfg:float -> pulse -> (outcome, error) result
+(** Run one bias pulse on the engine's device from the given initial
+    charge: surrogate table, else exact replay, else a warm-started exact
+    solve (see {!type-engine}). An active fault-injection plan bypasses
+    all three and forces a cold exact solve that is not remembered.
 
-    [surrogate] (default [true]) lets in-box pulses be served from the
-    {!Pulse_surrogate} table cache: O(log n) interpolation with a
-    table-certified divergence bound instead of an adaptive ODE solve, with
-    transparent fallback to the exact path for anything the table cannot
-    certify (telemetry [surrogate/{hit,fallback,build}]). Precedence is
-    surrogate > exact replay > exact solve. Pass [~surrogate:false] for
-    bit-exact solver answers; an active fault-injection plan bypasses the
-    surrogate automatically, exactly like the warm caches below.
+    Telemetry: [program_erase/pulse] (count and span) per pulse,
+    [surrogate/{hit,fallback}] per surrogate consult, [surrogate/build]
+    per table built, [program_erase/pulse_replay] per replay,
+    [transient/warm_start_hit] per warm-started solve. *)
 
-    [warm_start] (default [true]) enables two levels of pulse-train reuse,
-    both domain-local and keyed to the device by physical identity:
-    the previous same-polarity pulse's first accepted step size seeds this
-    pulse's initial [dt] ([transient/warm_start_hit]), and a pulse whose
-    (vgs, duration, qfg) triple repeats bit-for-bit on the same device
-    record replays the memoized outcome without integrating
-    ([program_erase/pulse_replay] — bit-identical to a re-solve, since the
-    solve is a pure function of the key). Pass [~warm_start:false] to force
-    every pulse through a cold solve; fault-injection plans bypass the
-    cache automatically. *)
+val memoizable : engine -> pulse -> bool
+(** Whether a caller may memoize this pulse's outcome by starting charge
+    and skip later consults: the surrogate is on, the duration is
+    positive, no fault plan is active, and either the pulse lies outside
+    the operating box (its consults never touch the promotion counters)
+    or its [vgs] table slot is settled (built or unusable). Until then
+    every pulse must reach {!apply_pulse}, or the table build would land
+    on a different pulse. *)
 
 val program :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?pulse:pulse -> Fgt.t -> qfg:float -> (outcome, error) result
+  ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
 (** One programming pulse; defaults to the paper's VGS = 15 V for 1 ms. *)
 
 val erase :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?pulse:pulse -> Fgt.t -> qfg:float -> (outcome, error) result
+  ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
 (** One erase pulse; defaults to VGS = −15 V for 1 ms. *)
 
 val default_program_pulse : pulse
 val default_erase_pulse : pulse
 
 val cycle :
-  ?warm_start:bool ->
-  ?surrogate:bool ->
-  ?program_pulse:pulse -> ?erase_pulse:pulse -> Fgt.t -> qfg:float ->
+  ?program_pulse:pulse -> ?erase_pulse:pulse -> engine -> qfg:float ->
   ((outcome * outcome), error) result
-(** One full program-then-erase cycle; returns both outcomes. See
-    {!apply_pulse} for the warm-start semantics that make long cycle
-    trains cheap. *)
+(** One full program-then-erase cycle; returns both outcomes. *)

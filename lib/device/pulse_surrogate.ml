@@ -252,118 +252,3 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
             }
         end
     end
-
-(* ---------- cached front door ---------- *)
-
-(* Per-domain cache keyed to the device by physical identity, mirroring the
-   warm-replay cache in Program_erase: pulse trains live inside one domain
-   and parallel sweeps give each worker an independent cache, so serving is
-   deterministic regardless of the domain count. *)
-
-type slot =
-  | Ready of t
-  | Unusable  (* build failed for a non-budget reason; don't re-ask *)
-
-type cache = {
-  mutable cache_device : Fgt.t option;
-  tables : (int64, slot) Hashtbl.t;
-  pending : (int64, int) Hashtbl.t;  (* promotion counters per vgs *)
-}
-
-let cache_key : cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { cache_device = None; tables = Hashtbl.create 8; pending = Hashtbl.create 8 })
-
-let max_tables = 32
-
-let cache_for device =
-  let c = Domain.DLS.get cache_key in
-  (match c.cache_device with
-   (* lint: allow L9 — conservative same-device identity check on the
-      per-domain table cache; a miss only rebuilds identical tables *)
-   | Some d when d == device -> ()
-   | _ ->
-     Hashtbl.reset c.tables;
-     Hashtbl.reset c.pending;
-     c.cache_device <- Some device);
-  c
-
-(* Build only once a (device, vgs) pair has shown it will repeat: a
-   Monte-Carlo sweep that touches each device once must not pay a build per
-   sample. The counter is per-domain and advances identically whichever
-   domain serves the device, so sweep results stay jobs-invariant. *)
-let build_after_n = Atomic.make 2
-
-let set_build_after n = Atomic.set build_after_n (max 0 n)
-let build_after () = Atomic.get build_after_n
-
-let cached device ~vgs =
-  let c = Domain.DLS.get cache_key in
-  match c.cache_device with
-  | Some d when d == device ->
-    (match Hashtbl.find_opt c.tables (Int64.bits_of_float vgs) with
-     | Some (Ready t) -> Some t
-     | Some Unusable | None -> None)
-  | _ -> None
-
-let table_for ?budget ?box device ~vgs =
-  let c = cache_for device in
-  let key = Int64.bits_of_float vgs in
-  match Hashtbl.find_opt c.tables key with
-  | Some (Ready t) -> Some t
-  | Some Unusable -> None
-  | None ->
-    let asked = 1 + Option.value ~default:0 (Hashtbl.find_opt c.pending key) in
-    if asked <= Atomic.get build_after_n then begin
-      Hashtbl.replace c.pending key asked;
-      None
-    end
-    else begin
-      Hashtbl.remove c.pending key;
-      if Hashtbl.length c.tables >= max_tables then Hashtbl.reset c.tables;
-      match build ?budget ?box device ~vgs with
-      | Ok t ->
-        Hashtbl.replace c.tables key (Ready t);
-        Some t
-      | Error { Err.kind = Err.Budget_exhausted _; _ } ->
-        (* transient starvation: leave the slot empty and retry on a
-           later, possibly better-funded, pulse *)
-        None
-      | Error e ->
-        Tel.count ("surrogate/unusable/" ^ Err.label e);
-        Hashtbl.replace c.tables key Unusable;
-        None
-    end
-
-(* Whether [pulse_response] has become a pure function of [qfg] for this
-   (device, vgs, duration): either the pulse never enters the box (the
-   promotion counters are never touched), or this domain's cache is keyed
-   to this device and the (device, vgs) slot is settled — Ready or
-   poisoned — so a consult can no longer count, build, or reset anything.
-   Until then every consult advances the build-after promotion, and
-   skipping one would shift the build onto a different pulse. *)
-let response_static ?box device ~vgs ~duration =
-  (not (in_box ?box device ~vgs ~duration))
-  ||
-  let c = Domain.DLS.get cache_key in
-  (match c.cache_device with
-   (* lint: allow L9 — same conservative identity check as the cache
-      itself: a false negative only delays downstream memoization *)
-   | Some d when d == device -> Hashtbl.mem c.tables (Int64.bits_of_float vgs)
-   | _ -> false)
-
-let pulse_response ?budget ?box device ~vgs ~duration ~qfg =
-  let fallback () =
-    Tel.count "surrogate/fallback";
-    None
-  in
-  if not (in_box ?box device ~vgs ~duration) then fallback ()
-  else
-    match table_for ?budget ?box device ~vgs with
-    | None -> fallback ()
-    | Some t ->
-      (match query t ~qfg ~duration with
-       | None -> fallback ()
-       | Some r ->
-         Tel.count "surrogate/hit";
-         Some r)

@@ -25,9 +25,11 @@
     the bound; anything the table cannot certify returns [None] and the
     caller falls back to the exact solver.
 
-    Telemetry: [surrogate/build] (count + span) per table built,
-    [surrogate/hit] per served query, [surrogate/fallback] per consulted
-    query that could not be served. *)
+    This module is the pure table code. Which tables exist, when they are
+    built and which pulses they serve is decided by the caller-owned
+    {!Program_erase.type-engine}, which counts [surrogate/hit] per served
+    query and [surrogate/fallback] per consulted query that could not be
+    served. [build] itself counts [surrogate/build] (count + span). *)
 
 type error = Gnrflash_resilience.Solver_error.t
 
@@ -112,41 +114,3 @@ val saturation_time : t -> qfg:float -> float option
 val time_to_charge : t -> qfg0:float -> qfg1:float -> float option
 (** Trajectory time from [qfg0] to [qfg1] (the Fig 5 [ttts] when [qfg1]
     is the 2 V-shift charge); [None] if either end is out of range. *)
-
-(** {1 Cached front door} *)
-
-val set_build_after : int -> unit
-(** A table is only built after a (device, vgs) pair has been asked for
-    more than this many times (default 2): single-shot queries — e.g. a
-    Monte-Carlo sweep touching each device once — fall back to the exact
-    solver instead of paying a build they would never amortize. Set 0 to
-    build eagerly (the bench does, around its probes). The policy is
-    per-domain-deterministic, so parallel sweeps that split work by device
-    stay bit-reproducible across [jobs]. *)
-
-val build_after : unit -> int
-
-val cached : Fgt.t -> vgs:float -> t option
-(** Peek at this domain's cache without counting, building, or promoting —
-    for tests and the bench to reach the serving table's bound. *)
-
-val response_static : ?box:box -> Fgt.t -> vgs:float -> duration:float -> bool
-(** Whether {!pulse_response} has become a {e pure} function of [qfg] for
-    this (device, vgs, duration) in the calling domain: the pulse never
-    enters the box, or the (device, vgs) table slot is settled (built or
-    poisoned) so a consult can no longer count toward promotion, build, or
-    reset anything. Downstream memo layers ({!Gnrflash_memory.Cell_store})
-    use this to decide when an out-of-box outcome may be cached without
-    changing how often the promotion counters advance. *)
-
-val pulse_response :
-  ?budget:Gnrflash_resilience.Budget.t ->
-  ?box:box ->
-  Fgt.t -> vgs:float -> duration:float -> qfg:float -> response option
-(** The front door {!Program_erase.apply_pulse} uses: in-box pulses are
-    served from this domain's table cache (building on promotion, keyed to
-    the device by physical identity like the warm-replay cache — a
-    different device record resets it); every [None] is a fallback the
-    caller must route to the exact solver. Build failures other than
-    budget exhaustion poison the (device, vgs) slot so the solver is not
-    re-asked every pulse; budget exhaustion is transient and retried. *)

@@ -18,10 +18,10 @@ let state ?(dvt_threshold = 1.0) c = if dvt c > dvt_threshold then Programmed el
 
 let to_bit = function Programmed -> 0 | Erased -> 1
 
-let apply_bias_pulse ?surrogate ~reliability ~pulse c =
+let apply_bias_pulse ~reliability ~pulse engine c =
   if c.wear.D.Reliability.broken then Error "Cell: oxide broken"
   else
-    match D.Program_erase.apply_pulse ?surrogate c.device ~qfg:c.qfg pulse with
+    match D.Program_erase.apply_pulse engine ~qfg:c.qfg pulse with
     | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
     | Ok o ->
       (* effective stress field: the tunnel-oxide field at the pulse's
@@ -40,12 +40,12 @@ let apply_bias_pulse ?surrogate ~reliability ~pulse c =
       Ok { c with qfg = o.D.Program_erase.qfg_after; wear }
 
 let program ?(pulse = D.Program_erase.default_program_pulse)
-    ?(reliability = D.Reliability.default) ?surrogate c =
-  apply_bias_pulse ?surrogate ~reliability ~pulse c
+    ?(reliability = D.Reliability.default) engine c =
+  apply_bias_pulse ~reliability ~pulse engine c
 
 let erase ?(pulse = D.Program_erase.default_erase_pulse)
-    ?(reliability = D.Reliability.default) ?surrogate c =
-  apply_bias_pulse ?surrogate ~reliability ~pulse c
+    ?(reliability = D.Reliability.default) engine c =
+  apply_bias_pulse ~reliability ~pulse engine c
 
 let read ?(config = D.Readout.default) c =
   let i = D.Readout.read_current config c.device ~qfg:c.qfg in

@@ -29,19 +29,17 @@ val to_bit : logic -> int
 val program :
   ?pulse:Gnrflash_device.Program_erase.pulse ->
   ?reliability:Gnrflash_device.Reliability.model ->
-  ?surrogate:bool ->
+  Gnrflash_device.Program_erase.engine ->
   t -> (t, string) result
-(** Apply a program pulse, updating charge and wear. Fails on a broken
-    oxide. [surrogate] is passed to {!Gnrflash_device.Program_erase}
-    (default on: in-box pulses are table-served within the certified
-    bound). *)
+(** Apply a program pulse through the engine, which must be one for the
+    cell's device, updating charge and wear. Fails on a broken oxide. *)
 
 val erase :
   ?pulse:Gnrflash_device.Program_erase.pulse ->
   ?reliability:Gnrflash_device.Reliability.model ->
-  ?surrogate:bool ->
+  Gnrflash_device.Program_erase.engine ->
   t -> (t, string) result
-(** Apply an erase pulse, updating charge and wear. *)
+(** Apply an erase pulse through the engine, updating charge and wear. *)
 
 val read : ?config:Gnrflash_device.Readout.config -> t -> logic
 (** Sense the cell through the readout model (current comparison against

@@ -4,6 +4,7 @@ module U = Gnrflash_units
 
 type t = {
   device : D.Fgt.t;
+  engine : D.Program_erase.engine; (* this store's pulse caches *)
   cfc : float; (* control-coupling capacitance, hoisted for O(1) readout *)
   n : int;
   qfg : float array;
@@ -13,10 +14,11 @@ type t = {
   broken : Bytes.t; (* '\000' intact, '\001' broken *)
 }
 
-let create ?(qfg = 0.) ~n device =
+let create ?(qfg = 0.) ?surrogate ~n device =
   if n < 1 then invalid_arg "Cell_store.create: n < 1";
   {
     device;
+    engine = D.Program_erase.engine ?surrogate device;
     cfc = U.to_float (D.Capacitance.cfc_qty device.D.Fgt.caps);
     n;
     qfg = Array.make n qfg;
@@ -28,6 +30,7 @@ let create ?(qfg = 0.) ~n device =
 
 let length t = t.n
 let device t = t.device
+let engine t = t.engine
 let qfg t i = t.qfg.(i)
 let fluence t i = t.fluence.(i)
 let traps t i = t.traps.(i)
@@ -186,99 +189,49 @@ let apply_entry t i e =
   if fl >= e.e_qbd then Bytes.set t.broken i '\001';
   t.qfg.(i) <- e.e_qfg_after
 
-(* Full apply_pulse round trip for the paths that must stay un-memoized:
-   surrogate off, fault plans, non-positive durations. These take the same
-   apply_pulse call the record path took, in the same order. *)
-let apply_exact t ~rel ~pulse ~surrogate i q0 =
-  match D.Program_erase.apply_pulse ~surrogate t.device ~qfg:q0 pulse with
-  | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
-  | Ok o ->
-    apply_entry t i (entry_of t ~rel ~pulse q0 o.D.Program_erase.qfg_after);
-    Ok ()
-
-let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~surrogate i =
+let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
   if Bytes.get t.broken i <> '\000' then Error "Cell: oxide broken"
   else begin
     let q0 = t.qfg.(i) in
-    (* Memoization is sound only for surrogate-served pulses: the table is
-       a pure function of (device, vgs, duration, qfg) with no
-       call-history state. Everything else — surrogate off, active fault
-       plan (a memo must never mask a fault path), non-positive duration,
-       out-of-box charge — takes the same apply_pulse call the record
-       path took, in the same order. *)
+    let s = find_slot memo q0 in
+    (* a memo must never mask a fault path: under a fault plan every
+       pulse reaches the engine *)
     if
-      (not surrogate)
-      || pulse.D.Program_erase.duration <= 0.
-      || Gnrflash_resilience.Fault.active ()
-    then apply_exact t ~rel:reliability ~pulse ~surrogate i q0
-    else begin
-      let s = find_slot memo q0 in
-      if Bytes.unsafe_get memo.m_occ s <> '\000' then begin
-        (* hit: replay the deltas straight from the columns — no solve,
-           no allocation *)
-        let fl = t.fluence.(i) +. Array.unsafe_get memo.m_dfl s in
-        t.fluence.(i) <- fl;
-        t.traps.(i) <- t.traps.(i) +. Array.unsafe_get memo.m_dtr s;
-        t.cycles.(i) <- t.cycles.(i) + 1;
-        if fl >= Array.unsafe_get memo.m_qbd s then Bytes.set t.broken i '\001';
-        t.qfg.(i) <- Array.unsafe_get memo.m_qafter s;
-        Ok ()
-      end
-      else begin
-        match
-          D.Pulse_surrogate.pulse_response t.device
-            ~vgs:pulse.D.Program_erase.vgs
-            ~duration:pulse.D.Program_erase.duration ~qfg:q0
-        with
-        | Some r ->
-          let e =
-            entry_of t ~rel:reliability ~pulse q0 r.D.Pulse_surrogate.qfg_after
-          in
+      Bytes.unsafe_get memo.m_occ s <> '\000'
+      && not (Gnrflash_resilience.Fault.active ())
+    then begin
+      (* hit: replay the deltas straight from the columns — no solve,
+         no allocation *)
+      let fl = t.fluence.(i) +. Array.unsafe_get memo.m_dfl s in
+      t.fluence.(i) <- fl;
+      t.traps.(i) <- t.traps.(i) +. Array.unsafe_get memo.m_dtr s;
+      t.cycles.(i) <- t.cycles.(i) + 1;
+      if fl >= Array.unsafe_get memo.m_qbd s then Bytes.set t.broken i '\001';
+      t.qfg.(i) <- Array.unsafe_get memo.m_qafter s;
+      Ok ()
+    end
+    else
+      match D.Program_erase.apply_pulse t.engine ~qfg:q0 pulse with
+      | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
+      | Ok o ->
+        let e =
+          entry_of t ~rel:reliability ~pulse q0 o.D.Program_erase.qfg_after
+        in
+        (* skipping a pulse before the engine allows it would shift the
+           surrogate build onto a different pulse *)
+        if D.Program_erase.memoizable t.engine pulse then
           memo_add memo q0 ~qfg_after:e.e_qfg_after ~dfl:e.e_dfluence
             ~dtr:e.e_dtraps ~qbd:e.e_qbd;
-          apply_entry t i e;
-          Ok ()
-        | None -> begin
-          (* the consult above already counted toward this (device, vgs)
-             promotion — go exact WITHOUT a second consult, so the
-             surrogate's build-after counter advances exactly as often as
-             under the record path's single apply_pulse consult *)
-          match
-            D.Program_erase.apply_pulse ~surrogate:false t.device ~qfg:q0
-              pulse
-          with
-          | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
-          | Ok o ->
-            let e =
-              entry_of t ~rel:reliability ~pulse q0 o.D.Program_erase.qfg_after
-            in
-            (* Out-of-box outcomes come from Program_erase's exact-replay
-               table, pure in (vgs, duration, qfg) — memoizable once the
-               surrogate consult can no longer mutate promotion state
-               (slot settled or pulse never in the box). Before that,
-               every pulse must keep consulting, or the build would land
-               on a different pulse than under the record path. *)
-            if
-              D.Pulse_surrogate.response_static t.device
-                ~vgs:pulse.D.Program_erase.vgs
-                ~duration:pulse.D.Program_erase.duration
-            then
-              memo_add memo q0 ~qfg_after:e.e_qfg_after ~dfl:e.e_dfluence
-                ~dtr:e.e_dtraps ~qbd:e.e_qbd;
-            apply_entry t i e;
-            Ok ()
-        end
-      end
-    end
+        apply_entry t i e;
+        Ok ()
   end
 
 let apply_pulse_range ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~surrogate ~lo ~hi =
+    ~lo ~hi =
   let err = ref None in
   let i = ref lo in
   while Option.is_none !err && !i <= hi do
-    (match apply_pulse_at t ~reliability ~memo ~pulse ~surrogate !i with
+    (match apply_pulse_at t ~reliability ~memo ~pulse !i with
      | Ok () -> ()
      | Error e -> err := Some e);
     incr i

@@ -14,22 +14,29 @@
     Bit-identity contract: every update applies exactly the float
     expressions of {!Cell.apply_bias_pulse} /
     {!Gnrflash_device.Reliability.after_pulse} (memoized per distinct
-    starting charge — valid because the pulse solve is a pure function of
-    [(device, vgs, duration, qfg)], see {!Gnrflash_device.Program_erase}),
-    so charges, wear and digests stay Int64-bit-identical to the seed
-    record-based path. The side-by-side qcheck property in
+    starting charge once {!Gnrflash_device.Program_erase.memoizable}
+    allows it), so charges, wear and digests stay Int64-bit-identical to
+    the seed record-based path. The side-by-side qcheck property in
     [test/test_cell_store.ml] pins this. *)
 
 type t
 (** Mutable store. Not thread-safe; each execution-tier worker owns its
     instances. *)
 
-val create : ?qfg:float -> n:int -> Gnrflash_device.Fgt.t -> t
+val create : ?qfg:float -> ?surrogate:bool -> n:int -> Gnrflash_device.Fgt.t -> t
 (** [n] cells over one shared device record, all at charge [qfg]
-    (default neutral) with zero wear. @raise Invalid_argument if [n < 1]. *)
+    (default neutral) with zero wear, and one cold
+    {!Gnrflash_device.Program_erase.engine} for the store's lifetime
+    ([surrogate] is passed to it, default on). Every pulse of the store
+    goes through that engine, so a store's results depend only on what
+    was done to it. @raise Invalid_argument if [n < 1]. *)
 
 val length : t -> int
 val device : t -> Gnrflash_device.Fgt.t
+
+val engine : t -> Gnrflash_device.Program_erase.engine
+(** The store's pulse engine, for callers that pulse its cells outside
+    {!apply_pulse_at} (e.g. an ISPP loop) and must share its caches. *)
 
 (** {1 Per-cell scalar access} *)
 
@@ -69,14 +76,12 @@ type memo
     (sign-preserving, so [-0.] and [0.] stay distinct). Each entry
     carries the post-pulse charge and the precomputed wear deltas of
     {!Gnrflash_device.Reliability.after_pulse}. A memo is valid for one
-    fixed [(pulse, surrogate, reliability)] triple on this store's device
-    — e.g. an instance-lifetime program memo and erase memo in
-    {!Command_fsm}. Entries are admitted from two sources: surrogate-served
-    outcomes (pure in the charge by certification), and out-of-box exact
-    outcomes once {!Gnrflash_device.Pulse_surrogate.response_static} says
-    the consult can no longer advance the build promotion — before that,
-    every pulse re-consults so the surrogate builds on exactly the same
-    pulse as under the record-based path. *)
+    fixed [(pulse, reliability)] pair on this store — e.g. an
+    instance-lifetime program memo and erase memo in {!Command_fsm}. An
+    outcome is admitted only when
+    {!Gnrflash_device.Program_erase.memoizable} holds for the store's
+    engine; before that, every pulse reaches the engine so the surrogate
+    builds on exactly the same pulse as on the record-based path. *)
 
 val memo : unit -> memo
 
@@ -85,22 +90,21 @@ val apply_pulse_at :
   t ->
   memo:memo ->
   pulse:Gnrflash_device.Program_erase.pulse ->
-  surrogate:bool ->
   int -> (unit, string) result
 (** Apply one pulse to cell [i] in place, bit-identical to
-    {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t}: broken
-    oxide fails first (before any lookup), a fresh charge resolves one
-    surrogate consult (falling back to the exact/replay solver) and
-    memoizes when sound (see {!type-memo}), a repeated charge replays the
-    deltas in O(1) with no solve and no allocation. Solver errors are
-    returned (never memoized) with the cell unchanged. *)
+    {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t} with the
+    store's engine: broken oxide fails first (before any lookup), a
+    repeated charge replays the deltas in O(1) with no solve and no
+    allocation, and a fresh charge makes one
+    {!Gnrflash_device.Program_erase.apply_pulse} call and memoizes when
+    sound (see {!type-memo}). An active fault plan skips the memo. Solver
+    errors are returned (never memoized) with the cell unchanged. *)
 
 val apply_pulse_range :
   ?reliability:Gnrflash_device.Reliability.model ->
   t ->
   memo:memo ->
   pulse:Gnrflash_device.Program_erase.pulse ->
-  surrogate:bool ->
   lo:int -> hi:int -> (unit, string) result
 (** [apply_pulse_at] over [lo..hi] inclusive, ascending — one solve per
     distinct charge in the range, deltas blitted across the rest. Stops

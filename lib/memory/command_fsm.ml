@@ -16,7 +16,6 @@ type config = {
   program_pulse : D.Program_erase.pulse;
   erase_pulse : D.Program_erase.pulse;
   max_pulses : int;
-  surrogate : bool;
   disturb : D.Disturb.config option;
       (* when set, every program pulse feeds its gate disturb back into the
          erased cells of the sector's unselected words *)
@@ -32,7 +31,6 @@ let default_config =
     program_pulse = D.Program_erase.default_program_pulse;
     erase_pulse = D.Program_erase.default_erase_pulse;
     max_pulses = 8;
-    surrogate = true;
     disturb = None;
   }
 
@@ -146,11 +144,6 @@ let create ?(config = default_config) device =
      || config.t_cycle <= 0.
   then invalid_arg "Command_fsm.create: bad geometry";
   let n = config.sectors * config.words_per_sector * config.word_bits in
-  (* Private copy of the device record: the pulse caches (surrogate
-     tables, warm starts, exact-replay memos) are keyed by physical
-     identity, so a fresh identity makes every instance start cold and
-     end bit-identical, whatever ran before it on this domain. *)
-  let device = { device with D.Fgt.vs = device.D.Fgt.vs } in
   {
     cfg = config;
     store = S.create ~n device;
@@ -288,8 +281,7 @@ let program_word_cells t ~addr ~data =
         && !p < t.cfg.max_pulses
       do
         match
-          S.apply_pulse_at t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse
-            ~surrogate:t.cfg.surrogate idx
+          S.apply_pulse_at t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse idx
         with
         | Error e -> failed := e
         | Ok () -> incr p
@@ -336,7 +328,7 @@ let erase_sector_cells t ~sector =
   while (not (all_erased ())) && !rounds < t.cfg.max_pulses do
     (match
        S.apply_pulse_range t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse
-         ~surrogate:t.cfg.surrogate ~lo:base ~hi:(base + ncells - 1)
+         ~lo:base ~hi:(base + ncells - 1)
      with
      | Ok () -> ()
      | Error e -> raise (Pulse_failed e));

@@ -5,7 +5,8 @@
     typed command-sequence errors.
 
     Every program and erase resolves through the device physics of
-    {!Gnrflash_device.Program_erase} (surrogate-accelerated by default),
+    {!Gnrflash_device.Program_erase} (surrogate-accelerated, through the
+    instance's own {!Cell_store} engine),
     so busy durations, over-erase drift and wear are consequences of the
     paper's floating-gate model rather than datasheet constants. Time is
     {e model time} in seconds — each bus cycle costs [t_cycle] and each
@@ -51,7 +52,6 @@ type config = {
   program_pulse : Gnrflash_device.Program_erase.pulse;
   erase_pulse : Gnrflash_device.Program_erase.pulse;
   max_pulses : int;           (** internal program/erase verify retries *)
-  surrogate : bool;           (** serve pulses from the certified surrogate *)
   disturb : Gnrflash_device.Disturb.config option;
   (** when set, the gate disturb counted in [disturb_events] is fed back
       into the stored charge of the erased cells of the sector's
@@ -62,7 +62,7 @@ type config = {
 
 val default_config : config
 (** 8 sectors × 32 words × 13 bits, 16-word buffer, 100 ns cycles,
-    the paper's ±15 V / 1 ms pulses, 8 verify retries, surrogate on,
+    the paper's ±15 V / 1 ms pulses, 8 verify retries,
     disturb feedback off. *)
 
 type t

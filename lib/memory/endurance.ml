@@ -36,9 +36,8 @@ let cycle_cell ?(reliability = D.Reliability.default)
   (* P/E cycling alternates exactly two charge states once the loop
      settles, so a 1-cell store with per-pulse memos turns the long
      cycling run into O(1) replays after the first few solves *)
-  let store = Cell_store.create ~n:1 device in
+  let store = Cell_store.create ?surrogate ~n:1 device in
   let pmemo = Cell_store.memo () and ememo = Cell_store.memo () in
-  let surrogate = Option.value surrogate ~default:true in
   let samples = ref [] in
   let failure = ref None in
   let survived = ref 0 in
@@ -46,14 +45,14 @@ let cycle_cell ?(reliability = D.Reliability.default)
      for i = 1 to cycles do
        (match
           Cell_store.apply_pulse_at ~reliability store ~memo:pmemo
-            ~pulse:program_pulse ~surrogate 0
+            ~pulse:program_pulse 0
         with
         | Error e -> failure := Some e; raise Exit
         | Ok () -> ());
        let vt_prog = Cell.effective_vt ~reliability (Cell_store.view store 0) in
        (match
           Cell_store.apply_pulse_at ~reliability store ~memo:ememo
-            ~pulse:erase_pulse ~surrogate 0
+            ~pulse:erase_pulse 0
         with
         | Error e -> failure := Some e; raise Exit
         | Ok () -> ());

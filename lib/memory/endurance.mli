@@ -26,10 +26,12 @@ val cycle_cell :
   Gnrflash_device.Fgt.t -> cycles:int -> run
 (** Cycle a single cell [cycles] times, sampling the thresholds at
     log-spaced cycle counts. Stops early on oxide breakdown or when the
-    window falls below [window_min] (default 1 V). [surrogate] (default
-    on) serves in-box pulses from the {!Gnrflash_device.Pulse_surrogate}
-    tables — the intended fleet-scale cycling path; pass [false] to force
-    every pulse through the exact ODE solve. *)
+    window falls below [window_min] (default 1 V). The run owns one cold
+    pulse engine, so its result depends only on its arguments.
+    [surrogate] (default on) serves in-box pulses from the
+    {!Gnrflash_device.Pulse_surrogate} tables — the intended fleet-scale
+    cycling path; pass [false] to force every pulse through the exact ODE
+    solve. *)
 
 val predicted_endurance :
   ?reliability:Gnrflash_device.Reliability.model ->

@@ -48,13 +48,13 @@ let bits_to_level c bits =
   let g = Array.fold_left (fun acc b -> (acc lsl 1) lor (b land 1)) 0 bits in
   gray_decode g
 
-let program_level ?(config = default_mlc) device ~qfg0 ~level =
+let program_level ?(config = default_mlc) engine ~qfg0 ~level =
   if level < 0 || level >= levels config then Error "Mlc.program_level: level out of range"
   else if level = 0 then Ok (qfg0, 0)
   else begin
     let target = target_dvt config ~level in
     let ispp = { config.ispp with D.Ispp.target_dvt = target } in
-    match D.Ispp.run ~config:ispp device ~qfg0 with
+    match D.Ispp.run ~config:ispp engine ~qfg0 with
     | Error e -> Error e
     | Ok r ->
       if not r.D.Ispp.passed then Error "Mlc.program_level: ISPP failed to verify"

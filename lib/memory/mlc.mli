@@ -42,10 +42,10 @@ val bits_to_level : config -> int array -> int
     mismatch. *)
 
 val program_level :
-  ?config:config -> Gnrflash_device.Fgt.t -> qfg0:float -> level:int ->
-  (float * int, string) result
-(** Program a cell (from charge [qfg0], normally erased) to the given
-    level with ISPP targeting that level's window. Returns
+  ?config:config -> Gnrflash_device.Program_erase.engine -> qfg0:float ->
+  level:int -> (float * int, string) result
+(** Program a cell of the engine's device (from charge [qfg0], normally
+    erased) to the given level with ISPP targeting that level's window. Returns
     [(qfg_after, pulses_used)]. Level 0 is a no-op. Fails when ISPP cannot
     place the threshold. *)
 

@@ -51,12 +51,13 @@ let program_page t ~page ~data =
   if Array.length data <> t.strings then
     invalid_arg "Nand_block.program_page: data length mismatch";
   let device = S.device t.store in
+  let engine = S.engine t.store in
   let base = page * t.strings in
   let rec program s failures events =
     if s = t.strings then Ok (failures, events)
     else if data.(s) <> 0 then program (s + 1) failures events
     else
-      match D.Ispp.run ~config:t.ispp device ~qfg0:(S.qfg t.store (base + s)) with
+      match D.Ispp.run ~config:t.ispp engine ~qfg0:(S.qfg t.store (base + s)) with
       | Error e -> Error e
       | Ok r ->
         (match List.rev r.D.Ispp.steps with
@@ -101,7 +102,7 @@ let program_page t ~page ~data =
 
 let erase_block t =
   S.apply_pulse_range t.store ~memo:t.ememo
-    ~pulse:D.Program_erase.default_erase_pulse ~surrogate:true ~lo:0
+    ~pulse:D.Program_erase.default_erase_pulse ~lo:0
     ~hi:(S.length t.store - 1)
   |> Result.map (fun () -> t.stats <- { t.stats with erases = t.stats.erases + 1 })
 

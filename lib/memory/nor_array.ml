@@ -98,7 +98,7 @@ let read_bit t ~index =
 
 let erase_all t =
   S.apply_pulse_range t.store ~memo:t.ememo
-    ~pulse:D.Program_erase.default_erase_pulse ~surrogate:true ~lo:0
+    ~pulse:D.Program_erase.default_erase_pulse ~lo:0
     ~hi:(S.length t.store - 1)
   |> Result.map (fun () -> t)
 

@@ -19,14 +19,14 @@ let default =
 
 let is_over_erased ?(config = default) c = Cell.dvt c < config.verify_low
 
-let recover ?(config = default) c =
+let recover ?(config = default) engine c =
   if not (is_over_erased ~config c) then Ok (c, 0)
   else begin
     let pulse = { D.Program_erase.vgs = config.soft_vgs; duration = config.soft_width } in
     let rec loop c pulses =
       if pulses >= config.max_pulses then Error "Over_erase.recover: pulse budget exhausted"
       else
-        match Cell.program ~pulse c with
+        match Cell.program ~pulse engine c with
         | Error e -> Error e
         | Ok c ->
           let dvt = Cell.dvt c in
@@ -37,7 +37,7 @@ let recover ?(config = default) c =
     loop c 0
   end
 
-let erase_with_recovery ?(config = default) c =
-  match Cell.erase c with
+let erase_with_recovery ?(config = default) engine c =
+  match Cell.erase engine c with
   | Error e -> Error e
-  | Ok c -> recover ~config c
+  | Ok c -> recover ~config engine c

@@ -20,13 +20,17 @@ val default : config
 val is_over_erased : ?config:config -> Cell.t -> bool
 (** True when the stored ΔVT is below the verify floor. *)
 
-val recover : ?config:config -> Cell.t -> (Cell.t * int, string) result
-(** Soft-program an over-erased cell back into the verify window. Returns
+val recover :
+  ?config:config -> Gnrflash_device.Program_erase.engine -> Cell.t ->
+  (Cell.t * int, string) result
+(** Soft-program an over-erased cell back into the verify window, every
+    pulse through the engine (one for the cell's device). Returns
     the recovered cell and the pulses used; fails if the budget is
     exhausted or a pulse overshoots [verify_high]. Cells already in the
     window are returned unchanged with 0 pulses. *)
 
 val erase_with_recovery :
-  ?config:config -> Cell.t -> (Cell.t * int, string) result
+  ?config:config -> Gnrflash_device.Program_erase.engine -> Cell.t ->
+  (Cell.t * int, string) result
 (** Full erase flow: erase pulse, then {!recover} — what
     "erase a NOR block" actually executes. *)

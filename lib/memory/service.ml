@@ -8,7 +8,6 @@ type config = {
   poll_interval : float;
   t_cycle : float;
   max_pulses : int;
-  surrogate : bool;
   disturb : Gnrflash_device.Disturb.config option;
 }
 
@@ -19,7 +18,6 @@ let default_config =
     poll_interval = 0.;
     t_cycle = 100e-9;
     max_pulses = 8;
-    surrogate = true;
     disturb = None;
   }
 
@@ -82,7 +80,6 @@ let create ?(config = default_config) device =
       word_bits = word_bits_for config.strings;
       t_cycle = config.t_cycle;
       max_pulses = config.max_pulses;
-      surrogate = config.surrogate;
       disturb = config.disturb;
     }
   in

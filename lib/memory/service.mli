@@ -19,7 +19,6 @@ type config = {
                              model seconds; 0: RY/BY#-style wait *)
   t_cycle : float;       (** bus cycle time [s] *)
   max_pulses : int;      (** device-internal verify retries *)
-  surrogate : bool;      (** serve pulses from the certified surrogate *)
   disturb : Gnrflash_device.Disturb.config option;
   (** forwarded to {!Command_fsm}: when set, counted gate-disturb events
       shift the charge of erased victim cells; [None] (default) keeps
@@ -28,7 +27,7 @@ type config = {
 
 val default_config : config
 (** {!Ftl.default_config} geometry, 8 data bits (13-bit codewords),
-    RY/BY# waits, 100 ns cycles, 8 retries, surrogate on, disturb
+    RY/BY# waits, 100 ns cycles, 8 retries, disturb
     feedback off. *)
 
 type t

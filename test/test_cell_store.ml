@@ -2,10 +2,9 @@
    record-based path: the same pulse sequence driven through
    [Cell_store] (flat columns + per-pulse memo) and through boxed
    [Cell.t] values must leave Int64-bit-identical charges and wear, and
-   equal digests. Each run gets its own freshly constructed (physically
-   distinct, structurally equal) device record so the per-domain
-   surrogate/replay caches reset between runs and both paths see the
-   same consult history from a cold start. *)
+   equal digests. Each run owns one cold pulse engine (the store's, or
+   one shared by the boxed cells), so both paths see the same consult
+   history from a cold start. *)
 
 module S = Gnrflash_memory.Cell_store
 module Cell = Gnrflash_memory.Cell
@@ -26,7 +25,7 @@ let prog_pulse = PE.default_program_pulse
 let erase_pulse = PE.default_erase_pulse
 
 (* ...and out-of-box ones (duration below the paper box's 1 ns floor):
-   always exact, memoized via the response_static admission rule. *)
+   always exact, memoized via the Program_erase.memoizable admission rule. *)
 let prog_short = { PE.vgs = 15.; duration = 0.5e-9 }
 let erase_short = { PE.vgs = -15.; duration = 0.5e-9 }
 
@@ -42,10 +41,10 @@ let run_store ~pp ~ep ~n ops =
   List.iter
     (fun op ->
       match op with
-      | Prog i -> note (S.apply_pulse_at s ~memo:pm ~pulse:pp ~surrogate:true i)
-      | Erase i -> note (S.apply_pulse_at s ~memo:em ~pulse:ep ~surrogate:true i)
+      | Prog i -> note (S.apply_pulse_at s ~memo:pm ~pulse:pp i)
+      | Erase i -> note (S.apply_pulse_at s ~memo:em ~pulse:ep i)
       | Erange (lo, hi) ->
-          note (S.apply_pulse_range s ~memo:em ~pulse:ep ~surrogate:true ~lo ~hi))
+          note (S.apply_pulse_range s ~memo:em ~pulse:ep ~lo ~hi))
     ops;
   (s, List.rev !errs)
 
@@ -53,12 +52,13 @@ let run_store ~pp ~ep ~n ops =
    a range op as the seed's ascending per-cell loop stopping at the
    first error. *)
 let run_record ~pp ~ep ~n ops =
-  (* one shared device record, like the store *)
+  (* one shared device record and engine, like the store *)
   let device = fresh_device () in
+  let engine = PE.engine device in
   let cells = Array.init n (fun _ -> Cell.make device) in
   let errs = ref [] in
   let prog i =
-    match Cell.program ~pulse:pp ~surrogate:true cells.(i) with
+    match Cell.program ~pulse:pp engine cells.(i) with
     | Ok c ->
         cells.(i) <- c;
         true
@@ -67,7 +67,7 @@ let run_record ~pp ~ep ~n ops =
         false
   in
   let erase i =
-    match Cell.erase ~pulse:ep ~surrogate:true cells.(i) with
+    match Cell.erase ~pulse:ep engine cells.(i) with
     | Ok c ->
         cells.(i) <- c;
         true
@@ -192,15 +192,15 @@ let test_scalar_readout_matches_cell () =
   done
 
 let test_range_equals_per_cell_loop () =
-  (* fresh device per store: both runs start with cold caches, so the
-     exact/surrogate consult history is identical *)
+  (* each store starts with a cold engine, so the exact/surrogate
+     consult history is identical *)
   let charges = [| 0.; -1e-16; -3e-16; -1e-16; -4.5e-16 |] in
   let run_range () =
     let s = S.create ~n:5 (fresh_device ()) in
     Array.iteri (fun i q -> S.set_qfg s i q) charges;
     let m = S.memo () in
     check_ok "range"
-      (S.apply_pulse_range s ~memo:m ~pulse:erase_pulse ~surrogate:true ~lo:0
+      (S.apply_pulse_range s ~memo:m ~pulse:erase_pulse ~lo:0
          ~hi:4);
     s
   in
@@ -210,7 +210,7 @@ let test_range_equals_per_cell_loop () =
     let m = S.memo () in
     for i = 0 to 4 do
       check_ok "at"
-        (S.apply_pulse_at s ~memo:m ~pulse:erase_pulse ~surrogate:true i)
+        (S.apply_pulse_at s ~memo:m ~pulse:erase_pulse i)
     done;
     s
   in
@@ -236,7 +236,7 @@ let test_range_stops_at_broken () =
     };
   let m = S.memo () in
   (match
-     S.apply_pulse_range s ~memo:m ~pulse:erase_short ~surrogate:true ~lo:0
+     S.apply_pulse_range s ~memo:m ~pulse:erase_short ~lo:0
        ~hi:4
    with
   | Ok () -> Alcotest.fail "range over a broken cell must fail"
@@ -259,7 +259,7 @@ let test_memo_replays_distinct_charges () =
   let m = S.memo () in
   for i = 0 to 2 do
     check_ok "pulse"
-      (S.apply_pulse_at s ~memo:m ~pulse:erase_short ~surrogate:true i)
+      (S.apply_pulse_at s ~memo:m ~pulse:erase_short i)
   done;
   check_true "same start, same end" (same_f (S.qfg s 0) (S.qfg s 1));
   check_true "same start, same wear" (same_f (S.fluence s 0) (S.fluence s 1));

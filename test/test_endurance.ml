@@ -66,11 +66,52 @@ let test_predicted_endurance () =
   let n_low = E.predicted_endurance t ~vgs:13. in
   check_true "field acceleration" (n_low > n)
 
+(* Two runs on the same device record in one domain must agree to the bit:
+   each run owns its pulse engine, so nothing carries over from the first
+   run into the second. Ext D's curve is the same run behind
+   Params.device (), the shared paper record. Registered as the suite's
+   first case, so the first run starts in a domain where no pulse has
+   been solved yet. *)
+let sample_bits (s : E.cycle_sample) =
+  List.map Int64.bits_of_float
+    [ float_of_int s.E.cycle; s.E.vt_programmed; s.E.vt_erased; s.E.window; s.E.fluence ]
+
+let test_repeatable_on_one_record () =
+  let device = Gnrflash.Params.device () in
+  let pulse v = { Pe.vgs = v; duration = 100e-6 } in
+  let run () =
+    E.cycle_cell ~program_pulse:(pulse 15.) ~erase_pulse:(pulse (-15.)) device
+      ~cycles:10_000
+  in
+  let a = run () in
+  let b = run () in
+  Alcotest.(check (list (list int64))) "samples"
+    (List.map sample_bits a.E.samples) (List.map sample_bits b.E.samples);
+  Alcotest.(check int) "cycles survived" a.E.cycles_survived b.E.cycles_survived;
+  let curve () =
+    let fig, survived = Gnrflash.Extensions.endurance_curve () in
+    ( survived,
+      List.map
+        (fun (s : Gnrflash_plot.Series.t) ->
+           Array.to_list
+             (Array.map
+                (fun (x, y) -> (Int64.bits_of_float x, Int64.bits_of_float y))
+                s.Gnrflash_plot.Series.points))
+        fig.Gnrflash_plot.Figure.series )
+  in
+  let survived1, pts1 = curve () in
+  let survived2, pts2 = curve () in
+  Alcotest.(check int) "Ext D cycles survived" survived1 survived2;
+  Alcotest.(check (list (list (pair int64 int64)))) "Ext D points" pts1 pts2;
+  Alcotest.(check int) "Ext D is the same run" a.E.cycles_survived survived1
+
 let () =
   Alcotest.run "endurance"
     [
       ( "endurance",
         [
+          (* first: it must see a domain no other pulse work has touched *)
+          case "repeatable on one record" test_repeatable_on_one_record;
           case "survives modest cycling" test_survives_modest_cycling;
           case "window positive" test_window_positive_and_stable;
           case "log-spaced checkpoints" test_samples_log_spaced;

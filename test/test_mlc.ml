@@ -3,6 +3,7 @@ module F = Gnrflash_device.Fgt
 open Gnrflash_testing.Testing
 
 let t = F.paper_default
+let engine () = Gnrflash_device.Program_erase.engine t
 
 let test_levels () =
   Alcotest.(check int) "mlc 4 levels" 4 (M.levels M.default_mlc);
@@ -49,8 +50,9 @@ let test_level_bits_convention () =
   Alcotest.(check (array int)) "level 3" [| 1; 0 |] (M.level_to_bits M.default_mlc 3)
 
 let test_program_and_read_all_levels () =
+  let e = engine () in
   for level = 0 to 3 do
-    let qfg, pulses = check_ok "program" (M.program_level t ~qfg0:0. ~level) in
+    let qfg, pulses = check_ok "program" (M.program_level e ~qfg0:0. ~level) in
     let got = M.read_level t ~qfg in
     Alcotest.(check int) (Printf.sprintf "level %d read back" level) level got;
     if level = 0 then Alcotest.(check int) "erased is free" 0 pulses
@@ -58,8 +60,9 @@ let test_program_and_read_all_levels () =
   done
 
 let test_placement_accuracy () =
+  let e = engine () in
   for level = 1 to 3 do
-    let qfg, _ = check_ok "program" (M.program_level t ~qfg0:0. ~level) in
+    let qfg, _ = check_ok "program" (M.program_level e ~qfg0:0. ~level) in
     let dvt = F.threshold_shift t ~qfg in
     let target = M.target_dvt M.default_mlc ~level in
     (* ISPP places within one step above the verify level *)
@@ -77,7 +80,7 @@ let test_read_margin () =
     (M.read_margin M.default_tlc ~level:1 < M.read_margin c ~level:1)
 
 let test_level_out_of_range () =
-  check_error "level 9" (M.program_level t ~qfg0:0. ~level:9)
+  check_error "level 9" (M.program_level (engine ()) ~qfg0:0. ~level:9)
 
 let prop_read_level_of_target_charge =
   prop "reading the exact target charge returns the level" ~count:20

@@ -6,10 +6,9 @@ open Gnrflash_testing.Testing
 
 let block () = Nb.create F.paper_default ~pages:2 ~strings:4
 
-(* Pinned from the record-based block stack this module replaced, run as
-   the first pulse work of a fresh process: the per-domain pulse caches
-   are keyed on the shared [Params.device ()] record, so this case must
-   stay first in the suite. *)
+(* Pinned from the record-based block stack this module replaced, taken
+   as the first pulse work of a fresh process. The block owns its pulse
+   engine, so the pin holds wherever the case runs. *)
 let test_ext_f_golden () =
   let s = check_ok "demo" (E.nand_page_demo ()) in
   Alcotest.(check int) "pages written" 4 s.E.pages_written;

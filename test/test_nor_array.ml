@@ -51,13 +51,10 @@ let test_erase_all () =
   done
 
 (* A 64-cell word line with two of every three cells programmed, erased
-   under the given default job count on its own device record (the
-   per-domain pulse caches are keyed on record identity); returns the
-   charge bits. *)
+   under the given default job count; returns the charge bits. *)
 let erase_bits_under ~jobs =
-  let device = { F.paper_default with F.vs = F.paper_default.F.vs } in
   Sweep.set_default_jobs jobs;
-  let t = N.make device ~cells:64 in
+  let t = N.make F.paper_default ~cells:64 in
   for i = 0 to 63 do
     if i mod 3 <> 0 then ignore (check_ok "program" (N.program_bit t ~index:i))
   done;

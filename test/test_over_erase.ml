@@ -4,30 +4,33 @@ module F = Gnrflash_device.Fgt
 open Gnrflash_testing.Testing
 
 let fresh () = Cell.make F.paper_default
+let engine () = Gnrflash_device.Program_erase.engine F.paper_default
 
-let deeply_erased () =
+let deeply_erased e =
   (* a full erase drives the symmetric device to dVT ~ -6.7 V *)
-  check_ok "erase" (Cell.erase (fresh ()))
+  check_ok "erase" (Cell.erase e (fresh ()))
 
 let test_detection () =
   check_false "fresh cell fine" (O.is_over_erased (fresh ()));
-  check_true "erased cell over-erased" (O.is_over_erased (deeply_erased ()))
+  check_true "erased cell over-erased" (O.is_over_erased (deeply_erased (engine ())))
 
 let test_recover_noop_in_window () =
-  let c, pulses = check_ok "recover" (O.recover (fresh ())) in
+  let c, pulses = check_ok "recover" (O.recover (engine ()) (fresh ())) in
   Alcotest.(check int) "no pulses needed" 0 pulses;
   check_close "unchanged" 0. c.Cell.qfg
 
 let test_recover_over_erased () =
-  let c = deeply_erased () in
-  let recovered, pulses = check_ok "recover" (O.recover c) in
+  let e = engine () in
+  let c = deeply_erased e in
+  let recovered, pulses = check_ok "recover" (O.recover e c) in
   check_true "used pulses" (pulses > 0);
   let dvt = Cell.dvt recovered in
   check_in "back in the window" ~lo:O.default.O.verify_low ~hi:O.default.O.verify_high dvt
 
 let test_erase_with_recovery () =
-  let programmed = check_ok "program" (Cell.program (fresh ())) in
-  let c, pulses = check_ok "flow" (O.erase_with_recovery programmed) in
+  let e = engine () in
+  let programmed = check_ok "program" (Cell.program e (fresh ())) in
+  let c, pulses = check_ok "flow" (O.erase_with_recovery e programmed) in
   check_true "soft pulses applied" (pulses > 0);
   check_in "erase verify window" ~lo:O.default.O.verify_low ~hi:O.default.O.verify_high
     (Cell.dvt c);
@@ -36,7 +39,8 @@ let test_erase_with_recovery () =
 let test_budget_exhaustion () =
   (* a tiny pulse budget cannot climb out of deep over-erase *)
   let config = { O.default with O.max_pulses = 1; soft_width = 1e-12 } in
-  check_error "budget" (O.recover ~config (deeply_erased ()))
+  let e = engine () in
+  check_error "budget" (O.recover ~config e (deeply_erased e))
 
 let () =
   Alcotest.run "over_erase"

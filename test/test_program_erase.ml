@@ -8,6 +8,9 @@ let check_error msg r = ignore (check_serr msg r)
 
 let t = F.paper_default
 
+(* a cold engine per test: no test sees another's pulse caches *)
+let engine ?surrogate () = Pe.engine ?surrogate t
+
 let test_default_pulses () =
   check_close "program bias" 15. Pe.default_program_pulse.Pe.vgs;
   check_close "erase bias" (-15.) Pe.default_erase_pulse.Pe.vgs;
@@ -15,7 +18,7 @@ let test_default_pulses () =
     (Pe.default_program_pulse.Pe.duration > 0. && Pe.default_erase_pulse.Pe.duration > 0.)
 
 let test_program_outcome () =
-  let o = check_ok "program" (Pe.program t ~qfg:0.) in
+  let o = check_ok "program" (Pe.program (engine ()) ~qfg:0.) in
   check_close "records initial charge" 0. o.Pe.qfg_before;
   check_true "stores electrons" (o.Pe.qfg_after < 0.);
   check_true "positive shift" (o.Pe.dvt_after > 1.);
@@ -23,54 +26,59 @@ let test_program_outcome () =
   check_true "1 ms pulse saturates" o.Pe.saturated
 
 let test_erase_outcome () =
-  let p = check_ok "program" (Pe.program t ~qfg:0.) in
-  let e = check_ok "erase" (Pe.erase t ~qfg:p.Pe.qfg_after) in
+  let en = engine () in
+  let p = check_ok "program" (Pe.program en ~qfg:0.) in
+  let e = check_ok "erase" (Pe.erase en ~qfg:p.Pe.qfg_after) in
   check_true "charge removed" (e.Pe.qfg_after > p.Pe.qfg_after);
   check_true "threshold drops" (e.Pe.dvt_after < p.Pe.dvt_after)
 
 let test_short_pulse_partial () =
   let short = { Pe.vgs = 15.; duration = 1e-9 } in
-  let o = check_ok "short" (Pe.apply_pulse t ~qfg:0. short) in
-  let full = check_ok "full" (Pe.program t ~qfg:0.) in
+  let en = engine () in
+  let o = check_ok "short" (Pe.apply_pulse en ~qfg:0. short) in
+  let full = check_ok "full" (Pe.program en ~qfg:0.) in
   check_true "partial programming" (o.Pe.dvt_after < full.Pe.dvt_after);
   check_true "some charge still moved" (o.Pe.dvt_after > 0.01)
 
 let test_pulse_validation () =
-  check_error "zero duration" (Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = 0. })
+  check_error "zero duration"
+    (Pe.apply_pulse (engine ()) ~qfg:0. { Pe.vgs = 15.; duration = 0. })
 
 let test_cycle () =
-  let p, e = check_ok "cycle" (Pe.cycle t ~qfg:0.) in
+  let p, e = check_ok "cycle" (Pe.cycle (engine ()) ~qfg:0.) in
   check_true "programmed then erased" (p.Pe.qfg_after < 0. && e.Pe.qfg_after > p.Pe.qfg_after);
   (* symmetric device: erase overshoots to the positive mirror charge *)
   check_close ~tol:0.05 "mirror" (-.p.Pe.qfg_after) e.Pe.qfg_after
 
 let test_idempotent_saturation () =
   (* programming an already saturated cell moves almost no charge *)
-  let o1 = check_ok "first" (Pe.program t ~qfg:0.) in
-  let o2 = check_ok "second" (Pe.program t ~qfg:o1.Pe.qfg_after) in
+  let en = engine () in
+  let o1 = check_ok "first" (Pe.program en ~qfg:0.) in
+  let o2 = check_ok "second" (Pe.program en ~qfg:o1.Pe.qfg_after) in
   check_true "second pulse injects far less"
     (o2.Pe.injected_charge < o1.Pe.injected_charge /. 100.)
 
-(* Warm-started pulse trains: on a repeated program/erase train the step-size
-   warm start and the exact-replay memoization must both engage (counters
-   non-zero), stay silent when disabled, and never change the physics — the
-   warm train's final charge must match a fully cold train to solver
-   tolerance (replays are bit-identical by construction; the h0 reuse only
-   reshapes the step sequence). The surrogate is switched off here: it has
-   precedence over the replay cache, so with it on these in-box pulses
-   would be table-served and the warm/replay counters under test would
-   never fire. *)
-let run_train ~warm_start ~cycles =
+(* Warm-started pulse trains: on a repeated program/erase train through one
+   engine the step-size warm start and the exact-replay memoization must
+   both engage (counters non-zero), stay silent with a fresh engine per
+   pulse, and never change the physics — the warm train's final charge
+   must match a fully cold train to solver tolerance (replays are
+   bit-identical by construction; the h0 reuse only reshapes the step
+   sequence). The surrogate is switched off here: it has precedence over
+   the replay cache, so with it on these in-box pulses would be
+   table-served and the warm/replay counters under test would never
+   fire. *)
+let run_train ~engine ~cycles =
   let pp = { Pe.vgs = 15.; duration = 100e-6 }
   and ep = { Pe.vgs = -15.; duration = 100e-6 } in
   let q = ref 0. in
   for _ = 1 to cycles do
-    match
-      Pe.cycle ~warm_start ~surrogate:false ~program_pulse:pp ~erase_pulse:ep t
-        ~qfg:!q
-    with
-    | Ok (_, e) -> q := e.Pe.qfg_after
-    | Error _ -> Alcotest.fail "train cycle failed"
+    List.iter
+      (fun pulse ->
+         match Pe.apply_pulse (engine ()) ~qfg:!q pulse with
+         | Ok o -> q := o.Pe.qfg_after
+         | Error _ -> Alcotest.fail "train pulse failed")
+      [ pp; ep ]
   done;
   !q
 
@@ -79,7 +87,8 @@ let test_warm_start_counters () =
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let q_warm = run_train ~warm_start:true ~cycles:10 in
+  let warm = engine ~surrogate:false () in
+  let q_warm = run_train ~engine:(fun () -> warm) ~cycles:10 in
   let warm_hits = Tel.counter_total "transient/warm_start_hit" in
   let replays = Tel.counter_total "program_erase/pulse_replay" in
   let rhs_warm = Tel.counter_total "ode/rhs_eval" in
@@ -88,10 +97,10 @@ let test_warm_start_counters () =
   Alcotest.(check int) "all 20 pulses recorded" 20
     (Tel.counter_total "program_erase/pulse");
   Tel.reset ();
-  let q_cold = run_train ~warm_start:false ~cycles:10 in
-  Alcotest.(check int) "disabled: no warm hits" 0
+  let q_cold = run_train ~engine:(engine ~surrogate:false) ~cycles:10 in
+  Alcotest.(check int) "fresh engines: no warm hits" 0
     (Tel.counter_total "transient/warm_start_hit");
-  Alcotest.(check int) "disabled: no replays" 0
+  Alcotest.(check int) "fresh engines: no replays" 0
     (Tel.counter_total "program_erase/pulse_replay");
   let rhs_cold = Tel.counter_total "ode/rhs_eval" in
   check_true
@@ -104,8 +113,9 @@ let test_warm_replay_bit_identical () =
      exact path (surrogate off): the second is a replay and must reproduce
      the first outcome bit-for-bit *)
   let pulse = { Pe.vgs = 15.; duration = 50e-6 } in
-  let o1 = check_ok "first" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
-  let o2 = check_ok "replayed" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
+  let en = engine ~surrogate:false () in
+  let o1 = check_ok "first" (Pe.apply_pulse en ~qfg:0. pulse) in
+  let o2 = check_ok "replayed" (Pe.apply_pulse en ~qfg:0. pulse) in
   check_true "bit-identical replay"
     (Int64.equal
        (Int64.bits_of_float o1.Pe.qfg_after)
@@ -116,24 +126,24 @@ let test_warm_replay_bit_identical () =
      && o1.Pe.saturated = o2.Pe.saturated)
 
 (* Surrogate precedence over the replay cache must be deterministic: once a
-   table serves a (vgs, duration, qfg) key, it keeps serving it even if an
-   exact replay entry for the same key exists from an earlier opt-out solve
-   — and repeated surrogate answers are bit-identical (pure interpolation
-   of an immutable table). *)
+   table serves a (vgs, duration, qfg) key, it keeps serving it even though
+   the engine holds an exact replay entry for the same key from the
+   pre-promotion pulses — and repeated surrogate answers are bit-identical
+   (pure interpolation of an immutable table). *)
 let test_surrogate_precedence_deterministic () =
   let module Ps = Gnrflash_device.Pulse_surrogate in
   let module Tel = Gnrflash_telemetry.Telemetry in
-  let prev = Ps.build_after () in
-  Ps.set_build_after 0;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) @@ fun () ->
+  let pulse = { Pe.vgs = 15.; duration = 75e-6 } in
+  let en = engine () in
+  (* the two pre-promotion consults take the exact path and leave a replay
+     entry for this key *)
+  let exact = check_ok "exact seed" (Pe.apply_pulse en ~qfg:0. pulse) in
+  ignore (check_ok "exact replay" (Pe.apply_pulse en ~qfg:0. pulse));
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let pulse = { Pe.vgs = 15.; duration = 75e-6 } in
-  (* seed a replay entry on the exact path first *)
-  let exact = check_ok "exact seed" (Pe.apply_pulse ~surrogate:false t ~qfg:0. pulse) in
-  let s1 = check_ok "surrogate 1" (Pe.apply_pulse t ~qfg:0. pulse) in
-  let s2 = check_ok "surrogate 2" (Pe.apply_pulse t ~qfg:0. pulse) in
+  let s1 = check_ok "surrogate 1" (Pe.apply_pulse en ~qfg:0. pulse) in
+  let s2 = check_ok "surrogate 2" (Pe.apply_pulse en ~qfg:0. pulse) in
   check_true "surrogate served despite replay entry"
     (Tel.counter_total "surrogate/hit" >= 2);
   Alcotest.(check int) "replay never consulted" 0
@@ -142,10 +152,11 @@ let test_surrogate_precedence_deterministic () =
     (Int64.equal (Int64.bits_of_float s1.Pe.qfg_after)
        (Int64.bits_of_float s2.Pe.qfg_after));
   (* and the surrogate stays within its table's certified bound of the
-     exact answer it shadowed *)
-  match Gnrflash_device.Pulse_surrogate.cached t ~vgs:15. with
-  | None -> Alcotest.fail "table missing"
-  | Some tab ->
+     exact answer it shadowed (the build is deterministic, so a direct
+     build is the engine's table) *)
+  match Ps.build t ~vgs:15. with
+  | Error _ -> Alcotest.fail "table build failed"
+  | Ok tab ->
     check_true "within certified bound of the shadowed exact answer"
       (Ps.divergence tab ~exact:exact.Pe.qfg_after ~approx:s1.Pe.qfg_after
        <= Ps.certified_bound tab)
@@ -154,8 +165,9 @@ let prop_longer_pulse_more_charge =
   prop "longer pulses move at least as much charge" ~count:6
     QCheck2.Gen.(float_range 1e-9 1e-7)
     (fun d ->
-       let o1 = Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = d } in
-       let o2 = Pe.apply_pulse t ~qfg:0. { Pe.vgs = 15.; duration = d *. 3. } in
+       let en = engine () in
+       let o1 = Pe.apply_pulse en ~qfg:0. { Pe.vgs = 15.; duration = d } in
+       let o2 = Pe.apply_pulse en ~qfg:0. { Pe.vgs = 15.; duration = d *. 3. } in
        match o1, o2 with
        | Ok a, Ok b -> b.Pe.injected_charge >= a.Pe.injected_charge *. 0.999
        | _ -> false)

@@ -21,11 +21,12 @@ let exact_final device ~vgs ~duration ~qfg =
     Alcotest.failf "exact solve failed: %s"
       (Gnrflash_resilience.Solver_error.to_string e)
 
-(* restore the default promotion policy however a test exits *)
-let with_build_after n f =
-  let prev = Ps.build_after () in
-  Ps.set_build_after n;
-  Fun.protect ~finally:(fun () -> Ps.set_build_after prev) f
+(* Three consults of one (vgs, duration, qfg) on an engine: the first two
+   take the exact path, the third promotes the vgs and builds its table. *)
+let prime e ~qfg pulse =
+  for _ = 1 to 3 do
+    ignore (check_sok "prime" (Pe.apply_pulse e ~qfg pulse))
+  done
 
 let with_counters f =
   Tel.reset ();
@@ -138,7 +139,6 @@ let assert_bit_identical msg a b =
      && Bool.equal a.Pe.saturated b.Pe.saturated)
 
 let test_out_of_box_bit_identity () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   (* three ways out of the box: bias, duration, device geometry *)
@@ -153,12 +153,10 @@ let test_out_of_box_bit_identity () =
   in
   List.iter
     (fun (msg, dev, pulse) ->
-       let on =
-         check_sok msg (Pe.apply_pulse ~warm_start:false dev ~qfg:0. pulse)
-       in
+       let on = check_sok msg (Pe.apply_pulse (Pe.engine dev) ~qfg:0. pulse) in
        let off =
          check_sok msg
-           (Pe.apply_pulse ~warm_start:false ~surrogate:false dev ~qfg:0. pulse)
+           (Pe.apply_pulse (Pe.engine ~surrogate:false dev) ~qfg:0. pulse)
        in
        assert_bit_identical (msg ^ ": bit-identical to exact") on off)
     cases;
@@ -167,26 +165,23 @@ let test_out_of_box_bit_identity () =
   Alcotest.(check int) "no hits out of box" 0 (Tel.counter_total "surrogate/hit")
 
 let test_out_of_range_charge_falls_back () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
-  (* prime the table, then query from a charge far outside its range *)
-  ignore (check_sok "prime" (Pe.apply_pulse ~warm_start:false device ~qfg:0. pulse));
-  let tab =
-    match Ps.cached device ~vgs:15. with
-    | Some t -> t
-    | None -> Alcotest.fail "table not cached after priming"
-  in
-  let _, hi = Ps.qfg_range tab in
+  (* prime the table, then query from a charge far outside its range. The
+     exact-path engine sees the same pulses, so both carry the same warm
+     start into the out-of-range solve. *)
+  let on_engine = Pe.engine device in
+  let off_engine = Pe.engine ~surrogate:false device in
+  prime on_engine ~qfg:0. pulse;
+  prime off_engine ~qfg:0. pulse;
+  check_true "table built by priming" (Tel.counter_total "surrogate/hit" = 1);
+  let _, hi = Ps.qfg_range (build_exn device ~vgs:15.) in
   let q_out = 3. *. hi in
   let hits0 = Tel.counter_total "surrogate/hit" in
-  let on =
-    check_sok "oob charge" (Pe.apply_pulse ~warm_start:false device ~qfg:q_out pulse)
-  in
+  let on = check_sok "oob charge" (Pe.apply_pulse on_engine ~qfg:q_out pulse) in
   let off =
-    check_sok "oob charge exact"
-      (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:q_out pulse)
+    check_sok "oob charge exact" (Pe.apply_pulse off_engine ~qfg:q_out pulse)
   in
   assert_bit_identical "out-of-range charge is exact" on off;
   Alcotest.(check int) "no hit for out-of-range charge" hits0
@@ -236,18 +231,18 @@ let test_promotion_policy () =
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
-  (* default policy: first build_after requests fall back, the next builds *)
-  Alcotest.(check int) "default build_after" 2 (Ps.build_after ());
+  (* the first two requests for a vgs fall back, the third builds *)
+  let e = Pe.engine device in
   let q = ref 0.123e-17 in
   for _ = 1 to 2 do
-    ignore (check_sok "cold" (Pe.apply_pulse ~warm_start:false device ~qfg:!q pulse));
+    ignore (check_sok "cold" (Pe.apply_pulse e ~qfg:!q pulse));
     q := !q +. 1e-19 (* distinct keys: exact replay must not mask the policy *)
   done;
   Alcotest.(check int) "no build before promotion" 0
     (Tel.counter_total "surrogate/build");
   Alcotest.(check int) "both pre-promotion pulses fell back" 2
     (Tel.counter_total "surrogate/fallback");
-  ignore (check_sok "promoted" (Pe.apply_pulse ~warm_start:false device ~qfg:!q pulse));
+  ignore (check_sok "promoted" (Pe.apply_pulse e ~qfg:!q pulse));
   Alcotest.(check int) "promotion built one table" 1
     (Tel.counter_total "surrogate/build");
   Alcotest.(check int) "and served the promoting pulse" 1
@@ -264,14 +259,12 @@ let test_promotion_policy () =
          (Tel.snapshot ()).Tel.spans)
 
 let test_opt_out_is_silent () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
+  let e = Pe.engine ~surrogate:false device in
   for _ = 1 to 3 do
-    ignore
-      (check_sok "opt-out"
-         (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:0. pulse))
+    ignore (check_sok "opt-out" (Pe.apply_pulse e ~qfg:0. pulse))
   done;
   Alcotest.(check int) "no hits" 0 (Tel.counter_total "surrogate/hit");
   Alcotest.(check int) "no fallbacks" 0 (Tel.counter_total "surrogate/fallback");
@@ -340,18 +333,21 @@ let corner_window_pins =
     (0.60, 9., 2.00207168207523756e+00);
   ]
 
+(* Exact: a cold engine (each polarity's first solve is cold). Surrogate:
+   two warm-up consults per polarity first, so the measured pulses are the
+   table-building third ones. *)
 let window ~surrogate dev =
-  let p =
-    check_sok "program" (Pe.program ~surrogate ~warm_start:false dev ~qfg:0.)
-  in
-  let e =
-    check_sok "erase"
-      (Pe.erase ~surrogate ~warm_start:false dev ~qfg:p.Pe.qfg_after)
-  in
+  let en = Pe.engine ~surrogate dev in
+  if surrogate then
+    for _ = 1 to 2 do
+      ignore (check_sok "warm-up program" (Pe.program en ~qfg:0.));
+      ignore (check_sok "warm-up erase" (Pe.erase en ~qfg:0.))
+    done;
+  let p = check_sok "program" (Pe.program en ~qfg:0.) in
+  let e = check_sok "erase" (Pe.erase en ~qfg:p.Pe.qfg_after) in
   p.Pe.dvt_after -. e.Pe.dvt_after
 
 let test_fig6_9_window_pins () =
-  with_build_after 0 @@ fun () ->
   List.iter
     (fun (gcr, xto_nm, pin) ->
        let dev = mk ~gcr ~xto_nm in
@@ -371,19 +367,19 @@ let test_fig6_9_window_pins () =
 (* ---------- composition with warm start, faults, parallelism ---------- *)
 
 let test_fault_plan_bypasses_surrogate () =
-  with_build_after 0 @@ fun () ->
   with_counters @@ fun () ->
   let device = mk ~gcr:0.6 ~xto_nm:5. in
   let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
   (* prime a table so a hit *would* be served without the plan *)
-  ignore (check_sok "prime" (Pe.apply_pulse device ~qfg:0. pulse));
+  let e = Pe.engine device in
+  prime e ~qfg:0. pulse;
   check_true "primed" (Tel.counter_total "surrogate/hit" > 0);
   Tel.reset ();
   (* a plan with limit 0 never fires a fault, so the exact path runs clean —
      but its presence alone must force the exact solver *)
   let faulted =
     Fault.with_faults ~limit:0 (Fault.Nan_every 1_000_000) (fun () ->
-        check_sok "under plan" (Pe.apply_pulse device ~qfg:0. pulse))
+        check_sok "under plan" (Pe.apply_pulse e ~qfg:0. pulse))
   in
   Alcotest.(check int) "no surrogate hit under a fault plan" 0
     (Tel.counter_total "surrogate/hit");
@@ -392,14 +388,14 @@ let test_fault_plan_bypasses_surrogate () =
   check_true "exact solve actually ran" (Tel.counter_total "ode/rhs_eval" > 0);
   let clean =
     check_sok "clean exact"
-      (Pe.apply_pulse ~warm_start:false ~surrogate:false device ~qfg:0. pulse)
+      (Pe.apply_pulse (Pe.engine ~surrogate:false device) ~qfg:0. pulse)
   in
   assert_bit_identical "plan-bypassed pulse is the exact answer" faulted clean
 
 let test_jobs_invariance () =
   (* a surrogate-served workload split across domains: each element builds
-     its own device and runs a short train; the per-domain caches and the
-     promotion policy must keep results bit-identical for any job count *)
+     its own device and engine and runs a short train; results must be
+     bit-identical for any job count *)
   let configs =
     Array.init 8 (fun i ->
         let gcr = 0.45 +. (0.15 *. float_of_int (i mod 4) /. 3.) in
@@ -407,12 +403,12 @@ let test_jobs_invariance () =
         (gcr, xto_nm))
   in
   let run_one (gcr, xto_nm) =
-    let dev = mk ~gcr ~xto_nm in
+    let e = Pe.engine (mk ~gcr ~xto_nm) in
     let q = ref 0. in
     let out = ref [] in
     for k = 1 to 6 do
       let vgs = if k mod 2 = 1 then 15. else -15. in
-      match Pe.apply_pulse dev ~qfg:!q { Pe.vgs = vgs; duration = 100e-6 } with
+      match Pe.apply_pulse e ~qfg:!q { Pe.vgs = vgs; duration = 100e-6 } with
       | Ok o ->
         q := o.Pe.qfg_after;
         out := bits o.Pe.qfg_after :: !out
