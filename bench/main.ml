@@ -894,13 +894,14 @@ let svc_ops_per_s_floor = 115_800.
 (* Minor-heap allocation budget for the service hot loop, measured as
    [Gc.minor_words] delta per host command on a single serial instance
    (the pool tier runs in other domains, invisible to the probe). The
-   SoA store runs the memoized program/erase replays allocation-free —
-   including settled out-of-box outcomes (see Cell_store /
-   Program_erase.memoizable); the residual is workload generation,
-   the first-occurrence solves and the mirror-path bookkeeping — see
-   DESIGN.md "Cell store". Measured ~620 words/op at ISSUE 10; the budget
-   leaves ~30% headroom. *)
-let svc_alloc_budget = 800.
+   SoA store runs the memoized program/erase replays and their verify
+   reads allocation-free through its fused kernels — including settled
+   out-of-box outcomes (see Cell_store / Program_erase.memoizable); the
+   residual is workload generation, the first-occurrence solves and the
+   mirror-path bookkeeping — see DESIGN.md "Cell store". Measured 546
+   words/op on a 2-vCPU x86-64 VM (630 before the fused kernels); the
+   budget leaves ~15% headroom. *)
+let svc_alloc_budget = 630.
 
 (* Fleet digests of the seed record-based cell path on the reference
    workloads (8 instances, seed 2014, splitmix per-instance seeds,

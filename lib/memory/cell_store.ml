@@ -76,9 +76,9 @@ type entry = {
 }
 
 (* Open-addressed flat-column memo keyed by the starting charge: probing
-   compares raw float bits (no boxed [Int64] key, no bucket cells), and a
-   hit replays the deltas straight out of the float columns — the hot
-   loop's zero-allocation path. *)
+   mixes the charge's raw bits inline (no boxed key, no C call, no bucket
+   cells), and a hit replays the deltas and the readout bit straight out
+   of the columns — the hot loop's zero-allocation path. *)
 type memo = {
   mutable m_occ : Bytes.t; (* '\000' empty, '\001' occupied *)
   mutable m_keys : float array; (* starting charges *)
@@ -86,6 +86,7 @@ type memo = {
   mutable m_dfl : float array;
   mutable m_dtr : float array;
   mutable m_qbd : float array;
+  mutable m_bit : Bytes.t; (* [bit] after the pulse: '\000' or '\001' *)
   mutable m_mask : int; (* capacity - 1, capacity a power of two *)
   mutable m_used : int;
 }
@@ -100,19 +101,24 @@ let memo () =
     m_dfl = Array.make memo_cap0 0.;
     m_dtr = Array.make memo_cap0 0.;
     m_qbd = Array.make memo_cap0 0.;
+    m_bit = Bytes.make memo_cap0 '\000';
     m_mask = memo_cap0 - 1;
     m_used = 0;
   }
+
+let[@inline] probe_hash h =
+  let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
 
 (* Bit equality for non-NaN floats without boxing: equal floats are
    bit-equal except +0. / -0., which [1. /. x] tells apart (charges are
    never NaN — the solver returns a typed error instead). *)
 (* lint: allow L2 — exact bit equality is the point: the memo key must
    distinguish every distinct charge, an epsilon would alias entries *)
-let same_key k q = k = q && (k <> 0. || 1. /. k = 1. /. q)
+let[@inline] same_key k q = k = q && (k <> 0. || 1. /. k = 1. /. q)
 
-let find_slot m q =
-  let i = ref (Hashtbl.hash q land m.m_mask) in
+let[@inline] find_slot m q =
+  let i = ref (probe_hash (Int64.to_int (Int64.bits_of_float q)) land m.m_mask) in
   while
     Bytes.unsafe_get m.m_occ !i <> '\000'
     && not (same_key (Array.unsafe_get m.m_keys !i) q)
@@ -121,7 +127,7 @@ let find_slot m q =
   done;
   !i
 
-let rec memo_add m q ~qfg_after ~dfl ~dtr ~qbd =
+let rec memo_add m q ~qfg_after ~dfl ~dtr ~qbd ~bit =
   if 2 * (m.m_used + 1) > m.m_mask + 1 then begin
     (* keep load factor under 1/2: rehash into twice the capacity *)
     let old_occ = m.m_occ
@@ -129,7 +135,8 @@ let rec memo_add m q ~qfg_after ~dfl ~dtr ~qbd =
     and old_qa = m.m_qafter
     and old_dfl = m.m_dfl
     and old_dtr = m.m_dtr
-    and old_qbd = m.m_qbd in
+    and old_qbd = m.m_qbd
+    and old_bit = m.m_bit in
     let cap = 2 * (m.m_mask + 1) in
     m.m_occ <- Bytes.make cap '\000';
     m.m_keys <- Array.make cap 0.;
@@ -137,14 +144,16 @@ let rec memo_add m q ~qfg_after ~dfl ~dtr ~qbd =
     m.m_dfl <- Array.make cap 0.;
     m.m_dtr <- Array.make cap 0.;
     m.m_qbd <- Array.make cap 0.;
+    m.m_bit <- Bytes.make cap '\000';
     m.m_mask <- cap - 1;
     m.m_used <- 0;
     for i = 0 to Bytes.length old_occ - 1 do
       if Bytes.get old_occ i <> '\000' then
         memo_add m old_keys.(i) ~qfg_after:old_qa.(i) ~dfl:old_dfl.(i)
           ~dtr:old_dtr.(i) ~qbd:old_qbd.(i)
+          ~bit:(Char.code (Bytes.get old_bit i))
     done;
-    memo_add m q ~qfg_after ~dfl ~dtr ~qbd
+    memo_add m q ~qfg_after ~dfl ~dtr ~qbd ~bit
   end
   else begin
     let i = find_slot m q in
@@ -154,6 +163,7 @@ let rec memo_add m q ~qfg_after ~dfl ~dtr ~qbd =
     m.m_dfl.(i) <- dfl;
     m.m_dtr.(i) <- dtr;
     m.m_qbd.(i) <- qbd;
+    Bytes.set m.m_bit i (Char.chr bit);
     m.m_used <- m.m_used + 1
   end
 
@@ -181,62 +191,80 @@ let entry_of t ~rel ~pulse q0 qfg_after =
     e_qbd = D.Reliability.qbd rel ~field:(max field 1e6);
   }
 
-let apply_entry t i e =
-  let fl = t.fluence.(i) +. e.e_dfluence in
-  t.fluence.(i) <- fl;
-  t.traps.(i) <- t.traps.(i) +. e.e_dtraps;
-  t.cycles.(i) <- t.cycles.(i) + 1;
-  if fl >= e.e_qbd then Bytes.set t.broken i '\001';
-  t.qfg.(i) <- e.e_qfg_after
+exception Pulse_error of string
+
+(* A memo miss: one engine solve from the cell's charge, memoized when
+   the engine allows it. Returns the readout bit after the pulse. *)
+let solve_cell t m ~rel ~pulse i =
+  let q0 = t.qfg.(i) in
+  match D.Program_erase.apply_pulse t.engine ~qfg:q0 pulse with
+  | Error e -> raise (Pulse_error (Gnrflash_resilience.Solver_error.to_string e))
+  | Ok o ->
+    let e = entry_of t ~rel ~pulse q0 o.D.Program_erase.qfg_after in
+    let fl = t.fluence.(i) +. e.e_dfluence in
+    t.fluence.(i) <- fl;
+    t.traps.(i) <- t.traps.(i) +. e.e_dtraps;
+    t.cycles.(i) <- t.cycles.(i) + 1;
+    if fl >= e.e_qbd then Bytes.set t.broken i '\001';
+    t.qfg.(i) <- e.e_qfg_after;
+    let b = bit t i in
+    (* skipping a pulse before the engine allows it would shift the
+       surrogate build onto a different pulse *)
+    if D.Program_erase.memoizable t.engine pulse then
+      memo_add m q0 ~qfg_after:e.e_qfg_after ~dfl:e.e_dfluence
+        ~dtr:e.e_dtraps ~qbd:e.e_qbd ~bit:b;
+    b
+
+(* One pulse on cell [i], returning its readout bit at 1 V afterwards.
+   Broken oxide fails before any lookup; a hit replays the columns with
+   no solve and no allocation. [replay] is false under a fault plan: a
+   memo must never mask a fault path, so every pulse reaches the
+   engine. *)
+let[@inline] pulse_cell t m ~rel ~replay ~pulse i =
+  if Bytes.get t.broken i <> '\000' then raise (Pulse_error "Cell: oxide broken");
+  let s = find_slot m (Array.unsafe_get t.qfg i) in
+  if replay && Bytes.unsafe_get m.m_occ s <> '\000' then begin
+    let fl = Array.unsafe_get t.fluence i +. Array.unsafe_get m.m_dfl s in
+    Array.unsafe_set t.fluence i fl;
+    Array.unsafe_set t.traps i
+      (Array.unsafe_get t.traps i +. Array.unsafe_get m.m_dtr s);
+    Array.unsafe_set t.cycles i (Array.unsafe_get t.cycles i + 1);
+    if fl >= Array.unsafe_get m.m_qbd s then Bytes.unsafe_set t.broken i '\001';
+    Array.unsafe_set t.qfg i (Array.unsafe_get m.m_qafter s);
+    Char.code (Bytes.unsafe_get m.m_bit s)
+  end
+  else solve_cell t m ~rel ~pulse i
+
+let replays_allowed () = not (Gnrflash_resilience.Fault.active ())
 
 let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
-  if Bytes.get t.broken i <> '\000' then Error "Cell: oxide broken"
-  else begin
-    let q0 = t.qfg.(i) in
-    let s = find_slot memo q0 in
-    (* a memo must never mask a fault path: under a fault plan every
-       pulse reaches the engine *)
-    if
-      Bytes.unsafe_get memo.m_occ s <> '\000'
-      && not (Gnrflash_resilience.Fault.active ())
-    then begin
-      (* hit: replay the deltas straight from the columns — no solve,
-         no allocation *)
-      let fl = t.fluence.(i) +. Array.unsafe_get memo.m_dfl s in
-      t.fluence.(i) <- fl;
-      t.traps.(i) <- t.traps.(i) +. Array.unsafe_get memo.m_dtr s;
-      t.cycles.(i) <- t.cycles.(i) + 1;
-      if fl >= Array.unsafe_get memo.m_qbd s then Bytes.set t.broken i '\001';
-      t.qfg.(i) <- Array.unsafe_get memo.m_qafter s;
-      Ok ()
-    end
-    else
-      match D.Program_erase.apply_pulse t.engine ~qfg:q0 pulse with
-      | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
-      | Ok o ->
-        let e =
-          entry_of t ~rel:reliability ~pulse q0 o.D.Program_erase.qfg_after
-        in
-        (* skipping a pulse before the engine allows it would shift the
-           surrogate build onto a different pulse *)
-        if D.Program_erase.memoizable t.engine pulse then
-          memo_add memo q0 ~qfg_after:e.e_qfg_after ~dfl:e.e_dfluence
-            ~dtr:e.e_dtraps ~qbd:e.e_qbd;
-        apply_entry t i e;
-        Ok ()
-  end
+  match pulse_cell t memo ~rel:reliability ~replay:(replays_allowed ()) ~pulse i with
+  | _ -> Ok ()
+  | exception Pulse_error e -> Error e
 
-let apply_pulse_range ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~lo ~hi =
-  let err = ref None in
-  let i = ref lo in
-  while Option.is_none !err && !i <= hi do
-    (match apply_pulse_at t ~reliability ~memo ~pulse !i with
-     | Ok () -> ()
-     | Error e -> err := Some e);
-    incr i
+let program_verify ?(reliability = D.Reliability.default) t ~memo ~pulse
+    ~max_pulses i =
+  let replay = replays_allowed () in
+  let p = ref 0 in
+  let b = ref (bit t i) in
+  while !b = 1 && !p < max_pulses do
+    b := pulse_cell t memo ~rel:reliability ~replay ~pulse i;
+    incr p
   done;
-  match !err with None -> Ok () | Some e -> Error e
+  !p
+
+let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
+  let replay = replays_allowed () in
+  let zeros = ref 0 in
+  for i = lo to hi do
+    if pulse_cell t memo ~rel:reliability ~replay ~pulse i = 0 then incr zeros
+  done;
+  !zeros
+
+let apply_pulse_range ?reliability t ~memo ~pulse ~lo ~hi =
+  match erase_round ?reliability t ~memo ~pulse ~lo ~hi with
+  | _ -> Ok ()
+  | exception Pulse_error e -> Error e
 
 let fold_digest t f h0 =
   let fbits x = Int64.to_int (Int64.bits_of_float x) in

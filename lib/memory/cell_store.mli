@@ -73,17 +73,34 @@ val set : t -> int -> Cell.t -> unit
 
 type memo
 (** Memo of pulse outcomes keyed by the bits of the starting charge
-    (sign-preserving, so [-0.] and [0.] stay distinct). Each entry
-    carries the post-pulse charge and the precomputed wear deltas of
-    {!Gnrflash_device.Reliability.after_pulse}. A memo is valid for one
-    fixed [(pulse, reliability)] pair on this store — e.g. an
-    instance-lifetime program memo and erase memo in {!Command_fsm}. An
-    outcome is admitted only when
-    {!Gnrflash_device.Program_erase.memoizable} holds for the store's
-    engine; before that, every pulse reaches the engine so the surrogate
-    builds on exactly the same pulse as on the record-based path. *)
+    (sign-preserving, so [-0.] and [0.] stay distinct), open-addressed
+    over flat columns and probed with {!probe_hash} of the charge's raw
+    bits (no boxing, no C call). Each entry carries the post-pulse
+    charge, the precomputed wear deltas of
+    {!Gnrflash_device.Reliability.after_pulse} and the readout bit after
+    the pulse at the default 1 V level (the exact {!bit} expression,
+    evaluated when the entry is added), so a replayed pulse needs no
+    separate verify read. A memo is valid for one fixed
+    [(pulse, reliability)] pair on this store — e.g. an instance-lifetime
+    program memo and erase memo in {!Command_fsm}. An outcome is admitted
+    only when {!Gnrflash_device.Program_erase.memoizable} holds for the
+    store's engine; before that, every pulse reaches the engine so the
+    surrogate builds on exactly the same pulse as on the record-based
+    path. *)
 
 val memo : unit -> memo
+
+val probe_hash : int -> int
+(** The memo's probe hash: a multiply-xorshift mix of an integer key
+    (here the raw bits of a charge), masked to the table's power-of-two
+    capacity and probed linearly. Shared with {!Service}'s SEC-DED
+    codeword memo. *)
+
+exception Pulse_error of string
+(** A pulse failed: broken oxide (["Cell: oxide broken"]) or a solver
+    error (its {!Gnrflash_resilience.Solver_error.to_string}). Raised by
+    the fused kernels {!program_verify} and {!erase_round}, which return
+    bare counts so their hit path allocates nothing. *)
 
 val apply_pulse_at :
   ?reliability:Gnrflash_device.Reliability.model ->
@@ -100,16 +117,44 @@ val apply_pulse_at :
     sound (see {!type-memo}). An active fault plan skips the memo. Solver
     errors are returned (never memoized) with the cell unchanged. *)
 
+val program_verify :
+  ?reliability:Gnrflash_device.Reliability.model ->
+  t ->
+  memo:memo ->
+  pulse:Gnrflash_device.Program_erase.pulse ->
+  max_pulses:int ->
+  int -> int
+(** Pulse-and-verify of cell [i]: while it reads [1] (at 1 V) and fewer
+    than [max_pulses] pulses were applied, apply one pulse as
+    {!apply_pulse_at} does; returns the number of pulses applied. The
+    verify read after a replayed pulse comes from the memo's bit column,
+    and {!Gnrflash_resilience.Fault.active} is read once per call, so a
+    call whose pulses all hit allocates nothing. Bit-identical to the
+    loop [while bit t i = 1 && p < max_pulses do apply_pulse_at ...].
+    @raise Pulse_error on the first failed pulse; pulses before it keep
+    their updates and the failed one leaves the cell unchanged. *)
+
+val erase_round :
+  ?reliability:Gnrflash_device.Reliability.model ->
+  t ->
+  memo:memo ->
+  pulse:Gnrflash_device.Program_erase.pulse ->
+  lo:int -> hi:int -> int
+(** One pulse on every cell of [lo..hi] inclusive, ascending, as
+    {!apply_pulse_at} does; returns how many of those cells read [0] (at
+    1 V) after their pulse. One solve per distinct charge in the range,
+    deltas replayed across the rest, allocation-free when every pulse
+    hits. @raise Pulse_error at the first failed pulse (cells before it
+    keep their updates, matching the seed per-cell loop). *)
+
 val apply_pulse_range :
   ?reliability:Gnrflash_device.Reliability.model ->
   t ->
   memo:memo ->
   pulse:Gnrflash_device.Program_erase.pulse ->
   lo:int -> hi:int -> (unit, string) result
-(** [apply_pulse_at] over [lo..hi] inclusive, ascending — one solve per
-    distinct charge in the range, deltas blitted across the rest. Stops
-    at the first error (cells before it keep their updates, matching the
-    seed per-cell loop). *)
+(** {!erase_round} with its count ignored and its {!Pulse_error} turned
+    into [Error]. *)
 
 val fold_digest : t -> (int -> int -> int) -> int -> int
 (** [fold_digest t f h] folds [f] over every cell in address order —

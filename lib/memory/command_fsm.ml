@@ -214,8 +214,6 @@ let wait_ready t = match t.op with None -> () | Some op -> step_to t op.ends_at
 
 (* ---------- physics ---------- *)
 
-exception Pulse_failed of string
-
 (* Feed the counted gate-disturb events back into the victim cells: every
    erased cell of the sector's unselected words integrates [events] disturb
    pulses from its current charge. Victims at the same charge share one
@@ -235,7 +233,7 @@ let apply_disturb t ~addr ~events =
           D.Disturb.qfg_after_events ~config:dcfg (S.device t.store) ~qfg0:q
             ~events
         with
-        | Error e -> raise (Pulse_failed e)
+        | Error e -> raise (S.Pulse_error e)
         | Ok q' ->
           Hashtbl.add t.dmemo key q';
           q')
@@ -273,33 +271,26 @@ let program_word_cells t ~addr ~data =
       let q0 = S.qfg t.store idx and fl0 = S.fluence t.store idx in
       let tr0 = S.traps t.store idx and cy0 = S.cycles t.store idx in
       let bk0 = S.broken t.store idx in
-      let p = ref 0 in
-      let failed = ref "" in
-      while
-        String.length !failed = 0
-        && S.bit t.store idx = 1
-        && !p < t.cfg.max_pulses
-      do
+      let p =
         match
-          S.apply_pulse_at t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse idx
+          S.program_verify t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse
+            ~max_pulses:t.cfg.max_pulses idx
         with
-        | Error e -> failed := e
-        | Ok () -> incr p
-      done;
-      if String.length !failed > 0 then begin
-        S.set t.store idx
-          {
-            Cell.device = S.device t.store;
-            qfg = q0;
-            wear =
-              { D.Reliability.fluence = fl0; traps = tr0; cycles = cy0;
-                broken = bk0 };
-          };
-        raise (Pulse_failed !failed)
-      end;
+        | p -> p
+        | exception (S.Pulse_error _ as failed) ->
+          S.set t.store idx
+            {
+              Cell.device = S.device t.store;
+              qfg = q0;
+              wear =
+                { D.Reliability.fluence = fl0; traps = tr0; cycles = cy0;
+                  broken = bk0 };
+            };
+          raise failed
+      in
       if S.bit t.store idx = 1 then timeout := true;
-      t.ms.m_program_pulses <- t.ms.m_program_pulses + !p;
-      if !p > !max_pulses_used then max_pulses_used := !p
+      t.ms.m_program_pulses <- t.ms.m_program_pulses + p;
+      if p > !max_pulses_used then max_pulses_used := p
     end
     else if S.bit t.store idx = 0 then timeout := true
   done;
@@ -313,29 +304,25 @@ let program_word_cells t ~addr ~data =
 
 (* Embedded sector erase: erase pulses hit every cell of the sector each
    round (over-erasing already-clean cells — the real NOR over-erase
-   hazard), verify per cell, repeat until the whole sector reads erased. *)
+   hazard), verify per cell, repeat until the whole sector reads erased.
+   Each round's kernel returns the cells still reading 0, so only the
+   first verify needs its own scan. *)
 let erase_sector_cells t ~sector =
-  let base = sector * t.cfg.words_per_sector * t.cfg.word_bits in
+  let lo = sector * t.cfg.words_per_sector * t.cfg.word_bits in
   let ncells = t.cfg.words_per_sector * t.cfg.word_bits in
+  let hi = lo + ncells - 1 in
+  let programmed = ref 0 in
+  for i = lo to hi do
+    if S.bit t.store i = 0 then incr programmed
+  done;
   let rounds = ref 0 in
-  let all_erased () =
-    let ok = ref true in
-    for i = base to base + ncells - 1 do
-      if S.bit t.store i = 0 then ok := false
-    done;
-    !ok
-  in
-  while (not (all_erased ())) && !rounds < t.cfg.max_pulses do
-    (match
-       S.apply_pulse_range t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse
-         ~lo:base ~hi:(base + ncells - 1)
-     with
-     | Ok () -> ()
-     | Error e -> raise (Pulse_failed e));
+  while !programmed > 0 && !rounds < t.cfg.max_pulses do
+    programmed :=
+      S.erase_round t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse ~lo ~hi;
     t.ms.m_erase_pulses <- t.ms.m_erase_pulses + ncells;
     incr rounds
   done;
-  if not (all_erased ()) then t.ms.m_verify_timeouts <- t.ms.m_verify_timeouts + 1;
+  if !programmed > 0 then t.ms.m_verify_timeouts <- t.ms.m_verify_timeouts + 1;
   float_of_int !rounds *. t.cfg.erase_pulse.D.Program_erase.duration
 
 let launch t kind duration =
@@ -415,7 +402,7 @@ let bad t ~addr ~data =
 let run_physics t f =
   match f () with
   | duration -> Ok duration
-  | exception Pulse_failed e ->
+  | exception S.Pulse_error e ->
     t.seq <- Idle;
     Error (Physics e)
 

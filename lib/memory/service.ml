@@ -48,12 +48,22 @@ type report = {
   invariant_error : string option;
 }
 
+(* SEC-DED memo: packed data bits -> packed codeword, open-addressed over
+   two flat int columns and probed like Cell_store's charge memo. Keys
+   are non-negative (a packed data word is narrower than an int), so -1
+   marks an empty slot. *)
+type cw_memo = {
+  mutable cw_keys : int array;
+  mutable cw_words : int array;
+  mutable cw_used : int;
+}
+
 type t = {
   cfg : config;
   fsm : Command_fsm.t;
   ftl : Ftl.t; (* linear handle, updated through the in-place API *)
   store : int array option array; (* ground truth per logical page *)
-  cw_memo : (int, int) Hashtbl.t; (* packed data bits -> SEC-DED codeword *)
+  cw_memo : cw_memo;
   mutable ops : int;
   mutable reads : int;
   mutable read_hits : int;
@@ -89,7 +99,8 @@ let create ?(config = default_config) device =
     fsm = Command_fsm.create ~config:fsm_config device;
     ftl;
     store = Array.make (Ftl.logical_capacity ftl) None;
-    cw_memo = Hashtbl.create 64;
+    cw_memo =
+      { cw_keys = Array.make 64 (-1); cw_words = Array.make 64 0; cw_used = 0 };
     ops = 0;
     reads = 0;
     read_hits = 0;
@@ -131,6 +142,31 @@ let word_of_bits bits =
   done;
   !w
 
+let cw_slot m key =
+  let mask = Array.length m.cw_keys - 1 in
+  let i = ref (Cell_store.probe_hash key land mask) in
+  while m.cw_keys.(!i) <> -1 && m.cw_keys.(!i) <> key do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let rec cw_add m key word =
+  if 2 * (m.cw_used + 1) > Array.length m.cw_keys then begin
+    (* keep load factor under 1/2: rehash into twice the capacity *)
+    let keys = m.cw_keys and words = m.cw_words in
+    m.cw_keys <- Array.make (2 * Array.length keys) (-1);
+    m.cw_words <- Array.make (2 * Array.length keys) 0;
+    m.cw_used <- 0;
+    Array.iteri (fun i k -> if k <> -1 then cw_add m k words.(i)) keys;
+    cw_add m key word
+  end
+  else begin
+    let i = cw_slot m key in
+    m.cw_keys.(i) <- key;
+    m.cw_words.(i) <- word;
+    m.cw_used <- m.cw_used + 1
+  end
+
 (* One SEC-DED encode per distinct data word per instance; the hot loop
    replays packed codewords out of the memo. *)
 let codeword_for s data =
@@ -138,12 +174,14 @@ let codeword_for s data =
   for i = Array.length data - 1 downto 0 do
     key := (!key lsl 1) lor data.(i)
   done;
-  match Hashtbl.find_opt s.cw_memo !key with
-  | Some w -> w
-  | None ->
+  let m = s.cw_memo in
+  let i = cw_slot m !key in
+  if m.cw_keys.(i) = !key then m.cw_words.(i)
+  else begin
     let w = word_of_bits (Ecc.encode data) in
-    Hashtbl.add s.cw_memo !key w;
+    cw_add m !key w;
     w
+  end
 
 let addr_of s ~block ~page =
   (block * s.cfg.ftl.Ftl.pages_per_block) + page

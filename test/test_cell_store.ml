@@ -12,6 +12,8 @@ module W = Gnrflash_memory.Workload
 module F = Gnrflash_device.Fgt
 module PE = Gnrflash_device.Program_erase
 module Rel = Gnrflash_device.Reliability
+module C = Gnrflash_memory.Command_fsm
+module Fault = Gnrflash_resilience.Fault
 open Gnrflash_testing.Testing
 
 let fresh_device () =
@@ -29,66 +31,163 @@ let erase_pulse = PE.default_erase_pulse
 let prog_short = { PE.vgs = 15.; duration = 0.5e-9 }
 let erase_short = { PE.vgs = -15.; duration = 0.5e-9 }
 
-type op = Prog of int | Erase of int | Erange of int * int
+type op =
+  | Prog of int (* one program pulse through apply_pulse_at *)
+  | Erase of int (* one erase pulse through apply_pulse_at *)
+  | Erange of int * int (* apply_pulse_range over lo..hi *)
+  | Verify of int * int (* program-verify of a cell, up to max pulses *)
+  | Round of int * int (* erase round over lo..hi, counting cells at 0 *)
+  | Reset (* every cell back to its starting charge, wear kept *)
 
-(* ---------- the two implementations under comparison ---------- *)
+type case = {
+  charges : float array; (* starting charge per cell *)
+  broken_at : int list;
+  ops : op list;
+  fault_seed : int option; (* rerun the ops under a Fail_every 30 plan *)
+  inbox : bool; (* surrogate-served pulses, else out-of-box exact *)
+}
 
-let run_store ~pp ~ep ~n ops =
-  let s = S.create ~n (fresh_device ()) in
+let pulses c =
+  if c.inbox then (prog_pulse, erase_pulse) else (prog_short, erase_short)
+
+(* A faulted case runs its ops clean first, so the memos are warm when
+   the fault plan is installed and a hit would have to be refused. *)
+let with_fault_phase c ~reset go =
+  match c.fault_seed with
+  | None -> go ()
+  | Some seed ->
+    let clean = go () in
+    reset ();
+    clean @ Fault.with_faults ~seed (Fault.Fail_every 30) go
+
+(* ---------- the implementations under comparison ---------- *)
+
+(* Each op's outcome: [Ok] of its count (pulses for [Verify], cells at 0
+   for [Round], 0 for the others) or its error. *)
+
+(* The per-cell [apply_pulse_at] + [bit] loops the fused kernels replace. *)
+let loop_verify s m ~pulse ~max_pulses i =
+  let p = ref 0 and err = ref None in
+  while Option.is_none !err && S.bit s i = 1 && !p < max_pulses do
+    match S.apply_pulse_at s ~memo:m ~pulse i with
+    | Ok () -> incr p
+    | Error e -> err := Some e
+  done;
+  match !err with None -> Ok !p | Some e -> Error e
+
+let loop_round s m ~pulse ~lo ~hi =
+  let zeros = ref 0 and err = ref None and i = ref lo in
+  while Option.is_none !err && !i <= hi do
+    (match S.apply_pulse_at s ~memo:m ~pulse !i with
+     | Ok () -> if S.bit s !i = 0 then incr zeros
+     | Error e -> err := Some e);
+    incr i
+  done;
+  match !err with None -> Ok !zeros | Some e -> Error e
+
+(* The store, with [Verify]/[Round] through the fused kernels or through
+   the per-cell loops. *)
+let run_store ~fused c =
+  let d = fresh_device () in
+  let n = Array.length c.charges in
+  let s = S.create ~n d in
+  Array.iteri (fun i q -> S.set_qfg s i q) c.charges;
+  List.iter
+    (fun i ->
+      S.set s i
+        {
+          Cell.device = d;
+          qfg = c.charges.(i);
+          wear = { Rel.fluence = 0.; traps = 0.; cycles = 0; broken = true };
+        })
+    c.broken_at;
+  let pp, ep = pulses c in
   let pm = S.memo () and em = S.memo () in
-  let errs = ref [] in
-  let note = function Ok () -> () | Error e -> errs := e :: !errs in
-  List.iter
-    (fun op ->
-      match op with
-      | Prog i -> note (S.apply_pulse_at s ~memo:pm ~pulse:pp i)
-      | Erase i -> note (S.apply_pulse_at s ~memo:em ~pulse:ep i)
-      | Erange (lo, hi) ->
-          note (S.apply_pulse_range s ~memo:em ~pulse:ep ~lo ~hi))
-    ops;
-  (s, List.rev !errs)
+  let reset () = Array.iteri (fun i q -> S.set_qfg s i q) c.charges in
+  let zero r = Result.map (fun () -> 0) r in
+  let step = function
+    | Prog i -> zero (S.apply_pulse_at s ~memo:pm ~pulse:pp i)
+    | Erase i -> zero (S.apply_pulse_at s ~memo:em ~pulse:ep i)
+    | Erange (lo, hi) -> zero (S.apply_pulse_range s ~memo:em ~pulse:ep ~lo ~hi)
+    | Verify (i, max_pulses) when fused -> (
+      match S.program_verify s ~memo:pm ~pulse:pp ~max_pulses i with
+      | p -> Ok p
+      | exception S.Pulse_error e -> Error e)
+    | Verify (i, max_pulses) -> loop_verify s pm ~pulse:pp ~max_pulses i
+    | Round (lo, hi) when fused -> (
+      match S.erase_round s ~memo:em ~pulse:ep ~lo ~hi with
+      | z -> Ok z
+      | exception S.Pulse_error e -> Error e)
+    | Round (lo, hi) -> loop_round s em ~pulse:ep ~lo ~hi
+    | Reset ->
+      reset ();
+      Ok 0
+  in
+  (s, with_fault_phase c ~reset (fun () -> List.map step c.ops))
 
-(* The record-based reference: boxed cells through Cell.program/erase,
-   a range op as the seed's ascending per-cell loop stopping at the
-   first error. *)
-let run_record ~pp ~ep ~n ops =
-  (* one shared device record and engine, like the store *)
-  let device = fresh_device () in
-  let engine = PE.engine device in
-  let cells = Array.init n (fun _ -> Cell.make device) in
-  let errs = ref [] in
-  let prog i =
-    match Cell.program ~pulse:pp engine cells.(i) with
-    | Ok c ->
-        cells.(i) <- c;
-        true
-    | Error e ->
-        errs := e :: !errs;
-        false
+(* The record-based reference: boxed cells through Cell.program/erase on
+   one engine, no store and no memo; a range op is the seed's ascending
+   per-cell loop stopping at the first error. Under a fault plan this is
+   what tells a bypassed memo from one that replayed a pulse and so
+   shifted every later fault. *)
+let run_record c =
+  let d = fresh_device () in
+  let engine = PE.engine d in
+  let cells =
+    Array.mapi
+      (fun i q ->
+        let cell = Cell.make ~qfg:q d in
+        if List.mem i c.broken_at then
+          { cell with Cell.wear = { cell.Cell.wear with Rel.broken = true } }
+        else cell)
+      c.charges
   in
-  let erase i =
-    match Cell.erase ~pulse:ep engine cells.(i) with
-    | Ok c ->
-        cells.(i) <- c;
-        true
-    | Error e ->
-        errs := e :: !errs;
-        false
+  let pp, ep = pulses c in
+  let bit i = Cell.to_bit (Cell.state cells.(i)) in
+  let reset () =
+    Array.iteri
+      (fun i q -> cells.(i) <- { (cells.(i)) with Cell.qfg = q })
+      c.charges
   in
-  List.iter
-    (fun op ->
-      match op with
-      | Prog i -> ignore (prog i)
-      | Erase i -> ignore (erase i)
-      | Erange (lo, hi) ->
-          let i = ref lo in
-          let ok = ref true in
-          while !ok && !i <= hi do
-            ok := erase !i;
-            incr i
-          done)
-    ops;
-  (cells, List.rev !errs)
+  (* one pulse; [Some e] on failure, the cell unchanged *)
+  let pulse f i =
+    match f cells.(i) with
+    | Ok cell ->
+      cells.(i) <- cell;
+      None
+    | Error e -> Some e
+  in
+  let program = pulse (Cell.program ~pulse:pp engine)
+  and erase = pulse (Cell.erase ~pulse:ep engine) in
+  let outcome count err = Option.fold ~none:(Ok count) ~some:Result.error err in
+  let round lo hi =
+    let zeros = ref 0 and err = ref None and i = ref lo in
+    while Option.is_none !err && !i <= hi do
+      (match erase !i with
+       | None -> if bit !i = 0 then incr zeros
+       | e -> err := e);
+      incr i
+    done;
+    (!zeros, !err)
+  in
+  let step = function
+    | Prog i -> outcome 0 (program i)
+    | Erase i -> outcome 0 (erase i)
+    | Erange (lo, hi) -> outcome 0 (snd (round lo hi))
+    | Verify (i, max_pulses) ->
+      let p = ref 0 and err = ref None in
+      while Option.is_none !err && bit i = 1 && !p < max_pulses do
+        match program i with None -> incr p | e -> err := e
+      done;
+      outcome !p !err
+    | Round (lo, hi) ->
+      let zeros, err = round lo hi in
+      outcome zeros err
+    | Reset ->
+      reset ();
+      Ok 0
+  in
+  (cells, with_fault_phase c ~reset (fun () -> List.map step c.ops))
 
 let fbits x = Int64.to_int (Int64.bits_of_float x)
 
@@ -116,9 +215,20 @@ let store_matches_records s cells =
             && S.cycles s i = w.Rel.cycles
             && S.broken s i = w.Rel.broken))
 
+(* Fused store, per-cell-loop store and record path: same outcomes,
+   Int64-bit-identical charge and wear, equal digests. *)
+let all_agree c =
+  let s, rs = run_store ~fused:true c in
+  let _, rl = run_store ~fused:false c in
+  let cells, rr = run_record c in
+  rs = rl && rs = rr
+  && store_matches_records s cells
+  && S.fold_digest s W.digest_fold W.digest_empty = record_digest cells
+
 (* ---------- generators ---------- *)
 
-let gen_ops =
+(* single pulses and range erases from fresh cells *)
+let gen_pulse_case ~inbox =
   QCheck2.Gen.(
     int_range 2 5 >>= fun n ->
     let gen_op =
@@ -133,22 +243,65 @@ let gen_ops =
               (int_range 0 (n - 1)) );
         ]
     in
-    list_size (int_range 1 24) gen_op >>= fun ops -> return (n, ops))
-
-let side_by_side ~pp ~ep (n, ops) =
-  let s, store_errs = run_store ~pp ~ep ~n ops in
-  let cells, record_errs = run_record ~pp ~ep ~n ops in
-  store_matches_records s cells
-  && store_errs = record_errs
-  && S.fold_digest s W.digest_fold W.digest_empty = record_digest cells
+    list_size (int_range 1 24) gen_op >>= fun ops ->
+    return
+      { charges = Array.make n 0.; broken_at = []; ops; fault_seed = None; inbox })
 
 let prop_side_by_side_inbox =
-  prop "SoA = record path, bit for bit (surrogate in-box)" ~count:8 gen_ops
-    (side_by_side ~pp:prog_pulse ~ep:erase_pulse)
+  prop "SoA = record path, bit for bit (surrogate in-box)" ~count:8
+    (gen_pulse_case ~inbox:true) all_agree
 
 let prop_side_by_side_exact =
-  prop "SoA = record path, bit for bit (out-of-box exact)" ~count:8 gen_ops
-    (side_by_side ~pp:prog_short ~ep:erase_short)
+  prop "SoA = record path, bit for bit (out-of-box exact)" ~count:8
+    (gen_pulse_case ~inbox:false) all_agree
+
+(* Every op, with charges straddling the 1 V read level (about
+   -3.54e-18 C on this device) so verify loops run 0..max pulses and
+   rounds count both readouts; a few cells start broken. *)
+let gen_kernel_case ~cells ~faults =
+  QCheck2.Gen.(
+    cells >>= fun n ->
+    let cell = int_range 0 (n - 1) in
+    let range = map2 (fun a b -> (min a b, max a b)) cell cell in
+    let gen_op =
+      frequency
+        [
+          (1, map (fun i -> Prog i) cell);
+          (1, map (fun i -> Erase i) cell);
+          (1, map (fun (lo, hi) -> Erange (lo, hi)) range);
+          (4, map2 (fun i m -> Verify (i, m)) cell (int_range 1 8));
+          (3, map (fun (lo, hi) -> Round (lo, hi)) range);
+          (2, return Reset);
+        ]
+    in
+    array_size (return n) (map (fun k -> -1e-19 *. float_of_int k) (int_range 0 120))
+    >>= fun charges ->
+    list_size (int_range 0 2) cell >>= fun broken_at ->
+    list_size (int_range 1 16) gen_op >>= fun ops ->
+    (if faults then map Option.some (int_range 0 1000) else return None)
+    >>= fun fault_seed ->
+    bool >>= fun inbox -> return { charges; broken_at; ops; fault_seed; inbox })
+
+let prop_kernels =
+  prop "fused kernels = per-cell loop" ~count:20
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:false)
+    all_agree
+
+let prop_kernels_fault =
+  prop "fused kernels = per-cell loop (fault plan)" ~count:10
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:true)
+    all_agree
+
+(* more distinct starting charges than the memo's 64 initial slots: two
+   full sweeps, so the second replays entries the rehash carried and
+   needs their verify bits *)
+let prop_kernels_rehash =
+  prop "fused kernels = per-cell loop (memo rehash)" ~count:5
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 70 90) ~faults:false)
+    (fun c ->
+      let n = Array.length c.charges in
+      let sweep = List.init n (fun i -> Verify (i, 8)) @ [ Round (0, n - 1) ] in
+      all_agree { c with ops = sweep @ (Reset :: sweep) @ c.ops })
 
 (* ---------- unit tests ---------- *)
 
@@ -265,6 +418,140 @@ let test_memo_replays_distinct_charges () =
   check_true "same start, same wear" (same_f (S.fluence s 0) (S.fluence s 1));
   check_true "distinct start, distinct end" (not (same_f (S.qfg s 0) (S.qfg s 2)))
 
+
+(* The seed word program on a bare store: per target-0 bit, pulse while
+   it reads 1; a failed pulse restores that bit's pre-program cell and
+   stops the word. [Command_fsm.program_word_cells] must leave the same
+   cells through the fused kernel. *)
+let seed_program_word s m ~pulse ~max_pulses ~base ~bits ~data =
+  let rec go i =
+    if i >= bits then Ok ()
+    else if (data lsr i) land 1 = 1 then go (i + 1)
+    else begin
+      let idx = base + i in
+      let before = S.view s idx in
+      match loop_verify s m ~pulse ~max_pulses idx with
+      | Ok _ -> go (i + 1)
+      | Error e ->
+        S.set s idx before;
+        Error e
+    end
+  in
+  go 0
+
+(* short exact pulses take ~5 to program a cell, so a 1-in-30 eval fault
+   plan fails about half the words part-way through a bit's loop *)
+let small_fsm =
+  {
+    C.default_config with
+    C.sectors = 1;
+    words_per_sector = 4;
+    word_bits = 6;
+    program_pulse = prog_short;
+    max_pulses = 8;
+  }
+
+let prop_fsm_restores_on_error =
+  prop "program_word_cells restores a failed bit" ~count:12
+    QCheck2.Gen.(
+      triple (int_range 0 1000) (int_range 0 3) (int_range 0 ((1 lsl 6) - 2)))
+    (fun (seed, addr, data) ->
+      let cfg = small_fsm in
+      let fsm = C.create ~config:cfg (fresh_device ()) in
+      let bits = cfg.C.word_bits in
+      let n = cfg.C.words_per_sector * bits in
+      let s = S.create ~n (fresh_device ()) in
+      let m = S.memo () in
+      let fsm_err =
+        Fault.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+            let w a d = ignore (C.write fsm ~addr:a ~data:d) in
+            w (0x555 mod C.words fsm) 0xAA;
+            w (0x2AA mod C.words fsm) 0x55;
+            w (0x555 mod C.words fsm) 0xA0;
+            match C.write fsm ~addr ~data with
+            | Ok () -> None
+            | Error (C.Physics e) -> Some e
+            | Error e -> Some (C.error_to_string e))
+      in
+      let ref_err =
+        Fault.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+            match
+              seed_program_word s m ~pulse:cfg.C.program_pulse
+                ~max_pulses:cfg.C.max_pulses ~base:(addr * bits) ~bits ~data
+            with
+            | Ok () -> None
+            | Error e -> Some e)
+      in
+      fsm_err = ref_err
+      && Array.for_all Fun.id
+           (Array.init n (fun i ->
+                let (c : Cell.t) = C.cell fsm ~idx:i in
+                let w = c.Cell.wear in
+                same_f c.Cell.qfg (S.qfg s i)
+                && same_f w.Rel.fluence (S.fluence s i)
+                && same_f w.Rel.traps (S.traps s i)
+                && w.Rel.cycles = S.cycles s i
+                && w.Rel.broken = S.broken s i)))
+
+(* ---------- zero allocation on memo hits ---------- *)
+
+(* Minor words allocated while [f] runs. [before] stays an unboxed float,
+   so the measurement itself allocates nothing. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_memo_hits_allocate_nothing () =
+  let d = fresh_device () in
+  let n = 8 in
+  let s = S.create ~n d in
+  (* half the cells programmed, half erased: both readouts and both
+     kernel branches run *)
+  let start =
+    Array.init n (fun i ->
+        {
+          Cell.device = d;
+          qfg = (if i mod 2 = 0 then -6e-18 else 0.);
+          wear = { Rel.fluence = 0.; traps = 0.; cycles = 0; broken = false };
+        })
+  in
+  let reset () =
+    for i = 0 to n - 1 do
+      S.set s i start.(i)
+    done
+  in
+  let pm = S.memo () and em = S.memo () in
+  let at () =
+    for i = 0 to n - 1 do
+      ignore (S.apply_pulse_at s ~memo:em ~pulse:erase_short i)
+    done
+  in
+  let verify () =
+    for i = 0 to n - 1 do
+      ignore (S.program_verify s ~memo:pm ~pulse:prog_short ~max_pulses:8 i)
+    done
+  in
+  let round () = ignore (S.erase_round s ~memo:em ~pulse:erase_short ~lo:0 ~hi:(n - 1)) in
+  (* warm-up: every starting charge each kernel meets is memoized *)
+  List.iter (fun f -> reset (); f ()) [ at; verify; round ];
+  let reps = 10_000 / n in
+  let hits f =
+    minor_words_during (fun () ->
+        for _ = 1 to reps do
+          reset ();
+          f ()
+        done)
+  in
+  Alcotest.(check (float 0.)) "reset alone" 0. (hits ignore);
+  Alcotest.(check (float 0.)) "apply_pulse_at hits" 0. (hits at);
+  Alcotest.(check (float 0.)) "program_verify hits" 0. (hits verify);
+  Alcotest.(check (float 0.)) "erase_round hits" 0. (hits round);
+  (* the replays really were replays of the warm-up answers *)
+  reset ();
+  verify ();
+  check_true "programmed" (S.bit s 1 = 0)
+
 let () =
   Alcotest.run "cell_store"
     [
@@ -278,5 +565,10 @@ let () =
           case "memo keys per distinct charge" test_memo_replays_distinct_charges;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;
+          prop_kernels;
+          prop_kernels_fault;
+          prop_kernels_rehash;
+          prop_fsm_restores_on_error;
+          case "memo hits allocate nothing" test_memo_hits_allocate_nothing;
         ] );
     ]
