@@ -115,7 +115,7 @@ let print_ablations () =
        in
        match F.run_trace ftl trace with
        | Error e -> Printf.printf "  %-12s failed: %s\n" name (F.error_to_string e)
-       | Ok ftl ->
+       | Ok () ->
          let s = F.stats ftl in
          Printf.printf "  %-12s WA=%.3f gc=%d wear-spread=%.0f\n" name
            s.F.write_amplification s.F.gc_runs (F.wear_spread ftl))
@@ -486,15 +486,15 @@ let system_tests =
             | _ -> failwith "ecc"));
     Test.make ~name:"system-ftl-1000-writes"
       (stage (fun () ->
-           let ftl = Gnrflash_memory.Ftl.create Gnrflash_memory.Ftl.default_config in
-           let rec go ftl n =
-             if n = 0 then ()
-             else
-               match Gnrflash_memory.Ftl.write ftl ~lpn:(n mod 100) with
-               | Ok ftl -> go ftl (n - 1)
+           let module F = Gnrflash_memory.Ftl in
+           let ftl = F.create F.default_config in
+           let rec go n =
+             if n > 0 then
+               match F.write_in_place ftl ~lpn:(n mod 100) with
+               | Ok () -> go (n - 1)
                | Error _ -> ()
            in
-           go ftl 1000));
+           go 1000));
     Test.make ~name:"system-variation-10-devices"
       (stage (fun () ->
            ignore

@@ -462,7 +462,7 @@ let ftl_cmd =
          in
          match F.run_trace ftl trace with
          | Error e -> Printf.printf "%-12s failed: %s\n" name (F.error_to_string e)
-         | Ok ftl ->
+         | Ok () ->
            let s = F.stats ftl in
            Printf.printf "%-12s %-8.3f %-8d %-8d %.0f\n" name s.F.write_amplification
              s.F.gc_runs s.F.erases (F.wear_spread ftl))

@@ -16,7 +16,7 @@ let run_workload name pattern =
   in
   match F.run_trace ftl ops with
   | Error e -> Printf.printf "%-12s FAILED: %s\n" name (F.error_to_string e)
-  | Ok ftl ->
+  | Ok () ->
     let s = F.stats ftl in
     Printf.printf "%-12s WA=%.3f  gc=%-5d erases=%-5d wear=[%d..%d] spread=%.0f\n"
       name s.F.write_amplification s.F.gc_runs s.F.erases s.F.min_erase_count

@@ -63,39 +63,21 @@ let error_to_string = function
   | Physics e -> "Command_fsm: pulse solve failed: " ^ e
 
 type stats = {
-  bus_cycles : int;
-  data_reads : int;
-  status_reads : int;
-  programs : int;
-  words_programmed : int;
-  sector_erases : int;
-  chip_erases : int;
-  suspends : int;
-  resumes : int;
-  resets : int;
-  program_pulses : int;
-  erase_pulses : int;
-  verify_timeouts : int;
-  disturb_events : int;
-  bad_sequences : int;
-}
-
-type mstats = {
-  mutable m_bus_cycles : int;
-  mutable m_data_reads : int;
-  mutable m_status_reads : int;
-  mutable m_programs : int;
-  mutable m_words_programmed : int;
-  mutable m_sector_erases : int;
-  mutable m_chip_erases : int;
-  mutable m_suspends : int;
-  mutable m_resumes : int;
-  mutable m_resets : int;
-  mutable m_program_pulses : int;
-  mutable m_erase_pulses : int;
-  mutable m_verify_timeouts : int;
-  mutable m_disturb_events : int;
-  mutable m_bad_sequences : int;
+  mutable bus_cycles : int;
+  mutable data_reads : int;
+  mutable status_reads : int;
+  mutable programs : int;
+  mutable words_programmed : int;
+  mutable sector_erases : int;
+  mutable chip_erases : int;
+  mutable suspends : int;
+  mutable resumes : int;
+  mutable resets : int;
+  mutable program_pulses : int;
+  mutable erase_pulses : int;
+  mutable verify_timeouts : int;
+  mutable disturb_events : int;
+  mutable bad_sequences : int;
 }
 
 type op_kind =
@@ -135,7 +117,7 @@ type t = {
   mutable suspended : busy_op option;
   mutable dq6 : int; (* toggles on status reads while busy *)
   mutable dq2 : int; (* toggles on suspended-sector status reads *)
-  ms : mstats;
+  ms : stats;
 }
 
 let create ?(config = default_config) device =
@@ -158,21 +140,21 @@ let create ?(config = default_config) device =
     dq2 = 0;
     ms =
       {
-        m_bus_cycles = 0;
-        m_data_reads = 0;
-        m_status_reads = 0;
-        m_programs = 0;
-        m_words_programmed = 0;
-        m_sector_erases = 0;
-        m_chip_erases = 0;
-        m_suspends = 0;
-        m_resumes = 0;
-        m_resets = 0;
-        m_program_pulses = 0;
-        m_erase_pulses = 0;
-        m_verify_timeouts = 0;
-        m_disturb_events = 0;
-        m_bad_sequences = 0;
+        bus_cycles = 0;
+        data_reads = 0;
+        status_reads = 0;
+        programs = 0;
+        words_programmed = 0;
+        sector_erases = 0;
+        chip_erases = 0;
+        suspends = 0;
+        resumes = 0;
+        resets = 0;
+        program_pulses = 0;
+        erase_pulses = 0;
+        verify_timeouts = 0;
+        disturb_events = 0;
+        bad_sequences = 0;
       };
   }
 
@@ -201,7 +183,7 @@ let commit t =
 
 let tick t =
   t.clock <- t.clock +. t.cfg.t_cycle;
-  t.ms.m_bus_cycles <- t.ms.m_bus_cycles + 1;
+  t.ms.bus_cycles <- t.ms.bus_cycles + 1;
   commit t
 
 let step_to t target =
@@ -289,17 +271,17 @@ let program_word_cells t ~addr ~data =
           raise failed
       in
       if S.bit t.store idx = 1 then timeout := true;
-      t.ms.m_program_pulses <- t.ms.m_program_pulses + p;
+      t.ms.program_pulses <- t.ms.program_pulses + p;
       if p > !max_pulses_used then max_pulses_used := p
     end
     else if S.bit t.store idx = 0 then timeout := true
   done;
   (* every program pulse gate-disturbs the unselected words of the sector *)
-  t.ms.m_disturb_events <-
-    t.ms.m_disturb_events + (!max_pulses_used * (t.cfg.words_per_sector - 1));
+  t.ms.disturb_events <-
+    t.ms.disturb_events + (!max_pulses_used * (t.cfg.words_per_sector - 1));
   if !max_pulses_used > 0 then apply_disturb t ~addr ~events:!max_pulses_used;
-  if !timeout then t.ms.m_verify_timeouts <- t.ms.m_verify_timeouts + 1;
-  t.ms.m_words_programmed <- t.ms.m_words_programmed + 1;
+  if !timeout then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
+  t.ms.words_programmed <- t.ms.words_programmed + 1;
   float_of_int !max_pulses_used *. t.cfg.program_pulse.D.Program_erase.duration
 
 (* Embedded sector erase: erase pulses hit every cell of the sector each
@@ -319,10 +301,10 @@ let erase_sector_cells t ~sector =
   while !programmed > 0 && !rounds < t.cfg.max_pulses do
     programmed :=
       S.erase_round t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse ~lo ~hi;
-    t.ms.m_erase_pulses <- t.ms.m_erase_pulses + ncells;
+    t.ms.erase_pulses <- t.ms.erase_pulses + ncells;
     incr rounds
   done;
-  if !programmed > 0 then t.ms.m_verify_timeouts <- t.ms.m_verify_timeouts + 1;
+  if !programmed > 0 then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
   float_of_int !rounds *. t.cfg.erase_pulse.D.Program_erase.duration
 
 let launch t kind duration =
@@ -337,7 +319,7 @@ let sense_word t ~addr =
   Array.init t.cfg.word_bits (fun i -> S.bit t.store (base + i))
 
 let status_read t ~addr ~toggle6 =
-  t.ms.m_status_reads <- t.ms.m_status_reads + 1;
+  t.ms.status_reads <- t.ms.status_reads + 1;
   if toggle6 then t.dq6 <- 1 - t.dq6;
   let in_suspended_sector =
     match t.suspended with
@@ -353,7 +335,7 @@ let status_read t ~addr ~toggle6 =
   in
   let dq5 =
     (* timeout bit: internal verify exhausted max_pulses at least once *)
-    if t.ms.m_verify_timeouts > 0 then 1 else 0
+    if t.ms.verify_timeouts > 0 then 1 else 0
   in
   Status { dq7; dq6 = t.dq6; dq5; dq2 = t.dq2 }
 
@@ -372,7 +354,7 @@ let read t ~addr =
       (* DQ6 does not toggle during suspend; DQ2 does *)
       status_read t ~addr ~toggle6:false
     else begin
-      t.ms.m_data_reads <- t.ms.m_data_reads + 1;
+      t.ms.data_reads <- t.ms.data_reads + 1;
       Data (sense_word t ~addr)
     end
 
@@ -394,7 +376,7 @@ let suspended_sector t =
   | _ -> None
 
 let bad t ~addr ~data =
-  t.ms.m_bad_sequences <- t.ms.m_bad_sequences + 1;
+  t.ms.bad_sequences <- t.ms.bad_sequences + 1;
   let state = state_name t in
   t.seq <- Idle;
   Error (Bad_sequence { state; addr; data })
@@ -419,7 +401,7 @@ let write t ~addr ~data =
        t.suspended <- Some op;
        t.op <- None;
        t.seq <- Idle;
-       t.ms.m_suspends <- t.ms.m_suspends + 1;
+       t.ms.suspends <- t.ms.suspends + 1;
        Tel.count "command_fsm/suspend";
        Ok ()
      | Op_program _ | Op_chip_erase -> Error Not_erasing)
@@ -438,13 +420,13 @@ let write t ~addr ~data =
       t.seq <- Idle;
       match suspended_sector t with
       | Some sector when sector_of t ~addr = sector ->
-        t.ms.m_bad_sequences <- t.ms.m_bad_sequences + 1;
+        t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       | _ -> (
         match run_physics t (fun () -> program_word_cells t ~addr ~data) with
         | Error e -> Error e
         | Ok duration ->
-          t.ms.m_programs <- t.ms.m_programs + 1;
+          t.ms.programs <- t.ms.programs + 1;
           Tel.count "command_fsm/program";
           launch t (Op_program { dq7 = 1 - (data land 1) }) duration;
           Ok ()))
@@ -455,6 +437,7 @@ let write t ~addr ~data =
         t.seq <- Idle;
         Error (Buffer_sector_crossing { sector; addr })
       end
+      else if count < 1 then bad t ~addr ~data (* negative data or overflow *)
       else if count > t.cfg.write_buffer_words then begin
         t.seq <- Idle;
         Error (Buffer_overflow { count; capacity = t.cfg.write_buffer_words })
@@ -481,7 +464,7 @@ let write t ~addr ~data =
         t.seq <- Idle;
         match suspended_sector t with
         | Some s when s = sector ->
-          t.ms.m_bad_sequences <- t.ms.m_bad_sequences + 1;
+          t.ms.bad_sequences <- t.ms.bad_sequences + 1;
           Error (Bad_sequence { state = "erase_suspended"; addr; data })
         | _ -> (
           (* program buffered words sequentially (last loaded value per
@@ -495,7 +478,7 @@ let write t ~addr ~data =
           with
           | Error e -> Error e
           | Ok duration ->
-            t.ms.m_programs <- t.ms.m_programs + 1;
+            t.ms.programs <- t.ms.programs + 1;
             Tel.count "command_fsm/buffer_program";
             let dq7 =
               match List.rev words_in_order with
@@ -506,7 +489,7 @@ let write t ~addr ~data =
             Ok ()))
     | _ when data = 0xF0 ->
       t.seq <- Idle;
-      t.ms.m_resets <- t.ms.m_resets + 1;
+      t.ms.resets <- t.ms.resets + 1;
       Ok ()
     | _ when data = 0xB0 -> Error Not_erasing
     | Idle when data = 0x30 && Option.is_some t.suspended -> (
@@ -516,7 +499,7 @@ let write t ~addr ~data =
         op.ends_at <- t.clock +. op.remaining;
         t.suspended <- None;
         t.op <- Some op;
-        t.ms.m_resumes <- t.ms.m_resumes + 1;
+        t.ms.resumes <- t.ms.resumes + 1;
         Tel.count "command_fsm/resume";
         Ok ()
       | None -> Error Not_suspended)
@@ -547,20 +530,20 @@ let write t ~addr ~data =
       match t.suspended with
       | Some _ ->
         (* no nested erase while another sector erase is suspended *)
-        t.ms.m_bad_sequences <- t.ms.m_bad_sequences + 1;
+        t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       | None -> (
         match run_physics t (fun () -> erase_sector_cells t ~sector) with
         | Error e -> Error e
         | Ok duration ->
-          t.ms.m_sector_erases <- t.ms.m_sector_erases + 1;
+          t.ms.sector_erases <- t.ms.sector_erases + 1;
           Tel.count "command_fsm/sector_erase";
           launch t (Op_sector_erase { sector }) duration;
           Ok ()))
     | Erase_unlocked when addr = u1 && data = 0x10 -> (
       t.seq <- Idle;
       if Option.is_some t.suspended then begin
-        t.ms.m_bad_sequences <- t.ms.m_bad_sequences + 1;
+        t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       end
       else
@@ -574,31 +557,14 @@ let write t ~addr ~data =
         with
         | Error e -> Error e
         | Ok duration ->
-          t.ms.m_chip_erases <- t.ms.m_chip_erases + 1;
+          t.ms.chip_erases <- t.ms.chip_erases + 1;
           Tel.count "command_fsm/chip_erase";
           launch t Op_chip_erase duration;
           Ok ())
     | _ -> bad t ~addr ~data)
 
-let stats t =
-  let m = t.ms in
-  {
-    bus_cycles = m.m_bus_cycles;
-    data_reads = m.m_data_reads;
-    status_reads = m.m_status_reads;
-    programs = m.m_programs;
-    words_programmed = m.m_words_programmed;
-    sector_erases = m.m_sector_erases;
-    chip_erases = m.m_chip_erases;
-    suspends = m.m_suspends;
-    resumes = m.m_resumes;
-    resets = m.m_resets;
-    program_pulses = m.m_program_pulses;
-    erase_pulses = m.m_erase_pulses;
-    verify_timeouts = m.m_verify_timeouts;
-    disturb_events = m.m_disturb_events;
-    bad_sequences = m.m_bad_sequences;
-  }
+(* a copy, so callers holding it do not see later updates *)
+let stats t = { t.ms with bus_cycles = t.ms.bus_cycles }
 
 let cell t ~idx =
   if idx < 0 || idx >= S.length t.store then
@@ -616,10 +582,10 @@ let state_digest t =
   List.iter
     (fun v -> h := f !h v)
     [
-      m.m_bus_cycles; m.m_data_reads; m.m_status_reads; m.m_programs;
-      m.m_words_programmed; m.m_sector_erases; m.m_chip_erases; m.m_suspends;
-      m.m_resumes; m.m_resets; m.m_program_pulses; m.m_erase_pulses;
-      m.m_verify_timeouts; m.m_disturb_events; m.m_bad_sequences;
+      m.bus_cycles; m.data_reads; m.status_reads; m.programs;
+      m.words_programmed; m.sector_erases; m.chip_erases; m.suspends;
+      m.resumes; m.resets; m.program_pulses; m.erase_pulses;
+      m.verify_timeouts; m.disturb_events; m.bad_sequences;
     ];
   h := f !h (Hashtbl.hash (state_name t));
   !h

@@ -93,22 +93,22 @@ type error =
 
 val error_to_string : error -> string
 
-type stats = {
-  bus_cycles : int;
-  data_reads : int;
-  status_reads : int;
-  programs : int;          (** embedded program operations (word or buffer) *)
-  words_programmed : int;
-  sector_erases : int;
-  chip_erases : int;
-  suspends : int;
-  resumes : int;
-  resets : int;
-  program_pulses : int;    (** physics pulses, program polarity *)
-  erase_pulses : int;
-  verify_timeouts : int;   (** words/sectors that hit [max_pulses] *)
-  disturb_events : int;    (** program pulses seen by unselected words *)
-  bad_sequences : int;
+type stats = private {
+  mutable bus_cycles : int;
+  mutable data_reads : int;
+  mutable status_reads : int;
+  mutable programs : int;          (** embedded program operations (word or buffer) *)
+  mutable words_programmed : int;
+  mutable sector_erases : int;
+  mutable chip_erases : int;
+  mutable suspends : int;
+  mutable resumes : int;
+  mutable resets : int;
+  mutable program_pulses : int;    (** physics pulses, program polarity *)
+  mutable erase_pulses : int;
+  mutable verify_timeouts : int;   (** words/sectors that hit [max_pulses] *)
+  mutable disturb_events : int;    (** program pulses seen by unselected words *)
+  mutable bad_sequences : int;
 }
 
 val create : ?config:config -> Gnrflash_device.Fgt.t -> t
@@ -172,6 +172,7 @@ val cell : t -> idx:int -> Cell.t
     @raise Invalid_argument when [idx] is out of range. *)
 
 val stats : t -> stats
+(** A copy of the counters; later bus cycles do not update it. *)
 
 val state_name : t -> string
 (** Current command-sequence state, for diagnostics ("idle",

@@ -13,14 +13,10 @@ type config = {
 type error =
   | Out_of_range of int
   | Device_full
-  | No_victim
-  | No_free_block
 
 let error_to_string = function
   | Out_of_range lpn -> Printf.sprintf "Ftl: lpn %d out of range" lpn
   | Device_full -> "Ftl: device full"
-  | No_victim -> "Ftl: nothing to collect"
-  | No_free_block -> "Ftl: no free block to open"
 
 (* Physical operations, journaled in the order the device would see them so
    a command-level front end (Service) can mirror the op stream. *)
@@ -36,12 +32,10 @@ type phys_op =
    are O(blocks) instead of O(blocks * pages_per_block) scans with
    polymorphic equality.
 
-   Persistence contract (unchanged from the record-of-arrays version):
-   every public operation returns a value that shares no mutable state it
-   will ever write through — one deep copy per accepting [write]/[trim]
-   and one per garbage-collection run, never one per relocated page. The
-   in-place [_in] helpers below may only be applied to such a private
-   working copy. *)
+   One mutable handle, updated in place. The only copy of the state is
+   [undo], preallocated at [create] and filled only when a write is about
+   to garbage-collect, so a write that ends in [Device_full] can roll every
+   GC run it made back. *)
 
 let p_free = -1
 let p_invalid = -2
@@ -62,6 +56,7 @@ type t = {
   mutable gc_runs : int;
   mutable erases : int;
   mutable journal : phys_op list; (* reverse chronological *)
+  undo : t option; (* rollback image; [None] on the image itself *)
 }
 
 let default_config =
@@ -72,11 +67,7 @@ let default_config =
    to keep the GC off the hot path. *)
 let logical_capacity_of config = (config.blocks - 1) * config.pages_per_block * 7 / 8
 
-let create config =
-  if config.blocks < 2 || config.pages_per_block < 1 then
-    invalid_arg "Ftl.create: need >= 2 blocks and >= 1 page";
-  if config.gc_threshold < 1 || config.gc_threshold >= config.blocks * config.pages_per_block / 4
-  then invalid_arg "Ftl.create: unreasonable gc threshold";
+let rec fresh config ~undo =
   {
     config;
     pages = Array.make (config.blocks * config.pages_per_block) p_free;
@@ -92,7 +83,15 @@ let create config =
     gc_runs = 0;
     erases = 0;
     journal = [];
+    undo = (if undo then Some (fresh config ~undo:false) else None);
   }
+
+let create config =
+  if config.blocks < 2 || config.pages_per_block < 1 then
+    invalid_arg "Ftl.create: need >= 2 blocks and >= 1 page";
+  if config.gc_threshold < 1 || config.gc_threshold >= config.blocks * config.pages_per_block / 4
+  then invalid_arg "Ftl.create: unreasonable gc threshold";
+  fresh config ~undo:true
 
 let config t = t.config
 let logical_capacity t = Array.length t.mapping
@@ -107,12 +106,11 @@ let free_pages t =
 (* Pick the block with the lowest erase count among blocks that are fully
    free (candidates to open for writing); earliest block wins erase-count
    ties. Returns -1 when none qualifies. *)
-let pick_open_block t ~exclude =
+let pick_open_block t =
   let best = ref (-1) in
   for b = 0 to t.config.blocks - 1 do
     if
       (not t.retired.(b))
-      && b <> exclude
       && t.free_cnt.(b) = t.config.pages_per_block
       && (!best < 0 || t.erase_counts.(b) < t.erase_counts.(!best))
     then best := b
@@ -131,42 +129,30 @@ let fully_free_blocks t =
   done;
   !n
 
+let open_room t =
+  if t.wp_block >= 0 then t.config.pages_per_block - t.wp_page else 0
+
 (* Exactly the condition under which the allocator can program a page:
    either the open block still has room, or a fully-free block exists to
    open. Free pages scattered across partially-written non-open blocks do
    NOT count — the allocator cannot consume them. *)
-let writable t =
-  (t.wp_block >= 0 && t.wp_page < t.config.pages_per_block)
-  || pick_open_block t ~exclude:(-1) >= 0
+let writable t = open_room t > 0 || pick_open_block t >= 0
 
-let copy t =
-  {
-    t with
-    pages = Array.copy t.pages;
-    mapping = Array.copy t.mapping;
-    erase_counts = Array.copy t.erase_counts;
-    retired = Array.copy t.retired;
-    free_cnt = Array.copy t.free_cnt;
-    invalid_cnt = Array.copy t.invalid_cnt;
-  }
+(* Ensure the write point can take one page, opening a block if needed;
+   [false] when no block is left to open. *)
+let allocate t =
+  open_room t > 0
+  ||
+  match pick_open_block t with
+  | -1 -> false
+  | b ->
+    t.wp_block <- b;
+    t.wp_page <- 0;
+    true
 
-(* ---------- in-place core (private working copies only) ---------- *)
-
-(* Ensure the write point can take one page; opens a block if needed. *)
-let allocate_in t =
-  if t.wp_block >= 0 && t.wp_page < t.config.pages_per_block then Ok ()
-  else
-    match pick_open_block t ~exclude:(-1) with
-    | -1 -> Error No_free_block
-    | b ->
-      t.wp_block <- b;
-      t.wp_page <- 0;
-      Ok ()
-
-let program_page_in ?(gc = false) t ~lpn =
-  match allocate_in t with
-  | Error e -> Error e
-  | Ok () ->
+let program_page t ~lpn ~gc =
+  allocate t
+  && begin
     let ppb = t.config.pages_per_block in
     let b = t.wp_block and p = t.wp_page in
     t.pages.((b * ppb) + p) <- lpn;
@@ -181,7 +167,8 @@ let program_page_in ?(gc = false) t ~lpn =
     t.wp_page <- p + 1;
     t.device_writes <- t.device_writes + 1;
     t.journal <- Phys_program { block = b; page = p; lpn; gc } :: t.journal;
-    Ok ()
+    true
+  end
 
 (* Greedy victim selection: most invalid pages; ties broken toward higher
    erase count being avoided (wear leveling). Never the open block.
@@ -207,7 +194,7 @@ let pick_victim t =
   done;
   !best
 
-let erase_block_in t b =
+let erase_block t b =
   let ppb = t.config.pages_per_block in
   Array.fill t.pages (b * ppb) ppb p_free;
   t.free_cnt.(b) <- ppb;
@@ -221,72 +208,27 @@ let erase_block_in t b =
   end;
   t.journal <- Phys_erase { block = b; retired = t.retired.(b) } :: t.journal
 
-(* ---------- persistent operations ---------- *)
-
+(* Relocate the victim's valid pages through the write point and erase it.
+   Nothing is touched unless they all fit — in the open block's remainder
+   and the fully-free blocks the allocator will open next — so a run
+   either completes or leaves [t] as it was. [false] when there is no
+   victim or it does not fit. *)
 let garbage_collect t =
-  match pick_victim t with
-  | -1 -> Error No_victim
-  | victim ->
-    (* Move valid pages of the victim through the write point. With at
-       least one fully-free block in reserve this always fits: the victim
-       holds at most pages_per_block valid pages and GC can consume the
-       reserve block, regaining a full block when the victim is erased.
-       The whole run mutates ONE working copy; a part-way failure discards
-       it, leaving the input (and its journal) untouched. *)
-    let t = copy t in
-    let ppb = t.config.pages_per_block in
+  let victim = pick_victim t in
+  let ppb = t.config.pages_per_block in
+  victim >= 0
+  && ppb - t.free_cnt.(victim) - t.invalid_cnt.(victim)
+     <= open_room t + (ppb * fully_free_blocks t)
+  && begin
     let base = victim * ppb in
-    let err = ref None in
-    let p = ref 0 in
-    while Option.is_none !err && !p < ppb do
-      let s = t.pages.(base + !p) in
-      if s >= 0 then begin
-        match program_page_in ~gc:true t ~lpn:s with
-        | Ok () -> ()
-        | Error e -> err := Some e
-      end;
-      incr p
+    for p = 0 to ppb - 1 do
+      let s = t.pages.(base + p) in
+      if s >= 0 then ignore (program_page t ~lpn:s ~gc:true : bool)
     done;
-    (match !err with
-     | Some e -> Error e
-     | None ->
-       erase_block_in t victim;
-       t.gc_runs <- t.gc_runs + 1;
-       Ok t)
-
-(* Maintain the invariant that a spare fully-free block exists before
-   accepting a host write (plus the configured free-page low-water mark). *)
-let rec ensure_space t =
-  let needs_gc =
-    fully_free_blocks t < 1 || free_pages t <= t.config.gc_threshold
-  in
-  if not needs_gc then Ok t
-  else
-    match garbage_collect t with
-    | Ok t -> ensure_space t
-    | Error _ ->
-      (* No reclaimable pages. Accept the write only if the allocator can
-         actually place it — free pages stranded in partially-written,
-         non-open blocks are unusable until their block is collected, so
-         [free_pages t > 0] alone is NOT sufficient here. *)
-      if writable t then Ok t else Error Device_full
-
-let write t ~lpn =
-  if lpn < 0 || lpn >= logical_capacity t then Error (Out_of_range lpn)
-  else
-    match ensure_space t with
-    | Error e -> Error e
-    | Ok t' ->
-      (* ensure_space returns its input unchanged when no GC ran — copy
-         then, and only then, so a host write costs exactly one copy *)
-      let w = if t' == t then copy t else t' in
-      (match program_page_in w ~lpn with
-       | Error e -> Error e
-       | Ok () ->
-         w.host_writes <- w.host_writes + 1;
-         Ok w)
-
-(* ---------- in-place variants (linear handles, e.g. Service) ---------- *)
+    erase_block t victim;
+    t.gc_runs <- t.gc_runs + 1;
+    true
+  end
 
 let overwrite dst src =
   Array.blit src.pages 0 dst.pages 0 (Array.length dst.pages);
@@ -303,30 +245,40 @@ let overwrite dst src =
   dst.erases <- src.erases;
   dst.journal <- src.journal
 
+let needs_gc t = fully_free_blocks t < 1 || free_pages t <= t.config.gc_threshold
+
+(* Maintain the invariant that a spare fully-free block exists before
+   accepting a host write (plus the configured free-page low-water mark),
+   or accept the state as-is when nothing more is reclaimable but the
+   allocator still has room. On [Device_full] every GC run of this call
+   is rolled back from the undo image. *)
+let ensure_space t =
+  if not (needs_gc t) then Ok ()
+  else begin
+    (match t.undo with Some u -> overwrite u t | None -> ());
+    while needs_gc t && garbage_collect t do
+      ()
+    done;
+    (* free pages stranded in partially-written, non-open blocks are
+       unusable until their block is collected, so [free_pages t > 0]
+       alone is NOT sufficient here *)
+    if writable t then Ok ()
+    else begin
+      (match t.undo with Some u -> overwrite t u | None -> ());
+      Error Device_full
+    end
+  end
+
 let write_in_place t ~lpn =
   if lpn < 0 || lpn >= logical_capacity t then Error (Out_of_range lpn)
-  else if fully_free_blocks t >= 1 && free_pages t > t.config.gc_threshold then begin
-    (* fast path, no GC due: program straight into this handle — zero
-       copies, zero allocation beyond the journal entry *)
-    match program_page_in t ~lpn with
-    | Error e -> Error e (* allocate failed before any mutation *)
-    | Ok () ->
-      t.host_writes <- t.host_writes + 1;
-      Ok ()
-  end
   else
-    (* GC due: run the persistent collector (one working copy per GC run,
-       discarded intact on part-way failure) and adopt the survivor, so
-       the rollback semantics of [write] carry over exactly *)
     match ensure_space t with
     | Error e -> Error e
-    | Ok t' ->
-      if t' != t then overwrite t t';
-      (match program_page_in t ~lpn with
-       | Error e -> Error e
-       | Ok () ->
-         t.host_writes <- t.host_writes + 1;
-         Ok ())
+    | Ok () ->
+      (* [ensure_space] left the allocator room, so the page lands *)
+      ignore (program_page t ~lpn ~gc:false : bool);
+      t.host_writes <- t.host_writes + 1;
+      Ok ()
 
 let trim_in_place t ~lpn =
   if lpn >= 0 && lpn < logical_capacity t then begin
@@ -350,22 +302,6 @@ let read t ~lpn =
     let loc = t.mapping.(lpn) in
     if loc < 0 then None
     else Some (loc / t.config.pages_per_block, loc mod t.config.pages_per_block)
-
-let trim t ~lpn =
-  if lpn < 0 || lpn >= logical_capacity t then t
-  else
-    let loc = t.mapping.(lpn) in
-    if loc < 0 then t
-    else begin
-      let t = copy t in
-      t.pages.(loc) <- p_invalid;
-      t.invalid_cnt.(loc / t.config.pages_per_block) <-
-        t.invalid_cnt.(loc / t.config.pages_per_block) + 1;
-      t.mapping.(lpn) <- unmapped;
-      t
-    end
-
-let drain_journal t = ({ t with journal = [] }, List.rev t.journal)
 
 type stats = {
   host_writes : int;
@@ -469,15 +405,15 @@ let check_invariants t =
 
 let run_trace t ops =
   let capacity = logical_capacity t in
-  List.fold_left
-    (fun acc op ->
-       match acc with
-       | Error _ -> acc
-       | Ok t ->
-         (match op with
-          | Workload.Read _ -> Ok t
-          | Workload.Write { page; _ } -> write t ~lpn:(page mod capacity)))
-    (Ok t) ops
+  let rec go = function
+    | [] -> Ok ()
+    | Workload.Read _ :: rest -> go rest
+    | Workload.Write { page; _ } :: rest -> (
+      match write_in_place t ~lpn:(page mod capacity) with
+      | Ok () -> go rest
+      | Error e -> Error e)
+  in
+  go ops
 
 module For_testing = struct
   let of_state ~config:cfg ?erase_counts ~pages ~write_point () =

@@ -9,7 +9,15 @@
     {!Command_fsm}). The physical operations each host call performs
     are journaled (see {!phys_op}) so a command-level front end
     ({!Service}) can replay the exact op stream against a behavioral
-    device model. *)
+    device model.
+
+    A handle is mutable and has one owner; every operation updates it in
+    place. Garbage collection (GC) relocates a victim's valid pages only
+    after checking that they fit — in what is left of the open block plus
+    [pages_per_block] pages per fully-free block — so a GC run never fails
+    part-way. A write that ends in [Device_full] rolls back every GC run it
+    made, from an undo image allocated at {!create}: the state and the
+    journal are exactly as before the call. *)
 
 type page_state =
   | Free
@@ -28,8 +36,6 @@ type config = {
 type error =
   | Out_of_range of int  (** logical page number outside the capacity *)
   | Device_full          (** no space the allocator can actually consume *)
-  | No_victim            (** internal: GC found nothing to collect *)
-  | No_free_block        (** internal: allocator found no fully-free block *)
 
 val error_to_string : error -> string
 
@@ -68,52 +74,30 @@ val writable : t -> bool
     free pages stranded in partially-written non-open blocks are
     unusable until their block is collected. *)
 
-val ensure_space : t -> (t, error) result
-(** Run garbage collection until a fully-free reserve block exists and
-    the free-page low-water mark is respected, or accept the state as-is
-    when nothing is reclaimable but the allocator still has room.
-    [Error Device_full] when a write cannot be placed. *)
+val ensure_space : t -> (unit, error) result
+(** Run GC until a fully-free reserve block exists and the free-page
+    low-water mark is respected, or accept the state as-is when nothing
+    more is reclaimable but the allocator still has room ([Ok] implies
+    {!writable}). [Error Device_full] when a write cannot be placed; [t]
+    is then left as it was. *)
 
-val write : t -> lpn:int -> (t, error) result
-(** Write (or rewrite) a logical page. Triggers garbage collection when
-    free space is low. Fails with [Device_full] when out of usable space
-    or [Out_of_range] for a bad logical page number. *)
+val write_in_place : t -> lpn:int -> (unit, error) result
+(** Write (or rewrite) a logical page, running GC first when free space
+    is low. Fails with [Device_full] when out of usable space or
+    [Out_of_range] for a bad logical page number; [Error] leaves [t]
+    unchanged. *)
+
+val trim_in_place : t -> lpn:int -> unit
+(** Discard a logical page (marks its physical page invalid). *)
+
+val take_journal : t -> phys_op list
+(** Physical operations performed since creation or the last call, in
+    chronological device order; clears the journal. A rejected write
+    leaves no entries. *)
 
 val read : t -> lpn:int -> (int * int) option
 (** Physical [(block, page)] currently holding the logical page, if
     written. *)
-
-(** {2 In-place variants}
-
-    For callers that use an FTL handle {e linearly} — one owner, every
-    update applied to the same handle, no retained snapshots
-    ({!Service}'s hot loop). They observe exactly the semantics of
-    {!write}/{!trim}/{!drain_journal} (same allocation decisions, GC
-    runs, journal streams and rollback on failure — a part-way GC
-    failure leaves the handle untouched) but mutate the handle instead
-    of copying it, so an accepted write without a GC run costs zero
-    copies. Mixing them with retained snapshots of the same handle is
-    unsupported: earlier copies obtained from the persistent functions
-    stay valid, but values sharing state with [t] (e.g. the pre-drain
-    half of {!drain_journal}) are invalidated by an in-place update. *)
-
-val write_in_place : t -> lpn:int -> (unit, error) result
-(** {!write}, mutating [t]. [Error] leaves [t] unchanged. *)
-
-val trim_in_place : t -> lpn:int -> unit
-(** {!trim}, mutating [t]. *)
-
-val take_journal : t -> phys_op list
-(** {!drain_journal}, clearing [t]'s journal in place. *)
-
-val trim : t -> lpn:int -> t
-(** Discard a logical page (marks its physical page invalid). *)
-
-val drain_journal : t -> t * phys_op list
-(** Physical operations performed since creation or the last drain, in
-    chronological device order, and the device with an emptied journal.
-    Discarded intermediate states (e.g. a garbage collection attempt that
-    failed part-way) leave no journal entries. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural self-check: the logical-to-physical mapping and the page
@@ -143,9 +127,10 @@ val wear_spread : t -> float
     0 on a fully-retired device (every block wore out at the same
     endurance limit). *)
 
-val run_trace : t -> Workload.op list -> (t, error) result
-(** Replay a workload trace: writes map to {!write} (page index modulo the
-    logical capacity), reads are metadata no-ops. *)
+val run_trace : t -> Workload.op list -> (unit, error) result
+(** Replay a workload trace: writes map to {!write_in_place} (page index
+    modulo the logical capacity), reads are metadata no-ops. Stops at the
+    first error. *)
 
 (** Test-only construction of out-of-policy device states — e.g. a
     crash-recovery snapshot where the write point was lost and free pages

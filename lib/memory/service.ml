@@ -61,7 +61,7 @@ type cw_memo = {
 type t = {
   cfg : config;
   fsm : Command_fsm.t;
-  ftl : Ftl.t; (* linear handle, updated through the in-place API *)
+  ftl : Ftl.t; (* mutable, owned by this instance *)
   store : int array option array; (* ground truth per logical page *)
   cw_memo : cw_memo;
   mutable ops : int;
@@ -331,10 +331,9 @@ let exec_write s ~lpn ~data ~suspend =
     fold 3 s;
     fold lpn s;
     Tel.count "service/rejected_full"
-  | Error e ->
-    (* No_free_block / No_victim escaping here is exactly the FTL
-       space-accounting bug this PR fixes — fail loudly. *)
-    failwith ("Service: FTL internal error escaped: " ^ Ftl.error_to_string e)
+  | Error (Ftl.Out_of_range _ as e) ->
+    (* [lpn] was reduced modulo the logical capacity, so this is a bug *)
+    failwith ("Service: " ^ Ftl.error_to_string e)
   | Ok () ->
     let phys_ops = Ftl.take_journal s.ftl in
     mirror s ~host_lpn:lpn ~host_data:data ~suspend phys_ops;

@@ -177,6 +177,25 @@ let test_buffer_overflow_and_crossing () =
   program t ~addr:1 ~data:0;
   Alcotest.(check int) "recovered" 0 (as_int (word_at t ~addr:1))
 
+(* JEDEC encodes the buffer word count as N-1, so a count word of -1 (or
+   one whose N overflows) asks for fewer than one word. Accepting it would
+   leave the FSM loading forever, swallowing even the 0x29 confirm. *)
+let test_buffer_count_below_one () =
+  let t = mk () in
+  List.iteri
+    (fun i data ->
+       unlock t;
+       ok "buffer cmd" (C.write t ~addr:0 ~data:0x25);
+       (match C.write t ~addr:0 ~data with
+        | Error (C.Bad_sequence { state = "buffer_count"; _ }) -> ()
+        | Error e -> Alcotest.failf "wrong error: %s" (C.error_to_string e)
+        | Ok () -> Alcotest.failf "buffer count %d accepted" (data + 1));
+       Alcotest.(check string) "back to idle" "idle" (C.state_name t);
+       Alcotest.(check int) "counted" (i + 1) (C.stats t).C.bad_sequences)
+    [ -1; max_int ];
+  program t ~addr:1 ~data:0;
+  Alcotest.(check int) "recovered" 0 (as_int (word_at t ~addr:1))
+
 let test_suspend_resume () =
   let t = mk () in
   program t ~addr:0 ~data:0;
@@ -399,6 +418,7 @@ let () =
           case "chip erase" test_chip_erase;
           case "write buffer" test_write_buffer;
           case "buffer overflow and crossing" test_buffer_overflow_and_crossing;
+          case "buffer count below one" test_buffer_count_below_one;
           case "suspend and resume" test_suspend_resume;
           case "program during suspend" test_program_other_sector_during_suspend;
           case "suspend/resume errors" test_suspend_resume_errors;

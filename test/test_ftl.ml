@@ -21,7 +21,7 @@ let test_create_validation () =
 
 let test_write_and_read () =
   let t = F.create small in
-  let t = check_fok "write" (F.write t ~lpn:5) in
+  check_fok "write" (F.write_in_place t ~lpn:5);
   (match F.read t ~lpn:5 with
    | Some _ -> ()
    | None -> Alcotest.fail "mapping missing");
@@ -29,9 +29,9 @@ let test_write_and_read () =
 
 let test_rewrite_moves_page () =
   let t = F.create small in
-  let t = check_fok "w1" (F.write t ~lpn:3) in
+  check_fok "w1" (F.write_in_place t ~lpn:3);
   let loc1 = F.read t ~lpn:3 in
-  let t = check_fok "w2" (F.write t ~lpn:3) in
+  check_fok "w2" (F.write_in_place t ~lpn:3);
   let loc2 = F.read t ~lpn:3 in
   check_true "out-of-place update" (loc1 <> loc2);
   let s = F.stats t in
@@ -39,22 +39,23 @@ let test_rewrite_moves_page () =
 
 let test_out_of_range () =
   let t = F.create small in
-  match F.write t ~lpn:99 with
+  match F.write_in_place t ~lpn:99 with
   | Error (F.Out_of_range 99) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (F.error_to_string e)
   | Ok _ -> Alcotest.fail "expected Out_of_range"
 
 let test_trim () =
   let t = F.create small in
-  let t = check_fok "write" (F.write t ~lpn:1) in
-  let t = F.trim t ~lpn:1 in
+  check_fok "write" (F.write_in_place t ~lpn:1);
+  F.trim_in_place t ~lpn:1;
   check_true "unmapped after trim" (F.read t ~lpn:1 = None)
 
 let test_gc_triggers_under_pressure () =
   let t = F.create small in
   (* hammer one logical page enough to exhaust free pages repeatedly *)
-  let rec hammer t n = if n = 0 then t else hammer (check_fok "write" (F.write t ~lpn:0)) (n - 1) in
-  let t = hammer t 100 in
+  for _ = 1 to 100 do
+    check_fok "write" (F.write_in_place t ~lpn:0)
+  done;
   let s = F.stats t in
   check_true "GC ran" (s.F.gc_runs > 0);
   check_true "erases happened" (s.F.erases > 0);
@@ -65,7 +66,7 @@ let test_gc_triggers_under_pressure () =
 let test_write_amplification_bounds () =
   let t = F.create small in
   let ops = W.generate ~seed:5 W.Uniform ~pages:28 ~strings:1 ~ops:300 ~read_fraction:0. in
-  let t = check_fok "trace" (F.run_trace t ops) in
+  check_fok "trace" (F.run_trace t ops);
   let s = F.stats t in
   check_true "wa >= 1" (s.F.write_amplification >= 1.);
   check_true "wa sane" (s.F.write_amplification < 10.)
@@ -73,7 +74,7 @@ let test_write_amplification_bounds () =
 let test_wear_leveling_spread () =
   let t = F.create { small with F.blocks = 8 } in
   let ops = W.generate ~seed:9 W.Uniform ~pages:56 ~strings:1 ~ops:2000 ~read_fraction:0. in
-  let t = check_fok "trace" (F.run_trace t ops) in
+  check_fok "trace" (F.run_trace t ops);
   let s = F.stats t in
   check_true "work spread over blocks" (s.F.min_erase_count > 0);
   (* allocation prefers cold blocks: spread stays a small multiple of min *)
@@ -88,7 +89,7 @@ let test_sequential_vs_random_wa () =
   let run pattern =
     let t = F.create { small with F.blocks = 8 } in
     let ops = W.generate ~seed:4 pattern ~pages:56 ~strings:1 ~ops:1500 ~read_fraction:0. in
-    let t = check_fok "trace" (F.run_trace t ops) in
+    check_fok "trace" (F.run_trace t ops);
     (F.stats t).F.write_amplification
   in
   let wa_seq = run W.Sequential in
@@ -98,17 +99,14 @@ let test_sequential_vs_random_wa () =
 
 let test_endurance_retirement () =
   let t = F.create { small with F.endurance_limit = 3 } in
-  let rec hammer t n =
-    if n = 0 then Ok t
-    else match F.write t ~lpn:0 with Ok t -> hammer t (n - 1) | Error e -> Error e
+  let rec hammer n =
+    if n = 0 then Ok ()
+    else match F.write_in_place t ~lpn:0 with Ok () -> hammer (n - 1) | Error e -> Error e
   in
   (* blocks retire after 3 erases each; the device eventually fills *)
-  (match hammer t 2000 with
-   | Ok t ->
-     let s = F.stats t in
-     check_true "some retirement happened" (s.F.retired_blocks > 0)
-   | Error _ -> () (* running out of space after retirement is the expected end state *));
-  ()
+  match hammer 2000 with
+  | Ok () -> check_true "some retirement happened" ((F.stats t).F.retired_blocks > 0)
+  | Error _ -> () (* running out of space after retirement is the expected end state *)
 
 (* ---- PR regression: the space-accounting bug ------------------------- *)
 
@@ -116,9 +114,9 @@ let test_endurance_retirement () =
    page stranded mid-block: [free_pages > 0] but no open block has room and
    no fully-free block exists to open, and with zero Invalid pages GC has
    nothing to reclaim. Space accounting used to accept this state
-   ([free_pages > 0]) and let the allocator's internal [No_free_block]
-   escape to the host; the fixed predicate ([Ftl.writable]) must turn it
-   into a typed [Device_full]. *)
+   ([free_pages > 0]) and let an internal allocator error escape to the
+   host; the fixed predicate ([Ftl.writable]) must turn it into a typed
+   [Device_full]. *)
 let scattered_free_state () =
   let valid_run ~first ~count ~len =
     Array.init len (fun i -> if i < count then F.Valid (first + i) else F.Free)
@@ -141,38 +139,35 @@ let test_scattered_free_is_device_full () =
    | Error F.Device_full -> ()
    | Error e ->
      Alcotest.failf "ensure_space: wrong error: %s" (F.error_to_string e)
-   | Ok _ -> Alcotest.fail "ensure_space accepted an unwritable device");
+   | Ok () -> Alcotest.fail "ensure_space accepted an unwritable device");
   (* the host-facing write must surface the typed full condition, never an
      internal allocator error *)
-  match F.write t ~lpn:0 with
+  match F.write_in_place t ~lpn:0 with
   | Error F.Device_full -> ()
   | Error e ->
     Alcotest.failf "write: internal error escaped: %s" (F.error_to_string e)
-  | Ok _ -> Alcotest.fail "write succeeded with no allocatable page"
+  | Ok () -> Alcotest.fail "write succeeded with no allocatable page"
 
 let test_scattered_free_recovers_after_trim () =
   (* trimming opens up Invalid pages; GC can then reclaim and the same
      device accepts writes again *)
   let t = scattered_free_state () in
-  let t = F.trim t ~lpn:0 in
-  let t = F.trim t ~lpn:1 in
-  let t = F.trim t ~lpn:2 in
   (* a whole block's worth of invalid pages in block 0 is reclaimable even
      though there is still no fully-free block: GC needs nothing to move
      once enough pages of the victim are dead *)
-  let rec trim_all t lpn = if lpn > 7 then t else trim_all (F.trim t ~lpn) (lpn + 1) in
-  let t = trim_all t 3 in
-  let t = check_fok "write after trim" (F.write t ~lpn:0) in
+  for lpn = 0 to 7 do
+    F.trim_in_place t ~lpn
+  done;
+  check_fok "write after trim" (F.write_in_place t ~lpn:0);
   check_ok "invariants" (F.check_invariants t)
 
 let test_all_retired_wear_stats () =
   (* A fully-retired device: every block wore out at exactly the endurance
      limit, so the true minimum erase count is the limit. The old stats
      folded only over non-retired blocks and reported 0 — wildly wrong
-     wear-spread on an end-of-life device. (The immutable write path
-     cannot reach this state because the last reclaiming erase is
-     discarded when ensure_space ultimately fails, hence the snapshot
-     constructor.) *)
+     wear-spread on an end-of-life device. (Writes cannot reach this
+     state: a write that ends in Device_full rolls back its last
+     reclaiming erase, hence the snapshot constructor.) *)
   let limit = 2 in
   let cfg = { small with F.endurance_limit = limit } in
   let t =
@@ -190,11 +185,65 @@ let test_all_retired_wear_stats () =
     s.F.max_erase_count;
   check_close ~tol:1e-12 "wear spread is flat" 0. (F.wear_spread t);
   check_false "retired free pages are not writable" (F.writable t);
-  (match F.write t ~lpn:0 with
+  (match F.write_in_place t ~lpn:0 with
    | Error F.Device_full -> ()
    | Error e -> Alcotest.failf "wrong error: %s" (F.error_to_string e)
-   | Ok _ -> Alcotest.fail "write accepted on a fully-retired device");
+   | Ok () -> Alcotest.fail "write accepted on a fully-retired device");
   check_ok "invariants" (F.check_invariants t)
+
+(* Two GC runs reclaim blocks 0 and 1, but each victim's erase retires it,
+   and the write still finds no room: the write must be rejected with
+   every GC run rolled back — counters, retirement, page map and journal
+   exactly as before the call. *)
+let test_device_full_rolls_back_gc () =
+  let cfg = { small with F.endurance_limit = 2 } in
+  let ppb = cfg.F.pages_per_block in
+  let t =
+    F.For_testing.of_state ~config:cfg
+      ~erase_counts:(Array.make cfg.F.blocks 1)
+      ~pages:
+        (Array.init cfg.F.blocks (fun b ->
+             Array.init ppb (fun p ->
+                 if b < 2 then F.Invalid else F.Valid (((b - 2) * ppb) + p))))
+      ~write_point:(Some (3, ppb)) ()
+  in
+  let mapping t = List.init (F.logical_capacity t) (fun lpn -> F.read t ~lpn) in
+  let before = (F.stats t, mapping t, F.free_pages t, F.check_invariants t) in
+  (match F.write_in_place t ~lpn:16 with
+   | Error F.Device_full -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (F.error_to_string e)
+   | Ok () -> Alcotest.fail "write accepted with every reclaimed block retired");
+  check_true "stats, mapping and free pages restored"
+    (before = (F.stats t, mapping t, F.free_pages t, F.check_invariants t));
+  check_true "journal empty" (F.take_journal t = []);
+  Alcotest.(check int) "erase counts untouched" 4 (F.stats t).F.erases;
+  Alcotest.(check int) "no block retired" 0 (F.stats t).F.retired_blocks
+
+(* GC runs in place: relocating a victim copies no page map, so a GC-heavy
+   rewrite loop allocates almost nothing directly on the major heap (a
+   copied page map is 1024 + 840 words, past the minor-heap size limit). *)
+let test_gc_does_not_allocate_major () =
+  let t = F.create F.default_config in
+  let capacity = F.logical_capacity t in
+  let rewrite n =
+    for i = 1 to n do
+      check_fok "write" (F.write_in_place t ~lpn:(Sm.hash ~seed:11 ~index:i mod capacity));
+      ignore (F.take_journal t : F.phys_op list)
+    done
+  in
+  rewrite 5_000;
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let gc0 = (F.stats t).F.gc_runs and w0 = direct () in
+  rewrite 20_000;
+  let runs = (F.stats t).F.gc_runs - gc0 and words = direct () -. w0 in
+  check_true "loop is GC-heavy" (runs > 1_000);
+  check_true
+    (Printf.sprintf "%.1f direct major words per GC run (< 100)"
+       (words /. float_of_int runs))
+    (words /. float_of_int runs < 100.)
 
 (* ---- properties ------------------------------------------------------ *)
 
@@ -210,7 +259,7 @@ let prop_mapping_consistent_after_random_trace =
        in
        match F.run_trace t ops with
        | Error _ -> false
-       | Ok t ->
+       | Ok () ->
          let ok = ref true in
          for lpn = 0 to capacity - 1 do
            match F.read t ~lpn with
@@ -226,9 +275,9 @@ let prop_written_pages_stay_mapped =
        let t = F.create small in
        let capacity = F.logical_capacity t in
        let target = seed mod capacity in
-       match F.write t ~lpn:target with
+       match F.write_in_place t ~lpn:target with
        | Error _ -> false
-       | Ok t ->
+       | Ok () ->
          (* churn other pages hard enough to force GC *)
          let ops =
            W.generate ~seed:(seed + 1) W.Uniform ~pages:capacity ~strings:1
@@ -236,7 +285,7 @@ let prop_written_pages_stay_mapped =
          in
          (match F.run_trace t ops with
           | Error _ -> false
-          | Ok t -> F.read t ~lpn:target <> None))
+          | Ok () -> F.read t ~lpn:target <> None))
 
 (* Drive a low-endurance device to exhaustion with random writes and trims.
    At every step: internal allocator errors never escape, the structural
@@ -247,8 +296,8 @@ let prop_random_ops_to_exhaustion =
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
        let cfg = { small with F.endurance_limit = 4 } in
-       let t = ref (F.create cfg) in
-       let capacity = F.logical_capacity !t in
+       let t = F.create cfg in
+       let capacity = F.logical_capacity t in
        let ok = ref true in
        let full = ref false in
        let step = ref 0 in
@@ -256,25 +305,25 @@ let prop_random_ops_to_exhaustion =
          let h = Sm.hash ~seed ~index:!step in
          let lpn = h mod capacity in
          let trim = Sm.hash ~seed:h ~index:1 mod 10 = 0 in
-         (if trim then t := F.trim !t ~lpn
+         (if trim then F.trim_in_place t ~lpn
           else
-            match F.write !t ~lpn with
-            | Ok t' -> t := t'
+            match F.write_in_place t ~lpn with
+            | Ok () -> ()
             | Error F.Device_full ->
               (* a full device must also say so via ensure_space *)
-              (match F.ensure_space !t with
+              (match F.ensure_space t with
                | Error F.Device_full -> ()
                | _ -> ok := false);
               full := true
             | Error _ -> ok := false);
-         (match F.check_invariants !t with Ok () -> () | Error _ -> ok := false);
-         (match F.ensure_space !t with
-          | Ok t' -> if not (F.writable t') then ok := false
+         (match F.check_invariants t with Ok () -> () | Error _ -> ok := false);
+         (match F.ensure_space t with
+          | Ok () -> if not (F.writable t) then ok := false
           | Error F.Device_full -> ()
           | Error _ -> ok := false);
          incr step
        done;
-       let s = F.stats !t in
+       let s = F.stats t in
        !ok && s.F.device_writes >= s.F.host_writes)
 
 let prop_journal_mirrors_counters =
@@ -283,18 +332,18 @@ let prop_journal_mirrors_counters =
     (fun seed ->
        let t = F.create small in
        let capacity = F.logical_capacity t in
-       let rec go t n =
-         if n = 0 then Ok t
+       let rec go n =
+         if n = 0 then Ok ()
          else
-           match F.write t ~lpn:(Sm.hash ~seed ~index:n mod capacity) with
-           | Ok t -> go t (n - 1)
-           | Error F.Device_full -> Ok t
+           match F.write_in_place t ~lpn:(Sm.hash ~seed ~index:n mod capacity) with
+           | Ok () -> go (n - 1)
+           | Error F.Device_full -> Ok ()
            | Error _ -> Error ()
        in
-       match go t 120 with
+       match go 120 with
        | Error () -> false
-       | Ok t ->
-         let _, ops = F.drain_journal t in
+       | Ok () ->
+         let ops = F.take_journal t in
          let programs, gc_copies, erases =
            List.fold_left
              (fun (p, g, e) -> function
@@ -326,6 +375,8 @@ let () =
           case "scattered free space is Device_full" test_scattered_free_is_device_full;
           case "scattered free space recovers after trim" test_scattered_free_recovers_after_trim;
           case "all-retired wear stats" test_all_retired_wear_stats;
+          case "Device_full rolls back GC" test_device_full_rolls_back_gc;
+          case "GC allocates no major-heap words" test_gc_does_not_allocate_major;
           prop_mapping_consistent_after_random_trace;
           prop_written_pages_stay_mapped;
           prop_random_ops_to_exhaustion;
