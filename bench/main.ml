@@ -896,12 +896,15 @@ let svc_ops_per_s_floor = 115_800.
    (the pool tier runs in other domains, invisible to the probe). The
    SoA store runs the memoized program/erase replays and their verify
    reads allocation-free through its fused kernels — including settled
-   out-of-box outcomes (see Cell_store / Program_erase.memoizable); the
-   residual is workload generation, the first-occurrence solves and the
-   mirror-path bookkeeping — see DESIGN.md "Cell store". Measured 546
-   words/op on a 2-vCPU x86-64 VM (630 before the fused kernels); the
-   budget leaves ~15% headroom. *)
-let svc_alloc_budget = 630.
+   out-of-box outcomes (see Cell_store / Program_erase.memoizable) — and
+   the served path carries each word as one packed int through the
+   word-level kernels and the memoized packed SEC-DED decode; the
+   residual is workload generation, the FTL journal, the
+   first-occurrence solves and the model clock boxed across the module
+   boundary — see DESIGN.md "Cell store". Measured 429 words/op on a
+   2-vCPU x86-64 VM (546 before the packed words, 630 before the fused
+   kernels); the budget leaves ~15% headroom. *)
+let svc_alloc_budget = 495.
 
 (* Fleet digests of the seed record-based cell path on the reference
    workloads (8 instances, seed 2014, splitmix per-instance seeds,

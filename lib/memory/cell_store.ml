@@ -242,16 +242,19 @@ let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
   | _ -> Ok ()
   | exception Pulse_error e -> Error e
 
-let program_verify ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~max_pulses i =
-  let replay = replays_allowed () in
+let verify_cell t m ~rel ~replay ~pulse ~max_pulses i =
   let p = ref 0 in
   let b = ref (bit t i) in
   while !b = 1 && !p < max_pulses do
-    b := pulse_cell t memo ~rel:reliability ~replay ~pulse i;
+    b := pulse_cell t m ~rel ~replay ~pulse i;
     incr p
   done;
   !p
+
+let program_verify ?(reliability = D.Reliability.default) t ~memo ~pulse
+    ~max_pulses i =
+  verify_cell t memo ~rel:reliability ~replay:(replays_allowed ()) ~pulse
+    ~max_pulses i
 
 let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
   let replay = replays_allowed () in
@@ -260,6 +263,64 @@ let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
     if pulse_cell t memo ~rel:reliability ~replay ~pulse i = 0 then incr zeros
   done;
   !zeros
+
+(* ---------- word-level kernels ---------- *)
+
+type word_outcome = {
+  mutable slowest : int;
+  mutable total : int;
+  mutable timed_out : bool;
+}
+
+let word_outcome () = { slowest = 0; total = 0; timed_out = false }
+
+(* The per-bit loop of an embedded word program, run here so no call
+   crosses a module boundary per cell. A failed pulse restores that bit's
+   pre-program cell from the unboxed snapshot (the record path only wrote
+   a cell back after a clean verify loop) and stops the word. *)
+let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
+    ~max_pulses ~base ~bits ~data out =
+  if bits >= Sys.int_size then invalid_arg "Cell_store.program_word: bits";
+  let replay = replays_allowed () in
+  out.slowest <- 0;
+  out.total <- 0;
+  out.timed_out <- false;
+  for i = 0 to bits - 1 do
+    let idx = base + i in
+    if (data lsr i) land 1 = 0 then begin
+      let q0 = t.qfg.(idx) and fl0 = t.fluence.(idx) and tr0 = t.traps.(idx) in
+      let cy0 = t.cycles.(idx) and bk0 = Bytes.get t.broken idx in
+      let p =
+        try verify_cell t memo ~rel:reliability ~replay ~pulse ~max_pulses idx
+        with Pulse_error _ as failed ->
+          t.qfg.(idx) <- q0;
+          t.fluence.(idx) <- fl0;
+          t.traps.(idx) <- tr0;
+          t.cycles.(idx) <- cy0;
+          Bytes.set t.broken idx bk0;
+          raise failed
+      in
+      if bit t idx = 1 then out.timed_out <- true;
+      out.total <- out.total + p;
+      if p > out.slowest then out.slowest <- p
+    end
+    else if bit t idx = 0 then out.timed_out <- true
+  done
+
+let zeros t ~lo ~hi =
+  let z = ref 0 in
+  for i = lo to hi do
+    if bit t i = 0 then incr z
+  done;
+  !z
+
+let sense t ~base ~bits =
+  if bits >= Sys.int_size then invalid_arg "Cell_store.sense: bits";
+  let w = ref 0 in
+  for i = bits - 1 downto 0 do
+    w := (!w lsl 1) lor bit t (base + i)
+  done;
+  !w
 
 let apply_pulse_range ?reliability t ~memo ~pulse ~lo ~hi =
   match erase_round ?reliability t ~memo ~pulse ~lo ~hi with

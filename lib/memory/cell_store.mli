@@ -147,6 +147,59 @@ val erase_round :
     hits. @raise Pulse_error at the first failed pulse (cells before it
     keep their updates, matching the seed per-cell loop). *)
 
+(** {1 Word-level kernels}
+
+    One call per word or sector: the per-cell loops of {!Command_fsm}'s
+    program, erase verify and read run inside this module, so under
+    [-opaque] no call crosses a module boundary per cell and no readout
+    float is boxed. Each kernel is bit-identical to the per-cell loop of
+    {!program_verify} / {!bit} it replaces. *)
+
+type word_outcome = {
+  mutable slowest : int;  (** most pulses any bit of the word took *)
+  mutable total : int;  (** pulses summed over the word's bits *)
+  mutable timed_out : bool;
+      (** a bit still misreads its target after verify *)
+}
+(** Caller-owned result of {!program_word}, refilled by every call so
+    the kernel allocates nothing. *)
+
+val word_outcome : unit -> word_outcome
+
+val program_word :
+  ?reliability:Gnrflash_device.Reliability.model ->
+  t ->
+  memo:memo ->
+  pulse:Gnrflash_device.Program_erase.pulse ->
+  max_pulses:int ->
+  base:int ->
+  bits:int ->
+  data:int ->
+  word_outcome ->
+  unit
+(** Embedded word program of cells [base .. base + bits - 1], bit [i] of
+    [data] being the target of cell [base + i]: {!program_verify} on
+    every target-0 bit, ascending; a target-1 bit reading [0] cannot be
+    raised and counts as a timeout (AND semantics), as does a target-0
+    bit still reading [1] after [max_pulses]. Fills the outcome with the
+    slowest bit's pulse count, the total and the timeout flag.
+    {!Gnrflash_resilience.Fault.active} is read once per call.
+    @raise Pulse_error on the first failed pulse: that bit's cell is
+    restored to its state before the word's program (charge and wear,
+    snapshot held in unboxed locals), later bits are untouched, earlier
+    bits keep their pulses, and the outcome counts the earlier bits
+    only.
+    @raise Invalid_argument if [bits >= Sys.int_size]. *)
+
+val zeros : t -> lo:int -> hi:int -> int
+(** Number of cells in [lo..hi] inclusive reading [0] (at 1 V): the
+    erase's first verify scan. *)
+
+val sense : t -> base:int -> bits:int -> int
+(** The packed readout of cells [base .. base + bits - 1] (at 1 V): bit
+    [i] of the result is {!bit} of cell [base + i]. Allocates nothing.
+    @raise Invalid_argument if [bits >= Sys.int_size]. *)
+
 val apply_pulse_range :
   ?reliability:Gnrflash_device.Reliability.model ->
   t ->

@@ -35,7 +35,7 @@ let default_config =
   }
 
 type read_result =
-  | Data of int array
+  | Data of int
   | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
 
 type error =
@@ -85,12 +85,16 @@ type op_kind =
   | Op_sector_erase of { sector : int }
   | Op_chip_erase
 
-type busy_op = {
-  kind : op_kind;
-  mutable ends_at : float;
-  mutable remaining : float; (* busy seconds left when suspended *)
+(* All-float, so the fields are stored flat and [tick]/[launch] update
+   them without boxing. *)
+type timing = {
+  mutable clock : float;
+  mutable ends_at : float; (* end of the running operation's busy window *)
+  mutable remaining : float; (* busy seconds left of the suspended erase *)
 }
 
+(* The buffer states' sector, word count and loaded words live in the
+   [buf_*] fields of [t], so a bus cycle allocates no state. *)
 type seq =
   | Idle
   | Unlock1
@@ -99,9 +103,9 @@ type seq =
   | Erase_setup
   | Erase_unlock1
   | Erase_unlocked
-  | Buf_count of { sector : int }
-  | Buf_load of { sector : int; remaining : int; acc : (int * int) list }
-  | Buf_confirm of { sector : int; acc : (int * int) list }
+  | Buf_count
+  | Buf_load
+  | Buf_confirm
 
 type t = {
   cfg : config;
@@ -111,10 +115,17 @@ type t = {
   dmemo : (int64 * int, float) Hashtbl.t;
   (* disturb outcomes keyed by (victim charge bits, event count) — hoisted
      to the instance so repeated programs at the same charge reuse it *)
+  word : S.word_outcome; (* refilled by every word program *)
+  tm : timing;
   mutable seq : seq;
-  mutable clock : float;
-  mutable op : busy_op option;
-  mutable suspended : busy_op option;
+  mutable op : op_kind option; (* busy until [tm.ends_at] *)
+  mutable suspended : op_kind option; (* [tm.remaining] left to run *)
+  buf_addr : int array; (* write buffer: distinct word addresses... *)
+  buf_data : int array; (* ...and the last value loaded for each *)
+  mutable buf_len : int; (* distinct words loaded *)
+  mutable buf_left : int; (* load cycles still expected *)
+  mutable buf_last : int; (* entry of the last load cycle *)
+  mutable buf_sector : int;
   mutable dq6 : int; (* toggles on status reads while busy *)
   mutable dq2 : int; (* toggles on suspended-sector status reads *)
   ms : stats;
@@ -123,7 +134,7 @@ type t = {
 let create ?(config = default_config) device =
   if config.sectors < 1 || config.words_per_sector < 1 || config.word_bits < 1
      || config.write_buffer_words < 1 || config.max_pulses < 1
-     || config.t_cycle <= 0.
+     || config.word_bits >= Sys.int_size || config.t_cycle <= 0.
   then invalid_arg "Command_fsm.create: bad geometry";
   let n = config.sectors * config.words_per_sector * config.word_bits in
   {
@@ -132,10 +143,17 @@ let create ?(config = default_config) device =
     pmemo = S.memo ();
     ememo = S.memo ();
     dmemo = Hashtbl.create 16;
+    word = S.word_outcome ();
+    tm = { clock = 0.; ends_at = 0.; remaining = 0. };
     seq = Idle;
-    clock = 0.;
     op = None;
     suspended = None;
+    buf_addr = Array.make config.write_buffer_words 0;
+    buf_data = Array.make config.write_buffer_words 0;
+    buf_len = 0;
+    buf_left = 0;
+    buf_last = 0;
+    buf_sector = 0;
     dq6 = 0;
     dq2 = 0;
     ms =
@@ -161,7 +179,7 @@ let create ?(config = default_config) device =
 let config t = t.cfg
 let words t = t.cfg.sectors * t.cfg.words_per_sector
 let sector_of t ~addr = addr mod words t / t.cfg.words_per_sector
-let now t = t.clock
+let now t = t.tm.clock
 
 let state_name t =
   match t.seq with
@@ -172,27 +190,29 @@ let state_name t =
   | Erase_setup -> "erase_setup"
   | Erase_unlock1 -> "erase_unlock1"
   | Erase_unlocked -> "erase_unlocked"
-  | Buf_count _ -> "buffer_count"
-  | Buf_load _ -> "buffer_load"
-  | Buf_confirm _ -> "buffer_confirm"
+  | Buf_count -> "buffer_count"
+  | Buf_load -> "buffer_load"
+  | Buf_confirm -> "buffer_confirm"
 
 let commit t =
-  match t.op with
-  | Some op when t.clock >= op.ends_at -> t.op <- None
-  | _ -> ()
+  if Option.is_some t.op && t.tm.clock >= t.tm.ends_at then t.op <- None
 
 let tick t =
-  t.clock <- t.clock +. t.cfg.t_cycle;
+  t.tm.clock <- t.tm.clock +. t.cfg.t_cycle;
   t.ms.bus_cycles <- t.ms.bus_cycles + 1;
   commit t
 
 let step_to t target =
-  if target > t.clock then t.clock <- target;
+  if target > t.tm.clock then t.tm.clock <- target;
   commit t
 
 let ready t = Option.is_none t.op
 
-let wait_ready t = match t.op with None -> () | Some op -> step_to t op.ends_at
+let wait_ready t =
+  if Option.is_some t.op then begin
+    if t.tm.ends_at > t.tm.clock then t.tm.clock <- t.tm.ends_at;
+    commit t
+  end
 
 (* ---------- physics ---------- *)
 
@@ -235,68 +255,42 @@ let apply_disturb t ~addr ~events =
     if !victims > 0 then Tel.count ~n:!victims "command_fsm/disturb_feedback"
 
 (* Embedded program of one word: pulse-and-verify per target-0 bit, bits in
-   parallel on the word line (busy time = the slowest bit's pulse count).
-   AND semantics: a target 1 over a programmed cell cannot raise it — that
-   is a verify timeout, not an error, exactly like hardware. *)
+   parallel on the word line (busy time = the slowest bit's pulse count,
+   which this returns). AND semantics: a target 1 over a programmed cell
+   cannot raise it — that is a verify timeout, not an error, exactly like
+   hardware. A failed pulse restores its bit (see [S.program_word]) and
+   stops the word; the earlier bits' pulses still count. *)
 let program_word_cells t ~addr ~data =
-  let base = addr * t.cfg.word_bits in
-  let max_pulses_used = ref 0 in
-  let timeout = ref false in
-  for i = 0 to t.cfg.word_bits - 1 do
-    let target = (data lsr i) land 1 in
-    let idx = base + i in
-    if target = 0 then begin
-      (* seed semantics: the record path buffered the cell in a ref and
-         only wrote it back after a clean verify loop, so a mid-loop solve
-         failure discards that bit's partial pulses — snapshot and restore
-         to keep the in-place store bit-identical on the error path too *)
-      let q0 = S.qfg t.store idx and fl0 = S.fluence t.store idx in
-      let tr0 = S.traps t.store idx and cy0 = S.cycles t.store idx in
-      let bk0 = S.broken t.store idx in
-      let p =
-        match
-          S.program_verify t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse
-            ~max_pulses:t.cfg.max_pulses idx
-        with
-        | p -> p
-        | exception (S.Pulse_error _ as failed) ->
-          S.set t.store idx
-            {
-              Cell.device = S.device t.store;
-              qfg = q0;
-              wear =
-                { D.Reliability.fluence = fl0; traps = tr0; cycles = cy0;
-                  broken = bk0 };
-            };
-          raise failed
-      in
-      if S.bit t.store idx = 1 then timeout := true;
-      t.ms.program_pulses <- t.ms.program_pulses + p;
-      if p > !max_pulses_used then max_pulses_used := p
-    end
-    else if S.bit t.store idx = 0 then timeout := true
-  done;
+  let o = t.word in
+  (match
+     S.program_word t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse
+       ~max_pulses:t.cfg.max_pulses ~base:(addr * t.cfg.word_bits)
+       ~bits:t.cfg.word_bits ~data o
+   with
+   | () -> ()
+   | exception (S.Pulse_error _ as failed) ->
+     t.ms.program_pulses <- t.ms.program_pulses + o.S.total;
+     raise failed);
+  t.ms.program_pulses <- t.ms.program_pulses + o.S.total;
+  let slowest = o.S.slowest in
   (* every program pulse gate-disturbs the unselected words of the sector *)
   t.ms.disturb_events <-
-    t.ms.disturb_events + (!max_pulses_used * (t.cfg.words_per_sector - 1));
-  if !max_pulses_used > 0 then apply_disturb t ~addr ~events:!max_pulses_used;
-  if !timeout then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
+    t.ms.disturb_events + (slowest * (t.cfg.words_per_sector - 1));
+  if slowest > 0 then apply_disturb t ~addr ~events:slowest;
+  if o.S.timed_out then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
   t.ms.words_programmed <- t.ms.words_programmed + 1;
-  float_of_int !max_pulses_used *. t.cfg.program_pulse.D.Program_erase.duration
+  slowest
 
 (* Embedded sector erase: erase pulses hit every cell of the sector each
    round (over-erasing already-clean cells — the real NOR over-erase
    hazard), verify per cell, repeat until the whole sector reads erased.
    Each round's kernel returns the cells still reading 0, so only the
-   first verify needs its own scan. *)
+   first verify needs its own scan. Returns the number of rounds. *)
 let erase_sector_cells t ~sector =
   let lo = sector * t.cfg.words_per_sector * t.cfg.word_bits in
   let ncells = t.cfg.words_per_sector * t.cfg.word_bits in
   let hi = lo + ncells - 1 in
-  let programmed = ref 0 in
-  for i = lo to hi do
-    if S.bit t.store i = 0 then incr programmed
-  done;
+  let programmed = ref (S.zeros t.store ~lo ~hi) in
   let rounds = ref 0 in
   while !programmed > 0 && !rounds < t.cfg.max_pulses do
     programmed :=
@@ -305,31 +299,34 @@ let erase_sector_cells t ~sector =
     incr rounds
   done;
   if !programmed > 0 then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
-  float_of_int !rounds *. t.cfg.erase_pulse.D.Program_erase.duration
+  !rounds
 
-let launch t kind duration =
-  t.op <- Some { kind; ends_at = t.clock +. duration; remaining = 0. };
+let[@inline] launch t kind duration =
+  t.tm.ends_at <- t.tm.clock +. duration;
+  t.op <- Some kind;
   commit t (* zero-duration operations (nothing to do) complete at once *)
+
+let[@inline] physics_failed t e =
+  t.seq <- Idle;
+  Error (Physics e)
 
 (* ---------- bus ---------- *)
 
 let sense_word t ~addr =
-  let addr = addr mod words t in
-  let base = addr * t.cfg.word_bits in
-  Array.init t.cfg.word_bits (fun i -> S.bit t.store (base + i))
+  S.sense t.store ~base:(addr mod words t * t.cfg.word_bits) ~bits:t.cfg.word_bits
 
 let status_read t ~addr ~toggle6 =
   t.ms.status_reads <- t.ms.status_reads + 1;
   if toggle6 then t.dq6 <- 1 - t.dq6;
   let in_suspended_sector =
     match t.suspended with
-    | Some { kind = Op_sector_erase { sector }; _ } -> sector_of t ~addr = sector
+    | Some (Op_sector_erase { sector }) -> sector_of t ~addr = sector
     | _ -> false
   in
   if in_suspended_sector then t.dq2 <- 1 - t.dq2;
   let dq7 =
     match t.op with
-    | Some { kind = Op_program { dq7 }; _ } -> dq7
+    | Some (Op_program { dq7 }) -> dq7
     | Some _ -> 0 (* erasing: DQ7 reads 0 until done *)
     | None -> 1
   in
@@ -347,7 +344,7 @@ let read t ~addr =
   | None ->
     let suspended_here =
       match t.suspended with
-      | Some { kind = Op_sector_erase { sector }; _ } -> sector_of t ~addr = sector
+      | Some (Op_sector_erase { sector }) -> sector_of t ~addr = sector
       | _ -> false
     in
     if suspended_here then
@@ -366,14 +363,12 @@ let poll_ready t ~interval =
     | Data _ -> continue := false
     | Status _ ->
       incr n;
-      step_to t (t.clock +. interval)
+      step_to t (t.tm.clock +. interval)
   done;
   !n
 
 let suspended_sector t =
-  match t.suspended with
-  | Some { kind = Op_sector_erase { sector }; _ } -> Some sector
-  | _ -> None
+  match t.suspended with Some (Op_sector_erase { sector }) -> sector | _ -> -1
 
 let bad t ~addr ~data =
   t.ms.bad_sequences <- t.ms.bad_sequences + 1;
@@ -381,33 +376,63 @@ let bad t ~addr ~data =
   t.seq <- Idle;
   Error (Bad_sequence { state; addr; data })
 
-let run_physics t f =
-  match f () with
-  | duration -> Ok duration
-  | exception S.Pulse_error e ->
-    t.seq <- Idle;
-    Error (Physics e)
+(* JEDEC buffers keep one entry per address: a word loaded twice takes
+   the last value loaded, in the slot of its first load. *)
+let buffer_load t ~addr ~data =
+  let j = ref 0 in
+  while !j < t.buf_len && t.buf_addr.(!j) <> addr do
+    incr j
+  done;
+  if !j = t.buf_len then begin
+    t.buf_addr.(!j) <- addr;
+    t.buf_len <- !j + 1
+  end;
+  t.buf_data.(!j) <- data;
+  t.buf_last <- !j;
+  t.buf_left <- t.buf_left - 1;
+  t.seq <- (if t.buf_left = 0 then Buf_confirm else Buf_load)
+
+(* Programs the buffered words in load order; returns the busy time, the
+   per-word durations summed in that order. *)
+let program_buffer t =
+  let pulse_s = t.cfg.program_pulse.D.Program_erase.duration in
+  let d = ref 0. in
+  for j = 0 to t.buf_len - 1 do
+    let p = program_word_cells t ~addr:t.buf_addr.(j) ~data:t.buf_data.(j) in
+    d := !d +. (float_of_int p *. pulse_s)
+  done;
+  !d
+
+(* Erases every sector in turn; returns the busy time, the per-sector
+   durations summed in that order. *)
+let erase_chip_cells t =
+  let pulse_s = t.cfg.erase_pulse.D.Program_erase.duration in
+  let d = ref 0. in
+  for sector = 0 to t.cfg.sectors - 1 do
+    d := !d +. (float_of_int (erase_sector_cells t ~sector) *. pulse_s)
+  done;
+  !d
 
 let write t ~addr ~data =
   tick t;
   let addr = addr mod words t in
   let u1 = 0x555 mod words t and u2 = 0x2AA mod words t in
   match t.op with
-  | Some op when data = 0xB0 ->
+  | Some kind when data = 0xB0 ->
     (* erase suspend: only a sector erase can be suspended *)
-    (match op.kind with
+    (match kind with
      | Op_sector_erase _ ->
-       op.remaining <- op.ends_at -. t.clock;
-       t.suspended <- Some op;
+       t.tm.remaining <- t.tm.ends_at -. t.tm.clock;
+       t.suspended <- t.op;
        t.op <- None;
        t.seq <- Idle;
        t.ms.suspends <- t.ms.suspends + 1;
        Tel.count "command_fsm/suspend";
        Ok ()
      | Op_program _ | Op_chip_erase -> Error Not_erasing)
-  | Some op ->
+  | Some kind ->
     let operation =
-      match op.kind with
+      match kind with
       | Op_program _ -> "an embedded program"
       | Op_sector_erase _ -> "a sector erase"
       | Op_chip_erase -> "a chip erase"
@@ -418,21 +443,24 @@ let write t ~addr ~data =
     | Word_program -> (
       (* data cycle of the single-word program *)
       t.seq <- Idle;
-      match suspended_sector t with
-      | Some sector when sector_of t ~addr = sector ->
+      if sector_of t ~addr = suspended_sector t then begin
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
-      | _ -> (
-        match run_physics t (fun () -> program_word_cells t ~addr ~data) with
-        | Error e -> Error e
-        | Ok duration ->
+      end
+      else
+        match program_word_cells t ~addr ~data with
+        | exception S.Pulse_error e -> physics_failed t e
+        | p ->
           t.ms.programs <- t.ms.programs + 1;
           Tel.count "command_fsm/program";
-          launch t (Op_program { dq7 = 1 - (data land 1) }) duration;
-          Ok ()))
-    | Buf_count { sector } ->
+          launch t
+            (Op_program { dq7 = 1 - (data land 1) })
+            (float_of_int p *. t.cfg.program_pulse.D.Program_erase.duration);
+          Ok ())
+    | Buf_count ->
       (* JEDEC encodes the word count as N-1 *)
       let count = data + 1 in
+      let sector = t.buf_sector in
       if sector_of t ~addr <> sector then begin
         t.seq <- Idle;
         Error (Buffer_sector_crossing { sector; addr })
@@ -443,50 +471,41 @@ let write t ~addr ~data =
         Error (Buffer_overflow { count; capacity = t.cfg.write_buffer_words })
       end
       else begin
-        t.seq <- Buf_load { sector; remaining = count; acc = [] };
+        t.buf_len <- 0;
+        t.buf_left <- count;
+        t.seq <- Buf_load;
         Ok ()
       end
-    | Buf_load { sector; remaining; acc } ->
+    | Buf_load ->
+      let sector = t.buf_sector in
       if sector_of t ~addr <> sector then begin
         t.seq <- Idle;
         Error (Buffer_sector_crossing { sector; addr })
       end
       else begin
-        let acc = (addr, data) :: acc in
-        t.seq <-
-          (if remaining = 1 then Buf_confirm { sector; acc }
-           else Buf_load { sector; remaining = remaining - 1; acc });
+        buffer_load t ~addr ~data;
         Ok ()
       end
-    | Buf_confirm { sector; acc } ->
+    | Buf_confirm ->
+      let sector = t.buf_sector in
       if data <> 0x29 || sector_of t ~addr <> sector then bad t ~addr ~data
-      else (
+      else begin
         t.seq <- Idle;
-        match suspended_sector t with
-        | Some s when s = sector ->
+        if sector = suspended_sector t then begin
           t.ms.bad_sequences <- t.ms.bad_sequences + 1;
           Error (Bad_sequence { state = "erase_suspended"; addr; data })
-        | _ -> (
-          (* program buffered words sequentially (last loaded value per
-             address wins, like the hardware buffer) *)
-          let words_in_order = List.rev acc in
-          match
-            run_physics t (fun () ->
-                List.fold_left
-                  (fun d (a, w) -> d +. program_word_cells t ~addr:a ~data:w)
-                  0. words_in_order)
-          with
-          | Error e -> Error e
-          | Ok duration ->
+        end
+        else
+          match program_buffer t with
+          | exception S.Pulse_error e -> physics_failed t e
+          | duration ->
             t.ms.programs <- t.ms.programs + 1;
             Tel.count "command_fsm/buffer_program";
-            let dq7 =
-              match List.rev words_in_order with
-              | (_, w) :: _ -> 1 - (w land 1)
-              | [] -> 1
-            in
+            (* DQ7 reports the complement of the last word loaded *)
+            let dq7 = 1 - (t.buf_data.(t.buf_last) land 1) in
             launch t (Op_program { dq7 }) duration;
-            Ok ()))
+            Ok ()
+      end
     | _ when data = 0xF0 ->
       t.seq <- Idle;
       t.ms.resets <- t.ms.resets + 1;
@@ -495,10 +514,10 @@ let write t ~addr ~data =
     | Idle when data = 0x30 && Option.is_some t.suspended -> (
       (* erase resume (0x30 doubles as the resume command) *)
       match t.suspended with
-      | Some op ->
-        op.ends_at <- t.clock +. op.remaining;
+      | Some _ ->
+        t.tm.ends_at <- t.tm.clock +. t.tm.remaining;
+        t.op <- t.suspended;
         t.suspended <- None;
-        t.op <- Some op;
         t.ms.resumes <- t.ms.resumes + 1;
         Tel.count "command_fsm/resume";
         Ok ()
@@ -513,7 +532,8 @@ let write t ~addr ~data =
       t.seq <- Word_program;
       Ok ()
     | Unlocked when data = 0x25 ->
-      t.seq <- Buf_count { sector = sector_of t ~addr };
+      t.buf_sector <- sector_of t ~addr;
+      t.seq <- Buf_count;
       Ok ()
     | Unlocked when addr = u1 && data = 0x80 ->
       t.seq <- Erase_setup;
@@ -533,12 +553,14 @@ let write t ~addr ~data =
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       | None -> (
-        match run_physics t (fun () -> erase_sector_cells t ~sector) with
-        | Error e -> Error e
-        | Ok duration ->
+        match erase_sector_cells t ~sector with
+        | exception S.Pulse_error e -> physics_failed t e
+        | rounds ->
           t.ms.sector_erases <- t.ms.sector_erases + 1;
           Tel.count "command_fsm/sector_erase";
-          launch t (Op_sector_erase { sector }) duration;
+          launch t
+            (Op_sector_erase { sector })
+            (float_of_int rounds *. t.cfg.erase_pulse.D.Program_erase.duration);
           Ok ()))
     | Erase_unlocked when addr = u1 && data = 0x10 -> (
       t.seq <- Idle;
@@ -547,16 +569,9 @@ let write t ~addr ~data =
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       end
       else
-        match
-          run_physics t (fun () ->
-              let d = ref 0. in
-              for sector = 0 to t.cfg.sectors - 1 do
-                d := !d +. erase_sector_cells t ~sector
-              done;
-              !d)
-        with
-        | Error e -> Error e
-        | Ok duration ->
+        match erase_chip_cells t with
+        | exception S.Pulse_error e -> physics_failed t e
+        | duration ->
           t.ms.chip_erases <- t.ms.chip_erases + 1;
           Tel.count "command_fsm/chip_erase";
           launch t Op_chip_erase duration;
@@ -577,7 +592,7 @@ let state_digest t =
   let f = Workload.digest_fold in
   let float h x = f h (Int64.to_int (Int64.bits_of_float x)) in
   let h = ref (S.fold_digest t.store f Workload.digest_empty) in
-  h := float !h t.clock;
+  h := float !h t.tm.clock;
   let m = t.ms in
   List.iter
     (fun v -> h := f !h v)

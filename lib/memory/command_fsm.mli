@@ -71,8 +71,9 @@ type t
 
 (** Result of one bus read cycle. *)
 type read_result =
-  | Data of int array
-      (** sensed word bits, [word_bits] entries of 0/1 *)
+  | Data of int
+      (** the sensed word, packed: bit [i] is the readout of cell [i] of
+          the word (its [word_bits] low bits; the rest are 0) *)
   | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
       (** embedded-operation status: [dq7] is the complement of the bit
           being programmed (1 while erasing), [dq6] toggles on every
@@ -113,7 +114,8 @@ type stats = private {
 
 val create : ?config:config -> Gnrflash_device.Fgt.t -> t
 (** Fresh device, all cells erased (neutral charge), model clock at 0.
-    @raise Invalid_argument on non-positive geometry. *)
+    @raise Invalid_argument on non-positive geometry, or a word wider
+    than a packed [int] holds ([word_bits >= Sys.int_size]). *)
 
 val config : t -> config
 val words : t -> int
@@ -136,8 +138,10 @@ val write : t -> addr:int -> data:int -> (unit, error) result
     bit [i] of [data] is the target for cell [i] (AND semantics — a 1
     over a programmed 0 cannot erase it; the internal verify then records
     a timeout, which is why the firmware layer must erase before
-    program). Errors leave the device state unchanged apart from the
-    consumed bus cycle and the [bad_sequences] counter. *)
+    program). A write-buffer load of an address already in the buffer
+    replaces its value (the last value loaded wins, programmed once, in
+    the slot of its first load). Errors leave the device state unchanged
+    apart from the consumed bus cycle and the [bad_sequences] counter. *)
 
 val read : t -> addr:int -> read_result
 (** One bus read cycle (advances the clock by [t_cycle]). Returns
@@ -157,9 +161,11 @@ val poll_ready : t -> interval:float -> int
     model seconds until DQ6 stops toggling; returns the number of status
     reads. The classic alternative to the RY/BY# pin. *)
 
-val sense_word : t -> addr:int -> int array
+val sense_word : t -> addr:int -> int
 (** Direct array sense for verification harnesses: bypasses the bus (no
-    clock advance, no status gating, works while busy or suspended). *)
+    clock advance, no status gating, works while busy or suspended).
+    Packed as {!constructor-Data} is, by one {!Cell_store.sense} call;
+    allocates nothing. *)
 
 val cell_count : t -> int
 (** Total cells ([words × word_bits]). *)

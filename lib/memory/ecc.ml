@@ -96,6 +96,37 @@ let decode ~k codeword =
 
 let overhead k = parity_bits k + 1
 
+(* [decode] on a packed codeword: codeword bit [i] is Hamming position
+   [i + 1], bit [n] the overall parity. The XOR of the set positions is
+   the syndrome [decode] assembles one parity group at a time. *)
+let decode_packed ~k cw =
+  let r = parity_bits k in
+  let n = k + r in
+  if cw < 0 || cw lsr (n + 1) <> 0 then
+    invalid_arg "Ecc.decode_packed: width mismatch";
+  let syndrome = ref 0 and overall = ref 0 in
+  for pos = 1 to n do
+    if (cw lsr (pos - 1)) land 1 = 1 then begin
+      syndrome := !syndrome lxor pos;
+      overall := !overall lxor 1
+    end
+  done;
+  let data_of w =
+    let d = ref 0 and next = ref 0 in
+    for pos = 1 to n do
+      if not (is_power_of_two pos) then begin
+        d := !d lor (((w lsr (pos - 1)) land 1) lsl !next);
+        incr next
+      end
+    done;
+    !d
+  in
+  let overall_ok = !overall = (cw lsr n) land 1 in
+  match !syndrome, overall_ok with
+  | 0, _ -> data_of cw (* clean, or only the overall parity bit flipped *)
+  | s, false when s <= n -> data_of (cw lxor (1 lsl (s - 1)))
+  | _ -> -1
+
 let inject_error codeword ~pos =
   if pos < 0 || pos >= Array.length codeword then invalid_arg "Ecc.inject_error: bad index";
   let w = Array.copy codeword in

@@ -29,6 +29,14 @@ val decode : k:int -> codeword -> decode_result
 (** Decode a codeword for [k] data bits.
     @raise Invalid_argument on a length mismatch. *)
 
+val decode_packed : k:int -> int -> int
+(** [decode] on packed words: bit [i] of the argument is codeword entry
+    [i], and bit [i] of the result is data bit [i]. [Clean] and
+    [Corrected] both give the data; [Uncorrectable] gives [-1]. Pure, so
+    callers may memoize it per codeword.
+    @raise Invalid_argument if the argument is negative or has a bit set
+    at or above [k + overhead k]. *)
+
 val overhead : int -> int
 (** Total parity bits (Hamming + overall) for [k] data bits. *)
 

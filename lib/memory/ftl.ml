@@ -296,12 +296,13 @@ let take_journal t =
   t.journal <- [];
   ops
 
+let location t ~lpn =
+  if lpn < 0 || lpn >= logical_capacity t then unmapped else t.mapping.(lpn)
+
 let read t ~lpn =
-  if lpn < 0 || lpn >= logical_capacity t then None
-  else
-    let loc = t.mapping.(lpn) in
-    if loc < 0 then None
-    else Some (loc / t.config.pages_per_block, loc mod t.config.pages_per_block)
+  let loc = location t ~lpn in
+  if loc < 0 then None
+  else Some (loc / t.config.pages_per_block, loc mod t.config.pages_per_block)
 
 type stats = {
   host_writes : int;

@@ -99,6 +99,11 @@ val read : t -> lpn:int -> (int * int) option
 (** Physical [(block, page)] currently holding the logical page, if
     written. *)
 
+val location : t -> lpn:int -> int
+(** {!read} as one flat page index, [block * pages_per_block + page], or
+    [-1] when the page is unwritten or [lpn] out of range. Allocates
+    nothing. *)
+
 val check_invariants : t -> (unit, string) result
 (** Structural self-check: the logical-to-physical mapping and the page
     state array agree in both directions (no aliasing), the write point

@@ -48,10 +48,11 @@ type report = {
   invariant_error : string option;
 }
 
-(* SEC-DED memo: packed data bits -> packed codeword, open-addressed over
-   two flat int columns and probed like Cell_store's charge memo. Keys
-   are non-negative (a packed data word is narrower than an int), so -1
-   marks an empty slot. *)
+(* SEC-DED memo: packed int -> packed int, open-addressed over two flat
+   int columns and probed like Cell_store's charge memo. Keys are
+   non-negative (a packed word is narrower than an int), so -1 marks an
+   empty slot. One memo maps data to codewords, another codewords to
+   data (-1 when uncorrectable). *)
 type cw_memo = {
   mutable cw_keys : int array;
   mutable cw_words : int array;
@@ -62,8 +63,9 @@ type t = {
   cfg : config;
   fsm : Command_fsm.t;
   ftl : Ftl.t; (* mutable, owned by this instance *)
-  store : int array option array; (* ground truth per logical page *)
-  cw_memo : cw_memo;
+  store : int array; (* ground truth per logical page: packed data, -1 none *)
+  cw_memo : cw_memo; (* data -> codeword *)
+  dec_memo : cw_memo; (* sensed codeword -> data, -1 uncorrectable *)
   mutable ops : int;
   mutable reads : int;
   mutable read_hits : int;
@@ -79,6 +81,9 @@ type t = {
 }
 
 let word_bits_for strings = strings + Ecc.overhead strings
+
+let memo () =
+  { cw_keys = Array.make 64 (-1); cw_words = Array.make 64 0; cw_used = 0 }
 
 let create ?(config = default_config) device =
   if config.strings <= 0 then invalid_arg "Service.create: strings must be > 0";
@@ -98,9 +103,9 @@ let create ?(config = default_config) device =
     cfg = config;
     fsm = Command_fsm.create ~config:fsm_config device;
     ftl;
-    store = Array.make (Ftl.logical_capacity ftl) None;
-    cw_memo =
-      { cw_keys = Array.make 64 (-1); cw_words = Array.make 64 0; cw_used = 0 };
+    store = Array.make (Ftl.logical_capacity ftl) (-1);
+    cw_memo = memo ();
+    dec_memo = memo ();
     ops = 0;
     reads = 0;
     read_hits = 0;
@@ -135,10 +140,14 @@ let finish s =
     ignore (Command_fsm.poll_ready s.fsm ~interval:s.cfg.poll_interval)
   else Command_fsm.wait_ready s.fsm
 
-let word_of_bits bits =
+(* bit [i] of the packed word is [bits.(i)] *)
+let pack bits =
   let w = ref 0 in
-  for i = 0 to Array.length bits - 1 do
-    w := !w lor (bits.(i) lsl i)
+  for i = Array.length bits - 1 downto 0 do
+    let b = bits.(i) in
+    if b land lnot 1 <> 0 then
+      invalid_arg "Service.exec: data entries must be 0 or 1";
+    w := (!w lsl 1) lor b
   done;
   !w
 
@@ -170,17 +179,25 @@ let rec cw_add m key word =
 (* One SEC-DED encode per distinct data word per instance; the hot loop
    replays packed codewords out of the memo. *)
 let codeword_for s data =
-  let key = ref 0 in
-  for i = Array.length data - 1 downto 0 do
-    key := (!key lsl 1) lor data.(i)
-  done;
   let m = s.cw_memo in
-  let i = cw_slot m !key in
-  if m.cw_keys.(i) = !key then m.cw_words.(i)
+  let i = cw_slot m data in
+  if m.cw_keys.(i) = data then m.cw_words.(i)
   else begin
-    let w = word_of_bits (Ecc.encode data) in
-    cw_add m !key w;
+    let bits = Array.init s.cfg.strings (fun b -> (data lsr b) land 1) in
+    let w = pack (Ecc.encode bits) in
+    cw_add m data w;
     w
+  end
+
+(* One SEC-DED decode per distinct sensed codeword per instance. *)
+let data_of s cw =
+  let m = s.dec_memo in
+  let i = cw_slot m cw in
+  if m.cw_keys.(i) = cw then m.cw_words.(i)
+  else begin
+    let d = Ecc.decode_packed ~k:s.cfg.strings cw in
+    cw_add m cw d;
+    d
   end
 
 let addr_of s ~block ~page =
@@ -195,15 +212,41 @@ let program_word s ~addr ~word =
   bus_write s ~addr ~data:word;
   finish s
 
-let program_buffer s ~sector ~words =
+(* Data for one journaled program: GC relocations replay the stored
+   ground truth; the single host-initiated entry carries the new data. *)
+let data_for s ~host_lpn ~host_data ~lpn ~gc =
+  if gc then begin
+    let d = s.store.(lpn) in
+    if d < 0 then
+      failwith
+        (Printf.sprintf "Service: GC relocated lpn %d with no ground truth" lpn);
+    d
+  end
+  else if lpn <> host_lpn then
+    failwith
+      (Printf.sprintf "Service: host program journaled for lpn %d, expected %d"
+         lpn host_lpn)
+  else host_data
+
+(* Buffer-programs the first [count] journal entries of [ops] (programs
+   to [sector]) and returns the entries after them. *)
+let program_buffer s ~sector ~count ~host_lpn ~host_data ops =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
   bus_write s ~addr:(u1 s) ~data:0xAA;
   bus_write s ~addr:(u2 s) ~data:0x55;
   bus_write s ~addr:sa ~data:0x25;
-  bus_write s ~addr:sa ~data:(List.length words - 1);
-  List.iter (fun (addr, word) -> bus_write s ~addr ~data:word) words;
+  bus_write s ~addr:sa ~data:(count - 1);
+  let rec load n = function
+    | Ftl.Phys_program { block; page; lpn; gc } :: rest when n > 0 ->
+      bus_write s ~addr:(addr_of s ~block ~page)
+        ~data:(codeword_for s (data_for s ~host_lpn ~host_data ~lpn ~gc));
+      load (n - 1) rest
+    | rest -> rest
+  in
+  let rest = load count ops in
   bus_write s ~addr:sa ~data:0x29;
-  finish s
+  finish s;
+  rest
 
 let erase_sector s ~sector ~suspend =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
@@ -235,53 +278,37 @@ let erase_sector s ~sector ~suspend =
   end;
   finish s
 
-(* Data for one journaled program: GC relocations replay the stored
-   ground truth; the single host-initiated entry carries the new data. *)
-let data_for s ~host_lpn ~host_data ~lpn ~gc =
-  if gc then
-    match s.store.(lpn) with
-    | Some d -> d
-    | None ->
-      failwith
-        (Printf.sprintf "Service: GC relocated lpn %d with no ground truth" lpn)
-  else if lpn <> host_lpn then
-    failwith
-      (Printf.sprintf "Service: host program journaled for lpn %d, expected %d"
-         lpn host_lpn)
-  else host_data
+(* Programs to [block] at the head of [ops], up to [cap]. *)
+let rec run_length ~block ~cap n = function
+  | Ftl.Phys_program { block = b; _ } :: rest when b = block && n < cap ->
+    run_length ~block ~cap (n + 1) rest
+  | _ -> n
 
-let mirror s ~host_lpn ~host_data ~suspend phys_ops =
-  let buffer_cap = (Command_fsm.config s.fsm).Command_fsm.write_buffer_words in
-  let first_erase = ref true in
-  (* batch maximal same-sector runs of programs through the write buffer *)
-  let rec go = function
-    | [] -> ()
-    | Ftl.Phys_erase { block; retired = _ } :: rest ->
-      let suspend_this = suspend && !first_erase in
-      first_erase := false;
-      erase_sector s ~sector:block ~suspend:suspend_this;
-      go rest
-    | Ftl.Phys_program { block; _ } :: _ as ops ->
-      let rec take n acc = function
-        | Ftl.Phys_program { block = b; page; lpn; gc } :: rest
-          when b = block && n < buffer_cap ->
-          let word = codeword_for s (data_for s ~host_lpn ~host_data ~lpn ~gc) in
-          take (n + 1) ((addr_of s ~block ~page, word) :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let batch, rest = take 0 [] ops in
-      (match batch with
-       | [ (addr, word) ] -> program_word s ~addr ~word
-       | words -> program_buffer s ~sector:block ~words);
-      go rest
-  in
-  go phys_ops
+(* Walks the journal in order, batching maximal same-sector runs of
+   programs through the write buffer; only the first erase of a
+   suspend-flagged write is suspended. *)
+let rec mirror s ~host_lpn ~host_data ~suspend = function
+  | [] -> ()
+  | Ftl.Phys_erase { block; retired = _ } :: rest ->
+    erase_sector s ~sector:block ~suspend;
+    mirror s ~host_lpn ~host_data ~suspend:false rest
+  | Ftl.Phys_program { block; page; lpn; gc } :: rest as ops ->
+    let cap = (Command_fsm.config s.fsm).Command_fsm.write_buffer_words in
+    let count = run_length ~block ~cap 0 ops in
+    if count = 1 then begin
+      program_word s ~addr:(addr_of s ~block ~page)
+        ~word:(codeword_for s (data_for s ~host_lpn ~host_data ~lpn ~gc));
+      mirror s ~host_lpn ~host_data ~suspend rest
+    end
+    else
+      mirror s ~host_lpn ~host_data ~suspend
+        (program_buffer s ~sector:block ~count ~host_lpn ~host_data ops)
 
 (* ---------- host commands ---------- *)
 
 let fold v s = s.trace <- Workload.digest_fold s.trace v
 
-let fold_float x s =
+let[@inline] fold_float x s =
   s.trace <- Workload.digest_fold s.trace (Int64.to_int (Int64.bits_of_float x))
 
 let record_latency s t0 =
@@ -300,31 +327,29 @@ let exec_read s ~lpn =
   s.reads <- s.reads + 1;
   fold 1 s;
   fold lpn s;
-  match Ftl.read s.ftl ~lpn with
-  | None -> fold 0 s
-  | Some (block, page) -> (
+  let addr = Ftl.location s.ftl ~lpn in
+  if addr < 0 then fold 0 s
+  else begin
     s.read_hits <- s.read_hits + 1;
-    let addr = addr_of s ~block ~page in
     match Command_fsm.read s.fsm ~addr with
     | Command_fsm.Status _ ->
       (* the service always waits for ready, so a status answer on the
          read path is a protocol violation *)
       failwith "Service: data read answered with status while ready"
-    | Command_fsm.Data bits -> (
-      let matches =
-        match (Ecc.decode ~k:s.cfg.strings bits, s.store.(lpn)) with
-        | (Ecc.Clean d | Ecc.Corrected (d, _)), Some expect -> d = expect
-        | Ecc.Uncorrectable, _ | _, None -> false
-      in
+    | Command_fsm.Data cw ->
+      let d = data_of s cw in
+      let matches = d >= 0 && d = s.store.(lpn) in
       fold (Bool.to_int matches) s;
       if not matches then begin
         s.read_mismatches <- s.read_mismatches + 1;
         Tel.count "service/read_mismatch"
-      end))
+      end
+  end
 
 let exec_write s ~lpn ~data ~suspend =
   if Array.length data <> s.cfg.strings then
     invalid_arg "Service.exec: data width does not match [strings]";
+  let packed = pack data in
   match Ftl.write_in_place s.ftl ~lpn with
   | Error Ftl.Device_full ->
     s.rejected_full <- s.rejected_full + 1;
@@ -335,13 +360,14 @@ let exec_write s ~lpn ~data ~suspend =
     (* [lpn] was reduced modulo the logical capacity, so this is a bug *)
     failwith ("Service: " ^ Ftl.error_to_string e)
   | Ok () ->
-    let phys_ops = Ftl.take_journal s.ftl in
-    mirror s ~host_lpn:lpn ~host_data:data ~suspend phys_ops;
-    s.store.(lpn) <- Some data;
+    mirror s ~host_lpn:lpn ~host_data:packed ~suspend (Ftl.take_journal s.ftl);
+    s.store.(lpn) <- packed;
     s.writes <- s.writes + 1;
     fold 2 s;
     fold lpn s;
-    Array.iter (fun b -> fold b s) data
+    for i = 0 to Array.length data - 1 do
+      fold data.(i) s
+    done
 
 let exec s cmd =
   s.ops <- s.ops + 1;
@@ -352,7 +378,7 @@ let exec s cmd =
      let lpn = lpn mod logical_pages s in
      s.trims <- s.trims + 1;
      Ftl.trim_in_place s.ftl ~lpn;
-     s.store.(lpn) <- None;
+     s.store.(lpn) <- -1;
      fold 4 s;
      fold lpn s
    | Workload.Cmd_write { lpn; data; suspend } ->
@@ -411,30 +437,21 @@ let latency_summary s =
 let verify_scan s =
   let mismatches = ref 0 in
   Array.iteri
-    (fun lpn stored ->
-       match stored with
-       | None -> ()
-       | Some expect -> (
-         match Ftl.read s.ftl ~lpn with
-         | None -> incr mismatches
-         | Some (block, page) -> (
-           let bits = Command_fsm.sense_word s.fsm ~addr:(addr_of s ~block ~page) in
-           match Ecc.decode ~k:s.cfg.strings bits with
-           | Ecc.Clean d | Ecc.Corrected (d, _) ->
-             if d <> expect then incr mismatches
-           | Ecc.Uncorrectable -> incr mismatches)))
+    (fun lpn expect ->
+       if expect >= 0 then begin
+         let addr = Ftl.location s.ftl ~lpn in
+         if addr < 0 || data_of s (Command_fsm.sense_word s.fsm ~addr) <> expect
+         then incr mismatches
+       end)
     s.store;
   !mismatches
 
 let state_digest s =
   let h = ref (Command_fsm.state_digest s.fsm) in
   let f v = h := Workload.digest_fold !h v in
-  Array.iteri
-    (fun lpn _ ->
-       match Ftl.read s.ftl ~lpn with
-       | None -> f (-1)
-       | Some (block, page) -> f (addr_of s ~block ~page))
-    s.store;
+  for lpn = 0 to logical_pages s - 1 do
+    f (Ftl.location s.ftl ~lpn)
+  done;
   let st = Ftl.stats s.ftl in
   List.iter f
     [

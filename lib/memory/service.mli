@@ -8,6 +8,9 @@
     Data pages are SEC-DED encoded ({!Ecc}) before programming and
     decoded on every host read, so the service observes the device the
     way firmware does: through codewords, busy polling and status bits.
+    Words travel packed (one [int], bit [i] = cell [i]); the encode and
+    the decode ({!Ecc.decode_packed}) are memoized per distinct word per
+    instance, so a warm read compares two ints.
     All timing is model time (see {!Command_fsm}), which makes latency
     percentiles and the trace digest bit-identical across execution
     tiers ([--jobs]/[--shards]) for a fixed seed. *)
@@ -83,7 +86,9 @@ val exec : t -> Workload.host_cmd -> unit
     {!logical_pages}. [Device_full] rejections are recorded, not raised.
     @raise Failure on a service-level protocol violation (an FSM command
     rejected mid-mirror, or an FTL internal error escaping — the bugs
-    this PR's regression suite pins down). *)
+    the regression suite pins down).
+    @raise Invalid_argument when a write's data is not [strings] entries
+    of 0 or 1 (checked before the FTL sees the write). *)
 
 val latencies : t -> float array
 (** All host-command latencies so far, sorted ascending (model seconds) —

@@ -37,6 +37,9 @@ type op =
   | Erange of int * int (* apply_pulse_range over lo..hi *)
   | Verify of int * int (* program-verify of a cell, up to max pulses *)
   | Round of int * int (* erase round over lo..hi, counting cells at 0 *)
+  | Word of int * int * int (* word program: base, bits, data; 8 pulses max *)
+  | Zeros of int * int (* cells of lo..hi reading 0 *)
+  | Sense of int * int (* packed readout: base, bits *)
   | Reset (* every cell back to its starting charge, wear kept *)
 
 type case = {
@@ -62,8 +65,14 @@ let with_fault_phase c ~reset go =
 
 (* ---------- the implementations under comparison ---------- *)
 
-(* Each op's outcome: [Ok] of its count (pulses for [Verify], cells at 0
-   for [Round], 0 for the others) or its error. *)
+(* Each op's outcome: [Ok] of its counts (pulses for [Verify], cells at
+   0 for [Round] and [Zeros], the packed word for [Sense], slowest bit,
+   total pulses and timeout for [Word], 0 for the others) or its error.
+   A failed [Word] also reports the pulses its earlier bits took. *)
+
+let word_max_pulses = 8
+
+let word_failed e total = Error (Printf.sprintf "%s (after %d pulses)" e total)
 
 (* The per-cell [apply_pulse_at] + [bit] loops the fused kernels replace. *)
 let loop_verify s m ~pulse ~max_pulses i =
@@ -83,10 +92,45 @@ let loop_round s m ~pulse ~lo ~hi =
      | Error e -> err := Some e);
     incr i
   done;
-  match !err with None -> Ok !zeros | Some e -> Error e
+  match !err with None -> Ok [ !zeros ] | Some e -> Error e
 
-(* The store, with [Verify]/[Round] through the fused kernels or through
-   the per-cell loops. *)
+(* The word program as [Command_fsm] ran it before [S.program_word]:
+   per target-0 bit, a verify loop; a failed pulse restores that bit's
+   cell from a boxed snapshot and stops the word. *)
+let loop_word s m ~pulse ~base ~bits ~data =
+  let rec go i slowest total timeout =
+    if i >= bits then Ok [ slowest; total; Bool.to_int timeout ]
+    else
+      let idx = base + i in
+      if (data lsr i) land 1 = 1 then
+        go (i + 1) slowest total (timeout || S.bit s idx = 0)
+      else
+        let before = S.view s idx in
+        match loop_verify s m ~pulse ~max_pulses:word_max_pulses idx with
+        | Ok p ->
+          go (i + 1) (max slowest p) (total + p) (timeout || S.bit s idx = 1)
+        | Error e ->
+          S.set s idx before;
+          word_failed e total
+  in
+  go 0 0 0 false
+
+let loop_zeros s ~lo ~hi =
+  let z = ref 0 in
+  for i = lo to hi do
+    if S.bit s i = 0 then incr z
+  done;
+  [ !z ]
+
+let loop_sense s ~base ~bits =
+  let w = ref 0 in
+  for i = 0 to bits - 1 do
+    w := !w lor (S.bit s (base + i) lsl i)
+  done;
+  [ !w ]
+
+(* The store, with [Verify]/[Round]/[Word]/[Zeros]/[Sense] through the
+   fused kernels or through the per-cell loops. *)
 let run_store ~fused c =
   let d = fresh_device () in
   let n = Array.length c.charges in
@@ -104,24 +148,38 @@ let run_store ~fused c =
   let pp, ep = pulses c in
   let pm = S.memo () and em = S.memo () in
   let reset () = Array.iteri (fun i q -> S.set_qfg s i q) c.charges in
-  let zero r = Result.map (fun () -> 0) r in
+  let zero r = Result.map (fun () -> [ 0 ]) r in
+  let out = S.word_outcome () in
   let step = function
     | Prog i -> zero (S.apply_pulse_at s ~memo:pm ~pulse:pp i)
     | Erase i -> zero (S.apply_pulse_at s ~memo:em ~pulse:ep i)
     | Erange (lo, hi) -> zero (S.apply_pulse_range s ~memo:em ~pulse:ep ~lo ~hi)
     | Verify (i, max_pulses) when fused -> (
       match S.program_verify s ~memo:pm ~pulse:pp ~max_pulses i with
-      | p -> Ok p
+      | p -> Ok [ p ]
       | exception S.Pulse_error e -> Error e)
-    | Verify (i, max_pulses) -> loop_verify s pm ~pulse:pp ~max_pulses i
+    | Verify (i, max_pulses) ->
+      Result.map (fun p -> [ p ]) (loop_verify s pm ~pulse:pp ~max_pulses i)
     | Round (lo, hi) when fused -> (
       match S.erase_round s ~memo:em ~pulse:ep ~lo ~hi with
-      | z -> Ok z
+      | z -> Ok [ z ]
       | exception S.Pulse_error e -> Error e)
     | Round (lo, hi) -> loop_round s em ~pulse:ep ~lo ~hi
+    | Word (base, bits, data) when fused -> (
+      match
+        S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses ~base
+          ~bits ~data out
+      with
+      | () -> Ok [ out.S.slowest; out.S.total; Bool.to_int out.S.timed_out ]
+      | exception S.Pulse_error e -> word_failed e out.S.total)
+    | Word (base, bits, data) -> loop_word s pm ~pulse:pp ~base ~bits ~data
+    | Zeros (lo, hi) when fused -> Ok [ S.zeros s ~lo ~hi ]
+    | Zeros (lo, hi) -> Ok (loop_zeros s ~lo ~hi)
+    | Sense (base, bits) when fused -> Ok [ S.sense s ~base ~bits ]
+    | Sense (base, bits) -> Ok (loop_sense s ~base ~bits)
     | Reset ->
       reset ();
-      Ok 0
+      Ok [ 0 ]
   in
   (s, with_fault_phase c ~reset (fun () -> List.map step c.ops))
 
@@ -159,7 +217,30 @@ let run_record c =
   in
   let program = pulse (Cell.program ~pulse:pp engine)
   and erase = pulse (Cell.erase ~pulse:ep engine) in
-  let outcome count err = Option.fold ~none:(Ok count) ~some:Result.error err in
+  let outcome count err = Option.fold ~none:(Ok [ count ]) ~some:Result.error err in
+  let verify i max_pulses =
+    let p = ref 0 and err = ref None in
+    while Option.is_none !err && bit i = 1 && !p < max_pulses do
+      match program i with None -> incr p | e -> err := e
+    done;
+    (!p, !err)
+  in
+  let rec word base bits data i slowest total timeout =
+    if i >= bits then Ok [ slowest; total; Bool.to_int timeout ]
+    else
+      let idx = base + i in
+      if (data lsr i) land 1 = 1 then
+        word base bits data (i + 1) slowest total (timeout || bit idx = 0)
+      else
+        let before = cells.(idx) in
+        match verify idx word_max_pulses with
+        | p, None ->
+          word base bits data (i + 1) (max slowest p) (total + p)
+            (timeout || bit idx = 1)
+        | _, Some e ->
+          cells.(idx) <- before;
+          word_failed e total
+  in
   let round lo hi =
     let zeros = ref 0 and err = ref None and i = ref lo in
     while Option.is_none !err && !i <= hi do
@@ -175,17 +256,20 @@ let run_record c =
     | Erase i -> outcome 0 (erase i)
     | Erange (lo, hi) -> outcome 0 (snd (round lo hi))
     | Verify (i, max_pulses) ->
-      let p = ref 0 and err = ref None in
-      while Option.is_none !err && bit i = 1 && !p < max_pulses do
-        match program i with None -> incr p | e -> err := e
-      done;
-      outcome !p !err
+      let p, err = verify i max_pulses in
+      outcome p err
     | Round (lo, hi) ->
       let zeros, err = round lo hi in
       outcome zeros err
+    | Word (base, bits, data) -> word base bits data 0 0 0 false
+    | Zeros (lo, hi) ->
+      let range = List.init (hi - lo + 1) (( + ) lo) in
+      Ok [ List.length (List.filter (fun i -> bit i = 0) range) ]
+    | Sense (base, bits) ->
+      Ok [ List.fold_left ( lor ) 0 (List.init bits (fun i -> bit (base + i) lsl i)) ]
     | Reset ->
       reset ();
-      Ok 0
+      Ok [ 0 ]
   in
   (cells, with_fault_phase c ~reset (fun () -> List.map step c.ops))
 
@@ -263,6 +347,8 @@ let gen_kernel_case ~cells ~faults =
     cells >>= fun n ->
     let cell = int_range 0 (n - 1) in
     let range = map2 (fun a b -> (min a b, max a b)) cell cell in
+    (* a packed word holds at most [Sys.int_size - 1] cells *)
+    let width lo hi = min (hi - lo + 1) (Sys.int_size - 1) in
     let gen_op =
       frequency
         [
@@ -271,6 +357,12 @@ let gen_kernel_case ~cells ~faults =
           (1, map (fun (lo, hi) -> Erange (lo, hi)) range);
           (4, map2 (fun i m -> Verify (i, m)) cell (int_range 1 8));
           (3, map (fun (lo, hi) -> Round (lo, hi)) range);
+          ( 3,
+            map2
+              (fun (lo, hi) data -> Word (lo, width lo hi, data))
+              range (int_bound 63) );
+          (1, map (fun (lo, hi) -> Zeros (lo, hi)) range);
+          (2, map (fun (lo, hi) -> Sense (lo, width lo hi)) range);
           (2, return Reset);
         ]
     in
@@ -290,6 +382,32 @@ let prop_kernels =
 let prop_kernels_fault =
   prop "fused kernels = per-cell loop (fault plan)" ~count:10
     (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:true)
+    all_agree
+
+(* word programs from erased cells with short exact pulses (about 5 per
+   bit), so a 1-in-30 fault plan fails many words part-way through a
+   bit's verify loop: the restore of that bit and the partial pulse total
+   must match the loop's *)
+let prop_word_fault =
+  prop "fused kernels = per-cell loop (word program, fault plan)" ~count:10
+    QCheck2.Gen.(
+      int_range 4 8 >>= fun n ->
+      let word =
+        map2
+          (fun base data -> Word (base, n - base, data))
+          (int_range 0 (n - 1)) (int_bound 255)
+      in
+      list_size (int_range 2 8) (frequency [ (4, word); (1, return Reset) ])
+      >>= fun ops ->
+      int_range 0 1000 >>= fun seed ->
+      return
+        {
+          charges = Array.make n 0.;
+          broken_at = [];
+          ops;
+          fault_seed = Some seed;
+          inbox = false;
+        })
     all_agree
 
 (* more distinct starting charges than the memo's 64 initial slots: two
@@ -533,8 +651,20 @@ let test_memo_hits_allocate_nothing () =
     done
   in
   let round () = ignore (S.erase_round s ~memo:em ~pulse:erase_short ~lo:0 ~hi:(n - 1)) in
+  (* data 0b0110 on 4-cell words starting programmed, erased, programmed,
+     erased: target-0 bits over a programmed and an erased cell, target-1
+     bits over an erased one and a programmed one (a timeout) *)
+  let out = S.word_outcome () in
+  let word () =
+    for base = 0 to (n / 4) - 1 do
+      S.program_word s ~memo:pm ~pulse:prog_short ~max_pulses:8 ~base:(4 * base)
+        ~bits:4 ~data:0b0110 out
+    done
+  in
+  let zeros () = ignore (S.zeros s ~lo:0 ~hi:(n - 1)) in
+  let sense () = ignore (S.sense s ~base:0 ~bits:n) in
   (* warm-up: every starting charge each kernel meets is memoized *)
-  List.iter (fun f -> reset (); f ()) [ at; verify; round ];
+  List.iter (fun f -> reset (); f ()) [ at; verify; round; word ];
   let reps = 10_000 / n in
   let hits f =
     minor_words_during (fun () ->
@@ -547,6 +677,9 @@ let test_memo_hits_allocate_nothing () =
   Alcotest.(check (float 0.)) "apply_pulse_at hits" 0. (hits at);
   Alcotest.(check (float 0.)) "program_verify hits" 0. (hits verify);
   Alcotest.(check (float 0.)) "erase_round hits" 0. (hits round);
+  Alcotest.(check (float 0.)) "program_word hits" 0. (hits word);
+  Alcotest.(check (float 0.)) "zeros" 0. (hits zeros);
+  Alcotest.(check (float 0.)) "sense" 0. (hits sense);
   (* the replays really were replays of the warm-up answers *)
   reset ();
   verify ();
@@ -568,6 +701,7 @@ let () =
           prop_kernels;
           prop_kernels_fault;
           prop_kernels_rehash;
+          prop_word_fault;
           prop_fsm_restores_on_error;
           case "memo hits allocate nothing" test_memo_hits_allocate_nothing;
         ] );

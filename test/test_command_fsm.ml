@@ -46,10 +46,9 @@ let erase t ~sector =
 
 let word_at t ~addr =
   match C.read t ~addr with
-  | C.Data bits -> bits
+  | C.Data w -> w
   | C.Status _ -> Alcotest.fail "expected data, device still busy"
 
-let as_int bits = Array.to_list bits |> List.mapi (fun i b -> b lsl i) |> List.fold_left ( lor ) 0
 
 let all_ones = (1 lsl small.C.word_bits) - 1
 
@@ -60,15 +59,15 @@ let test_fresh_device () =
   check_true "ready" (C.ready t);
   Alcotest.(check string) "idle" "idle" (C.state_name t);
   for addr = 0 to C.words t - 1 do
-    Alcotest.(check int) "erased word" all_ones (as_int (C.sense_word t ~addr))
+    Alcotest.(check int) "erased word" all_ones (C.sense_word t ~addr)
   done
 
 let test_word_program_roundtrip () =
   let t = mk () in
   program t ~addr:1 ~data:0b00101;
   Alcotest.(check int) "programmed word reads back" 0b00101
-    (as_int (word_at t ~addr:1));
-  Alcotest.(check int) "neighbor untouched" all_ones (as_int (word_at t ~addr:0));
+    (word_at t ~addr:1);
+  Alcotest.(check int) "neighbor untouched" all_ones (word_at t ~addr:0);
   let s = C.stats t in
   Alcotest.(check int) "one program op" 1 s.C.programs;
   check_true "pulses spent" (s.C.program_pulses > 0);
@@ -91,7 +90,7 @@ let test_busy_status_and_rejection () =
    | Error e -> Alcotest.failf "wrong error: %s" (C.error_to_string e)
    | Ok () -> Alcotest.fail "bus write accepted while busy");
   C.wait_ready t;
-  Alcotest.(check int) "programmed" 0 (as_int (word_at t ~addr:0))
+  Alcotest.(check int) "programmed" 0 (word_at t ~addr:0)
 
 let test_model_time_advances () =
   let t = mk () in
@@ -109,21 +108,21 @@ let test_and_semantics_need_erase () =
   program t ~addr:2 ~data:all_ones;
   (* 1-bits cannot be raised by programming: the word stays 0 and the
      internal verify records the timeout — firmware must erase first *)
-  Alcotest.(check int) "still programmed" 0 (as_int (word_at t ~addr:2));
+  Alcotest.(check int) "still programmed" 0 (word_at t ~addr:2);
   check_true "verify timeout recorded" ((C.stats t).C.verify_timeouts > 0);
   erase t ~sector:0;
-  Alcotest.(check int) "erase restores" all_ones (as_int (word_at t ~addr:2));
+  Alcotest.(check int) "erase restores" all_ones (word_at t ~addr:2);
   program t ~addr:2 ~data:all_ones;
   Alcotest.(check int) "program after erase works" all_ones
-    (as_int (word_at t ~addr:2))
+    (word_at t ~addr:2)
 
 let test_sector_erase_is_local () =
   let t = mk () in
   program t ~addr:0 ~data:0;
   program t ~addr:4 ~data:0b01010;
   erase t ~sector:0;
-  Alcotest.(check int) "sector 0 erased" all_ones (as_int (word_at t ~addr:0));
-  Alcotest.(check int) "sector 1 untouched" 0b01010 (as_int (word_at t ~addr:4))
+  Alcotest.(check int) "sector 0 erased" all_ones (word_at t ~addr:0);
+  Alcotest.(check int) "sector 1 untouched" 0b01010 (word_at t ~addr:4)
 
 let test_chip_erase () =
   let t = mk () in
@@ -135,7 +134,7 @@ let test_chip_erase () =
   ok "chip erase" (C.write t ~addr:(u1 t) ~data:0x10);
   C.wait_ready t;
   for addr = 0 to C.words t - 1 do
-    Alcotest.(check int) "chip erased" all_ones (as_int (C.sense_word t ~addr))
+    Alcotest.(check int) "chip erased" all_ones (C.sense_word t ~addr)
   done;
   Alcotest.(check int) "counted" 1 (C.stats t).C.chip_erases
 
@@ -150,12 +149,27 @@ let test_write_buffer () =
   ok "w2" (C.write t ~addr:2 ~data:0b00100);
   ok "confirm" (C.write t ~addr:sa ~data:0x29);
   C.wait_ready t;
-  Alcotest.(check int) "w0" 0b00001 (as_int (word_at t ~addr:0));
-  Alcotest.(check int) "w1" 0b00010 (as_int (word_at t ~addr:1));
-  Alcotest.(check int) "w2" 0b00100 (as_int (word_at t ~addr:2));
+  Alcotest.(check int) "w0" 0b00001 (word_at t ~addr:0);
+  Alcotest.(check int) "w1" 0b00010 (word_at t ~addr:1);
+  Alcotest.(check int) "w2" 0b00100 (word_at t ~addr:2);
   let s = C.stats t in
   Alcotest.(check int) "one buffered program op" 1 s.C.programs;
   Alcotest.(check int) "three words" 3 s.C.words_programmed
+
+(* A word loaded twice into the buffer takes the last value loaded: the
+   buffer holds one entry per address, so the cell never sees the AND of
+   the two values. *)
+let test_buffer_duplicate_last_wins () =
+  let t = mk () in
+  unlock t;
+  ok "buffer cmd" (C.write t ~addr:0 ~data:0x25);
+  ok "count" (C.write t ~addr:0 ~data:1) (* N-1 = 1 -> 2 load cycles *);
+  ok "A <- 0x0F" (C.write t ~addr:1 ~data:0x0F);
+  ok "A <- all ones" (C.write t ~addr:1 ~data:all_ones);
+  ok "confirm" (C.write t ~addr:0 ~data:0x29);
+  C.wait_ready t;
+  Alcotest.(check int) "last value wins" all_ones (word_at t ~addr:1);
+  Alcotest.(check int) "one word programmed" 1 (C.stats t).C.words_programmed
 
 let test_buffer_overflow_and_crossing () =
   let t = mk () in
@@ -175,7 +189,7 @@ let test_buffer_overflow_and_crossing () =
    | Ok () -> Alcotest.fail "cross-sector load accepted");
   (* the device recovers: a fresh valid program still lands *)
   program t ~addr:1 ~data:0;
-  Alcotest.(check int) "recovered" 0 (as_int (word_at t ~addr:1))
+  Alcotest.(check int) "recovered" 0 (word_at t ~addr:1)
 
 (* JEDEC encodes the buffer word count as N-1, so a count word of -1 (or
    one whose N overflows) asks for fewer than one word. Accepting it would
@@ -194,7 +208,7 @@ let test_buffer_count_below_one () =
        Alcotest.(check int) "counted" (i + 1) (C.stats t).C.bad_sequences)
     [ -1; max_int ];
   program t ~addr:1 ~data:0;
-  Alcotest.(check int) "recovered" 0 (as_int (word_at t ~addr:1))
+  Alcotest.(check int) "recovered" 0 (word_at t ~addr:1)
 
 let test_suspend_resume () =
   let t = mk () in
@@ -217,7 +231,7 @@ let test_suspend_resume () =
   ok "resume" (C.write t ~addr:0 ~data:0x30);
   check_false "busy again" (C.ready t);
   C.wait_ready t;
-  Alcotest.(check int) "erase completed" all_ones (as_int (word_at t ~addr:0));
+  Alcotest.(check int) "erase completed" all_ones (word_at t ~addr:0);
   let s = C.stats t in
   Alcotest.(check int) "suspend counted" 1 s.C.suspends;
   Alcotest.(check int) "resume counted" 1 s.C.resumes
@@ -238,11 +252,11 @@ let test_program_other_sector_during_suspend () =
   issue_program t ~addr:small.C.words_per_sector ~data:0;
   C.wait_ready t;
   Alcotest.(check int) "nested program landed" 0
-    (as_int (C.sense_word t ~addr:small.C.words_per_sector));
+    (C.sense_word t ~addr:small.C.words_per_sector);
   ok "resume" (C.write t ~addr:0 ~data:0x30);
   C.wait_ready t;
   Alcotest.(check int) "erase still completed" all_ones
-    (as_int (word_at t ~addr:0))
+    (word_at t ~addr:0)
 
 let test_suspend_resume_errors () =
   let t = mk () in
@@ -277,7 +291,7 @@ let test_reset_and_bad_sequences () =
   check_true "rejections counted" ((C.stats t).C.bad_sequences >= 2);
   (* the machine still works afterwards *)
   program t ~addr:0 ~data:0b00011;
-  Alcotest.(check int) "recovered" 0b00011 (as_int (word_at t ~addr:0))
+  Alcotest.(check int) "recovered" 0b00011 (word_at t ~addr:0)
 
 let test_poll_ready () =
   let t = mk () in
@@ -289,7 +303,7 @@ let test_poll_ready () =
   in
   check_true "polled at least once" (polls >= 1);
   check_true "ready after polling" (C.ready t);
-  Alcotest.(check int) "programmed" 0 (as_int (word_at t ~addr:0))
+  Alcotest.(check int) "programmed" 0 (word_at t ~addr:0)
 
 let test_digest_determinism () =
   let script t =
@@ -344,7 +358,7 @@ let prop_program_read_roundtrip =
     (fun (addr, data) ->
        let t = mk () in
        program t ~addr ~data;
-       as_int (word_at t ~addr) = data)
+       word_at t ~addr = data)
 
 let prop_busy_until_wait =
   prop "reads answer status until the busy window closes" ~count:25
@@ -382,7 +396,7 @@ let prop_suspend_resume_transparent =
         | Error _ -> ());
        C.wait_ready suspended;
        let sense t =
-         List.init (C.words t) (fun addr -> as_int (C.sense_word t ~addr))
+         List.init (C.words t) (fun addr -> C.sense_word t ~addr)
        in
        sense straight = sense suspended)
 
@@ -402,7 +416,7 @@ let prop_garbage_cycle_rejected_then_recovers =
        in
        ok "reset" (C.write t ~addr:0 ~data:0xF0);
        program t ~addr:0 ~data:0b00111;
-       garbage_rejected && as_int (word_at t ~addr:0) = 0b00111)
+       garbage_rejected && word_at t ~addr:0 = 0b00111)
 
 let () =
   Alcotest.run "command_fsm"
@@ -417,6 +431,8 @@ let () =
           case "sector erase is local" test_sector_erase_is_local;
           case "chip erase" test_chip_erase;
           case "write buffer" test_write_buffer;
+          case "write buffer duplicate: last value wins"
+            test_buffer_duplicate_last_wins;
           case "buffer overflow and crossing" test_buffer_overflow_and_crossing;
           case "buffer count below one" test_buffer_count_below_one;
           case "suspend and resume" test_suspend_resume;

@@ -72,6 +72,38 @@ let test_validation () =
   Alcotest.check_raises "bad index" (Invalid_argument "Ecc.inject_error: bad index")
     (fun () -> ignore (E.inject_error (E.encode data8) ~pos:99))
 
+(* The packed decode against [decode] on every (k + overhead k)-bit word
+   for k = 8 (all 8192 of them: clean, single- and multi-bit errors):
+   [Clean] and [Corrected] give the packed data, [Uncorrectable] -1. *)
+let test_decode_packed_exhaustive () =
+  let k = 8 in
+  let n = k + E.overhead k in
+  let pack bits = Array.fold_right (fun b w -> (w lsl 1) lor b) bits 0 in
+  let counts = Array.make 3 0 in
+  for cw = 0 to (1 lsl n) - 1 do
+    let expected =
+      match E.decode ~k (Array.init n (fun i -> (cw lsr i) land 1)) with
+      | E.Clean d ->
+        counts.(0) <- counts.(0) + 1;
+        pack d
+      | E.Corrected (d, _) ->
+        counts.(1) <- counts.(1) + 1;
+        pack d
+      | E.Uncorrectable ->
+        counts.(2) <- counts.(2) + 1;
+        -1
+    in
+    if E.decode_packed ~k cw <> expected then
+      Alcotest.failf "codeword 0x%X: decode_packed %d, decode %d" cw
+        (E.decode_packed ~k cw) expected
+  done;
+  (* 256 clean codewords, each with 13 single-flip neighbours *)
+  Alcotest.(check (array int)) "outcome census" [| 256; 256 * n; 8192 - (256 * (n + 1)) |]
+    counts;
+  Alcotest.check_raises "bit above the codeword"
+    (Invalid_argument "Ecc.decode_packed: width mismatch") (fun () ->
+      ignore (E.decode_packed ~k (1 lsl n)))
+
 let prop_roundtrip_any_data =
   prop "encode/decode roundtrip" ~count:100
     QCheck2.Gen.(array_size (int_range 1 40) (int_range 0 1))
@@ -103,6 +135,8 @@ let () =
           case "double errors detected" test_double_error_detected;
           case "exhaustive double errors (k=4)" test_all_double_errors_exhaustive_small;
           case "validation" test_validation;
+          case "packed decode = decode (exhaustive, k=8)"
+            test_decode_packed_exhaustive;
           prop_roundtrip_any_data;
           prop_single_error_recovered;
         ] );

@@ -116,6 +116,17 @@ let test_exec_single_commands () =
   Alcotest.(check int) "one trim" 1 r.S.trims;
   Alcotest.(check int) "clean" 0 r.S.read_mismatches
 
+(* Data is packed before the FTL sees the write, so a non-bit entry is
+   rejected with nothing written. *)
+let test_rejects_non_bit_data () =
+  let s = mk () in
+  Alcotest.check_raises "entry 2"
+    (Invalid_argument "Service.exec: data entries must be 0 or 1") (fun () ->
+      S.exec s (W.Cmd_write { lpn = 1; data = [| 0; 2; 1; 0 |]; suspend = false }));
+  let r = S.report s in
+  Alcotest.(check int) "nothing written" 0 r.S.writes;
+  Alcotest.(check int) "FTL untouched" 0 r.S.ftl.Ftl.host_writes
+
 (* Disturb feedback threads through the service config down to the FSM:
    the enabled run counts the same events but lands on a different final
    cell state, deterministically. *)
@@ -136,6 +147,31 @@ let test_disturb_feedback_threaded () =
     (on_.S.state_digest <> off.S.state_digest);
   Alcotest.(check int) "feedback is deterministic" on_.S.state_digest
     (run (Some dcfg)).S.state_digest
+
+(* A warm read (mapped page, codeword already decoded once) allocates
+   only what crosses the module boundary as a value: the model clock read
+   before and after the command (a boxed float each, 2 words) and the
+   bus's [Data] answer (2 words). The packed read path itself -- FTL
+   lookup, packed sense, memoized SEC-DED decode, integer compare --
+   allocates nothing. *)
+let warm_read_words = 6.
+
+let test_warm_read_allocation () =
+  let s = mk () in
+  S.exec s (W.Cmd_write { lpn = 3; data = [| 1; 0; 1; 1 |]; suspend = false });
+  let hit = W.Cmd_read { lpn = 3 } in
+  S.exec s hit;
+  let reps = 500 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    S.exec s hit
+  done;
+  let per_read = (Gc.minor_words () -. before) /. float_of_int reps in
+  Alcotest.(check (float 0.)) "minor words per warm read" warm_read_words
+    per_read;
+  let r = S.report s in
+  Alcotest.(check int) "every read hit" (reps + 1) r.S.read_hits;
+  Alcotest.(check int) "every read matched" 0 r.S.read_mismatches
 
 let prop_no_op_lost =
   prop "every command is accounted under random profiles" ~count:10
@@ -158,7 +194,9 @@ let () =
           case "suspend exercised" test_suspend_exercised;
           case "device full accounted" test_device_full_is_accounted;
           case "single commands" test_exec_single_commands;
+          case "non-bit data rejected" test_rejects_non_bit_data;
           case "disturb feedback threaded" test_disturb_feedback_threaded;
+          case "warm read allocation" test_warm_read_allocation;
           prop_no_op_lost;
         ] );
     ]
