@@ -10,7 +10,21 @@
     solve runs a {!Gnrflash_resilience.Fallback} escalation ladder (e.g.
     tolerance relaxation, re-bracketing) before giving up, recorded under
     the [resilience/...] telemetry counters. An optional [?budget] bounds
-    wall clock / function evaluations for the whole solve. *)
+    wall clock / function evaluations for the whole solve.
+
+    {b Rate kernel.} Each solve hoists the device constants once ([Fgt.gcr],
+    [Fgt.ct], [vs], [xto], [xco], [area] and both interfaces' FN [(A, B)])
+    into one fused kernel that computes the two oxide fields, then both
+    current densities, without allocating. The kernel serves the ODE
+    right-hand side, the saturation event and every {!sample}. Its
+    expressions are those of [Fgt.vfg_q], [Fgt.j_in_q], [Fgt.j_out_q] and
+    [Fgt.dqfg_dt_q] operation for operation, so every value it returns is
+    bit-identical to the unit-typed [Fgt] path ([test/test_transient.ml]
+    checks this by [Int64.bits_of_float] against an integration through
+    [Fgt.dqfg_dt], [Fgt.j_in], [Fgt.j_out] and [Fgt.vfg]). Only the
+    integrator's RHS calls count as [ode/rhs_eval] and meet the fault
+    injector; the cold-start [h0] probe, the event and the samples do
+    not. *)
 
 type error = Gnrflash_resilience.Solver_error.t
 
@@ -71,4 +85,5 @@ val time_to_threshold_shift :
   (float option, error) Stdlib.result
 (** Programming time needed to move the threshold by [dvt] volts: the event
     time where [ΔVT(t) = dvt], or [None] if the target exceeds what the
-    bias can reach within [max_time]. *)
+    bias can reach within [max_time]. A start charge [qfg0] already at or
+    past the target takes [Some 0.]. *)

@@ -94,8 +94,10 @@ let pchip xs ys =
   end;
   { xs = Array.copy xs; ys = Array.copy ys; kind = Hermite d }
 
-let segment_index xs x =
-  (* Largest i with xs.(i) <= x, clamped to [0, n-2]. *)
+let segment_index (xs : float array) (x : float) =
+  (* Largest i with xs.(i) <= x, clamped to [0, n-2]. The annotation keeps
+     the search monomorphic: no boxed float and no polymorphic compare per
+     probe. *)
   let n = Array.length xs in
   if x <= xs.(0) then 0
   else if x >= xs.(n - 1) then n - 2

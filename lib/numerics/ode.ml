@@ -5,9 +5,9 @@ module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
 
-type trajectory = {
+type 'a trajectory = {
   times : float array;
-  states : float array array;
+  states : 'a array;
 }
 
 let axpy a x y =
@@ -100,106 +100,85 @@ and d5 = 701980252875. /. 199316789632.
 and d6 = -1453857185. /. 822651844.
 and d7 = 69997945. /. 29380423.
 
-(* One trial step from (t, y) with slope k1 = f t y already in hand.
-   Returns the 5th-order solution, the embedded 4th-order solution and the
-   remaining stages (k7 last, evaluated at the trial endpoint). *)
-let dopri5_stages f t y h k1 =
-  let n = Array.length y in
-  let y2 = Array.init n (fun i -> y.(i) +. (h *. a21 *. k1.(i))) in
-  let k2 = f (t +. (h /. 5.)) y2 in
-  let y3 = Array.init n (fun i -> y.(i) +. (h *. ((a31 *. k1.(i)) +. (a32 *. k2.(i))))) in
-  let k3 = f (t +. (3. *. h /. 10.)) y3 in
-  let y4 =
-    Array.init n (fun i ->
-        y.(i) +. (h *. ((a41 *. k1.(i)) +. (a42 *. k2.(i)) +. (a43 *. k3.(i)))))
-  in
-  let k4 = f (t +. (4. *. h /. 5.)) y4 in
-  let y5 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((a51 *. k1.(i)) +. (a52 *. k2.(i)) +. (a53 *. k3.(i))
-                +. (a54 *. k4.(i)))))
-  in
-  let k5 = f (t +. (8. *. h /. 9.)) y5 in
-  let y6 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((a61 *. k1.(i)) +. (a62 *. k2.(i)) +. (a63 *. k3.(i))
-                +. (a64 *. k4.(i)) +. (a65 *. k5.(i)))))
-  in
-  let k6 = f (t +. h) y6 in
-  let y_new =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((b1 *. k1.(i)) +. (b3 *. k3.(i)) +. (b4 *. k4.(i))
-                +. (b5 *. k5.(i)) +. (b6 *. k6.(i)))))
-  in
-  let k7 = f (t +. h) y_new in
-  let y_4th =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((bh1 *. k1.(i)) +. (bh3 *. k3.(i)) +. (bh4 *. k4.(i))
-                +. (bh5 *. k5.(i)) +. (bh6 *. k6.(i)) +. (bh7 *. k7.(i)))))
-  in
-  (y_new, y_4th, k2, k3, k4, k5, k6, k7)
+(* Stdlib's [min]/[max] with the same NaN behaviour, but monomorphic: the
+   polymorphic ones box both floats and call the generic compare. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
-(* The continuous extension over one accepted step, evaluated without any
-   further RHS work. Coefficients are built lazily so trajectory-only
-   integrations never pay for them; each evaluation is counted under
-   [ode/dense_eval]. *)
-let make_interp ~t_old ~h ~y_old ~y_new ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 =
-  let n = Array.length y_old in
-  let cont =
-    lazy
-      (Array.init n (fun i ->
-           let ydiff = y_new.(i) -. y_old.(i) in
-           let bspl = (h *. k1.(i)) -. ydiff in
-           let c4 = ydiff -. (h *. k7.(i)) -. bspl in
-           let c5 =
-             h
-             *. ((d1 *. k1.(i)) +. (d3 *. k3.(i)) +. (d4 *. k4.(i))
-                 +. (d5 *. k5.(i)) +. (d6 *. k6.(i)) +. (d7 *. k7.(i)))
-           in
-           (y_old.(i), ydiff, bspl, c4, c5)))
-  in
-  fun t ->
-    Tel.count "ode/dense_eval";
-    let theta = (t -. t_old) /. h in
-    Array.map
-      (fun (c1, c2, c3, c4, c5) ->
-        c1
-        +. (theta
-            *. (c2 +. ((1. -. theta) *. (c3 +. (theta *. (c4 +. ((1. -. theta) *. c5))))))))
-      (Lazy.force cont)
+(* The continuous extension over one accepted step (Hairer's rcont5 form),
+   evaluated without any further RHS work. The coefficients are set only
+   when a step brackets an event or holds a dense sample; each evaluation
+   is counted under [ode/dense_eval]. *)
+type dense = {
+  mutable t_old : float;
+  mutable h : float;
+  mutable c1 : float;
+  mutable c2 : float;
+  mutable c3 : float;
+  mutable c4 : float;
+  mutable c5 : float;
+}
 
-let error_norm ~rtol ~atol y y5 y4 =
-  let n = Array.length y in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    let sc = atol +. (rtol *. max (abs_float y.(i)) (abs_float y5.(i))) in
-    let e = (y5.(i) -. y4.(i)) /. sc in
-    acc := !acc +. (e *. e)
-  done;
-  sqrt (!acc /. float_of_int n)
+let[@inline] set_dense d ~t_old ~h ~y_old ~y_new ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 =
+  let ydiff = y_new -. y_old in
+  let bspl = (h *. k1) -. ydiff in
+  d.t_old <- t_old;
+  d.h <- h;
+  d.c1 <- y_old;
+  d.c2 <- ydiff;
+  d.c3 <- bspl;
+  d.c4 <- ydiff -. (h *. k7) -. bspl;
+  d.c5 <-
+    h
+    *. ((d1 *. k1) +. (d3 *. k3) +. (d4 *. k4) +. (d5 *. k5) +. (d6 *. k6)
+        +. (d7 *. k7))
 
-let all_finite y =
-  let ok = ref true in
-  for i = 0 to Array.length y - 1 do
-    if not (Float.is_finite y.(i)) then ok := false
-  done;
-  !ok
+let[@inline] eval_dense d t =
+  Tel.count "ode/dense_eval";
+  let theta = (t -. d.t_old) /. d.h in
+  d.c1
+  +. (theta
+      *. (d.c2 +. ((1. -. theta) *. (d.c3 +. (theta *. (d.c4 +. ((1. -. theta) *. d.c5)))))))
 
-(* Adaptive driver. [on_step] additionally receives the step's dense-output
-   interpolant so event localization (and user-facing dense sampling) can
-   refine inside the accepted interval without re-integrating. The solver
-   name stays "Ode.rkf45" in typed errors: it is the stable identifier the
-   resilience layer and its tests key on. *)
-let rkf45_core ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200_000)
-    ~f ~t0 ~y0 ~t1 ~on_step () =
+(* Accepted (t, y) pairs, grown by doubling and trimmed once at the end. *)
+type buffer = { mutable bt : float array; mutable by : float array; mutable len : int }
+
+let grow a n =
+  let b = Array.make (2 * n) 0. in
+  Array.blit a 0 b 0 n;
+  b
+
+let[@inline] push b t y =
+  let n = b.len in
+  if n = Array.length b.bt then begin
+    b.bt <- grow b.bt n;
+    b.by <- grow b.by n
+  end;
+  Array.unsafe_set b.bt n t;
+  Array.unsafe_set b.by n y;
+  b.len <- n + 1
+
+type event_result = {
+  trajectory : float trajectory;
+  event_time : float option;
+  event_state : float option;
+}
+
+(* Bisection for the event time stops when the bracket is this small
+   relative to the step interval — continuing to the fixed 60 iterations
+   would churn dense-output evaluations well past double precision. *)
+let event_time_rtol = 1e-12
+
+(* The one adaptive driver behind [rkf45], [rkf45_dense] and [rkf45_event].
+   The state, the step and the seven stages live in unboxed locals: a trial
+   step allocates nothing beyond the boxing of [f]'s arguments and result,
+   and an accepted step adds only its trajectory slot. [ts] (sorted, within
+   [t0, t1]) are filled in [out] from the step's dense output; [event], when
+   given, stops the integration at its first sign change (or exact zero) on
+   an accepted step. The solver name stays "Ode.rkf45" in typed errors: it
+   is the stable identifier the resilience layer and its tests key on. *)
+let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200_000)
+    ~f ~event ~ts ~out ~t0 ~y0 ~t1 () =
   let solver = "Ode.rkf45" in
   if t1 <= t0 then
     Error (Err.make ~solver (Err.Invalid_input "t1 <= t0"))
@@ -209,23 +188,33 @@ let rkf45_core ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps 
        trial); counting at the wrapped callable keeps the bookkeeping honest
        even if the tableau changes. Evaluations are charged to the ambient
        budget and exposed to the fault injector (a NaN fault poisons the
-       whole state vector, which exercises the same shrink path as a genuine
-       non-finite region). *)
-    let n = Array.length y0 in
+       state, which exercises the same shrink path as a genuine non-finite
+       region). *)
     let f t y =
       Tel.count "ode/rhs_eval";
       Budget.note_evals 1;
       match Fault.outcome () with
       | `Pass -> f t y
-      | `Nan -> Array.make n Float.nan
+      | `Nan -> Float.nan
       | `Fail eval -> Err.fail ~solver (Err.Fault_injected { eval })
     in
+    let tr = { bt = Array.make 16 0.; by = Array.make 16 0.; len = 0 } in
+    push tr t0 y0;
+    let m = Array.length ts in
+    let next = ref 0 in
+    while !next < m && ts.(!next) <= t0 do
+      out.(!next) <- y0;
+      incr next
+    done;
+    let d = { t_old = 0.; h = 1.; c1 = 0.; c2 = 0.; c3 = 0.; c4 = 0.; c5 = 0. } in
+    let g0 = ref (match event with Some ev -> ev t0 y0 | None -> 0.) in
+    let event_time = ref None and event_state = ref None in
     let h = ref (match h0 with Some h -> h | None -> (t1 -. t0) /. 100.) in
-    let t = ref t0 and y = ref (Array.copy y0) in
+    let t = ref t0 and y = ref y0 in
     (* FSAL slope cache: f(!t, !y). Invalidated whenever a trial goes
        non-finite, so a fault-poisoned slope cannot pin the integration in
        the shrink loop forever. *)
-    let k1 = ref None in
+    let k1 = ref 0. and k1_valid = ref false in
     let steps = ref 0 in
     let err = ref None in
     let finished = ref false in
@@ -238,71 +227,148 @@ let rkf45_core ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps 
         else begin
           incr steps;
           if !t +. !h > t1 then h := t1 -. !t;
-          let k1v =
-            match !k1 with
-            | Some k -> k
-            | None ->
-              let k = f !t !y in
-              k1 := Some k;
-              k
+          if not !k1_valid then begin
+            k1 := f !t !y;
+            k1_valid := true
+          end;
+          let tc = !t and yc = !y and hc = !h and k1c = !k1 in
+          let k2 = f (tc +. (hc /. 5.)) (yc +. (hc *. a21 *. k1c)) in
+          let k3 = f (tc +. (3. *. hc /. 10.)) (yc +. (hc *. ((a31 *. k1c) +. (a32 *. k2)))) in
+          let k4 =
+            f (tc +. (4. *. hc /. 5.))
+              (yc +. (hc *. ((a41 *. k1c) +. (a42 *. k2) +. (a43 *. k3))))
           in
-          let y5, y4, _k2, k3, k4, k5, k6, k7 = dopri5_stages f !t !y !h k1v in
-          let en = error_norm ~rtol ~atol !y y5 y4 in
-          (* A per-component finiteness check: a NaN error norm alone would
-             miss infinities (and +inf + -inf cancellation in any summed
-             test), letting the integrator accept garbage states. *)
-          if Float.is_nan en || not (all_finite y5) then begin
+          let k5 =
+            f (tc +. (8. *. hc /. 9.))
+              (yc
+               +. (hc *. ((a51 *. k1c) +. (a52 *. k2) +. (a53 *. k3) +. (a54 *. k4))))
+          in
+          let k6 =
+            f (tc +. hc)
+              (yc
+               +. (hc
+                   *. ((a61 *. k1c) +. (a62 *. k2) +. (a63 *. k3) +. (a64 *. k4)
+                       +. (a65 *. k5))))
+          in
+          let y_new =
+            yc
+            +. (hc
+                *. ((b1 *. k1c) +. (b3 *. k3) +. (b4 *. k4) +. (b5 *. k5) +. (b6 *. k6)))
+          in
+          let k7 = f (tc +. hc) y_new in
+          let y_4th =
+            yc
+            +. (hc
+                *. ((bh1 *. k1c) +. (bh3 *. k3) +. (bh4 *. k4) +. (bh5 *. k5)
+                    +. (bh6 *. k6) +. (bh7 *. k7)))
+          in
+          let sc = atol +. (rtol *. fmax (abs_float yc) (abs_float y_new)) in
+          let e = (y_new -. y_4th) /. sc in
+          let en = sqrt (e *. e) in
+          (* A NaN error norm alone would miss an infinite state, letting the
+             integrator accept garbage. *)
+          if Float.is_nan en || not (Float.is_finite y_new) then begin
             (* the trial step left the region where f is finite: shrink hard *)
             Tel.count "ode/step_nan_shrink";
-            k1 := None;
-            h := !h /. 10.;
+            k1_valid := false;
+            h := hc /. 10.;
             if !h < h_min then
-              err := Some (Err.make ~solver (Err.Nan_region { at = !t }))
+              err := Some (Err.make ~solver (Err.Nan_region { at = tc }))
           end
           else if en <= 1. then begin
             Tel.count "ode/step_accepted";
-            let t_new = !t +. !h in
-            let interp =
-              make_interp ~t_old:!t ~h:!h ~y_old:!y ~y_new:y5 ~k1:k1v ~k3 ~k4 ~k5
-                ~k6 ~k7
-            in
-            (match on_step ~t_old:!t ~y_old:!y ~t_new ~y_new:y5 ~interp with
-             | `Stop -> finished := true
-             | `Continue -> ());
+            let t_new = tc +. hc in
+            if !next < m && ts.(!next) <= t_new then begin
+              set_dense d ~t_old:tc ~h:hc ~y_old:yc ~y_new ~k1:k1c ~k3 ~k4 ~k5 ~k6 ~k7;
+              while !next < m && ts.(!next) <= t_new do
+                out.(!next) <- eval_dense d ts.(!next);
+                incr next
+              done
+            end;
+            (match event with
+             | None -> push tr t_new y_new
+             | Some ev ->
+               let g1 = ev t_new y_new in
+               if Float.equal g1 0. then begin
+                 (* The event function lands exactly on zero at the accepted
+                    step: that IS the crossing (step functions like the
+                    saturation imbalance do return exact 0./-1. values). *)
+                 Tel.count "ode/event_crossing";
+                 event_time := Some t_new;
+                 event_state := Some y_new;
+                 push tr t_new y_new;
+                 finished := true
+               end
+               else if !g0 *. g1 < 0. then begin
+                 (* Locate the crossing by bisection on the step's dense
+                    output — pure polynomial evaluation, no RHS work. *)
+                 Tel.count "ode/event_crossing";
+                 set_dense d ~t_old:tc ~h:hc ~y_old:yc ~y_new ~k1:k1c ~k3 ~k4 ~k5 ~k6 ~k7;
+                 let lo = ref tc and hi = ref t_new in
+                 let width_tol =
+                   event_time_rtol *. (abs_float t_new +. abs_float tc +. 1e-300)
+                 in
+                 let iters = ref 0 in
+                 while !iters < 60 && !hi -. !lo > width_tol do
+                   incr iters;
+                   Tel.count "ode/event_bisect_iter";
+                   let mid = 0.5 *. (!lo +. !hi) in
+                   let gm = ev mid (eval_dense d mid) in
+                   if !g0 *. gm <= 0. then hi := mid else lo := mid
+                 done;
+                 let t_ev = 0.5 *. (!lo +. !hi) in
+                 let y_ev = if t_ev >= t_new then y_new else eval_dense d t_ev in
+                 event_time := Some t_ev;
+                 event_state := Some y_ev;
+                 push tr t_ev y_ev;
+                 finished := true
+               end
+               else begin
+                 g0 := g1;
+                 push tr t_new y_new
+               end);
             t := t_new;
-            y := y5;
-            k1 := Some k7;
-            if !t >= t1 -. 1e-15 *. (abs_float t1 +. 1.) then finished := true;
-            let factor = if Float.equal en 0. then 4. else min 4. (0.9 *. (en ** (-0.2))) in
-            h := !h *. factor
-          end else begin
+            y := y_new;
+            k1 := k7;
+            if !t >= t1 -. (1e-15 *. (abs_float t1 +. 1.)) then finished := true;
+            let factor = if Float.equal en 0. then 4. else fmin 4. (0.9 *. (en ** (-0.2))) in
+            h := hc *. factor
+          end
+          else begin
             Tel.count "ode/step_rejected";
-            let factor = max 0.1 (0.9 *. (en ** (-0.25))) in
-            h := !h *. factor;
+            let factor = fmax 0.1 (0.9 *. (en ** (-0.25))) in
+            h := hc *. factor;
             if !h < h_min then
-              err := Some (Err.make ~solver (Err.Step_underflow { t = !t; h = !h }))
+              err := Some (Err.make ~solver (Err.Step_underflow { t = tc; h = !h }))
           end
         end
     done;
-    match !err with Some e -> Error e | None -> Ok ()
+    match !err with
+    | Some e -> Error e
+    | None ->
+      let n = tr.len in
+      (* times landing in the round-off gap between the last accepted step
+         and t1 take the final state *)
+      while !next < m do
+        out.(!next) <- tr.by.(n - 1);
+        incr next
+      done;
+      Ok
+        {
+          trajectory = { times = Array.sub tr.bt 0 n; states = Array.sub tr.by 0 n };
+          event_time = !event_time;
+          event_state = !event_state;
+        }
   end
 
 let rkf45 ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
-  let times = ref [ t0 ] and states = ref [ Array.copy y0 ] in
-  let on_step ~t_old:_ ~y_old:_ ~t_new ~y_new ~interp:_ =
-    times := t_new :: !times;
-    states := Array.copy y_new :: !states;
-    `Continue
-  in
-  match rkf45_core ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~on_step () with
+  match
+    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:None ~ts:[||] ~out:[||] ~t0 ~y0
+      ~t1 ()
+  with
   | Error e -> Error e
-  | Ok () ->
-    Ok
-      {
-        times = Array.of_list (List.rev !times);
-        states = Array.of_list (List.rev !states);
-      }
+  | Ok r -> Ok r.trajectory
 
 let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
   Err.protect @@ fun () ->
@@ -313,118 +379,12 @@ let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
     if j > 0 && ts.(j) < ts.(j - 1) then
       Err.fail ~solver:"Ode.rkf45_dense" (Err.Invalid_input "sample times not sorted")
   done;
-  let out = Array.make m [||] in
-  let next = ref 0 in
-  while !next < m && ts.(!next) <= t0 do
-    out.(!next) <- Array.copy y0;
-    incr next
-  done;
-  let times = ref [ t0 ] and states = ref [ Array.copy y0 ] in
-  let on_step ~t_old:_ ~y_old:_ ~t_new ~y_new ~interp =
-    while !next < m && ts.(!next) <= t_new do
-      out.(!next) <- interp ts.(!next);
-      incr next
-    done;
-    times := t_new :: !times;
-    states := Array.copy y_new :: !states;
-    `Continue
-  in
-  match rkf45_core ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~on_step () with
+  let out = Array.make m 0. in
+  match drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:None ~ts ~out ~t0 ~y0 ~t1 () with
   | Error e -> Error e
-  | Ok () ->
-    let last = List.hd !states in
-    (* times landing in the round-off gap between the last accepted step
-       and t1 take the final state *)
-    while !next < m do
-      out.(!next) <- Array.copy last;
-      incr next
-    done;
-    Ok
-      ( {
-          times = Array.of_list (List.rev !times);
-          states = Array.of_list (List.rev !states);
-        },
-        out )
-
-type event_result = {
-  trajectory : trajectory;
-  event_time : float option;
-  event_state : float array option;
-}
-
-(* Bisection for the event time stops when the bracket is this small
-   relative to the step interval — continuing to the fixed 60 iterations
-   would churn dense-output evaluations well past double precision. *)
-let event_time_rtol = 1e-12
+  | Ok r -> Ok (r.trajectory, out)
 
 let rkf45_event ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
-  let times = ref [ t0 ] and states = ref [ Array.copy y0 ] in
-  let ev_t = ref None and ev_y = ref None in
-  let g0 = ref (event t0 y0) in
-  let on_step ~t_old ~y_old:_ ~t_new ~y_new ~interp =
-    let g1 = event t_new y_new in
-    if Float.equal g1 0. then begin
-      (* The event function lands exactly on zero at the accepted step:
-         that IS the crossing (the old strict [g0 * g1 < 0.] test skipped
-         it, and step functions like the saturation imbalance do return
-         exact 0./-1. values). No bisection needed. *)
-      Tel.count "ode/event_crossing";
-      let y_ev = Array.copy y_new in
-      ev_t := Some t_new;
-      ev_y := Some y_ev;
-      times := t_new :: !times;
-      states := y_ev :: !states;
-      `Stop
-    end
-    else if !g0 *. g1 < 0. then begin
-      (* Locate the crossing by bisection on the step's dense-output
-         interpolant — pure polynomial evaluation, no RHS work (the old
-         implementation re-integrated the sub-interval with 16 fixed RK4
-         steps per probe). *)
-      Tel.count "ode/event_crossing";
-      let lo = ref t_old and hi = ref t_new in
-      let width_tol =
-        event_time_rtol *. (abs_float t_new +. abs_float t_old +. 1e-300)
-      in
-      let iters = ref 0 in
-      while !iters < 60 && !hi -. !lo > width_tol do
-        incr iters;
-        Tel.count "ode/event_bisect_iter";
-        let mid = 0.5 *. (!lo +. !hi) in
-        let gm = event mid (interp mid) in
-        if !g0 *. gm <= 0. then hi := mid else lo := mid
-      done;
-      let t_ev = 0.5 *. (!lo +. !hi) in
-      let y_ev = if t_ev >= t_new then Array.copy y_new else interp t_ev in
-      ev_t := Some t_ev;
-      ev_y := Some y_ev;
-      times := t_ev :: !times;
-      states := y_ev :: !states;
-      `Stop
-    end else begin
-      g0 := g1;
-      times := t_new :: !times;
-      states := Array.copy y_new :: !states;
-      `Continue
-    end
-  in
-  match rkf45_core ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~on_step () with
-  | Error e -> Error e
-  | Ok () ->
-    Ok
-      {
-        trajectory =
-          {
-            times = Array.of_list (List.rev !times);
-            states = Array.of_list (List.rev !states);
-          };
-        event_time = !ev_t;
-        event_state = !ev_y;
-      }
-
-let solve_scalar ?rtol ?atol ~f ~t0 ~y0 ~t1 () =
-  let fv t y = [| f t y.(0) |] in
-  match rkf45 ?rtol ?atol ~f:fv ~t0 ~y0:[| y0 |] ~t1 () with
-  | Error e -> Error e
-  | Ok { times; states } -> Ok (times, Array.map (fun s -> s.(0)) states)
+  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:(Some event) ~ts:[||] ~out:[||] ~t0
+    ~y0 ~t1 ()

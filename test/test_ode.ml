@@ -5,48 +5,39 @@ open Gnrflash_testing.Testing
 let check_ok msg r = check_sok msg r
 let check_error msg r = ignore (check_serr msg r)
 
-let decay _t y = [| -.y.(0) |]
+let decay _t y = -.y
 
-let last (tr : O.trajectory) = tr.O.states.(Array.length tr.O.states - 1)
+(* the fixed-step baselines integrate systems *)
+let decay_vec _t y = [| -.y.(0) |]
+
+let last (tr : _ O.trajectory) = tr.O.states.(Array.length tr.O.states - 1)
 
 let test_euler_decay () =
-  let tr = O.euler ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps:10000 in
+  let tr = O.euler ~f:decay_vec ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps:10000 in
   check_close ~tol:1e-3 "e^-1" (exp (-1.)) (last tr).(0)
 
 let test_rk4_decay () =
-  let tr = O.rk4 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps:100 in
+  let tr = O.rk4 ~f:decay_vec ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps:100 in
   check_close ~tol:1e-8 "e^-1" (exp (-1.)) (last tr).(0)
 
 let test_rk4_convergence_order () =
   (* halving h should cut the error by ~2^4 *)
   let err steps =
-    let tr = O.rk4 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps in
+    let tr = O.rk4 ~f:decay_vec ~t0:0. ~y0:[| 1. |] ~t1:1. ~steps in
     abs_float ((last tr).(0) -. exp (-1.))
   in
   let ratio = err 20 /. err 40 in
   check_in "4th order convergence" ~lo:12. ~hi:20. ratio
 
 let test_rkf45_decay () =
-  let tr = check_ok "rkf45" (O.rkf45 ~rtol:1e-10 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ()) in
-  check_close ~tol:1e-8 "e^-2" (exp (-2.)) (last tr).(0)
-
-let test_rkf45_oscillator () =
-  (* y'' = -y as a system; energy must be conserved to tolerance *)
-  let f _t y = [| y.(1); -.y.(0) |] in
-  let tr =
-    check_ok "rkf45"
-      (O.rkf45 ~rtol:1e-10 ~atol:1e-12 ~f ~t0:0. ~y0:[| 1.; 0. |]
-         ~t1:(2. *. Float.pi) ())
-  in
-  let y = last tr in
-  check_close ~tol:1e-6 "cos(2pi)" 1. y.(0);
-  check_abs ~tol:1e-6 "sin(2pi)" 0. y.(1)
+  let tr = check_ok "rkf45" (O.rkf45 ~rtol:1e-10 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
+  check_close ~tol:1e-8 "e^-2" (exp (-2.)) (last tr)
 
 let test_rkf45_rejects_bad_range () =
-  check_error "t1 <= t0" (O.rkf45 ~f:decay ~t0:1. ~y0:[| 1. |] ~t1:0. ())
+  check_error "t1 <= t0" (O.rkf45 ~f:decay ~t0:1. ~y0:1. ~t1:0. ())
 
 let test_rkf45_times_monotone () =
-  let tr = check_ok "rkf45" (O.rkf45 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:1. ()) in
+  let tr = check_ok "rkf45" (O.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:1. ()) in
   let ok = ref true in
   for i = 0 to Array.length tr.O.times - 2 do
     if tr.O.times.(i + 1) <= tr.O.times.(i) then ok := false
@@ -55,55 +46,55 @@ let test_rkf45_times_monotone () =
 
 let test_event_detection () =
   (* y' = 1, event at y = 0.5 -> t = 0.5 *)
-  let f _t _y = [| 1. |] in
-  let event _t y = y.(0) -. 0.5 in
+  let f _t _y = 1. in
+  let event _t y = y -. 0.5 in
   let r =
-    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:[| 0. |] ~t1:2. ())
+    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
   in
   (match r.O.event_time with
    | Some t -> check_close ~tol:1e-6 "event time" 0.5 t
    | None -> Alcotest.fail "event not detected");
   match r.O.event_state with
-  | Some y -> check_close ~tol:1e-5 "event state" 0.5 y.(0)
+  | Some y -> check_close ~tol:1e-5 "event state" 0.5 y
   | None -> Alcotest.fail "no event state"
 
 let test_event_decay_threshold () =
   (* e^{-t} crosses 0.1 at t = ln 10 *)
-  let event _t y = y.(0) -. 0.1 in
+  let event _t y = y -. 0.1 in
   let r =
-    check_ok "event" (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:[| 1. |] ~t1:10. ())
+    check_ok "event" (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
   in
   match r.O.event_time with
   | Some t -> check_close ~tol:1e-5 "ln 10" (log 10.) t
   | None -> Alcotest.fail "event not detected"
 
 let test_event_none () =
-  let event _t y = y.(0) +. 1. in
+  let event _t y = y +. 1. in
   (* never crosses *)
-  let r = check_ok "event" (O.rkf45_event ~f:decay ~event ~t0:0. ~y0:[| 1. |] ~t1:1. ()) in
+  let r = check_ok "event" (O.rkf45_event ~f:decay ~event ~t0:0. ~y0:1. ~t1:1. ()) in
   check_true "no event" (r.O.event_time = None)
 
 let test_nan_region_recovery () =
   (* f produces NaN for y > 1.5; solution stays below, so large trial steps
      must be rejected rather than aborting *)
-  let f _t y = if y.(0) > 1.5 then [| nan |] else [| 0.2 |] in
-  let tr = check_ok "nan recovery" (O.rkf45 ~h0:100. ~f ~t0:0. ~y0:[| 0. |] ~t1:1. ()) in
-  check_close ~tol:1e-6 "linear growth" 0.2 (last tr).(0)
+  let f _t y = if y > 1.5 then nan else 0.2 in
+  let tr = check_ok "nan recovery" (O.rkf45 ~h0:100. ~f ~t0:0. ~y0:0. ~t1:1. ()) in
+  check_close ~tol:1e-6 "linear growth" 0.2 (last tr)
 
 let test_event_exact_zero_landing () =
   (* regression: a step function hits g = 0. exactly at an accepted step;
      the old strict [g0 * g1 < 0.] test never saw a sign change and the
      crossing was silently missed *)
-  let f _t _y = [| 1. |] in
-  let event _t y = if y.(0) >= 0.5 then 0. else -1. in
+  let f _t _y = 1. in
+  let event _t y = if y >= 0.5 then 0. else -1. in
   let r =
-    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:[| 0. |] ~t1:2. ())
+    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
   in
   (match r.O.event_time with
    | Some t -> check_in "crossing detected at a step past y = 0.5" ~lo:0.5 ~hi:2. t
    | None -> Alcotest.fail "exact-zero landing missed");
   match r.O.event_state with
-  | Some y -> check_true "state past the threshold" (y.(0) >= 0.5)
+  | Some y -> check_true "state past the threshold" (y >= 0.5)
   | None -> Alcotest.fail "no event state"
 
 let test_event_bisection_early_exit () =
@@ -114,10 +105,10 @@ let test_event_bisection_early_exit () =
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let event _t y = y.(0) -. 0.1 in
+  let event _t y = y -. 0.1 in
   let r =
     check_ok "event"
-      (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:[| 1. |] ~t1:10. ())
+      (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
   in
   (match r.O.event_time with
    | Some t -> check_close ~tol:1e-5 "ln 10" (log 10.) t
@@ -133,29 +124,26 @@ let test_infinite_rhs_recovery () =
      Relaxation toward 1.5 never crosses the threshold, but the first
      large-h trial's intermediate RK stages overshoot into the region where
      f blows up to infinity. *)
-  let f _t y =
-    if y.(0) > 1.5 then [| infinity |] else [| 4. *. (1.5 -. y.(0)) |]
-  in
+  let f _t y = if y > 1.5 then infinity else 4. *. (1.5 -. y) in
   let module Tel = Gnrflash_telemetry.Telemetry in
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let tr =
-    check_ok "inf recovery" (O.rkf45 ~h0:1. ~f ~t0:0. ~y0:[| 0. |] ~t1:1. ())
+    check_ok "inf recovery" (O.rkf45 ~h0:1. ~f ~t0:0. ~y0:0. ~t1:1. ())
   in
-  check_close ~tol:1e-6 "relaxation endpoint" (1.5 *. (1. -. exp (-4.)))
-    (last tr).(0);
+  check_close ~tol:1e-6 "relaxation endpoint" (1.5 *. (1. -. exp (-4.))) (last tr);
   check_true "non-finite trial steps were shrunk"
     (Tel.counter_total "ode/step_nan_shrink" > 0);
   Array.iter
-    (fun y -> check_true "trajectory stays finite" (Float.is_finite y.(0)))
+    (fun y -> check_true "trajectory stays finite" (Float.is_finite y))
     tr.O.states
 
 let test_max_steps_typed () =
   let module E = Gnrflash_resilience.Solver_error in
   let e =
     check_serr "max steps"
-      (O.rkf45 ~max_steps:3 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:1e6 ())
+      (O.rkf45 ~max_steps:3 ~f:decay ~t0:0. ~y0:1. ~t1:1e6 ())
   in
   match e.E.kind with
   | E.Max_steps { steps; t } ->
@@ -163,19 +151,12 @@ let test_max_steps_typed () =
     check_in "stopped mid-integration" ~lo:0. ~hi:1e6 t
   | _ -> Alcotest.failf "expected Max_steps, got %s" (E.to_string e)
 
-let test_solve_scalar () =
-  let times, values =
-    check_ok "scalar" (O.solve_scalar ~f:(fun _t y -> -.y) ~t0:0. ~y0:1. ~t1:1. ())
-  in
-  check_close ~tol:1e-6 "e^-1" (exp (-1.)) values.(Array.length values - 1);
-  check_close "start" 0. times.(0)
-
 let prop_rkf45_linear_growth =
   prop "y' = a integrates to a*t" QCheck2.Gen.(float_range (-10.) 10.) (fun a ->
-      let f _t _y = [| a |] in
-      match O.rkf45 ~f ~t0:0. ~y0:[| 0. |] ~t1:3. () with
+      let f _t _y = a in
+      match O.rkf45 ~f ~t0:0. ~y0:0. ~t1:3. () with
       | Ok tr ->
-        let y = (last tr).(0) in
+        let y = last tr in
         abs_float (y -. (3. *. a)) <= 1e-6 *. (1. +. abs_float (3. *. a))
       | Error _ -> false)
 
@@ -188,33 +169,32 @@ let test_dense_decay_analytic () =
   let ts = Array.init 97 (fun i -> 2. *. float_of_int i /. 96.) in
   let _, ys =
     check_ok "dense decay"
-      (O.rkf45_dense ~rtol:1e-8 ~atol:1e-12 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2.
-         ~ts ())
+      (O.rkf45_dense ~rtol:1e-8 ~atol:1e-12 ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts ())
   in
   Array.iteri
     (fun i t ->
        let exact = exp (-.t) in
        check_true
          (Printf.sprintf "dense decay @ t=%.3f" t)
-         (abs_float (ys.(i).(0) -. exact) <= 1e-6 *. (1. +. exact)))
+         (abs_float (ys.(i) -. exact) <= 1e-6 *. (1. +. exact)))
     ts
 
 let test_dense_endpoints_and_validation () =
   let ts = [| 0.; 0.7; 2. |] in
   let tr, ys =
     check_ok "dense run"
-      (O.rkf45_dense ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ~ts ())
+      (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts ())
   in
   (* a sample time at t0 returns the initial state verbatim *)
-  check_close ~tol:0. "t0 is y0" 1. ys.(0).(0);
+  check_close ~tol:0. "t0 is y0" 1. ys.(0);
   (* the final sample time t1 returns the trajectory endpoint bit-exactly *)
-  check_close ~tol:0. "t1 matches trajectory end" (last tr).(0) ys.(2).(0);
+  check_close ~tol:0. "t1 matches trajectory end" (last tr) ys.(2);
   check_error "unsorted ts"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ~ts:[| 1.; 0.5 |] ());
+    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| 1.; 0.5 |] ());
   check_error "ts before t0"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ~ts:[| -1. |] ());
+    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| -1. |] ());
   check_error "ts beyond t1"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ~ts:[| 3. |] ())
+    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| 3. |] ())
 
 (* Property: the dense interpolant agrees with a from-scratch re-integration
    stopped exactly at the sample time, over random stiffness-free linear
@@ -224,20 +204,19 @@ let prop_dense_matches_reintegration =
     QCheck2.Gen.(
       triple (float_range 0.1 5.) (float_range 0.1 5.) (float_range 0.1 1.9))
     (fun (a, b, t_mid) ->
-       let f _t y = [| a -. (b *. y.(0)) |] in
+       let f _t y = a -. (b *. y) in
        match
-         O.rkf45_dense ~rtol:1e-8 ~atol:1e-14 ~f ~t0:0. ~y0:[| 0. |] ~t1:2.
-           ~ts:[| t_mid |] ()
+         O.rkf45_dense ~rtol:1e-8 ~atol:1e-14 ~f ~t0:0. ~y0:0. ~t1:2. ~ts:[| t_mid |] ()
        with
        | Error _ -> false
        | Ok (_, ys) ->
          (match
-            O.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:[| 0. |] ~t1:t_mid ()
+            O.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:0. ~t1:t_mid ()
           with
           | Error _ -> false
           | Ok tr ->
-            let y_ref = (last tr).(0) in
-            abs_float (ys.(0).(0) -. y_ref) <= 1e-6 *. (1. +. abs_float y_ref)))
+            let y_ref = last tr in
+            abs_float (ys.(0) -. y_ref) <= 1e-6 *. (1. +. abs_float y_ref)))
 
 (* FSAL bookkeeping: one eval seeds k1, then exactly 6 evals per trial step,
    +1 re-seed after every NaN shrink (the cached slope is poisoned). *)
@@ -246,7 +225,7 @@ let test_fsal_eval_count () =
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let _ = check_ok "run" (O.rkf45 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:2. ()) in
+  let _ = check_ok "run" (O.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
   let trials =
     Tel.counter_total "ode/step_accepted"
     + Tel.counter_total "ode/step_rejected"
@@ -255,6 +234,38 @@ let test_fsal_eval_count () =
   Alcotest.(check int) "6 evals per trial + 1 seed"
     ((6 * trials) + 1 + Tel.counter_total "ode/step_nan_shrink")
     (Tel.counter_total "ode/rhs_eval")
+
+(* Allocation pin (native code only: bytecode boxes every float). The
+   driver keeps its state and stages unboxed, so a run allocates only
+   - per RHS evaluation, the boxes of [f]'s two arguments and of its
+     result (6 words), and
+   - per accepted step, its trajectory slot: one float in each of the two
+     buffers, which double as they fill and are trimmed once at the end
+     (at most 5 words per buffer, amortized),
+   plus a fixed setup cost. A per-stage array or tuple, or a per-step
+   closure, would add words per evaluation and fail this bound. *)
+let test_rkf45_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  List.iter
+    (fun rtol ->
+       let evals = ref 0 in
+       let f _t y =
+         incr evals;
+         -.y
+       in
+       let run () = O.rkf45 ~rtol ~f ~t0:0. ~y0:1. ~t1:2. () in
+       ignore (run ());
+       evals := 0;
+       let before = Gc.minor_words () in
+       let r = run () in
+       let words = Gc.minor_words () -. before in
+       let slots = Array.length (check_ok "run" r).O.times in
+       let bound = float_of_int ((6 * !evals) + (10 * slots) + 128) in
+       check_true
+         (Printf.sprintf "rtol %g: %.0f words <= %.0f (%d evals, %d slots)" rtol words
+            bound !evals slots)
+         (words <= bound))
+    [ 1e-4; 1e-8; 1e-12 ]
 
 let () =
   Alcotest.run "ode"
@@ -265,7 +276,6 @@ let () =
           case "rk4 decay" test_rk4_decay;
           case "rk4 is 4th order" test_rk4_convergence_order;
           case "rkf45 decay" test_rkf45_decay;
-          case "rkf45 oscillator" test_rkf45_oscillator;
           case "rkf45 bad range" test_rkf45_rejects_bad_range;
           case "rkf45 monotone times" test_rkf45_times_monotone;
           case "event: linear crossing" test_event_detection;
@@ -276,11 +286,11 @@ let () =
           case "NaN trial step recovery" test_nan_region_recovery;
           case "infinite trial step recovery" test_infinite_rhs_recovery;
           case "typed Max_steps" test_max_steps_typed;
-          case "solve_scalar wrapper" test_solve_scalar;
           case "dense output: analytic decay" test_dense_decay_analytic;
           case "dense output: endpoints and validation"
             test_dense_endpoints_and_validation;
           case "FSAL eval accounting" test_fsal_eval_count;
+          case "rkf45 allocates only boxes and trajectory slots" test_rkf45_allocation;
           prop_rkf45_linear_growth;
           prop_dense_matches_reintegration;
         ] );

@@ -1,6 +1,7 @@
 module Tr = Gnrflash_device.Transient
 module F = Gnrflash_device.Fgt
 module Tel = Gnrflash_telemetry.Telemetry
+module O = Gnrflash_numerics.Ode
 open Gnrflash_testing.Testing
 
 (* the numerics/device solvers under test return typed solver errors *)
@@ -278,6 +279,129 @@ let prop_final_dvt_bounded_by_fixed_point =
        | Ok r, Ok q_star -> r.Tr.qfg_final >= q_star *. 1.01 -. 1e-20 || r.Tr.qfg_final >= q_star
        | _ -> false)
 
+(* Regression: a start already at or past the target used to return
+   [Ok None] -- the event began on (or beyond) its zero and never saw a
+   crossing. Like [run]'s already-balanced start, it needs no time. *)
+let test_time_to_threshold_already_reached () =
+  let q_target = F.qfg_for_threshold_shift t ~dvt:2. in
+  List.iter
+    (fun qfg0 ->
+       let time =
+         check_ok "ttts" (Tr.time_to_threshold_shift ~qfg0 t ~vgs:15. ~dvt:2. ~max_time:1.)
+       in
+       check_true (Printf.sprintf "qfg0 = %g: zero time" qfg0) (time = Some 0.))
+    [ q_target; 1.2 *. q_target ]
+
+(* The transient integrated through the public unit-typed [Fgt] functions
+   with [Transient.run]'s own recipe: the same tolerances, cold-start [h0],
+   saturation event, already-balanced start and relaxation ladder. The
+   fused rate kernel must reproduce it bit for bit. *)
+let reference dev ~vgs ~qfg0 ~duration =
+  let rhs _ q = F.dqfg_dt dev ~vgs ~qfg:q in
+  let imbalance _ q =
+    let ji = F.j_in dev ~vgs ~qfg:q and jo = F.j_out dev ~vgs ~qfg:q in
+    let s = ji +. jo in
+    if s <= 0. then -1. else (abs_float (ji -. jo) /. s) -. 0.01
+  in
+  let atol = 1e-10 *. F.ct dev *. (1. +. abs_float vgs) in
+  let h0 =
+    let q_scale = F.ct dev *. (1. +. abs_float vgs) in
+    let f0 = abs_float (rhs 0. qfg0) in
+    if Float.is_finite f0 && f0 > 0. then Float.min (duration /. 100.) (0.01 *. q_scale /. f0)
+    else duration /. 100.
+  in
+  let balanced = imbalance 0. qfg0 <= 0. in
+  let attempt rtol =
+    if balanced then
+      Result.map (fun tr -> (tr, Some 0.))
+        (O.rkf45 ~rtol ~atol ~h0 ~f:rhs ~t0:0. ~y0:qfg0 ~t1:duration ())
+    else
+      Result.map
+        (fun r -> (r.O.trajectory, r.O.event_time))
+        (O.rkf45_event ~rtol ~atol ~h0 ~f:rhs ~event:imbalance ~t0:0. ~y0:qfg0
+           ~t1:duration ())
+  in
+  let rtol = 1e-8 in
+  match attempt rtol with
+  | Ok r -> Ok r
+  | Error _ ->
+    (match attempt (rtol *. 1e2) with
+     | Ok r -> Ok r
+     | Error _ -> attempt (Float.min 1e-3 (rtol *. 1e4)))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_bits_opt a b =
+  match a, b with
+  | None, None -> true
+  | Some a, Some b -> same_bits a b
+  | _ -> false
+
+let matches_reference dev ~vgs ~qfg0 ~duration =
+  match Tr.run ~qfg0 dev ~vgs ~duration, reference dev ~vgs ~qfg0 ~duration with
+  | Error _, Error _ -> true
+  | Ok r, Ok ({ O.times; states }, tsat) ->
+    let n = Array.length times in
+    let qfg_final = states.(n - 1) in
+    let sample_ok i (s : Tr.sample) =
+      let q = states.(i) in
+      same_bits s.Tr.time times.(i)
+      && same_bits s.Tr.qfg q
+      && same_bits s.Tr.vfg (F.vfg dev ~vgs ~qfg:q)
+      && same_bits s.Tr.j_in (F.j_in dev ~vgs ~qfg:q)
+      && same_bits s.Tr.j_out (F.j_out dev ~vgs ~qfg:q)
+    in
+    Array.length r.Tr.samples = n
+    && Array.for_all Fun.id (Array.mapi sample_ok r.Tr.samples)
+    && same_bits_opt r.Tr.tsat tsat
+    && same_bits r.Tr.qfg_final qfg_final
+    && same_bits r.Tr.dvt_final (F.threshold_shift dev ~qfg:qfg_final)
+    && same_bits_opt r.Tr.h_first
+         (if n >= 2 then Some (times.(1) -. times.(0)) else None)
+  | _ -> false
+
+(* Over the paper's box: |VGS| 8-17 V of either polarity and VGS = 0, GCR
+   0.45-0.60, XTO 5-9 nm, a start charge within +-1.5 q_sat (0 included)
+   and durations 1 ns - 0.1 s. *)
+let prop_kernel_bit_identical =
+  let open QCheck2.Gen in
+  let vgs =
+    frequency
+      [ (1, return 0.); (6, map2 (fun m pos -> if pos then m else -.m) (float_range 8. 17.) bool) ]
+  in
+  let start = frequency [ (1, return 0.); (4, float_range (-1.5) 1.5) ] in
+  let gen =
+    tup5 vgs (float_range 0.45 0.60) (float_range 5e-9 9e-9) start (float_range (-9.) (-1.))
+  in
+  prop "fused kernel bit-identical to the unit-typed path" ~count:150 gen
+    (fun (vgs, gcr, xto, start, log_duration) ->
+       let dev = F.with_xto (F.with_gcr t gcr) xto in
+       let q_sat =
+         match Tr.saturation_charge dev ~vgs:(if vgs = 0. then 15. else vgs) with
+         | Ok q -> abs_float q
+         | Error _ -> 0.
+       in
+       matches_reference dev ~vgs ~qfg0:(start *. q_sat) ~duration:(10. ** log_duration))
+
+(* Allocation pin (native code only: bytecode boxes every float). One cold
+   15 V / 100 us solve measured [run_words] minor words: 571 RHS
+   evaluations boxing their arguments and result, 94 event checks, 95
+   trajectory slots and samples, and the fixed setup. The bound leaves 15%
+   headroom; a float boxed per kernel evaluation, or a per-stage array in
+   the stepper, breaks it. *)
+let run_words = 5976.
+
+let test_run_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let solve () = ignore (check_ok "solve" (Tr.run t ~vgs:15. ~duration:1e-4)) in
+  solve ();
+  let before = Gc.minor_words () in
+  solve ();
+  let words = Gc.minor_words () -. before in
+  check_true
+    (Printf.sprintf "%.0f minor words <= %.0f" words (1.15 *. run_words))
+    (words <= 1.15 *. run_words)
+
 let () =
   Alcotest.run "transient"
     [
@@ -296,6 +420,7 @@ let () =
           case "duration validation" test_duration_validation;
           case "time to 2 V shift" test_time_to_threshold;
           case "unreachable target" test_time_to_threshold_unreachable;
+          case "target already reached" test_time_to_threshold_already_reached;
           case "higher bias is faster" test_higher_vgs_faster;
           case "fixed point vs ODE on (vgs, GCR) grid" test_fixed_point_grid;
           case "saturation charge: erase polarity" test_saturation_charge_erase_polarity;
@@ -308,5 +433,7 @@ let () =
           case "ttts golden vs seed" test_ttts_golden;
           prop_event_time_vs_reintegration;
           prop_final_dvt_bounded_by_fixed_point;
+          prop_kernel_bit_identical;
+          case "one solve's allocation" test_run_allocation;
         ] );
     ]
