@@ -458,6 +458,27 @@ let kernel_tests =
                 ~duration:10.)));
   ]
 
+(* One 64-word x 13-bit sector of the served path, half of it programmed,
+   then erased until its cells settle: every later [erase_round] replays
+   its 832 pulses by charge id. Built when the timing part runs. *)
+let sector_erase_test () =
+  let module S = Gnrflash_memory.Cell_store in
+  let module PE = Gnrflash_device.Program_erase in
+  let s = S.create ~n:832 (Gnrflash.Params.device ()) in
+  let pm = S.memo s and em = S.memo s in
+  for i = 0 to 831 do
+    if i mod 2 = 0 then
+      ignore
+        (S.program_verify s ~memo:pm ~pulse:PE.default_program_pulse ~max_pulses:8 i)
+  done;
+  let round () =
+    ignore (S.erase_round s ~memo:em ~pulse:PE.default_erase_pulse ~lo:0 ~hi:831)
+  in
+  for _ = 1 to 8 do
+    round ()
+  done;
+  Test.make ~name:"kernel-sector-erase-832" (stage round)
+
 let system_tests =
   [
     Test.make ~name:"system-poisson-solve"
@@ -502,6 +523,7 @@ let system_tests =
                 ~base:Gnrflash_device.Fgt.paper_default ~n:10 ())));
   ]
 
+(* Returns each row's OLS time per run [ns] and r^2, for the JSON. *)
 let run_benchmarks () =
   hr "Bechamel microbenchmarks";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:(Some 100) () in
@@ -509,11 +531,14 @@ let run_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let all_tests = figure_tests @ extension_tests @ kernel_tests @ system_tests in
+  let all_tests =
+    figure_tests @ extension_tests @ kernel_tests @ [ sector_erase_test () ]
+    @ system_tests
+  in
   Printf.printf "  %-28s %14s %10s\n" "benchmark" "time/run" "r^2";
-  List.iter
+  List.concat_map
     (fun test ->
-       List.iter
+       List.map
          (fun (name, result) ->
             let est = Analyze.one ols Instance.monotonic_clock result in
             let ns =
@@ -528,7 +553,8 @@ let run_benchmarks () =
               else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
               else Printf.sprintf "%.1f ns" ns
             in
-            Printf.printf "  %-28s %14s %10.4f\n" name time_str r2)
+            Printf.printf "  %-28s %14s %10.4f\n" name time_str r2;
+            (name, ns, r2))
          (Benchmark.all cfg instances test |> Hashtbl.to_seq |> List.of_seq
           |> List.sort compare))
     all_tests
@@ -1102,10 +1128,10 @@ let run_lint () =
   report
 
 (* Machine-readable bench trajectory: per-figure wall-clock timings, the
-   serial-vs-parallel scaling rows, plus the full counter/span snapshot,
-   written next to the repo's other BENCH data. *)
+   serial-vs-parallel scaling rows, the Bechamel rows, plus the full
+   counter/span snapshot, written next to the repo's other BENCH data. *)
 let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
-    ~surrogate ~service ~lint snap =
+    ~surrogate ~service ~bechamel ~lint snap =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"schema\":\"gnrflash-bench-telemetry/1\",";
   Buffer.add_string b
@@ -1196,6 +1222,17 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
        service.svc_state_digest service.svc_jobs_identical
        service.svc_shards_identical service.svc_ref_identical
        (service_ok service));
+  Buffer.add_string b ",\"bechamel\":{";
+  List.iteri
+    (fun i (name, ns, r2) ->
+       if i > 0 then Buffer.add_char b ',';
+       (* a failed fit is nan, which JSON cannot hold *)
+       let num x = if Float.is_finite x then Printf.sprintf "%.6e" x else "null" in
+       Buffer.add_string b
+         (Printf.sprintf "\"%s\":{\"ns_per_run\":%s,\"r_square\":%s}" name (num ns)
+            (num r2)))
+    bechamel;
+  Buffer.add_char b '}';
   Buffer.add_string b
     (Printf.sprintf
        ",\"lint\":{\"rules_checked\":%d,\"findings\":%d,\"suppressed\":%d,\
@@ -1259,11 +1296,11 @@ let () =
     exit (if checks_passed && perf_ok && sur_ok && service_passed then 0 else 1)
   end;
   let scaling = sweep_scaling () in
-  run_benchmarks ();
+  let bechamel = run_benchmarks () in
   let resilience = resilience_rows snap in
   let lint = run_lint () in
   write_bench_telemetry ~path:"BENCH_telemetry.json" ~checks_passed ~scaling
-    ~resilience ~perf ~surrogate:sur ~service ~lint snap;
+    ~resilience ~perf ~surrogate:sur ~service ~bechamel ~lint snap;
   hr "Resilience (per-figure fallback/budget counters)";
   List.iter
     (fun r ->

@@ -7,9 +7,15 @@
     (Hossain et al., SOCC 2014), so one shared {!Gnrflash_device.Fgt.t}
     record per store plus flat float columns for [qfg] and the wear
     scalars replaces the boxed per-cell {!Cell.t} records: writes are
-    in-place, bit readout is O(1) arithmetic on [qfg], and batched range
-    operations resolve one surrogate solve per {e distinct} charge and
-    replay the precomputed charge/wear deltas across the range.
+    in-place, and batched range operations resolve one surrogate solve
+    per {e distinct} charge and replay the precomputed charge/wear deltas
+    across the range.
+
+    Once cycling settles, such cells move between a handful of discrete
+    charge states, so each store interns the charges its memos meet as
+    dense {e charge ids} and keeps each cell's id beside its charge. A
+    replayed pulse is then a few array loads by id, and a readout at the
+    default level is one byte load per cell.
 
     Bit-identity contract: every update applies exactly the float
     expressions of {!Cell.apply_bias_pulse} /
@@ -46,6 +52,8 @@ val traps : t -> int -> float
 val cycles : t -> int -> int
 val broken : t -> int -> bool
 val set_qfg : t -> int -> float -> unit
+(** Write cell [i]'s charge. The cell drops its charge id and looks
+    its new charge up at its next pulse; this never interns a charge. *)
 
 val dvt : t -> int -> float
 (** Threshold shift of cell [i]: bit-identical to
@@ -55,7 +63,9 @@ val dvt : t -> int -> float
 val bit : ?dvt_threshold:float -> t -> int -> int
 (** O(1) readout: [0] (programmed) when [dvt] exceeds the decision level
     (default 1 V), else [1] — the {!Cell.state}/{!Cell.to_bit}
-    composition without the record round-trip. *)
+    composition without the record round-trip. At the default level a
+    cell with a charge id reads its id's bit, computed with the same
+    expression when the id was made; any other level divides. *)
 
 (** {1 Cell views}
 
@@ -66,35 +76,40 @@ val view : t -> int -> Cell.t
 (** Boxed snapshot of cell [i] (shares the store's device record). *)
 
 val set : t -> int -> Cell.t -> unit
-(** Write [c]'s charge and wear into slot [i]. The cell's [device] field
-    is ignored: the store's shared device stays authoritative. *)
+(** Write [c]'s charge and wear into slot [i], the charge as
+    {!set_qfg} does. The cell's [device] field is ignored: the store's
+    shared device stays authoritative. *)
 
 (** {1 Batched pulse application} *)
 
 type memo
-(** Memo of pulse outcomes keyed by the bits of the starting charge
-    (sign-preserving, so [-0.] and [0.] stay distinct), open-addressed
-    over flat columns and probed with {!probe_hash} of the charge's raw
-    bits (no boxing, no C call). Each entry carries the post-pulse
-    charge, the precomputed wear deltas of
-    {!Gnrflash_device.Reliability.after_pulse} and the readout bit after
-    the pulse at the default 1 V level (the exact {!bit} expression,
-    evaluated when the entry is added), so a replayed pulse needs no
-    separate verify read. A memo is valid for one fixed
-    [(pulse, reliability)] pair on this store — e.g. an instance-lifetime
-    program memo and erase memo in {!Command_fsm}. An outcome is admitted
-    only when {!Gnrflash_device.Program_erase.memoizable} holds for the
-    store's engine; before that, every pulse reaches the engine so the
-    surrogate builds on exactly the same pulse as on the record-based
-    path. *)
+(** Transition columns of one fixed [(pulse, reliability)] pair on one
+    store, indexed by the starting charge's id: the id after the pulse
+    and the precomputed wear deltas of
+    {!Gnrflash_device.Reliability.after_pulse}. A replay loads them and
+    the new id's charge and readout bit, so it needs no hash probe, no
+    solve and no separate verify read. E.g. {!Command_fsm} keeps an
+    instance-lifetime program memo and erase memo.
 
-val memo : unit -> memo
+    A charge gets an id only when a pulse outcome is admitted, i.e. when
+    {!Gnrflash_device.Program_erase.memoizable} holds for the store's
+    engine; before that, every pulse reaches the engine so the surrogate
+    builds on exactly the same pulse as on the record-based path. Ids
+    compare charges by their full bits, so [q] and [-.q], [0.] and
+    [-0.] get distinct ids. A cell whose charge has no id (fresh,
+    {!set_qfg}, a fault-plan pulse) is looked up by its charge at its
+    next pulse. *)
+
+val memo : t -> memo
+(** An empty memo bound to the store. The kernels below raise
+    [Invalid_argument] when given another store's memo (ids are
+    store-local). *)
 
 val probe_hash : int -> int
-(** The memo's probe hash: a multiply-xorshift mix of an integer key
-    (here the raw bits of a charge), masked to the table's power-of-two
-    capacity and probed linearly. Shared with {!Service}'s SEC-DED
-    codeword memo. *)
+(** The charge-id table's probe hash: a multiply-xorshift mix of an
+    integer key (here the raw bits of a charge), masked to the table's
+    power-of-two capacity and probed linearly. Shared with {!Service}'s
+    SEC-DED codeword memo. *)
 
 exception Pulse_error of string
 (** A pulse failed: broken oxide (["Cell: oxide broken"]) or a solver
@@ -111,8 +126,8 @@ val apply_pulse_at :
 (** Apply one pulse to cell [i] in place, bit-identical to
     {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t} with the
     store's engine: broken oxide fails first (before any lookup), a
-    repeated charge replays the deltas in O(1) with no solve and no
-    allocation, and a fresh charge makes one
+    repeated charge replays its id's transition in O(1) with no solve and
+    no allocation, and a fresh charge makes one
     {!Gnrflash_device.Program_erase.apply_pulse} call and memoizes when
     sound (see {!type-memo}). An active fault plan skips the memo. Solver
     errors are returned (never memoized) with the cell unchanged. *)
@@ -127,8 +142,7 @@ val program_verify :
 (** Pulse-and-verify of cell [i]: while it reads [1] (at 1 V) and fewer
     than [max_pulses] pulses were applied, apply one pulse as
     {!apply_pulse_at} does; returns the number of pulses applied. The
-    verify read after a replayed pulse comes from the memo's bit column,
-    and {!Gnrflash_resilience.Fault.active} is read once per call, so a
+    verify read after a replayed pulse is the new id's bit, and {!Gnrflash_resilience.Fault.active} is read once per call, so a
     call whose pulses all hit allocates nothing. Bit-identical to the
     loop [while bit t i = 1 && p < max_pulses do apply_pulse_at ...].
     @raise Pulse_error on the first failed pulse; pulses before it keep
@@ -185,8 +199,8 @@ val program_word :
     slowest bit's pulse count, the total and the timeout flag.
     {!Gnrflash_resilience.Fault.active} is read once per call.
     @raise Pulse_error on the first failed pulse: that bit's cell is
-    restored to its state before the word's program (charge and wear,
-    snapshot held in unboxed locals), later bits are untouched, earlier
+    restored to its state before the word's program (charge, charge id
+    and wear, snapshot held in unboxed locals), later bits are untouched, earlier
     bits keep their pulses, and the outcome counts the earlier bits
     only.
     @raise Invalid_argument if [bits >= Sys.int_size]. *)
@@ -214,3 +228,16 @@ val fold_digest : t -> (int -> int -> int) -> int -> int
     charge bits, fluence bits, traps bits, cycles, broken flag — exactly
     the per-cell prefix of {!Command_fsm.state_digest}, so digests stay
     stable across the SoA refactor. *)
+
+(** Introspection of the charge ids, for tests. *)
+module For_testing : sig
+  val charge_id : t -> int -> int
+  (** Cell [i]'s charge id; [0] when it has none (a fresh or set cell
+      gets its charge's id at its next pulse). *)
+
+  val id_of_charge : t -> float -> int
+  (** The charge's id, [0] when it was never interned. *)
+
+  val ids : t -> int
+  (** Charges interned so far. *)
+end

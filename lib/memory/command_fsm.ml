@@ -110,8 +110,8 @@ type seq =
 type t = {
   cfg : config;
   store : S.t; (* cell [addr * word_bits + bit] *)
-  pmemo : S.memo; (* program-pulse outcomes, keyed by starting charge *)
-  ememo : S.memo; (* erase-pulse outcomes *)
+  pmemo : S.memo; (* program-pulse transitions, by starting charge id *)
+  ememo : S.memo; (* erase-pulse transitions *)
   dmemo : (int64 * int, float) Hashtbl.t;
   (* disturb outcomes keyed by (victim charge bits, event count) — hoisted
      to the instance so repeated programs at the same charge reuse it *)
@@ -137,11 +137,12 @@ let create ?(config = default_config) device =
      || config.word_bits >= Sys.int_size || config.t_cycle <= 0.
   then invalid_arg "Command_fsm.create: bad geometry";
   let n = config.sectors * config.words_per_sector * config.word_bits in
+  let store = S.create ~n device in
   {
     cfg = config;
-    store = S.create ~n device;
-    pmemo = S.memo ();
-    ememo = S.memo ();
+    store;
+    pmemo = S.memo store;
+    ememo = S.memo store;
     dmemo = Hashtbl.create 16;
     word = S.word_outcome ();
     tm = { clock = 0.; ends_at = 0.; remaining = 0. };
@@ -178,7 +179,12 @@ let create ?(config = default_config) device =
 
 let config t = t.cfg
 let words t = t.cfg.sectors * t.cfg.words_per_sector
-let sector_of t ~addr = addr mod words t / t.cfg.words_per_sector
+(* [addr] wrapped into [0, words): [mod] keeps the sign *)
+let wrap t addr =
+  let a = addr mod words t in
+  if a < 0 then a + words t else a
+
+let sector_of t ~addr = wrap t addr / t.cfg.words_per_sector
 let now t = t.tm.clock
 
 let state_name t =
@@ -313,7 +319,7 @@ let[@inline] physics_failed t e =
 (* ---------- bus ---------- *)
 
 let sense_word t ~addr =
-  S.sense t.store ~base:(addr mod words t * t.cfg.word_bits) ~bits:t.cfg.word_bits
+  S.sense t.store ~base:(wrap t addr * t.cfg.word_bits) ~bits:t.cfg.word_bits
 
 let status_read t ~addr ~toggle6 =
   t.ms.status_reads <- t.ms.status_reads + 1;
@@ -338,7 +344,7 @@ let status_read t ~addr ~toggle6 =
 
 let read t ~addr =
   tick t;
-  let addr = addr mod words t in
+  let addr = wrap t addr in
   match t.op with
   | Some _ -> status_read t ~addr ~toggle6:true
   | None ->
@@ -415,7 +421,7 @@ let erase_chip_cells t =
 
 let write t ~addr ~data =
   tick t;
-  let addr = addr mod words t in
+  let addr = wrap t addr in
   let u1 = 0x555 mod words t and u2 = 0x2AA mod words t in
   match t.op with
   | Some kind when data = 0xB0 ->

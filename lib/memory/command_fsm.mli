@@ -120,7 +120,7 @@ val create : ?config:config -> Gnrflash_device.Fgt.t -> t
 val config : t -> config
 val words : t -> int
 (** Total word span ([sectors × words_per_sector]); addresses wrap
-    modulo this. *)
+    modulo this into [\[0, words)], negative ones included. *)
 
 val sector_of : t -> addr:int -> int
 

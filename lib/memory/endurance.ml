@@ -37,7 +37,7 @@ let cycle_cell ?(reliability = D.Reliability.default)
      settles, so a 1-cell store with per-pulse memos turns the long
      cycling run into O(1) replays after the first few solves *)
   let store = Cell_store.create ?surrogate ~n:1 device in
-  let pmemo = Cell_store.memo () and ememo = Cell_store.memo () in
+  let pmemo = Cell_store.memo store and ememo = Cell_store.memo store in
   let samples = ref [] in
   let failure = ref None in
   let survived = ref 0 in

@@ -230,13 +230,20 @@ let garbage_collect t =
     true
   end
 
+(* A typed int loop: [Array.blit] on a major-heap array runs the write
+   barrier once per element, which immediate ints do not need. *)
+let copy_ints (src : int array) (dst : int array) =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- src.(i)
+  done
+
 let overwrite dst src =
-  Array.blit src.pages 0 dst.pages 0 (Array.length dst.pages);
-  Array.blit src.mapping 0 dst.mapping 0 (Array.length dst.mapping);
-  Array.blit src.erase_counts 0 dst.erase_counts 0 (Array.length dst.erase_counts);
+  copy_ints src.pages dst.pages;
+  copy_ints src.mapping dst.mapping;
+  copy_ints src.erase_counts dst.erase_counts;
   Array.blit src.retired 0 dst.retired 0 (Array.length dst.retired);
-  Array.blit src.free_cnt 0 dst.free_cnt 0 (Array.length dst.free_cnt);
-  Array.blit src.invalid_cnt 0 dst.invalid_cnt 0 (Array.length dst.invalid_cnt);
+  copy_ints src.free_cnt dst.free_cnt;
+  copy_ints src.invalid_cnt dst.invalid_cnt;
   dst.wp_block <- src.wp_block;
   dst.wp_page <- src.wp_page;
   dst.host_writes <- src.host_writes;
@@ -463,4 +470,16 @@ module For_testing = struct
            row)
       pages;
     t
+
+  let columns t =
+    [
+      ("pages", Array.copy t.pages);
+      ("mapping", Array.copy t.mapping);
+      ("erase_counts", Array.copy t.erase_counts);
+      ("retired", Array.map Bool.to_int t.retired);
+      ("free_cnt", Array.copy t.free_cnt);
+      ("invalid_cnt", Array.copy t.invalid_cnt);
+      ( "scalars",
+        [| t.wp_block; t.wp_page; t.host_writes; t.device_writes; t.gc_runs; t.erases |] );
+    ]
 end

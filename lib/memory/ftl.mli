@@ -155,4 +155,9 @@ module For_testing : sig
       endurance limit.
       @raise Invalid_argument on dimension mismatch, negative erase
       counts, out-of-range or duplicate logical page numbers. *)
+
+  val columns : t -> (string * int array) list
+  (** A copy of every column of the handle, by name ([retired] as 0/1,
+      and the write point and counters as one ["scalars"] row), so a test
+      can compare whole states. *)
 end

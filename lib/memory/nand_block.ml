@@ -29,11 +29,12 @@ let create ?(ispp = D.Ispp.default) ?disturb device ~pages ~strings =
       D.Disturb.half_select ~vgs_program:ispp.D.Ispp.v_start
         ~pulse_width:ispp.D.Ispp.pulse_width
   in
+  let store = S.create ~n:(pages * strings) device in
   {
     pages;
     strings;
-    store = S.create ~n:(pages * strings) device;
-    ememo = S.memo ();
+    store;
+    ememo = S.memo store;
     ispp;
     disturb;
     stats =

@@ -33,10 +33,11 @@ type t = {
 
 let make ?(config = default_config) device ~cells =
   if cells < 1 then invalid_arg "Nor_array.make: cells < 1";
+  let store = S.create ~n:cells device in
   {
     config;
-    store = S.create ~n:cells device;
-    ememo = S.memo ();
+    store;
+    ememo = S.memo store;
     programs = 0;
     total_supply_charge = 0.;
   }

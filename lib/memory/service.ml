@@ -369,20 +369,25 @@ let exec_write s ~lpn ~data ~suspend =
       fold data.(i) s
     done
 
+(* [lpn] reduced into [0, logical_pages): [mod] keeps the sign *)
+let page_of s lpn =
+  let r = lpn mod logical_pages s in
+  if r < 0 then r + logical_pages s else r
+
 let exec s cmd =
   s.ops <- s.ops + 1;
   let t0 = Command_fsm.now s.fsm in
   (match cmd with
-   | Workload.Cmd_read { lpn } -> exec_read s ~lpn:(lpn mod logical_pages s)
+   | Workload.Cmd_read { lpn } -> exec_read s ~lpn:(page_of s lpn)
    | Workload.Cmd_trim { lpn } ->
-     let lpn = lpn mod logical_pages s in
+     let lpn = page_of s lpn in
      s.trims <- s.trims + 1;
      Ftl.trim_in_place s.ftl ~lpn;
      s.store.(lpn) <- -1;
      fold 4 s;
      fold lpn s
    | Workload.Cmd_write { lpn; data; suspend } ->
-     exec_write s ~lpn:(lpn mod logical_pages s) ~data ~suspend);
+     exec_write s ~lpn:(page_of s lpn) ~data ~suspend);
   record_latency s t0
 
 (* ---------- reporting ---------- *)

@@ -83,7 +83,7 @@ val ftl : t -> Ftl.t
 val exec : t -> Workload.host_cmd -> unit
 (** Run one host command to completion (the device is always ready
     again when this returns). Logical page numbers wrap modulo
-    {!logical_pages}. [Device_full] rejections are recorded, not raised.
+    {!logical_pages} into [0, logical_pages), negative ones included. [Device_full] rejections are recorded, not raised.
     @raise Failure on a service-level protocol violation (an FSM command
     rejected mid-mirror, or an FTL internal error escaping — the bugs
     the regression suite pins down).

@@ -146,7 +146,7 @@ let run_store ~fused c =
         })
     c.broken_at;
   let pp, ep = pulses c in
-  let pm = S.memo () and em = S.memo () in
+  let pm = S.memo s and em = S.memo s in
   let reset () = Array.iteri (fun i q -> S.set_qfg s i q) c.charges in
   let zero r = Result.map (fun () -> [ 0 ]) r in
   let out = S.word_outcome () in
@@ -469,7 +469,7 @@ let test_range_equals_per_cell_loop () =
   let run_range () =
     let s = S.create ~n:5 (fresh_device ()) in
     Array.iteri (fun i q -> S.set_qfg s i q) charges;
-    let m = S.memo () in
+    let m = S.memo s in
     check_ok "range"
       (S.apply_pulse_range s ~memo:m ~pulse:erase_pulse ~lo:0
          ~hi:4);
@@ -478,7 +478,7 @@ let test_range_equals_per_cell_loop () =
   let run_loop () =
     let s = S.create ~n:5 (fresh_device ()) in
     Array.iteri (fun i q -> S.set_qfg s i q) charges;
-    let m = S.memo () in
+    let m = S.memo s in
     for i = 0 to 4 do
       check_ok "at"
         (S.apply_pulse_at s ~memo:m ~pulse:erase_pulse i)
@@ -505,7 +505,7 @@ let test_range_stops_at_broken () =
       qfg = 0.;
       wear = { Rel.fluence = 0.; traps = 0.; cycles = 0; broken = true };
     };
-  let m = S.memo () in
+  let m = S.memo s in
   (match
      S.apply_pulse_range s ~memo:m ~pulse:erase_short ~lo:0
        ~hi:4
@@ -527,7 +527,7 @@ let test_memo_replays_distinct_charges () =
   S.set_qfg s 0 (-2e-16);
   S.set_qfg s 1 (-2e-16);
   S.set_qfg s 2 (-5e-16);
-  let m = S.memo () in
+  let m = S.memo s in
   for i = 0 to 2 do
     check_ok "pulse"
       (S.apply_pulse_at s ~memo:m ~pulse:erase_short i)
@@ -536,6 +536,143 @@ let test_memo_replays_distinct_charges () =
   check_true "same start, same wear" (same_f (S.fluence s 0) (S.fluence s 1));
   check_true "distinct start, distinct end" (not (same_f (S.qfg s 0) (S.qfg s 2)))
 
+(* ---------- charge ids ---------- *)
+
+module T = S.For_testing
+
+(* Every cell's id is its charge's (or 0, none yet), and the default
+   readout — the id's bit when it has one — is the division. *)
+let ids_consistent s =
+  List.for_all
+    (fun i ->
+      let c = T.charge_id s i in
+      (c = 0 || c = T.id_of_charge s (S.qfg s i))
+      && S.bit s i = (if S.dvt s i > 1.0 then 0 else 1)
+      && S.bit s i = S.bit ~dvt_threshold:1.0 s i)
+    (List.init (S.length s) Fun.id)
+
+type id_op =
+  | Pulse of int * bool (* apply_pulse_at, program (true) or erase pulse *)
+  | Id_word of int * int * int * int option
+  (* program_word: base, bits, data, under a fault plan of that seed *)
+  | Id_round of int * int (* erase_round over lo..hi *)
+  | Copy_q of int * int (* set_qfg i to cell j's charge *)
+  | Copy_cell of int * int (* set i to view j *)
+  | Worn of int (* set i's fluence past breakdown: its next pulse breaks it *)
+
+let prop_ids_consistent =
+  prop "charge ids match charges and readout" ~count:25
+    QCheck2.Gen.(
+      int_range 3 8 >>= fun n ->
+      let cell = int_range 0 (n - 1) in
+      let range = map2 (fun a b -> (min a b, max a b)) cell cell in
+      let gen_op =
+        frequency
+          [
+            (3, map2 (fun i p -> Pulse (i, p)) cell bool);
+            ( 3,
+              map3
+                (fun (lo, hi) data fault -> Id_word (lo, hi - lo + 1, data, fault))
+                range (int_bound 255)
+                (opt ~ratio:0.3 (int_range 0 1000)) );
+            (2, map (fun (lo, hi) -> Id_round (lo, hi)) range);
+            (2, map2 (fun i j -> Copy_q (i, j)) cell cell);
+            (1, map2 (fun i j -> Copy_cell (i, j)) cell cell);
+            (1, map (fun i -> Worn i) cell);
+          ]
+      in
+      pair bool (list_size (int_range 4 30) gen_op) >|= fun ops -> (n, ops))
+    (fun (n, (inbox, ops)) ->
+      let d = fresh_device () in
+      let s = S.create ~n d in
+      let pp, ep = if inbox then (prog_pulse, erase_pulse) else (prog_short, erase_short) in
+      let pm = S.memo s and em = S.memo s in
+      let out = S.word_outcome () in
+      let attempt f = try f () with S.Pulse_error _ -> () in
+      let step = function
+        | Pulse (i, prog) ->
+          ignore
+            (S.apply_pulse_at s ~memo:(if prog then pm else em)
+               ~pulse:(if prog then pp else ep) i)
+        | Id_word (base, bits, data, fault) ->
+          let go () =
+            attempt (fun () ->
+                S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses
+                  ~base ~bits ~data out)
+          in
+          (match fault with
+           | None -> go ()
+           | Some seed -> Fault.with_faults ~seed (Fault.Fail_every 30) go)
+        | Id_round (lo, hi) ->
+          attempt (fun () -> ignore (S.erase_round s ~memo:em ~pulse:ep ~lo ~hi))
+        | Copy_q (i, j) -> S.set_qfg s i (S.qfg s j)
+        | Copy_cell (i, j) -> S.set s i (S.view s j)
+        | Worn i ->
+          let c = S.view s i in
+          S.set s i
+            { c with Cell.wear = { c.Cell.wear with Rel.fluence = 1e30 } }
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          ids_consistent s)
+        ops)
+
+(* Ids compare charges by their full bits: q and -q, 0. and -0. are four
+   charges, not two. *)
+let test_ids_keep_sign () =
+  let charges = [| 1e-17; -1e-17; 0.; -0. |] in
+  let s = S.create ~n:4 (fresh_device ()) in
+  Array.iteri (S.set_qfg s) charges;
+  let m = S.memo s in
+  Array.iteri (fun i _ -> check_ok "pulse" (S.apply_pulse_at s ~memo:m ~pulse:prog_short i)) charges;
+  let ids = Array.map (T.id_of_charge s) charges in
+  Array.iter (fun c -> check_true "interned" (c > 0)) ids;
+  Alcotest.(check int) "four distinct ids" 4
+    (List.length (List.sort_uniq compare (Array.to_list ids)))
+
+(* Ids are store-local, so a memo bound to one store is refused by
+   every kernel of another. *)
+let test_foreign_memo_rejected () =
+  let d = fresh_device () in
+  let a = S.create ~n:4 d and b = S.create ~n:4 d in
+  let m = S.memo b in
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Cell_store: memo of another store") (fun () -> ignore (f ()))
+  in
+  refused "apply_pulse_at" (fun () -> S.apply_pulse_at a ~memo:m ~pulse:prog_short 0);
+  refused "program_verify" (fun () ->
+      S.program_verify a ~memo:m ~pulse:prog_short ~max_pulses:4 0);
+  refused "erase_round" (fun () -> S.erase_round a ~memo:m ~pulse:erase_short ~lo:0 ~hi:3);
+  refused "apply_pulse_range" (fun () ->
+      S.apply_pulse_range a ~memo:m ~pulse:erase_short ~lo:0 ~hi:3);
+  refused "program_word" (fun () ->
+      S.program_word a ~memo:m ~pulse:prog_short ~max_pulses:4 ~base:0 ~bits:4 ~data:0
+        (S.word_outcome ()));
+  Alcotest.(check int) "nothing pulsed" 0 (S.cycles a 0)
+
+(* Only an admitted (memoizable) outcome interns a charge: under a fault
+   plan, pulses from hundreds of fresh charges add no id. *)
+let test_ids_bounded_under_faults () =
+  let n = 8 in
+  let s = S.create ~n (fresh_device ()) in
+  let pm = S.memo s and em = S.memo s in
+  for i = 0 to n - 1 do
+    ignore (S.program_verify s ~memo:pm ~pulse:prog_short ~max_pulses:8 i)
+  done;
+  ignore (S.erase_round s ~memo:em ~pulse:erase_short ~lo:0 ~hi:(n - 1));
+  let warm = T.ids s in
+  check_true "clean pulses interned" (warm > 0);
+  Fault.with_faults ~seed:7 (Fault.Fail_every 30) (fun () ->
+      for k = 1 to 300 do
+        let i = k mod n in
+        S.set_qfg s i (-1e-20 *. float_of_int k);
+        ignore (S.apply_pulse_at s ~memo:(if k mod 2 = 0 then pm else em)
+                  ~pulse:(if k mod 2 = 0 then prog_short else erase_short) i)
+      done);
+  Alcotest.(check int) "no id added under the fault plan" warm (T.ids s);
+  check_true "ids consistent" (ids_consistent s)
 
 (* The seed word program on a bare store: per target-0 bit, pulse while
    it reads 1; a failed pulse restores that bit's pre-program cell and
@@ -579,7 +716,7 @@ let prop_fsm_restores_on_error =
       let bits = cfg.C.word_bits in
       let n = cfg.C.words_per_sector * bits in
       let s = S.create ~n (fresh_device ()) in
-      let m = S.memo () in
+      let m = S.memo s in
       let fsm_err =
         Fault.with_faults ~seed (Fault.Fail_every 30) (fun () ->
             let w a d = ignore (C.write fsm ~addr:a ~data:d) in
@@ -639,7 +776,7 @@ let test_memo_hits_allocate_nothing () =
       S.set s i start.(i)
     done
   in
-  let pm = S.memo () and em = S.memo () in
+  let pm = S.memo s and em = S.memo s in
   let at () =
     for i = 0 to n - 1 do
       ignore (S.apply_pulse_at s ~memo:em ~pulse:erase_short i)
@@ -696,6 +833,10 @@ let () =
           case "range = per-cell loop" test_range_equals_per_cell_loop;
           case "range stops at broken cell" test_range_stops_at_broken;
           case "memo keys per distinct charge" test_memo_replays_distinct_charges;
+          case "ids keep the sign" test_ids_keep_sign;
+          case "foreign memo rejected" test_foreign_memo_rejected;
+          case "ids bounded under a fault plan" test_ids_bounded_under_faults;
+          prop_ids_consistent;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;
           prop_kernels;

@@ -73,6 +73,20 @@ let test_word_program_roundtrip () =
   check_true "pulses spent" (s.C.program_pulses > 0);
   Alcotest.(check int) "no timeouts" 0 s.C.verify_timeouts
 
+(* A negative bus address wraps into [0, words) like a large one: -1 is
+   the last word (7 of 8) for program, read, sense and sector lookup. *)
+let test_negative_address_wraps () =
+  let t = mk () and ref_ = mk () in
+  program t ~addr:(-1) ~data:0b01010;
+  program ref_ ~addr:7 ~data:0b01010;
+  Alcotest.(check int) "same cells as addr 7" (C.state_digest ref_)
+    (C.state_digest t);
+  Alcotest.(check int) "read -1" 0b01010 (word_at t ~addr:(-1));
+  Alcotest.(check int) "read 7" 0b01010 (word_at t ~addr:7);
+  Alcotest.(check int) "sense -9" 0b01010 (C.sense_word t ~addr:(-9));
+  Alcotest.(check int) "sector of -1" 1 (C.sector_of t ~addr:(-1));
+  Alcotest.(check int) "sector of -5" 0 (C.sector_of t ~addr:(-5))
+
 let test_busy_status_and_rejection () =
   let t = mk () in
   issue_program t ~addr:0 ~data:0;
@@ -425,6 +439,7 @@ let () =
         [
           case "fresh device" test_fresh_device;
           case "word program roundtrip" test_word_program_roundtrip;
+          case "negative address wraps" test_negative_address_wraps;
           case "busy status and rejection" test_busy_status_and_rejection;
           case "model time advances" test_model_time_advances;
           case "AND semantics need erase" test_and_semantics_need_erase;

@@ -209,12 +209,17 @@ let test_device_full_rolls_back_gc () =
   in
   let mapping t = List.init (F.logical_capacity t) (fun lpn -> F.read t ~lpn) in
   let before = (F.stats t, mapping t, F.free_pages t, F.check_invariants t) in
+  let columns = F.For_testing.columns t in
   (match F.write_in_place t ~lpn:16 with
    | Error F.Device_full -> ()
    | Error e -> Alcotest.failf "wrong error: %s" (F.error_to_string e)
    | Ok () -> Alcotest.fail "write accepted with every reclaimed block retired");
   check_true "stats, mapping and free pages restored"
     (before = (F.stats t, mapping t, F.free_pages t, F.check_invariants t));
+  List.iter2
+    (fun (name, was) (_, now) ->
+      Alcotest.(check (array int)) (name ^ " restored") was now)
+    columns (F.For_testing.columns t);
   check_true "journal empty" (F.take_journal t = []);
   Alcotest.(check int) "erase counts untouched" 4 (F.stats t).F.erases;
   Alcotest.(check int) "no block retired" 0 (F.stats t).F.retired_blocks

@@ -116,6 +116,29 @@ let test_exec_single_commands () =
   Alcotest.(check int) "one trim" 1 r.S.trims;
   Alcotest.(check int) "clean" 0 r.S.read_mismatches
 
+(* A negative logical page wraps into [0, logical_pages) like a large
+   one: -1 and -22 are page 20 of 21, for writes, reads and trims
+   alike, so the run is the one that names page 20 directly. *)
+let test_negative_lpn_wraps () =
+  let run lpns =
+    let s = mk () in
+    List.iter
+      (fun lpn ->
+        S.exec s (W.Cmd_write { lpn; data = [| 1; 0; 0; 1 |]; suspend = false });
+        S.exec s (W.Cmd_read { lpn });
+        S.exec s (W.Cmd_trim { lpn });
+        S.exec s (W.Cmd_read { lpn }))
+      lpns;
+    S.report s
+  in
+  let neg = run [ -1; -22 ] and pos = run [ 20; 20 ] in
+  Alcotest.(check int) "two writes" 2 neg.S.writes;
+  Alcotest.(check int) "two hits" 2 neg.S.read_hits;
+  Alcotest.(check int) "clean" 0 neg.S.read_mismatches;
+  Alcotest.(check int) "no op lost" 0 neg.S.lost_ops;
+  Alcotest.(check int) "trace digest" pos.S.trace_digest neg.S.trace_digest;
+  Alcotest.(check int) "state digest" pos.S.state_digest neg.S.state_digest
+
 (* Data is packed before the FTL sees the write, so a non-bit entry is
    rejected with nothing written. *)
 let test_rejects_non_bit_data () =
@@ -194,6 +217,7 @@ let () =
           case "suspend exercised" test_suspend_exercised;
           case "device full accounted" test_device_full_is_accounted;
           case "single commands" test_exec_single_commands;
+          case "negative lpn wraps" test_negative_lpn_wraps;
           case "non-bit data rejected" test_rejects_non_bit_data;
           case "disturb feedback threaded" test_disturb_feedback_threaded;
           case "warm read allocation" test_warm_read_allocation;
