@@ -143,28 +143,21 @@ let print_ablations () =
     (* peak field occurs at each segment start, before charge accumulates *)
     let q = ref 0. and peak = ref 0. in
     List.iter
-      (fun (s : Gnrflash_memory.Waveform.segment) ->
-         if s.Gnrflash_memory.Waveform.vgs <> 0. then begin
+      (fun (vgs, duration) ->
+         if vgs <> 0. then begin
            peak :=
              max !peak
-               (abs_float
-                  (Gnrflash_device.Fgt.tunnel_field device
-                     ~vgs:s.Gnrflash_memory.Waveform.vgs ~qfg:!q));
-           match
-             Gnrflash_device.Transient.run ~qfg0:!q device
-               ~vgs:s.Gnrflash_memory.Waveform.vgs
-               ~duration:s.Gnrflash_memory.Waveform.duration
-           with
+               (abs_float (Gnrflash_device.Fgt.tunnel_field device ~vgs ~qfg:!q));
+           match Gnrflash_device.Transient.run ~qfg0:!q device ~vgs ~duration with
            | Ok r -> q := r.Gnrflash_device.Transient.qfg_final
            | Error _ -> ()
          end)
       segments;
     (!peak, Gnrflash_device.Fgt.threshold_shift device ~qfg:!q)
   in
-  let square = [ { Gnrflash_memory.Waveform.vgs = 15.; duration = 100e-6 } ] in
-  let ramp =
-    Gnrflash_memory.Waveform.staircase ~v0:11. ~step:0.5 ~width:(100e-6 /. 9.) ~count:9
-  in
+  (* (vgs, duration) segments *)
+  let square = [ (15., 100e-6) ] in
+  let ramp = List.init 9 (fun i -> (11. +. (float_of_int i *. 0.5), 100e-6 /. 9.)) in
   let peak_sq, dvt_sq = peak_field_of square in
   let peak_rp, dvt_rp = peak_field_of ramp in
   Printf.printf "  square 15 V/100 us: peak field %.1f MV/cm, dVT = %.2f V\n"
@@ -198,18 +191,6 @@ let print_ablations () =
          (if Float.is_finite time then Printf.sprintf "%.3e s" time else ">100 years"))
     bake_rows;
   Printf.printf "  extracted Ea = %.3f eV (model: 0.300 eV)\n" ea;
-  hr "Ext N: weibull oxide reliability";
-  let module Rs = Gnrflash_device.Reliability_stats in
-  let w = { Rs.beta = 2.0; eta = 630. } in
-  let qs = Rs.sample ~seed:2014 w ~n:2000 in
-  (match Rs.fit qs with
-   | Ok (fitted, r2) ->
-     Printf.printf "  2000-device Q_BD sample: fitted beta=%.2f eta=%.0f C/m^2 (R^2=%.4f)\n"
-       fitted.Rs.beta fitted.Rs.eta r2
-   | Error e -> Printf.printf "  fit failed: %s\n" e);
-  Printf.printf "  100-ppm endurance at 0.08 C/m^2 per cycle: %.0f cycles\n"
-    (Rs.population_endurance ~seed:2014 w ~charge_per_cycle_per_area:0.08 ~n:100_000
-       ~ppm_target:100.);
   hr "System: process variation";
   let module V = Gnrflash_device.Variation in
   let base = Gnrflash.Params.device () in
@@ -1075,8 +1056,8 @@ let print_service s =
      else Printf.sprintf "  BELOW FLOOR %.0f" svc_ops_per_s_floor);
   Printf.printf "  minor alloc      %.0f words/op (budget %.0f)  %s\n"
     s.svc_alloc_words_per_op svc_alloc_budget
-    (if (not s.svc_perf_gated) || s.svc_alloc_words_per_op <= svc_alloc_budget
-     then "ok"
+    (if not s.svc_perf_gated then "not gated (--quick)"
+     else if s.svc_alloc_words_per_op <= svc_alloc_budget then "ok"
      else "OVER BUDGET");
   Printf.printf "  latency p50/p95/p99  %.3e / %.3e / %.3e s (model)\n"
     s.svc_p50 s.svc_p95 s.svc_p99;

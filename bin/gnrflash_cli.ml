@@ -52,7 +52,7 @@ module Telemetry = Gnrflash.Telemetry
 let stats_arg =
   let doc =
     "Collect solver telemetry (ODE steps, RHS/root-finder evaluations, \
-     lookup-table hits, span timings) and print a snapshot after the run; \
+     span timings) and print a snapshot after the run; \
      $(docv) is 'text' or 'json'."
   in
   Arg.(value

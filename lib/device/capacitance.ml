@@ -45,14 +45,10 @@ let parallel_plate_q ~eps_r ~area ~thickness =
   if U.(thickness <=@ zero) then invalid_arg "Capacitance.parallel_plate: thickness <= 0";
   (* no [U.(...)] open here: it would shadow the [area] argument with [U.area] *)
   if U.( <=@ ) area U.zero then invalid_arg "Capacitance.parallel_plate: area <= 0";
-  (* ε₀·εᵣ·A/t evaluated in the historical factor order so the raw shim is
-     bit-identical; the F·m intermediate of (ε₀εᵣ)·A has no name in the
-     per-algebra, so this is a sanctioned boundary computation. *)
+  (* ε₀·εᵣ·A/t evaluated in the historical factor order so derived
+     capacitances keep their bits; the F·m intermediate of (ε₀εᵣ)·A has no
+     name in the per-algebra, so this is a sanctioned boundary computation. *)
   U.farad (C.eps0 *. eps_r *. U.to_float area /. U.to_float thickness)
-
-let parallel_plate ~eps_r ~area ~thickness =
-  U.to_float
-    (parallel_plate_q ~eps_r ~area:(U.square_metre area) ~thickness:(U.metre thickness))
 
 let with_quantum_capacitance_q t ~cq =
   if U.(cq <=@ zero) then invalid_arg "Capacitance.with_quantum_capacitance: cq <= 0";

@@ -58,9 +58,6 @@ val parallel_plate_q :
     distinction is where the type layer pays off: swapping them no longer
     type-checks. *)
 
-val parallel_plate : eps_r:float -> area:float -> thickness:float -> float
-(** Raw shim over {!parallel_plate_q}. *)
-
 val with_quantum_capacitance_q :
   t -> cq:Gnrflash_units.farad Gnrflash_units.qty -> t
 (** Ext E: the MLGNR floating gate's quantum capacitance [cq] in series

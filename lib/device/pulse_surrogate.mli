@@ -8,10 +8,9 @@
     {v qfg' = Q(T(qfg) + duration)     where T = Q⁻¹ v}
 
     A table stores the accepted-step samples of that single trajectory as a
-    pair of monotone PCHIP interpolants ([t_of_q] and [q_of_t], the pattern
-    of {!Gnrflash_quantum.Lookup} lifted from J(E) curves to whole pulse
-    responses), so an in-domain query is two O(log n) interpolant
-    evaluations instead of an adaptive ODE integration.
+    pair of monotone PCHIP interpolants ([t_of_q] and [q_of_t]), so an
+    in-domain query is two O(log n) interpolant evaluations instead of an
+    adaptive ODE integration.
 
     {b Certification contract.} [build] holds out every other accepted
     sample: knots come from the even-indexed samples, and the odd-indexed

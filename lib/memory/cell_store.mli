@@ -1,6 +1,5 @@
 (** Struct-of-arrays cell population: the allocation-free backing store
-    for {!Command_fsm}, {!Nor_array}, {!Nand_block} and the endurance
-    paths.
+    for {!Command_fsm}, {!Nand_block} and the endurance paths.
 
     The paper models the array as a uniform population of identical
     floating-gate cells distinguished only by stored charge and wear

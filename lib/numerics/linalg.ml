@@ -124,12 +124,6 @@ let solve_tridiag ~sub ~diag ~sup rhs =
     end
   end
 
-let lstsq a b =
-  let at = transpose a in
-  let ata = mat_mul at a in
-  let atb = mat_vec at b in
-  solve ata atb
-
 type cmat2 = {
   a : Complex.t; b : Complex.t;
   c : Complex.t; d : Complex.t;

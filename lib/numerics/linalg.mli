@@ -44,10 +44,6 @@ val solve_tridiag :
 (** [solve_tridiag ~sub ~diag ~sup rhs] solves a tridiagonal system with the
     Thomas algorithm. [sub.(0)] and [sup.(n-1)] are ignored. *)
 
-val lstsq : float array array -> float array -> (float array, string) result
-(** [lstsq a b] is the least-squares solution of the overdetermined system
-    [a x ~ b] via the normal equations. *)
-
 (** {1 Complex 2x2 matrices} (for transfer-matrix tunneling calculations) *)
 
 type cmat2 = {

@@ -32,8 +32,12 @@ let test_of_gcr_validation () =
 
 let test_parallel_plate () =
   (* SiO2 32x32nm at 10 nm -> eps0*3.9*1.024e-15/1e-8 ~ 3.536e-18 F *)
-  let c = Cap.parallel_plate ~eps_r:3.9 ~area:(32e-9 *. 32e-9) ~thickness:10e-9 in
-  check_close ~tol:1e-3 "paper-scale CFC" 3.536e-18 c
+  let c =
+    Cap.parallel_plate_q ~eps_r:3.9
+      ~area:(Gnrflash_units.square_metre (32e-9 *. 32e-9))
+      ~thickness:(Gnrflash_units.metre 10e-9)
+  in
+  check_close ~tol:1e-3 "paper-scale CFC" 3.536e-18 (Gnrflash_units.to_float c)
 
 let test_quantum_capacitance_series () =
   (* Cq in series with CFC lowers the coupling; Cq -> inf recovers it *)

@@ -60,14 +60,6 @@ let test_solve_tridiag () =
   check_close ~tol:1e-12 "row1" 4. (x.(0) +. (2. *. x.(1)) +. x.(2));
   check_close ~tol:1e-12 "row2" 3. (x.(1) +. (2. *. x.(2)))
 
-let test_lstsq_exact () =
-  (* overdetermined but consistent: y = 2x + 1 at 4 points *)
-  let a = [| [| 1.; 0. |]; [| 1.; 1. |]; [| 1.; 2. |]; [| 1.; 3. |] |] in
-  let b = [| 1.; 3.; 5.; 7. |] in
-  let x = check_ok "lstsq" (L.lstsq a b) in
-  check_close ~tol:1e-10 "intercept" 1. x.(0);
-  check_close ~tol:1e-10 "slope" 2. x.(1)
-
 let test_cmat2 () =
   let open Complex in
   let m = { L.a = one; b = i; c = zero; d = one } in
@@ -118,7 +110,6 @@ let () =
           case "solve needs pivoting" test_solve_pivoting;
           case "solve singular" test_solve_singular;
           case "tridiagonal" test_solve_tridiag;
-          case "least squares exact" test_lstsq_exact;
           case "complex 2x2 multiply" test_cmat2;
           case "complex 2x2 identity" test_cmat2_identity;
           prop_solve_roundtrip;

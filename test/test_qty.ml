@@ -105,17 +105,6 @@ let prop_capacitance =
       bits (Cap.total raw) = bits (U.to_float (Cap.total_q typed))
       && bits (Cap.gcr raw) = bits (Cap.gcr typed))
 
-let prop_parallel_plate =
-  prop "Capacitance.parallel_plate_q bit-identical"
-    QCheck2.Gen.(triple (float_range 1. 25.) (float_range 1e-16 1e-13)
-                   (float_range 1e-9 50e-9))
-    (fun (eps_r, area, thickness) ->
-      bits (Cap.parallel_plate ~eps_r ~area ~thickness)
-      = bits
-          (U.to_float
-             (Cap.parallel_plate_q ~eps_r ~area:(U.square_metre area)
-                ~thickness:(U.metre thickness))))
-
 let gen_bias =
   QCheck2.Gen.(pair (float_range (-20.) 20.) (float_range (-2e-16) 2e-16))
 
@@ -182,7 +171,6 @@ let () =
           prop_fn_current_density;
           prop_fn_current_from_voltages;
           prop_capacitance;
-          prop_parallel_plate;
           prop_fgt_potentials;
           prop_fgt_charge_balance;
           prop_fgt_threshold;
