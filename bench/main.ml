@@ -1087,9 +1087,13 @@ module Lint = Gnrflash_lint_engine.Lint_engine
 (* The bench doubles as a CI gate for gnrflash-lint: record the rule
    counts in BENCH_telemetry.json and fail the run if any unsuppressed
    finding exists, so a lint regression cannot ship silently. *)
+(* The default config's L14 roots are bin/, bench/, examples/ and
+   perfbench/; their .cmts come from their @check aliases, not from
+   building this executable. *)
 let run_lint () =
   hr "Static analysis (gnrflash-lint over lib/)";
-  let report = Lint.run ~root:(Lint.locate_root ()) ~subdir:"lib" () in
+  let config = Lint.default_config in
+  let report = Lint.run ~config ~root:(Lint.locate_root ()) ~subdir:"lib" () in
   let unsuppressed = Lint.unsuppressed report in
   let suppressed = Lint.suppressed report in
   List.iter
@@ -1100,6 +1104,13 @@ let run_lint () =
     (List.length Lint.all_rules)
     (List.length report.Lint.findings)
     (List.length suppressed);
+  if report.Lint.roots_scanned = 0 then
+    Printf.printf
+      "  L14 skipped: no .cmt under %s (run `dune build @check` first)\n"
+      (String.concat ", " config.Lint.roots)
+  else
+    Printf.printf "  L14 roots: %d module(s) under %s\n" report.Lint.roots_scanned
+      (String.concat ", " config.Lint.roots);
   List.iter
     (fun (r, unsup, sup) ->
       if unsup + sup > 0 then
@@ -1216,9 +1227,9 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
   Buffer.add_char b '}';
   Buffer.add_string b
     (Printf.sprintf
-       ",\"lint\":{\"rules_checked\":%d,\"findings\":%d,\"suppressed\":%d,\
-        \"by_rule\":{%s}}"
-       (List.length Lint.all_rules)
+       ",\"lint\":{\"rules_checked\":%d,\"roots_scanned\":%d,\"findings\":%d,\
+        \"suppressed\":%d,\"by_rule\":{%s}}"
+       (List.length Lint.all_rules) lint.Lint.roots_scanned
        (List.length lint.Lint.findings)
        (List.length (Lint.suppressed lint))
        (String.concat ","

@@ -191,14 +191,6 @@ let run ~helpers ~nchunks work =
     end
   end
 
-let size () =
-  let st = !state in
-  Mutex.protect st.mutex (fun () -> st.size)
-
-let busy () =
-  let st = !state in
-  Mutex.protect st.mutex (fun () -> st.busy)
-
 let quiesce () =
   let st = !state in
   Mutex.lock st.mutex;
@@ -221,3 +213,9 @@ let quiesce () =
 let reset_after_fork () =
   state := make_state ();
   Atomic.set spawned_total 0
+
+module For_testing = struct
+  let size () =
+    let st = !state in
+    Mutex.protect st.mutex (fun () -> st.size)
+end

@@ -20,13 +20,6 @@ val spawned : unit -> int
 (** Total domains spawned by this pool in this process — the bench's
     parallel-overhead budget (delta across a sweep must be [<= jobs]). *)
 
-val size : unit -> int
-(** Current number of live pool domains. *)
-
-val busy : unit -> bool
-(** Whether a task is currently submitted (used by {!Shard} to refuse to
-    fork mid-task). *)
-
 val max_workers : int
 (** Hard cap on pool domains, leaving headroom under OCaml's domain
     limit. *)
@@ -41,3 +34,9 @@ val quiesce : unit -> bool
 val reset_after_fork : unit -> unit
 (** In a freshly forked child: discard inherited pool bookkeeping (the
     parent's domains do not exist here) and zero the spawn counter. *)
+
+module For_testing : sig
+  val size : unit -> int
+  (** Current number of live pool domains (0 until the first parallel
+      sweep; the pool persists afterwards). *)
+end

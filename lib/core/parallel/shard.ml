@@ -28,8 +28,6 @@ type 'b payload =
 
 (* Set (only) in forked children, before the slice runs. *)
 let worker_slot : int option ref = ref None
-let in_worker () = Option.is_some !worker_slot
-let worker_index () = !worker_slot
 
 let shard_seed ~seed ~shard = Gnrflash_prng.Splitmix.hash ~seed ~index:shard
 
@@ -260,3 +258,8 @@ let run ~shards ~n ~run_slice =
       children;
     Array.concat (Array.to_list parts)
   end
+
+module For_testing = struct
+  let in_worker () = Option.is_some !worker_slot
+  let worker_index () = !worker_slot
+end

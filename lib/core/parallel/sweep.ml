@@ -18,7 +18,6 @@ let default_jobs () = Atomic.get default_jobs_cell
 let splitmix = Gnrflash_prng.Splitmix.hash
 
 let pool_spawned = Pool.spawned
-let pool_size = Pool.size
 
 let resolve_jobs = function
   | None -> default_jobs ()

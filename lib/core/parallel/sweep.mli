@@ -77,10 +77,6 @@ val pool_spawned : unit -> int
     parallel-overhead budget: the delta across any one sweep must be
     [<= jobs]. *)
 
-val pool_size : unit -> int
-(** Current number of live pool domains (0 until the first parallel
-    sweep; the pool persists afterwards). *)
-
 val map :
   ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
   ('a -> 'b) -> 'a array -> 'b array

@@ -3,7 +3,6 @@ let m_ox_rel = 0.42
 let gcr_values = [ 0.45; 0.50; 0.55; 0.60 ]
 let xto_values_nm = [ 5.; 6.; 7.; 8.; 9. ]
 let xto_default_nm = 5.
-let xco_default_nm = 10.
 let gcr_default = 0.6
 let vgs_program = 15.
 let vgs_program_range = (8., 17.)

@@ -16,12 +16,6 @@ val xto_values_nm : float list
 val xto_default_nm : float
 (** 5 nm (paper Fig 8 caption: "XTO = 5"). *)
 
-val xco_default_nm : float
-(** Control-oxide thickness, 10 nm — the paper states only that the
-    control oxide is "always greater than the tunnel oxide"; 10 nm makes
-    the worked example (Jout across 6 V / thicker oxide) come out as
-    drawn. *)
-
 val gcr_default : float
 (** 0.6, the worked example's value. *)
 

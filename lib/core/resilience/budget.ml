@@ -21,7 +21,6 @@ let make ?wall_ms ?max_evals () =
     started;
   }
 
-let evals t = Atomic.get t.evals
 let elapsed_s t = now () -. t.started
 
 let exhausted t =
@@ -42,8 +41,6 @@ let with_budget t f =
 
 let with_opt opt f =
   match opt with None -> f () | Some t -> with_budget t f
-
-let current () = Atomic.get slot
 
 let note_evals n =
   match Atomic.get slot with
@@ -66,3 +63,8 @@ let check_exn ~solver () =
   | None -> ()
   | Some t ->
     if exhausted t then raise (Solver_error.Solver_failure (error t ~solver))
+
+module For_testing = struct
+  let evals t = Atomic.get t.evals
+  let current () = Atomic.get slot
+end

@@ -15,9 +15,6 @@ val make : ?wall_ms:float -> ?max_evals:int -> unit -> t
 (** [make ~wall_ms ~max_evals ()] starts the wall clock now. Omitted limits
     are unconstrained. *)
 
-val evals : t -> int
-(** Function evaluations charged so far. *)
-
 val elapsed_s : t -> float
 
 val exhausted : t -> bool
@@ -28,8 +25,6 @@ val with_budget : t -> (unit -> 'a) -> 'a
 
 val with_opt : t option -> (unit -> 'a) -> 'a
 (** [with_opt None f] runs [f] with the ambient budget untouched. *)
-
-val current : unit -> t option
 
 val note_evals : int -> unit
 (** Charge n evaluations against the ambient budget (no-op without one). *)
@@ -42,3 +37,12 @@ val check : solver:string -> unit -> (unit, Solver_error.t) result
 val check_exn : solver:string -> unit -> unit
 (** Like {!check} but raises [Solver_error.Solver_failure] — for solvers
     that cannot return a [result] mid-iteration (e.g. quadrature). *)
+
+(** Observers for tests. *)
+module For_testing : sig
+  val evals : t -> int
+  (** Function evaluations charged so far. *)
+
+  val current : unit -> t option
+  (** The ambient budget, if one is installed. *)
+end

@@ -13,17 +13,6 @@ type plan = {
 
 let slot : plan option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let with_faults ?(seed = 0) ?limit mode f =
-  (match mode with
-  | Fail_every n | Nan_every n ->
-    if n < 1 then invalid_arg "Fault.with_faults: rate < 1");
-  let prev = Domain.DLS.get slot in
-  Domain.DLS.set slot (Some { mode; seed; limit; evals = 0; fired = 0 });
-  Fun.protect ~finally:(fun () -> Domain.DLS.set slot prev) f
-
-let injected () =
-  match Domain.DLS.get slot with None -> 0 | Some p -> p.fired
-
 let active () = Option.is_some (Domain.DLS.get slot)
 
 let outcome () =
@@ -45,3 +34,16 @@ let outcome () =
         Tel.count "resilience/fault_injected";
         match p.mode with Fail_every _ -> `Fail i | Nan_every _ -> `Nan
       end
+
+module For_testing = struct
+  let with_faults ?(seed = 0) ?limit mode f =
+    (match mode with
+    | Fail_every n | Nan_every n ->
+      if n < 1 then invalid_arg "Fault.with_faults: rate < 1");
+    let prev = Domain.DLS.get slot in
+    Domain.DLS.set slot (Some { mode; seed; limit; evals = 0; fired = 0 });
+    Fun.protect ~finally:(fun () -> Domain.DLS.set slot prev) f
+
+  let injected () =
+    match Domain.DLS.get slot with None -> 0 | Some p -> p.fired
+end

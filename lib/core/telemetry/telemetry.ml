@@ -179,30 +179,6 @@ let span name f =
 let read_both f =
   Mutex.protect merged_mutex (fun () -> f merged (local ()))
 
-let counter name =
-  let get s = match Hashtbl.find_opt s.sink_counters name with Some r -> !r | None -> 0 in
-  read_both (fun m l -> get m + get l)
-
-(* Sum of every counter whose path is [name] or ends in "/name"; lets callers
-   ask for e.g. "ode/rhs_eval" regardless of which span recorded it. *)
-let counter_total name =
-  let suffix = "/" ^ name in
-  let total s =
-    Hashtbl.fold
-      (fun key r acc ->
-         if key = name || String.ends_with ~suffix key then acc + !r else acc)
-      s.sink_counters 0
-  in
-  read_both (fun m l -> total m + total l)
-
-let span_stat name =
-  read_both (fun m l ->
-      match Hashtbl.find_opt m.sink_spans name, Hashtbl.find_opt l.sink_spans name with
-      | None, None -> None
-      | Some r, None | None, Some r -> Some !r
-      | Some a, Some b ->
-        Some { calls = !a.calls + !b.calls; total_s = !a.total_s +. !b.total_s })
-
 let snapshot () : snapshot =
   read_both (fun m l ->
       let view = make_sink () in
@@ -414,3 +390,32 @@ let snapshot_of_json text =
   with
   | Parse_error msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
   | Failure msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
+
+module For_testing = struct
+  let gauge = gauge
+  let snapshot_of_json = snapshot_of_json
+
+  let counter name =
+    let get s = match Hashtbl.find_opt s.sink_counters name with Some r -> !r | None -> 0 in
+    read_both (fun m l -> get m + get l)
+
+  (* Sum of every counter whose path is [name] or ends in "/name"; lets callers
+     ask for e.g. "ode/rhs_eval" regardless of which span recorded it. *)
+  let counter_total name =
+    let suffix = "/" ^ name in
+    let total s =
+      Hashtbl.fold
+        (fun key r acc ->
+           if key = name || String.ends_with ~suffix key then acc + !r else acc)
+        s.sink_counters 0
+    in
+    read_both (fun m l -> total m + total l)
+
+  let span_stat name =
+    read_both (fun m l ->
+        match Hashtbl.find_opt m.sink_spans name, Hashtbl.find_opt l.sink_spans name with
+        | None, None -> None
+        | Some r, None | None, Some r -> Some !r
+        | Some a, Some b ->
+          Some { calls = !a.calls + !b.calls; total_s = !a.total_s +. !b.total_s })
+end

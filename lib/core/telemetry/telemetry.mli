@@ -58,9 +58,6 @@ val count : ?n:int -> string -> unit
 (** Increment a monotonic counter by [n] (default 1; non-positive [n] is
     ignored), keyed under the current span context. No-op while disabled. *)
 
-val gauge : string -> float -> unit
-(** Record a last-writer-wins value, keyed under the current context. *)
-
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] times [f ()] and attributes everything recorded inside
     it to [context/name]. Exceptions propagate; the time still counts.
@@ -75,14 +72,6 @@ val with_context_prefix : string -> (unit -> 'a) -> 'a
 
 (** {1 Reading} *)
 
-val counter : string -> int
-(** Exact-key counter lookup (0 if absent). *)
-
-val counter_total : string -> int
-(** Sum of every counter whose path is [name] or ends in ["/" ^ name] —
-    e.g. ["ode/rhs_eval"] regardless of which span recorded it. *)
-
-val span_stat : string -> span_stat option
 val snapshot : unit -> snapshot
 
 (** {1 Rendering} *)
@@ -90,5 +79,21 @@ val snapshot : unit -> snapshot
 val render_text : snapshot -> string
 val render_json : snapshot -> string
 
-val snapshot_of_json : string -> (snapshot, string) result
-(** Parse the output of {!render_json} back (round-trip reader). *)
+(** Point lookups, a gauge writer and the JSON reader for tests; programs
+    read a {!snapshot} and no solver records a gauge. *)
+module For_testing : sig
+  val gauge : string -> float -> unit
+  (** Record a last-writer-wins value, keyed under the current context. *)
+
+  val snapshot_of_json : string -> (snapshot, string) result
+  (** Parse the output of {!render_json} back (round-trip reader). *)
+
+  val counter : string -> int
+  (** Exact-key counter lookup (0 if absent). *)
+
+  val counter_total : string -> int
+  (** Sum of every counter whose path is [name] or ends in ["/" ^ name] —
+      e.g. ["ode/rhs_eval"] regardless of which span recorded it. *)
+
+  val span_stat : string -> span_stat option
+end

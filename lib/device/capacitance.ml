@@ -25,9 +25,6 @@ let make_q ~cfc ~cfs ~cfb ~cfd =
     cfd = U.to_float cfd;
   }
 
-let make ~cfc ~cfs ~cfb ~cfd =
-  make_q ~cfc:(U.farad cfc) ~cfs:(U.farad cfs) ~cfb:(U.farad cfb) ~cfd:(U.farad cfd)
-
 let total_q t = U.(cfc_qty t +@ cfs_qty t +@ cfb_qty t +@ cfd_qty t)
 let total t = U.to_float (total_q t)
 
@@ -38,8 +35,6 @@ let of_gcr_q ~gcr ~cfc =
   if U.(cfc <=@ zero) then invalid_arg "Capacitance.of_gcr: cfc <= 0";
   let rest = U.scale ((1. /. gcr) -. 1.) cfc in
   make_q ~cfc ~cfs:(U.scale 0.25 rest) ~cfb:(U.scale 0.5 rest) ~cfd:(U.scale 0.25 rest)
-
-let of_gcr ~gcr ~cfc = of_gcr_q ~gcr ~cfc:(U.farad cfc)
 
 let parallel_plate_q ~eps_r ~area ~thickness =
   if U.(thickness <=@ zero) then invalid_arg "Capacitance.parallel_plate: thickness <= 0";
@@ -58,3 +53,10 @@ let with_quantum_capacitance_q t ~cq =
   { t with cfc = t.cfc *. cq /. (t.cfc +. cq) }
 
 let with_quantum_capacitance t ~cq = with_quantum_capacitance_q t ~cq:(U.farad cq)
+
+module For_testing = struct
+  let make ~cfc ~cfs ~cfb ~cfd =
+    make_q ~cfc:(U.farad cfc) ~cfs:(U.farad cfs) ~cfb:(U.farad cfb) ~cfd:(U.farad cfd)
+
+  let of_gcr ~gcr ~cfc = of_gcr_q ~gcr ~cfc:(U.farad cfc)
+end

@@ -26,9 +26,6 @@ val make_q :
 (** Build a network from typed capacitances. @raise Invalid_argument on a
     negative component or a zero total. *)
 
-val make : cfc:float -> cfs:float -> cfb:float -> cfd:float -> t
-(** Raw shim over {!make_q}. *)
-
 val total_q : t -> Gnrflash_units.farad Gnrflash_units.qty
 (** Equation (2). *)
 
@@ -45,9 +42,6 @@ val of_gcr_q : gcr:float -> cfc:Gnrflash_units.farad Gnrflash_units.qty -> t
     affect any paper quantity (only CT and CFC enter equations (2)–(3));
     it is recorded for completeness.
     @raise Invalid_argument unless [0 < gcr <= 1] and [cfc > 0]. *)
-
-val of_gcr : gcr:float -> cfc:float -> t
-(** Raw shim over {!of_gcr_q}. *)
 
 val parallel_plate_q :
   eps_r:float ->
@@ -66,3 +60,12 @@ val with_quantum_capacitance_q :
 
 val with_quantum_capacitance : t -> cq:float -> t
 (** Raw shim over {!with_quantum_capacitance_q}. *)
+
+(** Raw-float shims the tests drive {!make_q} and {!of_gcr_q} through. *)
+module For_testing : sig
+  val make : cfc:float -> cfs:float -> cfb:float -> cfd:float -> t
+  (** Raw shim over {!make_q}. *)
+
+  val of_gcr : gcr:float -> cfc:float -> t
+  (** Raw shim over {!of_gcr_q}. *)
+end

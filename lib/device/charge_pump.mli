@@ -20,6 +20,7 @@ val make :
 (** Defaults: 0.3 V drop, 1 pF stages, 20 MHz clock.
     @raise Invalid_argument for non-positive parameters. *)
 
+(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
 val output_voltage : t -> i_load:float -> float
 (** Open-circuit-to-loaded output voltage at the given DC load. *)
 
@@ -28,6 +29,7 @@ val stages_for : ?margin:float -> t -> v_target:float -> i_load:float -> int
     0.05) at the load, using the same per-stage parameters.
     @raise Invalid_argument if unreachable (per-stage gain <= 0). *)
 
+(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
 val efficiency : t -> i_load:float -> float
 (** Power efficiency [P_out/P_in]: ideal Dickson input current is
     [(N+1)·I_load] from [V_dd] (plus nothing else in this lossless-clock
@@ -37,6 +39,7 @@ val energy_per_program :
   t -> i_load:float -> pulse_width:float -> float
 (** Energy drawn from the supply for one programming pulse [J]. *)
 
+(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
 val ramp_time : t -> load_capacitance:float -> v_target:float -> float
 (** Time to charge a capacitive load to [v_target] with the pump's output
     current capability [f·C·(V_dd − V_d)] per stage-step (single-slope

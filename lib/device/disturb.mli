@@ -11,6 +11,7 @@ type config = {
 val half_select : vgs_program:float -> pulse_width:float -> config
 (** The classic VGS/2 inhibit scheme. *)
 
+(* lint: allow L14 — no program calls it; test_disturb pins it *)
 val dvt_after_events :
   ?config:config -> Fgt.t -> qfg0:float -> events:int -> (float, string) result
 (** Threshold drift of the victim cell after [events] neighbouring program
@@ -23,6 +24,7 @@ val qfg_after_events :
     pulses — the feedback quantity an array model writes back into the
     victim so accumulated disturb becomes visible to later reads. *)
 
+(* lint: allow L14 — no program calls it; test_disturb pins it *)
 val events_to_failure :
   ?config:config -> Fgt.t -> qfg0:float -> dvt_fail:float -> max_events:int ->
   (int option, string) result

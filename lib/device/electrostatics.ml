@@ -96,7 +96,3 @@ let vfg_divider stack ~vgs ~vs ~sigma_fg =
   U.to_float
     (vfg_divider_q stack ~vgs:(U.volt vgs) ~vs:(U.volt vs)
        ~sigma_fg:(U.c_per_m2 sigma_fg))
-
-let vfg_qty sol = U.volt sol.vfg
-let field_tunnel_qty sol = U.v_per_m sol.field_tunnel
-let field_control_qty sol = U.v_per_m sol.field_control

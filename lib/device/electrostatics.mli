@@ -47,8 +47,3 @@ val vfg_divider_q :
 
 val vfg_divider : stack -> vgs:float -> vs:float -> sigma_fg:float -> float
 (** Raw shim over {!vfg_divider_q}. *)
-
-val vfg_qty : solution -> Gnrflash_units.volt Gnrflash_units.qty
-val field_tunnel_qty : solution -> Gnrflash_units.v_per_m Gnrflash_units.qty
-val field_control_qty : solution -> Gnrflash_units.v_per_m Gnrflash_units.qty
-(** Typed views of the solved floating-gate potential and oxide fields. *)

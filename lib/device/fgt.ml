@@ -122,3 +122,10 @@ let qfg_for_threshold_shift_q t ~dvt = U.(Capacitance.cfc_qty t.caps *@ neg dvt)
 
 let qfg_for_threshold_shift t ~dvt =
   U.to_float (qfg_for_threshold_shift_q t ~dvt:(U.volt dvt))
+
+module For_testing = struct
+  let make = make
+  let control_field = control_field
+  let dqfg_dt_q = dqfg_dt_q
+  let dqfg_dt = dqfg_dt
+end

@@ -37,25 +37,7 @@ val make_q :
 (** Unit-typed primary constructor: thicknesses are [metre qty], the cell
     area an [m2 qty] (e.g. [U.area (U.metre 32e-9) (U.metre 32e-9)]), so
     swapping an area for a thickness no longer type-checks. Semantics
-    otherwise identical to {!make}. *)
-
-val make :
-  ?vs:float ->
-  ?tunnel_oxide:Gnrflash_materials.Oxide.t ->
-  ?control_oxide:Gnrflash_materials.Oxide.t ->
-  ?channel:Gnrflash_materials.Workfunction.electrode ->
-  ?gate:Gnrflash_materials.Workfunction.electrode ->
-  gcr:float -> xto:float -> xco:float -> area:float -> unit -> t
-(** Build a device. Defaults follow the paper: SiO₂ oxides, MLGNR channel
-    and CNT-contacted floating gate (both defaulting to the textbook
-    Si/SiO₂-like 3.2 eV barrier via [channel]/[gate] of
-    [Custom ("paper", 4.1)]), [vs = 0]. [control_oxide] (default: the
-    tunnel oxide) sets the FG ↔ control-gate stack: both the blocking FN
-    barrier ([control_fn]) and the [cfc] parallel-plate permittivity come
-    from it, so a high-k blocking dielectric changes [j_out] without
-    touching the channel-side [j_in]. [gcr] fixes the capacitance network
-    via {!Capacitance.of_gcr} with [cfc] from the control-oxide parallel
-    plate. @raise Invalid_argument for non-physical geometry. *)
+    otherwise identical to {!For_testing.make}. *)
 
 val paper_default : t
 (** The device of the paper's worked example: GCR = 0.6, XTO = 5 nm,
@@ -76,7 +58,6 @@ val ct : t -> float
 val ct_qty : t -> Gnrflash_units.farad Gnrflash_units.qty
 (** Typed total capacitance. *)
 
-val area_qty : t -> Gnrflash_units.m2 Gnrflash_units.qty
 val xto_qty : t -> Gnrflash_units.metre Gnrflash_units.qty
 val xco_qty : t -> Gnrflash_units.metre Gnrflash_units.qty
 val vs_qty : t -> Gnrflash_units.volt Gnrflash_units.qty
@@ -108,13 +89,6 @@ val j_out_q :
   qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
   Gnrflash_units.a_per_m2 Gnrflash_units.qty
 
-val dqfg_dt_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.ampere Gnrflash_units.qty
-(** Net charging rate as a typed current (C/s):
-    [−(j_in − j_out)·area] with the checked [a_per_m2 *@ m2 = ampere]. *)
-
 val threshold_shift_q :
   t -> qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
   Gnrflash_units.volt Gnrflash_units.qty
@@ -130,10 +104,6 @@ val tunnel_field : t -> vgs:float -> qfg:float -> float
 (** Signed field across the tunnel oxide, [(VFG − VS)/XTO] [V/m];
     positive drives electrons from the channel into the FG. *)
 
-val control_field : t -> vgs:float -> qfg:float -> float
-(** Signed field across the control oxide, [(VGS − VFG)/XCO]; positive
-    drives electrons from the FG toward the control gate. *)
-
 val j_in : t -> vgs:float -> qfg:float -> float
 (** Electron injection into the floating gate [A/m²]: FN through the
     tunnel oxide when the tunnel field is positive, plus FN from the
@@ -144,13 +114,47 @@ val j_out : t -> vgs:float -> qfg:float -> float
     gate when the control field is positive, plus FN back to the channel
     when the tunnel field is negative. *)
 
-val dqfg_dt : t -> vgs:float -> qfg:float -> float
-(** Net charging rate [C/s]: [−area·(j_in − j_out)] (electron influx makes
-    the stored charge more negative). *)
-
 val threshold_shift : t -> qfg:float -> float
 (** Threshold-voltage shift seen from the control gate,
     [ΔVT = −QFG/CFC] — positive after programming. *)
 
 val qfg_for_threshold_shift : t -> dvt:float -> float
 (** Inverse of {!threshold_shift}. *)
+
+(** The raw-float constructor and the unit-typed per-call physics that the
+    fused {!Gnrflash_device.Transient} kernel is checked against bit for
+    bit. *)
+module For_testing : sig
+  val make :
+    ?vs:float ->
+    ?tunnel_oxide:Gnrflash_materials.Oxide.t ->
+    ?control_oxide:Gnrflash_materials.Oxide.t ->
+    ?channel:Gnrflash_materials.Workfunction.electrode ->
+    ?gate:Gnrflash_materials.Workfunction.electrode ->
+    gcr:float -> xto:float -> xco:float -> area:float -> unit -> t
+  (** Build a device. Defaults follow the paper: SiO₂ oxides, MLGNR channel
+      and CNT-contacted floating gate (both defaulting to the textbook
+      Si/SiO₂-like 3.2 eV barrier via [channel]/[gate] of
+      [Custom ("paper", 4.1)]), [vs = 0]. [control_oxide] (default: the
+      tunnel oxide) sets the FG ↔ control-gate stack: both the blocking FN
+      barrier ([control_fn]) and the [cfc] parallel-plate permittivity come
+      from it, so a high-k blocking dielectric changes [j_out] without
+      touching the channel-side [j_in]. [gcr] fixes the capacitance network
+      via {!Capacitance.of_gcr} with [cfc] from the control-oxide parallel
+      plate. @raise Invalid_argument for non-physical geometry. *)
+
+  val control_field : t -> vgs:float -> qfg:float -> float
+  (** Signed field across the control oxide, [(VGS − VFG)/XCO]; positive
+      drives electrons from the FG toward the control gate. *)
+
+  val dqfg_dt_q :
+    t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
+    qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
+    Gnrflash_units.ampere Gnrflash_units.qty
+  (** Net charging rate as a typed current (C/s):
+      [−(j_in − j_out)·area] with the checked [a_per_m2 *@ m2 = ampere]. *)
+
+  val dqfg_dt : t -> vgs:float -> qfg:float -> float
+  (** Net charging rate [C/s]: [−area·(j_in − j_out)] (electron influx makes
+      the stored charge more negative). *)
+end

@@ -51,15 +51,17 @@ let run ?(config = default) engine ~qfg0 =
     loop 0 config.v_start qfg0 []
   end
 
-let dvt_per_pulse_tail r =
-  let dvts = List.map (fun s -> s.dvt) r.steps in
-  let rec increments = function
-    | a :: (b :: _ as rest) -> (b -. a) :: increments rest
-    | _ -> []
-  in
-  match dvts with
-  | [] | [ _ ] -> []
-  | _ ->
-    (* drop the leading ramp-up pulses that produce negligible shift *)
-    increments dvts
-    |> List.filter (fun d -> d > 1e-3)
+module For_testing = struct
+  let dvt_per_pulse_tail r =
+    let dvts = List.map (fun s -> s.dvt) r.steps in
+    let rec increments = function
+      | a :: (b :: _ as rest) -> (b -. a) :: increments rest
+      | _ -> []
+    in
+    match dvts with
+    | [] | [ _ ] -> []
+    | _ ->
+      (* drop the leading ramp-up pulses that produce negligible shift *)
+      increments dvts
+      |> List.filter (fun d -> d > 1e-3)
+end

@@ -37,7 +37,10 @@ val run :
     box (the default config tops out at 20 V) fall back to the exact
     solver automatically. *)
 
-val dvt_per_pulse_tail : result -> float list
-(** ΔVT increments of the staircase after the first verify-visible pulse —
-    in steady state each increment approaches [v_step] (the classic ISPP
-    signature; tested as a property). *)
+(** The staircase reading the ISPP property test checks a run through. *)
+module For_testing : sig
+  val dvt_per_pulse_tail : result -> float list
+  (** ΔVT increments of the staircase after the first verify-visible
+      pulse — in steady state each increment approaches [v_step] (the
+      classic ISPP signature). *)
+end

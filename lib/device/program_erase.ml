@@ -117,15 +117,15 @@ let surrogate_response ?budget e ~qfg pulse =
   Tel.count (if Option.is_some served then "surrogate/hit" else "surrogate/fallback");
   served
 
-(* Once the pulse is outside the box or its vgs slot is settled (Ready or
-   Unusable), a consult can no longer count, build or reset anything, so a
-   caller may skip it and replay a remembered outcome without moving any
-   later table build. *)
+(* With the surrogate off, or once the pulse is outside the box or its vgs
+   slot is settled (Ready or Unusable), a consult can no longer count,
+   build or reset anything, so a caller may skip it and replay a
+   remembered outcome without moving any later table build. *)
 let memoizable e pulse =
-  e.surrogate
-  && pulse.duration > 0.
+  pulse.duration > 0.
   && (not (Fault.active ()))
-  && ((not (in_box e pulse))
+  && ((not e.surrogate)
+      || (not (in_box e pulse))
       || Hashtbl.mem e.tables (Int64.bits_of_float pulse.vgs))
 
 let apply_pulse ?budget e ~qfg pulse =

@@ -63,12 +63,12 @@ val apply_pulse :
 
 val memoizable : engine -> pulse -> bool
 (** Whether a caller may memoize this pulse's outcome by starting charge
-    and skip later consults: the surrogate is on, the duration is
-    positive, no fault plan is active, and either the pulse lies outside
-    the operating box (its consults never touch the promotion counters)
-    or its [vgs] table slot is settled (built or unusable). Until then
-    every pulse must reach {!apply_pulse}, or the table build would land
-    on a different pulse. *)
+    and skip later consults: the duration is positive, no fault plan is
+    active, and either the surrogate is off, the pulse lies outside the
+    operating box (its consults never touch the promotion counters), or
+    its [vgs] table slot is settled (built or unusable). Until then every
+    pulse must reach {!apply_pulse}, or the table build would land on a
+    different pulse. *)
 
 val program :
   ?budget:Gnrflash_resilience.Budget.t ->

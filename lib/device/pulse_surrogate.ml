@@ -30,7 +30,7 @@ let paper_box =
     duration_max = 1e-1;
   }
 
-(* GCR round-trips through Capacitance.of_gcr (a handful of ulps); XTO is a
+(* GCR round-trips through Capacitance.of_gcr_q (a handful of ulps); XTO is a
    stored float compared against literals. Tiny absolute slacks keep a
    device *constructed at* a box corner inside the box. *)
 let gcr_slack = 1e-9
@@ -67,10 +67,7 @@ type t = {
 }
 
 let certified_bound t = t.bound
-let max_measured_divergence t = t.measured
 let qfg_range t = (t.q_lo, t.q_hi)
-let vgs t = t.vgs
-let knot_count t = t.knots
 let build_seconds t = t.build_s
 
 let divergence t ~exact ~approx =
@@ -95,17 +92,6 @@ let query t ~qfg ~duration =
       if t1 > t.t_end then None
       else Some { qfg_after = Interp.eval t.q_of_t t1; saturated = false }
   end
-
-let saturation_time t ~qfg =
-  match t.t_sat with
-  | None -> None
-  | Some ts ->
-    if qfg < t.q_lo || qfg > t.q_hi then None
-    else Some (Float.max 0. (ts -. Interp.eval t.t_of_q qfg))
-
-let time_to_charge t ~qfg0 ~qfg1 =
-  if qfg0 < t.q_lo || qfg0 > t.q_hi || qfg1 < t.q_lo || qfg1 > t.q_hi then None
-  else Some (Interp.eval t.t_of_q qfg1 -. Interp.eval t.t_of_q qfg0)
 
 (* ---------- build + certification ---------- *)
 
@@ -252,3 +238,20 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
             }
         end
     end
+
+module For_testing = struct
+  let max_measured_divergence t = t.measured
+  let vgs t = t.vgs
+  let knot_count t = t.knots
+
+  let saturation_time t ~qfg =
+    match t.t_sat with
+    | None -> None
+    | Some ts ->
+      if qfg < t.q_lo || qfg > t.q_hi then None
+      else Some (Float.max 0. (ts -. Interp.eval t.t_of_q qfg))
+
+  let time_to_charge t ~qfg0 ~qfg1 =
+    if qfg0 < t.q_lo || qfg0 > t.q_hi || qfg1 < t.q_lo || qfg1 > t.q_hi then None
+    else Some (Interp.eval t.t_of_q qfg1 -. Interp.eval t.t_of_q qfg0)
+end

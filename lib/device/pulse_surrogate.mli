@@ -74,16 +74,11 @@ val build :
 val certified_bound : t -> float
 (** The published relative-divergence bound (see {!divergence}). *)
 
-val max_measured_divergence : t -> float
-(** The raw held-out measurement the bound was derived from. *)
-
 val qfg_range : t -> float * float
 (** [(q_lo, q_hi)] — initial charges the table serves. The saturated end
     stops strictly {e before} the event charge, so every in-range query
     still has the saturation event ahead of it. *)
 
-val vgs : t -> float
-val knot_count : t -> int
 val build_seconds : t -> float
 (** CPU seconds spent building (trajectory solve + certification). *)
 
@@ -106,10 +101,20 @@ val query : t -> qfg:float -> duration:float -> response option
     unsaturated table's horizon. Monotone PCHIP interpolation preserves
     "longer pulse moves at least as much charge". *)
 
-val saturation_time : t -> qfg:float -> float option
-(** Time from charge [qfg] to the saturation event (the Fig 5 [tsat] when
-    [qfg = 0]); [None] out of range or if the table never saturates. *)
+(** Table inspection and trajectory-time readers the golden-pin tests check
+    a built table through; the served path only calls {!query}. *)
+module For_testing : sig
+  val max_measured_divergence : t -> float
+  (** The raw held-out measurement the bound was derived from. *)
 
-val time_to_charge : t -> qfg0:float -> qfg1:float -> float option
-(** Trajectory time from [qfg0] to [qfg1] (the Fig 5 [ttts] when [qfg1]
-    is the 2 V-shift charge); [None] if either end is out of range. *)
+  val vgs : t -> float
+  val knot_count : t -> int
+
+  val saturation_time : t -> qfg:float -> float option
+  (** Time from charge [qfg] to the saturation event (the Fig 5 [tsat] when
+      [qfg = 0]); [None] out of range or if the table never saturates. *)
+
+  val time_to_charge : t -> qfg0:float -> qfg1:float -> float option
+  (** Trajectory time from [qfg0] to [qfg1] (the Fig 5 [ttts] when [qfg1]
+      is the 2 V-shift charge); [None] if either end is out of range. *)
+end

@@ -58,8 +58,6 @@ let empirical_gap_ev ~width_nm =
   if width_nm <= 0. then invalid_arg "Gnr.empirical_gap_ev: width <= 0";
   0.8 /. width_nm
 
-let is_semiconducting ?(threshold_ev = 0.1) r = bandgap_ev r > threshold_ev
-
 let conducting_channels r ~ef_ev =
   let ef = abs_float ef_ev *. C.ev in
   let count = ref 0 in

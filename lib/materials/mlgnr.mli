@@ -16,9 +16,11 @@ type t = {
 val make : ?interlayer:float -> Gnr.t -> layers:int -> t
 (** Build a stack descriptor. @raise Invalid_argument if [layers < 1]. *)
 
+(* lint: allow L14 — no program calls it; test_mlgnr pins it *)
 val thickness : t -> float
 (** Physical stack thickness [m] ([interlayer × (layers-1)] plus one layer). *)
 
+(* lint: allow L14 — no program calls it; test_mlgnr pins it *)
 val bandgap_ev : t -> float
 (** Effective gap: the monolayer tight-binding gap divided by an
     interlayer-coupling factor [1 + 0.5·(layers - 1)] — multilayer AGNRs

@@ -16,6 +16,7 @@ val work_function : electrode -> float
     graphite (≈ 4.6 eV) as layers are added; CNT work function decreases
     slightly with diameter around ≈ 4.8 eV. *)
 
+(* lint: allow L14 — no program calls it; test_workfunction pins it *)
 val name : electrode -> string
 (** Display name. *)
 
@@ -24,6 +25,7 @@ val barrier_height : electrode -> Oxide.t -> float
     Φ_B = W(e) − χ(ox) in eV — the energy an electron at the electrode Fermi
     level must surmount to enter the oxide conduction band. *)
 
+(* lint: allow L14 — no program calls it; test_workfunction pins it *)
 val si_sio2_barrier : float
 (** The textbook Si/SiO₂ electron barrier, 3.15–3.2 eV; used as the paper's
     default Φ_B and pinned by unit tests. *)

@@ -14,8 +14,6 @@ let make ?(qfg = 0.) device = { device; qfg; wear = D.Reliability.fresh }
 
 let dvt c = D.Fgt.threshold_shift c.device ~qfg:c.qfg
 
-let state ?(dvt_threshold = 1.0) c = if dvt c > dvt_threshold then Programmed else Erased
-
 let to_bit = function Programmed -> 0 | Erased -> 1
 
 let apply_bias_pulse ~reliability ~pulse engine c =
@@ -55,3 +53,7 @@ let read ?(config = D.Readout.default) c =
 let effective_vt ?(config = D.Readout.default) ?(reliability = D.Reliability.default) c =
   D.Readout.threshold_voltage config c.device ~qfg:c.qfg
   +. D.Reliability.vt_drift reliability c.wear
+
+module For_testing = struct
+  let state ?(dvt_threshold = 1.0) c = if dvt c > dvt_threshold then Programmed else Erased
+end

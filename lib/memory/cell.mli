@@ -19,10 +19,6 @@ val make : ?qfg:float -> Gnrflash_device.Fgt.t -> t
 val dvt : t -> float
 (** Threshold shift of the stored state. *)
 
-val state : ?dvt_threshold:float -> t -> logic
-(** Classify the stored state by its threshold shift (default decision
-    level 1 V). *)
-
 val to_bit : logic -> int
 (** [Programmed → 0], [Erased → 1]. *)
 
@@ -49,3 +45,10 @@ val effective_vt : ?config:Gnrflash_device.Readout.config ->
   ?reliability:Gnrflash_device.Reliability.model -> t -> float
 (** Threshold including both stored charge and wear-induced drift —
     the quantity whose program/erase window closes with cycling. *)
+
+(** The scalar readout oracle the word-level kernels are checked against. *)
+module For_testing : sig
+  val state : ?dvt_threshold:float -> t -> logic
+  (** Classify the stored state by its threshold shift (default decision
+      level 1 V). *)
+end

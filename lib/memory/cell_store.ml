@@ -46,7 +46,6 @@ let device t = t.device
 let engine t = t.engine
 let qfg t i = t.qfg.(i)
 let fluence t i = t.fluence.(i)
-let traps t i = t.traps.(i)
 let cycles t i = t.cycles.(i)
 let broken t i = Bytes.get t.broken i <> '\000'
 
@@ -129,14 +128,6 @@ let view t i =
       cycles = t.cycles.(i); broken = broken t i }
   in
   { Cell.device = t.device; qfg = t.qfg.(i); wear }
-
-let set t i (c : Cell.t) =
-  set_qfg t i c.Cell.qfg;
-  let w = c.Cell.wear in
-  t.fluence.(i) <- w.D.Reliability.fluence;
-  t.traps.(i) <- w.D.Reliability.traps;
-  t.cycles.(i) <- w.D.Reliability.cycles;
-  Bytes.set t.broken i (if w.D.Reliability.broken then '\001' else '\000')
 
 (* ---------- batched pulses ---------- *)
 
@@ -334,6 +325,16 @@ let fold_digest t f h0 =
   !h
 
 module For_testing = struct
+  let traps t i = t.traps.(i)
+
+  let set t i (c : Cell.t) =
+    set_qfg t i c.Cell.qfg;
+    let w = c.Cell.wear in
+    t.fluence.(i) <- w.D.Reliability.fluence;
+    t.traps.(i) <- w.D.Reliability.traps;
+    t.cycles.(i) <- w.D.Reliability.cycles;
+    Bytes.set t.broken i (if w.D.Reliability.broken then '\001' else '\000')
+
   let charge_id t i = t.cls.(i)
   let id_of_charge t q = t.slot_id.(find_slot t q)
   let ids t = t.ids - 1 (* [no_id] is not a charge *)

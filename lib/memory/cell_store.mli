@@ -47,7 +47,6 @@ val engine : t -> Gnrflash_device.Program_erase.engine
 
 val qfg : t -> int -> float
 val fluence : t -> int -> float
-val traps : t -> int -> float
 val cycles : t -> int -> int
 val broken : t -> int -> bool
 val set_qfg : t -> int -> float -> unit
@@ -73,11 +72,6 @@ val bit : ?dvt_threshold:float -> t -> int -> int
 
 val view : t -> int -> Cell.t
 (** Boxed snapshot of cell [i] (shares the store's device record). *)
-
-val set : t -> int -> Cell.t -> unit
-(** Write [c]'s charge and wear into slot [i], the charge as
-    {!set_qfg} does. The cell's [device] field is ignored: the store's
-    shared device stays authoritative. *)
 
 (** {1 Batched pulse application} *)
 
@@ -228,8 +222,15 @@ val fold_digest : t -> (int -> int -> int) -> int -> int
     the per-cell prefix of {!Command_fsm.state_digest}, so digests stay
     stable across the SoA refactor. *)
 
-(** Introspection of the charge ids, for tests. *)
+(** Introspection of the charge ids and direct cell state, for tests. *)
 module For_testing : sig
+  val traps : t -> int -> float
+
+  val set : t -> int -> Cell.t -> unit
+  (** Write [c]'s charge and wear into slot [i], the charge as
+      {!set_qfg} does. The cell's [device] field is ignored: the store's
+      shared device stays authoritative. *)
+
   val charge_id : t -> int -> int
   (** Cell [i]'s charge id; [0] when it has none (a fresh or set cell
       gets its charge's id at its next pulse). *)

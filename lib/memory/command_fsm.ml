@@ -587,13 +587,6 @@ let write t ~addr ~data =
 (* a copy, so callers holding it do not see later updates *)
 let stats t = { t.ms with bus_cycles = t.ms.bus_cycles }
 
-let cell t ~idx =
-  if idx < 0 || idx >= S.length t.store then
-    invalid_arg "Command_fsm.cell: index out of range";
-  S.view t.store idx
-
-let cell_count t = S.length t.store
-
 let state_digest t =
   let f = Workload.digest_fold in
   let float h x = f h (Int64.to_int (Int64.bits_of_float x)) in
@@ -610,3 +603,10 @@ let state_digest t =
     ];
   h := f !h (Hashtbl.hash (state_name t));
   !h
+
+module For_testing = struct
+  let cell t ~idx =
+    if idx < 0 || idx >= S.length t.store then
+      invalid_arg "Command_fsm.cell: index out of range";
+    S.view t.store idx
+end

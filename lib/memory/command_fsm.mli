@@ -167,16 +167,6 @@ val sense_word : t -> addr:int -> int
     Packed as {!constructor-Data} is, by one {!Cell_store.sense} call;
     allocates nothing. *)
 
-val cell_count : t -> int
-(** Total cells ([words × word_bits]). *)
-
-val cell : t -> idx:int -> Cell.t
-(** Boxed {!Cell.t} view of cell [idx] (flat index
-    [addr × word_bits + bit]) out of the struct-of-arrays store — the
-    single-cell window the side-by-side regression tests compare
-    charge and wear through, bit for bit.
-    @raise Invalid_argument when [idx] is out of range. *)
-
 val stats : t -> stats
 (** A copy of the counters; later bus cycles do not update it. *)
 
@@ -188,3 +178,12 @@ val state_digest : t -> int
 (** Order-sensitive digest of the full device state: cell charges and
     wear (bit patterns of the floats), command state, clock, counters.
     Bit-identical runs produce equal digests across jobs/shards tiers. *)
+
+module For_testing : sig
+  val cell : t -> idx:int -> Cell.t
+  (** Boxed {!Cell.t} view of cell [idx] (flat index
+      [addr × word_bits + bit]) out of the struct-of-arrays store — the
+      single-cell window the side-by-side regression tests compare
+      charge and wear through, bit for bit.
+      @raise Invalid_argument when [idx] is out of range. *)
+end

@@ -127,8 +127,10 @@ let decode_packed ~k cw =
   | s, false when s <= n -> data_of (cw lxor (1 lsl (s - 1)))
   | _ -> -1
 
-let inject_error codeword ~pos =
-  if pos < 0 || pos >= Array.length codeword then invalid_arg "Ecc.inject_error: bad index";
-  let w = Array.copy codeword in
-  w.(pos) <- 1 - w.(pos);
-  w
+module For_testing = struct
+  let inject_error codeword ~pos =
+    if pos < 0 || pos >= Array.length codeword then invalid_arg "Ecc.inject_error: bad index";
+    let w = Array.copy codeword in
+    w.(pos) <- 1 - w.(pos);
+    w
+end

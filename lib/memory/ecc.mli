@@ -40,6 +40,8 @@ val decode_packed : k:int -> int -> int
 val overhead : int -> int
 (** Total parity bits (Hamming + overall) for [k] data bits. *)
 
-val inject_error : codeword -> pos:int -> codeword
-(** Flip one bit (0-based array index) — test helper for fault injection.
-    @raise Invalid_argument on a bad index. *)
+module For_testing : sig
+  val inject_error : codeword -> pos:int -> codeword
+  (** Flip one bit (0-based array index) — fault injection for the decoder
+      tests. @raise Invalid_argument on a bad index. *)
+end

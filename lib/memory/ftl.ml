@@ -93,7 +93,6 @@ let create config =
   then invalid_arg "Ftl.create: unreasonable gc threshold";
   fresh config ~undo:true
 
-let config t = t.config
 let logical_capacity t = Array.length t.mapping
 
 let free_pages t =

@@ -53,8 +53,6 @@ val create : config -> t
 (** Fresh, fully-free device. @raise Invalid_argument on non-positive
     dimensions or a GC threshold that can never be satisfied. *)
 
-val config : t -> config
-
 val logical_capacity : t -> int
 (** Logical pages exposed: 7/8 of the physical pages excluding one
     reserved block — the over-provisioning that guarantees garbage

@@ -35,18 +35,20 @@ let target_dvt c ~level =
 
 let gray_encode n = n lxor (n lsr 1)
 
-let gray_decode g =
-  let rec go acc g = if g = 0 then acc else go (acc lxor g) (g lsr 1) in
-  go 0 g
-
 let level_to_bits c level =
   let g = gray_encode level in
   Array.init c.bits (fun i -> (g lsr (c.bits - 1 - i)) land 1)
 
-let bits_to_level c bits =
-  if Array.length bits <> c.bits then invalid_arg "Mlc.bits_to_level: length mismatch";
-  let g = Array.fold_left (fun acc b -> (acc lsl 1) lor (b land 1)) 0 bits in
-  gray_decode g
+module For_testing = struct
+  let gray_decode g =
+    let rec go acc g = if g = 0 then acc else go (acc lxor g) (g lsr 1) in
+    go 0 g
+
+  let bits_to_level c bits =
+    if Array.length bits <> c.bits then invalid_arg "Mlc.bits_to_level: length mismatch";
+    let g = Array.fold_left (fun acc b -> (acc lsl 1) lor (b land 1)) 0 bits in
+    gray_decode g
+end
 
 let program_level ?(config = default_mlc) engine ~qfg0 ~level =
   if level < 0 || level >= levels config then Error "Mlc.program_level: level out of range"

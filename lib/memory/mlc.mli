@@ -31,15 +31,19 @@ val target_dvt : config -> level:int -> float
 val gray_encode : int -> int
 (** Standard binary-reflected Gray code. *)
 
-val gray_decode : int -> int
-(** Inverse of {!gray_encode}. *)
-
 val level_to_bits : config -> int -> int array
 (** Bit pattern (msb first) stored by a level, Gray-coded. *)
 
-val bits_to_level : config -> int array -> int
-(** Inverse of {!level_to_bits}. @raise Invalid_argument on length
-    mismatch. *)
+(** The decoders the encoders are checked against; no program reads a
+    stored level back. *)
+module For_testing : sig
+  val gray_decode : int -> int
+  (** Inverse of {!gray_encode}. *)
+
+  val bits_to_level : config -> int array -> int
+  (** Inverse of {!level_to_bits}. @raise Invalid_argument on length
+      mismatch. *)
+end
 
 val program_level :
   ?config:config -> Gnrflash_device.Program_erase.engine -> qfg0:float ->

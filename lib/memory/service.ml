@@ -120,7 +120,6 @@ let create ?(config = default_config) device =
 
 let logical_pages s = Array.length s.store
 let device s = s.fsm
-let ftl s = s.ftl
 
 (* ---------- bus helpers ---------- *)
 

@@ -78,7 +78,6 @@ val logical_pages : t -> int
     ({!Ftl.logical_capacity}). *)
 
 val device : t -> Command_fsm.t
-val ftl : t -> Ftl.t
 
 val exec : t -> Workload.host_cmd -> unit
 (** Run one host command to completion (the device is always ready

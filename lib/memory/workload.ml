@@ -142,8 +142,6 @@ let digest_op h = function
   | Write { page; data } ->
     Array.fold_left digest_fold (digest_fold (digest_fold h 2) page) data
 
-let digest_ops ops = List.fold_left digest_op digest_empty ops
-
 let digest_cmd h = function
   | Cmd_read { lpn } -> digest_fold (digest_fold h 1) lpn
   | Cmd_trim { lpn } -> digest_fold (digest_fold h 2) lpn
@@ -152,7 +150,10 @@ let digest_cmd h = function
     let h = digest_fold h (if suspend then 1 else 0) in
     Array.fold_left digest_fold h data
 
-let digest_commands cmds = Array.fold_left digest_cmd digest_empty cmds
+module For_testing = struct
+  let digest_ops ops = List.fold_left digest_op digest_empty ops
+  let digest_commands cmds = Array.fold_left digest_cmd digest_empty cmds
+end
 
 type replay_stats = {
   writes : int;

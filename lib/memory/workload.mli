@@ -66,8 +66,11 @@ val digest_fold : int -> int -> int
 val digest_empty : int
 (** Accumulator seed value. *)
 
-val digest_ops : op list -> int
-val digest_commands : host_cmd array -> int
+(** Whole-trace digests that pin the generators' output. *)
+module For_testing : sig
+  val digest_ops : op list -> int
+  val digest_commands : host_cmd array -> int
+end
 
 (** {1 Physics replay} *)
 

@@ -8,9 +8,11 @@
 type t
 (** An interpolant built from tabulated data. *)
 
+(* lint: allow L14 — no program calls it; test_interp pins it *)
 val linear : float array -> float array -> t
 (** Piecewise-linear interpolant. *)
 
+(* lint: allow L14 — no program calls it; test_interp pins it *)
 val cubic_spline : float array -> float array -> t
 (** Natural cubic spline (second derivative zero at both ends). *)
 
@@ -21,8 +23,10 @@ val pchip : float array -> float array -> t
 val eval : t -> float -> float
 (** Evaluate the interpolant. *)
 
+(* lint: allow L14 — no program calls it; test_interp pins it *)
 val eval_array : t -> float array -> float array
 (** Map {!eval} over an array of abscissae. *)
 
+(* lint: allow L14 — no program calls it; test_interp pins it *)
 val knots : t -> float array * float array
 (** The [(xs, ys)] the interpolant was built from. *)

@@ -139,5 +139,3 @@ let cmat2_mul m1 m2 =
   }
 
 let cmat2_id = Complex.{ a = one; b = zero; c = zero; d = one }
-
-let cmat2_det m = Complex.(sub (mul m.a m.d) (mul m.b m.c))

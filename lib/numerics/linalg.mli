@@ -4,35 +4,45 @@
 
 (** {1 Vectors} *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val dot : float array -> float array -> float
 (** Dot product. @raise Invalid_argument on length mismatch. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val norm2 : float array -> float
 (** Euclidean norm. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val scale : float -> float array -> float array
 (** [scale a x] is [a*x] (fresh array). *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val add : float array -> float array -> float array
 (** Elementwise sum. @raise Invalid_argument on length mismatch. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val sub : float array -> float array -> float array
 (** Elementwise difference. @raise Invalid_argument on length mismatch. *)
 
 (** {1 Matrices} *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val mat_vec : float array array -> float array -> float array
 (** Matrix-vector product. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val mat_mul : float array array -> float array array -> float array array
 (** Matrix-matrix product. @raise Invalid_argument on dimension mismatch. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val transpose : float array array -> float array array
 (** Matrix transpose. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val identity : int -> float array array
 (** Identity matrix of the given order. *)
 
+(* lint: allow L14 — no program calls it; test_linalg pins it *)
 val solve : float array array -> float array -> (float array, string) result
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting. Returns [Error] for a (numerically) singular matrix. The
@@ -56,6 +66,3 @@ val cmat2_mul : cmat2 -> cmat2 -> cmat2
 
 val cmat2_id : cmat2
 (** 2x2 complex identity. *)
-
-val cmat2_det : cmat2 -> Complex.t
-(** Determinant. *)

@@ -17,11 +17,13 @@ type 'a trajectory = {
   states : 'a array;    (** [states.(i)] is the state at [times.(i)] *)
 }
 
+(* lint: allow L14 — no program calls it; test_ode pins it *)
 val euler : f:(float -> float array -> float array) ->
   t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
 (** Fixed-step forward Euler ([steps] uniform steps). Mostly useful as a
     baseline in convergence tests. *)
 
+(* lint: allow L14 — no program calls it; test_ode pins it *)
 val rk4 : f:(float -> float array -> float array) ->
   t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
 (** Classical fixed-step 4th-order Runge–Kutta. *)
@@ -46,6 +48,7 @@ val rkf45 :
     locals: a trial step allocates only the boxes of [f]'s arguments and
     result, and an accepted step adds only its trajectory slot. *)
 
+(* lint: allow L14 — no program calls it; test_ode pins it *)
 val rkf45_dense :
   ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
   f:(float -> float -> float) ->

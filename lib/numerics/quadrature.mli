@@ -1,14 +1,17 @@
 (** One-dimensional numerical integration. *)
 
+(* lint: allow L14 — no program calls it; test_quadrature pins it *)
 val trapezoid : (float -> float) -> float -> float -> n:int -> float
 (** [trapezoid f a b ~n] is the composite trapezoid rule with [n]
     subintervals. @raise Invalid_argument if [n < 1]. *)
 
+(* lint: allow L14 — no program calls it; test_quadrature pins it *)
 val trapezoid_samples : float array -> float array -> float
 (** [trapezoid_samples xs ys] integrates tabulated samples [(xs, ys)] with
     the trapezoid rule. [xs] must be sorted increasing.
     @raise Invalid_argument on length mismatch or fewer than two points. *)
 
+(* lint: allow L14 — no program calls it; test_quadrature pins it *)
 val simpson : (float -> float) -> float -> float -> n:int -> float
 (** [simpson f a b ~n] is composite Simpson with [n] subintervals ([n] is
     rounded up to the next even integer). Exact for cubics. *)
@@ -28,6 +31,7 @@ val gauss_legendre_nodes : int -> (float array * float array)
 (** [gauss_legendre_nodes n] is the pair [(nodes, weights)] on [[-1, 1]].
     Results are cached. *)
 
+(* lint: allow L14 — no program calls it; test_quadrature pins it *)
 val integrate_to_inf :
   ?tol:float -> ?decades:float -> (float -> float) -> float -> float
 (** [integrate_to_inf f a] approximates [∫_a^∞ f] for integrands decaying at

@@ -18,5 +18,6 @@ val wls : weights:float array -> float array -> float array -> (fit, string) res
 (** Weighted least squares with the given non-negative weights (standard
     errors are reported relative to the weighted residuals). *)
 
+(* lint: allow L14 — no program calls it; test_regression pins it *)
 val through_origin : float array -> float array -> (float, string) result
 (** Best-fit slope of a line forced through the origin. *)

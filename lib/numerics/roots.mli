@@ -29,6 +29,7 @@ val brent :
     returns [No_convergence] carrying the best iterate — never a silently
     unconverged [Ok]. *)
 
+(* lint: allow L14 — no program calls it; test_roots pins it *)
 val newton :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
   float -> (float, error) result
@@ -36,6 +37,7 @@ val newton :
     the derivative vanishes ([Zero_derivative]) or the iteration does not
     converge. *)
 
+(* lint: allow L14 — no program calls it; test_roots pins it *)
 val secant :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float ->
   (float, error) result

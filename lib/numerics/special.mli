@@ -5,28 +5,35 @@
     better than ~1e-8 relative for |x| ≲ 30 (power series for small
     arguments, asymptotic expansions beyond). *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val erf : float -> float
 (** Error function. *)
 
 val erfc : float -> float
 (** Complementary error function, [1 - erf x]. *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val gamma : float -> float
 (** Gamma function (Lanczos approximation with reflection for [x < 0.5]).
     Returns [nan] at non-positive integers. *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val ln_gamma : float -> float
 (** Natural log of |Γ(x)| for [x > 0]. *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val airy_ai : float -> float
 (** Airy function of the first kind, Ai(x). *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val airy_bi : float -> float
 (** Airy function of the second kind, Bi(x). *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val airy_ai' : float -> float
 (** Derivative Ai'(x). *)
 
+(* lint: allow L14 — no program calls it; test_special pins it *)
 val airy_bi' : float -> float
 (** Derivative Bi'(x). *)
 

@@ -4,7 +4,6 @@ let hbar = h /. (2. *. Float.pi)
 let m0 = 9.1093837015e-31
 let k_b = 1.380649e-23
 let eps0 = 8.8541878128e-12
-let c = 2.99792458e8
 let ev = q
 let v_fermi_graphene = 1.0e6
 let a_cc = 0.142e-9
@@ -20,9 +19,6 @@ let thermal_voltage t = k_b *. t /. q
 module U = Gnrflash_units
 
 let q_qty = U.coulomb q
-let ev_qty = U.joule ev
-let m0_qty = U.kg m0
 let k_b_qty = U.j_per_k k_b
 let eps0_qty = U.f_per_m eps0
-let room_temperature_qty = U.kelvin room_temperature
 let thermal_voltage_qty t = U.volt (thermal_voltage (U.to_float t))

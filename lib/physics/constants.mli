@@ -18,18 +18,17 @@ val k_b : float
 val eps0 : float
 (** Vacuum permittivity [F/m]. *)
 
-val c : float
-(** Speed of light [m/s] (exact). *)
-
 val ev : float
 (** One electron-volt in joules (numerically equal to {!q}). *)
 
 val v_fermi_graphene : float
 (** Fermi velocity of graphene, ≈ 1×10⁶ m/s. *)
 
+(* lint: allow L14 — no program calls it; test_constants pins it *)
 val a_cc : float
 (** Graphene carbon–carbon bond length [m] (0.142 nm). *)
 
+(* lint: allow L14 — no program calls it; test_constants pins it *)
 val a_graphene : float
 (** Graphene lattice constant [m] (√3·a_cc ≈ 0.246 nm). *)
 
@@ -40,6 +39,7 @@ val t_hopping : float
 val room_temperature : float
 (** 300 K. *)
 
+(* lint: allow L14 — no program calls it; test_constants pins it *)
 val thermal_voltage : float -> float
 (** [thermal_voltage t] is [kB·t/q] in volts. *)
 
@@ -49,15 +49,14 @@ val thermal_voltage : float -> float
     bit-identical magnitudes, compile-time dimension checking. New physics
     code should prefer these; the raw floats remain for boundary shims. *)
 
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val q_qty : Gnrflash_units.coulomb Gnrflash_units.qty
-val ev_qty : Gnrflash_units.joule Gnrflash_units.qty
-(** One electron-volt, as a typed energy in joules. *)
-
-val m0_qty : Gnrflash_units.kg Gnrflash_units.qty
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val k_b_qty : Gnrflash_units.j_per_k Gnrflash_units.qty
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val eps0_qty : Gnrflash_units.f_per_m Gnrflash_units.qty
-val room_temperature_qty : Gnrflash_units.kelvin Gnrflash_units.qty
 
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val thermal_voltage_qty :
   Gnrflash_units.kelvin Gnrflash_units.qty -> Gnrflash_units.volt Gnrflash_units.qty
 (** Typed {!thermal_voltage}. *)

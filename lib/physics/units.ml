@@ -1,7 +1,5 @@
 let nm x = x *. 1e-9
 let to_nm x = x *. 1e9
-let um x = x *. 1e-6
-let angstrom x = x *. 1e-10
 
 let ev_to_joule x = x *. Constants.ev
 let joule_to_ev x = x /. Constants.ev
@@ -9,7 +7,6 @@ let joule_to_ev x = x /. Constants.ev
 let mv_per_cm x = x *. 1e8
 let to_mv_per_cm x = x /. 1e8
 
-let a_per_cm2 x = x *. 1e4
 let to_a_per_cm2 x = x /. 1e4
 
 let f_per_cm2 x = x *. 1e4
@@ -18,7 +15,4 @@ let to_f_per_cm2 x = x /. 1e4
 let c_per_cm2 x = x *. 1e4
 let to_c_per_cm2 x = x /. 1e4
 
-let ns x = x *. 1e-9
-let us x = x *. 1e-6
-let ms x = x *. 1e-3
 let years x = x *. 365.25 *. 86400.

@@ -31,17 +31,13 @@ type fn_a = ((a_per_m2, v_per_m) per, v_per_m) per
 let volt x = x
 let metre x = x
 let square_metre x = x
-let second x = x
 let kelvin x = x
-let kg x = x
-let joule x = x
 let ev x = x
 let coulomb x = x
 let farad x = x
 let v_per_m x = x
 let f_per_m x = x
 let f_per_m2 x = x
-let ampere x = x
 let a_per_m2 x = x
 let c_per_m2 x = x
 let j_per_k x = x
@@ -54,7 +50,6 @@ let ( +@ ) = ( +. )
 let ( -@ ) = ( -. )
 let scale c x = c *. x
 let neg x = -.x
-let abs = abs_float
 let ratio a b = a /. b
 
 let ( *@ ) = ( *. )
@@ -65,9 +60,6 @@ let area w l = w *. l
 let ( <@ ) (a : float) b = a < b
 let ( <=@ ) (a : float) b = a <= b
 let ( >@ ) (a : float) b = a > b
-let ( >=@ ) (a : float) b = a >= b
-let equal (a : float) b = Float.equal a b
-let compare (a : float) b = Float.compare a b
 
 (* The 2019 SI definition fixes the elementary charge exactly; this
    literal must stay equal to [Constants.q]/[Constants.ev] (asserted in
@@ -76,11 +68,8 @@ let compare (a : float) b = Float.compare a b
 let si_elementary_charge = 1.602176634e-19
 
 let ev_to_joule x = x *. si_elementary_charge
-let joule_to_ev x = x /. si_elementary_charge
 
 let absolute_of_areal c ~area = c *. area
 let areal_of_absolute c ~area = c /. area
-let charge_of_areal q ~area = q *. area
-let areal_of_charge q ~area = q /. area
 let areal_displacement c ~v = c *. v
 let voltage_across_areal sigma c = sigma /. c

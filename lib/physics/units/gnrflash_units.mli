@@ -67,19 +67,18 @@ type fn_a = ((a_per_m2, v_per_m) per, v_per_m) per
 val volt : float -> volt qty
 val metre : float -> metre qty
 val square_metre : float -> m2 qty
-val second : float -> second qty
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val kelvin : float -> kelvin qty
-val kg : float -> kg qty
-val joule : float -> joule qty
 val ev : float -> ev qty
 val coulomb : float -> coulomb qty
 val farad : float -> farad qty
 val v_per_m : float -> v_per_m qty
+(* lint: allow L14 — builds the test-only Constants.eps0_qty *)
 val f_per_m : float -> f_per_m qty
 val f_per_m2 : float -> f_per_m2 qty
-val ampere : float -> ampere qty
 val a_per_m2 : float -> a_per_m2 qty
 val c_per_m2 : float -> c_per_m2 qty
+(* lint: allow L14 — builds the test-only Constants.k_b_qty *)
 val j_per_k : float -> j_per_k qty
 val fn_a : float -> fn_a qty
 
@@ -96,7 +95,6 @@ val ( +@ ) : 'd qty -> 'd qty -> 'd qty
 val ( -@ ) : 'd qty -> 'd qty -> 'd qty
 val scale : float -> 'd qty -> 'd qty
 val neg : 'd qty -> 'd qty
-val abs : 'd qty -> 'd qty
 
 val ratio : 'd qty -> 'd qty -> float
 (** [ratio a b = a /. b] — same dimension in, dimensionless out. *)
@@ -115,9 +113,6 @@ val area : metre qty -> metre qty -> m2 qty
 val ( <@ ) : 'd qty -> 'd qty -> bool
 val ( <=@ ) : 'd qty -> 'd qty -> bool
 val ( >@ ) : 'd qty -> 'd qty -> bool
-val ( >=@ ) : 'd qty -> 'd qty -> bool
-val equal : 'd qty -> 'd qty -> bool
-val compare : 'd qty -> 'd qty -> int
 
 (** {1 Sanctioned dimension crossings}
 
@@ -129,16 +124,13 @@ val ev_to_joule : ev qty -> joule qty
 (** Multiplies by the (exact, SI-defined) elementary charge
     1.602176634e-19 C — bit-identical to [x *. Constants.ev]. *)
 
-val joule_to_ev : joule qty -> ev qty
-
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val absolute_of_areal : f_per_m2 qty -> area:m2 qty -> farad qty
 (** F/m² × m² → F (per-cell absolute capacitance). *)
 
+(* lint: allow L14 — no program calls it; test_qty pins it *)
 val areal_of_absolute : farad qty -> area:m2 qty -> f_per_m2 qty
 (** F ÷ m² → F/m². *)
-
-val charge_of_areal : c_per_m2 qty -> area:m2 qty -> coulomb qty
-val areal_of_charge : coulomb qty -> area:m2 qty -> c_per_m2 qty
 
 val areal_displacement : f_per_m2 qty -> v:volt qty -> c_per_m2 qty
 (** F/m² × V → C/m² — the sheet-charge form of Q = C·V. *)

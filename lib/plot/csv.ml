@@ -34,5 +34,3 @@ let of_table ~header rows =
        Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let save_table ~path ~header rows = write path (of_table ~header rows)

@@ -12,14 +12,17 @@ type params = {
 val default_si : params
 (** Textbook silicon parameters (λ = 9.2 nm, Φ_B = 3.2 eV, C = 2×10⁻³). *)
 
+(* lint: allow L14 — no program calls it; test_che pins it *)
 val injection_probability : params -> lateral_field:float -> float
 (** Lucky-electron probability [C·exp(−Φ_B/(q·λ·E_lat))]; [0.] for
     non-positive fields. *)
 
+(* lint: allow L14 — no program calls it; test_che pins it *)
 val gate_current : params -> drain_current:float -> lateral_field:float -> float
 (** Gate (injection) current [A] given the cell drain current and the peak
     lateral channel field. *)
 
+(* lint: allow L14 — no program calls it; test_che pins it *)
 val programming_current_budget :
   params -> drain_current:float -> lateral_field:float -> cells:int -> float
 (** Total supply current [A] to program [cells] cells in parallel — the

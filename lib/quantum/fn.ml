@@ -56,8 +56,6 @@ let log10_current p ~field =
   if field <= 0. then neg_infinity
   else log10 p.a +. (2. *. log10 field) -. (p.b /. field /. log 10.)
 
-let log10_current_q p ~field = log10_current p ~field:(U.to_float field)
-
 let field_for_current p ~j =
   if j <= 0. then Error "Fn.field_for_current: j <= 0"
   else

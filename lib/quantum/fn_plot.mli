@@ -10,6 +10,7 @@ type extraction = {
   r_squared : float;  (** linearity of the FN plot *)
 }
 
+(* lint: allow L14 — no program calls it; test_fn_plot pins it *)
 val points : Fn.params -> fields:float array -> (float * float) array
 (** [(1/E, ln(J/E²))] pairs from the closed-form model — a perfectly
     straight line; useful as a fixture. Fields must be positive. *)
@@ -25,6 +26,7 @@ val extract :
 (** Least-squares extraction of A and B from data. Succeeds when at least
     two valid points remain. *)
 
+(* lint: allow L14 — no program calls it; test_fn_plot pins it *)
 val extract_from_model :
   Fn.params -> fields:float array -> (extraction, string) result
 (** Round-trip helper: generate currents from the model at the given fields

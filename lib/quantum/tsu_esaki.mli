@@ -31,6 +31,7 @@ val current_density :
     bit-for-bit equal either way; only the [wkb/cache_build] /
     [wkb/cache_hit] counters differ. Ignored for non-WKB models. *)
 
+(* lint: allow L14 — no program calls it; test_tsu_esaki pins it *)
 val compare_models :
   ?temp:float -> phi_b:float -> field:float -> thickness:float ->
   m_b:float -> ef:float -> unit -> (string * float) list

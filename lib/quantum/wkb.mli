@@ -10,6 +10,7 @@ val transmission : Barrier.t -> energy:float -> float
     barrier maximum transmit with probability 1 (WKB has no above-barrier
     reflection). *)
 
+(* lint: allow L14 — no program calls it; test_wkb pins it *)
 val transmission_triangular :
   phi_b:float -> field:float -> m_eff:float -> float
 (** Closed-form WKB transmission at the Fermi level (E = 0) through the FN

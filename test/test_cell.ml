@@ -21,7 +21,7 @@ let test_program_read () =
   check_true "stores electrons" (c.Cell.qfg < 0.);
   check_true "reads programmed" (Cell.read c = Cell.Programmed);
   Alcotest.(check int) "bit 0" 0 (Cell.to_bit (Cell.read c));
-  check_true "state classification" (Cell.state c = Cell.Programmed)
+  check_true "state classification" (Cell.For_testing.state c = Cell.Programmed)
 
 let test_erase_restores () =
   let e = engine () in
@@ -54,7 +54,7 @@ let test_custom_threshold () =
   let e = engine () in
   let c = check_ok "program" (Cell.program e (fresh ())) in
   (* very high decision level flips classification *)
-  check_true "high threshold reads erased" (Cell.state ~dvt_threshold:100. c = Cell.Erased)
+  check_true "high threshold reads erased" (Cell.For_testing.state ~dvt_threshold:100. c = Cell.Erased)
 
 let prop_program_erase_roundtrip =
   prop "program/erase returns to erased" ~count:3 QCheck2.Gen.(return ()) (fun () ->

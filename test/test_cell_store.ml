@@ -14,10 +14,11 @@ module PE = Gnrflash_device.Program_erase
 module Rel = Gnrflash_device.Reliability
 module C = Gnrflash_memory.Command_fsm
 module Fault = Gnrflash_resilience.Fault
+module Tel = Gnrflash_telemetry.Telemetry
 open Gnrflash_testing.Testing
 
 let fresh_device () =
-  F.make ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
+  F.For_testing.make ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
 
 let bits = Int64.bits_of_float
 let same_f a b = Int64.equal (bits a) (bits b)
@@ -61,7 +62,7 @@ let with_fault_phase c ~reset go =
   | Some seed ->
     let clean = go () in
     reset ();
-    clean @ Fault.with_faults ~seed (Fault.Fail_every 30) go
+    clean @ Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) go
 
 (* ---------- the implementations under comparison ---------- *)
 
@@ -110,7 +111,7 @@ let loop_word s m ~pulse ~base ~bits ~data =
         | Ok p ->
           go (i + 1) (max slowest p) (total + p) (timeout || S.bit s idx = 1)
         | Error e ->
-          S.set s idx before;
+          S.For_testing.set s idx before;
           word_failed e total
   in
   go 0 0 0 false
@@ -138,7 +139,7 @@ let run_store ~fused c =
   Array.iteri (fun i q -> S.set_qfg s i q) c.charges;
   List.iter
     (fun i ->
-      S.set s i
+      S.For_testing.set s i
         {
           Cell.device = d;
           qfg = c.charges.(i);
@@ -201,7 +202,7 @@ let run_record c =
       c.charges
   in
   let pp, ep = pulses c in
-  let bit i = Cell.to_bit (Cell.state cells.(i)) in
+  let bit i = Cell.to_bit (Cell.For_testing.state cells.(i)) in
   let reset () =
     Array.iteri
       (fun i q -> cells.(i) <- { (cells.(i)) with Cell.qfg = q })
@@ -295,7 +296,7 @@ let store_matches_records s cells =
             let w = c.Cell.wear in
             same_f (S.qfg s i) c.Cell.qfg
             && same_f (S.fluence s i) w.Rel.fluence
-            && same_f (S.traps s i) w.Rel.traps
+            && same_f (S.For_testing.traps s i) w.Rel.traps
             && S.cycles s i = w.Rel.cycles
             && S.broken s i = w.Rel.broken))
 
@@ -438,7 +439,7 @@ let test_view_set_roundtrip () =
       wear = { Rel.fluence = 1.5; traps = 2.5e11; cycles = 7; broken = false };
     }
   in
-  S.set s 1 c;
+  S.For_testing.set s 1 c;
   let v = S.view s 1 in
   check_true "qfg bits" (same_f v.Cell.qfg c.Cell.qfg);
   check_true "fluence bits" (same_f v.Cell.wear.Rel.fluence 1.5);
@@ -458,7 +459,7 @@ let test_scalar_readout_matches_cell () =
     let v = S.view s i in
     check_true "dvt bits" (same_f (S.dvt s i) (Cell.dvt v));
     Alcotest.(check int) "bit"
-      (Cell.to_bit (Cell.state v))
+      (Cell.to_bit (Cell.For_testing.state v))
       (S.bit s i)
   done
 
@@ -489,7 +490,7 @@ let test_range_equals_per_cell_loop () =
   for i = 0 to 4 do
     check_true "qfg" (same_f (S.qfg a i) (S.qfg b i));
     check_true "fluence" (same_f (S.fluence a i) (S.fluence b i));
-    check_true "traps" (same_f (S.traps a i) (S.traps b i));
+    check_true "traps" (same_f (S.For_testing.traps a i) (S.For_testing.traps b i));
     Alcotest.(check int) "cycles" (S.cycles b i) (S.cycles a i)
   done;
   check_true "digest"
@@ -499,7 +500,7 @@ let test_range_equals_per_cell_loop () =
 let test_range_stops_at_broken () =
   let d = fresh_device () in
   let s = S.create ~n:5 d in
-  S.set s 2
+  S.For_testing.set s 2
     {
       Cell.device = d;
       qfg = 0.;
@@ -602,14 +603,14 @@ let prop_ids_consistent =
           in
           (match fault with
            | None -> go ()
-           | Some seed -> Fault.with_faults ~seed (Fault.Fail_every 30) go)
+           | Some seed -> Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) go)
         | Id_round (lo, hi) ->
           attempt (fun () -> ignore (S.erase_round s ~memo:em ~pulse:ep ~lo ~hi))
         | Copy_q (i, j) -> S.set_qfg s i (S.qfg s j)
-        | Copy_cell (i, j) -> S.set s i (S.view s j)
+        | Copy_cell (i, j) -> S.For_testing.set s i (S.view s j)
         | Worn i ->
           let c = S.view s i in
-          S.set s i
+          S.For_testing.set s i
             { c with Cell.wear = { c.Cell.wear with Rel.fluence = 1e30 } }
       in
       List.for_all
@@ -664,7 +665,7 @@ let test_ids_bounded_under_faults () =
   ignore (S.erase_round s ~memo:em ~pulse:erase_short ~lo:0 ~hi:(n - 1));
   let warm = T.ids s in
   check_true "clean pulses interned" (warm > 0);
-  Fault.with_faults ~seed:7 (Fault.Fail_every 30) (fun () ->
+  Fault.For_testing.with_faults ~seed:7 (Fault.Fail_every 30) (fun () ->
       for k = 1 to 300 do
         let i = k mod n in
         S.set_qfg s i (-1e-20 *. float_of_int k);
@@ -688,7 +689,7 @@ let seed_program_word s m ~pulse ~max_pulses ~base ~bits ~data =
       match loop_verify s m ~pulse ~max_pulses idx with
       | Ok _ -> go (i + 1)
       | Error e ->
-        S.set s idx before;
+        S.For_testing.set s idx before;
         Error e
     end
   in
@@ -718,7 +719,7 @@ let prop_fsm_restores_on_error =
       let s = S.create ~n (fresh_device ()) in
       let m = S.memo s in
       let fsm_err =
-        Fault.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+        Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) (fun () ->
             let w a d = ignore (C.write fsm ~addr:a ~data:d) in
             w (0x555 mod C.words fsm) 0xAA;
             w (0x2AA mod C.words fsm) 0x55;
@@ -729,7 +730,7 @@ let prop_fsm_restores_on_error =
             | Error e -> Some (C.error_to_string e))
       in
       let ref_err =
-        Fault.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+        Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) (fun () ->
             match
               seed_program_word s m ~pulse:cfg.C.program_pulse
                 ~max_pulses:cfg.C.max_pulses ~base:(addr * bits) ~bits ~data
@@ -740,13 +741,34 @@ let prop_fsm_restores_on_error =
       fsm_err = ref_err
       && Array.for_all Fun.id
            (Array.init n (fun i ->
-                let (c : Cell.t) = C.cell fsm ~idx:i in
+                let (c : Cell.t) = C.For_testing.cell fsm ~idx:i in
                 let w = c.Cell.wear in
                 same_f c.Cell.qfg (S.qfg s i)
                 && same_f w.Rel.fluence (S.fluence s i)
-                && same_f w.Rel.traps (S.traps s i)
+                && same_f w.Rel.traps (S.For_testing.traps s i)
                 && w.Rel.cycles = S.cycles s i
                 && w.Rel.broken = S.broken s i)))
+
+(* A surrogate-off store has no table build to keep in step, so it admits
+   every clean in-box pulse to its memo: the repeat on a second cell at
+   the same charge replays by id without reaching the engine, and lands
+   on the first solve's bits. *)
+let test_memo_without_surrogate () =
+  let s = S.create ~surrogate:false ~n:2 (fresh_device ()) in
+  let m = S.memo s in
+  Tel.reset ();
+  Tel.enable ();
+  let engine_pulses =
+    Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) (fun () ->
+        check_ok "first solve" (S.apply_pulse_at s ~memo:m ~pulse:prog_pulse 0);
+        check_ok "repeat" (S.apply_pulse_at s ~memo:m ~pulse:prog_pulse 1);
+        Tel.For_testing.counter_total "program_erase/pulse")
+  in
+  Alcotest.(check int) "memo hits" 1 (2 - engine_pulses);
+  check_true "charge interned" (T.charge_id s 1 <> 0);
+  check_true "same charge bits" (same_f (S.qfg s 0) (S.qfg s 1));
+  check_true "same wear bits" (same_f (S.fluence s 0) (S.fluence s 1));
+  check_true "same trap bits" (same_f (T.traps s 0) (T.traps s 1))
 
 (* ---------- zero allocation on memo hits ---------- *)
 
@@ -773,7 +795,7 @@ let test_memo_hits_allocate_nothing () =
   in
   let reset () =
     for i = 0 to n - 1 do
-      S.set s i start.(i)
+      S.For_testing.set s i start.(i)
     done
   in
   let pm = S.memo s and em = S.memo s in
@@ -836,6 +858,7 @@ let () =
           case "ids keep the sign" test_ids_keep_sign;
           case "foreign memo rejected" test_foreign_memo_rejected;
           case "ids bounded under a fault plan" test_ids_bounded_under_faults;
+          case "memo without the surrogate" test_memo_without_surrogate;
           prop_ids_consistent;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;

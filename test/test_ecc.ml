@@ -25,7 +25,7 @@ let test_clean_roundtrip () =
 let test_single_error_corrected_everywhere () =
   let cw = E.encode data8 in
   for pos = 0 to Array.length cw - 1 do
-    match E.decode ~k:8 (E.inject_error cw ~pos) with
+    match E.decode ~k:8 (E.For_testing.inject_error cw ~pos) with
     | E.Corrected (data, _) ->
       Alcotest.(check (array int))
         (Printf.sprintf "corrected flip at %d" pos)
@@ -40,7 +40,7 @@ let test_double_error_detected () =
   (* flip pairs of data-region bits: must never silently mis-correct *)
   let miscorrections = ref 0 in
   for i = 0 to n - 2 do
-    let corrupted = E.inject_error (E.inject_error cw ~pos:i) ~pos:(i + 1) in
+    let corrupted = E.For_testing.inject_error (E.For_testing.inject_error cw ~pos:i) ~pos:(i + 1) in
     match E.decode ~k:8 corrupted with
     | E.Uncorrectable -> ()
     | E.Corrected (data, _) | E.Clean data ->
@@ -56,7 +56,7 @@ let test_all_double_errors_exhaustive_small () =
   let n = Array.length cw in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match E.decode ~k:4 (E.inject_error (E.inject_error cw ~pos:i) ~pos:j) with
+      match E.decode ~k:4 (E.For_testing.inject_error (E.For_testing.inject_error cw ~pos:i) ~pos:j) with
       | E.Uncorrectable -> ()
       | E.Clean d | E.Corrected (d, _) ->
         if d <> data then
@@ -70,7 +70,7 @@ let test_validation () =
   Alcotest.check_raises "non-bit" (Invalid_argument "Ecc.encode: non-bit value")
     (fun () -> ignore (E.encode [| 2 |]));
   Alcotest.check_raises "bad index" (Invalid_argument "Ecc.inject_error: bad index")
-    (fun () -> ignore (E.inject_error (E.encode data8) ~pos:99))
+    (fun () -> ignore (E.For_testing.inject_error (E.encode data8) ~pos:99))
 
 (* The packed decode against [decode] on every (k + overhead k)-bit word
    for k = 8 (all 8192 of them: clean, single- and multi-bit errors):
@@ -118,7 +118,7 @@ let prop_single_error_recovered =
     (fun (data, seed) ->
        let cw = E.encode data in
        let pos = seed mod Array.length cw in
-       match E.decode ~k:(Array.length data) (E.inject_error cw ~pos) with
+       match E.decode ~k:(Array.length data) (E.For_testing.inject_error cw ~pos) with
        | E.Corrected (d, _) -> d = data
        | _ -> false)
 

@@ -22,7 +22,7 @@ let test_vfg_with_charge () =
 let test_fields_at_t0 () =
   (* tunnel field 9V/5nm = 18 MV/cm; control field 6V/10nm = 6 MV/cm *)
   check_close ~tol:1e-9 "tunnel field" 1.8e9 (F.tunnel_field t ~vgs:15. ~qfg:0.);
-  check_close ~tol:1e-9 "control field" 6e8 (F.control_field t ~vgs:15. ~qfg:0.)
+  check_close ~tol:1e-9 "control field" 6e8 (F.For_testing.control_field t ~vgs:15. ~qfg:0.)
 
 let test_jin_dominates_at_start () =
   let ji = F.j_in t ~vgs:15. ~qfg:0. and jo = F.j_out t ~vgs:15. ~qfg:0. in
@@ -37,8 +37,8 @@ let test_erase_mirror () =
   check_true "negligible injection" (ji < jo /. 1e10)
 
 let test_dqfg_sign () =
-  check_true "programming charges negative" (F.dqfg_dt t ~vgs:15. ~qfg:0. < 0.);
-  check_true "erase charges positive" (F.dqfg_dt t ~vgs:(-15.) ~qfg:0. > 0.)
+  check_true "programming charges negative" (F.For_testing.dqfg_dt t ~vgs:15. ~qfg:0. < 0.);
+  check_true "erase charges positive" (F.For_testing.dqfg_dt t ~vgs:(-15.) ~qfg:0. > 0.)
 
 let test_threshold_shift () =
   let q = -3e-18 in
@@ -65,10 +65,10 @@ let test_with_xto () =
 let test_make_validation () =
   Alcotest.check_raises "control thinner than tunnel"
     (Invalid_argument "Fgt.make: control oxide thinner than tunnel oxide") (fun () ->
-      ignore (F.make ~gcr:0.6 ~xto:10e-9 ~xco:5e-9 ~area:1e-15 ()))
+      ignore (F.For_testing.make ~gcr:0.6 ~xto:10e-9 ~xco:5e-9 ~area:1e-15 ()))
 
 let test_source_bias () =
-  let t2 = F.make ~vs:0.05 ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:1e-15 () in
+  let t2 = F.For_testing.make ~vs:0.05 ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:1e-15 () in
   check_true "source bias lowers tunnel field"
     (F.tunnel_field t2 ~vgs:15. ~qfg:0. < F.tunnel_field t ~vgs:15. ~qfg:0.)
 
@@ -93,7 +93,7 @@ let test_control_oxide_decoupled () =
   let geometry = (0.6, 5e-9, 10e-9, 32e-9 *. 32e-9) in
   let build ?control_oxide () =
     let gcr, xto, xco, area = geometry in
-    F.make ?control_oxide ~gcr ~xto ~xco ~area ()
+    F.For_testing.make ?control_oxide ~gcr ~xto ~xco ~area ()
   in
   let sio2 = build () in
   let hik = build ~control_oxide:Gnrflash_materials.Oxide.al2o3 () in

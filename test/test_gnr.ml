@@ -36,8 +36,7 @@ let test_gap_decreases_with_width () =
   check_true "even wider" (gap 48 < gap 24)
 
 let test_zigzag_metallic () =
-  check_close "zigzag gap 0" 0. (G.bandgap_ev (G.make G.Zigzag 10));
-  check_false "not semiconducting" (G.is_semiconducting (G.make G.Zigzag 10))
+  check_close "zigzag gap 0" 0. (G.bandgap_ev (G.make G.Zigzag 10))
 
 let test_subband_energy () =
   let r = G.make G.Armchair 12 in

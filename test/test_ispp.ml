@@ -61,7 +61,7 @@ let test_config_validation () =
 
 let test_tail_increments () =
   let r = check_ok "ispp" (I.run (engine ()) ~qfg0:0.) in
-  let incs = I.dvt_per_pulse_tail r in
+  let incs = I.For_testing.dvt_per_pulse_tail r in
   (* in steady state the staircase increment approaches v_step *)
   match List.rev incs with
   | last :: _ -> check_in "increment near v_step" ~lo:0.05 ~hi:1.0 last

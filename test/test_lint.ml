@@ -1,17 +1,32 @@
 (* Self-test for gnrflash-lint: every (* EXPECT L<n> *) marker in the
-   fixture directory must produce exactly one finding of that rule on that
-   line, (* EXPECT-SUPPRESSED L<n> *) exactly one suppressed finding, and
-   nothing else may fire. Also asserts the repo itself is lint-clean. *)
+   fixture directory (.ml and .mli) must produce exactly one finding of
+   that rule on that line, (* EXPECT-SUPPRESSED L<n> *) exactly one
+   suppressed finding, and nothing else may fire. Also asserts the repo
+   itself is lint-clean, L14 included: every lib/ export is reached from
+   bin/, bench/, examples/ or perfbench/. *)
 
 module E = Gnrflash_lint_engine.Lint_engine
 open Gnrflash_testing.Testing
 
 let fixtures_subdir = "tools/lint/fixtures"
 
-let fixture_config =
-  { E.solver_basenames = [ "bad_l1.ml" ]; l3_exempt_basenames = [] }
-
 let root = E.locate_root ()
+
+(* L14 roots: every fixture module except the two L14 library-side ones,
+   so only bad_l14*.mli are checked for unreached exports and the root
+   l14_root.ml decides what they reach *)
+let fixture_config =
+  {
+    E.solver_basenames = [ "bad_l1.ml" ];
+    l3_exempt_basenames = [];
+    roots =
+      Sys.readdir (Filename.concat root fixtures_subdir)
+      |> Array.to_list
+      |> List.filter (fun name ->
+             Filename.check_suffix name ".ml"
+             && not (String.starts_with ~prefix:"bad_l14" name))
+      |> List.map (Filename.concat fixtures_subdir);
+  }
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -22,7 +37,8 @@ let contains hay needle =
 let expected_findings () =
   let dir = Filename.concat root fixtures_subdir in
   let parse_file acc name =
-    if Filename.check_suffix name ".ml" then begin
+    if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+    then begin
       let path = Filename.concat dir name in
       let ic = open_in path in
       let acc = ref acc in
@@ -59,6 +75,7 @@ let expected_findings () =
 let test_fixtures_exact () =
   let report = E.run ~config:fixture_config ~root ~subdir:fixtures_subdir () in
   check_true "fixtures were scanned" (report.E.files_scanned > 0);
+  check_true "fixture roots were scanned" (report.E.roots_scanned > 0);
   let actual =
     List.map
       (fun f -> (f.E.file, f.E.line, f.E.rule, f.E.suppressed))
@@ -76,7 +93,7 @@ let test_fixtures_exact () =
     (List.map show actual)
 
 let test_every_rule_covered () =
-  (* the fixture set must exercise all five rules, both firing and
+  (* the fixture set must exercise every rule, both firing and
      suppressed *)
   let expected = expected_findings () in
   List.iter
@@ -129,7 +146,8 @@ let test_callgraph () =
 let test_engine_api () =
   check_true "rule_of_string L8" (E.rule_of_string "L8" = Some E.L8);
   check_true "rule_of_string lowercase" (E.rule_of_string "l11" = Some E.L11);
-  check_true "rule_of_string out of range" (E.rule_of_string "L14" = None);
+  check_true "rule_of_string L14" (E.rule_of_string "L14" = Some E.L14);
+  check_true "rule_of_string out of range" (E.rule_of_string "L15" = None);
   check_true "rule_of_string junk" (E.rule_of_string "Lx" = None);
   let report = E.run ~config:fixture_config ~root ~subdir:fixtures_subdir () in
   let counts = E.by_rule report in
@@ -149,20 +167,11 @@ let test_engine_api () =
   check_true "json has per-rule counts" (contains json "\"by_rule\"");
   check_true "json mentions L8" (contains json "\"L8\"")
 
-let test_baseline_roundtrip () =
-  let report = E.run ~config:fixture_config ~root ~subdir:fixtures_subdir () in
-  let b = E.baseline_of_report report in
-  check_true "fixture baseline is non-empty" (b <> []);
-  let b' = E.baseline_of_string (E.baseline_to_string b) in
-  check_true "baseline text round-trips"
-    (List.sort compare b' = List.sort compare b);
-  Alcotest.(check (list string))
-    "applying a report's own baseline silences it" []
-    (List.map E.render_finding (E.unsuppressed (E.apply_baseline b report)))
-
 let test_repo_clean () =
   let report = E.run ~root ~subdir:"lib" () in
   check_true "repo libraries were scanned" (report.E.files_scanned > 50);
+  (* L14 needs the programs' .cmts: test/dune depends on their @check *)
+  check_true "program roots were scanned" (report.E.roots_scanned > 10);
   Alcotest.(check (list string))
     "no unsuppressed findings in lib/" []
     (List.map E.render_finding (E.unsuppressed report))
@@ -176,7 +185,6 @@ let () =
           case "all rules covered" test_every_rule_covered;
           case "call graph shapes" test_callgraph;
           case "engine api" test_engine_api;
-          case "baseline round-trip" test_baseline_roundtrip;
           case "repo is lint-clean" test_repo_clean;
         ] );
     ]

@@ -22,7 +22,7 @@ let test_gray_code () =
     [ 0; 1; 3; 2; 6; 7; 5; 4 ]
     (List.init 8 M.gray_encode);
   for n = 0 to 63 do
-    Alcotest.(check int) "roundtrip" n (M.gray_decode (M.gray_encode n))
+    Alcotest.(check int) "roundtrip" n (M.For_testing.gray_decode (M.gray_encode n))
   done
 
 let test_gray_adjacent_one_bit () =
@@ -37,7 +37,7 @@ let test_level_bits_roundtrip () =
   for level = 0 to 3 do
     let bits = M.level_to_bits c level in
     Alcotest.(check int) "width" 2 (Array.length bits);
-    Alcotest.(check int) "roundtrip" level (M.bits_to_level c bits)
+    Alcotest.(check int) "roundtrip" level (M.For_testing.bits_to_level c bits)
   done
 
 let test_level_bits_convention () =

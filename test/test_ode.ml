@@ -113,8 +113,8 @@ let test_event_bisection_early_exit () =
   (match r.O.event_time with
    | Some t -> check_close ~tol:1e-5 "ln 10" (log 10.) t
    | None -> Alcotest.fail "event not detected");
-  Alcotest.(check int) "one crossing" 1 (Tel.counter_total "ode/event_crossing");
-  let iters = Tel.counter_total "ode/event_bisect_iter" in
+  Alcotest.(check int) "one crossing" 1 (Tel.For_testing.counter_total "ode/event_crossing");
+  let iters = Tel.For_testing.counter_total "ode/event_bisect_iter" in
   check_true "bisection ran" (iters > 0);
   check_true "bisection stopped before the 60-iteration cap" (iters < 60)
 
@@ -134,7 +134,7 @@ let test_infinite_rhs_recovery () =
   in
   check_close ~tol:1e-6 "relaxation endpoint" (1.5 *. (1. -. exp (-4.))) (last tr);
   check_true "non-finite trial steps were shrunk"
-    (Tel.counter_total "ode/step_nan_shrink" > 0);
+    (Tel.For_testing.counter_total "ode/step_nan_shrink" > 0);
   Array.iter
     (fun y -> check_true "trajectory stays finite" (Float.is_finite y))
     tr.O.states
@@ -227,13 +227,13 @@ let test_fsal_eval_count () =
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let _ = check_ok "run" (O.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
   let trials =
-    Tel.counter_total "ode/step_accepted"
-    + Tel.counter_total "ode/step_rejected"
-    + Tel.counter_total "ode/step_nan_shrink"
+    Tel.For_testing.counter_total "ode/step_accepted"
+    + Tel.For_testing.counter_total "ode/step_rejected"
+    + Tel.For_testing.counter_total "ode/step_nan_shrink"
   in
   Alcotest.(check int) "6 evals per trial + 1 seed"
-    ((6 * trials) + 1 + Tel.counter_total "ode/step_nan_shrink")
-    (Tel.counter_total "ode/rhs_eval")
+    ((6 * trials) + 1 + Tel.For_testing.counter_total "ode/step_nan_shrink")
+    (Tel.For_testing.counter_total "ode/rhs_eval")
 
 (* Allocation pin (native code only: bytecode boxes every float). The
    driver keeps its state and stages unboxed, so a run allocates only

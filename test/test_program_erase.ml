@@ -89,20 +89,20 @@ let test_warm_start_counters () =
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let warm = engine ~surrogate:false () in
   let q_warm = run_train ~engine:(fun () -> warm) ~cycles:10 in
-  let warm_hits = Tel.counter_total "transient/warm_start_hit" in
-  let replays = Tel.counter_total "program_erase/pulse_replay" in
-  let rhs_warm = Tel.counter_total "ode/rhs_eval" in
+  let warm_hits = Tel.For_testing.counter_total "transient/warm_start_hit" in
+  let replays = Tel.For_testing.counter_total "program_erase/pulse_replay" in
+  let rhs_warm = Tel.For_testing.counter_total "ode/rhs_eval" in
   check_true "h0 warm start engaged" (warm_hits > 0);
   check_true "limit-cycle replay engaged" (replays > 0);
   Alcotest.(check int) "all 20 pulses recorded" 20
-    (Tel.counter_total "program_erase/pulse");
+    (Tel.For_testing.counter_total "program_erase/pulse");
   Tel.reset ();
   let q_cold = run_train ~engine:(engine ~surrogate:false) ~cycles:10 in
   Alcotest.(check int) "fresh engines: no warm hits" 0
-    (Tel.counter_total "transient/warm_start_hit");
+    (Tel.For_testing.counter_total "transient/warm_start_hit");
   Alcotest.(check int) "fresh engines: no replays" 0
-    (Tel.counter_total "program_erase/pulse_replay");
-  let rhs_cold = Tel.counter_total "ode/rhs_eval" in
+    (Tel.For_testing.counter_total "program_erase/pulse_replay");
+  let rhs_cold = Tel.For_testing.counter_total "ode/rhs_eval" in
   check_true
     (Printf.sprintf "warm train cheaper: %d vs %d RHS evals" rhs_warm rhs_cold)
     (rhs_warm < rhs_cold);
@@ -145,9 +145,9 @@ let test_surrogate_precedence_deterministic () =
   let s1 = check_ok "surrogate 1" (Pe.apply_pulse en ~qfg:0. pulse) in
   let s2 = check_ok "surrogate 2" (Pe.apply_pulse en ~qfg:0. pulse) in
   check_true "surrogate served despite replay entry"
-    (Tel.counter_total "surrogate/hit" >= 2);
+    (Tel.For_testing.counter_total "surrogate/hit" >= 2);
   Alcotest.(check int) "replay never consulted" 0
-    (Tel.counter_total "program_erase/pulse_replay");
+    (Tel.For_testing.counter_total "program_erase/pulse_replay");
   check_true "surrogate answers bit-identical"
     (Int64.equal (Int64.bits_of_float s1.Pe.qfg_after)
        (Int64.bits_of_float s2.Pe.qfg_after));

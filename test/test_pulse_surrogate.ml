@@ -10,7 +10,7 @@ open Gnrflash_testing.Testing
 let paper = F.paper_default
 
 let mk ~gcr ~xto_nm =
-  F.make ~gcr ~xto:(xto_nm *. 1e-9) ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
+  F.For_testing.make ~gcr ~xto:(xto_nm *. 1e-9) ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
 
 let build_exn ?box device ~vgs = check_sok "surrogate build" (Ps.build ?box device ~vgs)
 
@@ -37,11 +37,11 @@ let with_counters f =
 
 let test_build_basics () =
   let tab = build_exn paper ~vgs:15. in
-  check_true "enough knots" (Ps.knot_count tab >= 8);
-  check_close "records vgs" 15. (Ps.vgs tab);
+  check_true "enough knots" (Ps.For_testing.knot_count tab >= 8);
+  check_close "records vgs" 15. (Ps.For_testing.vgs tab);
   check_true "bound positive" (Ps.certified_bound tab > 0.);
   check_true "bound from measurement"
-    (Ps.certified_bound tab > Ps.max_measured_divergence tab);
+    (Ps.certified_bound tab > Ps.For_testing.max_measured_divergence tab);
   (* the paper device at 15 V certifies to well under a percent *)
   check_true
     (Printf.sprintf "bound %.3e below 1e-2" (Ps.certified_bound tab))
@@ -161,8 +161,8 @@ let test_out_of_box_bit_identity () =
        assert_bit_identical (msg ^ ": bit-identical to exact") on off)
     cases;
   check_true "fallback fired for every out-of-box query"
-    (Tel.counter_total "surrogate/fallback" >= List.length cases);
-  Alcotest.(check int) "no hits out of box" 0 (Tel.counter_total "surrogate/hit")
+    (Tel.For_testing.counter_total "surrogate/fallback" >= List.length cases);
+  Alcotest.(check int) "no hits out of box" 0 (Tel.For_testing.counter_total "surrogate/hit")
 
 let test_out_of_range_charge_falls_back () =
   with_counters @@ fun () ->
@@ -175,18 +175,18 @@ let test_out_of_range_charge_falls_back () =
   let off_engine = Pe.engine ~surrogate:false device in
   prime on_engine ~qfg:0. pulse;
   prime off_engine ~qfg:0. pulse;
-  check_true "table built by priming" (Tel.counter_total "surrogate/hit" = 1);
+  check_true "table built by priming" (Tel.For_testing.counter_total "surrogate/hit" = 1);
   let _, hi = Ps.qfg_range (build_exn device ~vgs:15.) in
   let q_out = 3. *. hi in
-  let hits0 = Tel.counter_total "surrogate/hit" in
+  let hits0 = Tel.For_testing.counter_total "surrogate/hit" in
   let on = check_sok "oob charge" (Pe.apply_pulse on_engine ~qfg:q_out pulse) in
   let off =
     check_sok "oob charge exact" (Pe.apply_pulse off_engine ~qfg:q_out pulse)
   in
   assert_bit_identical "out-of-range charge is exact" on off;
   Alcotest.(check int) "no hit for out-of-range charge" hits0
-    (Tel.counter_total "surrogate/hit");
-  check_true "fallback fired" (Tel.counter_total "surrogate/fallback" > 0)
+    (Tel.For_testing.counter_total "surrogate/hit");
+  check_true "fallback fired" (Tel.For_testing.counter_total "surrogate/fallback" > 0)
 
 let test_box_edges_inside () =
   (* exactly-on-boundary operating points are inside the box, including
@@ -239,16 +239,16 @@ let test_promotion_policy () =
     q := !q +. 1e-19 (* distinct keys: exact replay must not mask the policy *)
   done;
   Alcotest.(check int) "no build before promotion" 0
-    (Tel.counter_total "surrogate/build");
+    (Tel.For_testing.counter_total "surrogate/build");
   Alcotest.(check int) "both pre-promotion pulses fell back" 2
-    (Tel.counter_total "surrogate/fallback");
+    (Tel.For_testing.counter_total "surrogate/fallback");
   ignore (check_sok "promoted" (Pe.apply_pulse e ~qfg:!q pulse));
   Alcotest.(check int) "promotion built one table" 1
-    (Tel.counter_total "surrogate/build");
+    (Tel.For_testing.counter_total "surrogate/build");
   Alcotest.(check int) "and served the promoting pulse" 1
-    (Tel.counter_total "surrogate/hit");
+    (Tel.For_testing.counter_total "surrogate/hit");
   check_true "build span recorded"
-    (match Tel.span_stat "surrogate/build" with
+    (match Tel.For_testing.span_stat "surrogate/build" with
      | Some s -> s.Tel.calls = 1 && s.Tel.total_s >= 0.
      | None ->
        (* the span is keyed under the enclosing pulse span *)
@@ -266,9 +266,9 @@ let test_opt_out_is_silent () =
   for _ = 1 to 3 do
     ignore (check_sok "opt-out" (Pe.apply_pulse e ~qfg:0. pulse))
   done;
-  Alcotest.(check int) "no hits" 0 (Tel.counter_total "surrogate/hit");
-  Alcotest.(check int) "no fallbacks" 0 (Tel.counter_total "surrogate/fallback");
-  Alcotest.(check int) "no builds" 0 (Tel.counter_total "surrogate/build")
+  Alcotest.(check int) "no hits" 0 (Tel.For_testing.counter_total "surrogate/hit");
+  Alcotest.(check int) "no fallbacks" 0 (Tel.For_testing.counter_total "surrogate/fallback");
+  Alcotest.(check int) "no builds" 0 (Tel.For_testing.counter_total "surrogate/build")
 
 (* ---------- golden pins (pattern from test_figures.ml) ---------- *)
 
@@ -280,7 +280,7 @@ let test_opt_out_is_silent () =
    lock) and 1e-5 against the exact pin (accuracy contract). *)
 let test_fig5_tsat_pin () =
   let tab = build_exn paper ~vgs:15. in
-  match Ps.saturation_time tab ~qfg:0. with
+  match Ps.For_testing.saturation_time tab ~qfg:0. with
   | None -> Alcotest.fail "surrogate tsat missing"
   | Some ts ->
     let pin_sur = 2.97320727771599610e-04 in
@@ -309,7 +309,7 @@ let test_fig5_ttts_pin () =
    | _ -> Alcotest.fail "exact ttts failed");
   let tab = build_exn paper ~vgs:15. in
   let q2 = F.qfg_for_threshold_shift paper ~dvt:2. in
-  match Ps.time_to_charge tab ~qfg0:0. ~qfg1:q2 with
+  match Ps.For_testing.time_to_charge tab ~qfg0:0. ~qfg1:q2 with
   | None -> Alcotest.fail "surrogate ttts out of range"
   | Some tt ->
     check_true
@@ -373,19 +373,19 @@ let test_fault_plan_bypasses_surrogate () =
   (* prime a table so a hit *would* be served without the plan *)
   let e = Pe.engine device in
   prime e ~qfg:0. pulse;
-  check_true "primed" (Tel.counter_total "surrogate/hit" > 0);
+  check_true "primed" (Tel.For_testing.counter_total "surrogate/hit" > 0);
   Tel.reset ();
   (* a plan with limit 0 never fires a fault, so the exact path runs clean —
      but its presence alone must force the exact solver *)
   let faulted =
-    Fault.with_faults ~limit:0 (Fault.Nan_every 1_000_000) (fun () ->
+    Fault.For_testing.with_faults ~limit:0 (Fault.Nan_every 1_000_000) (fun () ->
         check_sok "under plan" (Pe.apply_pulse e ~qfg:0. pulse))
   in
   Alcotest.(check int) "no surrogate hit under a fault plan" 0
-    (Tel.counter_total "surrogate/hit");
+    (Tel.For_testing.counter_total "surrogate/hit");
   Alcotest.(check int) "not even a fallback probe" 0
-    (Tel.counter_total "surrogate/fallback");
-  check_true "exact solve actually ran" (Tel.counter_total "ode/rhs_eval" > 0);
+    (Tel.For_testing.counter_total "surrogate/fallback");
+  check_true "exact solve actually ran" (Tel.For_testing.counter_total "ode/rhs_eval" > 0);
   let clean =
     check_sok "clean exact"
       (Pe.apply_pulse (Pe.engine ~surrogate:false device) ~qfg:0. pulse)

@@ -97,7 +97,7 @@ let gen_caps =
 let prop_capacitance =
   prop "Capacitance typed path bit-identical" gen_caps
     (fun (cfc, cfs, cfb, cfd) ->
-      let raw = Cap.make ~cfc ~cfs ~cfb ~cfd in
+      let raw = Cap.For_testing.make ~cfc ~cfs ~cfb ~cfd in
       let typed =
         Cap.make_q ~cfc:(U.farad cfc) ~cfs:(U.farad cfs) ~cfb:(U.farad cfb)
           ~cfd:(U.farad cfd)
@@ -116,7 +116,7 @@ let prop_fgt_potentials =
       = bits (U.to_float (Fgt.vfg_q t ~vgs:vq ~qfg:qq))
       && bits (Fgt.tunnel_field t ~vgs ~qfg)
          = bits (U.to_float (Fgt.tunnel_field_q t ~vgs:vq ~qfg:qq))
-      && bits (Fgt.control_field t ~vgs ~qfg)
+      && bits (Fgt.For_testing.control_field t ~vgs ~qfg)
          = bits (U.to_float (Fgt.control_field_q t ~vgs:vq ~qfg:qq)))
 
 let prop_fgt_charge_balance =
@@ -127,8 +127,8 @@ let prop_fgt_charge_balance =
       = bits (U.to_float (Fgt.j_in_q t ~vgs:vq ~qfg:qq))
       && bits (Fgt.j_out t ~vgs ~qfg)
          = bits (U.to_float (Fgt.j_out_q t ~vgs:vq ~qfg:qq))
-      && bits (Fgt.dqfg_dt t ~vgs ~qfg)
-         = bits (U.to_float (Fgt.dqfg_dt_q t ~vgs:vq ~qfg:qq)))
+      && bits (Fgt.For_testing.dqfg_dt t ~vgs ~qfg)
+         = bits (U.to_float (Fgt.For_testing.dqfg_dt_q t ~vgs:vq ~qfg:qq)))
 
 let prop_fgt_threshold =
   prop "Fgt threshold mapping bit-identical"
@@ -148,7 +148,7 @@ let prop_fgt_make =
                    (float_range 1e-9 15e-9) (float_range 10e-9 100e-9))
     (fun (gcr, xto, dxco, w) ->
       let xco = xto +. dxco in
-      let raw = Fgt.make ~gcr ~xto ~xco ~area:(w *. w) () in
+      let raw = Fgt.For_testing.make ~gcr ~xto ~xco ~area:(w *. w) () in
       let typed =
         Fgt.make_q ~gcr ~xto:(U.metre xto) ~xco:(U.metre xco)
           ~area:(U.area (U.metre w) (U.metre w)) ()

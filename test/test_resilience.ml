@@ -65,11 +65,11 @@ let test_budget_eval_cap () =
       | Error e ->
         Alcotest.(check string) "typed" "budget_exhausted" (Err.label e);
         Alcotest.(check string) "solver recorded" "t" e.Err.solver);
-  check_true "slot restored" (Budget.current () = None);
-  Alcotest.(check int) "evals counted" 11 (Budget.evals b)
+  check_true "slot restored" (Budget.For_testing.current () = None);
+  Alcotest.(check int) "evals counted" 11 (Budget.For_testing.evals b)
 
 let test_budget_no_budget_passes () =
-  check_true "no ambient budget" (Budget.current () = None);
+  check_true "no ambient budget" (Budget.For_testing.current () = None);
   match Budget.check ~solver:"t" () with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "check must pass with no budget installed"
@@ -81,8 +81,8 @@ let test_budget_nesting () =
       Budget.note_evals 1;
       Budget.with_budget inner (fun () -> Budget.note_evals 2);
       Budget.note_evals 3);
-  Alcotest.(check int) "outer charged outside the nest" 4 (Budget.evals outer);
-  Alcotest.(check int) "inner charged inside the nest" 2 (Budget.evals inner)
+  Alcotest.(check int) "outer charged outside the nest" 4 (Budget.For_testing.evals outer);
+  Alcotest.(check int) "inner charged inside the nest" 2 (Budget.For_testing.evals inner)
 
 let test_budget_expired_wall_clock () =
   (* a deadline already in the past is exhausted deterministically *)
@@ -109,9 +109,9 @@ let test_fallback_first_rung_ok () =
   in
   Alcotest.(check int) "first rung wins" 1 (check_sok "ladder" r);
   Alcotest.(check int) "no fallback recorded" 0
-    (Tel.counter_total "resilience/fallback_used");
+    (Tel.For_testing.counter_total "resilience/fallback_used");
   Alcotest.(check int) "one attempt" 1
-    (Tel.counter_total "resilience/rung_attempt")
+    (Tel.For_testing.counter_total "resilience/rung_attempt")
 
 let test_fallback_escalates () =
   with_tel @@ fun () ->
@@ -125,13 +125,13 @@ let test_fallback_escalates () =
   in
   Alcotest.(check int) "second rung rescues" 2 (check_sok "ladder" r);
   Alcotest.(check int) "fallback recorded" 1
-    (Tel.counter_total "resilience/fallback_used");
+    (Tel.For_testing.counter_total "resilience/fallback_used");
   Alcotest.(check int) "rescuing rung named" 1
-    (Tel.counter_total "resilience/fallback_rung/b");
+    (Tel.For_testing.counter_total "resilience/fallback_rung/b");
   Alcotest.(check int) "one failure" 1
-    (Tel.counter_total "resilience/rung_failed");
+    (Tel.For_testing.counter_total "resilience/rung_failed");
   Alcotest.(check int) "two attempts" 2
-    (Tel.counter_total "resilience/rung_attempt")
+    (Tel.For_testing.counter_total "resilience/rung_attempt")
 
 let test_fallback_all_fail_returns_last () =
   let e =
@@ -162,7 +162,7 @@ let test_fallback_stops_on_budget_exhausted () =
   Alcotest.(check string) "budget error surfaces" "budget_exhausted"
     (Err.label e);
   Alcotest.(check int) "only the first rung tried" 1
-    (Tel.counter_total "resilience/rung_attempt")
+    (Tel.For_testing.counter_total "resilience/rung_attempt")
 
 let test_fallback_empty_invalid () =
   Alcotest.check_raises "empty ladder"
@@ -172,12 +172,12 @@ let test_fallback_empty_invalid () =
 (* ---- Fault injection ---- *)
 
 let outcomes ?seed ?limit mode n =
-  Fault.with_faults ?seed ?limit mode (fun () ->
+  Fault.For_testing.with_faults ?seed ?limit mode (fun () ->
       let acc = ref [] in
       for _ = 1 to n do
         acc := Fault.outcome () :: !acc
       done;
-      (List.rev !acc, Fault.injected ()))
+      (List.rev !acc, Fault.For_testing.injected ()))
 
 let test_fault_deterministic () =
   let a, _ = outcomes ~seed:7 (Fault.Nan_every 3) 60 in
@@ -205,10 +205,10 @@ let test_fault_fail_mode_carries_eval_index () =
 
 let test_fault_none_without_plan () =
   check_true "no plan: pass" (Fault.outcome () = `Pass);
-  Alcotest.(check int) "no plan: nothing injected" 0 (Fault.injected ())
+  Alcotest.(check int) "no plan: nothing injected" 0 (Fault.For_testing.injected ())
 
 let test_fault_brent_typed_error () =
-  Fault.with_faults ~seed:0 (Fault.Fail_every 1) (fun () ->
+  Fault.For_testing.with_faults ~seed:0 (Fault.Fail_every 1) (fun () ->
       let e =
         check_serr "faulted brent"
           (R.brent (fun x -> (x *. x) -. 2.) 0. 2.)
@@ -220,7 +220,7 @@ let test_fault_telemetry_counter () =
   with_tel @@ fun () ->
   let _, fired = outcomes ~seed:5 (Fault.Nan_every 2) 40 in
   Alcotest.(check int) "counter matches fired faults" fired
-    (Tel.counter_total "resilience/fault_injected")
+    (Tel.For_testing.counter_total "resilience/fault_injected")
 
 (* ---- determinism of fault-injected ladders under parallelism ---- *)
 
@@ -229,7 +229,7 @@ let test_fault_telemetry_counter () =
    fired) must depend only on the seed — never on how Sweep chunks the
    items over domains. *)
 let solve_item base_seed i =
-  Fault.with_faults ~seed:(base_seed + i) ~limit:1 (Fault.Nan_every 2)
+  Fault.For_testing.with_faults ~seed:(base_seed + i) ~limit:1 (Fault.Nan_every 2)
     (fun () ->
       let attempt () = R.brent (fun x -> (x *. x) -. 2. +. float_of_int (i mod 3) *. 0.1) 0. 2. in
       let r =
@@ -237,7 +237,7 @@ let solve_item base_seed i =
           [ Fallback.rung "first" attempt; Fallback.rung "retry" attempt ]
       in
       let v = match r with Ok x -> (true, x) | Error e -> (false, float_of_int (String.length (Err.label e))) in
-      (v, Fault.injected ()))
+      (v, Fault.For_testing.injected ()))
 
 let prop_ladder_deterministic_across_jobs =
   prop "fault-injected ladders are reproducible across seeds and job counts"

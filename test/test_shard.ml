@@ -68,8 +68,8 @@ let test_slice_boundaries () =
 (* ---- worker-side introspection ---- *)
 
 let test_worker_index () =
-  check_true "parent is not a worker" (not (Shard.in_worker ()));
-  let who = Sweep.init ~shards:2 6 (fun _ -> Shard.worker_index ()) in
+  check_true "parent is not a worker" (not (Shard.For_testing.in_worker ()));
+  let who = Sweep.init ~shards:2 6 (fun _ -> Shard.For_testing.worker_index ()) in
   (* slice 0 (elements 0..2) runs in the parent, slice 1 (3..5) in the
      forked worker *)
   Array.iteri
@@ -78,7 +78,7 @@ let test_worker_index () =
          (Printf.sprintf "element %d attribution" i)
          (w = if i < 3 then None else Some 1))
     who;
-  check_true "parent flag restored" (not (Shard.in_worker ()))
+  check_true "parent flag restored" (not (Shard.For_testing.in_worker ()))
 
 let test_shard_seed () =
   let a = Shard.shard_seed ~seed:7 ~shard:1 in
@@ -100,8 +100,8 @@ let test_shard_telemetry_parity () =
   (* worker snapshots ship home in the result frame and merge additively,
      keyed under the submitting context, exactly like an unsharded run *)
   Alcotest.(check int) "prefixed counter total" 10
-    (Tel.counter "outer_shard/hit");
-  Alcotest.(check int) "bare key unused" 0 (Tel.counter "hit")
+    (Tel.For_testing.counter "outer_shard/hit");
+  Alcotest.(check int) "bare key unused" 0 (Tel.For_testing.counter "hit")
 
 (* ---- a dead worker is a typed error, not a hang ---- *)
 
@@ -110,7 +110,7 @@ let test_killed_worker_is_typed_error () =
     Sweep.init ~shards:2 8 (fun i ->
         (* every forked worker dies before writing its result frame; the
            parent's own slice is unaffected *)
-        if Shard.in_worker () then Unix._exit 7;
+        if Shard.For_testing.in_worker () then Unix._exit 7;
         i)
   with
   | _ -> Alcotest.fail "sweep with a dead worker returned"
@@ -134,7 +134,7 @@ let test_killed_worker_is_typed_error () =
 let test_solver_error_crosses_frame () =
   match
     Sweep.init ~shards:2 8 (fun i ->
-        if Shard.in_worker () then
+        if Shard.For_testing.in_worker () then
           Err.fail ~solver:"TestSolver" (Err.Invalid_input "from worker");
         i)
   with

@@ -126,9 +126,9 @@ let counted_run ~jobs =
             Tel.count "sweep_test/evals";
             Tel.span "sweep_test/inner" (fun () -> work (float_of_int i)))
       in
-      let evals = Tel.counter_total "sweep_test/evals" in
+      let evals = Tel.For_testing.counter_total "sweep_test/evals" in
       let span_calls =
-        match Tel.span_stat "sweep_test/inner" with
+        match Tel.For_testing.span_stat "sweep_test/inner" with
         | Some s -> s.Tel.calls
         | None -> 0
       in
@@ -161,8 +161,8 @@ let test_telemetry_context_prefix_adopted () =
                  i)));
       (* workers counted under the submitting domain's span path, exactly
          like a serial run would *)
-      Alcotest.(check int) "prefixed key" 8 (Tel.counter "outer_sweep/hit");
-      Alcotest.(check int) "bare key unused" 0 (Tel.counter "hit"))
+      Alcotest.(check int) "prefixed key" 8 (Tel.For_testing.counter "outer_sweep/hit");
+      Alcotest.(check int) "bare key unused" 0 (Tel.For_testing.counter "hit"))
 
 (* The auto-serial heuristic: a cheap tiny sweep at jobs>1 must engage it
    (counter fires, result bit-identical), and ~serial_cutoff:0. must fully
@@ -177,15 +177,15 @@ let test_auto_serial_heuristic () =
      evaluations are nowhere near a second *)
   let auto = Sweep.map ~jobs:4 ~serial_cutoff:1.0 work xs in
   check_true "auto-serial result bit-identical" (auto = serial);
-  Alcotest.(check int) "heuristic engaged" 1 (Tel.counter_total "sweep/auto_serial");
+  Alcotest.(check int) "heuristic engaged" 1 (Tel.For_testing.counter_total "sweep/auto_serial");
   let forced = Sweep.map ~jobs:4 ~serial_cutoff:0. work xs in
   check_true "forced-pool result bit-identical" (forced = serial);
   Alcotest.(check int) "cutoff 0 disables the heuristic" 1
-    (Tel.counter_total "sweep/auto_serial");
+    (Tel.For_testing.counter_total "sweep/auto_serial");
   (* jobs:1 never probes and never counts *)
   ignore (Sweep.map ~jobs:1 ~serial_cutoff:1.0 work xs);
   Alcotest.(check int) "serial path does not count" 1
-    (Tel.counter_total "sweep/auto_serial")
+    (Tel.For_testing.counter_total "sweep/auto_serial")
 
 (* Regression guard for the single-probe misroute: a first-call artifact (a
    surrogate table build, a WKB cache fill) used to inflate the per-element
@@ -211,14 +211,14 @@ let test_probe_ignores_first_call_artifact () =
   check_true "result matches serial"
     (out = Array.init 64 (fun i -> work (float_of_int i)));
   Alcotest.(check int) "warm probe routes a cheap sweep serially" 1
-    (Tel.counter_total "sweep/auto_serial")
+    (Tel.For_testing.counter_total "sweep/auto_serial")
 
 (* The tentpole: the pool is process-lifetime. A second parallel sweep must
    reuse the domains the first one spawned — spawn count stays flat. *)
 let test_pool_persists_across_calls () =
   let xs = Array.init 64 float_of_int in
   ignore (Sweep.map ~jobs:2 ~serial_cutoff:0. work xs);
-  check_true "pool retains at least one domain" (Sweep.pool_size () >= 1);
+  check_true "pool retains at least one domain" (Gnrflash_parallel.Pool.For_testing.size () >= 1);
   let before = Sweep.pool_spawned () in
   for _ = 1 to 5 do
     ignore (Sweep.map ~jobs:2 ~serial_cutoff:0. work xs)

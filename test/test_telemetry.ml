@@ -19,22 +19,22 @@ let test_counter_basics () =
   T.count "a";
   T.count ~n:5 "a";
   T.count "b";
-  Alcotest.(check int) "a accumulates" 7 (T.counter "a");
-  Alcotest.(check int) "b independent" 1 (T.counter "b");
-  Alcotest.(check int) "absent is zero" 0 (T.counter "missing")
+  Alcotest.(check int) "a accumulates" 7 (T.For_testing.counter "a");
+  Alcotest.(check int) "b independent" 1 (T.For_testing.counter "b");
+  Alcotest.(check int) "absent is zero" 0 (T.For_testing.counter "missing")
 
 let test_counters_monotonic () =
   let prev = ref 0 in
   for _ = 1 to 100 do
     T.count "mono";
-    let v = T.counter "mono" in
+    let v = T.For_testing.counter "mono" in
     check_true "counter strictly increases" (v > !prev);
     prev := v
   done;
   (* non-positive increments are ignored rather than allowed to decrease *)
   T.count ~n:0 "mono";
   T.count ~n:(-3) "mono";
-  Alcotest.(check int) "never decreases" 100 (T.counter "mono")
+  Alcotest.(check int) "never decreases" 100 (T.For_testing.counter "mono")
 
 let test_spans_nest () =
   let r =
@@ -45,19 +45,19 @@ let test_spans_nest () =
             42))
   in
   Alcotest.(check int) "span returns value" 42 r;
-  Alcotest.(check int) "outer-scoped counter" 1 (T.counter "outer/top");
-  Alcotest.(check int) "nested counter fully scoped" 1 (T.counter "outer/inner/deep");
-  check_true "outer span recorded" (T.span_stat "outer" <> None);
-  check_true "nested span keyed by path" (T.span_stat "outer/inner" <> None);
+  Alcotest.(check int) "outer-scoped counter" 1 (T.For_testing.counter "outer/top");
+  Alcotest.(check int) "nested counter fully scoped" 1 (T.For_testing.counter "outer/inner/deep");
+  check_true "outer span recorded" (T.For_testing.span_stat "outer" <> None);
+  check_true "nested span keyed by path" (T.For_testing.span_stat "outer/inner" <> None);
   (* context popped: counting after the spans is unscoped again *)
   T.count "after";
-  Alcotest.(check int) "context restored" 1 (T.counter "after")
+  Alcotest.(check int) "context restored" 1 (T.For_testing.counter "after")
 
 let test_span_pops_context_on_exception () =
   (try T.span "boom" (fun () -> failwith "inner failure") with Failure _ -> ());
   T.count "after_raise";
-  Alcotest.(check int) "context restored after raise" 1 (T.counter "after_raise");
-  match T.span_stat "boom" with
+  Alcotest.(check int) "context restored after raise" 1 (T.For_testing.counter "after_raise");
+  match T.For_testing.span_stat "boom" with
   | None -> Alcotest.fail "span must be recorded even when f raises"
   | Some s -> Alcotest.(check int) "one call" 1 s.T.calls
 
@@ -65,15 +65,15 @@ let test_counter_total_suffix_sum () =
   T.count ~n:2 "ode/rhs_eval";
   T.span "transient/run" (fun () -> T.count ~n:3 "ode/rhs_eval");
   T.span "other" (fun () -> T.count ~n:4 "ode/rhs_eval");
-  Alcotest.(check int) "exact path" 2 (T.counter "ode/rhs_eval");
-  Alcotest.(check int) "suffix sum over scopes" 9 (T.counter_total "ode/rhs_eval");
+  Alcotest.(check int) "exact path" 2 (T.For_testing.counter "ode/rhs_eval");
+  Alcotest.(check int) "suffix sum over scopes" 9 (T.For_testing.counter_total "ode/rhs_eval");
   (* a counter that merely shares a substring must not match *)
   T.count "xode/rhs_eval_extra";
-  Alcotest.(check int) "no substring matches" 9 (T.counter_total "ode/rhs_eval")
+  Alcotest.(check int) "no substring matches" 9 (T.For_testing.counter_total "ode/rhs_eval")
 
 let test_gauges () =
-  T.gauge "h_last" 1.5e-7;
-  T.gauge "h_last" 2.5e-7;
+  T.For_testing.gauge "h_last" 1.5e-7;
+  T.For_testing.gauge "h_last" 2.5e-7;
   let snap = T.snapshot () in
   Alcotest.(check (list (pair string (float 0.)))) "gauge keeps last value"
     [ ("h_last", 2.5e-7) ] snap.T.gauges
@@ -81,7 +81,7 @@ let test_gauges () =
 let test_disabled_is_noop () =
   T.disable ();
   T.count "never";
-  T.gauge "never_g" 1.;
+  T.For_testing.gauge "never_g" 1.;
   let r = T.span "never_span" (fun () -> T.count "inside"; 7) in
   Alcotest.(check int) "span still transparent" 7 r;
   let snap = T.snapshot () in
@@ -101,12 +101,12 @@ let test_json_round_trip () =
   T.count ~n:17 "ode/step_accepted";
   T.span "transient/run" (fun () ->
       T.count ~n:123456 "ode/rhs_eval";
-      T.gauge "h_final" 3.0517578125e-05;
+      T.For_testing.gauge "h_final" 3.0517578125e-05;
       ignore (T.span "lookup/build" (fun () -> ())));
-  T.gauge "weird \"name\"\n" (-1.25e-300);
+  T.For_testing.gauge "weird \"name\"\n" (-1.25e-300);
   let snap = T.snapshot () in
   let json = T.render_json snap in
-  match T.snapshot_of_json json with
+  match T.For_testing.snapshot_of_json json with
   | Error e -> Alcotest.fail e
   | Ok back ->
     Alcotest.(check (list (pair string int))) "counters round-trip"
@@ -121,9 +121,9 @@ let test_json_round_trip () =
       snap.T.spans back.T.spans
 
 let test_json_rejects_garbage () =
-  check_error "not json" (T.snapshot_of_json "hello");
-  check_error "truncated" (T.snapshot_of_json "{\"counters\":{");
-  check_error "missing fields" (T.snapshot_of_json "{\"counters\":{}}")
+  check_error "not json" (T.For_testing.snapshot_of_json "hello");
+  check_error "truncated" (T.For_testing.snapshot_of_json "{\"counters\":{");
+  check_error "missing fields" (T.For_testing.snapshot_of_json "{\"counters\":{}}")
 
 let contains ~needle haystack =
   let nh = String.length haystack and nn = String.length needle in
@@ -132,7 +132,7 @@ let contains ~needle haystack =
 
 let test_text_render () =
   T.count ~n:3 "a/b";
-  T.gauge "g" 2.5;
+  T.For_testing.gauge "g" 2.5;
   ignore (T.span "s" (fun () -> ()));
   let text = T.render_text (T.snapshot ()) in
   List.iter
@@ -142,7 +142,7 @@ let test_text_render () =
 
 let test_reset_clears () =
   T.count "x";
-  ignore (T.span "y" (fun () -> T.gauge "z" 1.));
+  ignore (T.span "y" (fun () -> T.For_testing.gauge "z" 1.));
   T.reset ();
   let snap = T.snapshot () in
   check_true "reset clears everything"
@@ -155,7 +155,7 @@ let prop_counter_equals_sum_of_increments =
        fresh ();
        List.iter (fun n -> T.count ~n "p") ns;
        let expect = List.fold_left (fun acc n -> if n > 0 then acc + n else acc) 0 ns in
-       let got = T.counter "p" in
+       let got = T.For_testing.counter "p" in
        teardown ();
        got = expect)
 

@@ -138,10 +138,10 @@ let test_instrumentation_consistency () =
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let r = check_ok "instrumented run" (Tr.run t ~vgs:15. ~duration:10.) in
-  let accepted = Tel.counter_total "ode/step_accepted" in
-  let rejected = Tel.counter_total "ode/step_rejected" in
-  let nan_shrunk = Tel.counter_total "ode/step_nan_shrink" in
-  let rhs = Tel.counter_total "ode/rhs_eval" in
+  let accepted = Tel.For_testing.counter_total "ode/step_accepted" in
+  let rejected = Tel.For_testing.counter_total "ode/step_rejected" in
+  let nan_shrunk = Tel.For_testing.counter_total "ode/step_nan_shrink" in
+  let rhs = Tel.For_testing.counter_total "ode/rhs_eval" in
   let trials = accepted + rejected + nan_shrunk in
   check_true "steps taken" (accepted > 0);
   check_true "rhs evaluated" (rhs > 0);
@@ -149,16 +149,16 @@ let test_instrumentation_consistency () =
     (accepted + 1) (Array.length r.Tr.samples);
   Alcotest.(check int) "rhs evals = 6 per trial + FSAL seeds"
     ((6 * trials) + 1 + nan_shrunk) rhs;
-  Alcotest.(check int) "one solve recorded" 1 (Tel.counter_total "transient/solve");
+  Alcotest.(check int) "one solve recorded" 1 (Tel.For_testing.counter_total "transient/solve");
   Alcotest.(check int) "tsat event recorded" 1
-    (Tel.counter_total "transient/tsat_event");
+    (Tel.For_testing.counter_total "transient/tsat_event");
   (* scoped attribution: the ODE work is recorded under the transient span *)
   Alcotest.(check int) "attributed to transient/run"
-    accepted (Tel.counter "transient/run/ode/step_accepted");
+    accepted (Tel.For_testing.counter "transient/run/ode/step_accepted");
   (* a second identical run must add the same counts (no cross-run leakage) *)
   let _ = check_ok "second run" (Tr.run t ~vgs:15. ~duration:10.) in
   Alcotest.(check int) "counters additive across runs"
-    (2 * accepted) (Tel.counter_total "ode/step_accepted")
+    (2 * accepted) (Tel.For_testing.counter_total "ode/step_accepted")
 
 let test_disabled_records_nothing () =
   Tel.reset ();
@@ -194,15 +194,15 @@ let test_fault_injected_run_recovers () =
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let clean = check_ok "reference" (Tr.run t ~vgs:15. ~duration:10.) in
   Alcotest.(check int) "nominal run needs no fallback" 0
-    (Tel.counter_total "resilience/fallback_used");
+    (Tel.For_testing.counter_total "resilience/fallback_used");
   let faulted =
-    Fault.with_faults ~seed:3 ~limit:1 (Fault.Fail_every 1) (fun () ->
+    Fault.For_testing.with_faults ~seed:3 ~limit:1 (Fault.Fail_every 1) (fun () ->
         check_ok "faulted run recovers" (Tr.run t ~vgs:15. ~duration:10.))
   in
   check_true "fault actually fired"
-    (Tel.counter_total "resilience/fault_injected" > 0);
+    (Tel.For_testing.counter_total "resilience/fault_injected" > 0);
   check_true "fallback rung rescued the solve"
-    (Tel.counter_total "resilience/fallback_used" > 0);
+    (Tel.For_testing.counter_total "resilience/fallback_used" > 0);
   check_close ~tol:0.02 "recovered answer matches the clean one"
     clean.Tr.qfg_final faulted.Tr.qfg_final
 
@@ -227,7 +227,7 @@ let test_cold_start_no_nan_shrink () =
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let r = check_ok "fig5 run" (Tr.run t ~vgs:15. ~duration:10.) in
   Alcotest.(check int) "no NaN shrinks on the nominal run" 0
-    (Tel.counter_total "ode/step_nan_shrink");
+    (Tel.For_testing.counter_total "ode/step_nan_shrink");
   (match r.Tr.h_first with
    | None -> Alcotest.fail "h_first missing on a multi-step run"
    | Some h -> check_true "h_first positive and finite" (h > 0. && Float.is_finite h));
@@ -297,7 +297,7 @@ let test_time_to_threshold_already_reached () =
    saturation event, already-balanced start and relaxation ladder. The
    fused rate kernel must reproduce it bit for bit. *)
 let reference dev ~vgs ~qfg0 ~duration =
-  let rhs _ q = F.dqfg_dt dev ~vgs ~qfg:q in
+  let rhs _ q = F.For_testing.dqfg_dt dev ~vgs ~qfg:q in
   let imbalance _ q =
     let ji = F.j_in dev ~vgs ~qfg:q and jo = F.j_out dev ~vgs ~qfg:q in
     let s = ji +. jo in

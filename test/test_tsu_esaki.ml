@@ -94,16 +94,16 @@ let test_wkb_cache_counters () =
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   ignore (j Ts.Wkb_model 1.2e9);
   Alcotest.(check int) "one cache build per current_density call" 1
-    (Tel.counter_total "wkb/cache_build");
-  let hits = Tel.counter_total "wkb/cache_hit" in
-  let quad_evals = Tel.counter_total "quad/fn_eval" in
+    (Tel.For_testing.counter_total "wkb/cache_build");
+  let hits = Tel.For_testing.counter_total "wkb/cache_hit" in
+  let quad_evals = Tel.For_testing.counter_total "quad/fn_eval" in
   check_true "cache consulted at every quadrature node" (hits > 0);
   Alcotest.(check int) "one transmission lookup per quadrature node"
     quad_evals hits;
   Tel.reset ();
   ignore (Ts.current_density ~wkb_cache:false ~phi_b ~field:1.2e9 ~thickness:5e-9 ~m_b ~ef ());
-  Alcotest.(check int) "flag off: no builds" 0 (Tel.counter_total "wkb/cache_build");
-  Alcotest.(check int) "flag off: no hits" 0 (Tel.counter_total "wkb/cache_hit")
+  Alcotest.(check int) "flag off: no builds" 0 (Tel.For_testing.counter_total "wkb/cache_build");
+  Alcotest.(check int) "flag off: no hits" 0 (Tel.For_testing.counter_total "wkb/cache_hit")
 
 let () =
   Alcotest.run "tsu_esaki"

@@ -3,9 +3,7 @@ open Gnrflash_testing.Testing
 
 let test_length () =
   check_close "5 nm" 5e-9 (U.nm 5.);
-  check_close "roundtrip" 7.3 (U.to_nm (U.nm 7.3));
-  check_close "1 um" 1e-6 (U.um 1.);
-  check_close "1 A" 1e-10 (U.angstrom 1.)
+  check_close "roundtrip" 7.3 (U.to_nm (U.nm 7.3))
 
 let test_energy () =
   check_close "3.2 eV" (3.2 *. 1.602176634e-19) (U.ev_to_joule 3.2);
@@ -16,8 +14,8 @@ let test_field () =
   check_close "roundtrip" 12.5 (U.to_mv_per_cm (U.mv_per_cm 12.5))
 
 let test_current_density () =
-  check_close "1 A/cm2" 1e4 (U.a_per_cm2 1.);
-  check_close "roundtrip" 0.37 (U.to_a_per_cm2 (U.a_per_cm2 0.37))
+  check_close "1e4 A/m2" 1. (U.to_a_per_cm2 1e4);
+  check_close "3700 A/m2" 0.37 (U.to_a_per_cm2 3700.)
 
 let test_capacitance_charge () =
   check_close "1 F/cm2" 1e4 (U.f_per_cm2 1.);
@@ -26,9 +24,6 @@ let test_capacitance_charge () =
   check_close "C roundtrip" 0.01 (U.to_c_per_cm2 (U.c_per_cm2 0.01))
 
 let test_time () =
-  check_close "1 ns" 1e-9 (U.ns 1.);
-  check_close "1 us" 1e-6 (U.us 1.);
-  check_close "1 ms" 1e-3 (U.ms 1.);
   check_close "1 year" (365.25 *. 86400.) (U.years 1.);
   check_close "10 years" (10. *. 365.25 *. 86400.) (U.years 10.)
 

@@ -56,12 +56,12 @@ let test_generate_validation () =
    trace and benchmark baseline is invalidated: bump deliberately. *)
 let test_golden_trace_digest () =
   let ops = W.generate ~seed:123 (W.Zipf 1.1) ~pages:64 ~strings:8 ~ops:256 ~read_fraction:0.3 in
-  Alcotest.(check int) "pinned op-trace digest" 0x14184D2B34E5B1C2 (W.digest_ops ops)
+  Alcotest.(check int) "pinned op-trace digest" 0x14184D2B34E5B1C2 (W.For_testing.digest_ops ops)
 
 let test_golden_command_digest () =
   let cmds = W.generate_commands ~seed:123 ~profile:W.default_profile ~ops:256 in
   Alcotest.(check int) "pinned command-trace digest" 0x25B28F51A731F4AC
-    (W.digest_commands cmds)
+    (W.For_testing.digest_commands cmds)
 
 let test_prefix_stability () =
   (* per-op seeding: a longer trace extends a shorter one, op for op *)
@@ -83,7 +83,7 @@ let test_generate_commands_shape () =
         Array.iter (fun b -> check_true "bits" (b = 0 || b = 1)) data)
     cmds;
   let again = W.generate_commands ~seed:5 ~profile ~ops:300 in
-  check_true "deterministic" (W.digest_commands cmds = W.digest_commands again)
+  check_true "deterministic" (W.For_testing.digest_commands cmds = W.For_testing.digest_commands again)
 
 let test_generate_commands_fractions () =
   let all_reads =

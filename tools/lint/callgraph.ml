@@ -34,6 +34,7 @@ type site = {
   st_sharded : bool;
   st_roots : sink;
   st_marshal : string list;
+  st_owner : string option;
 }
 
 type raw = { rw_rule : int; rw_line : int; rw_message : string }
@@ -42,6 +43,9 @@ type file_summary = {
   fs_file : string;
   fs_modname : string;
   fs_nodes : node list;
+  fs_values : node list;
+  fs_init : sink;
+  fs_modaliases : (string * string) list;
   fs_hazards : hazard list;
   fs_sites : site list;
   fs_direct : raw list;
@@ -73,13 +77,20 @@ let is_arrow ty =
 (* ---------- phase 1 ---------- *)
 
 type scope_entry = Snode of string | Svalue
-type frame = Fnode of string | Froots
+
+(* [Fvalue] is a named non-function toplevel binding, [Finit] a toplevel
+   effect ([let () = ...]); neither is a call-graph node for L8–L10, so
+   module-load writes stay exempt there, but L14 follows their references *)
+type frame = Fnode of string | Fvalue of string | Finit | Froots
 
 let extract ~modname ~file (str : Typedtree.structure) =
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let local_modules : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let scope : (string, scope_entry) Hashtbl.t = Hashtbl.create 32 in
   let nodes = ref [] in
+  let values = ref [] in
+  let init = fresh_sink () in
+  let modaliases = ref [] in
   let hazards = ref [] in
   let sites = ref [] in
   let direct = ref [] in
@@ -92,6 +103,16 @@ let extract ~modname ~file (str : Typedtree.structure) =
   let stack : (frame * sink) list ref = ref [] in
   let discard = fresh_sink () in
   let top_sink () = match !stack with (_, s) :: _ -> s | [] -> discard in
+  let owner_of_stack () =
+    List.find_map
+      (function (Fnode nid | Fvalue nid), _ -> Some nid | _ -> None)
+      !stack
+  in
+  let with_frame frame sink f =
+    stack := (frame, sink) :: !stack;
+    f ();
+    stack := List.tl !stack
+  in
   let fn_depth = ref 0 in
 
   let add_direct rule loc msg =
@@ -376,6 +397,7 @@ let extract ~modname ~file (str : Typedtree.structure) =
                 st_sharded = sharded;
                 st_roots = roots;
                 st_marshal = marshal;
+                st_owner = owner_of_stack ();
               }
               :: !sites;
             iter_e fn;
@@ -403,7 +425,7 @@ let extract ~modname ~file (str : Typedtree.structure) =
         in
         let owner =
           match !stack with
-          | (Fnode nid, _) :: _ -> nid
+          | ((Fnode nid | Fvalue nid), _) :: _ -> nid
           | _ -> cur_prefix ()
         in
         let bound = List.concat_map (fun vb -> pat_names vb.Typedtree.vb_pat) vbs in
@@ -503,8 +525,11 @@ let extract ~modname ~file (str : Typedtree.structure) =
     let rec go (me : Typedtree.module_expr) =
       match me.mod_desc with
       | Tmod_ident (p, _) ->
-          Hashtbl.replace aliases name
-            (qualify_local (E.resolve aliases (E.normalize_name (Path.name p))))
+          let target =
+            qualify_local (E.resolve aliases (E.normalize_name (Path.name p)))
+          in
+          Hashtbl.replace aliases name target;
+          modaliases := (cur_prefix () ^ "." ^ name, target) :: !modaliases
       | Tmod_structure s ->
           let full = cur_prefix () ^ "." ^ name in
           Hashtbl.replace local_modules name full;
@@ -512,13 +537,11 @@ let extract ~modname ~file (str : Typedtree.structure) =
           List.iter (fun it -> sub.Tast_iterator.structure_item sub it) s.str_items;
           prefixes := List.tl !prefixes
       | Tmod_functor (_, body) -> go body
-      | Tmod_apply (f, _, _) -> (
+      | Tmod_apply (f, _, _) | Tmod_apply_unit f -> (
           match functor_head f with
-          | Some target -> Hashtbl.replace aliases name target
-          | None -> ())
-      | Tmod_apply_unit f -> (
-          match functor_head f with
-          | Some target -> Hashtbl.replace aliases name target
+          | Some target ->
+              Hashtbl.replace aliases name target;
+              modaliases := (cur_prefix () ^ "." ^ name, target) :: !modaliases
           | None -> ())
       | Tmod_constraint (inner, _, _, _) -> go inner
       | Tmod_unpack _ -> ()
@@ -549,11 +572,12 @@ let extract ~modname ~file (str : Typedtree.structure) =
                 sub.Tast_iterator.expr sub vb.vb_expr;
                 stack := List.tl !stack
             | Some id ->
+                let nid = cur_prefix () ^ "." ^ Ident.name id in
                 (match alloc_class_of vb.vb_expr with
                 | E.Hazard kind ->
                     hazards :=
                       {
-                        hz_id = cur_prefix () ^ "." ^ Ident.name id;
+                        hz_id = nid;
                         hz_file = file;
                         hz_line = line_of vb.vb_loc;
                         hz_kind = kind;
@@ -561,11 +585,46 @@ let extract ~modname ~file (str : Typedtree.structure) =
                       :: !hazards
                 | _ -> ());
                 (* module-load initialization: effects run once, serially,
-                   before any worker exists — walked under the discard sink
-                   (sites inside it are still recorded) *)
-                sub.Tast_iterator.expr sub vb.vb_expr
-            | None -> sub.Tast_iterator.expr sub vb.vb_expr)
+                   before any worker exists — walked into a value sink that
+                   only L14 reads (sites inside it are still recorded) *)
+                let sink = fresh_sink () in
+                values :=
+                  {
+                    nd_id = nid;
+                    nd_file = file;
+                    nd_line = line_of vb.vb_loc;
+                    nd_sink = sink;
+                  }
+                  :: !values;
+                with_frame (Fvalue nid) sink (fun () ->
+                    sub.Tast_iterator.expr sub vb.vb_expr)
+            | None -> (
+                (* [let () = ...] is a toplevel effect (an L14 root); a
+                   destructuring [let a, b = ...] gives every name the
+                   bindings' shared sink *)
+                match pat_names vb.vb_pat with
+                | [] ->
+                    with_frame Finit init (fun () ->
+                        sub.Tast_iterator.expr sub vb.vb_expr)
+                | n :: _ as names ->
+                    let sink = fresh_sink () in
+                    List.iter
+                      (fun name ->
+                        values :=
+                          {
+                            nd_id = cur_prefix () ^ "." ^ name;
+                            nd_file = file;
+                            nd_line = line_of vb.vb_loc;
+                            nd_sink = sink;
+                          }
+                          :: !values)
+                      names;
+                    with_frame
+                      (Fvalue (cur_prefix () ^ "." ^ n))
+                      sink
+                      (fun () -> sub.Tast_iterator.expr sub vb.vb_expr)))
           vbs
+    | Tstr_eval (e, _) -> with_frame Finit init (fun () -> sub.Tast_iterator.expr sub e)
     | Tstr_type (_, decls) ->
         (* record [type error = Some.Path.t] manifests so phase 2 can chase
            abbreviations of Solver_error.t across files *)
@@ -586,6 +645,15 @@ let extract ~modname ~file (str : Typedtree.structure) =
         match incl.incl_mod.mod_desc with
         | Tmod_structure s ->
             List.iter (fun it -> sub.Tast_iterator.structure_item sub it) s.str_items
+        | Tmod_ident (p, _)
+        | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+            (* [include M]: names the including module does not define
+               itself resolve into [M] (the umbrella re-export shims) *)
+            modaliases :=
+              ( cur_prefix (),
+                qualify_local (E.resolve aliases (E.normalize_name (Path.name p)))
+              )
+              :: !modaliases
         | _ -> ())
     | _ -> Tast_iterator.default_iterator.structure_item sub si
   in
@@ -598,6 +666,9 @@ let extract ~modname ~file (str : Typedtree.structure) =
     fs_file = file;
     fs_modname = modname;
     fs_nodes = List.rev !nodes;
+    fs_values = List.rev !values;
+    fs_init = init;
+    fs_modaliases = List.rev !modaliases;
     fs_hazards = List.rev !hazards;
     fs_sites = List.rev !sites;
     fs_direct = List.rev !direct;
@@ -794,3 +865,113 @@ let analyze summaries =
     an_written = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) written []);
     an_findings = List.rev !out;
   }
+
+(* ---------- L14: exports no program root reaches ---------- *)
+
+type export = { ex_id : string; ex_file : string; ex_line : int }
+
+let exports ~modname ~file (sg : Typedtree.signature) =
+  let rec walk prefix (sg : Typedtree.signature) acc =
+    List.fold_left
+      (fun acc (it : Typedtree.signature_item) ->
+        match it.sig_desc with
+        | Tsig_value vd ->
+            {
+              ex_id = prefix ^ "." ^ vd.val_name.txt;
+              ex_file = file;
+              ex_line = line_of vd.val_loc;
+            }
+            :: acc
+        | Tsig_module
+            {
+              md_name = { txt = Some name; _ };
+              md_type = { mty_desc = Tmty_signature sub; _ };
+              _;
+            }
+          when name <> "For_testing" ->
+            walk (prefix ^ "." ^ name) sub acc
+        | _ -> acc)
+      acc sg.sig_items
+  in
+  List.rev (walk modname sg [])
+
+let dead_exports ~roots summaries exports =
+  let defs : (string, sink) Hashtbl.t = Hashtbl.create 1024 in
+  let owned : (string, sink) Hashtbl.t = Hashtbl.create 64 in
+  let modalias : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun fs ->
+      List.iter
+        (fun n -> Hashtbl.add defs n.nd_id n.nd_sink)
+        (fs.fs_nodes @ fs.fs_values);
+      List.iter (fun (m, t) -> Hashtbl.replace modalias m t) fs.fs_modaliases;
+      List.iter
+        (fun st -> Option.iter (fun o -> Hashtbl.add owned o st.st_roots) st.st_owner)
+        fs.fs_sites)
+    (roots @ summaries);
+  (* a name no module defines is rewritten through the longest aliased
+     module prefix ([Gnrflash.Telemetry.count] ->
+     [Gnrflash_telemetry.Telemetry.count]), to a bounded fixpoint *)
+  let rec canon fuel name =
+    let rec longest j =
+      match String.rindex_from_opt name j '.' with
+      | None -> name
+      | Some i -> (
+          match Hashtbl.find_opt modalias (String.sub name 0 i) with
+          | Some t when fuel > 0 ->
+              canon (fuel - 1) (t ^ String.sub name i (String.length name - i))
+          | _ -> if i = 0 then name else longest (i - 1))
+    in
+    if Hashtbl.mem defs name then name else longest (String.length name - 1)
+  in
+  (* visited definitions, plus the names references mention but no
+     definition resolves (externals, include-only re-exports) *)
+  let reached : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let q = Queue.create () in
+  let visit ?self (sk : sink) =
+    List.iter
+      (fun (cands, _) ->
+        (* a definition never reaches itself: [let make = make] inside
+           [For_testing] names the outer [make], not its own binding *)
+        let cands =
+          List.filter (fun c -> Some c <> self) (List.map (canon 8) cands)
+        in
+        match List.find_opt (Hashtbl.mem defs) cands with
+        | Some id ->
+            if not (Hashtbl.mem reached id) then begin
+              Hashtbl.add reached id ();
+              Queue.add id q
+            end
+        | None -> List.iter (fun c -> Hashtbl.replace reached c ()) cands)
+      sk.sk_refs
+  in
+  (* roots: everything in the program files, and every toplevel effect
+     (and unowned sweep site) and [For_testing] body of the library *)
+  List.iter
+    (fun fs ->
+      List.iter (fun n -> visit n.nd_sink) (fs.fs_nodes @ fs.fs_values);
+      List.iter (fun st -> visit st.st_roots) fs.fs_sites;
+      visit fs.fs_init)
+    roots;
+  let for_testing id =
+    List.mem "For_testing" (String.split_on_char '.' id)
+  in
+  List.iter
+    (fun fs ->
+      visit fs.fs_init;
+      List.iter
+        (fun st -> if st.st_owner = None then visit st.st_roots)
+        fs.fs_sites;
+      List.iter
+        (fun n -> if for_testing n.nd_id then visit ~self:n.nd_id n.nd_sink)
+        (fs.fs_nodes @ fs.fs_values))
+    summaries;
+  while not (Queue.is_empty q) do
+    let id = Queue.pop q in
+    List.iter (visit ~self:id) (Hashtbl.find_all defs id);
+    List.iter visit (Hashtbl.find_all owned id)
+  done;
+  List.filter
+    (fun ex ->
+      not (Hashtbl.mem reached ex.ex_id || Hashtbl.mem reached (canon 8 ex.ex_id)))
+    exports

@@ -1,4 +1,4 @@
-(** The two-phase inter-procedural analyzer behind rules L8–L12.
+(** The two-phase inter-procedural analyzer behind rules L8–L12 and L14.
 
     Phase 1 ({!extract}) walks one [.cmt] typedtree and produces a
     {!file_summary}: a module-qualified node per function (top-level and
@@ -12,6 +12,8 @@
     candidates against the global node/hazard tables, and runs a BFS from
     each call site's worker roots to report L8 (unsynchronized shared
     state), L9 (nondeterminism) and L10 (marshal-unsafe shard frames).
+    {!dead_exports} runs a second reachability, from the program roots,
+    for L14 (library exports nothing reaches).
 
     Documented approximations (kept deliberately simple — the analyzer
     must never crash on real code):
@@ -54,6 +56,9 @@ type site = {
   st_roots : sink;    (** effects of inline worker closures + named roots *)
   st_marshal : string list;
       (** marshal-unsafe parts of the frame type (L10), empty when safe *)
+  st_owner : string option;
+      (** the innermost enclosing node or toplevel value, [None] at a
+          toplevel effect (L14 attributes the worker's references to it) *)
 }
 
 (** A raw finding before suppression handling; [rw_rule] is the integer
@@ -64,6 +69,13 @@ type file_summary = {
   fs_file : string;
   fs_modname : string;
   fs_nodes : node list;
+  fs_values : node list;
+      (** named non-function toplevel bindings; L14 follows their
+          references, L8–L10 treat them as module-load initialization *)
+  fs_init : sink;  (** toplevel effects ([let () = ...]): L14 roots *)
+  fs_modaliases : (string * string) list;
+      (** [module M = Target] aliases, functor instances and
+          [include Target], keyed by the full module path *)
   fs_hazards : hazard list;
   fs_sites : site list;
   fs_direct : raw list;  (** L12, already attributed to lines *)
@@ -91,3 +103,29 @@ type analysis = {
 }
 
 val analyze : file_summary list -> analysis
+
+val short_id : string -> string
+(** Display name of a node id: drops the library segment of a 3+-segment
+    id ([Gnrflash_quantum.Fn.current] -> [Fn.current]). *)
+
+(** An exported value of a library interface: canonical dotted id (as
+    {!node.nd_id}), the [.mli] it is declared in, and its line there. *)
+type export = { ex_id : string; ex_file : string; ex_line : int }
+
+val exports : modname:string -> file:string -> Typedtree.signature -> export list
+(** The [val]s of a [.cmti] signature, nested [sig ... end] submodules
+    included. A [For_testing] submodule is skipped: test scaffolding is
+    exempt from L14. *)
+
+val dead_exports :
+  roots:file_summary list -> file_summary list -> export list -> export list
+(** L14: the exports no root reaches. The roots are every node, value,
+    sweep site and toplevel effect of the [roots] summaries (the program
+    files), plus the toplevel effects of the library [summaries] and the
+    bodies of their [For_testing] submodules (exempt test support keeps
+    what it calls).
+    References resolve through module aliases and [include]s across
+    files, so a call through an umbrella re-export reaches the canonical
+    definition. A reference that resolves to no definition still marks
+    the names it mentions as reached (conservative for externals and
+    re-exports). *)

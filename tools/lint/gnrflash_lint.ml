@@ -1,21 +1,13 @@
-(* gnrflash-lint: run the twelve L1–L12 rules over the library tree.
+(* gnrflash-lint: run the fourteen L1–L14 rules over the library tree.
 
    Usage:
      gnrflash_lint.exe [--root DIR] [--subdir DIR] [--quiet] [--json]
-                       [--rules L8,L9] [--baseline FILE]
-                       [--write-baseline FILE]
+                       [--rules L8,L9]
 
-   Exits 1 when unsuppressed findings remain (after rule filtering and
-   baseline application), 0 otherwise, 2 on usage errors. *)
+   Exits 1 when unsuppressed findings remain (after rule filtering), 0
+   otherwise, 2 on usage errors. *)
 
 module E = Gnrflash_lint_engine.Lint_engine
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let () =
   let root = ref None in
@@ -23,8 +15,6 @@ let () =
   let quiet = ref false in
   let json = ref false in
   let rules = ref None in
-  let baseline = ref None in
-  let write_baseline = ref None in
   let rec parse = function
     | [] -> ()
     | "--root" :: dir :: rest ->
@@ -51,12 +41,6 @@ let () =
         in
         rules := Some parsed;
         parse rest
-    | "--baseline" :: file :: rest ->
-        baseline := Some file;
-        parse rest
-    | "--write-baseline" :: file :: rest ->
-        write_baseline := Some file;
-        parse rest
     | arg :: _ ->
         prerr_endline ("gnrflash-lint: unknown argument " ^ arg);
         exit 2
@@ -64,30 +48,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let root = match !root with Some r -> r | None -> E.locate_root () in
   let report = E.run ~root ~subdir:!subdir () in
-  let report =
-    match !rules with Some rs -> E.filter_rules rs report | None -> report
-  in
-  (match !write_baseline with
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (E.baseline_to_string (E.baseline_of_report report));
-      close_out oc;
-      if not !quiet then
-        Printf.printf "gnrflash-lint: wrote baseline for %d finding(s) to %s\n"
-          (List.length (E.unsuppressed report))
-          file;
-      exit 0
-  | None -> ());
-  let report =
-    match !baseline with
-    | Some file -> (
-        match read_file file with
-        | s -> E.apply_baseline (E.baseline_of_string s) report
-        | exception Sys_error msg ->
-            prerr_endline ("gnrflash-lint: cannot read baseline: " ^ msg);
-            exit 2)
-    | None -> report
-  in
+  let selected = Option.value !rules ~default:E.all_rules in
+  let report = E.filter_rules selected report in
   let bad = E.unsuppressed report in
   let supp = E.suppressed report in
   if !json then print_endline (E.render_json report)
@@ -96,9 +58,11 @@ let () =
     Printf.printf
       "gnrflash-lint: %d file(s), rules %s: %d finding(s), %d suppressed\n"
       report.files_scanned
-      (String.concat ","
-         (List.map E.rule_id
-            (match !rules with Some rs -> rs | None -> E.all_rules)))
+      (String.concat "," (List.map E.rule_id selected))
       (List.length bad) (List.length supp)
   end;
+  if report.roots_scanned = 0 && List.mem E.L14 selected then
+    prerr_endline
+      "gnrflash-lint: no program-root .cmt found (build the @check alias of \
+       bin/, bench/, examples/ and perfbench/): L14 skipped";
   exit (if bad = [] then 0 else 1)

@@ -1,4 +1,5 @@
-type rule = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
+type rule =
+  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13 | L14
 
 let rule_id = function
   | L1 -> "L1"
@@ -14,8 +15,9 @@ let rule_id = function
   | L11 -> "L11"
   | L12 -> "L12"
   | L13 -> "L13"
+  | L14 -> "L14"
 
-let all_rules = [ L1; L2; L3; L4; L5; L6; L7; L8; L9; L10; L11; L12; L13 ]
+let all_rules = [ L1; L2; L3; L4; L5; L6; L7; L8; L9; L10; L11; L12; L13; L14 ]
 
 let rule_of_int = function
   | 1 -> Some L1
@@ -31,6 +33,7 @@ let rule_of_int = function
   | 11 -> Some L11
   | 12 -> Some L12
   | 13 -> Some L13
+  | 14 -> Some L14
   | _ -> None
 
 let rule_of_string s =
@@ -53,6 +56,7 @@ type finding = {
 type config = {
   solver_basenames : string list;
   l3_exempt_basenames : string list;
+  roots : string list;
 }
 
 let default_config =
@@ -60,11 +64,13 @@ let default_config =
     solver_basenames =
       [ "roots.ml"; "ode.ml"; "transient.ml"; "program_erase.ml"; "variation.ml" ];
     l3_exempt_basenames = [ "roots.ml"; "ode.ml"; "quadrature.ml" ];
+    roots = [ "bin"; "bench"; "examples"; "perfbench" ];
   }
 
 type report = {
   findings : finding list;
   files_scanned : int;
+  roots_scanned : int;
   graph : (string * string list) list;
 }
 
@@ -555,6 +561,14 @@ let raw_of_callgraph (rw : Callgraph.raw) =
       Some { r_rule = rule; r_line = rw.rw_line; r_message = rw.rw_message }
   | None -> None
 
+let is_root config src =
+  List.exists
+    (fun r ->
+      src = r
+      || String.length src > String.length r
+         && String.sub src 0 (String.length r + 1) = r ^ "/")
+    config.roots
+
 let run ?(config = default_config) ~root ~subdir () =
   let cmts = collect_cmts (Filename.concat root subdir) [] in
   let seen = Hashtbl.create 64 in
@@ -572,6 +586,9 @@ let run ?(config = default_config) ~root ~subdir () =
         r
   in
   let summaries = ref [] in
+  let root_summaries = ref [] in
+  let lib_summaries = ref [] in
+  let exports = ref [] in
   List.iter
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
@@ -607,6 +624,17 @@ let run ?(config = default_config) ~root ~subdir () =
                   ~file:src str
               in
               summaries := summary :: !summaries;
+              if is_root config src then root_summaries := summary :: !root_summaries
+              else begin
+                lib_summaries := summary :: !lib_summaries;
+                let cmti = Filename.remove_extension cmt_path ^ ".cmti" in
+                match Cmt_format.read_cmt cmti with
+                | { cmt_annots = Interface sg; cmt_sourcefile = Some mli; _ } ->
+                    exports :=
+                      Callgraph.exports ~modname:summary.fs_modname ~file:mli sg
+                      @ !exports
+                | _ | (exception _) -> ()
+              end;
               let raw =
                 raw
                 @ List.filter_map raw_of_callgraph summary.Callgraph.fs_direct
@@ -615,6 +643,25 @@ let run ?(config = default_config) ~root ~subdir () =
               cell := !cell @ raw
           | _ -> ()))
     cmts;
+  (* the program files outside [subdir] are only read, as L14 roots *)
+  List.iter
+    (fun cmt_path ->
+      match Cmt_format.read_cmt cmt_path with
+      | {
+       cmt_annots = Implementation str;
+       cmt_sourcefile = Some src;
+       cmt_modname;
+       _;
+      }
+        when Filename.check_suffix src ".ml" && not (Hashtbl.mem seen src) ->
+          Hashtbl.add seen src ();
+          root_summaries :=
+            Callgraph.extract ~modname:(normalize_name cmt_modname) ~file:src str
+            :: !root_summaries
+      | _ | (exception _) -> ())
+    (List.concat_map
+       (fun r -> collect_cmts (Filename.concat root r) [])
+       config.roots);
   let analysis = Callgraph.analyze (List.rev !summaries) in
   List.iter
     (fun (src, rw) ->
@@ -624,6 +671,30 @@ let run ?(config = default_config) ~root ~subdir () =
           cell := !cell @ [ r ]
       | None -> ())
     analysis.Callgraph.an_findings;
+  (* without a single root .cmt every export would look dead: L14 only
+     runs when the roots were built (report.roots_scanned says so) *)
+  let roots_scanned = List.length !root_summaries in
+  if roots_scanned > 0 then
+    Callgraph.dead_exports ~roots:!root_summaries (List.rev !lib_summaries)
+      (List.rev !exports)
+    |> List.iter (fun (ex : Callgraph.export) ->
+           let cell = raws_for ex.ex_file in
+           cell :=
+             !cell
+             @ [
+                 {
+                   r_rule = L14;
+                   r_line = ex.ex_line;
+                   r_message =
+                     Printf.sprintf
+                       "exported value `%s` is reached from no program root \
+                        (%s, or a toplevel effect of the library) — delete \
+                        it, drop it from the .mli, or move test scaffolding \
+                        into For_testing"
+                       (Callgraph.short_id ex.ex_id)
+                       (String.concat ", " config.roots);
+                 };
+               ]);
   let findings = ref [] in
   Hashtbl.iter
     (fun src cell ->
@@ -653,7 +724,12 @@ let run ?(config = default_config) ~root ~subdir () =
         | c -> c)
       !findings
   in
-  { findings = ordered; files_scanned = !files; graph = analysis.Callgraph.an_graph }
+  {
+    findings = ordered;
+    files_scanned = !files;
+    roots_scanned;
+    graph = analysis.Callgraph.an_graph;
+  }
 
 let unsuppressed r = List.filter (fun f -> not f.suppressed) r.findings
 let suppressed r = List.filter (fun f -> f.suppressed) r.findings
@@ -697,8 +773,8 @@ let json_escape s =
 let render_json r =
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf "{\"files_scanned\":%d,\"rules_checked\":%d,"
-       r.files_scanned (List.length all_rules));
+    (Printf.sprintf "{\"files_scanned\":%d,\"roots_scanned\":%d,\"rules_checked\":%d,"
+       r.files_scanned r.roots_scanned (List.length all_rules));
   Buffer.add_string b
     (Printf.sprintf "\"findings\":%d,\"suppressed\":%d,"
        (List.length (unsuppressed r))
@@ -727,63 +803,6 @@ let render_json r =
     r.findings;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-(* ---------- baseline mode ---------- *)
-
-type baseline = (string * rule * int) list
-
-let baseline_of_report r =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      if not f.suppressed then
-        let k = (f.file, f.rule) in
-        Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    r.findings;
-  Hashtbl.fold (fun (file, rule) n acc -> (file, rule, n) :: acc) tbl []
-  |> List.sort compare
-
-let baseline_to_string b =
-  let lines =
-    List.map (fun (file, rule, n) -> Printf.sprintf "%s\t%s\t%d" file (rule_id rule) n) b
-  in
-  "# gnrflash-lint baseline: file<TAB>rule<TAB>allowed-count\n"
-  ^ String.concat "\n" lines
-  ^ (if lines = [] then "" else "\n")
-
-let baseline_of_string s =
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
-         else
-           match String.split_on_char '\t' line with
-           | [ file; rid; n ] -> (
-               match (rule_of_string rid, int_of_string_opt n) with
-               | Some rule, Some n when n > 0 -> Some (file, rule, n)
-               | _ -> None)
-           | _ -> None)
-
-(* Findings inside the baseline budget are downgraded to suppressed (with
-   a "baselined" reason) so a new rule can land before its fixes without
-   breaking the build; anything beyond the recorded count still fails. *)
-let apply_baseline b r =
-  let budget = Hashtbl.create 16 in
-  List.iter (fun (file, rule, n) -> Hashtbl.replace budget (file, rule) n) b;
-  let findings =
-    List.map
-      (fun f ->
-        if f.suppressed then f
-        else
-          let k = (f.file, f.rule) in
-          match Hashtbl.find_opt budget k with
-          | Some n when n > 0 ->
-              Hashtbl.replace budget k (n - 1);
-              { f with suppressed = true; reason = Some "baselined" }
-          | _ -> f)
-      r.findings
-  in
-  { r with findings }
 
 (* ---------- root discovery ---------- *)
 

@@ -45,6 +45,15 @@
       ([fun]/[function]). Hoist the value out of the loop or mutate a
       preallocated structure instead.
 
+    Dead-export rule (a second reachability over the same call graph, from
+    the program roots of {!config.roots}):
+    - [L14] a [val] of a library [.mli] that nothing reached from a root
+      references: not the program files, and not a toplevel effect of the
+      library ([let () = ...]). Tests are never roots, so a value only a
+      test calls is dead weight. A [For_testing] submodule is exempt, and
+      what its bodies call counts as reached. The finding sits on the
+      [val] line of the [.mli].
+
     Any rule is suppressible with a comment on the finding's line or the
     line above: [(* lint: allow L<n> — reason *)] ([L5]: anywhere in the
     file). The engine runs over a dune build tree: [root] is the directory
@@ -52,10 +61,11 @@
     dune also copies the sources, so suppression comments are read from
     the same tree the [.cmt]s were built from. *)
 
-type rule = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
+type rule =
+  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13 | L14
 
 val rule_id : rule -> string
-(** ["L1"] … ["L13"]. *)
+(** ["L1"] … ["L14"]. *)
 
 val all_rules : rule list
 
@@ -77,13 +87,23 @@ type config = {
   l3_exempt_basenames : string list;
   (** the numeric kernels themselves — their internal mutual calls are the
       wrappers' own implementation, not uninstrumented call sites *)
+  roots : string list;
+  (** the L14 roots: source paths relative to [root], each a directory
+      ([bin]) or a file; a scanned module under one is a root, and its own
+      exports are not checked. Root directories outside [subdir] are read
+      for their call graph only. *)
 }
 
 val default_config : config
+(** The library's solver modules and numeric kernels; roots [bin],
+    [bench], [examples] and [perfbench]. *)
 
 type report = {
   findings : finding list;   (** sorted by file, line, rule *)
   files_scanned : int;
+  roots_scanned : int;
+      (** program modules read as L14 roots; [0] when none of their
+          [.cmt]s was built, and then L14 did not run *)
   graph : (string * string list) list;
       (** the resolved call graph from the inter-procedural phase:
           node id -> sorted callee node ids (for tooling and tests) *)
@@ -91,7 +111,10 @@ type report = {
 
 val run : ?config:config -> root:string -> subdir:string -> unit -> report
 (** Scan every [.cmt] under [root/subdir] (recursively, including dune's
-    hidden [.objs] directories) and apply all twelve rules. *)
+    hidden [.objs] directories) and apply all fourteen rules. L14 also
+    needs the [.cmt]s of {!config.roots} (dune's [@check] alias of each
+    root directory); without any, it does not run and [roots_scanned] is
+    [0]. *)
 
 val unsuppressed : report -> finding list
 val suppressed : report -> finding list
@@ -108,17 +131,6 @@ val filter_rules : rule list -> report -> report
 val render_json : report -> string
 (** Machine-readable report: file/line/rule/suppressed/reason/message per
     finding plus per-rule summary counts. *)
-
-type baseline = (string * rule * int) list
-(** Allowed unsuppressed-finding counts per (file, rule). *)
-
-val baseline_of_report : report -> baseline
-val baseline_to_string : baseline -> string
-val baseline_of_string : string -> baseline
-
-val apply_baseline : baseline -> report -> report
-(** Downgrade findings within the baseline budget to suppressed (reason
-    ["baselined"]); anything beyond the recorded counts still fails. *)
 
 val locate_root : unit -> string
 (** Walk up from the executable's directory to the nearest ancestor with a
