@@ -18,7 +18,7 @@ type stack = {
 
 val of_fgt : ?nodes_per_layer:int -> Fgt.t -> stack
 (** Extract the stack geometry from a device (both oxides share the
-    device's tunnel-oxide permittivity, as in {!Fgt.make}). *)
+    device's tunnel-oxide permittivity, as in {!Fgt.make_q}). *)
 
 type solution = {
   x : float array;        (** node positions, 0 at the control gate [m] *)

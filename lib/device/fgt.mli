@@ -34,10 +34,19 @@ val make_q :
   xto:Gnrflash_units.metre Gnrflash_units.qty ->
   xco:Gnrflash_units.metre Gnrflash_units.qty ->
   area:Gnrflash_units.m2 Gnrflash_units.qty -> unit -> t
-(** Unit-typed primary constructor: thicknesses are [metre qty], the cell
-    area an [m2 qty] (e.g. [U.area (U.metre 32e-9) (U.metre 32e-9)]), so
-    swapping an area for a thickness no longer type-checks. Semantics
-    otherwise identical to {!For_testing.make}. *)
+(** Build a device. Thicknesses are [metre qty] and the cell area an
+    [m2 qty] (e.g. [U.area (U.metre 32e-9) (U.metre 32e-9)]), so swapping
+    an area for a thickness does not type-check. Defaults follow the
+    paper: SiO₂ oxides, MLGNR channel and CNT-contacted floating gate
+    (both defaulting to the textbook Si/SiO₂-like 3.2 eV barrier via
+    [channel]/[gate] of [Custom ("paper", 4.1)]), [vs = 0].
+    [control_oxide] (default: the tunnel oxide) sets the FG ↔
+    control-gate stack: both the blocking FN barrier ([control_fn]) and
+    the [cfc] parallel-plate permittivity come from it, so a high-k
+    blocking dielectric changes [j_out] without touching the channel-side
+    [j_in]. [gcr] fixes the capacitance network via
+    {!Capacitance.of_gcr_q} with [cfc] from the control-oxide parallel
+    plate. @raise Invalid_argument for non-physical geometry. *)
 
 val paper_default : t
 (** The device of the paper's worked example: GCR = 0.6, XTO = 5 nm,
@@ -132,16 +141,7 @@ module For_testing : sig
     ?channel:Gnrflash_materials.Workfunction.electrode ->
     ?gate:Gnrflash_materials.Workfunction.electrode ->
     gcr:float -> xto:float -> xco:float -> area:float -> unit -> t
-  (** Build a device. Defaults follow the paper: SiO₂ oxides, MLGNR channel
-      and CNT-contacted floating gate (both defaulting to the textbook
-      Si/SiO₂-like 3.2 eV barrier via [channel]/[gate] of
-      [Custom ("paper", 4.1)]), [vs = 0]. [control_oxide] (default: the
-      tunnel oxide) sets the FG ↔ control-gate stack: both the blocking FN
-      barrier ([control_fn]) and the [cfc] parallel-plate permittivity come
-      from it, so a high-k blocking dielectric changes [j_out] without
-      touching the channel-side [j_in]. [gcr] fixes the capacitance network
-      via {!Capacitance.of_gcr} with [cfc] from the control-oxide parallel
-      plate. @raise Invalid_argument for non-physical geometry. *)
+  (** Raw-float shim over {!make_q}: thicknesses in metres, area in m². *)
 
   val control_field : t -> vgs:float -> qfg:float -> float
   (** Signed field across the control oxide, [(VGS − VFG)/XCO]; positive

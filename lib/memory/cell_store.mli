@@ -60,7 +60,7 @@ val dvt : t -> int -> float
 
 val bit : ?dvt_threshold:float -> t -> int -> int
 (** O(1) readout: [0] (programmed) when [dvt] exceeds the decision level
-    (default 1 V), else [1] — the {!Cell.state}/{!Cell.to_bit}
+    (default 1 V), else [1] — the {!Cell.For_testing.state}/{!Cell.to_bit}
     composition without the record round-trip. At the default level a
     cell with a charge id reads its id's bit, computed with the same
     expression when the id was made; any other level divides. *)
