@@ -907,14 +907,16 @@ let svc_ops_per_s_floor = 115_800.
    the served path carries each word as one packed int through the
    word-level kernels and the memoized packed SEC-DED decode, and the
    first-occurrence exact solves run an unboxed scalar stepper over a
-   fused rate kernel; the residual is workload generation, the FTL
-   journal, those solves' boxed RHS calls and trajectories, and the model
-   clock boxed across the module boundary — see DESIGN.md "Cell store"
-   and "Exact transient". Measured 291 words/op on a 2-vCPU x86-64 VM
-   (429 before the allocation-free transient, 546 before the packed
-   words, 630 before the fused kernels); the budget leaves ~15%
-   headroom. *)
-let svc_alloc_budget = 335.
+   fused rate kernel; [run_trace] generates each command as it executes
+   it, and the report sorts its latencies unboxed; the residual is the
+   commands themselves, the FTL journal, those solves' boxed RHS calls
+   and trajectories, and the model clock boxed across the module
+   boundary — see DESIGN.md "Cell store" and "Exact transient". Measured
+   39.7 words/op on a 2-vCPU x86-64 VM (291 before the streamed command
+   generation and the unboxed report, 429 before the allocation-free
+   transient, 546 before the packed words, 630 before the fused
+   kernels); the budget leaves ~15% headroom. *)
+let svc_alloc_budget = 46.
 
 (* Fleet digests of the seed record-based cell path on the reference
    workloads (8 instances, seed 2014, splitmix per-instance seeds,

@@ -355,19 +355,19 @@ exception Violation of string
 
 let check_invariants t =
   let ppb = t.config.pages_per_block in
-  let check cond fmt =
-    Printf.ksprintf (fun s -> if not cond then raise (Violation s)) fmt
-  in
+  (* the message is formatted only when a check fails, so a passing
+     check allocates nothing *)
+  let fail fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt in
   try
     (* mapping -> pages *)
     Array.iteri
       (fun lpn loc ->
          if loc <> unmapped then begin
-           check (loc >= 0 && loc < t.config.blocks * ppb)
-             "lpn %d maps to out-of-range (%d,%d)" lpn (loc / ppb) (loc mod ppb);
-           check (t.pages.(loc) = lpn)
-             "lpn %d maps to (%d,%d) which does not hold it" lpn (loc / ppb)
-             (loc mod ppb)
+           if not (loc >= 0 && loc < t.config.blocks * ppb) then
+             fail "lpn %d maps to out-of-range (%d,%d)" lpn (loc / ppb) (loc mod ppb);
+           if t.pages.(loc) <> lpn then
+             fail "lpn %d maps to (%d,%d) which does not hold it" lpn (loc / ppb)
+               (loc mod ppb)
          end)
       t.mapping;
     (* pages -> mapping: no aliasing, every Valid page is the mapped one *)
@@ -375,10 +375,10 @@ let check_invariants t =
       (fun loc s ->
          if s >= 0 then begin
            let b = loc / ppb and p = loc mod ppb in
-           check (s < Array.length t.mapping)
-             "page (%d,%d) holds out-of-range lpn %d" b p s;
-           check (t.mapping.(s) = loc)
-             "page (%d,%d) holds lpn %d but mapping disagrees" b p s
+           if s >= Array.length t.mapping then
+             fail "page (%d,%d) holds out-of-range lpn %d" b p s;
+           if t.mapping.(s) <> loc then
+             fail "page (%d,%d) holds lpn %d but mapping disagrees" b p s
          end)
       t.pages;
     (* the incremental per-block populations agree with the page map *)
@@ -388,25 +388,25 @@ let check_invariants t =
         let s = t.pages.((b * ppb) + p) in
         if s = p_free then incr free else if s = p_invalid then incr invalid
       done;
-      check (t.free_cnt.(b) = !free)
-        "block %d free count %d disagrees with page map (%d)" b t.free_cnt.(b)
-        !free;
-      check (t.invalid_cnt.(b) = !invalid)
-        "block %d invalid count %d disagrees with page map (%d)" b
-        t.invalid_cnt.(b) !invalid
+      if t.free_cnt.(b) <> !free then
+        fail "block %d free count %d disagrees with page map (%d)" b t.free_cnt.(b)
+          !free;
+      if t.invalid_cnt.(b) <> !invalid then
+        fail "block %d invalid count %d disagrees with page map (%d)" b
+          t.invalid_cnt.(b) !invalid
     done;
     (* write point sanity *)
     if t.wp_block >= 0 then begin
-      check (t.wp_block < t.config.blocks && t.wp_page >= 0 && t.wp_page <= ppb)
-        "write point (%d,%d) out of range" t.wp_block t.wp_page;
-      check (not t.retired.(t.wp_block)) "write point on retired block %d"
-        t.wp_block
+      if not (t.wp_block < t.config.blocks && t.wp_page >= 0 && t.wp_page <= ppb)
+      then fail "write point (%d,%d) out of range" t.wp_block t.wp_page;
+      if t.retired.(t.wp_block) then
+        fail "write point on retired block %d" t.wp_block
     end;
     (* counters *)
-    check (t.device_writes >= t.host_writes)
-      "device_writes %d < host_writes %d" t.device_writes t.host_writes;
-    check (t.erases = Array.fold_left ( + ) 0 t.erase_counts)
-      "erases counter %d disagrees with per-block erase counts" t.erases;
+    if t.device_writes < t.host_writes then
+      fail "device_writes %d < host_writes %d" t.device_writes t.host_writes;
+    if t.erases <> Array.fold_left ( + ) 0 t.erase_counts then
+      fail "erases counter %d disagrees with per-block erase counts" t.erases;
     Ok ()
   with Violation s -> Error s
 

@@ -396,9 +396,40 @@ let percentile sorted p =
   if n = 0 then 0.
   else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
 
+(* Sifts [a.(root)] down the max-heap held in [a.(0 .. len - 1)]. *)
+let rec sift (a : float array) ~root ~len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child =
+      if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child
+    in
+    if a.(child) > a.(root) then begin
+      let v = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- v;
+      sift a ~root:child ~len
+    end
+  end
+
+(* In-place ascending heapsort, monomorphic on floats: the stdlib
+   [Array.sort] reads a float array through polymorphic accessors, which
+   box every element they read. Latencies are finite and >= +0, so the
+   order equals [compare]'s. *)
+let sort_floats a =
+  let n = Array.length a in
+  for root = (n / 2) - 1 downto 0 do
+    sift a ~root ~len:n
+  done;
+  for last = n - 1 downto 1 do
+    let v = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- v;
+    sift a ~root:0 ~len:last
+  done
+
 let latencies s =
   let lats = Array.sub s.lat_buf 0 s.lat_len in
-  Array.sort compare lats;
+  sort_floats lats;
   lats
 
 (* Stable k-way merge of sorted per-instance distributions, walking the
@@ -426,10 +457,11 @@ let merge_latencies sorted =
 let latency_summary s =
   let lats = latencies s in
   let n = Array.length lats in
-  let mean =
-    if n = 0 then 0.
-    else Array.fold_left ( +. ) 0. lats /. float_of_int n
-  in
+  let sum = ref 0. in
+  for i = 0 to n - 1 do
+    sum := !sum +. lats.(i)
+  done;
+  let mean = if n = 0 then 0. else !sum /. float_of_int n in
   {
     mean;
     p50 = percentile lats 0.50;
@@ -488,19 +520,21 @@ let report s =
        | Error msg -> Some msg);
   }
 
-let run s cmds =
-  Array.iter (exec s) cmds;
+let run_trace ?profile ~seed ~ops s =
+  if ops < 0 then invalid_arg "Service.run_trace: ops < 0";
+  let profile =
+    {
+      (Option.value profile ~default:Workload.default_profile) with
+      Workload.pages = logical_pages s;
+      strings = s.cfg.strings;
+    }
+  in
+  let command = Workload.commands ~seed ~profile in
+  for i = 0 to ops - 1 do
+    exec s (command i)
+  done;
   report s
 
-let run_trace ?profile ~seed ~ops s =
-  let profile =
-    match profile with
-    | Some p -> { p with Workload.pages = logical_pages s; strings = s.cfg.strings }
-    | None ->
-      {
-        Workload.default_profile with
-        Workload.pages = logical_pages s;
-        strings = s.cfg.strings;
-      }
-  in
-  run s (Workload.generate_commands ~seed ~profile ~ops)
+module For_testing = struct
+  let sort_floats = sort_floats
+end

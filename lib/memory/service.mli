@@ -106,11 +106,17 @@ val report : t -> report
     logical page is sensed from the cell array and SEC-DED decoded
     against ground truth) and the digests. *)
 
-val run : t -> Workload.host_cmd array -> report
-(** [exec] every command in order, then {!report}. *)
-
 val run_trace :
   ?profile:Workload.command_profile -> seed:int -> ops:int -> t -> report
-(** Generate {!Workload.generate_commands} traffic (profile defaults to
-    {!Workload.default_profile} with [pages]/[strings] clamped to this
-    service's geometry) and {!run} it. *)
+(** {!exec} the first [ops] commands of {!Workload.commands} in order,
+    then {!report}. The profile defaults to {!Workload.default_profile};
+    its [pages]/[strings] are set to this service's geometry. Each
+    command is generated as it is executed, so no trace array is built.
+    @raise Invalid_argument when [ops < 0] or the profile is bad. *)
+
+module For_testing : sig
+  val sort_floats : float array -> unit
+  (** The in-place ascending sort {!latencies} uses: monomorphic on
+      floats, so it boxes nothing. Equals [Array.sort compare] on finite
+      non-negative floats. *)
+end

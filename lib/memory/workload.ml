@@ -27,22 +27,31 @@ let zipf_cdf ~exponent ~n =
     weights;
   cdf
 
-let inv_cdf cdf u =
-  let n = Array.length cdf in
-  let rec find lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) < u then find (mid + 1) hi else find lo mid
-    end
-  in
-  find 0 (n - 1)
+(* The first rank whose CDF reaches [u]. Typed on floats so the compare
+   is a float compare rather than a polymorphic one on boxed values, and
+   inlined so [u] is not boxed to be passed in. *)
+let[@inline] inv_cdf (cdf : float array) (u : float) =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
+(* [cdf] is the Zipf table, empty for the other patterns *)
 let page_of ~pattern ~cdf ~pages ~index draw =
   match pattern with
   | Sequential -> index mod pages
   | Uniform -> draw mod pages
-  | Zipf _ -> inv_cdf (Option.get cdf) (unit_float draw)
+  | Zipf _ -> inv_cdf cdf (unit_float draw)
+
+(* [n] data bits, bit [s] from draw slot [first + s] of op stream [h] *)
+let bits ~h ~first n =
+  let data = Array.make n 0 in
+  for s = 0 to n - 1 do
+    data.(s) <- Sm.hash ~seed:h ~index:(first + s) land 1
+  done;
+  data
 
 let validate_pattern = function
   | Zipf exponent when exponent <= 0. ->
@@ -50,8 +59,8 @@ let validate_pattern = function
   | _ -> ()
 
 let cdf_of_pattern ~pages = function
-  | Zipf exponent -> Some (zipf_cdf ~exponent ~n:pages)
-  | Sequential | Uniform -> None
+  | Zipf exponent -> zipf_cdf ~exponent ~n:pages
+  | Sequential | Uniform -> [||]
 
 let generate ~seed pattern ~pages ~strings ~ops ~read_fraction =
   if pages < 1 || strings < 1 || ops < 0 then invalid_arg "Workload.generate: bad sizes";
@@ -61,10 +70,9 @@ let generate ~seed pattern ~pages ~strings ~ops ~read_fraction =
   let cdf = cdf_of_pattern ~pages pattern in
   let op_at i =
     let h = Sm.hash ~seed ~index:i in
-    let draw j = Sm.hash ~seed:h ~index:j in
-    let page = page_of ~pattern ~cdf ~pages ~index:i (draw 0) in
-    if unit_float (draw 1) < read_fraction then Read { page }
-    else Write { page; data = Array.init strings (fun s -> draw (2 + s) land 1) }
+    let page = page_of ~pattern ~cdf ~pages ~index:i (Sm.hash ~seed:h ~index:0) in
+    if unit_float (Sm.hash ~seed:h ~index:1) < read_fraction then Read { page }
+    else Write { page; data = bits ~h ~first:2 strings }
   in
   (* explicit back-to-front build: op order is the index order by
      construction, with no reliance on List.init's application order *)
@@ -99,32 +107,34 @@ let default_profile =
     suspend_fraction = 0.02;
   }
 
-let generate_commands ~seed ~profile ~ops =
+let commands ~seed ~profile =
   let { pattern; pages; strings; read_fraction; trim_fraction; suspend_fraction } =
     profile
   in
-  if pages < 1 || strings < 1 || ops < 0 then
-    invalid_arg "Workload.generate_commands: bad sizes";
+  if pages < 1 || strings < 1 then invalid_arg "Workload.commands: bad sizes";
   if read_fraction < 0. || trim_fraction < 0. || read_fraction +. trim_fraction > 1.
-  then invalid_arg "Workload.generate_commands: fractions out of range";
+  then invalid_arg "Workload.commands: fractions out of range";
   if suspend_fraction < 0. || suspend_fraction > 1. then
-    invalid_arg "Workload.generate_commands: suspend_fraction out of [0, 1]";
+    invalid_arg "Workload.commands: suspend_fraction out of [0, 1]";
   validate_pattern pattern;
   let cdf = cdf_of_pattern ~pages pattern in
-  Array.init ops (fun i ->
-      let h = Sm.hash ~seed ~index:i in
-      let draw j = Sm.hash ~seed:h ~index:j in
-      let lpn = page_of ~pattern ~cdf ~pages ~index:i (draw 0) in
-      let u = unit_float (draw 1) in
-      if u < read_fraction then Cmd_read { lpn }
-      else if u < read_fraction +. trim_fraction then Cmd_trim { lpn }
-      else
-        Cmd_write
-          {
-            lpn;
-            data = Array.init strings (fun s -> draw (3 + s) land 1);
-            suspend = unit_float (draw 2) < suspend_fraction;
-          })
+  fun i ->
+    let h = Sm.hash ~seed ~index:i in
+    let lpn = page_of ~pattern ~cdf ~pages ~index:i (Sm.hash ~seed:h ~index:0) in
+    let u = unit_float (Sm.hash ~seed:h ~index:1) in
+    if u < read_fraction then Cmd_read { lpn }
+    else if u < read_fraction +. trim_fraction then Cmd_trim { lpn }
+    else
+      Cmd_write
+        {
+          lpn;
+          data = bits ~h ~first:3 strings;
+          suspend = unit_float (Sm.hash ~seed:h ~index:2) < suspend_fraction;
+        }
+
+let generate_commands ~seed ~profile ~ops =
+  if ops < 0 then invalid_arg "Workload.generate_commands: ops < 0";
+  Array.init ops (commands ~seed ~profile)
 
 (* ------------------------------------------------------------------ *)
 (* Trace digests                                                      *)

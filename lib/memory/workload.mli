@@ -50,10 +50,18 @@ val default_profile : command_profile
 (** Zipf(1.1) over 256 logical pages, 16-bit words, 30% reads, 5% trims,
     2% suspend injection. *)
 
+val commands : seed:int -> profile:command_profile -> int -> host_cmd
+(** [commands ~seed ~profile] validates the profile and builds its page
+    table once; the function it returns gives command [i] of the stream,
+    a pure function of [(seed, i)]. A caller that executes commands as
+    they come streams the trace without holding it: the only allocation
+    per command is the command itself.
+    @raise Invalid_argument on a bad profile (when partially applied). *)
+
 val generate_commands :
   seed:int -> profile:command_profile -> ops:int -> host_cmd array
-(** Deterministic command stream; element [i] depends only on
-    [(seed, i)]. @raise Invalid_argument on bad parameters. *)
+(** The first [ops] commands of {!commands}, as an array.
+    @raise Invalid_argument on bad parameters. *)
 
 (** {1 Trace digests}
 

@@ -224,6 +224,39 @@ let test_device_full_rolls_back_gc () =
   Alcotest.(check int) "erase counts untouched" 4 (F.stats t).F.erases;
   Alcotest.(check int) "no block retired" 0 (F.stats t).F.retired_blocks
 
+(* A corrupted state fails the self-check with the exact message of the
+   first violation, formatted only then. *)
+let test_invariant_messages () =
+  let ppb = small.F.pages_per_block in
+  let state ?erase_counts write_point =
+    F.For_testing.of_state ~config:small ?erase_counts
+      ~pages:(Array.init small.F.blocks (fun _ -> Array.make ppb F.Free))
+      ~write_point ()
+  in
+  let expect msg t =
+    Alcotest.(check (result unit string)) msg (Error msg) (F.check_invariants t)
+  in
+  expect "write point (0,9) out of range" (state (Some (0, ppb + 1)));
+  expect "write point (7,0) out of range" (state (Some (7, 0)));
+  expect "write point on retired block 1"
+    (state
+       ~erase_counts:(Array.init small.F.blocks (fun b -> if b = 1 then 1000 else 0))
+       (Some (1, 0)));
+  check_ok "a sane write point passes" (F.check_invariants (state (Some (1, 0))))
+
+(* Native code only. A passing self-check formats no message: it
+   allocates only its two iteration closures, however large the device. *)
+let test_passing_check_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let t = F.create { small with F.blocks = 64; pages_per_block = 32 } in
+  for lpn = 0 to 999 do
+    check_fok "write" (F.write_in_place t ~lpn:(lpn mod 500))
+  done;
+  ignore (F.check_invariants t : (unit, string) result);
+  let w0 = Gc.minor_words () in
+  check_ok "invariants" (F.check_invariants t);
+  check_true "under 32 minor words" (Gc.minor_words () -. w0 < 32.)
+
 (* GC runs in place: relocating a victim copies no page map, so a GC-heavy
    rewrite loop allocates almost nothing directly on the major heap (a
    copied page map is 1024 + 840 words, past the minor-heap size limit). *)
@@ -382,6 +415,8 @@ let () =
           case "all-retired wear stats" test_all_retired_wear_stats;
           case "Device_full rolls back GC" test_device_full_rolls_back_gc;
           case "GC allocates no major-heap words" test_gc_does_not_allocate_major;
+          case "invariant violation messages" test_invariant_messages;
+          case "passing invariant check allocation" test_passing_check_allocation;
           prop_mapping_consistent_after_random_trace;
           prop_written_pages_stay_mapped;
           prop_random_ops_to_exhaustion;

@@ -196,6 +196,34 @@ let test_warm_read_allocation () =
   Alcotest.(check int) "every read hit" (reps + 1) r.S.read_hits;
   Alcotest.(check int) "every read matched" 0 r.S.read_mismatches
 
+(* [run_trace] generates each command as it executes it; running the
+   same commands out of a materialized array reaches the same report. *)
+let test_streamed_trace_matches_array () =
+  let streamed = S.run_trace ~profile ~seed:9 ~ops:500 (mk ()) in
+  let s = mk () in
+  let profile = { profile with W.pages = S.logical_pages s; strings = small_cfg.S.strings } in
+  Array.iter (S.exec s) (W.generate_commands ~seed:9 ~profile ~ops:500);
+  let arrayed = S.report s in
+  Alcotest.(check int) "trace digest" arrayed.S.trace_digest streamed.S.trace_digest;
+  Alcotest.(check int) "state digest" arrayed.S.state_digest streamed.S.state_digest;
+  check_true "same report" (arrayed = streamed)
+
+(* The monomorphic latency sort orders like the stdlib's [compare] sort
+   on the values latencies take: finite, >= +0, with many duplicates. *)
+let prop_sort_matches_stdlib =
+  prop "sort_floats = Array.sort compare on non-negative floats" ~count:300
+    QCheck2.Gen.(
+      array_size (int_range 0 200)
+        (oneof [ float_bound_inclusive 1e-2; oneofl [ 0.; 1e-3; 4.8e-2 ] ]))
+    (fun a ->
+      let expected = Array.copy a in
+      Array.sort compare expected;
+      let got = Array.copy a in
+      S.For_testing.sort_floats got;
+      Array.for_all2
+        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+        expected got)
+
 let prop_no_op_lost =
   prop "every command is accounted under random profiles" ~count:10
     QCheck2.Gen.(int_range 0 10_000)
@@ -221,6 +249,8 @@ let () =
           case "non-bit data rejected" test_rejects_non_bit_data;
           case "disturb feedback threaded" test_disturb_feedback_threaded;
           case "warm read allocation" test_warm_read_allocation;
+          case "streamed trace matches array" test_streamed_trace_matches_array;
           prop_no_op_lost;
+          prop_sort_matches_stdlib;
         ] );
     ]

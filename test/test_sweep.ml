@@ -104,6 +104,38 @@ let test_splitmix () =
   done;
   Alcotest.(check int) "256 distinct hashes" 256 (Hashtbl.length seen)
 
+(* Known answers, taken from the closure-based implementation this
+   straight-line one replaced: every seeded trace and ensemble in the
+   repository depends on these exact values. *)
+let test_splitmix_known_answers () =
+  List.iter
+    (fun (seed, index, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "hash (%d, %d)" seed index)
+        expected
+        (Gnrflash_prng.Splitmix.hash ~seed ~index))
+    [
+      (0, 0, 1299394637241201967);
+      (1, 0, 3979221637616645486);
+      (2014, 7, 509665111568217680);
+      (-1, 3, 2354552051501760649);
+      (-7919, 42, 57245684879937913);
+      (max_int, 1, 4495297030871882835);
+      (123, -5, 3598728750679607064);
+    ]
+
+(* Native code only: bytecode boxes every Int64. *)
+let test_splitmix_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for index = 0 to 9_999 do
+    acc := !acc lxor Gnrflash_prng.Splitmix.hash ~seed:2014 ~index
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_true "hashes are non-negative" (!acc >= 0);
+  Alcotest.(check (float 0.)) "minor words over 10k hashes" 0. words
+
 let test_default_jobs () =
   let saved = Sweep.default_jobs () in
   Fun.protect
@@ -301,6 +333,8 @@ let () =
           case "validation" test_validation;
           case "exception propagates" test_exception_propagates;
           case "splitmix hashing" test_splitmix;
+          case "splitmix known answers" test_splitmix_known_answers;
+          case "splitmix allocates nothing" test_splitmix_allocates_nothing;
           case "default jobs" test_default_jobs;
           case "telemetry totals match serial" test_telemetry_totals_match_serial;
           case "telemetry context adopted" test_telemetry_context_prefix_adopted;

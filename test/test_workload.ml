@@ -105,6 +105,26 @@ let test_generate_commands_fractions () =
        (function W.Cmd_write { suspend; _ } -> suspend | _ -> false)
        all_suspend)
 
+(* The streamed generator and the array one are the same trace: command
+   [i] of [commands] is element [i] of [generate_commands], for every
+   pattern and any length. *)
+let prop_commands_match_array =
+  prop "commands i = generate_commands element i" ~count:100
+    QCheck2.Gen.(
+      quad (int_range 0 1_000_000) (int_range 0 3) (int_range 0 300) (int_range 1 40))
+    (fun (seed, pat, ops, pages) ->
+      let pattern =
+        match pat with
+        | 0 -> W.Sequential
+        | 1 -> W.Uniform
+        | 2 -> W.Zipf 1.1
+        | _ -> W.Zipf 0.6
+      in
+      let profile = { W.default_profile with W.pattern; pages; strings = 1 + (seed mod 9) } in
+      let command = W.commands ~seed ~profile in
+      let cmds = W.generate_commands ~seed ~profile ~ops in
+      Array.length cmds = ops && Array.for_all2 ( = ) cmds (Array.init ops command))
+
 let test_replay_small_trace () =
   let pages = 2 and strings = 4 in
   let block = Nb.create F.paper_default ~pages ~strings in
@@ -140,5 +160,6 @@ let () =
           case "generate_commands fractions" test_generate_commands_fractions;
           case "replay small trace" test_replay_small_trace;
           case "rewrite triggers erase" test_replay_rewrite_triggers_erase;
+          prop_commands_match_array;
         ] );
     ]
