@@ -42,7 +42,6 @@ type error =
   | Bad_sequence of { state : string; addr : int; data : int }
   | Busy of { operation : string }
   | Not_erasing
-  | Not_suspended
   | Buffer_overflow of { count : int; capacity : int }
   | Buffer_sector_crossing of { sector : int; addr : int }
   | Physics of string
@@ -54,7 +53,6 @@ let error_to_string = function
   | Busy { operation } ->
     Printf.sprintf "Command_fsm: bus write while %s is running" operation
   | Not_erasing -> "Command_fsm: erase suspend with no sector erase in flight"
-  | Not_suspended -> "Command_fsm: erase resume with no suspended erase"
   | Buffer_overflow { count; capacity } ->
     Printf.sprintf "Command_fsm: write buffer count %d exceeds capacity %d" count
       capacity
@@ -80,10 +78,13 @@ type stats = {
   mutable bad_sequences : int;
 }
 
-type op_kind =
-  | Op_program of { dq7 : int }
-  | Op_sector_erase of { sector : int }
-  | Op_chip_erase
+(* The running operation, as an int tag in [t.op] with its argument in
+   [t.op_arg] (DQ7 for a program, the sector for a sector erase), so a
+   launch allocates nothing. *)
+let op_none = 0
+let op_program = 1
+let op_sector_erase = 2
+let op_chip_erase = 3
 
 (* All-float, so the fields are stored flat and [tick]/[launch] update
    them without boxing. *)
@@ -118,8 +119,10 @@ type t = {
   word : S.word_outcome; (* refilled by every word program *)
   tm : timing;
   mutable seq : seq;
-  mutable op : op_kind option; (* busy until [tm.ends_at] *)
-  mutable suspended : op_kind option; (* [tm.remaining] left to run *)
+  mutable op : int; (* [op_*] tag; busy until [tm.ends_at] *)
+  mutable op_arg : int;
+  mutable suspended : int; (* sector of the suspended erase, -1 none;
+                              [tm.remaining] left to run *)
   buf_addr : int array; (* write buffer: distinct word addresses... *)
   buf_data : int array; (* ...and the last value loaded for each *)
   mutable buf_len : int; (* distinct words loaded *)
@@ -147,8 +150,9 @@ let create ?(config = default_config) device =
     word = S.word_outcome ();
     tm = { clock = 0.; ends_at = 0.; remaining = 0. };
     seq = Idle;
-    op = None;
-    suspended = None;
+    op = op_none;
+    op_arg = 0;
+    suspended = -1;
     buf_addr = Array.make config.write_buffer_words 0;
     buf_data = Array.make config.write_buffer_words 0;
     buf_len = 0;
@@ -186,10 +190,11 @@ let wrap t addr =
 
 let sector_of t ~addr = wrap t addr / t.cfg.words_per_sector
 let now t = t.tm.clock
+let timing t = t.tm
 
 let state_name t =
   match t.seq with
-  | Idle -> if Option.is_some t.suspended then "erase_suspended" else "idle"
+  | Idle -> if t.suspended >= 0 then "erase_suspended" else "idle"
   | Unlock1 -> "unlock1"
   | Unlocked -> "unlocked"
   | Word_program -> "word_program"
@@ -201,7 +206,7 @@ let state_name t =
   | Buf_confirm -> "buffer_confirm"
 
 let commit t =
-  if Option.is_some t.op && t.tm.clock >= t.tm.ends_at then t.op <- None
+  if t.op <> op_none && t.tm.clock >= t.tm.ends_at then t.op <- op_none
 
 let tick t =
   t.tm.clock <- t.tm.clock +. t.cfg.t_cycle;
@@ -212,10 +217,10 @@ let step_to t target =
   if target > t.tm.clock then t.tm.clock <- target;
   commit t
 
-let ready t = Option.is_none t.op
+let ready t = t.op = op_none
 
 let wait_ready t =
-  if Option.is_some t.op then begin
+  if t.op <> op_none then begin
     if t.tm.ends_at > t.tm.clock then t.tm.clock <- t.tm.ends_at;
     commit t
   end
@@ -307,9 +312,10 @@ let erase_sector_cells t ~sector =
   if !programmed > 0 then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
   !rounds
 
-let[@inline] launch t kind duration =
+let[@inline] launch t op ~arg duration =
   t.tm.ends_at <- t.tm.clock +. duration;
-  t.op <- Some kind;
+  t.op <- op;
+  t.op_arg <- arg;
   commit t (* zero-duration operations (nothing to do) complete at once *)
 
 let[@inline] physics_failed t e =
@@ -324,17 +330,11 @@ let sense_word t ~addr =
 let status_read t ~addr ~toggle6 =
   t.ms.status_reads <- t.ms.status_reads + 1;
   if toggle6 then t.dq6 <- 1 - t.dq6;
-  let in_suspended_sector =
-    match t.suspended with
-    | Some (Op_sector_erase { sector }) -> sector_of t ~addr = sector
-    | _ -> false
-  in
-  if in_suspended_sector then t.dq2 <- 1 - t.dq2;
+  if sector_of t ~addr = t.suspended then t.dq2 <- 1 - t.dq2;
   let dq7 =
-    match t.op with
-    | Some (Op_program { dq7 }) -> dq7
-    | Some _ -> 0 (* erasing: DQ7 reads 0 until done *)
-    | None -> 1
+    if t.op = op_program then t.op_arg
+    else if t.op <> op_none then 0 (* erasing: DQ7 reads 0 until done *)
+    else 1
   in
   let dq5 =
     (* timeout bit: internal verify exhausted max_pulses at least once *)
@@ -345,21 +345,14 @@ let status_read t ~addr ~toggle6 =
 let read t ~addr =
   tick t;
   let addr = wrap t addr in
-  match t.op with
-  | Some _ -> status_read t ~addr ~toggle6:true
-  | None ->
-    let suspended_here =
-      match t.suspended with
-      | Some (Op_sector_erase { sector }) -> sector_of t ~addr = sector
-      | _ -> false
-    in
-    if suspended_here then
-      (* DQ6 does not toggle during suspend; DQ2 does *)
-      status_read t ~addr ~toggle6:false
-    else begin
-      t.ms.data_reads <- t.ms.data_reads + 1;
-      Data (sense_word t ~addr)
-    end
+  if t.op <> op_none then status_read t ~addr ~toggle6:true
+  else if sector_of t ~addr = t.suspended then
+    (* DQ6 does not toggle during suspend; DQ2 does *)
+    status_read t ~addr ~toggle6:false
+  else begin
+    t.ms.data_reads <- t.ms.data_reads + 1;
+    Data (sense_word t ~addr)
+  end
 
 let poll_ready t ~interval =
   let n = ref 0 in
@@ -372,9 +365,6 @@ let poll_ready t ~interval =
       step_to t (t.tm.clock +. interval)
   done;
   !n
-
-let suspended_sector t =
-  match t.suspended with Some (Op_sector_erase { sector }) -> sector | _ -> -1
 
 let bad t ~addr ~data =
   t.ms.bad_sequences <- t.ms.bad_sequences + 1;
@@ -399,8 +389,9 @@ let buffer_load t ~addr ~data =
   t.seq <- (if t.buf_left = 0 then Buf_confirm else Buf_load)
 
 (* Programs the buffered words in load order; returns the busy time, the
-   per-word durations summed in that order. *)
-let program_buffer t =
+   per-word durations summed in that order. Inlined, so the float reaches
+   [launch] unboxed: a float returned from a call is boxed. *)
+let[@inline] program_buffer t =
   let pulse_s = t.cfg.program_pulse.D.Program_erase.duration in
   let d = ref 0. in
   for j = 0 to t.buf_len - 1 do
@@ -423,33 +414,34 @@ let write t ~addr ~data =
   tick t;
   let addr = wrap t addr in
   let u1 = 0x555 mod words t and u2 = 0x2AA mod words t in
-  match t.op with
-  | Some kind when data = 0xB0 ->
-    (* erase suspend: only a sector erase can be suspended *)
-    (match kind with
-     | Op_sector_erase _ ->
-       t.tm.remaining <- t.tm.ends_at -. t.tm.clock;
-       t.suspended <- t.op;
-       t.op <- None;
-       t.seq <- Idle;
-       t.ms.suspends <- t.ms.suspends + 1;
-       Tel.count "command_fsm/suspend";
-       Ok ()
-     | Op_program _ | Op_chip_erase -> Error Not_erasing)
-  | Some kind ->
-    let operation =
-      match kind with
-      | Op_program _ -> "an embedded program"
-      | Op_sector_erase _ -> "a sector erase"
-      | Op_chip_erase -> "a chip erase"
-    in
-    Error (Busy { operation })
-  | None -> (
+  if t.op <> op_none then begin
+    if data = 0xB0 then begin
+      (* erase suspend: only a sector erase can be suspended *)
+      if t.op = op_sector_erase then begin
+        t.tm.remaining <- t.tm.ends_at -. t.tm.clock;
+        t.suspended <- t.op_arg;
+        t.op <- op_none;
+        t.seq <- Idle;
+        t.ms.suspends <- t.ms.suspends + 1;
+        Tel.count "command_fsm/suspend";
+        Ok ()
+      end
+      else Error Not_erasing
+    end
+    else
+      let operation =
+        if t.op = op_program then "an embedded program"
+        else if t.op = op_sector_erase then "a sector erase"
+        else "a chip erase"
+      in
+      Error (Busy { operation })
+  end
+  else (
     match t.seq with
     | Word_program -> (
       (* data cycle of the single-word program *)
       t.seq <- Idle;
-      if sector_of t ~addr = suspended_sector t then begin
+      if sector_of t ~addr = t.suspended then begin
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       end
@@ -459,8 +451,7 @@ let write t ~addr ~data =
         | p ->
           t.ms.programs <- t.ms.programs + 1;
           Tel.count "command_fsm/program";
-          launch t
-            (Op_program { dq7 = 1 - (data land 1) })
+          launch t op_program ~arg:(1 - (data land 1))
             (float_of_int p *. t.cfg.program_pulse.D.Program_erase.duration);
           Ok ())
     | Buf_count ->
@@ -497,7 +488,7 @@ let write t ~addr ~data =
       if data <> 0x29 || sector_of t ~addr <> sector then bad t ~addr ~data
       else begin
         t.seq <- Idle;
-        if sector = suspended_sector t then begin
+        if sector = t.suspended then begin
           t.ms.bad_sequences <- t.ms.bad_sequences + 1;
           Error (Bad_sequence { state = "erase_suspended"; addr; data })
         end
@@ -509,7 +500,7 @@ let write t ~addr ~data =
             Tel.count "command_fsm/buffer_program";
             (* DQ7 reports the complement of the last word loaded *)
             let dq7 = 1 - (t.buf_data.(t.buf_last) land 1) in
-            launch t (Op_program { dq7 }) duration;
+            launch t op_program ~arg:dq7 duration;
             Ok ()
       end
     | _ when data = 0xF0 ->
@@ -517,17 +508,15 @@ let write t ~addr ~data =
       t.ms.resets <- t.ms.resets + 1;
       Ok ()
     | _ when data = 0xB0 -> Error Not_erasing
-    | Idle when data = 0x30 && Option.is_some t.suspended -> (
+    | Idle when data = 0x30 && t.suspended >= 0 ->
       (* erase resume (0x30 doubles as the resume command) *)
-      match t.suspended with
-      | Some _ ->
-        t.tm.ends_at <- t.tm.clock +. t.tm.remaining;
-        t.op <- t.suspended;
-        t.suspended <- None;
-        t.ms.resumes <- t.ms.resumes + 1;
-        Tel.count "command_fsm/resume";
-        Ok ()
-      | None -> Error Not_suspended)
+      t.tm.ends_at <- t.tm.clock +. t.tm.remaining;
+      t.op <- op_sector_erase;
+      t.op_arg <- t.suspended;
+      t.suspended <- -1;
+      t.ms.resumes <- t.ms.resumes + 1;
+      Tel.count "command_fsm/resume";
+      Ok ()
     | Idle when addr = u1 && data = 0xAA ->
       t.seq <- Unlock1;
       Ok ()
@@ -553,24 +542,23 @@ let write t ~addr ~data =
     | Erase_unlocked when data = 0x30 -> (
       t.seq <- Idle;
       let sector = sector_of t ~addr in
-      match t.suspended with
-      | Some _ ->
+      if t.suspended >= 0 then begin
         (* no nested erase while another sector erase is suspended *)
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
-      | None -> (
+      end
+      else
         match erase_sector_cells t ~sector with
         | exception S.Pulse_error e -> physics_failed t e
         | rounds ->
           t.ms.sector_erases <- t.ms.sector_erases + 1;
           Tel.count "command_fsm/sector_erase";
-          launch t
-            (Op_sector_erase { sector })
+          launch t op_sector_erase ~arg:sector
             (float_of_int rounds *. t.cfg.erase_pulse.D.Program_erase.duration);
-          Ok ()))
+          Ok ())
     | Erase_unlocked when addr = u1 && data = 0x10 -> (
       t.seq <- Idle;
-      if Option.is_some t.suspended then begin
+      if t.suspended >= 0 then begin
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       end
@@ -580,7 +568,7 @@ let write t ~addr ~data =
         | duration ->
           t.ms.chip_erases <- t.ms.chip_erases + 1;
           Tel.count "command_fsm/chip_erase";
-          launch t Op_chip_erase duration;
+          launch t op_chip_erase ~arg:0 duration;
           Ok ())
     | _ -> bad t ~addr ~data)
 

@@ -67,7 +67,11 @@ val default_config : config
 
 type t
 (** Mutable device instance (one word line of cells per word, flat).
-    Not thread-safe; each execution-tier worker owns its instances. *)
+    Not thread-safe; each execution-tier worker owns its instances.
+    The command state, the running operation (an int tag plus its DQ7
+    bit or sector) and the suspended erase (its sector, or -1) are
+    immediate fields updated in place, so bus cycles and operation
+    launches allocate nothing on the heap. *)
 
 (** Result of one bus read cycle. *)
 type read_result =
@@ -86,7 +90,6 @@ type error =
   | Busy of { operation : string }
       (** bus write while an embedded operation is running *)
   | Not_erasing  (** suspend with no erase in flight *)
-  | Not_suspended  (** resume with no suspended erase *)
   | Buffer_overflow of { count : int; capacity : int }
   | Buffer_sector_crossing of { sector : int; addr : int }
   | Physics of string
@@ -126,6 +129,21 @@ val sector_of : t -> addr:int -> int
 
 val now : t -> float
 (** Model clock [s]. *)
+
+(** The model clock and the busy window, one flat all-float record
+    updated in place by every bus cycle. Read-only outside this module. *)
+type timing = private {
+  mutable clock : float;      (** model clock [s], as {!now} *)
+  mutable ends_at : float;    (** end of the running operation's busy window *)
+  mutable remaining : float;  (** busy seconds left of a suspended erase *)
+}
+
+val timing : t -> timing
+(** The instance's live timing record (the same record on every call).
+    [now] returns the clock as a float, which a caller in another module
+    receives boxed; a caller that keeps this record and reads
+    [(timing t).clock] itself gets the clock unboxed, so a served command
+    can time itself without allocating. *)
 
 val ready : t -> bool
 (** RY/BY# — false while an embedded operation is running (a suspended

@@ -1,3 +1,7 @@
+[@@@gnrflash.hot]
+(* lint: the journal appends and the GC/allocator loops run on every
+   served write — L13 keeps closures and record updates out of them. *)
+
 type page_state =
   | Free
   | Valid of int
@@ -23,6 +27,15 @@ let error_to_string = function
 type phys_op =
   | Phys_program of { block : int; page : int; lpn : int; gc : bool }
   | Phys_erase of { block : int; retired : bool }
+
+(* The journal as it is held: append-only int columns (see the .mli). *)
+type journal = {
+  mutable length : int;
+  mutable block : int array;
+  mutable page : int array;
+  mutable lpn : int array;
+  mutable flag : int array;
+}
 
 (* Flat hot-path representation. The page map is one int array indexed by
    [block * pages_per_block + page] holding the resident lpn, [p_free] or
@@ -55,7 +68,7 @@ type t = {
   mutable device_writes : int;
   mutable gc_runs : int;
   mutable erases : int;
-  mutable journal : phys_op list; (* reverse chronological *)
+  journal : journal;
   undo : t option; (* rollback image; [None] on the image itself *)
 }
 
@@ -66,6 +79,15 @@ let default_config =
    zone for a victim's valid pages, plus 1/8 page-level over-provisioning
    to keep the GC off the hot path. *)
 let logical_capacity_of config = (config.blocks - 1) * config.pages_per_block * 7 / 8
+
+let journal_create capacity =
+  {
+    length = 0;
+    block = Array.make capacity 0;
+    page = Array.make capacity 0;
+    lpn = Array.make capacity 0;
+    flag = Array.make capacity 0;
+  }
 
 let rec fresh config ~undo =
   {
@@ -82,7 +104,10 @@ let rec fresh config ~undo =
     device_writes = 0;
     gc_runs = 0;
     erases = 0;
-    journal = [];
+    (* room for a host write after one GC run (at most [ppb - 1]
+       relocations and an erase) before the columns first grow; the
+       image keeps only a length *)
+    journal = journal_create (if undo then config.pages_per_block + 1 else 0);
     undo = (if undo then Some (fresh config ~undo:false) else None);
   }
 
@@ -149,6 +174,26 @@ let allocate t =
     t.wp_page <- 0;
     true
 
+(* Columns grow rarely (a warm journal never does), so a plain blit. *)
+let grown col =
+  let bigger = Array.make (max 1 (2 * Array.length col)) 0 in
+  Array.blit col 0 bigger 0 (Array.length col);
+  bigger
+
+let journal_push j ~block ~page ~lpn ~flag =
+  let n = j.length in
+  if n = Array.length j.block then begin
+    j.block <- grown j.block;
+    j.page <- grown j.page;
+    j.lpn <- grown j.lpn;
+    j.flag <- grown j.flag
+  end;
+  j.block.(n) <- block;
+  j.page.(n) <- page;
+  j.lpn.(n) <- lpn;
+  j.flag.(n) <- flag;
+  j.length <- n + 1
+
 let program_page t ~lpn ~gc =
   allocate t
   && begin
@@ -165,7 +210,7 @@ let program_page t ~lpn ~gc =
     t.mapping.(lpn) <- (b * ppb) + p;
     t.wp_page <- p + 1;
     t.device_writes <- t.device_writes + 1;
-    t.journal <- Phys_program { block = b; page = p; lpn; gc } :: t.journal;
+    journal_push t.journal ~block:b ~page:p ~lpn ~flag:(Bool.to_int gc);
     true
   end
 
@@ -205,7 +250,8 @@ let erase_block t b =
     t.wp_block <- -1;
     t.wp_page <- 0
   end;
-  t.journal <- Phys_erase { block = b; retired = t.retired.(b) } :: t.journal
+  journal_push t.journal ~block:b ~page:(-1) ~lpn:(-1)
+    ~flag:(Bool.to_int t.retired.(b))
 
 (* Relocate the victim's valid pages through the write point and erase it.
    Nothing is touched unless they all fit — in the open block's remainder
@@ -249,7 +295,9 @@ let overwrite dst src =
   dst.device_writes <- src.device_writes;
   dst.gc_runs <- src.gc_runs;
   dst.erases <- src.erases;
-  dst.journal <- src.journal
+  (* entries are only ever appended, so the length is the whole journal
+     state a rollback needs *)
+  dst.journal.length <- src.journal.length
 
 let needs_gc t = fully_free_blocks t < 1 || free_pages t <= t.config.gc_threshold
 
@@ -297,10 +345,23 @@ let trim_in_place t ~lpn =
     end
   end
 
+let journal t = t.journal
+let clear_journal t = t.journal.length <- 0
+
 let take_journal t =
-  let ops = List.rev t.journal in
-  t.journal <- [];
-  ops
+  let j = t.journal in
+  let ops = ref [] in
+  for i = j.length - 1 downto 0 do
+    let op =
+      if j.page.(i) < 0 then Phys_erase { block = j.block.(i); retired = j.flag.(i) = 1 }
+      else
+        Phys_program
+          { block = j.block.(i); page = j.page.(i); lpn = j.lpn.(i); gc = j.flag.(i) = 1 }
+    in
+    ops := op :: !ops
+  done;
+  j.length <- 0;
+  !ops
 
 let location t ~lpn =
   if lpn < 0 || lpn >= logical_capacity t then unmapped else t.mapping.(lpn)

@@ -7,7 +7,7 @@
     simulation, the standard methodology for FTL studies); the underlying
     per-cell physics lives in {!Cell_store} (see {!Nand_block} and
     {!Command_fsm}). The physical operations each host call performs
-    are journaled (see {!phys_op}) so a command-level front end
+    are journaled (see {!journal}) so a command-level front end
     ({!Service}) can replay the exact op stream against a behavioral
     device model.
 
@@ -45,6 +45,24 @@ val error_to_string : error -> string
 type phys_op =
   | Phys_program of { block : int; page : int; lpn : int; gc : bool }
   | Phys_erase of { block : int; retired : bool }
+
+(** The journal of physical operations, held in place as append-only int
+    columns: entry [i], for [i < length], is [block.(i)], [page.(i)],
+    [lpn.(i)] and [flag.(i)]. A program has [page >= 0] and [flag = 1]
+    for a GC relocation; an erase has [page = lpn = -1] and [flag = 1]
+    when it retired the block. The columns grow by doubling and never
+    shrink, so a warm handle journals without allocating; a rollback
+    restores only [length]. Read-only outside this module: a front end
+    walks the entries straight out of the columns, with no call per
+    entry. The arrays may be replaced when an entry is appended, so read
+    them through the record, not through a saved copy. *)
+type journal = private {
+  mutable length : int;
+  mutable block : int array;
+  mutable page : int array;
+  mutable lpn : int array;
+  mutable flag : int array;
+}
 
 val default_config : config
 (** 16 blocks × 64 pages, GC at 8 free pages, 10⁴-erase endurance. *)
@@ -88,10 +106,19 @@ val write_in_place : t -> lpn:int -> (unit, error) result
 val trim_in_place : t -> lpn:int -> unit
 (** Discard a logical page (marks its physical page invalid). *)
 
+val journal : t -> journal
+(** The live journal: the physical operations performed since creation
+    or the last {!clear_journal} / {!take_journal}, in chronological
+    device order. A rejected write leaves no entries. Allocates
+    nothing. *)
+
+val clear_journal : t -> unit
+(** Drop every journal entry (keeping the columns' capacity). *)
+
 val take_journal : t -> phys_op list
-(** Physical operations performed since creation or the last call, in
-    chronological device order; clears the journal. A rejected write
-    leaves no entries. *)
+(** The {!journal} entries as a list, built on demand, in chronological
+    device order; clears the journal. A rejected write leaves no
+    entries. *)
 
 val read : t -> lpn:int -> (int * int) option
 (** Physical [(block, page)] currently holding the logical page, if

@@ -62,6 +62,7 @@ type cw_memo = {
 type t = {
   cfg : config;
   fsm : Command_fsm.t;
+  tm : Command_fsm.timing; (* [fsm]'s clock, read unboxed *)
   ftl : Ftl.t; (* mutable, owned by this instance *)
   store : int array; (* ground truth per logical page: packed data, -1 none *)
   cw_memo : cw_memo; (* data -> codeword *)
@@ -99,9 +100,11 @@ let create ?(config = default_config) device =
     }
   in
   let ftl = Ftl.create config.ftl in
+  let fsm = Command_fsm.create ~config:fsm_config device in
   {
     cfg = config;
-    fsm = Command_fsm.create ~config:fsm_config device;
+    fsm;
+    tm = Command_fsm.timing fsm;
     ftl;
     store = Array.make (Ftl.logical_capacity ftl) (-1);
     cw_memo = memo ();
@@ -227,25 +230,26 @@ let data_for s ~host_lpn ~host_data ~lpn ~gc =
          lpn host_lpn)
   else host_data
 
-(* Buffer-programs the first [count] journal entries of [ops] (programs
-   to [sector]) and returns the entries after them. *)
-let program_buffer s ~sector ~count ~host_lpn ~host_data ops =
+(* The data word of journal entry [i]: see [data_for]. *)
+let entry_word s (j : Ftl.journal) ~host_lpn ~host_data i =
+  codeword_for s
+    (data_for s ~host_lpn ~host_data ~lpn:j.Ftl.lpn.(i) ~gc:(j.Ftl.flag.(i) = 1))
+
+(* Buffer-programs journal entries [first, first + count) (programs to
+   [sector]). *)
+let program_buffer s j ~sector ~count ~host_lpn ~host_data first =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
   bus_write s ~addr:(u1 s) ~data:0xAA;
   bus_write s ~addr:(u2 s) ~data:0x55;
   bus_write s ~addr:sa ~data:0x25;
   bus_write s ~addr:sa ~data:(count - 1);
-  let rec load n = function
-    | Ftl.Phys_program { block; page; lpn; gc } :: rest when n > 0 ->
-      bus_write s ~addr:(addr_of s ~block ~page)
-        ~data:(codeword_for s (data_for s ~host_lpn ~host_data ~lpn ~gc));
-      load (n - 1) rest
-    | rest -> rest
-  in
-  let rest = load count ops in
+  for i = first to first + count - 1 do
+    bus_write s
+      ~addr:(addr_of s ~block:j.Ftl.block.(i) ~page:j.Ftl.page.(i))
+      ~data:(entry_word s j ~host_lpn ~host_data i)
+  done;
   bus_write s ~addr:sa ~data:0x29;
-  finish s;
-  rest
+  finish s
 
 let erase_sector s ~sector ~suspend =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
@@ -259,7 +263,7 @@ let erase_sector s ~sector ~suspend =
     (* let the erase run a little, then suspend it and peek at the device *)
     let cfg = Command_fsm.config s.fsm in
     Command_fsm.step_to s.fsm
-      (Command_fsm.now s.fsm
+      (s.tm.Command_fsm.clock
       +. (0.25 *. cfg.Command_fsm.erase_pulse.D.Program_erase.duration));
     if not (Command_fsm.ready s.fsm) then begin
       bus_write s ~addr:sa ~data:0xB0;
@@ -277,31 +281,32 @@ let erase_sector s ~sector ~suspend =
   end;
   finish s
 
-(* Programs to [block] at the head of [ops], up to [cap]. *)
-let rec run_length ~block ~cap n = function
-  | Ftl.Phys_program { block = b; _ } :: rest when b = block && n < cap ->
-    run_length ~block ~cap (n + 1) rest
-  | _ -> n
+(* Programs to [block] from journal entry [i] on, up to [cap]. *)
+let rec run_length (j : Ftl.journal) ~block ~cap n i =
+  if i < j.Ftl.length && j.Ftl.page.(i) >= 0 && j.Ftl.block.(i) = block && n < cap
+  then run_length j ~block ~cap (n + 1) (i + 1)
+  else n
 
-(* Walks the journal in order, batching maximal same-sector runs of
-   programs through the write buffer; only the first erase of a
-   suspend-flagged write is suspended. *)
-let rec mirror s ~host_lpn ~host_data ~suspend = function
-  | [] -> ()
-  | Ftl.Phys_erase { block; retired = _ } :: rest ->
-    erase_sector s ~sector:block ~suspend;
-    mirror s ~host_lpn ~host_data ~suspend:false rest
-  | Ftl.Phys_program { block; page; lpn; gc } :: rest as ops ->
-    let cap = (Command_fsm.config s.fsm).Command_fsm.write_buffer_words in
-    let count = run_length ~block ~cap 0 ops in
-    if count = 1 then begin
-      program_word s ~addr:(addr_of s ~block ~page)
-        ~word:(codeword_for s (data_for s ~host_lpn ~host_data ~lpn ~gc));
-      mirror s ~host_lpn ~host_data ~suspend rest
+(* Walks the journal in place from entry [i], batching maximal
+   same-sector runs of programs through the write buffer; only the first
+   erase of a suspend-flagged write is suspended. *)
+let rec mirror s j ~host_lpn ~host_data ~suspend i =
+  if i < j.Ftl.length then begin
+    let block = j.Ftl.block.(i) and page = j.Ftl.page.(i) in
+    if page < 0 then begin
+      erase_sector s ~sector:block ~suspend;
+      mirror s j ~host_lpn ~host_data ~suspend:false (i + 1)
     end
-    else
-      mirror s ~host_lpn ~host_data ~suspend
-        (program_buffer s ~sector:block ~count ~host_lpn ~host_data ops)
+    else begin
+      let cap = (Command_fsm.config s.fsm).Command_fsm.write_buffer_words in
+      let count = run_length j ~block ~cap 0 i in
+      if count = 1 then
+        program_word s ~addr:(addr_of s ~block ~page)
+          ~word:(entry_word s j ~host_lpn ~host_data i)
+      else program_buffer s j ~sector:block ~count ~host_lpn ~host_data i;
+      mirror s j ~host_lpn ~host_data ~suspend (i + count)
+    end
+  end
 
 (* ---------- host commands ---------- *)
 
@@ -310,17 +315,11 @@ let fold v s = s.trace <- Workload.digest_fold s.trace v
 let[@inline] fold_float x s =
   s.trace <- Workload.digest_fold s.trace (Int64.to_int (Int64.bits_of_float x))
 
-let record_latency s t0 =
-  let dt = Command_fsm.now s.fsm -. t0 in
+let grow_latencies s =
   let n = Array.length s.lat_buf in
-  if s.lat_len = n then begin
-    let bigger = Array.make (2 * n) 0. in
-    Array.blit s.lat_buf 0 bigger 0 n;
-    s.lat_buf <- bigger
-  end;
-  s.lat_buf.(s.lat_len) <- dt;
-  s.lat_len <- s.lat_len + 1;
-  fold_float dt s
+  let bigger = Array.make (2 * n) 0. in
+  Array.blit s.lat_buf 0 bigger 0 n;
+  s.lat_buf <- bigger
 
 let exec_read s ~lpn =
   s.reads <- s.reads + 1;
@@ -359,7 +358,8 @@ let exec_write s ~lpn ~data ~suspend =
     (* [lpn] was reduced modulo the logical capacity, so this is a bug *)
     failwith ("Service: " ^ Ftl.error_to_string e)
   | Ok () ->
-    mirror s ~host_lpn:lpn ~host_data:packed ~suspend (Ftl.take_journal s.ftl);
+    mirror s (Ftl.journal s.ftl) ~host_lpn:lpn ~host_data:packed ~suspend 0;
+    Ftl.clear_journal s.ftl;
     s.store.(lpn) <- packed;
     s.writes <- s.writes + 1;
     fold 2 s;
@@ -373,9 +373,11 @@ let page_of s lpn =
   let r = lpn mod logical_pages s in
   if r < 0 then r + logical_pages s else r
 
+(* The latency is recorded inline, from the flat timing record: passing
+   [t0] or [dt] to a function would box it. *)
 let exec s cmd =
   s.ops <- s.ops + 1;
-  let t0 = Command_fsm.now s.fsm in
+  let t0 = s.tm.Command_fsm.clock in
   (match cmd with
    | Workload.Cmd_read { lpn } -> exec_read s ~lpn:(page_of s lpn)
    | Workload.Cmd_trim { lpn } ->
@@ -387,7 +389,11 @@ let exec s cmd =
      fold lpn s
    | Workload.Cmd_write { lpn; data; suspend } ->
      exec_write s ~lpn:(page_of s lpn) ~data ~suspend);
-  record_latency s t0
+  let dt = s.tm.Command_fsm.clock -. t0 in
+  if s.lat_len = Array.length s.lat_buf then grow_latencies s;
+  s.lat_buf.(s.lat_len) <- dt;
+  s.lat_len <- s.lat_len + 1;
+  fold_float dt s
 
 (* ---------- reporting ---------- *)
 

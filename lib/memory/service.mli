@@ -1,6 +1,6 @@
 (** Command-level NOR memory service: the glue that runs host commands
     ({!Workload.host_cmd}) through the {!Ftl} space manager and mirrors
-    every journaled physical operation ({!Ftl.phys_op}) onto a behavioral
+    every journaled physical operation ({!Ftl.journal}) onto a behavioral
     {!Command_fsm} device as real JEDEC command sequences — unlock
     cycles, word or write-buffer programs, sector erases, and
     suspend/resume dances for suspend-flagged host writes.

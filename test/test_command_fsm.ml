@@ -366,6 +366,47 @@ let test_disturb_feedback () =
 
 (* ---- properties ------------------------------------------------------ *)
 
+(* Native code only. Minor words of the bus write cycle that launches an
+   embedded operation. *)
+let launch_words t ~addr ~data =
+  let w0 = Gc.minor_words () in
+  let r = C.write t ~addr ~data in
+  let w = Gc.minor_words () -. w0 in
+  ok "launch" r;
+  w
+
+(* The running operation and the suspended erase are int fields: once its
+   pulse transitions replay from the memos, a word program or a sector
+   erase launches without allocating. The erase's over-erased cells drift
+   for the first couple of dozen cycles (each new charge is a solve), then
+   settle. *)
+let test_warm_launch_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let t = mk () in
+  let cycle () =
+    unlock t;
+    ok "program setup" (C.write t ~addr:(u1 t) ~data:0xA0);
+    let program = launch_words t ~addr:1 ~data:0b00101 in
+    check_true "program busy" (not (C.ready t));
+    C.wait_ready t;
+    unlock t;
+    ok "erase setup" (C.write t ~addr:(u1 t) ~data:0x80);
+    unlock t;
+    let erase = launch_words t ~addr:0 ~data:0x30 in
+    check_true "erase busy" (not (C.ready t));
+    C.wait_ready t;
+    (program, erase)
+  in
+  for _ = 1 to 40 do
+    ignore (cycle () : float * float)
+  done;
+  for _ = 1 to 10 do
+    let program, erase = cycle () in
+    Alcotest.(check (float 0.)) "minor words per warm program launch" 0. program;
+    Alcotest.(check (float 0.)) "minor words per warm sector-erase launch" 0.
+      erase
+  done
+
 let prop_program_read_roundtrip =
   prop "programmed word always reads back" ~count:25
     QCheck2.Gen.(pair (int_range 0 7) (int_range 0 31))
@@ -457,6 +498,7 @@ let () =
           case "poll ready" test_poll_ready;
           case "digest determinism" test_digest_determinism;
           case "disturb feedback" test_disturb_feedback;
+          case "warm launch allocation" test_warm_launch_allocation;
           prop_program_read_roundtrip;
           prop_busy_until_wait;
           prop_suspend_resume_transparent;

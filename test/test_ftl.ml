@@ -283,6 +283,100 @@ let test_gc_does_not_allocate_major () =
        (words /. float_of_int runs))
     (words /. float_of_int runs < 100.)
 
+(* ---- the in-place journal -------------------------------------------- *)
+
+(* Journal entry [i] as a tuple [(block, page, lpn, flag)], read straight
+   out of the live columns. *)
+let view_entries t =
+  let j = F.journal t in
+  List.init j.F.length (fun i -> (j.F.block.(i), j.F.page.(i), j.F.lpn.(i), j.F.flag.(i)))
+
+(* The same, for the list [take_journal] built. *)
+let tuple_of_op = function
+  | F.Phys_program { block; page; lpn; gc } -> (block, page, lpn, Bool.to_int gc)
+  | F.Phys_erase { block; retired } -> (block, -1, -1, Bool.to_int retired)
+
+(* Replays journal entries onto an empty logical-to-physical map: a
+   program maps its lpn to its page, and an erase must find no lpn still
+   mapped into its block (GC relocated them first). [None] when an erase
+   hits a mapped page. *)
+let replay_mapping ~capacity entries =
+  let map = Array.make capacity None in
+  let ok =
+    List.for_all
+      (fun (block, page, lpn, _) ->
+        if page >= 0 then begin
+          map.(lpn) <- Some (block, page);
+          true
+        end
+        else Array.for_all (function Some (b, _) -> b <> block | None -> true) map)
+      entries
+  in
+  if ok then Some map else None
+
+(* A journal that outgrows its first capacity (two blocks' worth of
+   entries) keeps every entry: replaying the undrained journal of
+   hundreds of writes, GC relocations and erases included, rebuilds the
+   device's mapping exactly, and the list [take_journal] builds is the
+   same entries in the same order. *)
+let test_journal_grows_keeping_entries () =
+  let t = F.create small in
+  let capacity = F.logical_capacity t in
+  for i = 1 to 400 do
+    check_fok "write" (F.write_in_place t ~lpn:(Sm.hash ~seed:5 ~index:i mod capacity))
+  done;
+  let s = F.stats t in
+  let entries = view_entries t in
+  Alcotest.(check int) "one entry per program and erase" (s.F.device_writes + s.F.erases)
+    (List.length entries);
+  check_true "past the first capacity" (List.length entries > 4 * small.F.pages_per_block);
+  (match replay_mapping ~capacity entries with
+   | None -> Alcotest.fail "an erase hit a mapped page"
+   | Some map ->
+     for lpn = 0 to capacity - 1 do
+       check_true "replayed mapping" (map.(lpn) = F.read t ~lpn)
+     done);
+  check_true "take_journal agrees" (List.map tuple_of_op (F.take_journal t) = entries);
+  Alcotest.(check int) "drained" 0 (F.journal t).F.length
+
+(* A write rejected with [Device_full] after GC runs leaves a non-empty
+   journal exactly as it was. Block 2 is all invalid and one erase from
+   retirement, block 3 is open with one free page. The first write
+   collects block 2 (retiring it) and lands in that page: two entries.
+   Trims, which journal nothing, then invalidate blocks 0 and 1, also one
+   erase from retirement. The second write collects both, which retires
+   both, finds no room and rolls the two erases back out of the
+   journal. *)
+let test_rejected_write_keeps_journal () =
+  let cfg = { small with F.endurance_limit = 2 } in
+  let ppb = cfg.F.pages_per_block in
+  let t =
+    F.For_testing.of_state ~config:cfg
+      ~erase_counts:(Array.make cfg.F.blocks 1)
+      ~pages:
+        (Array.init cfg.F.blocks (fun b ->
+             Array.init ppb (fun p ->
+                 match b with
+                 | 0 | 1 -> F.Valid ((b * ppb) + p)
+                 | 2 -> F.Invalid
+                 | _ -> if p < 5 then F.Valid (16 + p) else if p < 7 then F.Invalid else F.Free)))
+      ~write_point:(Some (3, ppb - 1)) ()
+  in
+  check_fok "first write" (F.write_in_place t ~lpn:0);
+  for lpn = 1 to 15 do
+    F.trim_in_place t ~lpn
+  done;
+  let before = view_entries t in
+  check_true "an erase and a program journaled"
+    (before = [ (2, -1, -1, 1); (3, ppb - 1, 0, 0) ]);
+  (match F.write_in_place t ~lpn:16 with
+   | Error F.Device_full -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (F.error_to_string e)
+   | Ok () -> Alcotest.fail "write accepted with every reclaimed block retired");
+  check_true "journal as before the call" (view_entries t = before);
+  check_true "take_journal agrees" (List.map tuple_of_op (F.take_journal t) = before);
+  Alcotest.(check int) "no GC run kept" 1 (F.stats t).F.gc_runs
+
 (* ---- properties ------------------------------------------------------ *)
 
 let prop_mapping_consistent_after_random_trace =
@@ -394,6 +488,53 @@ let prop_journal_mirrors_counters =
          && gc_copies = s.F.device_writes - s.F.host_writes
          && erases = s.F.erases)
 
+(* Random writes and trims drive a low-endurance device into
+   [Device_full], draining the journal at random points. Each time, the
+   in-place view and [take_journal] agree entry by entry, the entries
+   are well formed, and a rejected write leaves the view unchanged;
+   the drained programs and erases add up to the device counters. *)
+let prop_journal_view_matches_take =
+  prop "in-place journal view = take_journal, to Device_full" ~count:15
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+       let t = F.create { small with F.endurance_limit = 4 } in
+       let capacity = F.logical_capacity t in
+       let ok = ref true and full = ref false and step = ref 0 in
+       let programs = ref 0 and erases = ref 0 in
+       let drain () =
+         let view = view_entries t in
+         let taken = List.map tuple_of_op (F.take_journal t) in
+         if view <> taken then ok := false;
+         List.iter
+           (fun (_, page, lpn, flag) ->
+             if flag land lnot 1 <> 0 then ok := false;
+             if page >= 0 then incr programs
+             else begin
+               incr erases;
+               if lpn <> -1 then ok := false
+             end)
+           view
+       in
+       while !ok && (not !full) && !step < 2_000 do
+         let h = Sm.hash ~seed ~index:!step in
+         let lpn = h mod capacity in
+         (if Sm.hash ~seed:h ~index:1 mod 10 = 0 then F.trim_in_place t ~lpn
+          else begin
+            let before = view_entries t in
+            match F.write_in_place t ~lpn with
+            | Ok () -> ()
+            | Error F.Device_full ->
+              if view_entries t <> before then ok := false;
+              full := true
+            | Error _ -> ok := false
+          end);
+         if Sm.hash ~seed:h ~index:2 mod 3 = 0 then drain ();
+         incr step
+       done;
+       drain ();
+       let s = F.stats t in
+       !ok && !full && !programs = s.F.device_writes && !erases = s.F.erases)
+
 let () =
   Alcotest.run "ftl"
     [
@@ -417,9 +558,12 @@ let () =
           case "GC allocates no major-heap words" test_gc_does_not_allocate_major;
           case "invariant violation messages" test_invariant_messages;
           case "passing invariant check allocation" test_passing_check_allocation;
+          case "journal grows keeping every entry" test_journal_grows_keeping_entries;
+          case "rejected write keeps the journal" test_rejected_write_keeps_journal;
           prop_mapping_consistent_after_random_trace;
           prop_written_pages_stay_mapped;
           prop_random_ops_to_exhaustion;
           prop_journal_mirrors_counters;
+          prop_journal_view_matches_take;
         ] );
     ]
