@@ -908,18 +908,19 @@ let svc_ops_per_s_floor = 115_800.
    word-level kernels and the memoized packed SEC-DED decode, and the
    first-occurrence exact solves run an unboxed scalar stepper over a
    fused rate kernel; [run_trace] generates each command as it executes
-   it, and the report sorts its latencies unboxed; the FTL journal is
-   walked in place, the FSM's op state is int-coded and [exec] reads the
-   model clock unboxed, so warm writes, trims and unmapped reads
-   allocate nothing. The residual is the commands themselves, the
-   mapped reads' [Data] answers, the report, and the first-occurrence
-   solves' boxed RHS calls and trajectories — see DESIGN.md "Cell store"
-   and "Exact transient". Measured 20.4 words/op on a 2-vCPU x86-64 VM
-   (39.7 before the in-place journal and the unboxed clock and op
-   state, 291 before the streamed command generation and the unboxed
-   report, 429 before the allocation-free transient, 546 before the
-   packed words, 630 before the fused kernels); the budget leaves ~15%
-   headroom. *)
+   it; the FTL journal is walked in place, the FSM's op state is
+   int-coded, and [exec] reads the model clock unboxed and counts each
+   latency in place in a table of distinct values, so warm writes, trims
+   and unmapped reads allocate nothing. The residual is the commands
+   themselves, the mapped reads' [Data] answers, the report, and the
+   first-occurrence solves' boxed RHS calls and trajectories — see
+   DESIGN.md "Cell store" and "Exact transient". Measured 20.4 words/op
+   on a 2-vCPU x86-64 VM, before and after the latency table replaced
+   the per-command latency buffer (39.7 before the in-place journal and
+   the unboxed clock and op state, 291 before the streamed command
+   generation and the unboxed report, 429 before the allocation-free
+   transient, 546 before the packed words, 630 before the fused
+   kernels); the budget leaves ~15% headroom. *)
 let svc_alloc_budget = 23.5
 
 (* Fleet digests of the seed record-based cell path on the reference
@@ -949,9 +950,7 @@ type service_stats = {
   svc_jobs2_wall_s : float; (* data only: no wall-clock gate on the tiers *)
   svc_shards2_wall_s : float;
   svc_ops_per_s : float;
-  svc_p50 : float;
-  svc_p95 : float;
-  svc_p99 : float;
+  svc_latency : Svc.latency_summary;
 }
 
 let service_fleet ~jobs ~shards ~instances ~per_instance ~seed =
@@ -960,14 +959,12 @@ let service_fleet ~jobs ~shards ~instances ~per_instance ~seed =
   Gnrflash.Sweep.init ~jobs ~shards ~serial_cutoff:0. instances (fun i ->
       let seed_i = Gnrflash.Sweep.splitmix ~seed ~index:i in
       let s = Svc.create (Gnrflash.Params.device ()) in
-      let r = Svc.run_trace ~seed:seed_i ~ops:per_instance s in
-      (r, Svc.latencies s))
+      Svc.run_trace ~seed:seed_i ~ops:per_instance s)
 
 let fleet_digests results =
   let fold f =
-    Array.fold_left
-      (fun acc (r, _) -> Wkl.digest_fold acc (f r))
-      Wkl.digest_empty results
+    Array.fold_left (fun acc r -> Wkl.digest_fold acc (f r)) Wkl.digest_empty
+      results
   in
   (fold (fun r -> r.Svc.trace_digest), fold (fun r -> r.Svc.state_digest))
 
@@ -1007,14 +1004,7 @@ let service_report ~quick () =
         (service_fleet ~jobs:1 ~shards:1 ~instances ~per_instance:13_000 ~seed)
       = svc_ref_full
   in
-  let sum f = Array.fold_left (fun a (r, _) -> a + f r) 0 base in
-  let lats = Svc.merge_latencies (Array.to_list (Array.map snd base)) in
-  let pct p =
-    if Array.length lats = 0 then 0.
-    else
-      lats.(int_of_float
-              (Float.round (p *. float_of_int (Array.length lats - 1))))
-  in
+  let sum f = Array.fold_left (fun a r -> a + f r) 0 base in
   let ops = sum (fun r -> r.Svc.ops) in
   {
     svc_instances = instances;
@@ -1027,7 +1017,7 @@ let service_report ~quick () =
       sum (fun r -> r.Svc.fsm.Gnrflash_memory.Command_fsm.bad_sequences);
     svc_invariant_failures =
       Array.fold_left
-        (fun acc (r, _) ->
+        (fun acc r ->
            match r.Svc.invariant_error with None -> acc | Some e -> e :: acc)
         [] base;
     svc_trace_digest = td;
@@ -1041,9 +1031,8 @@ let service_report ~quick () =
     svc_jobs2_wall_s = jobs2_wall;
     svc_shards2_wall_s = shards2_wall;
     svc_ops_per_s = float_of_int ops /. Float.max wall 1e-9;
-    svc_p50 = pct 0.50;
-    svc_p95 = pct 0.95;
-    svc_p99 = pct 0.99;
+    svc_latency =
+      Svc.latency_summary (Array.map (fun r -> r.Svc.latency) base);
   }
 
 let service_ok s =
@@ -1073,7 +1062,7 @@ let print_service s =
   Printf.printf "  tier wall        %.2f s --jobs 2, %.2f s --shards 2 (not gated)\n"
     s.svc_jobs2_wall_s s.svc_shards2_wall_s;
   Printf.printf "  latency p50/p95/p99  %.3e / %.3e / %.3e s (model)\n"
-    s.svc_p50 s.svc_p95 s.svc_p99;
+    s.svc_latency.Svc.p50 s.svc_latency.Svc.p95 s.svc_latency.Svc.p99;
   Printf.printf "  lost ops         %d  %s\n" s.svc_lost
     (if s.svc_lost = 0 then "ok" else "LOST");
   Printf.printf "  data mismatches  %d  %s\n" s.svc_mismatches
@@ -1223,7 +1212,8 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
        service.svc_instances service.svc_ops service.svc_ops_per_s
        service.svc_wall_s service.svc_jobs2_wall_s service.svc_shards2_wall_s
        svc_ops_per_s_floor service.svc_alloc_words_per_op svc_alloc_budget
-       service.svc_p50 service.svc_p95 service.svc_p99 service.svc_lost
+       service.svc_latency.Svc.p50 service.svc_latency.Svc.p95
+       service.svc_latency.Svc.p99 service.svc_lost
        service.svc_mismatches service.svc_bad_sequences
        (List.length service.svc_invariant_failures) service.svc_trace_digest
        service.svc_state_digest service.svc_jobs_identical

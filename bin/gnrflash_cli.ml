@@ -512,11 +512,10 @@ let serve_cmd =
       Gnrflash.Sweep.init ~shards instances (fun i ->
           let seed_i = Gnrflash.Sweep.splitmix ~seed ~index:i in
           let s = S.create ~config (Gnrflash.Params.device ()) in
-          let r = S.run_trace ~seed:seed_i ~ops:per_instance s in
-          (r, S.latencies s))
+          S.run_trace ~seed:seed_i ~ops:per_instance s)
     in
     let wall = Unix.gettimeofday () -. t0 in
-    let sum f = Array.fold_left (fun acc (r, _) -> acc + f r) 0 results in
+    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
     let total_ops = sum (fun r -> r.S.ops) in
     let lost = sum (fun r -> r.S.lost_ops) in
     let mismatches =
@@ -525,33 +524,19 @@ let serve_cmd =
     let bad_seq = sum (fun r -> r.S.fsm.Gnrflash_memory.Command_fsm.bad_sequences) in
     let invariant_failures =
       Array.fold_left
-        (fun acc (r, _) ->
+        (fun acc r ->
            match r.S.invariant_error with
            | None -> acc
            | Some e -> (e :: acc))
         [] results
     in
-    let trace_digest =
-      Array.fold_left
-        (fun acc (r, _) -> W.digest_fold acc r.S.trace_digest)
-        W.digest_empty results
+    let digest f =
+      Array.fold_left (fun acc r -> W.digest_fold acc (f r)) W.digest_empty
+        results
     in
-    let state_digest =
-      Array.fold_left
-        (fun acc (r, _) -> W.digest_fold acc r.S.state_digest)
-        W.digest_empty results
-    in
-    let lats =
-      S.merge_latencies (Array.to_list (Array.map (fun (_, l) -> l) results))
-    in
-    let pct p =
-      if Array.length lats = 0 then 0.
-      else
-        lats.(int_of_float
-                (Float.round (p *. float_of_int (Array.length lats - 1))))
-    in
+    let lat = S.latency_summary (Array.map (fun r -> r.S.latency) results) in
     let model_time =
-      Array.fold_left (fun acc (r, _) -> acc +. r.S.model_time) 0. results
+      Array.fold_left (fun acc r -> acc +. r.S.model_time) 0. results
     in
     Printf.printf "fleet of %d service instances, %d host commands each:\n"
       instances per_instance;
@@ -566,11 +551,13 @@ let serve_cmd =
     Printf.printf "  protocol errors  %d\n" bad_seq;
     Printf.printf "  model time       %.4e s (sum over fleet)\n" model_time;
     Printf.printf "  latency p50/p95/p99  %.3e / %.3e / %.3e s (model)\n"
-      (pct 0.50) (pct 0.95) (pct 0.99);
+      lat.S.p50 lat.S.p95 lat.S.p99;
     Printf.printf "  wall clock       %.2f s (%.0f ops/s)\n" wall
       (float_of_int total_ops /. Float.max wall 1e-9);
-    Printf.printf "  trace digest     0x%016X\n" trace_digest;
-    Printf.printf "  state digest     0x%016X\n" state_digest;
+    Printf.printf "  trace digest     0x%016X\n"
+      (digest (fun r -> r.S.trace_digest));
+    Printf.printf "  state digest     0x%016X\n"
+      (digest (fun r -> r.S.state_digest));
     List.iter
       (fun e -> Printf.printf "  INVARIANT VIOLATION: %s\n" e)
       invariant_failures;

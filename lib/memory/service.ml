@@ -21,8 +21,12 @@ let default_config =
     disturb = None;
   }
 
+type latency_table = {
+  values : float array;
+  counts : int array;
+}
+
 type latency_summary = {
-  mean : float;
   p50 : float;
   p95 : float;
   p99 : float;
@@ -40,7 +44,7 @@ type report = {
   read_mismatches : int;
   verify_mismatches : int;
   model_time : float;
-  latency : latency_summary;
+  latency : latency_table;
   trace_digest : int;
   state_digest : int;
   fsm : Command_fsm.stats;
@@ -75,13 +79,19 @@ type t = {
   mutable trims : int;
   mutable read_mismatches : int;
   mutable trace : int;
-  (* latency ring: a preallocated grow-by-doubling buffer instead of a
-     cons per op — the hot loop writes one float into a flat array *)
-  mutable lat_buf : float array;
-  mutable lat_len : int;
+  (* exact latency table: distinct model latency -> commands that took
+     it, open-addressed like [cw_memo]; a count of 0 marks an empty slot *)
+  mutable lat_keys : float array;
+  mutable lat_counts : int array;
+  mutable lat_distinct : int;
 }
 
 let word_bits_for strings = strings + Ecc.overhead strings
+
+(* Latencies are fixed-width pulses plus whole bus cycles: a 130k-command
+   bench instance sees 143 distinct values at most, so the table doubles
+   only on much longer runs. *)
+let lat_capacity = 512
 
 let memo () =
   { cw_keys = Array.make 64 (-1); cw_words = Array.make 64 0; cw_used = 0 }
@@ -117,8 +127,9 @@ let create ?(config = default_config) device =
     trims = 0;
     read_mismatches = 0;
     trace = Workload.digest_empty;
-    lat_buf = Array.make 1024 0.;
-    lat_len = 0;
+    lat_keys = Array.make lat_capacity 0.;
+    lat_counts = Array.make lat_capacity 0;
+    lat_distinct = 0;
   }
 
 let logical_pages s = Array.length s.store
@@ -315,11 +326,27 @@ let fold v s = s.trace <- Workload.digest_fold s.trace v
 let[@inline] fold_float x s =
   s.trace <- Workload.digest_fold s.trace (Int64.to_int (Int64.bits_of_float x))
 
+(* Counts [n] more commands of latency [x]. Inlined, so [exec] passes
+   [x] unboxed. *)
+let[@inline] add_latency s (x : float) n =
+  let mask = Array.length s.lat_counts - 1 in
+  let i = ref (Cell_store.probe_hash (Int64.to_int (Int64.bits_of_float x)) land mask) in
+  while s.lat_counts.(!i) <> 0 && not (Float.equal s.lat_keys.(!i) x) do
+    i := (!i + 1) land mask
+  done;
+  if s.lat_counts.(!i) = 0 then begin
+    s.lat_keys.(!i) <- x;
+    s.lat_distinct <- s.lat_distinct + 1
+  end;
+  s.lat_counts.(!i) <- s.lat_counts.(!i) + n
+
+(* Rehash into twice the capacity, keeping the load factor under 1/2. *)
 let grow_latencies s =
-  let n = Array.length s.lat_buf in
-  let bigger = Array.make (2 * n) 0. in
-  Array.blit s.lat_buf 0 bigger 0 n;
-  s.lat_buf <- bigger
+  let keys = s.lat_keys and counts = s.lat_counts in
+  s.lat_keys <- Array.make (2 * Array.length keys) 0.;
+  s.lat_counts <- Array.make (2 * Array.length keys) 0;
+  s.lat_distinct <- 0;
+  Array.iteri (fun j n -> if n > 0 then add_latency s keys.(j) n) counts
 
 let exec_read s ~lpn =
   s.reads <- s.reads + 1;
@@ -373,8 +400,9 @@ let page_of s lpn =
   let r = lpn mod logical_pages s in
   if r < 0 then r + logical_pages s else r
 
-(* The latency is recorded inline, from the flat timing record: passing
-   [t0] or [dt] to a function would box it. *)
+(* The latency is timed off the flat timing record and counted by the
+   inlined [add_latency]: passing [t0] or [dt] to a function that is not
+   inlined would box it. *)
 let exec s cmd =
   s.ops <- s.ops + 1;
   let t0 = s.tm.Command_fsm.clock in
@@ -390,91 +418,45 @@ let exec s cmd =
    | Workload.Cmd_write { lpn; data; suspend } ->
      exec_write s ~lpn:(page_of s lpn) ~data ~suspend);
   let dt = s.tm.Command_fsm.clock -. t0 in
-  if s.lat_len = Array.length s.lat_buf then grow_latencies s;
-  s.lat_buf.(s.lat_len) <- dt;
-  s.lat_len <- s.lat_len + 1;
+  add_latency s dt 1;
+  if 2 * s.lat_distinct > Array.length s.lat_counts then grow_latencies s;
   fold_float dt s
 
 (* ---------- reporting ---------- *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
-
-(* Sifts [a.(root)] down the max-heap held in [a.(0 .. len - 1)]. *)
-let rec sift (a : float array) ~root ~len =
-  let child = (2 * root) + 1 in
-  if child < len then begin
-    let child =
-      if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child
-    in
-    if a.(child) > a.(root) then begin
-      let v = a.(root) in
-      a.(root) <- a.(child);
-      a.(child) <- v;
-      sift a ~root:child ~len
-    end
-  end
-
-(* In-place ascending heapsort, monomorphic on floats: the stdlib
-   [Array.sort] reads a float array through polymorphic accessors, which
-   box every element they read. Latencies are finite and >= +0, so the
-   order equals [compare]'s. *)
-let sort_floats a =
-  let n = Array.length a in
-  for root = (n / 2) - 1 downto 0 do
-    sift a ~root ~len:n
-  done;
-  for last = n - 1 downto 1 do
-    let v = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- v;
-    sift a ~root:0 ~len:last
-  done
-
-let latencies s =
-  let lats = Array.sub s.lat_buf 0 s.lat_len in
-  sort_floats lats;
-  lats
-
-(* Stable k-way merge of sorted per-instance distributions, walking the
-   inputs in the order given: ties resolve to the earlier instance, so a
-   fleet's merged percentile array is one deterministic sequence rather
-   than whatever an unstable concat-and-sort produced. *)
-let merge_latencies sorted =
-  let arrays = Array.of_list sorted in
-  let k = Array.length arrays in
-  let total = Array.fold_left (fun n a -> n + Array.length a) 0 arrays in
-  let out = Array.make (max total 1) 0. in
-  let pos = Array.make k 0 in
-  for i = 0 to total - 1 do
-    let best = ref (-1) in
-    for j = 0 to k - 1 do
-      if pos.(j) < Array.length arrays.(j) then
-        let v = arrays.(j).(pos.(j)) in
-        if !best < 0 || v < arrays.(!best).(pos.(!best)) then best := j
-    done;
-    out.(i) <- arrays.(!best).(pos.(!best));
-    pos.(!best) <- pos.(!best) + 1
-  done;
-  if total = 0 then [||] else Array.sub out 0 total
-
-let latency_summary s =
-  let lats = latencies s in
-  let n = Array.length lats in
-  let sum = ref 0. in
-  for i = 0 to n - 1 do
-    sum := !sum +. lats.(i)
-  done;
-  let mean = if n = 0 then 0. else !sum /. float_of_int n in
+(* The table's entries, values ascending. *)
+let latency_table s =
+  let slots = Array.make s.lat_distinct 0 and k = ref 0 in
+  Array.iteri
+    (fun i c ->
+       if c > 0 then begin
+         slots.(!k) <- i;
+         incr k
+       end)
+    s.lat_counts;
+  Array.sort (fun i j -> Float.compare s.lat_keys.(i) s.lat_keys.(j)) slots;
   {
-    mean;
-    p50 = percentile lats 0.50;
-    p95 = percentile lats 0.95;
-    p99 = percentile lats 0.99;
-    max = (if n = 0 then 0. else lats.(n - 1));
+    values = Array.map (fun i -> s.lat_keys.(i)) slots;
+    counts = Array.map (fun i -> s.lat_counts.(i)) slots;
   }
+
+(* The value of rank [round (p (n - 1))] among a fleet's [n] latencies,
+   walking every table's entries in value order and summing counts. *)
+let latency_summary tables =
+  let values = Array.concat (List.map (fun t -> t.values) (Array.to_list tables))
+  and counts = Array.concat (List.map (fun t -> t.counts) (Array.to_list tables)) in
+  let order = Array.init (Array.length values) Fun.id in
+  Array.sort (fun i j -> Float.compare values.(i) values.(j)) order;
+  let n = Array.fold_left ( + ) 0 counts in
+  let at p =
+    let rank = int_of_float (Float.round (p *. float_of_int (n - 1))) in
+    let rec walk k seen =
+      let seen = seen + counts.(order.(k)) in
+      if seen > rank then values.(order.(k)) else walk (k + 1) seen
+    in
+    if n = 0 then 0. else walk 0 0
+  in
+  { p50 = at 0.50; p95 = at 0.95; p99 = at 0.99; max = at 1. }
 
 let verify_scan s =
   let mismatches = ref 0 in
@@ -515,7 +497,7 @@ let report s =
     read_mismatches = s.read_mismatches;
     verify_mismatches = verify_scan s;
     model_time = Command_fsm.now s.fsm;
-    latency = latency_summary s;
+    latency = latency_table s;
     trace_digest = s.trace;
     state_digest = state_digest s;
     fsm = Command_fsm.stats s.fsm;
@@ -540,7 +522,3 @@ let run_trace ?profile ~seed ~ops s =
     exec s (command i)
   done;
   report s
-
-module For_testing = struct
-  let sort_floats = sort_floats
-end

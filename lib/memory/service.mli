@@ -13,7 +13,11 @@
     instance, so a warm read compares two ints.
     All timing is model time (see {!Command_fsm}), which makes latency
     percentiles and the trace digest bit-identical across execution
-    tiers ([--jobs]/[--shards]) for a fixed seed. *)
+    tiers ([--jobs]/[--shards]) for a fixed seed. Latencies are sums of
+    fixed-width program and erase pulses and whole bus cycles, so an
+    instance sees few distinct values: it counts them in an exact table
+    (distinct latency -> commands), whose size grows with the distinct
+    values, not with the commands served. *)
 
 type config = {
   ftl : Ftl.config;      (** FTL geometry; blocks become device sectors *)
@@ -37,14 +41,19 @@ type t
 (** Mutable service instance (owns a {!Command_fsm.t} and an {!Ftl.t}).
     Not thread-safe; each execution-tier worker owns its instances. *)
 
+type latency_table = {
+  values : float array; (** distinct host-command latencies, ascending
+                            (model seconds) *)
+  counts : int array;   (** [counts.(i)] commands took [values.(i)] *)
+}
+
 type latency_summary = {
-  mean : float;
   p50 : float;
   p95 : float;
   p99 : float;
   max : float;
 }
-(** Host-command latencies in model seconds. *)
+(** Host-command latency percentiles in model seconds. *)
 
 type report = {
   ops : int;               (** host commands submitted *)
@@ -59,7 +68,7 @@ type report = {
   read_mismatches : int;   (** decoded page differed from ground truth *)
   verify_mismatches : int; (** final full-scan decode mismatches *)
   model_time : float;      (** device model clock at the end [s] *)
-  latency : latency_summary;
+  latency : latency_table; (** every host command's latency *)
   trace_digest : int;      (** order-sensitive digest of every host-command
                                outcome and its latency *)
   state_digest : int;      (** digest of final device cells/wear, FTL
@@ -89,17 +98,13 @@ val exec : t -> Workload.host_cmd -> unit
     @raise Invalid_argument when a write's data is not [strings] entries
     of 0 or 1 (checked before the FTL sees the write). *)
 
-val latencies : t -> float array
-(** All host-command latencies so far, sorted ascending (model seconds) —
-    lets a fleet driver merge per-instance distributions before taking
-    percentiles. *)
-
-val merge_latencies : float array list -> float array
-(** Stable k-way merge of sorted per-instance latency arrays, in the
-    order given (ties resolve to the earlier instance): the one
-    deterministic merged distribution fleet drivers take percentiles
-    over, identical across [--jobs]/[--shards] tiers for a fixed
-    instance order. *)
+val latency_summary : latency_table array -> latency_summary
+(** Percentiles of a fleet's merged latencies: with [n] latencies in
+    all, percentile [p] is the value of rank [Float.round (p (n - 1))]
+    (0-based) in ascending order, and [max] the largest; all are 0 when
+    [n = 0]. The tables' counts of equal values add up, so the result
+    does not depend on the order of the tables — identical across
+    [--jobs]/[--shards] tiers for a fixed seed. *)
 
 val report : t -> report
 (** Totals since [create]; computes the final verify scan (every live
@@ -113,10 +118,3 @@ val run_trace :
     its [pages]/[strings] are set to this service's geometry. Each
     command is generated as it is executed, so no trace array is built.
     @raise Invalid_argument when [ops < 0] or the profile is bad. *)
-
-module For_testing : sig
-  val sort_floats : float array -> unit
-  (** The in-place ascending sort {!latencies} uses: monomorphic on
-      floats, so it boxes nothing. Equals [Array.sort compare] on finite
-      non-negative floats. *)
-end

@@ -20,51 +20,6 @@ let linear xs ys =
   validate xs ys;
   { xs = Array.copy xs; ys = Array.copy ys; kind = Linear }
 
-(* Natural cubic spline: solve the tridiagonal system for second derivatives,
-   then store knot first-derivatives so evaluation shares the Hermite path. *)
-let cubic_spline xs ys =
-  validate xs ys;
-  let n = Array.length xs in
-  let h = Array.init (n - 1) (fun i -> xs.(i + 1) -. xs.(i)) in
-  (* Tridiagonal system for M (second derivatives), natural BC M0 = Mn = 0. *)
-  let m = Array.make n 0. in
-  if n > 2 then begin
-    let dim = n - 2 in
-    let diag = Array.init dim (fun i -> 2. *. (h.(i) +. h.(i + 1))) in
-    let sub = Array.init dim (fun i -> if i = 0 then 0. else h.(i)) in
-    let sup = Array.init dim (fun i -> if i = dim - 1 then 0. else h.(i + 1)) in
-    let rhs =
-      Array.init dim (fun i ->
-          6.
-          *. (((ys.(i + 2) -. ys.(i + 1)) /. h.(i + 1))
-              -. ((ys.(i + 1) -. ys.(i)) /. h.(i))))
-    in
-    (* Thomas algorithm *)
-    let c' = Array.make dim 0. and d' = Array.make dim 0. in
-    c'.(0) <- sup.(0) /. diag.(0);
-    d'.(0) <- rhs.(0) /. diag.(0);
-    for i = 1 to dim - 1 do
-      let denom = diag.(i) -. (sub.(i) *. c'.(i - 1)) in
-      c'.(i) <- sup.(i) /. denom;
-      d'.(i) <- (rhs.(i) -. (sub.(i) *. d'.(i - 1))) /. denom
-    done;
-    m.(dim) <- d'.(dim - 1);
-    for i = dim - 2 downto 0 do
-      m.(i + 1) <- d'.(i) -. (c'.(i) *. m.(i + 2))
-    done
-  end;
-  (* Convert second derivatives to knot slopes. *)
-  let d = Array.make n 0. in
-  for i = 0 to n - 2 do
-    d.(i) <-
-      ((ys.(i + 1) -. ys.(i)) /. h.(i))
-      -. (h.(i) /. 6. *. ((2. *. m.(i)) +. m.(i + 1)))
-  done;
-  d.(n - 1) <-
-    ((ys.(n - 1) -. ys.(n - 2)) /. h.(n - 2))
-    +. (h.(n - 2) /. 6. *. ((2. *. m.(n - 1)) +. m.(n - 2)));
-  { xs = Array.copy xs; ys = Array.copy ys; kind = Hermite d }
-
 (* Fritsch--Carlson monotone slopes. *)
 let pchip xs ys =
   validate xs ys;

@@ -12,10 +12,6 @@ type t
 val linear : float array -> float array -> t
 (** Piecewise-linear interpolant. *)
 
-(* lint: allow L14 — no program calls it; test_interp pins it *)
-val cubic_spline : float array -> float array -> t
-(** Natural cubic spline (second derivative zero at both ends). *)
-
 val pchip : float array -> float array -> t
 (** Monotone piecewise-cubic Hermite interpolant (Fritsch–Carlson slopes):
     preserves monotonicity of the data, never overshoots. *)

@@ -45,53 +45,6 @@ let transpose a =
 
 let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1. else 0.))
 
-let solve a b =
-  let n = Array.length a in
-  if n = 0 || Array.length b <> n then Error "Linalg.solve: bad dimensions"
-  else begin
-    let m = Array.map Array.copy a in
-    let v = Array.copy b in
-    let err = ref None in
-    (try
-       for col = 0 to n - 1 do
-         (* partial pivoting *)
-         let piv = ref col in
-         for r = col + 1 to n - 1 do
-           if abs_float m.(r).(col) > abs_float m.(!piv).(col) then piv := r
-         done;
-         if abs_float m.(!piv).(col) < 1e-300 then begin
-           err := Some "Linalg.solve: singular matrix";
-           raise Exit
-         end;
-         if !piv <> col then begin
-           let t = m.(col) in m.(col) <- m.(!piv); m.(!piv) <- t;
-           let t = v.(col) in v.(col) <- v.(!piv); v.(!piv) <- t
-         end;
-         for r = col + 1 to n - 1 do
-           let factor = m.(r).(col) /. m.(col).(col) in
-           if not (Float.equal factor 0.) then begin
-             for c = col to n - 1 do
-               m.(r).(c) <- m.(r).(c) -. (factor *. m.(col).(c))
-             done;
-             v.(r) <- v.(r) -. (factor *. v.(col))
-           end
-         done
-       done
-     with Exit -> ());
-    match !err with
-    | Some e -> Error e
-    | None ->
-      let x = Array.make n 0. in
-      for i = n - 1 downto 0 do
-        let s = ref v.(i) in
-        for j = i + 1 to n - 1 do
-          s := !s -. (m.(i).(j) *. x.(j))
-        done;
-        x.(i) <- !s /. m.(i).(i)
-      done;
-      Ok x
-  end
-
 let solve_tridiag ~sub ~diag ~sup rhs =
   let n = Array.length diag in
   if Array.length sub <> n || Array.length sup <> n || Array.length rhs <> n then

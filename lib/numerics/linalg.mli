@@ -1,6 +1,6 @@
 (** Small dense linear algebra: vectors as [float array], matrices as
     row-major [float array array]. Sized for the modest systems that appear
-    in device modeling (spline systems, least squares, transfer matrices). *)
+    in device modeling (the Poisson stack, transfer matrices). *)
 
 (** {1 Vectors} *)
 
@@ -41,12 +41,6 @@ val transpose : float array array -> float array array
 (* lint: allow L14 — no program calls it; test_linalg pins it *)
 val identity : int -> float array array
 (** Identity matrix of the given order. *)
-
-(* lint: allow L14 — no program calls it; test_linalg pins it *)
-val solve : float array array -> float array -> (float array, string) result
-(** [solve a b] solves [a x = b] by Gaussian elimination with partial
-    pivoting. Returns [Error] for a (numerically) singular matrix. The
-    inputs are not modified. *)
 
 val solve_tridiag :
   sub:float array -> diag:float array -> sup:float array -> float array ->

@@ -17,25 +17,6 @@ let test_linear_extrapolation () =
   check_close "extrapolate right" 4. (I.eval t 2.);
   check_close "extrapolate left" (-2.) (I.eval t (-1.))
 
-let test_spline_at_knots () =
-  let t = I.cubic_spline xs ys in
-  Array.iteri (fun i x -> check_close ~tol:1e-9 "knot" ys.(i) (I.eval t x)) xs
-
-let test_spline_smooth_quadratic () =
-  (* dense quadratic data: spline should reproduce x^2 well inside *)
-  let xs = Array.init 21 (fun i -> float_of_int i /. 10.) in
-  let ys = Array.map (fun x -> x *. x) xs in
-  let t = I.cubic_spline xs ys in
-  check_close ~tol:1e-4 "x^2 at 0.55" (0.55 ** 2.) (I.eval t 0.55);
-  check_close ~tol:1e-4 "x^2 at 1.23" (1.23 ** 2.) (I.eval t 1.23)
-
-let test_spline_linear_data () =
-  (* a spline through collinear points is that line *)
-  let xs = [| 0.; 1.; 2.; 5. |] in
-  let ys = Array.map (fun x -> (3. *. x) +. 1.) xs in
-  let t = I.cubic_spline xs ys in
-  check_close ~tol:1e-9 "line at 3.7" ((3. *. 3.7) +. 1.) (I.eval t 3.7)
-
 let test_pchip_monotone () =
   (* monotone data with a sharp corner: pchip must not overshoot *)
   let xs = [| 0.; 1.; 2.; 3.; 4. |] in
@@ -87,11 +68,6 @@ let prop_linear_between_bounds =
        let v = I.eval t x in
        v >= -1e-9 && v <= 9. +. 1e-9)
 
-let prop_spline_interpolates =
-  prop "spline hits every knot" QCheck2.Gen.(int_range 0 3) (fun i ->
-      let t = I.cubic_spline xs ys in
-      abs_float (I.eval t xs.(i) -. ys.(i)) < 1e-9)
-
 let () =
   Alcotest.run "interp"
     [
@@ -100,15 +76,11 @@ let () =
           case "linear at knots" test_linear_at_knots;
           case "linear midpoint" test_linear_midpoint;
           case "linear extrapolation" test_linear_extrapolation;
-          case "spline at knots" test_spline_at_knots;
-          case "spline approximates x^2" test_spline_smooth_quadratic;
-          case "spline exact on lines" test_spline_linear_data;
           case "pchip no overshoot" test_pchip_monotone;
           case "pchip at knots" test_pchip_at_knots;
           case "eval_array" test_eval_array;
           case "knots roundtrip" test_knots_roundtrip;
           case "input validation" test_validation;
           prop_linear_between_bounds;
-          prop_spline_interpolates;
         ] );
     ]

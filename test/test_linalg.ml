@@ -35,23 +35,6 @@ let test_identity_mul () =
   let ai = L.mat_mul a i in
   check_close "a*i = a" a.(1).(0) ai.(1).(0)
 
-let test_solve () =
-  let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = check_ok "solve" (L.solve a [| 5.; 10. |]) in
-  check_close ~tol:1e-12 "x0" 1. x.(0);
-  check_close ~tol:1e-12 "x1" 3. x.(1)
-
-let test_solve_pivoting () =
-  (* zero on the diagonal forces a row swap *)
-  let a = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let x = check_ok "solve" (L.solve a [| 2.; 3. |]) in
-  check_close "x0" 3. x.(0);
-  check_close "x1" 2. x.(1)
-
-let test_solve_singular () =
-  let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  check_error "singular" (L.solve a [| 1.; 2. |])
-
 let test_solve_tridiag () =
   let sub = [| 0.; 1.; 1. |] and diag = [| 2.; 2.; 2. |] and sup = [| 1.; 1.; 0. |] in
   let x = check_ok "tridiag" (L.solve_tridiag ~sub ~diag ~sup [| 3.; 4.; 3. |]) in
@@ -74,23 +57,6 @@ let test_cmat2_identity () =
   check_close "preserved" m.L.a.re p.L.a.re;
   check_close "preserved" m.L.d.im p.L.d.im
 
-let prop_solve_roundtrip =
-  prop "solve then multiply returns rhs" ~count:100
-    QCheck2.Gen.(array_size (return 4) (float_range (-10.) 10.))
-    (fun entries ->
-       let a =
-         [|
-           [| entries.(0) +. 5.; entries.(1) |];
-           [| entries.(2); entries.(3) +. 5. |];
-         |]
-       in
-       let b = [| 1.; 2. |] in
-       match L.solve a b with
-       | Error _ -> true (* singular combinations are acceptable *)
-       | Ok x ->
-         let b' = L.mat_vec a x in
-         abs_float (b'.(0) -. 1.) < 1e-8 && abs_float (b'.(1) -. 2.) < 1e-8)
-
 let () =
   Alcotest.run "linalg"
     [
@@ -103,12 +69,8 @@ let () =
           case "mat_mul" test_mat_mul;
           case "transpose" test_transpose;
           case "identity" test_identity_mul;
-          case "solve 2x2" test_solve;
-          case "solve needs pivoting" test_solve_pivoting;
-          case "solve singular" test_solve_singular;
           case "tridiagonal" test_solve_tridiag;
           case "complex 2x2 multiply" test_cmat2;
           case "complex 2x2 identity" test_cmat2_identity;
-          prop_solve_roundtrip;
         ] );
     ]

@@ -49,12 +49,19 @@ let test_end_to_end_trace () =
     (r.S.fsm.C.sector_erases = r.S.ftl.Ftl.erases);
   Alcotest.(check int) "journal fully mirrored" r.S.ftl.Ftl.device_writes
     r.S.fsm.C.words_programmed;
-  (* latency percentiles are ordered and positive *)
-  let l = r.S.latency in
+  (* the latency table counts every command once, values ascending, and
+     its percentiles are ordered and positive *)
+  let t = r.S.latency in
+  Alcotest.(check int) "every latency counted" 600
+    (Array.fold_left ( + ) 0 t.S.counts);
+  check_true "values strictly ascending"
+    (Array.for_all Fun.id
+       (Array.init (Array.length t.S.values - 1) (fun i ->
+            t.S.values.(i) < t.S.values.(i + 1))));
+  let l = S.latency_summary [| t |] in
   check_true "p50 > 0" (l.S.p50 > 0.);
   check_true "percentiles ordered"
-    (l.S.p50 <= l.S.p95 && l.S.p95 <= l.S.p99 && l.S.p99 <= l.S.max);
-  check_true "mean within range" (l.S.mean > 0. && l.S.mean <= l.S.max)
+    (l.S.p50 <= l.S.p95 && l.S.p95 <= l.S.p99 && l.S.p99 <= l.S.max)
 
 let test_determinism_across_instances () =
   let run () =
@@ -204,10 +211,11 @@ let exec_words s cmd =
   Gc.minor_words () -. w0
 
 (* A warm write -- its codeword memoized, the program and erase pulse
-   transitions replayed from the cell store's memos, the FTL journal and
-   the latency buffer grown (three passes fill 1500 of its 2048 slots;
-   the measured pass takes 500 more) -- allocates nothing: neither a
-   simple write (one program) nor one that garbage-collects (the
+   transitions replayed from the cell store's memos, the FTL journal
+   grown by three passes, and its latency counted in place in the
+   latency table (a latency seen for the first time takes an empty
+   slot, which allocates nothing either) -- allocates nothing: neither
+   a simple write (one program) nor one that garbage-collects (the
    victim's valid pages relocated, then a sector erase). Each command is
    measured on its own and classed by what it did to the device. *)
 let test_warm_write_allocation () =
@@ -276,21 +284,80 @@ let test_streamed_trace_matches_array () =
   Alcotest.(check int) "state digest" arrayed.S.state_digest streamed.S.state_digest;
   check_true "same report" (arrayed = streamed)
 
-(* The monomorphic latency sort orders like the stdlib's [compare] sort
-   on the values latencies take: finite, >= +0, with many duplicates. *)
-let prop_sort_matches_stdlib =
-  prop "sort_floats = Array.sort compare on non-negative floats" ~count:300
+(* The exact table of one latency multiset: distinct values ascending,
+   each with how often it occurs. *)
+let table_of lats =
+  let values = List.sort_uniq Float.compare (Array.to_list lats) in
+  let count v = Array.fold_left (fun n x -> if x = v then n + 1 else n) 0 lats in
+  { S.values = Array.of_list values; counts = Array.of_list (List.map count values) }
+
+(* The summary by its definition: sort every latency of the fleet, then
+   index the sorted array at rank [round (p (n - 1))]. *)
+let oracle_summary instances =
+  let all = Array.concat (Array.to_list instances) in
+  Array.sort Float.compare all;
+  let n = Array.length all in
+  let at p =
+    if n = 0 then 0.
+    else all.(int_of_float (Float.round (p *. float_of_int (n - 1))))
+  in
+  { S.p50 = at 0.50; p95 = at 0.95; p99 = at 0.99; max = at 1. }
+
+let same_summary (a : S.latency_summary) (b : S.latency_summary) =
+  let bits x = Int64.bits_of_float x in
+  List.for_all2 Int64.equal
+    [ bits a.S.p50; bits a.S.p95; bits a.S.p99; bits a.S.max ]
+    [ bits b.S.p50; bits b.S.p95; bits b.S.p99; bits b.S.max ]
+
+(* Latencies take few distinct values (zero for a trim), so a fleet's
+   multisets are mostly duplicates; some instances serve nothing. Merging
+   the instances' tables in either order reads the oracle's values. *)
+let prop_summary_matches_sorted_oracle =
+  prop "latency_summary = sorted-concatenation oracle" ~count:300
     QCheck2.Gen.(
-      array_size (int_range 0 200)
-        (oneof [ float_bound_inclusive 1e-2; oneofl [ 0.; 1e-3; 4.8e-2 ] ]))
-    (fun a ->
-      let expected = Array.copy a in
-      Array.sort compare expected;
-      let got = Array.copy a in
-      S.For_testing.sort_floats got;
-      Array.for_all2
-        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-        expected got)
+      list_size (int_range 0 6)
+        (array_size (oneof [ return 0; int_range 0 300 ])
+           (oneof
+              [
+                oneofl [ 0.; 1.0004e-3; 1.0004e-3; 5.00073e-2; 2.5e-6 ];
+                map (fun k -> float_of_int k *. 1e-7) (int_range 0 40);
+                float_bound_inclusive 1e-1;
+              ])))
+    (fun instances ->
+      let instances = Array.of_list instances in
+      let expected = oracle_summary instances in
+      let tables = Array.map table_of instances in
+      let reversed = Array.of_list (List.rev (Array.to_list tables)) in
+      same_summary expected (S.latency_summary tables)
+      && same_summary expected (S.latency_summary reversed))
+
+(* The service's own table holds exactly the latencies seen from outside:
+   the device clock read around every [exec]. *)
+let test_table_counts_observed_latencies () =
+  let run seed =
+    let s = mk () in
+    let dev = S.device s in
+    let profile =
+      { profile with W.pages = S.logical_pages s; strings = small_cfg.S.strings }
+    in
+    let seen =
+      Array.map
+        (fun cmd ->
+          let t0 = C.now dev in
+          S.exec s cmd;
+          C.now dev -. t0)
+        (W.generate_commands ~seed ~profile ~ops:400)
+    in
+    (seen, (S.report s).S.latency)
+  in
+  let fleet = Array.map run [| 1; 2; 3 |] in
+  Array.iter
+    (fun (seen, table) -> check_true "table = observed multiset" (table = table_of seen))
+    fleet;
+  check_true "fleet summary = oracle"
+    (same_summary
+       (oracle_summary (Array.map fst fleet))
+       (S.latency_summary (Array.map snd fleet)))
 
 let prop_no_op_lost =
   prop "every command is accounted under random profiles" ~count:10
@@ -320,7 +387,9 @@ let () =
           case "warm write allocation" test_warm_write_allocation;
           case "trim and unmapped read allocation" test_trim_allocation;
           case "streamed trace matches array" test_streamed_trace_matches_array;
+          case "latency table counts observed latencies"
+            test_table_counts_observed_latencies;
           prop_no_op_lost;
-          prop_sort_matches_stdlib;
+          prop_summary_matches_sorted_oracle;
         ] );
     ]
