@@ -15,7 +15,7 @@ let run_events ?(config = default_config) t ~qfg0 ~events =
     let duration = float_of_int events *. config.pulse_width in
     if duration <= 0. then Ok None
     else
-      match Transient.run ~qfg0 t ~vgs:config.v_disturb ~duration with
+      match Transient.pulse ~qfg0 t ~vgs:config.v_disturb ~duration with
       | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
       | Ok r -> Ok (Some r)
   end

@@ -163,7 +163,7 @@ let apply_pulse ?budget e ~qfg pulse =
       if Option.is_some h0 then Tel.count "transient/warm_start_hit";
       (match
          Budget.with_opt budget @@ fun () ->
-         Transient.run ?h0 ~qfg0:qfg e.device ~vgs:pulse.vgs ~duration:pulse.duration
+         Transient.pulse ?h0 ~qfg0:qfg e.device ~vgs:pulse.vgs ~duration:pulse.duration
        with
        | Error err -> Error err
        | Ok r ->

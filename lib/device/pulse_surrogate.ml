@@ -70,7 +70,7 @@ let certified_bound t = t.bound
 let qfg_range t = (t.q_lo, t.q_hi)
 let build_seconds t = t.build_s
 
-let divergence t ~exact ~approx =
+let[@inline] divergence t ~exact ~approx =
   abs_float (approx -. exact) /. Float.max (abs_float exact) (1e-3 *. t.q_scale)
 
 type response = {
@@ -125,64 +125,76 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
       | Ok r ->
         (* keep only samples that strictly advance the charge toward the
            fixed point — the interpolants need strictly monotone abscissae
-           in both coordinates *)
+           in both coordinates. The kept samples' indices go into an int
+           array, then their times (from the first sample's) and charges
+           into [ft]/[fq] at their exact length: no list, no boxed float. *)
         let toward_sat = q_sat > q_start in
-        let kept = ref [] and n_kept = ref 0 in
-        Array.iter
-          (fun s ->
-             let advance =
-               match !kept with
-               | [] -> true
-               | last :: _ ->
-                 s.Transient.time > last.Transient.time
-                 && (if toward_sat then s.Transient.qfg > last.Transient.qfg
-                     else s.Transient.qfg < last.Transient.qfg)
-             in
-             if advance then begin kept := s :: !kept; incr n_kept end)
-          r.Transient.samples;
-        let samples = Array.of_list (List.rev !kept) in
-        let m = Array.length samples in
+        let samples = r.Transient.samples in
+        let kept = Array.make (Array.length samples) 0 in
+        let m = ref 0 in
+        for k = 0 to Array.length samples - 1 do
+          let s = samples.(k) in
+          let advance =
+            !m = 0
+            ||
+            let last = samples.(kept.(!m - 1)) in
+            s.Transient.time > last.Transient.time
+            && (if toward_sat then s.Transient.qfg > last.Transient.qfg
+                else s.Transient.qfg < last.Transient.qfg)
+          in
+          if advance then begin
+            kept.(!m) <- k;
+            incr m
+          end
+        done;
+        let m = !m in
         if m < 8 then
           Error (Err.make ~solver (Err.Invalid_input "too few trajectory samples"))
         else begin
-          let t0 = samples.(0).Transient.time in
-          let time i = samples.(i).Transient.time -. t0 in
-          let charge i = samples.(i).Transient.qfg in
-          let t_end = time (m - 1) in
-          let q_end = charge (m - 1) in
+          let t0 = samples.(kept.(0)).Transient.time in
+          let ft = Array.make m 0. and fq = Array.make m 0. in
+          for i = 0 to m - 1 do
+            ft.(i) <- samples.(kept.(i)).Transient.time -. t0;
+            fq.(i) <- samples.(kept.(i)).Transient.qfg
+          done;
+          let t_end = ft.(m - 1) in
+          let q_end = fq.(m - 1) in
           let t_sat =
             Option.map (fun ts -> Float.min ts t_end) r.Transient.tsat
           in
           (* knots: even-indexed samples plus the endpoint; the odd-indexed
-             samples are held out as certification probes *)
-          let knot_idx =
-            List.filter (fun i -> i mod 2 = 0 || i = m - 1)
-              (List.init m (fun i -> i))
-          in
-          let probe_idx =
-            List.filter (fun i -> i mod 2 = 1 && i <> m - 1)
-              (List.init m (fun i -> i))
-          in
+             samples are held out as certification probes, so probe [p] is
+             sample [2p + 1] *)
+          let last_odd = (m - 1) mod 2 = 1 in
+          let nk = ((m + 1) / 2) + if last_odd then 1 else 0 in
+          let np = (m / 2) - if last_odd then 1 else 0 in
+          let kt = Array.make nk 0. and kq = Array.make nk 0. in
+          for k = 0 to nk - 1 do
+            let i = if 2 * k < m then 2 * k else m - 1 in
+            kt.(k) <- ft.(i);
+            kq.(k) <- fq.(i)
+          done;
           let interp_pair ts qs =
             let q_of_t = Interp.pchip ts qs in
             let t_of_q =
               if toward_sat then Interp.pchip qs ts
               else begin
                 let n = Array.length qs in
-                let rq = Array.init n (fun i -> qs.(n - 1 - i)) in
-                let rt = Array.init n (fun i -> ts.(n - 1 - i)) in
+                let rq = Array.make n 0. and rt = Array.make n 0. in
+                for i = 0 to n - 1 do
+                  rq.(i) <- qs.(n - 1 - i);
+                  rt.(i) <- ts.(n - 1 - i)
+                done;
                 Interp.pchip rq rt
               end
             in
             (q_of_t, t_of_q)
           in
-          let kt = Array.of_list (List.map time knot_idx) in
-          let kq = Array.of_list (List.map charge knot_idx) in
           let q_of_t, t_of_q = interp_pair kt kq in
           (* the serving range stops one accepted step short of the event
              charge: every in-range exact re-solve still sees the event
              ahead of it (its event function is strictly positive) *)
-          let e0 = charge 0 and e1 = charge (m - 2) in
+          let e0 = fq.(0) and e1 = fq.(m - 2) in
           let q_lo = Float.min e0 e1 and q_hi = Float.max e0 e1 in
           let q_scale =
             Float.max (abs_float q_lo) (Float.max (abs_float q_hi) (abs_float q_end))
@@ -190,34 +202,35 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
           let table =
             {
               vgs = v; q_of_t; t_of_q; q_lo; q_hi; q_scale; t_end; q_end;
-              t_sat; bound = 0.; measured = 0.; build_s = 0.; knots = Array.length kt;
+              t_sat; bound = 0.; measured = 0.; build_s = 0.; knots = nk;
             }
           in
           (* certification against the held-out samples: direct q_of_t
              probes plus the composed query Q(T(q_i) + (t_j − t_i)) at
-             several strides, plus the saturated tail *)
-          let probes = Array.of_list probe_idx in
-          let np = Array.length probes in
+             strides 1, np/4, np/2 and to the last probe, plus the
+             saturated tail *)
           let worst = ref 0. in
-          let note ~exact ~approx =
-            let d = divergence table ~exact ~approx in
-            if d > !worst then worst := d
-          in
-          Array.iteri
-            (fun p i ->
-               note ~exact:(charge i) ~approx:(Interp.eval q_of_t (time i));
-               List.iter
-                 (fun p' ->
-                    if p' > p && p' < np then begin
-                      let j = probes.(p') in
-                      let tq = Interp.eval t_of_q (charge i) in
-                      let t1 = tq +. (time j -. time i) in
-                      note ~exact:(charge j) ~approx:(Interp.eval q_of_t t1)
-                    end)
-                 [ p + 1; p + (np / 4); p + (np / 2); np - 1 ])
-            probes;
+          for p = 0 to np - 1 do
+            let i = (2 * p) + 1 in
+            let d = divergence table ~exact:fq.(i) ~approx:(Interp.eval q_of_t ft.(i)) in
+            if d > !worst then worst := d;
+            let tq = Interp.eval t_of_q fq.(i) in
+            for s = 0 to 3 do
+              let p' =
+                match s with 0 -> p + 1 | 1 -> p + (np / 4) | 2 -> p + (np / 2) | _ -> np - 1
+              in
+              if p' > p && p' < np then begin
+                let j = (2 * p') + 1 in
+                let t1 = tq +. (ft.(j) -. ft.(i)) in
+                let d = divergence table ~exact:fq.(j) ~approx:(Interp.eval q_of_t t1) in
+                if d > !worst then worst := d
+              end
+            done
+          done;
           (match t_sat with
-           | Some _ -> note ~exact:r.Transient.qfg_final ~approx:q_end
+           | Some _ ->
+             let d = divergence table ~exact:r.Transient.qfg_final ~approx:q_end in
+             if d > !worst then worst := d
            | None -> ());
           let measured = !worst in
           let bound = (bound_headroom *. measured) +. bound_floor in
@@ -226,8 +239,6 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
              the interpolation error on this smooth monotone trajectory, so
              the coarse-grid measurement stays an upper bound for the
              served table. *)
-          let ft = Array.init m time in
-          let fq = Array.init m charge in
           let q_of_t, t_of_q = interp_pair ft fq in
           Ok
             {

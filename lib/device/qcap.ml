@@ -103,7 +103,7 @@ let run ?(stack = default_stack ()) t ~vgs ~duration =
         time := !time +. dt
       end
     done;
-    match Transient.run t ~vgs ~duration with
+    match Transient.pulse t ~vgs ~duration with
     | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
     | Ok metal ->
       let dvt_final = Fgt.threshold_shift t ~qfg:!q in

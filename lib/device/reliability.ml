@@ -43,3 +43,7 @@ let vt_drift m w = m.dvt_per_trap *. w.traps
 let endurance_cycles m ~charge_per_cycle ~area ~field =
   if charge_per_cycle <= 0. then invalid_arg "Reliability.endurance_cycles: charge <= 0";
   qbd m ~field /. (charge_per_cycle /. area)
+
+module For_testing = struct
+  let vt_drift = vt_drift
+end

@@ -36,9 +36,14 @@ val after_pulse : model -> wear -> injected:float -> area:float -> field:float -
 (** Update wear with one pulse's injected charge (C, over the given cell
     area) at the given peak oxide field. *)
 
-val vt_drift : model -> wear -> float
-(** Neutral-threshold drift caused by trapped charge [V]. *)
-
 val endurance_cycles : model -> charge_per_cycle:float -> area:float -> field:float -> float
 (** Predicted number of P/E cycles before breakdown at a constant
     per-cycle fluence. *)
+
+(** The drift oracle {!Gnrflash_memory.Cell.For_testing.effective_vt}
+    composes; the cycle kernel repeats its expression in place. *)
+module For_testing : sig
+  val vt_drift : model -> wear -> float
+  (** Neutral-threshold drift caused by trapped charge [V]:
+      [dvt_per_trap *. traps]. *)
+end

@@ -17,6 +17,13 @@ type sample = {
   j_out : float;
 }
 
+type final = {
+  tsat : float option;
+  qfg_final : float;
+  dvt_final : float;
+  h_first : float option;
+}
+
 type result = {
   samples : sample array;
   tsat : float option;
@@ -83,8 +90,9 @@ let[@inline] rates k qfg =
   k.j_in <- from_channel +. from_gate;
   k.j_out <- to_gate +. to_channel
 
-(* dQFG/dt [A] *)
-let dqfg_dt k qfg =
+(* dQFG/dt [A]. Inlined, like [imbalance], so a caller that stores the
+   result in a float field boxes nothing. *)
+let[@inline] dqfg_dt k qfg =
   rates k qfg;
   -.((k.j_in -. k.j_out) *. k.area)
 
@@ -94,7 +102,7 @@ let sample_of k ~time ~qfg =
 
 let initial_currents t ~vgs ~qfg = (Fgt.j_in t ~vgs ~qfg, Fgt.j_out t ~vgs ~qfg)
 
-let imbalance k ~qfg ~threshold =
+let[@inline] imbalance k ~qfg ~threshold =
   rates k qfg;
   let ji = k.j_in and jo = k.j_out in
   let s = ji +. jo in
@@ -114,9 +122,16 @@ let initial_step_size t ~vgs ~f0 ~duration =
     Float.min (duration /. 100.) (0.01 *. q_scale /. f0)
   else duration /. 100.
 
-let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t ~vgs
-    ~duration =
-  let solver = "Transient.run" in
+(* The one exact solve behind [run] and [pulse]. The RHS and the saturation
+   event reach [Ode.integrate] as [unit -> unit] closures over its flat
+   [io] record and the kernel's float fields, so no evaluation boxes a
+   float; [record] decides whether the integrator keeps the trajectory.
+   Both entry points count as [transient/solve] under the [transient/run]
+   span, so the ledger reads the same whichever one a caller uses. [finish]
+   turns the integrator's solution and the saturation time into the
+   caller's result. *)
+let solve ~solver ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs
+    ~duration finish =
   if duration <= 0. then
     Error (Err.make ~solver (Err.Invalid_input "duration <= 0"))
   else
@@ -132,8 +147,11 @@ let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t 
        [ode/rhs_eval] and meet the fault injector; the [h0] probe, the event
        and the samples go straight to the kernel. *)
     let k = kernel t ~vgs in
-    let f _time q = dqfg_dt k q in
-    let event _time q = imbalance k ~qfg:q ~threshold:imbalance_threshold in
+    let io = Ode.io () in
+    let rhs () = io.Ode.dy <- dqfg_dt k io.Ode.y in
+    let event () =
+      io.Ode.g <- imbalance k ~qfg:io.Ode.y ~threshold:imbalance_threshold
+    in
     let h0 =
       match h0 with
       | Some h when Float.is_finite h && h > 0. -> Float.min h duration
@@ -141,38 +159,23 @@ let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t 
     in
     (* If the device starts already balanced (e.g. vgs = 0) the event
        function is negative at t0; integrate without the event. *)
-    let already_balanced = event 0. qfg0 <= 0. in
-    let finish { Ode.times; states } tsat =
-      (match tsat with
-       | Some ts ->
-         Tel.count "transient/tsat_event";
-         if ts < duration then Tel.count "transient/early_stop"
-       | None -> ());
-      let samples = Array.mapi (fun i time -> sample_of k ~time ~qfg:states.(i)) times in
-      let qfg_final = states.(Array.length states - 1) in
-      let h_first =
-        if Array.length times >= 2 then Some (times.(1) -. times.(0)) else None
-      in
-      Ok
-        {
-          samples;
-          tsat;
-          qfg_final;
-          dvt_final = Fgt.threshold_shift t ~qfg:qfg_final;
-          h_first;
-        }
-    in
+    let already_balanced = imbalance k ~qfg:qfg0 ~threshold:imbalance_threshold <= 0. in
     let attempt rtol () =
-      if already_balanced then begin
-        Tel.count "transient/already_balanced";
-        match Ode.rkf45 ~rtol ~atol ~h0 ~f ~t0:0. ~y0:qfg0 ~t1:duration () with
-        | Error e -> Error e
-        | Ok trajectory -> finish trajectory (Some 0.)
-      end
-      else
-        match Ode.rkf45_event ~rtol ~atol ~h0 ~f ~event ~t0:0. ~y0:qfg0 ~t1:duration () with
-        | Error e -> Error e
-        | Ok { Ode.trajectory; event_time; _ } -> finish trajectory event_time
+      if already_balanced then Tel.count "transient/already_balanced";
+      match
+        Ode.integrate ~rtol ~atol ~h0 ~record io ~rhs
+          ~event:(if already_balanced then None else Some event)
+          ~t0:0. ~y0:qfg0 ~t1:duration ()
+      with
+      | Error e -> Error e
+      | Ok sol ->
+        let tsat = if already_balanced then Some 0. else sol.Ode.t_event in
+        (match tsat with
+         | Some ts ->
+           Tel.count "transient/tsat_event";
+           if ts < duration then Tel.count "transient/early_stop"
+         | None -> ());
+        Ok (finish k sol tsat)
     in
     (* Tolerance-relaxation ladder: a transiently NaN-poisoned or stiff RHS
        that defeats the tight tolerance often integrates fine a couple of
@@ -186,16 +189,45 @@ let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t 
       ]
   end
 
+let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t ~vgs
+    ~duration =
+  solve ~solver:"Transient.run" ~record:true ?budget ~qfg0 ~imbalance_threshold ~rtol
+    ?h0 t ~vgs ~duration (fun k sol tsat ->
+      let { Ode.times; states } = sol.Ode.points in
+      let samples = Array.mapi (fun i time -> sample_of k ~time ~qfg:states.(i)) times in
+      let qfg_final = sol.Ode.y_final in
+      {
+        samples;
+        tsat;
+        qfg_final;
+        dvt_final = Fgt.threshold_shift t ~qfg:qfg_final;
+        h_first = sol.Ode.h_first;
+      })
+
+let pulse ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t
+    ~vgs ~duration =
+  solve ~solver:"Transient.pulse" ~record:false ?budget ~qfg0 ~imbalance_threshold
+    ~rtol ?h0 t ~vgs ~duration (fun _ sol tsat ->
+      let qfg_final = sol.Ode.y_final in
+      ({
+        tsat;
+        qfg_final;
+        dvt_final = Fgt.threshold_shift t ~qfg:qfg_final;
+        h_first = sol.Ode.h_first;
+      } : final))
+
 let saturation_charge ?budget t ~vgs =
   Budget.with_opt budget @@ fun () ->
   Err.protect @@ fun () ->
   Tel.span "transient/saturation_charge" @@ fun () ->
   Tel.count "transient/fixed_point_solve";
-  let vgs_q = U.volt vgs in
+  (* Jin − Jout through the fused kernel: bit-identical to the unit-typed
+     [Fgt.j_in_q −@ Fgt.j_out_q], without a boxed float per
+     cross-module call *)
+  let k = kernel t ~vgs in
   let f q =
-    U.to_float
-      U.(Fgt.j_in_q t ~vgs:vgs_q ~qfg:(coulomb q)
-         -@ Fgt.j_out_q t ~vgs:vgs_q ~qfg:(coulomb q))
+    rates k q;
+    k.j_in -. k.j_out
   in
   (* Bracket between q = 0 and the charge that pins VFG to the balanced
      voltage divider point: VFGstar with VFG*/xto = (vgs - VFGstar)/xco for

@@ -15,7 +15,9 @@
     {b Rate kernel.} Each solve hoists the device constants once ([Fgt.gcr],
     [Fgt.ct], [vs], [xto], [xco], [area] and both interfaces' FN [(A, B)])
     into one fused kernel that computes the two oxide fields, then both
-    current densities, without allocating. The kernel serves the ODE
+    current densities, without allocating. The kernel reaches the
+    integrator through {!Gnrflash_numerics.Ode.integrate}'s unboxed
+    protocol, so no RHS or event evaluation boxes a float. The kernel serves the ODE
     right-hand side, the saturation event and every {!sample}. Its
     expressions are those of [Fgt.vfg_q], [Fgt.j_in_q], [Fgt.j_out_q] and
     [Fgt.dqfg_dt_q] operation for operation, so every value it returns is
@@ -35,6 +37,15 @@ type sample = {
   j_in : float;   (** electron injection [A/m²] *)
   j_out : float;  (** electron extraction [A/m²] *)
 }
+
+type final = {
+  tsat : float option;
+  qfg_final : float;
+  dvt_final : float;
+  h_first : float option;
+}
+(** What {!pulse} returns: the fields of {!type-result} a pulse engine
+    reads, without the trajectory. *)
 
 type result = {
   samples : sample array;      (** trajectory, increasing time *)
@@ -64,6 +75,24 @@ val run :
     [ode/step_nan_shrink = 0]. Pass the previous pulse's
     {!field-h_first} to warm-start a repeated pulse
     ({!Program_erase.apply_pulse} does this automatically). *)
+
+val pulse :
+  ?budget:Gnrflash_resilience.Budget.t ->
+  ?qfg0:float -> ?imbalance_threshold:float -> ?rtol:float -> ?h0:float ->
+  Fgt.t -> vgs:float -> duration:float -> (final, error) Stdlib.result
+(** {!run}'s solve without its trajectory or samples: the same integration
+    by the same driver, with the same relaxation ladder, counters, budget
+    and fault-injection behaviour, returning only the final state. Its
+    [tsat], [qfg_final], [dvt_final] and [h_first] are bit-identical to
+    {!run}'s for the same arguments ([test/test_transient.ml] checks this
+    by [Int64.bits_of_float] over the paper box, and that both spend the
+    same [ode/rhs_eval] count and fail with the same typed error under a
+    fault plan or a spent budget). Every RHS and event evaluation writes
+    into flat float records, and no trajectory is kept, so a solve
+    allocates a small constant whatever its step count. It is recorded
+    under the same [transient/run] span and [transient/solve] counter as
+    {!run}. The pulse engine ({!Program_erase.apply_pulse}) and every
+    caller that reads only the end state use it. *)
 
 val initial_currents : Fgt.t -> vgs:float -> qfg:float -> float * float
 (** [(Jin, Jout)] at a single operating point — the t = 0 comparison of

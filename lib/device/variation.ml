@@ -58,7 +58,7 @@ let evaluate device =
     | Error e -> (infinity, Some e)
   in
   let dvt_fixed_pulse, pulse_failure =
-    match Transient.run device ~vgs:15. ~duration:100e-9 with
+    match Transient.pulse device ~vgs:15. ~duration:100e-9 with
     | Ok r -> (r.Transient.dvt_final, None)
     | Error e -> (nan, Some e)
   in

@@ -52,8 +52,10 @@ let read ?(config = D.Readout.default) c =
 
 let effective_vt ?(config = D.Readout.default) ?(reliability = D.Reliability.default) c =
   D.Readout.threshold_voltage config c.device ~qfg:c.qfg
-  +. D.Reliability.vt_drift reliability c.wear
+  +. D.Reliability.For_testing.vt_drift reliability c.wear
 
 module For_testing = struct
+  let effective_vt = effective_vt
+
   let state ?(dvt_threshold = 1.0) c = if dvt c > dvt_threshold then Programmed else Erased
 end

@@ -41,14 +41,15 @@ val read : ?config:Gnrflash_device.Readout.config -> t -> logic
 (** Sense the cell through the readout model (current comparison against
     half the neutral on-current). *)
 
-val effective_vt : ?config:Gnrflash_device.Readout.config ->
-  ?reliability:Gnrflash_device.Reliability.model -> t -> float
-(** Threshold including both stored charge and wear-induced drift —
-    the quantity whose program/erase window closes with cycling. *)
-
-(** The scalar readout oracle the word-level kernels are checked against. *)
+(** The scalar readout oracles the store's kernels are checked against. *)
 module For_testing : sig
   val state : ?dvt_threshold:float -> t -> logic
   (** Classify the stored state by its threshold shift (default decision
       level 1 V). *)
+
+  val effective_vt : ?config:Gnrflash_device.Readout.config ->
+    ?reliability:Gnrflash_device.Reliability.model -> t -> float
+  (** Threshold including both stored charge and wear-induced drift —
+      the quantity whose program/erase window closes with cycling.
+      {!Cell_store.pe_cycle} computes it in place, bit for bit. *)
 end

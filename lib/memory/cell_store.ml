@@ -250,6 +250,28 @@ let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
   done;
   !zeros
 
+(* ---------- the program/erase cycle kernel ---------- *)
+
+type pe_readout = { mutable vt_programmed : float; mutable vt_erased : float }
+
+let pe_readout () = { vt_programmed = 0.; vt_erased = 0. }
+
+(* Cell.For_testing.effective_vt over the store's columns:
+   Readout.threshold_voltage (vt0 plus Fgt.threshold_shift, the [dvt]
+   expression) plus Reliability.vt_drift, operation for operation. *)
+let[@inline] effective_vt t ~rel ~config i =
+  config.D.Readout.vt0 +. (-.Array.unsafe_get t.qfg i /. t.cfc)
+  +. (rel.D.Reliability.dvt_per_trap *. Array.unsafe_get t.traps i)
+
+let pe_cycle t ~reliability ~config ~pmemo ~ememo ~program ~erase i out =
+  check_memo t pmemo;
+  check_memo t ememo;
+  let replay = replays_allowed () in
+  ignore (pulse_cell t pmemo ~rel:reliability ~replay ~pulse:program i : int);
+  out.vt_programmed <- effective_vt t ~rel:reliability ~config i;
+  ignore (pulse_cell t ememo ~rel:reliability ~replay ~pulse:erase i : int);
+  out.vt_erased <- effective_vt t ~rel:reliability ~config i
+
 (* ---------- word-level kernels ---------- *)
 
 type word_outcome = { mutable slowest : int; mutable total : int; mutable timed_out : bool }
@@ -326,6 +348,7 @@ let fold_digest t f h0 =
 
 module For_testing = struct
   let traps t i = t.traps.(i)
+  let apply_pulse_at = apply_pulse_at
 
   let set t i (c : Cell.t) =
     set_qfg t i c.Cell.qfg;

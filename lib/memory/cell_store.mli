@@ -41,7 +41,7 @@ val device : t -> Gnrflash_device.Fgt.t
 
 val engine : t -> Gnrflash_device.Program_erase.engine
 (** The store's pulse engine, for callers that pulse its cells outside
-    {!apply_pulse_at} (e.g. an ISPP loop) and must share its caches. *)
+    {!For_testing.apply_pulse_at} (e.g. an ISPP loop) and must share its caches. *)
 
 (** {1 Per-cell scalar access} *)
 
@@ -110,21 +110,6 @@ exception Pulse_error of string
     the fused kernels {!program_verify} and {!erase_round}, which return
     bare counts so their hit path allocates nothing. *)
 
-val apply_pulse_at :
-  ?reliability:Gnrflash_device.Reliability.model ->
-  t ->
-  memo:memo ->
-  pulse:Gnrflash_device.Program_erase.pulse ->
-  int -> (unit, string) result
-(** Apply one pulse to cell [i] in place, bit-identical to
-    {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t} with the
-    store's engine: broken oxide fails first (before any lookup), a
-    repeated charge replays its id's transition in O(1) with no solve and
-    no allocation, and a fresh charge makes one
-    {!Gnrflash_device.Program_erase.apply_pulse} call and memoizes when
-    sound (see {!type-memo}). An active fault plan skips the memo. Solver
-    errors are returned (never memoized) with the cell unchanged. *)
-
 val program_verify :
   ?reliability:Gnrflash_device.Reliability.model ->
   t ->
@@ -134,10 +119,10 @@ val program_verify :
   int -> int
 (** Pulse-and-verify of cell [i]: while it reads [1] (at 1 V) and fewer
     than [max_pulses] pulses were applied, apply one pulse as
-    {!apply_pulse_at} does; returns the number of pulses applied. The
+    {!For_testing.apply_pulse_at} does; returns the number of pulses applied. The
     verify read after a replayed pulse is the new id's bit, and {!Gnrflash_resilience.Fault.active} is read once per call, so a
     call whose pulses all hit allocates nothing. Bit-identical to the
-    loop [while bit t i = 1 && p < max_pulses do apply_pulse_at ...].
+    loop [while bit t i = 1 && p < max_pulses do For_testing.apply_pulse_at ...].
     @raise Pulse_error on the first failed pulse; pulses before it keep
     their updates and the failed one leaves the cell unchanged. *)
 
@@ -148,11 +133,44 @@ val erase_round :
   pulse:Gnrflash_device.Program_erase.pulse ->
   lo:int -> hi:int -> int
 (** One pulse on every cell of [lo..hi] inclusive, ascending, as
-    {!apply_pulse_at} does; returns how many of those cells read [0] (at
+    {!For_testing.apply_pulse_at} does; returns how many of those cells read [0] (at
     1 V) after their pulse. One solve per distinct charge in the range,
     deltas replayed across the rest, allocation-free when every pulse
     hits. @raise Pulse_error at the first failed pulse (cells before it
     keep their updates, matching the seed per-cell loop). *)
+
+(** {1 Program/erase cycle kernel} *)
+
+type pe_readout = {
+  mutable vt_programmed : float;  (** threshold after the program pulse [V] *)
+  mutable vt_erased : float;  (** threshold after the erase pulse [V] *)
+}
+(** Caller-owned result of {!pe_cycle}. All its fields are floats, so it
+    is stored flat and the kernel writes it without boxing. *)
+
+val pe_readout : unit -> pe_readout
+
+val pe_cycle :
+  t ->
+  reliability:Gnrflash_device.Reliability.model ->
+  config:Gnrflash_device.Readout.config ->
+  pmemo:memo ->
+  ememo:memo ->
+  program:Gnrflash_device.Program_erase.pulse ->
+  erase:Gnrflash_device.Program_erase.pulse ->
+  int -> pe_readout -> unit
+(** One endurance cycle of cell [i]: a program pulse as {!For_testing.apply_pulse_at}
+    with [pmemo], the cell's effective threshold, an erase pulse with
+    [ememo], and the threshold again. The thresholds land in the
+    readout. Each is [Cell.For_testing.effective_vt ~config ~reliability]
+    of {!view}, computed in place as
+    [(vt0 +. dvt) +. dvt_per_trap *. traps], so it is bit-identical.
+    The loop runs here because under [-opaque] every float returned
+    across a module boundary is boxed. A cycle whose two pulses replay
+    from the memos allocates nothing.
+    {!Gnrflash_resilience.Fault.active} is read once per call.
+    @raise Pulse_error on a failed pulse (broken oxide first, or a solver
+    error), leaving the cell as {!For_testing.apply_pulse_at} would. *)
 
 (** {1 Word-level kernels}
 
@@ -222,9 +240,27 @@ val fold_digest : t -> (int -> int -> int) -> int -> int
     the per-cell prefix of {!Command_fsm.state_digest}, so digests stay
     stable across the SoA refactor. *)
 
-(** Introspection of the charge ids and direct cell state, for tests. *)
+(** Introspection of the charge ids and direct cell state, and the
+    per-cell pulse step, for tests. *)
 module For_testing : sig
   val traps : t -> int -> float
+
+  val apply_pulse_at :
+    ?reliability:Gnrflash_device.Reliability.model ->
+    t ->
+    memo:memo ->
+    pulse:Gnrflash_device.Program_erase.pulse ->
+    int -> (unit, string) result
+  (** Apply one pulse to cell [i] in place, bit-identical to
+      {!Cell.program}/{!Cell.erase} on the equivalent {!Cell.t} with the
+      store's engine: broken oxide fails first (before any lookup), a
+      repeated charge replays its id's transition in O(1) with no solve and
+      no allocation, and a fresh charge makes one
+      {!Gnrflash_device.Program_erase.apply_pulse} call and memoizes when
+      sound (see {!type-memo}). An active fault plan skips the memo. Solver
+      errors are returned (never memoized) with the cell unchanged. This
+      is the per-cell step the batched kernels are specified against; no
+      program calls it directly. *)
 
   val set : t -> int -> Cell.t -> unit
   (** Write [c]'s charge and wear into slot [i], the charge as

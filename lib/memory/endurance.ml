@@ -16,16 +16,16 @@ type run = {
   failure : string option;
 }
 
+(* 1, 2, 3, 5, 10, 20, ... up to n, and n itself, ascending *)
 let log_spaced_checkpoints n =
-  (* 1, 2, 3, 5, 10, 20, ... up to n *)
   let rec go acc decade =
-    if decade > n then List.rev acc
-    else begin
-      let pts = List.filter (fun x -> x <= n) [ decade; 2 * decade; 3 * decade; 5 * decade ] in
-      go (List.rev_append pts acc) (decade * 10)
-    end
+    if decade > n then acc
+    else
+      go
+        (List.filter (fun x -> x <= n) [ decade; 2 * decade; 3 * decade; 5 * decade ] @ acc)
+        (decade * 10)
   in
-  List.sort_uniq compare (go [] 1 @ [ n ])
+  Array.of_list (List.sort_uniq Int.compare (n :: go [] 1))
 
 let cycle_cell ?(reliability = D.Reliability.default)
     ?(program_pulse = D.Program_erase.default_program_pulse)
@@ -35,46 +35,44 @@ let cycle_cell ?(reliability = D.Reliability.default)
   let checkpoints = log_spaced_checkpoints cycles in
   (* P/E cycling alternates exactly two charge states once the loop
      settles, so a 1-cell store with per-pulse memos turns the long
-     cycling run into O(1) replays after the first few solves *)
+     cycling run into O(1) replays after the first few solves; the cycle
+     itself and both threshold readouts run inside [Cell_store.pe_cycle],
+     so a replayed cycle allocates nothing and only a checkpoint builds a
+     sample *)
   let store = Cell_store.create ?surrogate ~n:1 device in
   let pmemo = Cell_store.memo store and ememo = Cell_store.memo store in
+  let vt = Cell_store.pe_readout () in
+  let config = D.Readout.default in
   let samples = ref [] in
   let failure = ref None in
   let survived = ref 0 in
+  let next = ref 0 in
   (try
      for i = 1 to cycles do
-       (match
-          Cell_store.apply_pulse_at ~reliability store ~memo:pmemo
-            ~pulse:program_pulse 0
-        with
-        | Error e -> failure := Some e; raise Exit
-        | Ok () -> ());
-       let vt_prog = Cell.effective_vt ~reliability (Cell_store.view store 0) in
-       (match
-          Cell_store.apply_pulse_at ~reliability store ~memo:ememo
-            ~pulse:erase_pulse 0
-        with
-        | Error e -> failure := Some e; raise Exit
-        | Ok () -> ());
-       let vt_er = Cell.effective_vt ~reliability (Cell_store.view store 0) in
+       Cell_store.pe_cycle store ~reliability ~config ~pmemo ~ememo
+         ~program:program_pulse ~erase:erase_pulse 0 vt;
        survived := i;
-       let window = vt_prog -. vt_er in
-       if List.mem i checkpoints then
+       let window = vt.Cell_store.vt_programmed -. vt.Cell_store.vt_erased in
+       if i = checkpoints.(!next) then begin
          samples :=
            {
              cycle = i;
-             vt_programmed = vt_prog;
-             vt_erased = vt_er;
+             vt_programmed = vt.Cell_store.vt_programmed;
+             vt_erased = vt.Cell_store.vt_erased;
              window;
              fluence = Cell_store.fluence store 0;
            }
            :: !samples;
+         incr next
+       end;
        if window < window_min then begin
          failure := Some "window closed";
          raise Exit
        end
      done
-   with Exit -> ());
+   with
+   | Exit -> ()
+   | Cell_store.Pulse_error e -> failure := Some e);
   { samples = List.rev !samples; cycles_survived = !survived; failure = !failure }
 
 let predicted_endurance ?(reliability = D.Reliability.default) device ~vgs =

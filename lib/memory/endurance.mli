@@ -25,13 +25,21 @@ val cycle_cell :
   ?surrogate:bool ->
   Gnrflash_device.Fgt.t -> cycles:int -> run
 (** Cycle a single cell [cycles] times, sampling the thresholds at
-    log-spaced cycle counts. Stops early on oxide breakdown or when the
-    window falls below [window_min] (default 1 V). The run owns one cold
-    pulse engine, so its result depends only on its arguments.
-    [surrogate] (default on) serves in-box pulses from the
-    {!Gnrflash_device.Pulse_surrogate} tables — the intended fleet-scale
-    cycling path; pass [false] to force every pulse through the exact ODE
-    solve. *)
+    log-spaced cycle counts (1, 2, 3, 5, 10, 20, ... and [cycles]). Stops
+    early on oxide breakdown or when the window falls below [window_min]
+    (default 1 V). The run owns one cold pulse engine, so its result
+    depends only on its arguments. [surrogate] (default on) serves in-box
+    pulses from the {!Gnrflash_device.Pulse_surrogate} tables — the
+    intended fleet-scale cycling path; pass [false] to force every pulse
+    through the exact ODE solve.
+
+    Each cycle is one {!Cell_store.pe_cycle} call on a one-cell store, and
+    the next checkpoint is an index into an int array, so once the cell
+    settles into its two-state limit cycle a cycle allocates nothing; only
+    a checkpoint builds a sample. The thresholds are
+    [Cell.For_testing.effective_vt] of the cell, bit for bit
+    ([test/test_endurance.ml] checks every sample, [cycles_survived] and
+    [failure] against that record-path loop). *)
 
 val predicted_endurance :
   ?reliability:Gnrflash_device.Reliability.model ->

@@ -15,7 +15,7 @@ let fn_program_energy ?(pump = default_pump) device ~vgs ~pulse_width =
   (* integrate the injected charge over the pulse: the transient endpoint
      gives total charge moved; the supply sees it at VGS through the pump *)
   let injected, mean_current =
-    match D.Transient.run device ~qfg0:0. ~vgs ~duration:pulse_width with
+    match D.Transient.pulse device ~qfg0:0. ~vgs ~duration:pulse_width with
     | Ok r ->
       let q = abs_float r.D.Transient.qfg_final in
       (q, q /. pulse_width)

@@ -75,7 +75,7 @@ let program_page t ~page ~data =
     else if data.(s) <> 1 then disturb duration (s + 1)
     else
       match
-        D.Transient.run ~qfg0:(S.qfg t.store (base + s)) device
+        D.Transient.pulse ~qfg0:(S.qfg t.store (base + s)) device
           ~vgs:t.disturb.D.Disturb.v_disturb ~duration
       with
       | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)

@@ -24,8 +24,12 @@ let linear xs ys =
 let pchip xs ys =
   validate xs ys;
   let n = Array.length xs in
-  let h = Array.init (n - 1) (fun i -> xs.(i + 1) -. xs.(i)) in
-  let delta = Array.init (n - 1) (fun i -> (ys.(i + 1) -. ys.(i)) /. h.(i)) in
+  (* filled by loops: [Array.init] would box every float its closure returns *)
+  let h = Array.make (n - 1) 0. and delta = Array.make (n - 1) 0. in
+  for i = 0 to n - 2 do
+    h.(i) <- xs.(i + 1) -. xs.(i);
+    delta.(i) <- (ys.(i + 1) -. ys.(i)) /. h.(i)
+  done;
   let d = Array.make n 0. in
   for i = 1 to n - 2 do
     if delta.(i - 1) *. delta.(i) > 0. then begin

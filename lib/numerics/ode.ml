@@ -158,6 +158,23 @@ let[@inline] push b t y =
   Array.unsafe_set b.by n y;
   b.len <- n + 1
 
+type io = {
+  mutable t : float;
+  mutable y : float;
+  mutable dy : float;
+  mutable g : float;
+}
+
+let io () = { t = 0.; y = 0.; dy = 0.; g = 0. }
+
+type solution = {
+  points : float trajectory;
+  y_final : float;
+  h_first : float option;
+  t_event : float option;
+  y_event : float option;
+}
+
 type event_result = {
   trajectory : float trajectory;
   event_time : float option;
@@ -169,16 +186,22 @@ type event_result = {
    would churn dense-output evaluations well past double precision. *)
 let event_time_rtol = 1e-12
 
-(* The one adaptive driver behind [rkf45], [rkf45_dense] and [rkf45_event].
-   The state, the step and the seven stages live in unboxed locals: a trial
-   step allocates nothing beyond the boxing of [f]'s arguments and result,
-   and an accepted step adds only its trajectory slot. [ts] (sorted, within
-   [t0, t1]) are filled in [out] from the step's dense output; [event], when
-   given, stops the integration at its first sign change (or exact zero) on
-   an accepted step. The solver name stays "Ode.rkf45" in typed errors: it
-   is the stable identifier the resilience layer and its tests key on. *)
+let no_trajectory = { times = [||]; states = [||] }
+
+(* The one adaptive driver behind [integrate], [rkf45], [rkf45_dense] and
+   [rkf45_event]. The right-hand side and the event are [unit -> unit]
+   closures over the flat float record [io]: the driver writes the
+   evaluation point into [io.t] and [io.y] and reads [io.dy] (or [io.g])
+   back, so no float crosses a closure call. The state, the step and the
+   seven stages live in unboxed locals: a trial step allocates nothing,
+   and an accepted step adds only its trajectory slot when [record] asks
+   for one. [ts] (sorted, within [t0, t1]) are filled in [out] from the
+   step's dense output; [event], when given, stops the integration at its
+   first sign change (or exact zero) on an accepted step. The solver name
+   stays "Ode.rkf45" in typed errors: it is the stable identifier the
+   resilience layer and its tests key on. *)
 let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200_000)
-    ~f ~event ~ts ~out ~t0 ~y0 ~t1 () =
+    ~record io ~rhs ~event ~ts ~out ~t0 ~y0 ~t1 () =
   let solver = "Ode.rkf45" in
   if t1 <= t0 then
     Error (Err.make ~solver (Err.Invalid_input "t1 <= t0"))
@@ -188,18 +211,24 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
        trial); counting at the wrapped callable keeps the bookkeeping honest
        even if the tableau changes. Evaluations are charged to the ambient
        budget and exposed to the fault injector (a NaN fault poisons the
-       state, which exercises the same shrink path as a genuine non-finite
+       slope, which exercises the same shrink path as a genuine non-finite
        region). *)
-    let f t y =
+    let eval () =
       Tel.count "ode/rhs_eval";
       Budget.note_evals 1;
       match Fault.outcome () with
-      | `Pass -> f t y
-      | `Nan -> Float.nan
+      | `Pass -> rhs ()
+      | `Nan -> io.dy <- Float.nan
       | `Fail eval -> Err.fail ~solver (Err.Fault_injected { eval })
     in
-    let tr = { bt = Array.make 16 0.; by = Array.make 16 0.; len = 0 } in
-    push tr t0 y0;
+    let tr =
+      if record then { bt = Array.make 16 0.; by = Array.make 16 0.; len = 0 }
+      else { bt = [||]; by = [||]; len = 0 }
+    in
+    if record then push tr t0 y0;
+    (* the points a recorded trajectory would hold: how many, the second
+       one's time (for [h_first]) and the last one's state *)
+    let points = ref 1 and t_second = ref t0 and y_last = ref y0 in
     let m = Array.length ts in
     let next = ref 0 in
     while !next < m && ts.(!next) <= t0 do
@@ -207,7 +236,16 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
       incr next
     done;
     let d = { t_old = 0.; h = 1.; c1 = 0.; c2 = 0.; c3 = 0.; c4 = 0.; c5 = 0. } in
-    let g0 = ref (match event with Some ev -> ev t0 y0 | None -> 0.) in
+    let g0 =
+      ref
+        (match event with
+         | Some ev ->
+           io.t <- t0;
+           io.y <- y0;
+           ev ();
+           io.g
+         | None -> 0.)
+    in
     let event_time = ref None and event_state = ref None in
     let h = ref (match h0 with Some h -> h | None -> (t1 -. t0) /. 100.) in
     let t = ref t0 and y = ref y0 in
@@ -228,34 +266,47 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
           incr steps;
           if !t +. !h > t1 then h := t1 -. !t;
           if not !k1_valid then begin
-            k1 := f !t !y;
+            io.t <- !t;
+            io.y <- !y;
+            eval ();
+            k1 := io.dy;
             k1_valid := true
           end;
           let tc = !t and yc = !y and hc = !h and k1c = !k1 in
-          let k2 = f (tc +. (hc /. 5.)) (yc +. (hc *. a21 *. k1c)) in
-          let k3 = f (tc +. (3. *. hc /. 10.)) (yc +. (hc *. ((a31 *. k1c) +. (a32 *. k2)))) in
-          let k4 =
-            f (tc +. (4. *. hc /. 5.))
-              (yc +. (hc *. ((a41 *. k1c) +. (a42 *. k2) +. (a43 *. k3))))
-          in
-          let k5 =
-            f (tc +. (8. *. hc /. 9.))
-              (yc
-               +. (hc *. ((a51 *. k1c) +. (a52 *. k2) +. (a53 *. k3) +. (a54 *. k4))))
-          in
-          let k6 =
-            f (tc +. hc)
-              (yc
-               +. (hc
-                   *. ((a61 *. k1c) +. (a62 *. k2) +. (a63 *. k3) +. (a64 *. k4)
-                       +. (a65 *. k5))))
-          in
+          io.t <- tc +. (hc /. 5.);
+          io.y <- yc +. (hc *. a21 *. k1c);
+          eval ();
+          let k2 = io.dy in
+          io.t <- tc +. (3. *. hc /. 10.);
+          io.y <- yc +. (hc *. ((a31 *. k1c) +. (a32 *. k2)));
+          eval ();
+          let k3 = io.dy in
+          io.t <- tc +. (4. *. hc /. 5.);
+          io.y <- yc +. (hc *. ((a41 *. k1c) +. (a42 *. k2) +. (a43 *. k3)));
+          eval ();
+          let k4 = io.dy in
+          io.t <- tc +. (8. *. hc /. 9.);
+          io.y <-
+            yc +. (hc *. ((a51 *. k1c) +. (a52 *. k2) +. (a53 *. k3) +. (a54 *. k4)));
+          eval ();
+          let k5 = io.dy in
+          io.t <- tc +. hc;
+          io.y <-
+            yc
+            +. (hc
+                *. ((a61 *. k1c) +. (a62 *. k2) +. (a63 *. k3) +. (a64 *. k4)
+                    +. (a65 *. k5)));
+          eval ();
+          let k6 = io.dy in
           let y_new =
             yc
             +. (hc
                 *. ((b1 *. k1c) +. (b3 *. k3) +. (b4 *. k4) +. (b5 *. k5) +. (b6 *. k6)))
           in
-          let k7 = f (tc +. hc) y_new in
+          io.t <- tc +. hc;
+          io.y <- y_new;
+          eval ();
+          let k7 = io.dy in
           let y_4th =
             yc
             +. (hc
@@ -285,10 +336,15 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
                 incr next
               done
             end;
+            (* the accepted point: (t_new, y_new), or the event's *)
+            let t_pt = ref t_new and y_pt = ref y_new in
             (match event with
-             | None -> push tr t_new y_new
+             | None -> ()
              | Some ev ->
-               let g1 = ev t_new y_new in
+               io.t <- t_new;
+               io.y <- y_new;
+               ev ();
+               let g1 = io.g in
                if Float.equal g1 0. then begin
                  (* The event function lands exactly on zero at the accepted
                     step: that IS the crossing (step functions like the
@@ -296,7 +352,6 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
                  Tel.count "ode/event_crossing";
                  event_time := Some t_new;
                  event_state := Some y_new;
-                 push tr t_new y_new;
                  finished := true
                end
                else if !g0 *. g1 < 0. then begin
@@ -313,20 +368,24 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
                    incr iters;
                    Tel.count "ode/event_bisect_iter";
                    let mid = 0.5 *. (!lo +. !hi) in
-                   let gm = ev mid (eval_dense d mid) in
-                   if !g0 *. gm <= 0. then hi := mid else lo := mid
+                   io.t <- mid;
+                   io.y <- eval_dense d mid;
+                   ev ();
+                   if !g0 *. io.g <= 0. then hi := mid else lo := mid
                  done;
                  let t_ev = 0.5 *. (!lo +. !hi) in
                  let y_ev = if t_ev >= t_new then y_new else eval_dense d t_ev in
                  event_time := Some t_ev;
                  event_state := Some y_ev;
-                 push tr t_ev y_ev;
+                 t_pt := t_ev;
+                 y_pt := y_ev;
                  finished := true
                end
-               else begin
-                 g0 := g1;
-                 push tr t_new y_new
-               end);
+               else g0 := g1);
+            if record then push tr !t_pt !y_pt;
+            incr points;
+            if !points = 2 then t_second := !t_pt;
+            y_last := !y_pt;
             t := t_new;
             y := y_new;
             k1 := k7;
@@ -346,29 +405,46 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
     match !err with
     | Some e -> Error e
     | None ->
-      let n = tr.len in
       (* times landing in the round-off gap between the last accepted step
          and t1 take the final state *)
       while !next < m do
-        out.(!next) <- tr.by.(n - 1);
+        out.(!next) <- !y_last;
         incr next
       done;
+      let n = tr.len in
       Ok
         {
-          trajectory = { times = Array.sub tr.bt 0 n; states = Array.sub tr.by 0 n };
-          event_time = !event_time;
-          event_state = !event_state;
+          points =
+            (if record then { times = Array.sub tr.bt 0 n; states = Array.sub tr.by 0 n }
+             else no_trajectory);
+          y_final = !y_last;
+          h_first = (if !points >= 2 then Some (!t_second -. t0) else None);
+          t_event = !event_time;
+          y_event = !event_state;
         }
   end
 
+let integrate ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
+  Err.protect @@ fun () ->
+  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~ts:[||] ~out:[||] ~t0
+    ~y0 ~t1 ()
+
+(* The boxed-float protocol of [rkf45*] over the driver's flat one. *)
+let boxed f =
+  let io = io () in
+  (io, fun () -> io.dy <- f io.t io.y)
+
+let boxed_event io ev () = io.g <- ev io.t io.y
+
 let rkf45 ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
+  let io, rhs = boxed f in
   match
-    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:None ~ts:[||] ~out:[||] ~t0 ~y0
-      ~t1 ()
+    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~ts:[||]
+      ~out:[||] ~t0 ~y0 ~t1 ()
   with
   | Error e -> Error e
-  | Ok r -> Ok r.trajectory
+  | Ok r -> Ok r.points
 
 let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
   Err.protect @@ fun () ->
@@ -380,11 +456,24 @@ let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
       Err.fail ~solver:"Ode.rkf45_dense" (Err.Invalid_input "sample times not sorted")
   done;
   let out = Array.make m 0. in
-  match drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:None ~ts ~out ~t0 ~y0 ~t1 () with
+  let io, rhs = boxed f in
+  match
+    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~ts ~out ~t0
+      ~y0 ~t1 ()
+  with
   | Error e -> Error e
-  | Ok r -> Ok (r.trajectory, out)
+  | Ok r -> Ok (r.points, out)
 
 let rkf45_event ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
-  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event:(Some event) ~ts:[||] ~out:[||] ~t0
-    ~y0 ~t1 ()
+  let io, rhs = boxed f in
+  match
+    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs
+      ~event:(Some (boxed_event io event)) ~ts:[||] ~out:[||] ~t0 ~y0 ~t1 ()
+  with
+  | Error e -> Error e
+  | Ok r -> Ok { trajectory = r.points; event_time = r.t_event; event_state = r.y_event }
+
+module For_testing = struct
+  let rkf45 = rkf45
+end

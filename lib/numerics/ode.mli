@@ -28,33 +28,13 @@ val rk4 : f:(float -> float array -> float array) ->
   t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
 (** Classical fixed-step 4th-order Runge–Kutta. *)
 
-val rkf45 :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
-  f:(float -> float -> float) ->
-  t0:float -> y0:float -> t1:float -> unit ->
-  (float trajectory, error) result
-(** Adaptive embedded Runge–Kutta with standard step control. The stepper
-    is the FSAL Dormand–Prince 5(4) pair (an accepted step's last stage is
-    reused as the next step's first, so a trial step costs 6 RHS
-    evaluations; one extra evaluation seeds the integration and one re-seeds
-    after each non-finite trial). The historical [rkf45] name is kept as a
-    stable shim — callers and recorded telemetry keys are unchanged.
-    [rtol] defaults to [1e-8], [atol] to [1e-12]. Fails if the step size
-    underflows [h_min] or [max_steps] (default [200_000]) is exceeded.
-    A non-finite trial state (NaN {e or} infinity) shrinks the step rather
-    than being accepted.
-
-    The driver keeps the state, the step and all seven stages in unboxed
-    locals: a trial step allocates only the boxes of [f]'s arguments and
-    result, and an accepted step adds only its trajectory slot. *)
-
 (* lint: allow L14 — no program calls it; test_ode pins it *)
 val rkf45_dense :
   ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
   f:(float -> float -> float) ->
   t0:float -> y0:float -> t1:float -> ts:float array -> unit ->
   (float trajectory * float array, error) result
-(** Like {!rkf45} but additionally returns the solution sampled at the
+(** Like {!For_testing.rkf45} but additionally returns the solution sampled at the
     user-supplied times [ts] (sorted, within [t0, t1]) via the pair's
     native 4th-order dense-output interpolant — no extra RHS evaluations
     are spent on the samples (counted under [ode/dense_eval]). The
@@ -74,10 +54,83 @@ val rkf45_event :
   event:(float -> float -> float) ->
   t0:float -> y0:float -> t1:float -> unit ->
   (event_result, error) result
-(** Like {!rkf45} but additionally monitors [event t y]: when its sign
+(** Like {!For_testing.rkf45} but additionally monitors [event t y]: when its sign
     changes across an accepted step — including landing exactly on [0.] —
     the crossing is located by bisection on the step's dense-output
     interpolant (pure polynomial evaluation, no RHS work; early exit once
     the time bracket is below a relative tolerance) and integration stops
     there. [event] is evaluated once per accepted step and once per
     bisection probe; it is not counted as an RHS evaluation. *)
+
+(** {1 Unboxed right-hand-side protocol}
+
+    The one DOPRI5 driver behind {!For_testing.rkf45}, {!rkf45_dense} and
+    {!rkf45_event}, with a calling convention that passes no float through
+    a closure call. Under dune's [-opaque] dev profile, and for any closure
+    in native code, a [float -> float -> float] right-hand side boxes both
+    arguments and its result on every evaluation; here the driver writes
+    the evaluation point into a flat float record, calls a [unit -> unit]
+    closure, and reads the answer back from the record. *)
+
+type io = {
+  mutable t : float;   (** in: evaluation time *)
+  mutable y : float;   (** in: evaluation state *)
+  mutable dy : float;  (** out: [rhs ()] writes [dy/dt] at [(t, y)] here *)
+  mutable g : float;   (** out: [event ()] writes the event value here *)
+}
+
+val io : unit -> io
+(** A zeroed record. *)
+
+type solution = {
+  points : float trajectory;
+      (** the accepted points, as {!For_testing.rkf45} returns them;
+          empty unless [~record:true] *)
+  y_final : float;  (** state at the last point (the event's, if it fired) *)
+  h_first : float option;
+      (** the second point's time minus [t0] (the first accepted step, or
+          the event time if the event fired inside it); [None] if no step
+          was accepted *)
+  t_event : float option;  (** as {!field-event_time} *)
+  y_event : float option;  (** as {!field-event_state} *)
+}
+
+val integrate :
+  ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+  record:bool -> io -> rhs:(unit -> unit) -> event:(unit -> unit) option ->
+  t0:float -> y0:float -> t1:float -> unit ->
+  (solution, error) result
+(** {!rkf45_event} (or {!For_testing.rkf45} when [event] is [None]) in
+    the unboxed protocol: [rhs ()] must set [io.dy] from [io.t] and [io.y], and
+    [event ()] must set [io.g]. The tableau, step control, event
+    bisection, counters, per-evaluation [Budget.note_evals] and
+    [Fault.outcome], and error kinds are those of {!rkf45_event}, so every
+    accepted point, [y_final], [h_first] and the event are bit-identical
+    to it for the same functions. A trial step allocates nothing; with
+    [~record:false] an accepted step allocates nothing either, so a whole
+    integration allocates a small constant whatever its step count. *)
+
+(** The plain adaptive solver, kept as an oracle: [test/test_transient.ml]
+    integrates the unit-typed reference path of an already-balanced
+    start through it, and [test/test_ode.ml] pins the shared driver
+    through it. No program calls it; {!integrate} is the driver's
+    program entry. *)
+module For_testing : sig
+  val rkf45 :
+    ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+    f:(float -> float -> float) ->
+    t0:float -> y0:float -> t1:float -> unit ->
+    (float trajectory, error) result
+  (** Adaptive embedded Runge–Kutta with standard step control. The stepper
+      is the FSAL Dormand–Prince 5(4) pair (an accepted step's last stage is
+      reused as the next step's first, so a trial step costs 6 RHS
+      evaluations; one extra evaluation seeds the integration and one re-seeds
+      after each non-finite trial). [rtol] defaults to [1e-8], [atol] to [1e-12]. Fails if the step size
+      underflows [h_min] or [max_steps] (default [200_000]) is exceeded.
+      A non-finite trial state (NaN {e or} infinity) shrinks the step rather
+      than being accepted.
+
+      It runs the driver of {!integrate} through a wrapper that boxes [f]'s
+      arguments and result: a trial step allocates only those boxes, and an
+      accepted step adds only its trajectory slot. *)
+end

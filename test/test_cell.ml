@@ -41,7 +41,7 @@ let test_effective_vt_includes_drift () =
   let c = check_ok "program" (Cell.program e (fresh ())) in
   let vt_stored = Gnrflash_device.Readout.threshold_voltage Gnrflash_device.Readout.default
       c.Cell.device ~qfg:c.Cell.qfg in
-  check_true "wear adds drift" (Cell.effective_vt c >= vt_stored)
+  check_true "wear adds drift" (Cell.For_testing.effective_vt c >= vt_stored)
 
 let test_broken_cell_rejects_program () =
   let c = fresh () in

@@ -79,7 +79,7 @@ let word_failed e total = Error (Printf.sprintf "%s (after %d pulses)" e total)
 let loop_verify s m ~pulse ~max_pulses i =
   let p = ref 0 and err = ref None in
   while Option.is_none !err && S.bit s i = 1 && !p < max_pulses do
-    match S.apply_pulse_at s ~memo:m ~pulse i with
+    match S.For_testing.apply_pulse_at s ~memo:m ~pulse i with
     | Ok () -> incr p
     | Error e -> err := Some e
   done;
@@ -88,7 +88,7 @@ let loop_verify s m ~pulse ~max_pulses i =
 let loop_round s m ~pulse ~lo ~hi =
   let zeros = ref 0 and err = ref None and i = ref lo in
   while Option.is_none !err && !i <= hi do
-    (match S.apply_pulse_at s ~memo:m ~pulse !i with
+    (match S.For_testing.apply_pulse_at s ~memo:m ~pulse !i with
      | Ok () -> if S.bit s !i = 0 then incr zeros
      | Error e -> err := Some e);
     incr i
@@ -152,8 +152,8 @@ let run_store ~fused c =
   let zero r = Result.map (fun () -> [ 0 ]) r in
   let out = S.word_outcome () in
   let step = function
-    | Prog i -> zero (S.apply_pulse_at s ~memo:pm ~pulse:pp i)
-    | Erase i -> zero (S.apply_pulse_at s ~memo:em ~pulse:ep i)
+    | Prog i -> zero (S.For_testing.apply_pulse_at s ~memo:pm ~pulse:pp i)
+    | Erase i -> zero (S.For_testing.apply_pulse_at s ~memo:em ~pulse:ep i)
     | Erange (lo, hi) -> zero (S.apply_pulse_range s ~memo:em ~pulse:ep ~lo ~hi)
     | Verify (i, max_pulses) when fused -> (
       match S.program_verify s ~memo:pm ~pulse:pp ~max_pulses i with
@@ -482,7 +482,7 @@ let test_range_equals_per_cell_loop () =
     let m = S.memo s in
     for i = 0 to 4 do
       check_ok "at"
-        (S.apply_pulse_at s ~memo:m ~pulse:erase_pulse i)
+        (S.For_testing.apply_pulse_at s ~memo:m ~pulse:erase_pulse i)
     done;
     s
   in
@@ -531,7 +531,7 @@ let test_memo_replays_distinct_charges () =
   let m = S.memo s in
   for i = 0 to 2 do
     check_ok "pulse"
-      (S.apply_pulse_at s ~memo:m ~pulse:erase_short i)
+      (S.For_testing.apply_pulse_at s ~memo:m ~pulse:erase_short i)
   done;
   check_true "same start, same end" (same_f (S.qfg s 0) (S.qfg s 1));
   check_true "same start, same wear" (same_f (S.fluence s 0) (S.fluence s 1));
@@ -593,7 +593,7 @@ let prop_ids_consistent =
       let step = function
         | Pulse (i, prog) ->
           ignore
-            (S.apply_pulse_at s ~memo:(if prog then pm else em)
+            (S.For_testing.apply_pulse_at s ~memo:(if prog then pm else em)
                ~pulse:(if prog then pp else ep) i)
         | Id_word (base, bits, data, fault) ->
           let go () =
@@ -626,7 +626,7 @@ let test_ids_keep_sign () =
   let s = S.create ~n:4 (fresh_device ()) in
   Array.iteri (S.set_qfg s) charges;
   let m = S.memo s in
-  Array.iteri (fun i _ -> check_ok "pulse" (S.apply_pulse_at s ~memo:m ~pulse:prog_short i)) charges;
+  Array.iteri (fun i _ -> check_ok "pulse" (S.For_testing.apply_pulse_at s ~memo:m ~pulse:prog_short i)) charges;
   let ids = Array.map (T.id_of_charge s) charges in
   Array.iter (fun c -> check_true "interned" (c > 0)) ids;
   Alcotest.(check int) "four distinct ids" 4
@@ -642,7 +642,7 @@ let test_foreign_memo_rejected () =
     Alcotest.check_raises name
       (Invalid_argument "Cell_store: memo of another store") (fun () -> ignore (f ()))
   in
-  refused "apply_pulse_at" (fun () -> S.apply_pulse_at a ~memo:m ~pulse:prog_short 0);
+  refused "apply_pulse_at" (fun () -> S.For_testing.apply_pulse_at a ~memo:m ~pulse:prog_short 0);
   refused "program_verify" (fun () ->
       S.program_verify a ~memo:m ~pulse:prog_short ~max_pulses:4 0);
   refused "erase_round" (fun () -> S.erase_round a ~memo:m ~pulse:erase_short ~lo:0 ~hi:3);
@@ -669,7 +669,7 @@ let test_ids_bounded_under_faults () =
       for k = 1 to 300 do
         let i = k mod n in
         S.set_qfg s i (-1e-20 *. float_of_int k);
-        ignore (S.apply_pulse_at s ~memo:(if k mod 2 = 0 then pm else em)
+        ignore (S.For_testing.apply_pulse_at s ~memo:(if k mod 2 = 0 then pm else em)
                   ~pulse:(if k mod 2 = 0 then prog_short else erase_short) i)
       done);
   Alcotest.(check int) "no id added under the fault plan" warm (T.ids s);
@@ -760,8 +760,8 @@ let test_memo_without_surrogate () =
   Tel.enable ();
   let engine_pulses =
     Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) (fun () ->
-        check_ok "first solve" (S.apply_pulse_at s ~memo:m ~pulse:prog_pulse 0);
-        check_ok "repeat" (S.apply_pulse_at s ~memo:m ~pulse:prog_pulse 1);
+        check_ok "first solve" (S.For_testing.apply_pulse_at s ~memo:m ~pulse:prog_pulse 0);
+        check_ok "repeat" (S.For_testing.apply_pulse_at s ~memo:m ~pulse:prog_pulse 1);
         Tel.For_testing.counter_total "program_erase/pulse")
   in
   Alcotest.(check int) "memo hits" 1 (2 - engine_pulses);
@@ -801,7 +801,7 @@ let test_memo_hits_allocate_nothing () =
   let pm = S.memo s and em = S.memo s in
   let at () =
     for i = 0 to n - 1 do
-      ignore (S.apply_pulse_at s ~memo:em ~pulse:erase_short i)
+      ignore (S.For_testing.apply_pulse_at s ~memo:em ~pulse:erase_short i)
     done
   in
   let verify () =

@@ -1,6 +1,9 @@
 module E = Gnrflash_memory.Endurance
 module F = Gnrflash_device.Fgt
 module Pe = Gnrflash_device.Program_erase
+module Rel = Gnrflash_device.Reliability
+module S = Gnrflash_memory.Cell_store
+module Cell = Gnrflash_memory.Cell
 open Gnrflash_testing.Testing
 
 let t = F.paper_default
@@ -105,6 +108,131 @@ let test_repeatable_on_one_record () =
   Alcotest.(check (list (list (pair int64 int64)))) "Ext D points" pts1 pts2;
   Alcotest.(check int) "Ext D is the same run" a.E.cycles_survived survived1
 
+(* The cycle loop as it stood before [Cell_store.pe_cycle]: one pulse at a
+   time through the store's per-cell step, and each threshold read as
+   [Cell.For_testing.effective_vt] of a boxed [Cell_store.view]. It is the
+   oracle [cycle_cell] must match bit for bit. *)
+let reference ~reliability ~program_pulse ~erase_pulse ~window_min ~surrogate device
+    ~cycles =
+  let checkpoints =
+    let rec go acc decade =
+      if decade > cycles then List.rev acc
+      else
+        go
+          (List.rev_append
+             (List.filter (fun x -> x <= cycles)
+                [ decade; 2 * decade; 3 * decade; 5 * decade ])
+             acc)
+          (decade * 10)
+    in
+    List.sort_uniq compare (go [] 1 @ [ cycles ])
+  in
+  let store = S.create ~surrogate ~n:1 device in
+  let pmemo = S.memo store and ememo = S.memo store in
+  let vt () = Cell.For_testing.effective_vt ~reliability (S.view store 0) in
+  let samples = ref [] and failure = ref None and survived = ref 0 in
+  (try
+     for i = 1 to cycles do
+       let pulse memo p =
+         match S.For_testing.apply_pulse_at ~reliability store ~memo ~pulse:p 0 with
+         | Error e -> failure := Some e; raise Exit
+         | Ok () -> ()
+       in
+       pulse pmemo program_pulse;
+       let vt_prog = vt () in
+       pulse ememo erase_pulse;
+       let vt_er = vt () in
+       survived := i;
+       let window = vt_prog -. vt_er in
+       if List.mem i checkpoints then
+         samples :=
+           { E.cycle = i; vt_programmed = vt_prog; vt_erased = vt_er; window;
+             fluence = S.fluence store 0 }
+           :: !samples;
+       if window < window_min then begin
+         failure := Some "window closed";
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  { E.samples = List.rev !samples; cycles_survived = !survived; failure = !failure }
+
+let same_run (a : E.run) (b : E.run) =
+  List.map sample_bits a.E.samples = List.map sample_bits b.E.samples
+  && a.E.cycles_survived = b.E.cycles_survived
+  && a.E.failure = b.E.failure
+
+(* A breakdown fluence a thousand times below the default: the oxide of a
+   cell cycled at the paper's biases breaks within tens of cycles. *)
+let fragile = { Rel.default with Rel.qbd0 = Rel.default.Rel.qbd0 *. 1e-3 }
+
+let prop_cycle_matches_reference =
+  let open QCheck2.Gen in
+  let pulse sign =
+    map2
+      (fun v e -> { Pe.vgs = sign *. v; duration = 10. ** e })
+      (float_range 12. 17.) (float_range (-6.) (-3.))
+  in
+  let gen =
+    tup4
+      (tup3 (int_range 0 1000) (pulse 1.) (pulse (-1.)))
+      (int_range 1 3000)
+      (tup2 bool (oneofl [ Rel.default; fragile ]))
+      (oneof [ return 1.; float_range 0. 12. ])
+  in
+  prop "cycle_cell = record-path loop, bit for bit" ~count:60 gen
+    (fun ((index, program_pulse, erase_pulse), cycles, (surrogate, reliability), window_min) ->
+       let device =
+         Gnrflash_device.Variation.perturbed ~seed:2014 ~index ~base:(Gnrflash.Params.device ()) ()
+       in
+       same_run
+         (E.cycle_cell ~reliability ~program_pulse ~erase_pulse ~window_min ~surrogate device
+            ~cycles)
+         (reference ~reliability ~program_pulse ~erase_pulse ~window_min ~surrogate device
+            ~cycles))
+
+(* The property's generator reaches every ending: a full budget, a
+   closed window and a broken oxide. *)
+let test_reference_endings () =
+  let pulse v = { Pe.vgs = v; duration = 100e-6 } in
+  let run ?(reliability = Rel.default) ?(window_min = 1.) cycles =
+    let r =
+      E.cycle_cell ~reliability ~program_pulse:(pulse 15.) ~erase_pulse:(pulse (-15.))
+        ~window_min t ~cycles
+    in
+    let o =
+      reference ~reliability ~program_pulse:(pulse 15.) ~erase_pulse:(pulse (-15.))
+        ~window_min ~surrogate:true t ~cycles
+    in
+    check_true "matches the record path" (same_run r o);
+    r.E.failure
+  in
+  Alcotest.(check (option string)) "budget" None (run 500);
+  Alcotest.(check (option string)) "window" (Some "window closed") (run ~window_min:20. 500);
+  Alcotest.(check (option string)) "oxide" (Some "Cell: oxide broken")
+    (run ~reliability:fragile 500)
+
+(* Allocation pin (native code only). Two runs from cold stores on the
+   same device and pulses, with budgets past the settling point and the
+   same number of checkpoints, do the same solves and build the same
+   samples; the longer one's extra 400 cycles all replay from the memos
+   inside [Cell_store.pe_cycle], and must allocate nothing. *)
+let test_warm_cycle_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let words cycles =
+    ignore (run_cycles cycles);
+    let before = Gc.minor_words () in
+    let r = run_cycles cycles in
+    let w = Gc.minor_words () -. before in
+    Alcotest.(check int) "full budget" cycles r.E.cycles_survived;
+    (w, List.length r.E.samples)
+  in
+  let w1, n1 = words 2500 and w2, n2 = words 2900 in
+  Alcotest.(check int) "same checkpoints" n1 n2;
+  check_true
+    (Printf.sprintf "%.0f extra minor words over 400 warm cycles" (w2 -. w1))
+    (w2 -. w1 <= 0.)
+
 let () =
   Alcotest.run "endurance"
     [
@@ -119,5 +247,8 @@ let () =
           case "VT drift" test_vt_drift_with_cycling;
           case "validation" test_cycle_validation;
           case "predicted endurance" test_predicted_endurance;
+          prop_cycle_matches_reference;
+          case "oracle reaches every ending" test_reference_endings;
+          case "warm cycles allocate nothing" test_warm_cycle_allocation;
         ] );
     ]

@@ -30,14 +30,14 @@ let test_rk4_convergence_order () =
   check_in "4th order convergence" ~lo:12. ~hi:20. ratio
 
 let test_rkf45_decay () =
-  let tr = check_ok "rkf45" (O.rkf45 ~rtol:1e-10 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
+  let tr = check_ok "rkf45" (O.For_testing.rkf45 ~rtol:1e-10 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
   check_close ~tol:1e-8 "e^-2" (exp (-2.)) (last tr)
 
 let test_rkf45_rejects_bad_range () =
-  check_error "t1 <= t0" (O.rkf45 ~f:decay ~t0:1. ~y0:1. ~t1:0. ())
+  check_error "t1 <= t0" (O.For_testing.rkf45 ~f:decay ~t0:1. ~y0:1. ~t1:0. ())
 
 let test_rkf45_times_monotone () =
-  let tr = check_ok "rkf45" (O.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:1. ()) in
+  let tr = check_ok "rkf45" (O.For_testing.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:1. ()) in
   let ok = ref true in
   for i = 0 to Array.length tr.O.times - 2 do
     if tr.O.times.(i + 1) <= tr.O.times.(i) then ok := false
@@ -78,7 +78,7 @@ let test_nan_region_recovery () =
   (* f produces NaN for y > 1.5; solution stays below, so large trial steps
      must be rejected rather than aborting *)
   let f _t y = if y > 1.5 then nan else 0.2 in
-  let tr = check_ok "nan recovery" (O.rkf45 ~h0:100. ~f ~t0:0. ~y0:0. ~t1:1. ()) in
+  let tr = check_ok "nan recovery" (O.For_testing.rkf45 ~h0:100. ~f ~t0:0. ~y0:0. ~t1:1. ()) in
   check_close ~tol:1e-6 "linear growth" 0.2 (last tr)
 
 let test_event_exact_zero_landing () =
@@ -130,7 +130,7 @@ let test_infinite_rhs_recovery () =
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
   let tr =
-    check_ok "inf recovery" (O.rkf45 ~h0:1. ~f ~t0:0. ~y0:0. ~t1:1. ())
+    check_ok "inf recovery" (O.For_testing.rkf45 ~h0:1. ~f ~t0:0. ~y0:0. ~t1:1. ())
   in
   check_close ~tol:1e-6 "relaxation endpoint" (1.5 *. (1. -. exp (-4.))) (last tr);
   check_true "non-finite trial steps were shrunk"
@@ -143,7 +143,7 @@ let test_max_steps_typed () =
   let module E = Gnrflash_resilience.Solver_error in
   let e =
     check_serr "max steps"
-      (O.rkf45 ~max_steps:3 ~f:decay ~t0:0. ~y0:1. ~t1:1e6 ())
+      (O.For_testing.rkf45 ~max_steps:3 ~f:decay ~t0:0. ~y0:1. ~t1:1e6 ())
   in
   match e.E.kind with
   | E.Max_steps { steps; t } ->
@@ -154,7 +154,7 @@ let test_max_steps_typed () =
 let prop_rkf45_linear_growth =
   prop "y' = a integrates to a*t" QCheck2.Gen.(float_range (-10.) 10.) (fun a ->
       let f _t _y = a in
-      match O.rkf45 ~f ~t0:0. ~y0:0. ~t1:3. () with
+      match O.For_testing.rkf45 ~f ~t0:0. ~y0:0. ~t1:3. () with
       | Ok tr ->
         let y = last tr in
         abs_float (y -. (3. *. a)) <= 1e-6 *. (1. +. abs_float (3. *. a))
@@ -211,7 +211,7 @@ let prop_dense_matches_reintegration =
        | Error _ -> false
        | Ok (_, ys) ->
          (match
-            O.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:0. ~t1:t_mid ()
+            O.For_testing.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:0. ~t1:t_mid ()
           with
           | Error _ -> false
           | Ok tr ->
@@ -225,7 +225,7 @@ let test_fsal_eval_count () =
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
-  let _ = check_ok "run" (O.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
+  let _ = check_ok "run" (O.For_testing.rkf45 ~f:decay ~t0:0. ~y0:1. ~t1:2. ()) in
   let trials =
     Tel.For_testing.counter_total "ode/step_accepted"
     + Tel.For_testing.counter_total "ode/step_rejected"
@@ -253,7 +253,7 @@ let test_rkf45_allocation () =
          incr evals;
          -.y
        in
-       let run () = O.rkf45 ~rtol ~f ~t0:0. ~y0:1. ~t1:2. () in
+       let run () = O.For_testing.rkf45 ~rtol ~f ~t0:0. ~y0:1. ~t1:2. () in
        ignore (run ());
        evals := 0;
        let before = Gc.minor_words () in

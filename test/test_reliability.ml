@@ -43,11 +43,11 @@ let test_breakdown_trips () =
 let test_vt_drift () =
   let area = 1e-15 in
   let w = Rel.after_pulse m Rel.fresh ~injected:1e-16 ~area ~field:1e9 in
-  let drift = Rel.vt_drift m w in
+  let drift = Rel.For_testing.vt_drift m w in
   check_true "positive drift" (drift > 0.);
   (* doubling fluence doubles drift *)
   let w2 = Rel.after_pulse m w ~injected:1e-16 ~area ~field:1e9 in
-  check_close ~tol:1e-9 "linear drift" (2. *. drift) (Rel.vt_drift m w2)
+  check_close ~tol:1e-9 "linear drift" (2. *. drift) (Rel.For_testing.vt_drift m w2)
 
 let test_endurance_cycles () =
   let n = Rel.endurance_cycles m ~charge_per_cycle:5e-17 ~area:1e-15 ~field:1e9 in

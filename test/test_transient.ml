@@ -314,7 +314,7 @@ let reference dev ~vgs ~qfg0 ~duration =
   let attempt rtol =
     if balanced then
       Result.map (fun tr -> (tr, Some 0.))
-        (O.rkf45 ~rtol ~atol ~h0 ~f:rhs ~t0:0. ~y0:qfg0 ~t1:duration ())
+        (O.For_testing.rkf45 ~rtol ~atol ~h0 ~f:rhs ~t0:0. ~y0:qfg0 ~t1:duration ())
     else
       Result.map
         (fun r -> (r.O.trajectory, r.O.event_time))
@@ -383,24 +383,123 @@ let prop_kernel_bit_identical =
        in
        matches_reference dev ~vgs ~qfg0:(start *. q_sat) ~duration:(10. ** log_duration))
 
-(* Allocation pin (native code only: bytecode boxes every float). One cold
-   15 V / 100 us solve measured [run_words] minor words: 571 RHS
-   evaluations boxing their arguments and result, 94 event checks, 95
-   trajectory slots and samples, and the fixed setup. The bound leaves 15%
-   headroom; a float boxed per kernel evaluation, or a per-stage array in
-   the stepper, breaks it. *)
-let run_words = 5976.
+(* [pulse] is [run] without the trajectory: over the same box, with and
+   without a warm-start [h0], its four scalars must equal [run]'s bit for
+   bit, it must spend the same [ode/rhs_eval] count, and under the same
+   fault plan or an eval budget it must return the same result or the same
+   typed error (the budget error's wall-clock field aside). *)
+let rhs_evals f =
+  Tel.reset ();
+  Tel.enable ();
+  Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
+  let r = f () in
+  (r, Tel.For_testing.counter_total "ode/rhs_eval")
+
+let same_error (a : Gnrflash_resilience.Solver_error.t) (b : Gnrflash_resilience.Solver_error.t) =
+  let module E = Gnrflash_resilience.Solver_error in
+  let norm = function
+    | E.Budget_exhausted { evals; _ } -> E.Budget_exhausted { evals; elapsed_s = 0. }
+    | k -> k
+  in
+  norm a.E.kind = norm b.E.kind
+
+let pulse_matches_run ~run ~pulse =
+  match run (), pulse () with
+  | Ok (r : Tr.result), Ok (p : Tr.final) ->
+    same_bits r.Tr.qfg_final p.Tr.qfg_final
+    && same_bits r.Tr.dvt_final p.Tr.dvt_final
+    && same_bits_opt r.Tr.tsat p.Tr.tsat
+    && same_bits_opt r.Tr.h_first p.Tr.h_first
+  | Error a, Error b -> same_error a b
+  | _ -> false
+
+let prop_pulse_matches_run =
+  let open QCheck2.Gen in
+  let module Fault = Gnrflash.Resilience.Fault in
+  let module B = Gnrflash.Resilience.Budget in
+  let vgs =
+    frequency
+      [ (1, return 0.); (6, map2 (fun m pos -> if pos then m else -.m) (float_range 8. 17.) bool) ]
+  in
+  let start = frequency [ (1, return 0.); (4, float_range (-1.5) 1.5) ] in
+  let device = tup5 vgs (float_range 0.45 0.60) (float_range 5e-9 9e-9) start (float_range (-9.) (-1.)) in
+  let h0 = option (map (fun e -> 10. ** e) (float_range (-13.) (-3.))) in
+  let mode =
+    oneof
+      [ map (fun n -> Fault.Fail_every n) (int_range 20 3000);
+        map (fun n -> Fault.Nan_every n) (int_range 20 3000) ]
+  in
+  let plan = tup4 mode (int_range 0 1000) (option (int_range 1 3)) (int_range 1 3000) in
+  prop "pulse = run: final state, counts and typed errors" ~count:60
+    (triple device h0 plan)
+    (fun ((vgs, gcr, xto, start, log_duration), h0, (mode, seed, limit, max_evals)) ->
+       let dev = F.with_xto (F.with_gcr t gcr) xto in
+       let q_sat =
+         match Tr.saturation_charge dev ~vgs:(if vgs = 0. then 15. else vgs) with
+         | Ok q -> abs_float q
+         | Error _ -> 0.
+       in
+       let qfg0 = start *. q_sat and duration = 10. ** log_duration in
+       let run budget () = Tr.run ?budget ?h0 ~qfg0 dev ~vgs ~duration in
+       let pulse budget () = Tr.pulse ?budget ?h0 ~qfg0 dev ~vgs ~duration in
+       let r, run_evals = rhs_evals (run None) in
+       let p, pulse_evals = rhs_evals (pulse None) in
+       let faulted f () = Fault.For_testing.with_faults ~seed ?limit mode (f None) in
+       let starved f () = f (Some (B.make ~max_evals ())) () in
+       pulse_matches_run ~run:(fun () -> r) ~pulse:(fun () -> p)
+       && run_evals = pulse_evals
+       && pulse_matches_run ~run:(faulted run) ~pulse:(faulted pulse)
+       && pulse_matches_run ~run:(starved run) ~pulse:(starved pulse))
+
+(* Allocation pins (native code only: bytecode boxes every float). One cold
+   15 V / 100 us [run] measured [run_words] minor words: its 571 RHS
+   evaluations and 94 event checks write flat float records and box
+   nothing, so what is left is the 95 trajectory slots (buffers doubling
+   from 16), their samples, and the fixed setup. The bound leaves 15%
+   headroom; a float boxed per kernel evaluation (6 words, ~3400 here),
+   or a per-stage array in the stepper, breaks it. *)
+let run_words = 1998.
+
+let minor_words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
 
 let test_run_allocation () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
-  let solve () = ignore (check_ok "solve" (Tr.run t ~vgs:15. ~duration:1e-4)) in
-  solve ();
-  let before = Gc.minor_words () in
-  solve ();
-  let words = Gc.minor_words () -. before in
+  let words =
+    minor_words_of (fun () -> check_ok "solve" (Tr.run t ~vgs:15. ~duration:1e-4))
+  in
   check_true
     (Printf.sprintf "%.0f minor words <= %.0f" words (1.15 *. run_words))
     (words <= 1.15 *. run_words)
+
+(* [pulse] keeps no trajectory, so a solve allocates a constant: the
+   closures, records and options of one solve, [pulse_words] at most
+   (measured 244-270 over these pulses). The pulses span 55 to 649 RHS
+   evaluations, cold and warm-started, saturating or not; one boxed float
+   per evaluation or one slot per step would exceed the bound on the
+   longer ones. *)
+let pulse_words = 270.
+
+let test_pulse_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  List.iter
+    (fun (label, h0, duration) ->
+       let words =
+         minor_words_of (fun () -> check_ok label (Tr.pulse ?h0 t ~vgs:15. ~duration))
+       in
+       check_true
+         (Printf.sprintf "%s: %.0f minor words <= %.0f" label words (1.15 *. pulse_words))
+         (words <= 1.15 *. pulse_words))
+    [
+      ("cold 1 ns", None, 1e-9);
+      ("cold 100 us", None, 1e-4);
+      ("warm 100 us", Some 1e-9, 1e-4);
+      ("cold 0.1 s", None, 1e-1);
+      ("warm 0.1 s", Some 1e-9, 1e-1);
+    ]
 
 let () =
   Alcotest.run "transient"
@@ -434,6 +533,8 @@ let () =
           prop_event_time_vs_reintegration;
           prop_final_dvt_bounded_by_fixed_point;
           prop_kernel_bit_identical;
+          prop_pulse_matches_run;
           case "one solve's allocation" test_run_allocation;
+          case "one pulse's allocation" test_pulse_allocation;
         ] );
     ]
