@@ -127,13 +127,14 @@ let initial_step_size t ~vgs ~f0 ~duration =
    [io] record and the kernel's float fields, so no evaluation boxes a
    float; [record] decides whether the integrator keeps the trajectory.
    Both entry points count as [transient/solve] under the [transient/run]
-   span, so the ledger reads the same whichever one a caller uses. [finish]
+   span and name themselves "Transient.run" in typed errors, so the ledger
+   and the error text read the same whichever one a caller uses. [finish]
    turns the integrator's solution and the saturation time into the
    caller's result. *)
-let solve ~solver ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs
-    ~duration finish =
+let solve ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
+    finish =
   if duration <= 0. then
-    Error (Err.make ~solver (Err.Invalid_input "duration <= 0"))
+    Error (Err.make ~solver:"Transient.run" (Err.Invalid_input "duration <= 0"))
   else
     Budget.with_opt budget @@ fun () ->
     Err.protect @@ fun () ->
@@ -191,8 +192,8 @@ let solve ~solver ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs
 
 let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t ~vgs
     ~duration =
-  solve ~solver:"Transient.run" ~record:true ?budget ~qfg0 ~imbalance_threshold ~rtol
-    ?h0 t ~vgs ~duration (fun k sol tsat ->
+  solve ~record:true ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
+    (fun k sol tsat ->
       let { Ode.times; states } = sol.Ode.points in
       let samples = Array.mapi (fun i time -> sample_of k ~time ~qfg:states.(i)) times in
       let qfg_final = sol.Ode.y_final in
@@ -206,8 +207,8 @@ let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t 
 
 let pulse ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t
     ~vgs ~duration =
-  solve ~solver:"Transient.pulse" ~record:false ?budget ~qfg0 ~imbalance_threshold
-    ~rtol ?h0 t ~vgs ~duration (fun _ sol tsat ->
+  solve ~record:false ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
+    (fun _ sol tsat ->
       let qfg_final = sol.Ode.y_final in
       ({
         tsat;
@@ -271,18 +272,23 @@ let time_to_threshold_shift ?budget ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
     Tel.count "transient/ttts_solve";
     let q_target = U.to_float (Fgt.qfg_for_threshold_shift_q t ~dvt:(U.volt dvt)) in
     let k = kernel t ~vgs in
-    let f _time q = dqfg_dt k q in
-    let event _time q = (q -. q_target) *. (if dvt >= 0. then 1. else -1.) in
+    let sign = if dvt >= 0. then 1. else -1. in
+    let io = Ode.io () in
+    let rhs () = io.Ode.dy <- dqfg_dt k io.Ode.y in
+    let event () = io.Ode.g <- (io.Ode.y -. q_target) *. sign in
     let atol = 1e-10 *. Fgt.ct t *. (1. +. abs_float vgs) in
     let h0 = initial_step_size t ~vgs ~f0:(dqfg_dt k qfg0) ~duration:max_time in
     let attempt rtol () =
-      match Ode.rkf45_event ?rtol ~atol ~h0 ~f ~event ~t0:0. ~y0:qfg0 ~t1:max_time () with
+      match
+        Ode.integrate ?rtol ~atol ~h0 ~record:false io ~rhs ~event:(Some event) ~t0:0.
+          ~y0:qfg0 ~t1:max_time ()
+      with
       | Error e -> Error e
-      | Ok { Ode.event_time; _ } -> Ok event_time
+      | Ok sol -> Ok sol.Ode.t_event
     in
     (* A start at or past the target needs no time: the event would begin
        on or beyond its zero and never see a crossing. *)
-    if event 0. qfg0 <= 0. then Ok (Some 0.)
+    if (qfg0 -. q_target) *. sign <= 0. then Ok (Some 0.)
     else
       Fallback.run
         [

@@ -256,21 +256,25 @@ type pe_readout = { mutable vt_programmed : float; mutable vt_erased : float }
 
 let pe_readout () = { vt_programmed = 0.; vt_erased = 0. }
 
-(* Cell.For_testing.effective_vt over the store's columns:
-   Readout.threshold_voltage (vt0 plus Fgt.threshold_shift, the [dvt]
-   expression) plus Reliability.vt_drift, operation for operation. *)
-let[@inline] effective_vt t ~rel ~config i =
-  config.D.Readout.vt0 +. (-.Array.unsafe_get t.qfg i /. t.cfc)
+(* The neutral threshold of the default readout, read once. *)
+let vt0 = D.Readout.default.D.Readout.vt0
+
+(* Cell.For_testing.effective_vt over the store's columns, at the default
+   readout config: Readout.threshold_voltage (vt0 plus
+   Fgt.threshold_shift, the [dvt] expression) plus Reliability.vt_drift,
+   operation for operation. *)
+let[@inline] effective_vt t ~rel i =
+  vt0 +. (-.Array.unsafe_get t.qfg i /. t.cfc)
   +. (rel.D.Reliability.dvt_per_trap *. Array.unsafe_get t.traps i)
 
-let pe_cycle t ~reliability ~config ~pmemo ~ememo ~program ~erase i out =
+let pe_cycle t ~reliability ~pmemo ~ememo ~program ~erase i out =
   check_memo t pmemo;
   check_memo t ememo;
   let replay = replays_allowed () in
   ignore (pulse_cell t pmemo ~rel:reliability ~replay ~pulse:program i : int);
-  out.vt_programmed <- effective_vt t ~rel:reliability ~config i;
+  out.vt_programmed <- effective_vt t ~rel:reliability i;
   ignore (pulse_cell t ememo ~rel:reliability ~replay ~pulse:erase i : int);
-  out.vt_erased <- effective_vt t ~rel:reliability ~config i
+  out.vt_erased <- effective_vt t ~rel:reliability i
 
 (* ---------- word-level kernels ---------- *)
 

@@ -153,7 +153,6 @@ val pe_readout : unit -> pe_readout
 val pe_cycle :
   t ->
   reliability:Gnrflash_device.Reliability.model ->
-  config:Gnrflash_device.Readout.config ->
   pmemo:memo ->
   ememo:memo ->
   program:Gnrflash_device.Program_erase.pulse ->
@@ -162,7 +161,7 @@ val pe_cycle :
 (** One endurance cycle of cell [i]: a program pulse as {!For_testing.apply_pulse_at}
     with [pmemo], the cell's effective threshold, an erase pulse with
     [ememo], and the threshold again. The thresholds land in the
-    readout. Each is [Cell.For_testing.effective_vt ~config ~reliability]
+    readout. Each is [Cell.For_testing.effective_vt ~reliability]
     of {!view}, computed in place as
     [(vt0 +. dvt) +. dvt_per_trap *. traps], so it is bit-identical.
     The loop runs here because under [-opaque] every float returned

@@ -42,14 +42,13 @@ let cycle_cell ?(reliability = D.Reliability.default)
   let store = Cell_store.create ?surrogate ~n:1 device in
   let pmemo = Cell_store.memo store and ememo = Cell_store.memo store in
   let vt = Cell_store.pe_readout () in
-  let config = D.Readout.default in
   let samples = ref [] in
   let failure = ref None in
   let survived = ref 0 in
   let next = ref 0 in
   (try
      for i = 1 to cycles do
-       Cell_store.pe_cycle store ~reliability ~config ~pmemo ~ememo
+       Cell_store.pe_cycle store ~reliability ~pmemo ~ememo
          ~program:program_pulse ~erase:erase_pulse 0 vt;
        survived := i;
        let window = vt.Cell_store.vt_programmed -. vt.Cell_store.vt_erased in

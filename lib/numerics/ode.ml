@@ -175,12 +175,6 @@ type solution = {
   y_event : float option;
 }
 
-type event_result = {
-  trajectory : float trajectory;
-  event_time : float option;
-  event_state : float option;
-}
-
 (* Bisection for the event time stops when the bracket is this small
    relative to the step interval — continuing to the fixed 60 iterations
    would churn dense-output evaluations well past double precision. *)
@@ -188,8 +182,8 @@ let event_time_rtol = 1e-12
 
 let no_trajectory = { times = [||]; states = [||] }
 
-(* The one adaptive driver behind [integrate], [rkf45], [rkf45_dense] and
-   [rkf45_event]. The right-hand side and the event are [unit -> unit]
+(* The one adaptive driver behind [integrate], [rkf45_dense] and the
+   [For_testing] oracles [rkf45] and [rkf45_event]. The right-hand side and the event are [unit -> unit]
    closures over the flat float record [io]: the driver writes the
    evaluation point into [io.t] and [io.y] and reads [io.dy] (or [io.g])
    back, so no float crosses a closure call. The state, the step and the
@@ -434,8 +428,6 @@ let boxed f =
   let io = io () in
   (io, fun () -> io.dy <- f io.t io.y)
 
-let boxed_event io ev () = io.g <- ev io.t io.y
-
 let rkf45 ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
   let io, rhs = boxed f in
@@ -464,16 +456,23 @@ let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
   | Error e -> Error e
   | Ok r -> Ok (r.points, out)
 
-let rkf45_event ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
-  Err.protect @@ fun () ->
-  let io, rhs = boxed f in
-  match
-    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs
-      ~event:(Some (boxed_event io event)) ~ts:[||] ~out:[||] ~t0 ~y0 ~t1 ()
-  with
-  | Error e -> Error e
-  | Ok r -> Ok { trajectory = r.points; event_time = r.t_event; event_state = r.y_event }
-
 module For_testing = struct
   let rkf45 = rkf45
+
+  type event_result = {
+    trajectory : float trajectory;
+    event_time : float option;
+    event_state : float option;
+  }
+
+  let rkf45_event ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
+    Err.protect @@ fun () ->
+    let io, rhs = boxed f in
+    match
+      drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs
+        ~event:(Some (fun () -> io.g <- event io.t io.y))
+        ~ts:[||] ~out:[||] ~t0 ~y0 ~t1 ()
+    with
+    | Error e -> Error e
+    | Ok r -> Ok { trajectory = r.points; event_time = r.t_event; event_state = r.y_event }
 end

@@ -41,36 +41,16 @@ val rkf45_dense :
     interpolant's coefficients are computed only for steps that hold a
     sample. *)
 
-type event_result = {
-  trajectory : float trajectory; (** trajectory up to and including the event *)
-  event_time : float option; (** time at which the event function crossed zero,
-                                 or [None] if no crossing occurred before [t1] *)
-  event_state : float option; (** state at the event time *)
-}
-
-val rkf45_event :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
-  f:(float -> float -> float) ->
-  event:(float -> float -> float) ->
-  t0:float -> y0:float -> t1:float -> unit ->
-  (event_result, error) result
-(** Like {!For_testing.rkf45} but additionally monitors [event t y]: when its sign
-    changes across an accepted step — including landing exactly on [0.] —
-    the crossing is located by bisection on the step's dense-output
-    interpolant (pure polynomial evaluation, no RHS work; early exit once
-    the time bracket is below a relative tolerance) and integration stops
-    there. [event] is evaluated once per accepted step and once per
-    bisection probe; it is not counted as an RHS evaluation. *)
-
 (** {1 Unboxed right-hand-side protocol}
 
-    The one DOPRI5 driver behind {!For_testing.rkf45}, {!rkf45_dense} and
-    {!rkf45_event}, with a calling convention that passes no float through
-    a closure call. Under dune's [-opaque] dev profile, and for any closure
-    in native code, a [float -> float -> float] right-hand side boxes both
-    arguments and its result on every evaluation; here the driver writes
-    the evaluation point into a flat float record, calls a [unit -> unit]
-    closure, and reads the answer back from the record. *)
+    The one DOPRI5 driver behind {!rkf45_dense} and the oracles
+    {!For_testing.rkf45} and {!For_testing.rkf45_event}, with a calling
+    convention that passes no float through a closure call. Under dune's
+    [-opaque] dev profile, and for any closure in native code, a
+    [float -> float -> float] right-hand side boxes both arguments and its
+    result on every evaluation; here the driver writes the evaluation
+    point into a flat float record, calls a [unit -> unit] closure, and
+    reads the answer back from the record. *)
 
 type io = {
   mutable t : float;   (** in: evaluation time *)
@@ -91,8 +71,10 @@ type solution = {
       (** the second point's time minus [t0] (the first accepted step, or
           the event time if the event fired inside it); [None] if no step
           was accepted *)
-  t_event : float option;  (** as {!field-event_time} *)
-  y_event : float option;  (** as {!field-event_state} *)
+  t_event : float option;
+      (** time at which the event crossed zero, or [None] if it did not
+          before [t1] *)
+  y_event : float option;  (** state at the event time *)
 }
 
 val integrate :
@@ -100,21 +82,25 @@ val integrate :
   record:bool -> io -> rhs:(unit -> unit) -> event:(unit -> unit) option ->
   t0:float -> y0:float -> t1:float -> unit ->
   (solution, error) result
-(** {!rkf45_event} (or {!For_testing.rkf45} when [event] is [None]) in
-    the unboxed protocol: [rhs ()] must set [io.dy] from [io.t] and [io.y], and
-    [event ()] must set [io.g]. The tableau, step control, event
-    bisection, counters, per-evaluation [Budget.note_evals] and
-    [Fault.outcome], and error kinds are those of {!rkf45_event}, so every
+(** Adaptive integration of [dy/dt = f t y] from [(t0, y0)] to [t1] by the
+    DOPRI5 pair described at {!For_testing.rkf45}, in the unboxed
+    protocol: [rhs ()] must set [io.dy] from [io.t] and [io.y], and
+    [event ()] must set [io.g]. An [event], when given, is monitored as
+    {!For_testing.rkf45_event} describes: the first sign change across an
+    accepted step (or an exact [0.]) is located by bisection on the step's
+    dense output and integration stops there. Every evaluation counts as
+    [ode/rhs_eval], is charged to the ambient budget with
+    [Budget.note_evals] and meets [Fault.outcome]; errors carry the solver
+    name ["Ode.rkf45"]. The boxed oracles wrap this same driver, so every
     accepted point, [y_final], [h_first] and the event are bit-identical
-    to it for the same functions. A trial step allocates nothing; with
+    to theirs for the same functions. A trial step allocates nothing; with
     [~record:false] an accepted step allocates nothing either, so a whole
     integration allocates a small constant whatever its step count. *)
 
-(** The plain adaptive solver, kept as an oracle: [test/test_transient.ml]
-    integrates the unit-typed reference path of an already-balanced
-    start through it, and [test/test_ode.ml] pins the shared driver
-    through it. No program calls it; {!integrate} is the driver's
-    program entry. *)
+(** The boxed-float solvers, kept as oracles: [test/test_transient.ml]
+    integrates the unit-typed reference path through them, and
+    [test/test_ode.ml] pins the shared driver through them. No program
+    calls them; {!integrate} is the driver's program entry. *)
 module For_testing : sig
   val rkf45 :
     ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
@@ -133,4 +119,25 @@ module For_testing : sig
       It runs the driver of {!integrate} through a wrapper that boxes [f]'s
       arguments and result: a trial step allocates only those boxes, and an
       accepted step adds only its trajectory slot. *)
+
+  type event_result = {
+    trajectory : float trajectory; (** trajectory up to and including the event *)
+    event_time : float option; (** time at which the event function crossed zero,
+                                   or [None] if no crossing occurred before [t1] *)
+    event_state : float option; (** state at the event time *)
+  }
+
+  val rkf45_event :
+    ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+    f:(float -> float -> float) ->
+    event:(float -> float -> float) ->
+    t0:float -> y0:float -> t1:float -> unit ->
+    (event_result, error) result
+  (** Like {!rkf45} but additionally monitors [event t y]: when its sign
+      changes across an accepted step — including landing exactly on [0.] —
+      the crossing is located by bisection on the step's dense-output
+      interpolant (pure polynomial evaluation, no RHS work; early exit once
+      the time bracket is below a relative tolerance) and integration stops
+      there. [event] is evaluated once per accepted step and once per
+      bisection probe; it is not counted as an RHS evaluation. *)
 end

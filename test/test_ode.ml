@@ -49,12 +49,12 @@ let test_event_detection () =
   let f _t _y = 1. in
   let event _t y = y -. 0.5 in
   let r =
-    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
+    check_ok "event" (O.For_testing.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
   in
-  (match r.O.event_time with
+  (match r.O.For_testing.event_time with
    | Some t -> check_close ~tol:1e-6 "event time" 0.5 t
    | None -> Alcotest.fail "event not detected");
-  match r.O.event_state with
+  match r.O.For_testing.event_state with
   | Some y -> check_close ~tol:1e-5 "event state" 0.5 y
   | None -> Alcotest.fail "no event state"
 
@@ -62,17 +62,20 @@ let test_event_decay_threshold () =
   (* e^{-t} crosses 0.1 at t = ln 10 *)
   let event _t y = y -. 0.1 in
   let r =
-    check_ok "event" (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
+    check_ok "event"
+      (O.For_testing.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
   in
-  match r.O.event_time with
+  match r.O.For_testing.event_time with
   | Some t -> check_close ~tol:1e-5 "ln 10" (log 10.) t
   | None -> Alcotest.fail "event not detected"
 
 let test_event_none () =
   let event _t y = y +. 1. in
   (* never crosses *)
-  let r = check_ok "event" (O.rkf45_event ~f:decay ~event ~t0:0. ~y0:1. ~t1:1. ()) in
-  check_true "no event" (r.O.event_time = None)
+  let r =
+    check_ok "event" (O.For_testing.rkf45_event ~f:decay ~event ~t0:0. ~y0:1. ~t1:1. ())
+  in
+  check_true "no event" (r.O.For_testing.event_time = None)
 
 let test_nan_region_recovery () =
   (* f produces NaN for y > 1.5; solution stays below, so large trial steps
@@ -88,12 +91,12 @@ let test_event_exact_zero_landing () =
   let f _t _y = 1. in
   let event _t y = if y >= 0.5 then 0. else -1. in
   let r =
-    check_ok "event" (O.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
+    check_ok "event" (O.For_testing.rkf45_event ~f ~event ~t0:0. ~y0:0. ~t1:2. ())
   in
-  (match r.O.event_time with
+  (match r.O.For_testing.event_time with
    | Some t -> check_in "crossing detected at a step past y = 0.5" ~lo:0.5 ~hi:2. t
    | None -> Alcotest.fail "exact-zero landing missed");
-  match r.O.event_state with
+  match r.O.For_testing.event_state with
   | Some y -> check_true "state past the threshold" (y >= 0.5)
   | None -> Alcotest.fail "no event state"
 
@@ -108,9 +111,9 @@ let test_event_bisection_early_exit () =
   let event _t y = y -. 0.1 in
   let r =
     check_ok "event"
-      (O.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
+      (O.For_testing.rkf45_event ~rtol:1e-10 ~f:decay ~event ~t0:0. ~y0:1. ~t1:10. ())
   in
-  (match r.O.event_time with
+  (match r.O.For_testing.event_time with
    | Some t -> check_close ~tol:1e-5 "ln 10" (log 10.) t
    | None -> Alcotest.fail "event not detected");
   Alcotest.(check int) "one crossing" 1 (Tel.For_testing.counter_total "ode/event_crossing");

@@ -78,7 +78,12 @@ let test_zero_bias_balanced () =
   check_true "trivially saturated" (r.Tr.tsat = Some 0.)
 
 let test_duration_validation () =
-  check_error "bad duration" (Tr.run t ~vgs:15. ~duration:0.)
+  check_error "bad duration" (Tr.run t ~vgs:15. ~duration:0.);
+  (* [pulse] rejects it with [run]'s typed error, solver name included, so
+     a caller's error text does not depend on which one it uses *)
+  match Tr.run t ~vgs:15. ~duration:0., Tr.pulse t ~vgs:15. ~duration:0. with
+  | Error a, Error b -> check_true "pulse error = run error" (a = b)
+  | _ -> Alcotest.fail "a non-positive duration must fail both"
 
 let test_time_to_threshold () =
   let time =
@@ -317,8 +322,8 @@ let reference dev ~vgs ~qfg0 ~duration =
         (O.For_testing.rkf45 ~rtol ~atol ~h0 ~f:rhs ~t0:0. ~y0:qfg0 ~t1:duration ())
     else
       Result.map
-        (fun r -> (r.O.trajectory, r.O.event_time))
-        (O.rkf45_event ~rtol ~atol ~h0 ~f:rhs ~event:imbalance ~t0:0. ~y0:qfg0
+        (fun r -> (r.O.For_testing.trajectory, r.O.For_testing.event_time))
+        (O.For_testing.rkf45_event ~rtol ~atol ~h0 ~f:rhs ~event:imbalance ~t0:0. ~y0:qfg0
            ~t1:duration ())
   in
   let rtol = 1e-8 in
@@ -401,7 +406,7 @@ let same_error (a : Gnrflash_resilience.Solver_error.t) (b : Gnrflash_resilience
     | E.Budget_exhausted { evals; _ } -> E.Budget_exhausted { evals; elapsed_s = 0. }
     | k -> k
   in
-  norm a.E.kind = norm b.E.kind
+  String.equal a.E.solver b.E.solver && norm a.E.kind = norm b.E.kind
 
 let pulse_matches_run ~run ~pulse =
   match run (), pulse () with
