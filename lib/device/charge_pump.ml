@@ -39,3 +39,7 @@ let ramp_time t ~load_capacitance ~v_target =
     invalid_arg "Charge_pump.ramp_time: non-positive argument";
   let i_avail = t.f_clk *. t.c_stage *. (t.v_dd -. t.v_diode) in
   load_capacitance *. v_target /. i_avail
+
+module For_testing = struct
+  let output_voltage = output_voltage
+end

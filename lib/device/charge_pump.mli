@@ -20,10 +20,6 @@ val make :
 (** Defaults: 0.3 V drop, 1 pF stages, 20 MHz clock.
     @raise Invalid_argument for non-positive parameters. *)
 
-(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
-val output_voltage : t -> i_load:float -> float
-(** Open-circuit-to-loaded output voltage at the given DC load. *)
-
 val stages_for : ?margin:float -> t -> v_target:float -> i_load:float -> int
 (** Minimum stage count reaching [v_target·(1+margin)] (margin default
     0.05) at the load, using the same per-stage parameters.
@@ -44,3 +40,10 @@ val ramp_time : t -> load_capacitance:float -> v_target:float -> float
 (** Time to charge a capacitive load to [v_target] with the pump's output
     current capability [f·C·(V_dd − V_d)] per stage-step (single-slope
     estimate). *)
+
+(** The closed form [test/test_charge_pump.ml] checks {!stages_for}
+    against. No program calls it. *)
+module For_testing : sig
+  val output_voltage : t -> i_load:float -> float
+  (** Open-circuit-to-loaded output voltage at the given DC load. *)
+end

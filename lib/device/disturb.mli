@@ -11,13 +11,6 @@ type config = {
 val half_select : vgs_program:float -> pulse_width:float -> config
 (** The classic VGS/2 inhibit scheme. *)
 
-(* lint: allow L14 — no program calls it; test_disturb pins it *)
-val dvt_after_events :
-  ?config:config -> Fgt.t -> qfg0:float -> events:int -> (float, string) result
-(** Threshold drift of the victim cell after [events] neighbouring program
-    pulses (sequential transient integration; charge carries over between
-    events). *)
-
 val qfg_after_events :
   ?config:config -> Fgt.t -> qfg0:float -> events:int -> (float, string) result
 (** Stored charge of the victim cell after [events] neighbouring program

@@ -20,8 +20,6 @@ let default =
 
 let threshold_voltage config t ~qfg = config.vt0 +. Fgt.threshold_shift t ~qfg
 
-let is_programmed config t ~qfg = threshold_voltage config t ~qfg > config.vread
-
 let read_current config t ~qfg =
   let vt = threshold_voltage config t ~qfg in
   let overdrive = config.vread -. vt in
@@ -33,8 +31,3 @@ let read_current config t ~qfg =
     let g = Mlgnr.sheet_conductance config.channel ~ef_ev in
     g *. config.vds
   end
-
-let read_window config t ~qfg_programmed =
-  let on = read_current config t ~qfg:0. in
-  let off = read_current config t ~qfg:qfg_programmed in
-  on /. max off 1e-15

@@ -16,18 +16,8 @@ val default : config
 val threshold_voltage : config -> Fgt.t -> qfg:float -> float
 (** [vt0 + ΔVT(qfg)]. *)
 
-(* lint: allow L14 — no program calls it; test_readout pins it *)
-val is_programmed : config -> Fgt.t -> qfg:float -> bool
-(** True when the shifted threshold exceeds the read bias — the cell reads
-    as logic '0' (paper convention: programmed = electrons on FG = '0'). *)
-
 val read_current : config -> Fgt.t -> qfg:float -> float
 (** Drain current [A] at the read point: 0 when the cell is cut off;
     otherwise [G_sheet·(W/L ≡ 1)·vds] with the Landauer sheet conductance
     of the MLGNR stack evaluated at a Fermi level proportional to the gate
     overdrive. *)
-
-(* lint: allow L14 — no program calls it; test_readout pins it *)
-val read_window : config -> Fgt.t -> qfg_programmed:float -> float
-(** Current ratio (erased / programmed, with programmed clamped to 1 fA)
-    — the sensing margin. *)

@@ -57,9 +57,6 @@ let charge_loss_percent t ~qfg0 ~after =
   let final = samples.(Array.length samples - 1) in
   100. *. (1. -. (final.qfg /. qfg0))
 
-let ten_year_retention t ~qfg0 =
-  charge_loss_percent t ~qfg0 ~after:(Gnrflash_physics.Units.years 10.) <= 20.
-
 let retention_time ?(temp = 300.) t ~qfg0 ~criterion =
   if criterion <= 0. || criterion >= 1. then
     invalid_arg "Retention.retention_time: criterion out of (0, 1)";

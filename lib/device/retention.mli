@@ -23,10 +23,6 @@ val simulate :
 val charge_loss_percent : Fgt.t -> qfg0:float -> after:float -> float
 (** Percentage of stored charge lost after [after] seconds at 300 K. *)
 
-(* lint: allow L14 — no program calls it; test_retention pins it *)
-val ten_year_retention : Fgt.t -> qfg0:float -> bool
-(** The usual spec: still holding ≥ 80 % of the charge after 10 years. *)
-
 val retention_time : ?temp:float -> Fgt.t -> qfg0:float -> criterion:float -> float
 (** First time (s) at which the remaining charge fraction drops below
     [criterion] (e.g. 0.8); [infinity] if it never does within 100 years. *)

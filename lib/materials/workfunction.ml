@@ -41,5 +41,3 @@ let name = function
   | Custom (n, _) -> n
 
 let barrier_height e (ox : Oxide.t) = work_function e -. ox.electron_affinity
-
-let si_sio2_barrier = 3.2

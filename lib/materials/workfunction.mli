@@ -24,8 +24,3 @@ val barrier_height : electrode -> Oxide.t -> float
 (** [barrier_height e ox] is the electron tunneling barrier
     Φ_B = W(e) − χ(ox) in eV — the energy an electron at the electrode Fermi
     level must surmount to enter the oxide conduction band. *)
-
-(* lint: allow L14 — no program calls it; test_workfunction pins it *)
-val si_sio2_barrier : float
-(** The textbook Si/SiO₂ electron barrier, 3.15–3.2 eV; used as the paper's
-    default Φ_B and pinned by unit tests. *)

@@ -36,8 +36,3 @@ let recover ?(config = default) engine c =
     in
     loop c 0
   end
-
-let erase_with_recovery ?(config = default) engine c =
-  match Cell.erase engine c with
-  | Error e -> Error e
-  | Ok c -> recover ~config engine c

@@ -28,10 +28,3 @@ val recover :
     the recovered cell and the pulses used; fails if the budget is
     exhausted or a pulse overshoots [verify_high]. Cells already in the
     window are returned unchanged with 0 pulses. *)
-
-(* lint: allow L14 — no program calls it; test_over_erase pins it *)
-val erase_with_recovery :
-  ?config:config -> Gnrflash_device.Program_erase.engine -> Cell.t ->
-  (Cell.t * int, string) result
-(** Full erase flow: erase pulse, then {!recover} — what
-    "erase a NOR block" actually executes. *)

@@ -107,8 +107,8 @@ let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* The continuous extension over one accepted step (Hairer's rcont5 form),
    evaluated without any further RHS work. The coefficients are set only
-   when a step brackets an event or holds a dense sample; each evaluation
-   is counted under [ode/dense_eval]. *)
+   when a step brackets an event; each evaluation is counted under
+   [ode/dense_eval]. *)
 type dense = {
   mutable t_old : float;
   mutable h : float;
@@ -182,20 +182,19 @@ let event_time_rtol = 1e-12
 
 let no_trajectory = { times = [||]; states = [||] }
 
-(* The one adaptive driver behind [integrate], [rkf45_dense] and the
-   [For_testing] oracles [rkf45] and [rkf45_event]. The right-hand side and the event are [unit -> unit]
-   closures over the flat float record [io]: the driver writes the
-   evaluation point into [io.t] and [io.y] and reads [io.dy] (or [io.g])
-   back, so no float crosses a closure call. The state, the step and the
-   seven stages live in unboxed locals: a trial step allocates nothing,
-   and an accepted step adds only its trajectory slot when [record] asks
-   for one. [ts] (sorted, within [t0, t1]) are filled in [out] from the
-   step's dense output; [event], when given, stops the integration at its
-   first sign change (or exact zero) on an accepted step. The solver name
+(* The one adaptive driver behind [integrate] and the [For_testing]
+   oracles [rkf45] and [rkf45_event]. The right-hand side and the event
+   are [unit -> unit] closures over the flat float record [io]: the driver
+   writes the evaluation point into [io.t] and [io.y] and reads [io.dy]
+   (or [io.g]) back, so no float crosses a closure call. The state, the
+   step and the seven stages live in unboxed locals: a trial step
+   allocates nothing, and an accepted step adds only its trajectory slot
+   when [record] asks for one. [event], when given, stops the integration
+   at its first sign change (or exact zero) on an accepted step. The solver name
    stays "Ode.rkf45" in typed errors: it is the stable identifier the
    resilience layer and its tests key on. *)
 let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200_000)
-    ~record io ~rhs ~event ~ts ~out ~t0 ~y0 ~t1 () =
+    ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
   let solver = "Ode.rkf45" in
   if t1 <= t0 then
     Error (Err.make ~solver (Err.Invalid_input "t1 <= t0"))
@@ -223,12 +222,6 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
     (* the points a recorded trajectory would hold: how many, the second
        one's time (for [h_first]) and the last one's state *)
     let points = ref 1 and t_second = ref t0 and y_last = ref y0 in
-    let m = Array.length ts in
-    let next = ref 0 in
-    while !next < m && ts.(!next) <= t0 do
-      out.(!next) <- y0;
-      incr next
-    done;
     let d = { t_old = 0.; h = 1.; c1 = 0.; c2 = 0.; c3 = 0.; c4 = 0.; c5 = 0. } in
     let g0 =
       ref
@@ -323,13 +316,6 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
           else if en <= 1. then begin
             Tel.count "ode/step_accepted";
             let t_new = tc +. hc in
-            if !next < m && ts.(!next) <= t_new then begin
-              set_dense d ~t_old:tc ~h:hc ~y_old:yc ~y_new ~k1:k1c ~k3 ~k4 ~k5 ~k6 ~k7;
-              while !next < m && ts.(!next) <= t_new do
-                out.(!next) <- eval_dense d ts.(!next);
-                incr next
-              done
-            end;
             (* the accepted point: (t_new, y_new), or the event's *)
             let t_pt = ref t_new and y_pt = ref y_new in
             (match event with
@@ -399,12 +385,6 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
     match !err with
     | Some e -> Error e
     | None ->
-      (* times landing in the round-off gap between the last accepted step
-         and t1 take the final state *)
-      while !next < m do
-        out.(!next) <- !y_last;
-        incr next
-      done;
       let n = tr.len in
       Ok
         {
@@ -420,10 +400,9 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
 
 let integrate ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
-  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~ts:[||] ~out:[||] ~t0
-    ~y0 ~t1 ()
+  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 ()
 
-(* The boxed-float protocol of [rkf45*] over the driver's flat one. *)
+(* The boxed-float protocol of the oracles over the driver's flat one. *)
 let boxed f =
   let io = io () in
   (io, fun () -> io.dy <- f io.t io.y)
@@ -432,29 +411,11 @@ let rkf45 ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
   let io, rhs = boxed f in
   match
-    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~ts:[||]
-      ~out:[||] ~t0 ~y0 ~t1 ()
+    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~t0 ~y0
+      ~t1 ()
   with
   | Error e -> Error e
   | Ok r -> Ok r.points
-
-let rkf45_dense ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 ~ts () =
-  Err.protect @@ fun () ->
-  let m = Array.length ts in
-  for j = 0 to m - 1 do
-    if ts.(j) < t0 || ts.(j) > t1 then
-      Err.fail ~solver:"Ode.rkf45_dense" (Err.Invalid_input "sample time outside [t0, t1]");
-    if j > 0 && ts.(j) < ts.(j - 1) then
-      Err.fail ~solver:"Ode.rkf45_dense" (Err.Invalid_input "sample times not sorted")
-  done;
-  let out = Array.make m 0. in
-  let io, rhs = boxed f in
-  match
-    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~ts ~out ~t0
-      ~y0 ~t1 ()
-  with
-  | Error e -> Error e
-  | Ok r -> Ok (r.points, out)
 
 module For_testing = struct
   let rkf45 = rkf45
@@ -471,7 +432,7 @@ module For_testing = struct
     match
       drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs
         ~event:(Some (fun () -> io.g <- event io.t io.y))
-        ~ts:[||] ~out:[||] ~t0 ~y0 ~t1 ()
+        ~t0 ~y0 ~t1 ()
     with
     | Error e -> Error e
     | Ok r -> Ok { trajectory = r.points; event_time = r.t_event; event_state = r.y_event }

@@ -28,24 +28,11 @@ val rk4 : f:(float -> float array -> float array) ->
   t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
 (** Classical fixed-step 4th-order Runge–Kutta. *)
 
-(* lint: allow L14 — no program calls it; test_ode pins it *)
-val rkf45_dense :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
-  f:(float -> float -> float) ->
-  t0:float -> y0:float -> t1:float -> ts:float array -> unit ->
-  (float trajectory * float array, error) result
-(** Like {!For_testing.rkf45} but additionally returns the solution sampled at the
-    user-supplied times [ts] (sorted, within [t0, t1]) via the pair's
-    native 4th-order dense-output interpolant — no extra RHS evaluations
-    are spent on the samples (counted under [ode/dense_eval]). The
-    interpolant's coefficients are computed only for steps that hold a
-    sample. *)
-
 (** {1 Unboxed right-hand-side protocol}
 
-    The one DOPRI5 driver behind {!rkf45_dense} and the oracles
-    {!For_testing.rkf45} and {!For_testing.rkf45_event}, with a calling
-    convention that passes no float through a closure call. Under dune's
+    The program entry of the one DOPRI5 driver, which the oracles
+    {!For_testing.rkf45} and {!For_testing.rkf45_event} share, with a
+    calling convention that passes no float through a closure call. Under dune's
     [-opaque] dev profile, and for any closure in native code, a
     [float -> float -> float] right-hand side boxes both arguments and its
     result on every evaluation; here the driver writes the evaluation

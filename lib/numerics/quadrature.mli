@@ -11,7 +11,7 @@ val trapezoid_samples : float array -> float array -> float
     the trapezoid rule. [xs] must be sorted increasing.
     @raise Invalid_argument on length mismatch or fewer than two points. *)
 
-(* lint: allow L14 — no program calls it; test_quadrature pins it *)
+(* lint: allow L14 — no program calls it; the L6 lint fixture calls it and test_quadrature pins it *)
 val simpson : (float -> float) -> float -> float -> n:int -> float
 (** [simpson f a b ~n] is composite Simpson with [n] subintervals ([n] is
     rounded up to the next even integer). Exact for cubics. *)

@@ -17,8 +17,6 @@ let erfc x =
   let ans = t *. exp ((-.z *. z) +. poly) in
   if x >= 0. then ans else 2. -. ans
 
-let erf x = 1. -. erfc x
-
 (* Lanczos approximation, g = 7, 9 coefficients. *)
 let lanczos_coeffs =
   [|
@@ -185,8 +183,3 @@ let airy_all x =
   if x > series_cutoff then airy_asym_pos x
   else if x < -.series_cutoff then airy_asym_neg x
   else airy_series x
-
-let airy_ai x = let a, _, _, _ = airy_all x in a
-let airy_ai' x = let _, a, _, _ = airy_all x in a
-let airy_bi x = let _, _, b, _ = airy_all x in b
-let airy_bi' x = let _, _, _, b = airy_all x in b

@@ -1,13 +1,9 @@
 (** Special functions needed by the tunneling models.
 
-    Accuracy notes: [erf]/[erfc] are good to ~1e-7 absolute; [gamma] and
+    Accuracy notes: [erfc] is good to ~1e-7 absolute; [gamma] and
     [ln_gamma] to ~1e-10 relative away from poles; the Airy functions to
     better than ~1e-8 relative for |x| ≲ 30 (power series for small
     arguments, asymptotic expansions beyond). *)
-
-(* lint: allow L14 — no program calls it; test_special pins it *)
-val erf : float -> float
-(** Error function. *)
 
 val erfc : float -> float
 (** Complementary error function, [1 - erf x]. *)
@@ -20,22 +16,6 @@ val gamma : float -> float
 (* lint: allow L14 — no program calls it; test_special pins it *)
 val ln_gamma : float -> float
 (** Natural log of |Γ(x)| for [x > 0]. *)
-
-(* lint: allow L14 — no program calls it; test_special pins it *)
-val airy_ai : float -> float
-(** Airy function of the first kind, Ai(x). *)
-
-(* lint: allow L14 — no program calls it; test_special pins it *)
-val airy_bi : float -> float
-(** Airy function of the second kind, Bi(x). *)
-
-(* lint: allow L14 — no program calls it; test_special pins it *)
-val airy_ai' : float -> float
-(** Derivative Ai'(x). *)
-
-(* lint: allow L14 — no program calls it; test_special pins it *)
-val airy_bi' : float -> float
-(** Derivative Bi'(x). *)
 
 val airy_all : float -> float * float * float * float
 (** [(Ai, Ai', Bi, Bi')] at the given point, sharing intermediate work. *)

@@ -12,13 +12,9 @@ let t_hopping = 2.7 *. ev
 let room_temperature = 300.
 let thermal_voltage t = k_b *. t /. q
 
-(* Unit-typed views of the constants above (same bits, dimension checked
-   at compile time — see Gnrflash_units). These are the sanctioned entry
-   points into the typed layer; formulas that stay raw-float must not
+(* Unit-typed view of the charge above (same bits, dimension checked at
+   compile time — see Gnrflash_units). Formulas that stay raw-float must not
    multiply two of the raw values above directly (lint rule L4). *)
 module U = Gnrflash_units
 
 let q_qty = U.coulomb q
-let k_b_qty = U.j_per_k k_b
-let eps0_qty = U.f_per_m eps0
-let thermal_voltage_qty t = U.volt (thermal_voltage (U.to_float t))

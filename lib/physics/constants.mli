@@ -43,20 +43,8 @@ val room_temperature : float
 val thermal_voltage : float -> float
 (** [thermal_voltage t] is [kB·t/q] in volts. *)
 
-(** {1 Unit-typed views}
+(** {1 Unit-typed view} *)
 
-    The same values as above wrapped in {!Gnrflash_units} dimensions —
-    bit-identical magnitudes, compile-time dimension checking. New physics
-    code should prefer these; the raw floats remain for boundary shims. *)
-
-(* lint: allow L14 — no program calls it; test_qty pins it *)
+(* lint: allow L14 — no program calls it; the L4 lint fixture reads it and test_qty pins it *)
 val q_qty : Gnrflash_units.coulomb Gnrflash_units.qty
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val k_b_qty : Gnrflash_units.j_per_k Gnrflash_units.qty
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val eps0_qty : Gnrflash_units.f_per_m Gnrflash_units.qty
-
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val thermal_voltage_qty :
-  Gnrflash_units.kelvin Gnrflash_units.qty -> Gnrflash_units.volt Gnrflash_units.qty
-(** Typed {!thermal_voltage}. *)
+(** {!q} wrapped in its {!Gnrflash_units} dimension, bit-identical. *)

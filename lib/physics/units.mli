@@ -26,32 +26,10 @@ val joule_to_ev : float -> float
 val mv_per_cm : float -> float
 (** MV/cm → V/m (1 MV/cm = 1e8 V/m). *)
 
-(* lint: allow L14 — no program calls it; test_units pins it *)
-val to_mv_per_cm : float -> float
-(** V/m → MV/cm. *)
-
 (** {1 Current density} *)
 
 val to_a_per_cm2 : float -> float
 (** A/m² → A/cm². *)
-
-(** {1 Capacitance / charge per area} *)
-
-(* lint: allow L14 — no program calls it; test_units pins it *)
-val f_per_cm2 : float -> float
-(** F/cm² → F/m². *)
-
-(* lint: allow L14 — no program calls it; test_units pins it *)
-val to_f_per_cm2 : float -> float
-(** F/m² → F/cm². *)
-
-(* lint: allow L14 — no program calls it; test_units pins it *)
-val c_per_cm2 : float -> float
-(** C/cm² → C/m². *)
-
-(* lint: allow L14 — no program calls it; test_units pins it *)
-val to_c_per_cm2 : float -> float
-(** C/m² → C/cm². *)
 
 (** {1 Time} *)
 

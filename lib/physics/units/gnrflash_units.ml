@@ -10,8 +10,6 @@ type volt
 type metre
 type m2
 type second
-type kelvin
-type kg
 type joule
 type ev
 type coulomb
@@ -20,27 +18,22 @@ type ('num, 'den) per
 
 type v_per_m = (volt, metre) per
 type farad = (coulomb, volt) per
-type f_per_m = (farad, metre) per
 type f_per_m2 = (farad, m2) per
 type ampere = (coulomb, second) per
 type a_per_m2 = (ampere, m2) per
 type c_per_m2 = (coulomb, m2) per
-type j_per_k = (joule, kelvin) per
 type fn_a = ((a_per_m2, v_per_m) per, v_per_m) per
 
 let volt x = x
 let metre x = x
 let square_metre x = x
-let kelvin x = x
 let ev x = x
 let coulomb x = x
 let farad x = x
 let v_per_m x = x
-let f_per_m x = x
 let f_per_m2 x = x
 let a_per_m2 x = x
 let c_per_m2 x = x
-let j_per_k x = x
 let fn_a x = x
 
 let to_float x = x
@@ -69,7 +62,5 @@ let si_elementary_charge = 1.602176634e-19
 
 let ev_to_joule x = x *. si_elementary_charge
 
-let absolute_of_areal c ~area = c *. area
-let areal_of_absolute c ~area = c /. area
 let areal_displacement c ~v = c *. v
 let voltage_across_areal sigma c = sigma /. c

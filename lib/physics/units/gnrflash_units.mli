@@ -22,7 +22,7 @@
     Same-dimension sums/differences use [+@]/[-@]; dimensionless factors
     use {!scale} and {!ratio}. The only sanctioned ways to {e cross}
     dimensions are the named conversions at the bottom of this interface
-    (eV↔J, areal↔absolute capacitance and charge): everything else simply
+    (eV↔J, areal capacitance and charge): everything else simply
     does not type-check. Paper mapping (Lenzlinger–Snow FN, eqs. 1, 4–7):
     barrier heights are [ev]/[joule], oxide fields [v_per_m], the network
     capacitances of eq. (2) [farad], stored charge [coulomb], current
@@ -37,8 +37,6 @@ type volt
 type metre
 type m2
 type second
-type kelvin
-type kg
 type joule
 type ev
 
@@ -50,12 +48,10 @@ type ('num, 'den) per
 
 type v_per_m = (volt, metre) per
 type farad = (coulomb, volt) per
-type f_per_m = (farad, metre) per
 type f_per_m2 = (farad, m2) per
 type ampere = (coulomb, second) per
 type a_per_m2 = (ampere, m2) per
 type c_per_m2 = (coulomb, m2) per
-type j_per_k = (joule, kelvin) per
 
 (** The Lenzlinger–Snow prefactor A of [J = A·E²·exp(−B/E)]: an areal
     current density per squared field, so [fn_a *@ field *@ field]
@@ -67,19 +63,13 @@ type fn_a = ((a_per_m2, v_per_m) per, v_per_m) per
 val volt : float -> volt qty
 val metre : float -> metre qty
 val square_metre : float -> m2 qty
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val kelvin : float -> kelvin qty
 val ev : float -> ev qty
 val coulomb : float -> coulomb qty
 val farad : float -> farad qty
 val v_per_m : float -> v_per_m qty
-(* lint: allow L14 — builds the test-only Constants.eps0_qty *)
-val f_per_m : float -> f_per_m qty
 val f_per_m2 : float -> f_per_m2 qty
 val a_per_m2 : float -> a_per_m2 qty
 val c_per_m2 : float -> c_per_m2 qty
-(* lint: allow L14 — builds the test-only Constants.k_b_qty *)
-val j_per_k : float -> j_per_k qty
 val fn_a : float -> fn_a qty
 
 val to_float : 'd qty -> float
@@ -123,14 +113,6 @@ val ( >@ ) : 'd qty -> 'd qty -> bool
 val ev_to_joule : ev qty -> joule qty
 (** Multiplies by the (exact, SI-defined) elementary charge
     1.602176634e-19 C — bit-identical to [x *. Constants.ev]. *)
-
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val absolute_of_areal : f_per_m2 qty -> area:m2 qty -> farad qty
-(** F/m² × m² → F (per-cell absolute capacitance). *)
-
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val areal_of_absolute : farad qty -> area:m2 qty -> f_per_m2 qty
-(** F ÷ m² → F/m². *)
 
 val areal_displacement : f_per_m2 qty -> v:volt qty -> c_per_m2 qty
 (** F/m² × V → C/m² — the sheet-charge form of Q = C·V. *)

@@ -16,7 +16,6 @@ let map_y f t = { t with points = Array.map (fun (x, y) -> (x, f y)) t.points }
 
 let filter p t = { t with points = Array.of_list (List.filter p (Array.to_list t.points)) }
 
-let xs t = Array.map fst t.points
 let ys t = Array.map snd t.points
 
 let extent series =

@@ -23,9 +23,8 @@ val map_y : (float -> float) -> t -> t
 val filter : ((float * float) -> bool) -> t -> t
 (** Keep only matching points (e.g. positive values before a log plot). *)
 
-(* lint: allow L14 — no program calls it; test_series pins it *)
-val xs : t -> float array
 val ys : t -> float array
+(** The ordinates. *)
 
 val extent : t list -> (float * float) * (float * float)
 (** Joint bounding box [((xmin, xmax), (ymin, ymax))] of non-empty series.

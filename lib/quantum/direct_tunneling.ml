@@ -10,12 +10,3 @@ let current_density (p : Fn.params) ~v_ox ~thickness =
       p.Fn.a *. field *. field *. exp (-.p.Fn.b *. reduction /. field)
     end
   end
-
-let ratio_to_fn p ~v_ox ~thickness =
-  if v_ox <= 0. then 1.
-  else begin
-    let field = v_ox /. thickness in
-    let j_fn = Fn.current_density p ~field in
-    if Float.equal j_fn 0. then infinity
-    else current_density p ~v_ox ~thickness /. j_fn
-  end

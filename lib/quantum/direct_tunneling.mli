@@ -13,9 +13,3 @@ val current_density :
     an oxide of the given [thickness] (m). Returns [0.] for [v_ox <= 0.].
     For [v_ox >= Φ_B/q] this is exactly {!Fn.current_density} at the same
     field. *)
-
-(* lint: allow L14 — no program calls it; test_direct_tunneling pins it *)
-val ratio_to_fn : Fn.params -> v_ox:float -> thickness:float -> float
-(** [J_direct / J_FN-extrapolated] at the same field — quantifies how much
-    the pure-FN expression underestimates low-voltage leakage (used in the
-    regime analysis). *)

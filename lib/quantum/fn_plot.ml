@@ -1,19 +1,10 @@
 module Reg = Gnrflash_numerics.Regression
-module Sweep = Gnrflash_parallel.Sweep
 
 type extraction = {
   a : float;
   b : float;
   r_squared : float;
 }
-
-let points p ~fields =
-  Sweep.map
-    (fun e ->
-       if e <= 0. then invalid_arg "Fn_plot.points: non-positive field";
-       let j = Fn.current_density p ~field:e in
-       (1. /. e, log (j /. (e *. e))))
-    fields
 
 let points_of_data ~fields ~currents =
   let n = Array.length fields in
@@ -35,7 +26,3 @@ let extract ~fields ~currents =
     | Ok fit ->
       Ok { a = exp fit.Reg.intercept; b = -.fit.Reg.slope; r_squared = fit.Reg.r_squared }
   end
-
-let extract_from_model p ~fields =
-  let currents = Sweep.map (fun e -> Fn.current_density p ~field:e) fields in
-  extract ~fields ~currents

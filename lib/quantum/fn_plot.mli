@@ -10,11 +10,6 @@ type extraction = {
   r_squared : float;  (** linearity of the FN plot *)
 }
 
-(* lint: allow L14 — no program calls it; test_fn_plot pins it *)
-val points : Fn.params -> fields:float array -> (float * float) array
-(** [(1/E, ln(J/E²))] pairs from the closed-form model — a perfectly
-    straight line; useful as a fixture. Fields must be positive. *)
-
 val points_of_data :
   fields:float array -> currents:float array -> (float * float) array
 (** Same transformation applied to (field [V/m], J [A/m²]) measurements.
@@ -25,9 +20,3 @@ val extract :
   fields:float array -> currents:float array -> (extraction, string) result
 (** Least-squares extraction of A and B from data. Succeeds when at least
     two valid points remain. *)
-
-(* lint: allow L14 — no program calls it; test_fn_plot pins it *)
-val extract_from_model :
-  Fn.params -> fields:float array -> (extraction, string) result
-(** Round-trip helper: generate currents from the model at the given fields
-    and re-extract — tests pin [b ≈ params.b] and [a ≈ params.a]. *)

@@ -90,6 +90,3 @@ let transmission ?(steps = 400) (b : Barrier.t) ~energy =
            if Float.is_nan t then 0. else min t 1.0)
     end
   end
-
-let transmission_spectrum ?steps b ~energies =
-  Array.map (fun e -> transmission ?steps b ~energy:e) energies

@@ -9,8 +9,3 @@ val transmission : ?steps:int -> Barrier.t -> energy:float -> float
     outside the barrier is the free mass; inside it is [b.m_eff]. [steps]
     defaults to 400. Energies must make the incoming wave propagating
     (energy > 0 relative to the emitter band edge); returns 0 otherwise. *)
-
-(* lint: allow L14 — no program calls it; test_transfer_matrix pins it *)
-val transmission_spectrum :
-  ?steps:int -> Barrier.t -> energies:float array -> float array
-(** {!transmission} mapped over an energy grid. *)

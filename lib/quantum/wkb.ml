@@ -24,14 +24,6 @@ let transmission b ~energy =
   let a = action_integral b ~energy in
   if a <= 0. then 1. else exp (-.a)
 
-let transmission_triangular ~phi_b ~field ~m_eff =
-  if phi_b <= 0. || field <= 0. || m_eff <= 0. then
-    invalid_arg "Wkb.transmission_triangular: non-positive argument";
-  let b_exp =
-    4. *. sqrt (2. *. m_eff) *. (phi_b ** 1.5) /. (3. *. C.hbar *. C.q *. field)
-  in
-  exp (-.b_exp)
-
 (* ---------- closed-form action on the piecewise-linear barrier ---------- *)
 
 (* A [Barrier.t] is piecewise linear by construction, so on each segment
@@ -117,3 +109,13 @@ let transmission_closed b ~energy =
   done;
   let a = if energy >= Barrier.max_height b then 0. else 2. /. C.hbar *. !acc in
   if a <= 0. then 1. else exp (-.a)
+
+module For_testing = struct
+  let transmission_triangular ~phi_b ~field ~m_eff =
+    if phi_b <= 0. || field <= 0. || m_eff <= 0. then
+      invalid_arg "Wkb.transmission_triangular: non-positive argument";
+    let b_exp =
+      4. *. sqrt (2. *. m_eff) *. (phi_b ** 1.5) /. (3. *. C.hbar *. C.q *. field)
+    in
+    exp (-.b_exp)
+end

@@ -10,13 +10,6 @@ val transmission : Barrier.t -> energy:float -> float
     barrier maximum transmit with probability 1 (WKB has no above-barrier
     reflection). *)
 
-(* lint: allow L14 — no program calls it; test_wkb pins it *)
-val transmission_triangular :
-  phi_b:float -> field:float -> m_eff:float -> float
-(** Closed-form WKB transmission at the Fermi level (E = 0) through the FN
-    triangle: [exp(−4√(2m)·φ_B^{3/2} / (3ħqE))]. Cross-validates
-    {!transmission} on {!Barrier.triangular}. *)
-
 (** Memoized closed-form WKB evaluator for one fixed (barrier, bias)
     shape, shared across every quadrature node of a supply-function
     integral. Because a {!Barrier.t} is piecewise linear, the action
@@ -49,3 +42,12 @@ val transmission_closed : Barrier.t -> energy:float -> float
     {!Cache.transmission} (bit-for-bit), but recomputes the segment table
     on every call and bumps no cache counters. This is the
     [~wkb_cache:false] path of {!Tsu_esaki.current_density}. *)
+
+(** The closed-form oracle [test/test_wkb.ml] checks {!transmission}
+    against. No program calls it. *)
+module For_testing : sig
+  val transmission_triangular :
+    phi_b:float -> field:float -> m_eff:float -> float
+  (** Closed-form WKB transmission at the Fermi level (E = 0) through the FN
+      triangle: [exp(−4√(2m)·φ_B^{3/2} / (3ħqE))]. *)
+end

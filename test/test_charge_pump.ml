@@ -5,11 +5,11 @@ let pump = P.make ~v_dd:1.8 ~stages:12 ()
 
 let test_open_circuit_voltage () =
   (* V = Vdd + N(Vdd - Vd) - Vd = 1.8 + 12*1.5 - 0.3 = 19.5 V *)
-  check_close ~tol:1e-9 "unloaded output" 19.5 (P.output_voltage pump ~i_load:0.)
+  check_close ~tol:1e-9 "unloaded output" 19.5 (P.For_testing.output_voltage pump ~i_load:0.)
 
 let test_load_droop () =
-  let v0 = P.output_voltage pump ~i_load:0. in
-  let v1 = P.output_voltage pump ~i_load:1e-6 in
+  let v0 = P.For_testing.output_voltage pump ~i_load:0. in
+  let v1 = P.For_testing.output_voltage pump ~i_load:1e-6 in
   check_true "droops under load" (v1 < v0);
   (* droop = N * I/(fC) = 12 * 1e-6/(20e6*1e-12) = 0.6 V *)
   check_close ~tol:1e-6 "droop magnitude" 0.6 (v0 -. v1)
@@ -24,7 +24,7 @@ let test_stages_for_paper_bias () =
   check_in "stage count sane" ~lo:8. ~hi:14. (float_of_int n);
   (* and the resulting pump really reaches it *)
   let sized = { pump with P.stages = n } in
-  check_true "reaches target" (P.output_voltage sized ~i_load:1e-9 >= 15.)
+  check_true "reaches target" (P.For_testing.output_voltage sized ~i_load:1e-9 >= 15.)
 
 let test_stages_for_unreachable () =
   Alcotest.check_raises "load too heavy"
@@ -51,7 +51,8 @@ let prop_voltage_monotone_in_stages =
   prop "more stages, more volts" QCheck2.Gen.(int_range 1 30) (fun n ->
       let p1 = P.make ~v_dd:1.8 ~stages:n () in
       let p2 = P.make ~v_dd:1.8 ~stages:(n + 1) () in
-      P.output_voltage p2 ~i_load:1e-9 > P.output_voltage p1 ~i_load:1e-9)
+      P.For_testing.output_voltage p2 ~i_load:1e-9
+      > P.For_testing.output_voltage p1 ~i_load:1e-9)
 
 let prop_efficiency_decreases_with_stages =
   prop "stage count costs efficiency" QCheck2.Gen.(int_range 2 25) (fun n ->

@@ -23,9 +23,13 @@ let test_exceeds_fn_below_barrier () =
   check_true "direct exceeds FN extrapolation" (j_dt > j_fn)
 
 let test_ratio_to_fn () =
-  let r = Dt.ratio_to_fn p ~v_ox:1.5 ~thickness:3e-9 in
-  check_true "ratio > 1 in direct regime" (r > 1.);
-  check_close "ratio 1 in FN regime" 1. (Dt.ratio_to_fn p ~v_ox:4.0 ~thickness:5e-9)
+  (* J_direct / J_FN at the same field *)
+  let ratio ~v_ox ~thickness =
+    Dt.current_density p ~v_ox ~thickness
+    /. Fn.current_density p ~field:(v_ox /. thickness)
+  in
+  check_true "ratio > 1 in direct regime" (ratio ~v_ox:1.5 ~thickness:3e-9 > 1.);
+  check_close "ratio 1 in FN regime" 1. (ratio ~v_ox:4.0 ~thickness:5e-9)
 
 let test_continuity_at_barrier_voltage () =
   (* the piecewise expression must be continuous at v_ox = phi_b *)

@@ -84,6 +84,37 @@ let prop_currents_nonnegative =
     (fun (vgs, qfg) ->
        F.j_in t ~vgs ~qfg >= 0. && F.j_out t ~vgs ~qfg >= 0.)
 
+(* Paper-equation oracle for the FN currents: eq (3)
+   [VFG = GCR·VGS + QFG/CT], the oxide fields [E_t = (VFG − VS)/XTO] and
+   [E_c = (VGS − VFG)/XCO], and eq (1) [J = A·E²·exp(−B/E)] at whichever
+   interface injects for each field's sign: electrons enter the FG from the
+   channel when [E_t > 0] and from the control gate when [E_c < 0], and
+   leave it toward the gate when [E_c > 0] and toward the channel when
+   [E_t < 0]. Checked over the paper's box in both polarities, with the
+   stored charge within ±1.5 of the bias's saturation charge. *)
+let prop_fn_currents_match_paper_equations =
+  let fn (p : Gnrflash_quantum.Fn.params) e =
+    if e <= 0. then 0. else p.a *. e *. e *. exp (-.p.b /. e)
+  in
+  let close live oracle = abs_float (live -. oracle) <= 1e-12 *. abs_float oracle in
+  prop "j_in and j_out follow paper eqs (1), (3), (6)" ~count:200
+    QCheck2.Gen.(
+      pair
+        (triple (float_range 8. 17.) bool (float_range 0.45 0.60))
+        (pair (float_range 5e-9 9e-9) (float_range (-1.5) 1.5)))
+    (fun ((vmag, program, gcr), (xto, frac)) ->
+       let vgs = if program then vmag else -.vmag in
+       let d = F.with_gcr (F.with_xto t xto) gcr in
+       match Gnrflash_device.Transient.saturation_charge d ~vgs with
+       | Error _ -> false
+       | Ok q_sat ->
+         let qfg = frac *. q_sat in
+         let vfg = (F.gcr d *. vgs) +. (qfg /. F.ct d) in
+         let e_t = (vfg -. d.F.vs) /. d.F.xto and e_c = (vgs -. vfg) /. d.F.xco in
+         let j_in = fn d.F.tunnel_fn e_t +. fn d.F.control_fn (-.e_c) in
+         let j_out = fn d.F.control_fn e_c +. fn d.F.tunnel_fn (-.e_t) in
+         close (F.j_in d ~vgs ~qfg) j_in && close (F.j_out d ~vgs ~qfg) j_out)
+
 let test_control_oxide_decoupled () =
   (* regression: the control-gate stack must come from the control oxide.
      Same geometry with a high-k Al2O3 blocking dielectric: at (vgs, qfg=0)
@@ -144,5 +175,6 @@ let () =
           case "control oxide decoupled" test_control_oxide_decoupled;
           prop_vfg_linear_in_vgs;
           prop_currents_nonnegative;
+          prop_fn_currents_match_paper_equations;
         ] );
     ]

@@ -17,8 +17,8 @@ let test_fig2_band_profiles () =
   check_abs ~tol:1e-6 "exit at zero" 0. ys.(Array.length ys - 1);
   (* higher field -> thinner barrier: compare widths *)
   let width label =
-    let xs = P.Series.xs (series_labelled fig label) in
-    xs.(Array.length xs - 1)
+    let pts = (series_labelled fig label).P.Series.points in
+    fst pts.(Array.length pts - 1)
   in
   check_true "apparent thinning" (width "E = 15 MV/cm" < width "E = 5 MV/cm");
   (* image force rounds the top below phi *)
@@ -91,8 +91,7 @@ let test_fig8_erase_polarity () =
   let fig = Fig.fig8_erase_gcr () in
   List.iter
     (fun s ->
-       let xs = P.Series.xs s in
-       Array.iter (fun v -> check_true "erase sweep negative" (v < 0.)) xs)
+       Array.iter (fun (v, _) -> check_true "erase sweep negative" (v < 0.)) s.P.Series.points)
     fig.P.Figure.series
 
 let test_fig9_erase_thickness () =

@@ -7,9 +7,12 @@ let p = Fn.coefficients ~phi_b_ev:3.2 ~m_ox_rel:0.42
 
 let fields = Grid.linspace 8e8 1.8e9 15
 
+(* the closed-form model's currents at the given fields *)
+let model_currents fields = Array.map (fun e -> Fn.current_density p ~field:e) fields
+
 let test_points_are_linear () =
   (* the FN plot of the exact model is a perfect line: check collinearity *)
-  let pts = Fp.points p ~fields in
+  let pts = Fp.points_of_data ~fields ~currents:(model_currents fields) in
   let x0, y0 = pts.(0) and x1, y1 = pts.(Array.length pts - 1) in
   let slope = (y1 -. y0) /. (x1 -. x0) in
   Array.iter
@@ -18,12 +21,12 @@ let test_points_are_linear () =
     pts
 
 let test_points_slope_is_minus_b () =
-  let pts = Fp.points p ~fields in
+  let pts = Fp.points_of_data ~fields ~currents:(model_currents fields) in
   let x0, y0 = pts.(0) and x1, y1 = pts.(Array.length pts - 1) in
   check_close ~tol:1e-9 "slope = -B" (-.p.Fn.b) ((y1 -. y0) /. (x1 -. x0))
 
 let test_extract_roundtrip () =
-  let e = check_ok "extract" (Fp.extract_from_model p ~fields) in
+  let e = check_ok "extract" (Fp.extract ~fields ~currents:(model_currents fields)) in
   check_close ~tol:1e-6 "A recovered" p.Fn.a e.Fp.a;
   check_close ~tol:1e-6 "B recovered" p.Fn.b e.Fp.b;
   check_close ~tol:1e-9 "perfect line" 1. e.Fp.r_squared
@@ -60,7 +63,7 @@ let prop_extraction_stable_across_ranges =
     QCheck2.Gen.(float_range 6e8 1.2e9)
     (fun lo ->
        let fields = Grid.linspace lo (lo *. 1.8) 10 in
-       match Fp.extract_from_model p ~fields with
+       match Fp.extract ~fields ~currents:(model_currents fields) with
        | Error _ -> false
        | Ok e -> abs_float (e.Fp.b -. p.Fn.b) <= 1e-4 *. p.Fn.b)
 

@@ -165,39 +165,34 @@ let prop_rkf45_linear_growth =
 
 (* ---------- dense output ---------- *)
 
-(* rkf45_dense must agree with the analytic solution at arbitrary off-step
-   sample times to the stepper's own accuracy — the interpolant is 4th/5th
-   order, not a secant through step endpoints. *)
-let test_dense_decay_analytic () =
-  let ts = Array.init 97 (fun i -> 2. *. float_of_int i /. 96.) in
-  let _, ys =
-    check_ok "dense decay"
-      (O.rkf45_dense ~rtol:1e-8 ~atol:1e-12 ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts ())
-  in
-  Array.iteri
-    (fun i t ->
-       let exact = exp (-.t) in
-       check_true
-         (Printf.sprintf "dense decay @ t=%.3f" t)
-         (abs_float (ys.(i) -. exact) <= 1e-6 *. (1. +. exact)))
-    ts
+(* The dense output as programs reach it: [integrate] locates an event by
+   bisection on the step's continuous extension and reads the state at the
+   event time from it. An event at [t = s] therefore samples the
+   interpolant at [s] (to the bisection's 1e-12 relative bracket). *)
+let dense_at ?rtol ?atol f ~t0 ~y0 ~t1 s =
+  let io = O.io () in
+  let rhs () = io.O.dy <- f io.O.t io.O.y in
+  let event () = io.O.g <- io.O.t -. s in
+  match
+    O.integrate ?rtol ?atol ~record:false io ~rhs ~event:(Some event) ~t0 ~y0 ~t1 ()
+  with
+  | Ok { O.t_event = Some t; y_event = Some y; _ } -> Some (t, y)
+  | Ok _ | Error _ -> None
 
-let test_dense_endpoints_and_validation () =
-  let ts = [| 0.; 0.7; 2. |] in
-  let tr, ys =
-    check_ok "dense run"
-      (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts ())
-  in
-  (* a sample time at t0 returns the initial state verbatim *)
-  check_close ~tol:0. "t0 is y0" 1. ys.(0);
-  (* the final sample time t1 returns the trajectory endpoint bit-exactly *)
-  check_close ~tol:0. "t1 matches trajectory end" (last tr) ys.(2);
-  check_error "unsorted ts"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| 1.; 0.5 |] ());
-  check_error "ts before t0"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| -1. |] ());
-  check_error "ts beyond t1"
-    (O.rkf45_dense ~f:decay ~t0:0. ~y0:1. ~t1:2. ~ts:[| 3. |] ())
+(* The interpolant must agree with the analytic solution at arbitrary
+   off-step times to the stepper's own accuracy — it is 4th/5th order, not
+   a secant through step endpoints. *)
+let test_dense_decay_analytic () =
+  for i = 1 to 95 do
+    let s = 2. *. float_of_int i /. 96. in
+    match dense_at ~rtol:1e-8 ~atol:1e-12 decay ~t0:0. ~y0:1. ~t1:2. s with
+    | None -> Alcotest.failf "no dense sample at t=%.3f" s
+    | Some (t, y) ->
+      let exact = exp (-.t) in
+      check_true
+        (Printf.sprintf "dense decay @ t=%.3f" t)
+        (abs_float (y -. exact) <= 1e-6 *. (1. +. exact))
+  done
 
 (* Property: the dense interpolant agrees with a from-scratch re-integration
    stopped exactly at the sample time, over random stiffness-free linear
@@ -208,18 +203,16 @@ let prop_dense_matches_reintegration =
       triple (float_range 0.1 5.) (float_range 0.1 5.) (float_range 0.1 1.9))
     (fun (a, b, t_mid) ->
        let f _t y = a -. (b *. y) in
-       match
-         O.rkf45_dense ~rtol:1e-8 ~atol:1e-14 ~f ~t0:0. ~y0:0. ~t1:2. ~ts:[| t_mid |] ()
-       with
-       | Error _ -> false
-       | Ok (_, ys) ->
+       match dense_at ~rtol:1e-8 ~atol:1e-14 f ~t0:0. ~y0:0. ~t1:2. t_mid with
+       | None -> false
+       | Some (t, y) ->
          (match
-            O.For_testing.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:0. ~t1:t_mid ()
+            O.For_testing.rkf45 ~rtol:1e-11 ~atol:1e-16 ~f ~t0:0. ~y0:0. ~t1:t ()
           with
           | Error _ -> false
           | Ok tr ->
             let y_ref = last tr in
-            abs_float (ys.(0) -. y_ref) <= 1e-6 *. (1. +. abs_float y_ref)))
+            abs_float (y -. y_ref) <= 1e-6 *. (1. +. abs_float y_ref)))
 
 (* FSAL bookkeeping: one eval seeds k1, then exactly 6 evals per trial step,
    +1 re-seed after every NaN shrink (the cached slope is poisoned). *)
@@ -290,8 +283,6 @@ let () =
           case "infinite trial step recovery" test_infinite_rhs_recovery;
           case "typed Max_steps" test_max_steps_typed;
           case "dense output: analytic decay" test_dense_decay_analytic;
-          case "dense output: endpoints and validation"
-            test_dense_endpoints_and_validation;
           case "FSAL eval accounting" test_fsal_eval_count;
           case "rkf45 allocates only boxes and trajectory slots" test_rkf45_allocation;
           prop_rkf45_linear_growth;

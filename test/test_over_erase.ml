@@ -30,7 +30,9 @@ let test_recover_over_erased () =
 let test_erase_with_recovery () =
   let e = engine () in
   let programmed = check_ok "program" (Cell.program e (fresh ())) in
-  let c, pulses = check_ok "flow" (O.erase_with_recovery e programmed) in
+  (* the erase pulse, then soft-program recovery *)
+  let erased = check_ok "erase" (Cell.erase e programmed) in
+  let c, pulses = check_ok "flow" (O.recover e erased) in
   check_true "soft pulses applied" (pulses > 0);
   check_in "erase verify window" ~lo:O.default.O.verify_low ~hi:O.default.O.verify_high
     (Cell.dvt c);

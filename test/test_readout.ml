@@ -11,9 +11,10 @@ let test_threshold_voltage () =
   check_close ~tol:1e-9 "shifted VT" (config.R.vt0 +. 2.) (R.threshold_voltage config t ~qfg:q)
 
 let test_is_programmed () =
-  check_false "neutral reads erased" (R.is_programmed config t ~qfg:0.);
+  (* a cell reads programmed ('0') when it does not conduct at VREAD *)
+  check_true "neutral reads erased" (R.read_current config t ~qfg:0. > 0.);
   let q = F.qfg_for_threshold_shift t ~dvt:5. in
-  check_true "heavily charged reads programmed" (R.is_programmed config t ~qfg:q)
+  check_true "heavily charged reads programmed" (R.read_current config t ~qfg:q = 0.)
 
 let test_read_current_on () =
   let i_on = R.read_current config t ~qfg:0. in
@@ -27,7 +28,8 @@ let test_read_current_off () =
 
 let test_read_window () =
   let q = F.qfg_for_threshold_shift t ~dvt:5. in
-  let w = R.read_window config t ~qfg_programmed:q in
+  (* erased / programmed current, the programmed one clamped to 1 fA *)
+  let w = R.read_current config t ~qfg:0. /. max (R.read_current config t ~qfg:q) 1e-15 in
   check_true "large on/off window" (w > 1e3)
 
 let test_partial_shift_reduces_current () =

@@ -33,7 +33,6 @@ let test_filter () =
 
 let test_xs_ys () =
   let s = S.make ~label:"a" pts in
-  Alcotest.(check (array (float 0.))) "xs" [| 0.; 1.; 2. |] (S.xs s);
   Alcotest.(check (array (float 0.))) "ys" [| 1.; 3.; 2. |] (S.ys s)
 
 let test_extent () =

@@ -1,19 +1,22 @@
 module S = Gnrflash_numerics.Special
 open Gnrflash_testing.Testing
 
-(* Reference values: Abramowitz & Stegun / DLMF tables. *)
+(* Reference values: Abramowitz & Stegun / DLMF tables. erf is reached
+   only as [1 - erfc], so its table and symmetries are checked on [erfc]. *)
 
 let test_erf_values () =
-  check_abs ~tol:2e-7 "erf 0" 0. (S.erf 0.);
-  check_abs ~tol:2e-7 "erf 0.5" 0.5204998778 (S.erf 0.5);
-  check_abs ~tol:2e-7 "erf 1" 0.8427007929 (S.erf 1.);
-  check_abs ~tol:2e-7 "erf 2" 0.9953222650 (S.erf 2.)
+  check_abs ~tol:2e-7 "erf 0" 0. (1. -. S.erfc 0.);
+  check_abs ~tol:2e-7 "erf 0.5" 0.5204998778 (1. -. S.erfc 0.5);
+  check_abs ~tol:2e-7 "erf 1" 0.8427007929 (1. -. S.erfc 1.);
+  check_abs ~tol:2e-7 "erf 2" 0.9953222650 (1. -. S.erfc 2.)
 
 let test_erf_odd () =
-  check_abs ~tol:1e-12 "odd symmetry" 0. (S.erf 0.7 +. S.erf (-0.7))
+  (* erf odd <=> erfc(x) + erfc(-x) = 2 *)
+  check_abs ~tol:1e-12 "odd symmetry" 2. (S.erfc 0.7 +. S.erfc (-0.7))
 
 let test_erfc_complement () =
-  check_abs ~tol:1e-9 "erf + erfc = 1" 1. (S.erf 1.3 +. S.erfc 1.3)
+  (* erfc(-x) = 1 + erf(x) = 2 - erfc(x), at the table value erf(1) *)
+  check_abs ~tol:2e-7 "erfc(-1) = 1 + erf 1" 1.8427007929 (S.erfc (-1.))
 
 let test_erfc_tail () =
   (* erfc(3) = 2.20904970e-5 *)
@@ -36,29 +39,35 @@ let test_ln_gamma () =
   check_close ~tol:1e-9 "ln gamma large" 359.1342053696 (S.ln_gamma 100.)
 
 let test_airy_at_zero () =
-  check_close ~tol:1e-12 "Ai(0)" 0.3550280538878172 (S.airy_ai 0.);
-  check_close ~tol:1e-12 "Ai'(0)" (-0.2588194037928068) (S.airy_ai' 0.);
-  check_close ~tol:1e-12 "Bi(0)" 0.6149266274460007 (S.airy_bi 0.);
-  check_close ~tol:1e-12 "Bi'(0)" 0.4482883573538264 (S.airy_bi' 0.)
+  let ai, ai', bi, bi' = S.airy_all 0. in
+  check_close ~tol:1e-12 "Ai(0)" 0.3550280538878172 ai;
+  check_close ~tol:1e-12 "Ai'(0)" (-0.2588194037928068) ai';
+  check_close ~tol:1e-12 "Bi(0)" 0.6149266274460007 bi;
+  check_close ~tol:1e-12 "Bi'(0)" 0.4482883573538264 bi'
 
 let test_airy_at_one () =
-  check_close ~tol:1e-10 "Ai(1)" 0.1352924163128814 (S.airy_ai 1.);
-  check_close ~tol:1e-10 "Ai'(1)" (-0.1591474412967932) (S.airy_ai' 1.);
-  check_close ~tol:1e-10 "Bi(1)" 1.2074235949528713 (S.airy_bi 1.);
-  check_close ~tol:1e-10 "Bi'(1)" 0.9324359333927756 (S.airy_bi' 1.)
+  let ai, ai', bi, bi' = S.airy_all 1. in
+  check_close ~tol:1e-10 "Ai(1)" 0.1352924163128814 ai;
+  check_close ~tol:1e-10 "Ai'(1)" (-0.1591474412967932) ai';
+  check_close ~tol:1e-10 "Bi(1)" 1.2074235949528713 bi;
+  check_close ~tol:1e-10 "Bi'(1)" 0.9324359333927756 bi'
+
+(* [(x, Ai(x), Bi(x))] with tolerance *)
+let check_ai_bi tol (x, ai_ref, bi_ref) =
+  let ai, _, bi, _ = S.airy_all x in
+  check_close ~tol (Printf.sprintf "Ai(%g)" x) ai_ref ai;
+  check_close ~tol (Printf.sprintf "Bi(%g)" x) bi_ref bi
 
 let test_airy_negative () =
-  check_close ~tol:1e-9 "Ai(-1)" 0.5355608832923521 (S.airy_ai (-1.));
-  check_close ~tol:1e-9 "Bi(-1)" 0.1039973894969446 (S.airy_bi (-1.));
-  check_close ~tol:1e-7 "Ai(-5)" 0.3507610090241142 (S.airy_ai (-5.));
-  check_close ~tol:1e-7 "Bi(-5)" (-0.1383691349016005) (S.airy_bi (-5.))
+  check_ai_bi 1e-9 (-1., 0.5355608832923521, 0.1039973894969446);
+  check_ai_bi 1e-7 (-5., 0.3507610090241142, -0.1383691349016005)
 
 let test_airy_asymptotic () =
   (* references from mpmath at 20 digits *)
-  check_close ~tol:1e-7 "Ai(5)" 1.0834442813607442e-4 (S.airy_ai 5.);
-  check_close ~tol:1e-7 "Ai(10)" 1.1047532552898686e-10 (S.airy_ai 10.);
-  check_close ~tol:1e-6 "Bi(5)" 657.79204417117118 (S.airy_bi 5.);
-  check_close ~tol:1e-7 "Ai(-8)" (-0.052705050356386203) (S.airy_ai (-8.))
+  check_ai_bi 1e-6 (5., 1.0834442813607442e-4, 657.79204417117118);
+  let ai10, _, _, _ = S.airy_all 10. and ai8, _, _, _ = S.airy_all (-8.) in
+  check_close ~tol:1e-7 "Ai(10)" 1.1047532552898686e-10 ai10;
+  check_close ~tol:1e-7 "Ai(-8)" (-0.052705050356386203) ai8
 
 let test_airy_wronskian () =
   (* Ai Bi' - Ai' Bi = 1/pi at every x *)
@@ -76,11 +85,11 @@ let test_airy_ode_residual () =
   let h = 1e-4 in
   List.iter
     (fun x ->
-       let y m = S.airy_ai (x +. m) in
+       let y m = let ai, _, _, _ = S.airy_all (x +. m) in ai in
        let second = (y h -. (2. *. y 0.) +. y (-.h)) /. (h *. h) in
        check_close ~tol:1e-4
          (Printf.sprintf "Ai'' = x Ai at %g" x)
-         (x *. S.airy_ai x) second)
+         (x *. y 0.) second)
     [ 0.5; 1.5; 3. ]
 
 let prop_airy_continuity_at_cutoff =
@@ -91,13 +100,14 @@ let prop_airy_continuity_at_cutoff =
     QCheck2.Gen.(float_range 5.3 5.7)
     (fun x ->
        let dx = 1e-6 in
-       let left = S.airy_ai (x -. dx) and right = S.airy_ai (x +. dx) in
-       let slope_allowance = abs_float (S.airy_ai' x) *. 2. *. dx in
+       let left, _, _, _ = S.airy_all (x -. dx) and right, _, _, _ = S.airy_all (x +. dx) in
+       let _, slope, _, _ = S.airy_all x in
+       let slope_allowance = abs_float slope *. 2. *. dx in
        abs_float (left -. right) <= slope_allowance +. (1e-7 *. abs_float left))
 
 let prop_erf_monotone =
   prop "erf monotone" QCheck2.Gen.(pair (float_range (-3.) 3.) (float_range 0.001 1.))
-    (fun (x, d) -> S.erf (x +. d) >= S.erf x)
+    (fun (x, d) -> S.erfc (x +. d) <= S.erfc x)
 
 let () =
   Alcotest.run "special"

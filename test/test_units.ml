@@ -10,26 +10,15 @@ let test_energy () =
   check_close "roundtrip" 3.2 (U.joule_to_ev (U.ev_to_joule 3.2))
 
 let test_field () =
-  check_close "10 MV/cm" 1e9 (U.mv_per_cm 10.);
-  check_close "roundtrip" 12.5 (U.to_mv_per_cm (U.mv_per_cm 12.5))
+  check_close "10 MV/cm" 1e9 (U.mv_per_cm 10.)
 
 let test_current_density () =
   check_close "1e4 A/m2" 1. (U.to_a_per_cm2 1e4);
   check_close "3700 A/m2" 0.37 (U.to_a_per_cm2 3700.)
 
-let test_capacitance_charge () =
-  check_close "1 F/cm2" 1e4 (U.f_per_cm2 1.);
-  check_close "F roundtrip" 2.5 (U.to_f_per_cm2 (U.f_per_cm2 2.5));
-  check_close "1 C/cm2" 1e4 (U.c_per_cm2 1.);
-  check_close "C roundtrip" 0.01 (U.to_c_per_cm2 (U.c_per_cm2 0.01))
-
 let test_time () =
   check_close "1 year" (365.25 *. 86400.) (U.years 1.);
   check_close "10 years" (10. *. 365.25 *. 86400.) (U.years 10.)
-
-let prop_field_roundtrip =
-  prop "MV/cm roundtrip" QCheck2.Gen.(float_range 0.1 100.) (fun e ->
-      abs_float (U.to_mv_per_cm (U.mv_per_cm e) -. e) < 1e-9 *. e)
 
 let () =
   Alcotest.run "units"
@@ -40,8 +29,6 @@ let () =
           case "energy" test_energy;
           case "field" test_field;
           case "current density" test_current_density;
-          case "capacitance and charge" test_capacitance_charge;
           case "time" test_time;
-          prop_field_roundtrip;
         ] );
     ]

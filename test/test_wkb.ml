@@ -13,12 +13,12 @@ let test_closed_form_matches_paper_exponent () =
   let phi = 3.2 *. ev in
   let b_fn = 4. *. sqrt (2. *. m_eff) *. (phi ** 1.5) /. (3. *. C.hbar *. C.q) in
   check_close ~tol:1e-4 "B magnitude" 2.534e10 b_fn;
-  let t = W.transmission_triangular ~phi_b:phi ~field ~m_eff in
+  let t = W.For_testing.transmission_triangular ~phi_b:phi ~field ~m_eff in
   check_close ~tol:1e-9 "exponent" (exp (-.b_fn /. field)) t
 
 let test_numeric_matches_closed_form () =
   let phi = 3.2 *. ev and field = 1.2e9 in
-  let closed = W.transmission_triangular ~phi_b:phi ~field ~m_eff in
+  let closed = W.For_testing.transmission_triangular ~phi_b:phi ~field ~m_eff in
   let b = B.triangular ~phi_b:phi ~field ~m_eff in
   let numeric = W.transmission b ~energy:0. in
   check_close ~tol:1e-4 "quadrature vs closed form" closed numeric
@@ -44,11 +44,11 @@ let test_transmission_increases_with_energy () =
   check_true "monotone in E" (t0 < t1 && t1 < t2)
 
 let test_transmission_increases_with_field () =
-  let t e = W.transmission_triangular ~phi_b:(3.2 *. ev) ~field:e ~m_eff in
+  let t e = W.For_testing.transmission_triangular ~phi_b:(3.2 *. ev) ~field:e ~m_eff in
   check_true "monotone in field" (t 8e8 < t 1e9 && t 1e9 < t 1.5e9)
 
 let test_heavier_mass_less_transmission () =
-  let t m = W.transmission_triangular ~phi_b:(3.2 *. ev) ~field:1e9 ~m_eff:m in
+  let t m = W.For_testing.transmission_triangular ~phi_b:(3.2 *. ev) ~field:1e9 ~m_eff:m in
   check_true "mass suppresses tunneling" (t (0.5 *. C.m0) < t (0.3 *. C.m0))
 
 let test_rectangular_barrier_action () =
@@ -71,7 +71,7 @@ let prop_closed_form_agreement =
     QCheck2.Gen.(float_range 6e8 2.5e9)
     (fun field ->
        let phi = 3.2 *. ev in
-       let closed = W.transmission_triangular ~phi_b:phi ~field ~m_eff in
+       let closed = W.For_testing.transmission_triangular ~phi_b:phi ~field ~m_eff in
        let b = B.triangular ~phi_b:phi ~field ~m_eff in
        let numeric = W.transmission b ~energy:0. in
        abs_float (log closed -. log numeric) < 1e-3)
