@@ -283,9 +283,11 @@ type word_outcome = { mutable slowest : int; mutable total : int; mutable timed_
 let word_outcome () = { slowest = 0; total = 0; timed_out = false }
 
 (* The per-bit loop of an embedded word program, run here so no call
-   crosses a module boundary per cell. A failed pulse restores that bit's
-   pre-program cell from the unboxed snapshot (the record path only wrote
-   a cell back after a clean verify loop) and stops the word. *)
+   crosses a module boundary per cell. Only a target-0 bit still reading
+   1 is snapshotted and verified, and read again only if it took all
+   [max_pulses]. A failed pulse restores that bit's pre-program cell from
+   the unboxed snapshot (the record path only wrote a cell back after a
+   clean verify loop) and stops the word. *)
 let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
     ~max_pulses ~base ~bits ~data out =
   if bits >= Sys.int_size then invalid_arg "Cell_store.program_word: bits";
@@ -296,7 +298,8 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
   out.timed_out <- false;
   for i = 0 to bits - 1 do
     let idx = base + i in
-    if (data lsr i) land 1 = 0 then begin
+    if (data lsr i) land 1 = 1 then (if read_bit t idx = 0 then out.timed_out <- true)
+    else if read_bit t idx = 1 then begin
       let q0 = t.qfg.(idx) and c0 = t.cls.(idx) in
       let fl0 = t.fluence.(idx) and tr0 = t.traps.(idx) in
       let cy0 = t.cycles.(idx) and bk0 = Bytes.get t.broken idx in
@@ -311,19 +314,18 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
           Bytes.set t.broken idx bk0;
           raise failed
       in
-      if read_bit t idx = 1 then out.timed_out <- true;
+      if p = max_pulses && read_bit t idx = 1 then out.timed_out <- true;
       out.total <- out.total + p;
       if p > out.slowest then out.slowest <- p
     end
-    else if read_bit t idx = 0 then out.timed_out <- true
   done
 
-let zeros t ~lo ~hi =
-  let z = ref 0 in
-  for i = lo to hi do
-    z := !z + 1 - read_bit t i
+let all_erased t ~lo ~hi =
+  let i = ref lo in
+  while !i <= hi && read_bit t !i = 1 do
+    incr i
   done;
-  !z
+  !i > hi
 
 let sense t ~base ~bits =
   if bits >= Sys.int_size then invalid_arg "Cell_store.sense: bits";

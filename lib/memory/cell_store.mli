@@ -215,9 +215,9 @@ val program_word :
     only.
     @raise Invalid_argument if [bits >= Sys.int_size]. *)
 
-val zeros : t -> lo:int -> hi:int -> int
-(** Number of cells in [lo..hi] inclusive reading [0] (at 1 V): the
-    erase's first verify scan. *)
+val all_erased : t -> lo:int -> hi:int -> bool
+(** Every cell in [lo..hi] inclusive reads [1] (at 1 V): the erase's
+    first verify scan, which stops at the first cell reading [0]. *)
 
 val sense : t -> base:int -> bits:int -> int
 (** The packed readout of cells [base .. base + bits - 1] (at 1 V): bit

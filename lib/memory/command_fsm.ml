@@ -110,6 +110,9 @@ type seq =
 
 type t = {
   cfg : config;
+  words : int; (* [sectors * words_per_sector] *)
+  u1 : int; (* the unlock addresses 0x555 and 0x2AA, wrapped *)
+  u2 : int;
   store : S.t; (* cell [addr * word_bits + bit] *)
   pmemo : S.memo; (* program-pulse transitions, by starting charge id *)
   ememo : S.memo; (* erase-pulse transitions *)
@@ -139,10 +142,13 @@ let create ?(config = default_config) device =
      || config.write_buffer_words < 1 || config.max_pulses < 1
      || config.word_bits >= Sys.int_size || config.t_cycle <= 0.
   then invalid_arg "Command_fsm.create: bad geometry";
-  let n = config.sectors * config.words_per_sector * config.word_bits in
-  let store = S.create ~n device in
+  let words = config.sectors * config.words_per_sector in
+  let store = S.create ~n:(words * config.word_bits) device in
   {
     cfg = config;
+    words;
+    u1 = 0x555 mod words;
+    u2 = 0x2AA mod words;
     store;
     pmemo = S.memo store;
     ememo = S.memo store;
@@ -182,11 +188,13 @@ let create ?(config = default_config) device =
   }
 
 let config t = t.cfg
-let words t = t.cfg.sectors * t.cfg.words_per_sector
-(* [addr] wrapped into [0, words): [mod] keeps the sign *)
+let words t = t.words
+(* [addr] wrapped into [0, words), dividing only out of range *)
 let wrap t addr =
-  let a = addr mod words t in
-  if a < 0 then a + words t else a
+  if addr >= 0 && addr < t.words then addr
+  else
+    let a = addr mod t.words in
+    if a < 0 then a + t.words else a
 
 let sector_of t ~addr = wrap t addr / t.cfg.words_per_sector
 let now t = t.tm.clock
@@ -213,9 +221,12 @@ let tick t =
   t.ms.bus_cycles <- t.ms.bus_cycles + 1;
   commit t
 
-let step_to t target =
+let[@inline] step_to t target =
   if target > t.tm.clock then t.tm.clock <- target;
   commit t
+
+let step_quarter_erase_pulse t =
+  step_to t (t.tm.clock +. (0.25 *. t.cfg.erase_pulse.D.Program_erase.duration))
 
 let ready t = t.op = op_none
 
@@ -296,20 +307,21 @@ let program_word_cells t ~addr ~data =
    round (over-erasing already-clean cells — the real NOR over-erase
    hazard), verify per cell, repeat until the whole sector reads erased.
    Each round's kernel returns the cells still reading 0, so only the
-   first verify needs its own scan. Returns the number of rounds. *)
+   first verify needs its own scan, which stops at the first programmed
+   cell. Returns the number of rounds. *)
 let erase_sector_cells t ~sector =
   let lo = sector * t.cfg.words_per_sector * t.cfg.word_bits in
   let ncells = t.cfg.words_per_sector * t.cfg.word_bits in
   let hi = lo + ncells - 1 in
-  let programmed = ref (S.zeros t.store ~lo ~hi) in
+  let pending = ref (not (S.all_erased t.store ~lo ~hi)) in
   let rounds = ref 0 in
-  while !programmed > 0 && !rounds < t.cfg.max_pulses do
-    programmed :=
-      S.erase_round t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse ~lo ~hi;
+  while !pending && !rounds < t.cfg.max_pulses do
+    pending :=
+      S.erase_round t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse ~lo ~hi > 0;
     t.ms.erase_pulses <- t.ms.erase_pulses + ncells;
     incr rounds
   done;
-  if !programmed > 0 then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
+  if !pending then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
   !rounds
 
 let[@inline] launch t op ~arg duration =
@@ -327,10 +339,16 @@ let[@inline] physics_failed t e =
 let sense_word t ~addr =
   S.sense t.store ~base:(wrap t addr * t.cfg.word_bits) ~bits:t.cfg.word_bits
 
+(* [addr] (wrapped) lies in the suspended sector, if any *)
+let[@inline] in_suspended t addr =
+  t.suspended >= 0 && addr / t.cfg.words_per_sector = t.suspended
+
+(* A status answer as [read_word] returns it: [min_int] (so negative)
+   with DQ7, DQ6, DQ5 and DQ2 at bits 7, 6, 5 and 2. *)
 let status_read t ~addr ~toggle6 =
   t.ms.status_reads <- t.ms.status_reads + 1;
   if toggle6 then t.dq6 <- 1 - t.dq6;
-  if sector_of t ~addr = t.suspended then t.dq2 <- 1 - t.dq2;
+  if in_suspended t addr then t.dq2 <- 1 - t.dq2;
   let dq7 =
     if t.op = op_program then t.op_arg
     else if t.op <> op_none then 0 (* erasing: DQ7 reads 0 until done *)
@@ -340,19 +358,25 @@ let status_read t ~addr ~toggle6 =
     (* timeout bit: internal verify exhausted max_pulses at least once *)
     if t.ms.verify_timeouts > 0 then 1 else 0
   in
-  Status { dq7; dq6 = t.dq6; dq5; dq2 = t.dq2 }
+  min_int lor (dq7 lsl 7) lor (t.dq6 lsl 6) lor (dq5 lsl 5) lor (t.dq2 lsl 2)
 
-let read t ~addr =
+let read_word t ~addr =
   tick t;
   let addr = wrap t addr in
   if t.op <> op_none then status_read t ~addr ~toggle6:true
-  else if sector_of t ~addr = t.suspended then
+  else if in_suspended t addr then
     (* DQ6 does not toggle during suspend; DQ2 does *)
     status_read t ~addr ~toggle6:false
   else begin
     t.ms.data_reads <- t.ms.data_reads + 1;
-    Data (sense_word t ~addr)
+    S.sense t.store ~base:(addr * t.cfg.word_bits) ~bits:t.cfg.word_bits
   end
+
+let read t ~addr =
+  let w = read_word t ~addr in
+  if w >= 0 then Data w
+  else Status { dq7 = (w lsr 7) land 1; dq6 = (w lsr 6) land 1; dq5 = (w lsr 5) land 1;
+                dq2 = (w lsr 2) land 1 }
 
 let poll_ready t ~interval =
   let n = ref 0 in
@@ -371,6 +395,11 @@ let bad t ~addr ~data =
   let state = state_name t in
   t.seq <- Idle;
   Error (Bad_sequence { state; addr; data })
+
+(* [addr] (wrapped) lies in the write buffer's sector *)
+let[@inline] in_buffer_sector t addr =
+  let d = addr - (t.buf_sector * t.cfg.words_per_sector) in
+  d >= 0 && d < t.cfg.words_per_sector
 
 (* JEDEC buffers keep one entry per address: a word loaded twice takes
    the last value loaded, in the slot of its first load. *)
@@ -413,7 +442,6 @@ let erase_chip_cells t =
 let write t ~addr ~data =
   tick t;
   let addr = wrap t addr in
-  let u1 = 0x555 mod words t and u2 = 0x2AA mod words t in
   if t.op <> op_none then begin
     if data = 0xB0 then begin
       (* erase suspend: only a sector erase can be suspended *)
@@ -441,7 +469,7 @@ let write t ~addr ~data =
     | Word_program -> (
       (* data cycle of the single-word program *)
       t.seq <- Idle;
-      if sector_of t ~addr = t.suspended then begin
+      if in_suspended t addr then begin
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
         Error (Bad_sequence { state = "erase_suspended"; addr; data })
       end
@@ -458,7 +486,7 @@ let write t ~addr ~data =
       (* JEDEC encodes the word count as N-1 *)
       let count = data + 1 in
       let sector = t.buf_sector in
-      if sector_of t ~addr <> sector then begin
+      if not (in_buffer_sector t addr) then begin
         t.seq <- Idle;
         Error (Buffer_sector_crossing { sector; addr })
       end
@@ -475,7 +503,7 @@ let write t ~addr ~data =
       end
     | Buf_load ->
       let sector = t.buf_sector in
-      if sector_of t ~addr <> sector then begin
+      if not (in_buffer_sector t addr) then begin
         t.seq <- Idle;
         Error (Buffer_sector_crossing { sector; addr })
       end
@@ -485,7 +513,7 @@ let write t ~addr ~data =
       end
     | Buf_confirm ->
       let sector = t.buf_sector in
-      if data <> 0x29 || sector_of t ~addr <> sector then bad t ~addr ~data
+      if data <> 0x29 || not (in_buffer_sector t addr) then bad t ~addr ~data
       else begin
         t.seq <- Idle;
         if sector = t.suspended then begin
@@ -517,31 +545,31 @@ let write t ~addr ~data =
       t.ms.resumes <- t.ms.resumes + 1;
       Tel.count "command_fsm/resume";
       Ok ()
-    | Idle when addr = u1 && data = 0xAA ->
+    | Idle when addr = t.u1 && data = 0xAA ->
       t.seq <- Unlock1;
       Ok ()
-    | Unlock1 when addr = u2 && data = 0x55 ->
+    | Unlock1 when addr = t.u2 && data = 0x55 ->
       t.seq <- Unlocked;
       Ok ()
-    | Unlocked when addr = u1 && data = 0xA0 ->
+    | Unlocked when addr = t.u1 && data = 0xA0 ->
       t.seq <- Word_program;
       Ok ()
     | Unlocked when data = 0x25 ->
-      t.buf_sector <- sector_of t ~addr;
+      t.buf_sector <- addr / t.cfg.words_per_sector;
       t.seq <- Buf_count;
       Ok ()
-    | Unlocked when addr = u1 && data = 0x80 ->
+    | Unlocked when addr = t.u1 && data = 0x80 ->
       t.seq <- Erase_setup;
       Ok ()
-    | Erase_setup when addr = u1 && data = 0xAA ->
+    | Erase_setup when addr = t.u1 && data = 0xAA ->
       t.seq <- Erase_unlock1;
       Ok ()
-    | Erase_unlock1 when addr = u2 && data = 0x55 ->
+    | Erase_unlock1 when addr = t.u2 && data = 0x55 ->
       t.seq <- Erase_unlocked;
       Ok ()
     | Erase_unlocked when data = 0x30 -> (
       t.seq <- Idle;
-      let sector = sector_of t ~addr in
+      let sector = addr / t.cfg.words_per_sector in
       if t.suspended >= 0 then begin
         (* no nested erase while another sector erase is suspended *)
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;
@@ -556,7 +584,7 @@ let write t ~addr ~data =
           launch t op_sector_erase ~arg:sector
             (float_of_int rounds *. t.cfg.erase_pulse.D.Program_erase.duration);
           Ok ())
-    | Erase_unlocked when addr = u1 && data = 0x10 -> (
+    | Erase_unlocked when addr = t.u1 && data = 0x10 -> (
       t.seq <- Idle;
       if t.suspended >= 0 then begin
         t.ms.bad_sequences <- t.ms.bad_sequences + 1;

@@ -71,7 +71,10 @@ type t
     The command state, the running operation (an int tag plus its DQ7
     bit or sector) and the suspended erase (its sector, or -1) are
     immediate fields updated in place, so bus cycles and operation
-    launches allocate nothing on the heap. *)
+    launches allocate nothing on the heap. The word span and the wrapped
+    unlock addresses are kept too: a bus cycle divides only to wrap an
+    out-of-range address or to find a sector (of a buffer or erase
+    command, or while an erase is suspended). *)
 
 (** Result of one bus read cycle. *)
 type read_result =
@@ -161,14 +164,21 @@ val write : t -> addr:int -> data:int -> (unit, error) result
     the slot of its first load). Errors leave the device state unchanged
     apart from the consumed bus cycle and the [bad_sequences] counter. *)
 
-val read : t -> addr:int -> read_result
-(** One bus read cycle (advances the clock by [t_cycle]). Returns
-    {!constructor-Status} while the device is busy, or for addresses in
-    the suspended sector while an erase is suspended. *)
+val read_word : t -> addr:int -> int
+(** One bus read cycle (advances the clock by [t_cycle]), allocating
+    nothing: the sensed word (non-negative, as in {!constructor-Data}) or,
+    for a {!constructor-Status} answer, a negative int with DQ7, DQ6, DQ5
+    and DQ2 at bits 7, 6, 5 and 2. *)
 
-val step_to : t -> float -> unit
-(** Advance the model clock to [max now t], completing any embedded
-    operation whose busy window ends by then. *)
+val read : t -> addr:int -> read_result
+(** {!read_word} as a variant. Returns {!constructor-Status} while the
+    device is busy, or for addresses in the suspended sector while an
+    erase is suspended. *)
+
+val step_quarter_erase_pulse : t -> unit
+(** Advance the model clock by a quarter of [erase_pulse]'s duration,
+    completing any operation whose busy window ends by then: a host
+    letting an erase run before suspending it, with no float to box. *)
 
 val wait_ready : t -> unit
 (** RY/BY#-style wait: jump the clock to the end of the current busy

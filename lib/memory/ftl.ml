@@ -47,8 +47,8 @@ type journal = {
 
    One mutable handle, updated in place. The only copy of the state is
    [undo], preallocated at [create] and filled only when a write is about
-   to garbage-collect, so a write that ends in [Device_full] can roll every
-   GC run it made back. *)
+   to garbage-collect near the end of life (see [ensure_space]), so a
+   write that ends in [Device_full] can roll every GC run it made back. *)
 
 let p_free = -1
 let p_invalid = -2
@@ -301,15 +301,35 @@ let overwrite dst src =
 
 let needs_gc t = fully_free_blocks t < 1 || free_pages t <= t.config.gc_threshold
 
+(* Some live block is within [gc_threshold + 1] erases of retirement. *)
+let near_end_of_life t =
+  let horizon = t.config.endurance_limit - t.config.gc_threshold - 1 and near = ref false in
+  for b = 0 to t.config.blocks - 1 do
+    near := !near || ((not t.retired.(b)) && t.erase_counts.(b) >= horizon)
+  done;
+  !near
+
 (* Maintain the invariant that a spare fully-free block exists before
    accepting a host write (plus the configured free-page low-water mark),
    or accept the state as-is when nothing more is reclaimable but the
    allocator still has room. On [Device_full] every GC run of this call
-   is rolled back from the undo image. *)
+   is rolled back from the undo image.
+
+   The image is filled only near the end of life, because only a GC run
+   that retires its victim can end a call in [Device_full]:
+   - A run that does not retire its victim leaves it fully free (it is
+     not the open block), and a failed [garbage_collect] touches nothing,
+     so the call ends [writable]. A call with no run changed nothing.
+   - Such a run frees the victim's invalid pages, at least one, so the
+     free pages grow. After it a fully-free block exists, so the loop
+     goes on only while [free_pages <= gc_threshold]: without retirement
+     a call makes at most [gc_threshold + 1] runs, so it cannot retire a
+     block with fewer than [endurance_limit - gc_threshold - 1] erases. *)
 let ensure_space t =
   if not (needs_gc t) then Ok ()
   else begin
-    (match t.undo with Some u -> overwrite u t | None -> ());
+    let undo = if near_end_of_life t then t.undo else None in
+    (match undo with Some u -> overwrite u t | None -> ());
     while needs_gc t && garbage_collect t do
       ()
     done;
@@ -318,7 +338,7 @@ let ensure_space t =
        alone is NOT sufficient here *)
     if writable t then Ok ()
     else begin
-      (match t.undo with Some u -> overwrite t u | None -> ());
+      (match undo with Some u -> overwrite t u | None -> ());
       Error Device_full
     end
   end

@@ -17,7 +17,9 @@
     [pages_per_block] pages per fully-free block — so a GC run never fails
     part-way. A write that ends in [Device_full] rolls back every GC run it
     made, from an undo image allocated at {!create}: the state and the
-    journal are exactly as before the call. *)
+    journal are exactly as before the call. Only a run that retires its
+    victim can end a write there, so the image is filled only while a
+    live block is within [gc_threshold + 1] erases of [endurance_limit]. *)
 
 type page_state =
   | Free

@@ -68,6 +68,8 @@ type t = {
   fsm : Command_fsm.t;
   tm : Command_fsm.timing; (* [fsm]'s clock, read unboxed *)
   ftl : Ftl.t; (* mutable, owned by this instance *)
+  u1 : int; (* the device's unlock addresses, 0x555 and 0x2AA wrapped *)
+  u2 : int;
   store : int array; (* ground truth per logical page: packed data, -1 none *)
   cw_memo : cw_memo; (* data -> codeword *)
   dec_memo : cw_memo; (* sensed codeword -> data, -1 uncorrectable *)
@@ -116,6 +118,8 @@ let create ?(config = default_config) device =
     fsm;
     tm = Command_fsm.timing fsm;
     ftl;
+    u1 = 0x555 mod Command_fsm.words fsm;
+    u2 = 0x2AA mod Command_fsm.words fsm;
     store = Array.make (Ftl.logical_capacity ftl) (-1);
     cw_memo = memo ();
     dec_memo = memo ();
@@ -144,9 +148,6 @@ let bus_write s ~addr ~data =
     failwith
       (Printf.sprintf "Service: device rejected 0x%X @ 0x%X: %s" data addr
          (Command_fsm.error_to_string e))
-
-let u1 s = 0x555 mod Command_fsm.words s.fsm
-let u2 s = 0x2AA mod Command_fsm.words s.fsm
 
 let finish s =
   if s.cfg.poll_interval > 0. then
@@ -219,9 +220,9 @@ let addr_of s ~block ~page =
 (* ---------- mirrored device operations ---------- *)
 
 let program_word s ~addr ~word =
-  bus_write s ~addr:(u1 s) ~data:0xAA;
-  bus_write s ~addr:(u2 s) ~data:0x55;
-  bus_write s ~addr:(u1 s) ~data:0xA0;
+  bus_write s ~addr:s.u1 ~data:0xAA;
+  bus_write s ~addr:s.u2 ~data:0x55;
+  bus_write s ~addr:s.u1 ~data:0xA0;
   bus_write s ~addr ~data:word;
   finish s
 
@@ -250,8 +251,8 @@ let entry_word s (j : Ftl.journal) ~host_lpn ~host_data i =
    [sector]). *)
 let program_buffer s j ~sector ~count ~host_lpn ~host_data first =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
-  bus_write s ~addr:(u1 s) ~data:0xAA;
-  bus_write s ~addr:(u2 s) ~data:0x55;
+  bus_write s ~addr:s.u1 ~data:0xAA;
+  bus_write s ~addr:s.u2 ~data:0x55;
   bus_write s ~addr:sa ~data:0x25;
   bus_write s ~addr:sa ~data:(count - 1);
   for i = first to first + count - 1 do
@@ -264,29 +265,23 @@ let program_buffer s j ~sector ~count ~host_lpn ~host_data first =
 
 let erase_sector s ~sector ~suspend =
   let sa = sector * s.cfg.ftl.Ftl.pages_per_block in
-  bus_write s ~addr:(u1 s) ~data:0xAA;
-  bus_write s ~addr:(u2 s) ~data:0x55;
-  bus_write s ~addr:(u1 s) ~data:0x80;
-  bus_write s ~addr:(u1 s) ~data:0xAA;
-  bus_write s ~addr:(u2 s) ~data:0x55;
+  bus_write s ~addr:s.u1 ~data:0xAA;
+  bus_write s ~addr:s.u2 ~data:0x55;
+  bus_write s ~addr:s.u1 ~data:0x80;
+  bus_write s ~addr:s.u1 ~data:0xAA;
+  bus_write s ~addr:s.u2 ~data:0x55;
   bus_write s ~addr:sa ~data:0x30;
   if suspend && not (Command_fsm.ready s.fsm) then begin
     (* let the erase run a little, then suspend it and peek at the device *)
+    Command_fsm.step_quarter_erase_pulse s.fsm;
     let cfg = Command_fsm.config s.fsm in
-    Command_fsm.step_to s.fsm
-      (s.tm.Command_fsm.clock
-      +. (0.25 *. cfg.Command_fsm.erase_pulse.D.Program_erase.duration));
     if not (Command_fsm.ready s.fsm) then begin
       bus_write s ~addr:sa ~data:0xB0;
       (* a read inside the suspended sector answers with DQ2 toggling... *)
-      ignore (Command_fsm.read s.fsm ~addr:sa);
-      (* ...while other sectors serve data as usual *)
+      ignore (Command_fsm.read_word s.fsm ~addr:sa : int);
+      (* ...while the next sector (wrapping to 0) serves data as usual *)
       if cfg.Command_fsm.sectors > 1 then
-        ignore
-          (Command_fsm.read s.fsm
-             ~addr:
-               ((sector + 1) mod cfg.Command_fsm.sectors
-               * cfg.Command_fsm.words_per_sector));
+        ignore (Command_fsm.read_word s.fsm ~addr:(sa + cfg.Command_fsm.words_per_sector) : int);
       bus_write s ~addr:sa ~data:0x30 (* resume *)
     end
   end;
@@ -356,19 +351,18 @@ let exec_read s ~lpn =
   if addr < 0 then fold 0 s
   else begin
     s.read_hits <- s.read_hits + 1;
-    match Command_fsm.read s.fsm ~addr with
-    | Command_fsm.Status _ ->
+    let cw = Command_fsm.read_word s.fsm ~addr in
+    if cw < 0 then
       (* the service always waits for ready, so a status answer on the
          read path is a protocol violation *)
-      failwith "Service: data read answered with status while ready"
-    | Command_fsm.Data cw ->
-      let d = data_of s cw in
-      let matches = d >= 0 && d = s.store.(lpn) in
-      fold (Bool.to_int matches) s;
-      if not matches then begin
-        s.read_mismatches <- s.read_mismatches + 1;
-        Tel.count "service/read_mismatch"
-      end
+      failwith "Service: data read answered with status while ready";
+    let d = data_of s cw in
+    let matches = d >= 0 && d = s.store.(lpn) in
+    fold (Bool.to_int matches) s;
+    if not matches then begin
+      s.read_mismatches <- s.read_mismatches + 1;
+      Tel.count "service/read_mismatch"
+    end
   end
 
 let exec_write s ~lpn ~data ~suspend =
@@ -395,10 +389,13 @@ let exec_write s ~lpn ~data ~suspend =
       fold data.(i) s
     done
 
-(* [lpn] reduced into [0, logical_pages): [mod] keeps the sign *)
+(* [lpn] reduced into [0, logical_pages), dividing only out of range *)
 let page_of s lpn =
-  let r = lpn mod logical_pages s in
-  if r < 0 then r + logical_pages s else r
+  let n = logical_pages s in
+  if lpn >= 0 && lpn < n then lpn
+  else
+    let r = lpn mod n in
+    if r < 0 then r + n else r
 
 (* The latency is timed off the flat timing record and counted by the
    inlined [add_latency]: passing [t0] or [dt] to a function that is not

@@ -38,8 +38,9 @@ type op =
   | Erange of int * int (* apply_pulse_range over lo..hi *)
   | Verify of int * int (* program-verify of a cell, up to max pulses *)
   | Round of int * int (* erase round over lo..hi, counting cells at 0 *)
-  | Word of int * int * int (* word program: base, bits, data; 8 pulses max *)
-  | Zeros of int * int (* cells of lo..hi reading 0 *)
+  | Word of int * int * int * int
+      (* word program: base, bits, data, max pulses per bit *)
+  | Erased of int * int (* every cell of lo..hi reads 1 *)
   | Sense of int * int (* packed readout: base, bits *)
   | Reset (* every cell back to its starting charge, wear kept *)
 
@@ -67,7 +68,7 @@ let with_fault_phase c ~reset go =
 (* ---------- the implementations under comparison ---------- *)
 
 (* Each op's outcome: [Ok] of its counts (pulses for [Verify], cells at
-   0 for [Round] and [Zeros], the packed word for [Sense], slowest bit,
+   0 for [Round], 1 when [Erased] holds, the packed word for [Sense], slowest bit,
    total pulses and timeout for [Word], 0 for the others) or its error.
    A failed [Word] also reports the pulses its earlier bits took. *)
 
@@ -98,7 +99,7 @@ let loop_round s m ~pulse ~lo ~hi =
 (* The word program as [Command_fsm] ran it before [S.program_word]:
    per target-0 bit, a verify loop; a failed pulse restores that bit's
    cell from a boxed snapshot and stops the word. *)
-let loop_word s m ~pulse ~base ~bits ~data =
+let loop_word s m ~pulse ~max_pulses ~base ~bits ~data =
   let rec go i slowest total timeout =
     if i >= bits then Ok [ slowest; total; Bool.to_int timeout ]
     else
@@ -107,7 +108,7 @@ let loop_word s m ~pulse ~base ~bits ~data =
         go (i + 1) slowest total (timeout || S.bit s idx = 0)
       else
         let before = S.view s idx in
-        match loop_verify s m ~pulse ~max_pulses:word_max_pulses idx with
+        match loop_verify s m ~pulse ~max_pulses idx with
         | Ok p ->
           go (i + 1) (max slowest p) (total + p) (timeout || S.bit s idx = 1)
         | Error e ->
@@ -116,12 +117,12 @@ let loop_word s m ~pulse ~base ~bits ~data =
   in
   go 0 0 0 false
 
-let loop_zeros s ~lo ~hi =
+let loop_erased s ~lo ~hi =
   let z = ref 0 in
   for i = lo to hi do
     if S.bit s i = 0 then incr z
   done;
-  [ !z ]
+  [ Bool.to_int (!z = 0) ]
 
 let loop_sense s ~base ~bits =
   let w = ref 0 in
@@ -130,7 +131,7 @@ let loop_sense s ~base ~bits =
   done;
   [ !w ]
 
-(* The store, with [Verify]/[Round]/[Word]/[Zeros]/[Sense] through the
+(* The store, with [Verify]/[Round]/[Word]/[Erased]/[Sense] through the
    fused kernels or through the per-cell loops. *)
 let run_store ~fused c =
   let d = fresh_device () in
@@ -166,16 +167,17 @@ let run_store ~fused c =
       | z -> Ok [ z ]
       | exception S.Pulse_error e -> Error e)
     | Round (lo, hi) -> loop_round s em ~pulse:ep ~lo ~hi
-    | Word (base, bits, data) when fused -> (
+    | Word (base, bits, data, max_pulses) when fused -> (
       match
-        S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses ~base
+        S.program_word s ~memo:pm ~pulse:pp ~max_pulses ~base
           ~bits ~data out
       with
       | () -> Ok [ out.S.slowest; out.S.total; Bool.to_int out.S.timed_out ]
       | exception S.Pulse_error e -> word_failed e out.S.total)
-    | Word (base, bits, data) -> loop_word s pm ~pulse:pp ~base ~bits ~data
-    | Zeros (lo, hi) when fused -> Ok [ S.zeros s ~lo ~hi ]
-    | Zeros (lo, hi) -> Ok (loop_zeros s ~lo ~hi)
+    | Word (base, bits, data, max_pulses) ->
+      loop_word s pm ~pulse:pp ~max_pulses ~base ~bits ~data
+    | Erased (lo, hi) when fused -> Ok [ Bool.to_int (S.all_erased s ~lo ~hi) ]
+    | Erased (lo, hi) -> Ok (loop_erased s ~lo ~hi)
     | Sense (base, bits) when fused -> Ok [ S.sense s ~base ~bits ]
     | Sense (base, bits) -> Ok (loop_sense s ~base ~bits)
     | Reset ->
@@ -226,17 +228,17 @@ let run_record c =
     done;
     (!p, !err)
   in
-  let rec word base bits data i slowest total timeout =
+  let rec word base bits data max_pulses i slowest total timeout =
     if i >= bits then Ok [ slowest; total; Bool.to_int timeout ]
     else
       let idx = base + i in
       if (data lsr i) land 1 = 1 then
-        word base bits data (i + 1) slowest total (timeout || bit idx = 0)
+        word base bits data max_pulses (i + 1) slowest total (timeout || bit idx = 0)
       else
         let before = cells.(idx) in
-        match verify idx word_max_pulses with
+        match verify idx max_pulses with
         | p, None ->
-          word base bits data (i + 1) (max slowest p) (total + p)
+          word base bits data max_pulses (i + 1) (max slowest p) (total + p)
             (timeout || bit idx = 1)
         | _, Some e ->
           cells.(idx) <- before;
@@ -262,10 +264,10 @@ let run_record c =
     | Round (lo, hi) ->
       let zeros, err = round lo hi in
       outcome zeros err
-    | Word (base, bits, data) -> word base bits data 0 0 0 false
-    | Zeros (lo, hi) ->
+    | Word (base, bits, data, max_pulses) -> word base bits data max_pulses 0 0 0 false
+    | Erased (lo, hi) ->
       let range = List.init (hi - lo + 1) (( + ) lo) in
-      Ok [ List.length (List.filter (fun i -> bit i = 0) range) ]
+      Ok [ Bool.to_int (List.for_all (fun i -> bit i = 1) range) ]
     | Sense (base, bits) ->
       Ok [ List.fold_left ( lor ) 0 (List.init bits (fun i -> bit (base + i) lsl i)) ]
     | Reset ->
@@ -360,9 +362,9 @@ let gen_kernel_case ~cells ~faults =
           (3, map (fun (lo, hi) -> Round (lo, hi)) range);
           ( 3,
             map2
-              (fun (lo, hi) data -> Word (lo, width lo hi, data))
-              range (int_bound 63) );
-          (1, map (fun (lo, hi) -> Zeros (lo, hi)) range);
+              (fun ((lo, hi), max_pulses) data -> Word (lo, width lo hi, data, max_pulses))
+              (pair range (int_range 1 word_max_pulses)) (int_bound 63) );
+          (1, map (fun (lo, hi) -> Erased (lo, hi)) range);
           (2, map (fun (lo, hi) -> Sense (lo, width lo hi)) range);
           (2, return Reset);
         ]
@@ -376,7 +378,7 @@ let gen_kernel_case ~cells ~faults =
     bool >>= fun inbox -> return { charges; broken_at; ops; fault_seed; inbox })
 
 let prop_kernels =
-  prop "fused kernels = per-cell loop" ~count:20
+  prop "fused kernels = per-cell loop" ~count:50
     (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:false)
     all_agree
 
@@ -395,7 +397,7 @@ let prop_word_fault =
       int_range 4 8 >>= fun n ->
       let word =
         map2
-          (fun base data -> Word (base, n - base, data))
+          (fun base data -> Word (base, n - base, data, word_max_pulses))
           (int_range 0 (n - 1)) (int_bound 255)
       in
       list_size (int_range 2 8) (frequency [ (4, word); (1, return Reset) ])
@@ -820,7 +822,7 @@ let test_memo_hits_allocate_nothing () =
         ~bits:4 ~data:0b0110 out
     done
   in
-  let zeros () = ignore (S.zeros s ~lo:0 ~hi:(n - 1)) in
+  let erased () = ignore (S.all_erased s ~lo:0 ~hi:(n - 1)) in
   let sense () = ignore (S.sense s ~base:0 ~bits:n) in
   (* warm-up: every starting charge each kernel meets is memoized *)
   List.iter (fun f -> reset (); f ()) [ at; verify; round; word ];
@@ -837,7 +839,7 @@ let test_memo_hits_allocate_nothing () =
   Alcotest.(check (float 0.)) "program_verify hits" 0. (hits verify);
   Alcotest.(check (float 0.)) "erase_round hits" 0. (hits round);
   Alcotest.(check (float 0.)) "program_word hits" 0. (hits word);
-  Alcotest.(check (float 0.)) "zeros" 0. (hits zeros);
+  Alcotest.(check (float 0.)) "all_erased" 0. (hits erased);
   Alcotest.(check (float 0.)) "sense" 0. (hits sense);
   (* the replays really were replays of the warm-up answers *)
   reset ();

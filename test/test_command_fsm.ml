@@ -473,6 +473,134 @@ let prop_garbage_cycle_rejected_then_recovers =
        program t ~addr:0 ~data:0b00111;
        garbage_rejected && word_at t ~addr:0 = 0b00111)
 
+(* ---- the int read against the variant read -------------------------- *)
+
+(* A random bus script: command sequences and raw cycles, at addresses
+   that are in range, negative or past the span, so the decode's fast
+   path and its wrap both run, and reads land while busy and inside a
+   suspended sector. *)
+type bus_op =
+  | Raw of int * int (* one bus write cycle: addr, data *)
+  | Program of int * int * int (* unlock alias, addr, data *)
+  | Erase of int * int * bool
+      (* unlock alias, an address in the sector, suspend at once *)
+  | Buffer of int * (int * int) list (* sector address, loads *)
+  | Read of int
+  | Wait
+
+let n_words = small.C.sectors * small.C.words_per_sector
+
+(* where [read_word] must sense address [a] *)
+let canonical a = ((a mod n_words) + n_words) mod n_words
+
+let gen_bus_ops =
+  let open QCheck2.Gen in
+  let addr =
+    frequency
+      [
+        (4, int_range 0 (n_words - 1));
+        (2, int_range (-4 * n_words) (-1));
+        (2, int_range n_words (4 * n_words));
+        (1, oneofl [ min_int; max_int; -1; n_words ]);
+      ]
+  in
+  (* an unlock address's alias: the same word, [k] spans away *)
+  let alias = int_range (-2) 2 in
+  let data = int_range 0 ((1 lsl small.C.word_bits) - 1) in
+  let command = oneofl [ 0xAA; 0x55; 0xA0; 0x80; 0x30; 0x10; 0xB0; 0xF0; 0x25; 0x29 ] in
+  let op =
+    frequency
+      [
+        (2, map2 (fun a d -> Raw (a, d)) addr (oneof [ command; data ]));
+        (1, return (Raw (0, 0xB0)) (* suspend *));
+        (1, return (Raw (0, 0x30)) (* resume *));
+        (3, map3 (fun k a d -> Program (k, a, d)) alias addr data);
+        (3, map3 (fun k a s -> Erase (k, a, s)) alias addr bool);
+        ( 1,
+          map2
+            (fun a loads -> Buffer (a, loads))
+            addr
+            (list_size (int_range 1 small.C.write_buffer_words) (pair addr data)) );
+        (5, map (fun a -> Read a) addr);
+        (4, return Wait);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let print_bus_op = function
+  | Raw (a, d) -> Printf.sprintf "Raw(%d,0x%X)" a d
+  | Program (k, a, d) -> Printf.sprintf "Program(%d,%d,%d)" k a d
+  | Erase (k, a, s) -> Printf.sprintf "Erase(%d,%d,%b)" k a s
+  | Buffer (a, l) ->
+    Printf.sprintf "Buffer(%d,[%s])" a
+      (String.concat ";" (List.map (fun (x, d) -> Printf.sprintf "%d,%d" x d) l))
+  | Read a -> Printf.sprintf "Read %d" a
+  | Wait -> "Wait"
+
+(* Runs the script on [t], answering each bus read with [read]: a data
+   word as itself, a status answer as [-1 - (DQ7, DQ6, DQ5, DQ2 at bits
+   7, 6, 5, 2)]. Returns every cycle's outcome in order, and whether
+   each data answer was the word at the address's canonical slot. *)
+let run_script t ~read ops =
+  let out = ref [] and landed = ref true in
+  let w ~addr ~data =
+    out := (match C.write t ~addr ~data with Ok () -> 0 | Error _ -> 1) :: !out
+  in
+  let unlock k =
+    w ~addr:(u1 t + (k * n_words)) ~data:0xAA;
+    w ~addr:(u2 t - (k * n_words)) ~data:0x55
+  in
+  List.iter
+    (function
+      | Raw (addr, data) -> w ~addr ~data
+      | Program (k, addr, data) ->
+        unlock k;
+        w ~addr:(u1 t) ~data:0xA0;
+        w ~addr ~data
+      | Erase (k, addr, suspend) ->
+        unlock k;
+        w ~addr:(u1 t - (k * n_words)) ~data:0x80;
+        unlock (-k);
+        w ~addr ~data:0x30;
+        if suspend then w ~addr ~data:0xB0
+      | Buffer (addr, loads) ->
+        unlock 0;
+        w ~addr ~data:0x25;
+        w ~addr ~data:(List.length loads - 1);
+        List.iter (fun (a, d) -> w ~addr:a ~data:d) loads;
+        w ~addr ~data:0x29
+      | Read addr ->
+        let r = read t ~addr in
+        if r >= 0 && r <> C.sense_word t ~addr:(canonical addr) then landed := false;
+        out := r :: !out
+      | Wait -> C.wait_ready t)
+    ops;
+  (List.rev !out, !landed)
+
+let variant_read t ~addr =
+  match C.read t ~addr with
+  | C.Data w -> w
+  | C.Status { dq7; dq6; dq5; dq2 } ->
+    -1 - ((dq7 lsl 7) lor (dq6 lsl 6) lor (dq5 lsl 5) lor (dq2 lsl 2))
+
+let int_read t ~addr =
+  let w = C.read_word t ~addr in
+  if w >= 0 then w else -1 - (w land 0b1110_0100)
+
+let prop_int_read_matches_variant =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"read_word = read, on random bus scripts"
+       ~print:(fun ops -> String.concat " " (List.map print_bus_op ops))
+       gen_bus_ops
+       (fun ops ->
+          let a = mk () and b = mk () in
+          let out_a, landed_a = run_script a ~read:variant_read ops in
+          let out_b, landed_b = run_script b ~read:int_read ops in
+          out_a = out_b && landed_a && landed_b
+          && C.stats a = C.stats b
+          && C.state_digest a = C.state_digest b))
+
 let () =
   Alcotest.run "command_fsm"
     [
@@ -503,5 +631,6 @@ let () =
           prop_busy_until_wait;
           prop_suspend_resume_transparent;
           prop_garbage_cycle_rejected_then_recovers;
+          prop_int_read_matches_variant;
         ] );
     ]

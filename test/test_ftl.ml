@@ -458,6 +458,50 @@ let prop_random_ops_to_exhaustion =
        let s = F.stats t in
        !ok && s.F.device_writes >= s.F.host_writes)
 
+(* Runs a random write/trim history (journal cleared now and then, as
+   the service does after mirroring a write) until 20 writes were
+   rejected or every block retired; true when every write rejected with
+   [Device_full] left the columns, the stats and the journal exactly as
+   before the call, and at least one was. *)
+let rejections_leave_state ~cfg seed =
+  let t = F.create cfg in
+  let capacity = F.logical_capacity t in
+  let ok = ref true and rejected = ref 0 and step = ref 0 in
+  let snapshot () = (F.For_testing.columns t, F.stats t, view_entries t) in
+  while !ok && !rejected < 20 && (F.stats t).F.retired_blocks < cfg.F.blocks do
+    let h = Sm.hash ~seed ~index:!step in
+    let lpn = h mod capacity in
+    (match (h lsr 32) mod 10 with
+     | 0 -> F.trim_in_place t ~lpn
+     | 1 -> F.clear_journal t
+     | _ -> (
+       let before = snapshot () in
+       match F.write_in_place t ~lpn with
+       | Ok () -> ()
+       | Error F.Device_full ->
+         incr rejected;
+         if snapshot () <> before then ok := false
+       | Error _ -> ok := false));
+    incr step
+  done;
+  !ok && !rejected > 0
+
+(* At endurance limits 2-4 and GC thresholds 1-7, some calls start near
+   the end of life (the rollback image taken) and some do not. *)
+let prop_rejected_write_leaves_state =
+  prop "a Device_full write leaves columns, stats and journal" ~count:40
+    QCheck2.Gen.(triple (int_range 2 4) (int_range 1 7) (int_range 0 100_000))
+    (fun (endurance_limit, gc_threshold, seed) ->
+       rejections_leave_state ~cfg:{ small with F.endurance_limit; gc_threshold } seed)
+
+(* The same at the default endurance limit, where the image is skipped
+   until a block comes within [gc_threshold + 1] erases of it. *)
+let prop_rejected_write_leaves_state_default_limit =
+  prop "a Device_full write leaves the state, default endurance limit" ~count:2
+    QCheck2.Gen.(int_range 0 100_000)
+    (rejections_leave_state
+       ~cfg:{ small with F.endurance_limit = F.default_config.F.endurance_limit })
+
 let prop_journal_mirrors_counters =
   prop "drained journal agrees with the write counters" ~count:20
     QCheck2.Gen.(int_range 0 10_000)
@@ -563,6 +607,8 @@ let () =
           prop_mapping_consistent_after_random_trace;
           prop_written_pages_stay_mapped;
           prop_random_ops_to_exhaustion;
+          prop_rejected_write_leaves_state;
+          prop_rejected_write_leaves_state_default_limit;
           prop_journal_mirrors_counters;
           prop_journal_view_matches_take;
         ] );

@@ -179,12 +179,12 @@ let test_disturb_feedback_threaded () =
     (run (Some dcfg)).S.state_digest
 
 (* Native code only, like every allocation pin below. A warm read
-   (mapped page, codeword already decoded once) allocates only the bus's
-   [Data] answer (2 words), which crosses the module boundary as a
-   value. The packed read path itself -- FTL lookup, packed sense,
-   memoized SEC-DED decode, integer compare -- and the latency record,
-   timed off the FSM's flat clock record, allocate nothing. *)
-let warm_read_words = 2.
+   (mapped page, codeword already decoded once) allocates nothing: the
+   bus answers through the unboxed [Command_fsm.read_word], and the FTL
+   lookup, packed sense, memoized SEC-DED decode, integer compare and the
+   latency record, timed off the FSM's flat clock record, allocate
+   nothing either. *)
+let warm_read_words = 0.
 
 let test_warm_read_allocation () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
@@ -249,6 +249,41 @@ let test_warm_write_allocation () =
     cmds;
   check_true "simple writes measured" (!simple > 100);
   check_true "collecting writes measured" (!collecting > 10);
+  Alcotest.(check int) "no op lost" 0 (S.report s).S.lost_ops
+
+(* A warm suspended write allocates nothing either: its first GC erase
+   is suspended, then peeked at by an int read inside its sector (a
+   status answer: DQ2 toggles, no [Status] record is built) and one in
+   the next sector (data), then resumed. *)
+let test_warm_suspended_write_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let s = mk () in
+  let pages = S.logical_pages s in
+  let cmds =
+    Array.init 500 (fun i ->
+        W.Cmd_write { lpn = i * 5 mod pages; data = [| 0; 1; 1; 0 |]; suspend = true })
+  in
+  for _ = 1 to 3 do
+    Array.iter (S.exec s) cmds
+  done;
+  let dev = S.device s in
+  let suspended = ref 0 in
+  Array.iter
+    (fun cmd ->
+      let st0 = C.stats dev in
+      let w = exec_words s cmd in
+      let st1 = C.stats dev in
+      if st1.C.suspends > st0.C.suspends then begin
+        incr suspended;
+        Alcotest.(check int) "one suspend" 1 (st1.C.suspends - st0.C.suspends);
+        Alcotest.(check int) "in-sector peek answered status" 1
+          (st1.C.status_reads - st0.C.status_reads);
+        Alcotest.(check int) "out-of-sector peek answered data" 1
+          (st1.C.data_reads - st0.C.data_reads);
+        Alcotest.(check (float 0.)) "minor words per warm suspended write" 0. w
+      end)
+    cmds;
+  check_true "suspended writes measured" (!suspended > 10);
   Alcotest.(check int) "no op lost" 0 (S.report s).S.lost_ops
 
 (* Trims, and reads of the pages they unmapped, allocate nothing. *)
@@ -385,6 +420,8 @@ let () =
           case "disturb feedback threaded" test_disturb_feedback_threaded;
           case "warm read allocation" test_warm_read_allocation;
           case "warm write allocation" test_warm_write_allocation;
+          case "warm suspended write allocation"
+            test_warm_suspended_write_allocation;
           case "trim and unmapped read allocation" test_trim_allocation;
           case "streamed trace matches array" test_streamed_trace_matches_array;
           case "latency table counts observed latencies"

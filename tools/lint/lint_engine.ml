@@ -232,7 +232,7 @@ let suppression allows ~line ~rule =
 let l3_targets =
   let mk m fns = List.map (fun f -> "Gnrflash_numerics." ^ m ^ "." ^ f) fns in
   mk "Roots" [ "bisect"; "brent"; "newton"; "secant"; "bracket_root" ]
-  @ mk "Ode" [ "euler"; "rk4"; "rkf45_dense"; "integrate" ]
+  @ mk "Ode" [ "euler"; "rk4"; "integrate" ]
   @ mk "Quadrature"
       [
         "trapezoid";
