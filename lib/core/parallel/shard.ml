@@ -29,8 +29,6 @@ type 'b payload =
 (* Set (only) in forked children, before the slice runs. *)
 let worker_slot : int option ref = ref None
 
-let shard_seed ~seed ~shard = Gnrflash_prng.Splitmix.hash ~seed ~index:shard
-
 let solver = "Sweep.shard"
 
 let fail_worker ~shard detail =

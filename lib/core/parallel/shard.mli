@@ -41,13 +41,6 @@ val run :
     @raise Gnrflash_resilience.Solver_error.Solver_failure with kind
     [Worker_failed] if a worker dies or returns a malformed frame. *)
 
-(* lint: allow L14 — no program calls it; test_shard pins it *)
-val shard_seed : seed:int -> shard:int -> int
-(** Deterministic per-shard seed: [Splitmix.hash ~seed ~index:shard]. For
-    workloads that want an independent stream per shard rather than the
-    per-element [Sweep.splitmix] seeding (which is already
-    shard-independent). *)
-
 (** Observers for tests: where a closure is running. *)
 module For_testing : sig
   val in_worker : unit -> bool

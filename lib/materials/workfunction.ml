@@ -30,14 +30,4 @@ let work_function = function
     4.8 +. (0.1 /. d_nm *. 0.5)
   | Custom (_, wf) -> wf
 
-let name = function
-  | N_poly_si -> "n+ poly-Si"
-  | P_poly_si -> "p+ poly-Si"
-  | Aluminium -> "Al"
-  | Titanium_nitride -> "TiN"
-  | Graphene -> "graphene"
-  | Mlgnr n -> Printf.sprintf "MLGNR(%d)" n
-  | Cnt d -> Printf.sprintf "CNT(d=%.2fnm)" (d *. 1e9)
-  | Custom (n, _) -> n
-
 let barrier_height e (ox : Oxide.t) = work_function e -. ox.electron_affinity

@@ -16,10 +16,6 @@ val work_function : electrode -> float
     graphite (≈ 4.6 eV) as layers are added; CNT work function decreases
     slightly with diameter around ≈ 4.8 eV. *)
 
-(* lint: allow L14 — no program calls it; test_workfunction pins it *)
-val name : electrode -> string
-(** Display name. *)
-
 val barrier_height : electrode -> Oxide.t -> float
 (** [barrier_height e ox] is the electron tunneling barrier
     Φ_B = W(e) − χ(ox) in eV — the energy an electron at the electrode Fermi

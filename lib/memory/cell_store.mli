@@ -164,9 +164,11 @@ val pe_cycle :
     readout. Each is [Cell.For_testing.effective_vt ~reliability]
     of {!view}, computed in place as
     [(vt0 +. dvt) +. dvt_per_trap *. traps], so it is bit-identical.
-    The loop runs here because under [-opaque] every float returned
-    across a module boundary is boxed. A cycle whose two pulses replay
-    from the memos allocates nothing.
+    The arithmetic sits here, not in [Endurance], because it was written
+    for dune's dev profile, whose [-opaque] boxes every float returned
+    across a module boundary; the default profile (root [dune-workspace])
+    builds without [-opaque]. A cycle whose two pulses replay from the
+    memos allocates nothing.
     {!Gnrflash_resilience.Fault.active} is read once per call.
     @raise Pulse_error on a failed pulse (broken oxide first, or a solver
     error), leaving the cell as {!For_testing.apply_pulse_at} would. *)
@@ -174,10 +176,10 @@ val pe_cycle :
 (** {1 Word-level kernels}
 
     One call per word or sector: the per-cell loops of {!Command_fsm}'s
-    program, erase verify and read run inside this module, so under
-    [-opaque] no call crosses a module boundary per cell and no readout
-    float is boxed. Each kernel is bit-identical to the per-cell loop of
-    {!program_verify} / {!bit} it replaces. *)
+    program, erase verify and read run inside this module, so no call
+    crosses a module boundary per cell and no readout float is boxed,
+    under dune's [-opaque] dev profile too. Each kernel is bit-identical
+    to the per-cell loop of {!program_verify} / {!bit} it replaces. *)
 
 type word_outcome = {
   mutable slowest : int;  (** most pulses any bit of the word took *)

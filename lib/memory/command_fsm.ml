@@ -34,10 +34,6 @@ let default_config =
     disturb = None;
   }
 
-type read_result =
-  | Data of int
-  | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
-
 type error =
   | Bad_sequence of { state : string; addr : int; data : int }
   | Busy of { operation : string }
@@ -198,7 +194,6 @@ let wrap t addr =
 
 let sector_of t ~addr = wrap t addr / t.cfg.words_per_sector
 let now t = t.tm.clock
-let timing t = t.tm
 
 let state_name t =
   match t.seq with
@@ -372,21 +367,11 @@ let read_word t ~addr =
     S.sense t.store ~base:(addr * t.cfg.word_bits) ~bits:t.cfg.word_bits
   end
 
-let read t ~addr =
-  let w = read_word t ~addr in
-  if w >= 0 then Data w
-  else Status { dq7 = (w lsr 7) land 1; dq6 = (w lsr 6) land 1; dq5 = (w lsr 5) land 1;
-                dq2 = (w lsr 2) land 1 }
-
 let poll_ready t ~interval =
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match read t ~addr:0 with
-    | Data _ -> continue := false
-    | Status _ ->
-      incr n;
-      step_to t (t.tm.clock +. interval)
+  while read_word t ~addr:0 < 0 do
+    incr n;
+    step_to t (t.tm.clock +. interval)
   done;
   !n
 
@@ -621,6 +606,16 @@ let state_digest t =
   !h
 
 module For_testing = struct
+  type read_result =
+    | Data of int
+    | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
+
+  let read t ~addr =
+    let w = read_word t ~addr in
+    if w >= 0 then Data w
+    else Status { dq7 = (w lsr 7) land 1; dq6 = (w lsr 6) land 1; dq5 = (w lsr 5) land 1;
+                  dq2 = (w lsr 2) land 1 }
+
   let cell t ~idx =
     if idx < 0 || idx >= S.length t.store then
       invalid_arg "Command_fsm.cell: index out of range";

@@ -38,7 +38,7 @@
           │        while erasing: 0xB0 ─► SUSPENDED ─ 0x30 ─► BUSY (resume)
     v}
 
-    While busy, reads return {!constructor-Status} (DQ7 = complement of
+    While busy, reads return a status answer (DQ7 = complement of
     programmed data, DQ6 toggles on every status read, DQ2 toggles for
     the suspended sector); bus writes other than suspend/reset are
     rejected with a typed error and leave the operation running. *)
@@ -75,17 +75,6 @@ type t
     unlock addresses are kept too: a bus cycle divides only to wrap an
     out-of-range address or to find a sector (of a buffer or erase
     command, or while an erase is suspended). *)
-
-(** Result of one bus read cycle. *)
-type read_result =
-  | Data of int
-      (** the sensed word, packed: bit [i] is the readout of cell [i] of
-          the word (its [word_bits] low bits; the rest are 0) *)
-  | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
-      (** embedded-operation status: [dq7] is the complement of the bit
-          being programmed (1 while erasing), [dq6] toggles on every
-          status read while busy, [dq2] toggles for reads inside an
-          erase-suspended sector, [dq5] sets on internal verify timeout *)
 
 type error =
   | Bad_sequence of { state : string; addr : int; data : int }
@@ -131,22 +120,11 @@ val words : t -> int
 val sector_of : t -> addr:int -> int
 
 val now : t -> float
-(** Model clock [s]. *)
-
-(** The model clock and the busy window, one flat all-float record
-    updated in place by every bus cycle. Read-only outside this module. *)
-type timing = private {
-  mutable clock : float;      (** model clock [s], as {!now} *)
-  mutable ends_at : float;    (** end of the running operation's busy window *)
-  mutable remaining : float;  (** busy seconds left of a suspended erase *)
-}
-
-val timing : t -> timing
-(** The instance's live timing record (the same record on every call).
-    [now] returns the clock as a float, which a caller in another module
-    receives boxed; a caller that keeps this record and reads
-    [(timing t).clock] itself gets the clock unboxed, so a served command
-    can time itself without allocating. *)
+(** Model clock [s]. One field load from a flat float record, small
+    enough for ocamlopt to inline into a caller in another module when
+    [lib/] is built without [-opaque] (the default profile, see the root
+    [dune-workspace]): the caller then reads the clock unboxed. Under
+    [-opaque] each call returns a boxed float (2 words). *)
 
 val ready : t -> bool
 (** RY/BY# — false while an embedded operation is running (a suspended
@@ -166,14 +144,15 @@ val write : t -> addr:int -> data:int -> (unit, error) result
 
 val read_word : t -> addr:int -> int
 (** One bus read cycle (advances the clock by [t_cycle]), allocating
-    nothing: the sensed word (non-negative, as in {!constructor-Data}) or,
-    for a {!constructor-Status} answer, a negative int with DQ7, DQ6, DQ5
-    and DQ2 at bits 7, 6, 5 and 2. *)
-
-val read : t -> addr:int -> read_result
-(** {!read_word} as a variant. Returns {!constructor-Status} while the
-    device is busy, or for addresses in the suspended sector while an
-    erase is suspended. *)
+    nothing. Returns the sensed word, packed and non-negative: bit [i] is
+    the readout of cell [i] of the word (its [word_bits] low bits; the
+    rest are 0). While the device is busy, or for addresses in the
+    suspended sector while an erase is suspended, it returns a status
+    answer instead: a negative int with DQ7, DQ6, DQ5 and DQ2 at bits 7,
+    6, 5 and 2. DQ7 is the complement of the bit being programmed (0
+    while erasing), DQ6 toggles on every status read while busy, DQ2
+    toggles for reads inside an erase-suspended sector, and DQ5 sets on
+    an internal verify timeout. *)
 
 val step_quarter_erase_pulse : t -> unit
 (** Advance the model clock by a quarter of [erase_pulse]'s duration,
@@ -187,12 +166,13 @@ val wait_ready : t -> unit
 val poll_ready : t -> interval:float -> int
 (** Data-toggle polling loop: status-read the device every [interval]
     model seconds until DQ6 stops toggling; returns the number of status
-    reads. The classic alternative to the RY/BY# pin. *)
+    reads. The classic alternative to the RY/BY# pin. Polls through
+    {!read_word}, so it allocates nothing. *)
 
 val sense_word : t -> addr:int -> int
 (** Direct array sense for verification harnesses: bypasses the bus (no
     clock advance, no status gating, works while busy or suspended).
-    Packed as {!constructor-Data} is, by one {!Cell_store.sense} call;
+    Packed as {!read_word}'s data answer is, by one {!Cell_store.sense} call;
     allocates nothing. *)
 
 val stats : t -> stats
@@ -208,6 +188,16 @@ val state_digest : t -> int
     Bit-identical runs produce equal digests across jobs/shards tiers. *)
 
 module For_testing : sig
+  (** {!read_word}'s answer as a variant. *)
+  type read_result =
+    | Data of int  (** the sensed word, packed *)
+    | Status of { dq7 : int; dq6 : int; dq5 : int; dq2 : int }
+        (** the status answer's DQ bits, each 0 or 1 *)
+
+  val read : t -> addr:int -> read_result
+  (** {!read_word} as a {!read_result}: the readable view the scripted
+      bus tests match on. *)
+
   val cell : t -> idx:int -> Cell.t
   (** Boxed {!Cell.t} view of cell [idx] (flat index
       [addr × word_bits + bit]) out of the struct-of-arrays store — the

@@ -66,7 +66,6 @@ type cw_memo = {
 type t = {
   cfg : config;
   fsm : Command_fsm.t;
-  tm : Command_fsm.timing; (* [fsm]'s clock, read unboxed *)
   ftl : Ftl.t; (* mutable, owned by this instance *)
   u1 : int; (* the device's unlock addresses, 0x555 and 0x2AA wrapped *)
   u2 : int;
@@ -116,7 +115,6 @@ let create ?(config = default_config) device =
   {
     cfg = config;
     fsm;
-    tm = Command_fsm.timing fsm;
     ftl;
     u1 = 0x555 mod Command_fsm.words fsm;
     u2 = 0x2AA mod Command_fsm.words fsm;
@@ -397,12 +395,12 @@ let page_of s lpn =
     let r = lpn mod n in
     if r < 0 then r + n else r
 
-(* The latency is timed off the flat timing record and counted by the
-   inlined [add_latency]: passing [t0] or [dt] to a function that is not
-   inlined would box it. *)
+(* The latency is timed off [Command_fsm.now], which inlines to an unboxed
+   load, and counted by the inlined [add_latency]: passing [t0] or [dt] to
+   a function that is not inlined would box it. *)
 let exec s cmd =
   s.ops <- s.ops + 1;
-  let t0 = s.tm.Command_fsm.clock in
+  let t0 = Command_fsm.now s.fsm in
   (match cmd with
    | Workload.Cmd_read { lpn } -> exec_read s ~lpn:(page_of s lpn)
    | Workload.Cmd_trim { lpn } ->
@@ -414,7 +412,7 @@ let exec s cmd =
      fold lpn s
    | Workload.Cmd_write { lpn; data; suspend } ->
      exec_write s ~lpn:(page_of s lpn) ~data ~suspend);
-  let dt = s.tm.Command_fsm.clock -. t0 in
+  let dt = Command_fsm.now s.fsm -. t0 in
   add_latency s dt 1;
   if 2 * s.lat_distinct > Array.length s.lat_counts then grow_latencies s;
   fold_float dt s

@@ -32,12 +32,12 @@ val rk4 : f:(float -> float array -> float array) ->
 
     The program entry of the one DOPRI5 driver, which the oracles
     {!For_testing.rkf45} and {!For_testing.rkf45_event} share, with a
-    calling convention that passes no float through a closure call. Under dune's
-    [-opaque] dev profile, and for any closure in native code, a
+    calling convention that passes no float through a closure call. A
+    closure call is never inlined, so in native code a
     [float -> float -> float] right-hand side boxes both arguments and its
-    result on every evaluation; here the driver writes the evaluation
-    point into a flat float record, calls a [unit -> unit] closure, and
-    reads the answer back from the record. *)
+    result on every evaluation, whatever the build profile; here the
+    driver writes the evaluation point into a flat float record, calls a
+    [unit -> unit] closure, and reads the answer back from the record. *)
 
 type io = {
   mutable t : float;   (** in: evaluation time *)

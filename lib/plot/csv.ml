@@ -21,16 +21,3 @@ let write path content =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
 
 let save_figure ~path fig = write path (of_figure fig)
-
-let of_table ~header rows =
-  let width = List.length header in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," (List.map quote header));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-       if List.length row <> width then invalid_arg "Csv.of_table: ragged row";
-       Buffer.add_string buf (String.concat "," (List.map (Printf.sprintf "%.10g") row));
-       Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf

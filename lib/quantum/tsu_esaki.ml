@@ -64,17 +64,3 @@ let current_density ?(model = Wkb_model) ?(temp = C.room_temperature)
     let j2 = Quad.gauss_legendre ~order:64 integrand (max split 1e-25) e_max in
     prefactor *. (j1 +. j2)
   end
-
-let compare_models ?temp ~phi_b ~field ~thickness ~m_b ~ef () =
-  let run model =
-    current_density ?temp ~model ~phi_b ~field ~thickness ~m_b ~ef ()
-  in
-  let fn_params =
-    Fn.coefficients ~phi_b_ev:(phi_b /. C.ev) ~m_ox_rel:(m_b /. C.m0)
-  in
-  [
-    ("tsu-esaki/wkb", run Wkb_model);
-    ("tsu-esaki/transfer-matrix", run (Transfer_matrix_model 400));
-    ("tsu-esaki/exact-airy", run Exact_airy);
-    ("fn-closed-form", Fn.current_density fn_params ~field);
-  ]

@@ -30,11 +30,3 @@ val current_density :
     Cached and uncached paths run identical arithmetic, so results are
     bit-for-bit equal either way; only the [wkb/cache_build] /
     [wkb/cache_hit] counters differ. Ignored for non-WKB models. *)
-
-(* lint: allow L14 — no program calls it; test_tsu_esaki pins it *)
-val compare_models :
-  ?temp:float -> phi_b:float -> field:float -> thickness:float ->
-  m_b:float -> ef:float -> unit -> (string * float) list
-(** Current density from each transmission model plus the closed-form FN
-    expression at the same field — the rows of the model-accuracy ablation
-    (Ext A). *)

@@ -1,4 +1,5 @@
 module C = Gnrflash_memory.Command_fsm
+module R = C.For_testing
 module F = Gnrflash_device.Fgt
 open Gnrflash_testing.Testing
 
@@ -45,9 +46,9 @@ let erase t ~sector =
   C.wait_ready t
 
 let word_at t ~addr =
-  match C.read t ~addr with
-  | C.Data w -> w
-  | C.Status _ -> Alcotest.fail "expected data, device still busy"
+  match R.read t ~addr with
+  | R.Data w -> w
+  | R.Status _ -> Alcotest.fail "expected data, device still busy"
 
 
 let all_ones = (1 lsl small.C.word_bits) - 1
@@ -91,12 +92,12 @@ let test_busy_status_and_rejection () =
   let t = mk () in
   issue_program t ~addr:0 ~data:0;
   check_false "busy after launch" (C.ready t);
-  (match C.read t ~addr:0 with
-   | C.Status { dq7; _ } -> Alcotest.(check int) "dq7 complements data" 1 dq7
-   | C.Data _ -> Alcotest.fail "read data while busy");
+  (match R.read t ~addr:0 with
+   | R.Status { dq7; _ } -> Alcotest.(check int) "dq7 complements data" 1 dq7
+   | R.Data _ -> Alcotest.fail "read data while busy");
   (* DQ6 toggles between consecutive status reads *)
-  (match (C.read t ~addr:0, C.read t ~addr:0) with
-   | C.Status { dq6 = a; _ }, C.Status { dq6 = b; _ } ->
+  (match (R.read t ~addr:0, R.read t ~addr:0) with
+   | R.Status { dq6 = a; _ }, R.Status { dq6 = b; _ } ->
      check_true "dq6 toggles" (a <> b)
    | _ -> Alcotest.fail "read data while busy");
   (match C.write t ~addr:0 ~data:0xAA with
@@ -233,15 +234,15 @@ let test_suspend_resume () =
   check_true "ready while suspended" (C.ready t);
   Alcotest.(check string) "state" "erase_suspended" (C.state_name t);
   (* reads inside the suspended sector answer with DQ2 toggling *)
-  (match (C.read t ~addr:0, C.read t ~addr:0) with
-   | C.Status { dq2 = a; dq6 = a6; _ }, C.Status { dq2 = b; dq6 = b6; _ } ->
+  (match (R.read t ~addr:0, R.read t ~addr:0) with
+   | R.Status { dq2 = a; dq6 = a6; _ }, R.Status { dq2 = b; dq6 = b6; _ } ->
      check_true "dq2 toggles" (a <> b);
      check_true "dq6 frozen during suspend" (a6 = b6)
    | _ -> Alcotest.fail "suspended sector served data");
   (* other sectors serve data as usual *)
-  (match C.read t ~addr:small.C.words_per_sector with
-   | C.Data _ -> ()
-   | C.Status _ -> Alcotest.fail "other sector blocked during suspend");
+  (match R.read t ~addr:small.C.words_per_sector with
+   | R.Data _ -> ()
+   | R.Status _ -> Alcotest.fail "other sector blocked during suspend");
   ok "resume" (C.write t ~addr:0 ~data:0x30);
   check_false "busy again" (C.ready t);
   C.wait_ready t;
@@ -407,6 +408,58 @@ let test_warm_launch_allocation () =
       erase
   done
 
+(* Native code only. A busy device polled until ready allocates nothing:
+   [poll_ready] reads the status through [read_word] and never builds a
+   status variant. Warm, as above, so the launches replay from the memos. *)
+let test_poll_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let t = mk () in
+  let interval =
+    (C.config t).C.program_pulse.Gnrflash_device.Program_erase.duration /. 8.
+  in
+  let poll () =
+    check_true "busy before polling" (not (C.ready t));
+    let w0 = Gc.minor_words () in
+    let polls = C.poll_ready t ~interval in
+    let w = Gc.minor_words () -. w0 in
+    check_true "polled at least once" (polls >= 1);
+    check_true "ready after polling" (C.ready t);
+    w
+  in
+  let cycle () =
+    issue_program t ~addr:1 ~data:0b00101;
+    let program = poll () in
+    issue_erase t ~sector:0;
+    (program, poll ())
+  in
+  for _ = 1 to 40 do
+    ignore (cycle () : float * float)
+  done;
+  for _ = 1 to 10 do
+    let program, erase = cycle () in
+    Alcotest.(check (float 0.)) "minor words polling a busy program" 0. program;
+    Alcotest.(check (float 0.)) "minor words polling a busy erase" 0. erase
+  done
+
+(* Native code only. [C.now] is a field load that the compiler inlines
+   into this module, so the clock comes back unboxed. Under -opaque (dune's
+   dev profile, [--profile dev]) no call crosses a module inlined and every
+   float returned across a module boundary is boxed: each read then costs
+   2 words and this test fails. The default profile, set in dune-workspace,
+   builds without -opaque. *)
+let test_now_unboxed_across_modules () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let t = mk () in
+  program t ~addr:0 ~data:0b00110;
+  let sum = [| 0. |] in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum.(0) <- sum.(0) +. C.now t
+  done;
+  let w = Gc.minor_words () -. w0 in
+  check_true "the clock has advanced" (sum.(0) > 0.);
+  Alcotest.(check (float 0.)) "minor words for 10k cross-module now reads" 0. w
+
 let prop_program_read_roundtrip =
   prop "programmed word always reads back" ~count:25
     QCheck2.Gen.(pair (int_range 0 7) (int_range 0 31))
@@ -424,11 +477,11 @@ let prop_busy_until_wait =
        (* data < 31 guarantees at least one 0 bit, hence a busy window *)
        let was_busy = not (C.ready t) in
        let status_while_busy =
-         match C.read t ~addr with C.Status _ -> true | C.Data _ -> false
+         match R.read t ~addr with R.Status _ -> true | R.Data _ -> false
        in
        C.wait_ready t;
        let data_after =
-         match C.read t ~addr with C.Data _ -> true | C.Status _ -> false
+         match R.read t ~addr with R.Data _ -> true | R.Status _ -> false
        in
        was_busy && status_while_busy && data_after)
 
@@ -443,7 +496,7 @@ let prop_suspend_resume_transparent =
        issue_erase suspended ~sector:0;
        (match C.write suspended ~addr:0 ~data:0xB0 with
         | Ok () ->
-          ignore (C.read suspended ~addr:0);
+          ignore (R.read suspended ~addr:0);
           (match C.write suspended ~addr:0 ~data:0x30 with
            | Ok () -> ()
            | Error _ -> ())
@@ -578,9 +631,9 @@ let run_script t ~read ops =
   (List.rev !out, !landed)
 
 let variant_read t ~addr =
-  match C.read t ~addr with
-  | C.Data w -> w
-  | C.Status { dq7; dq6; dq5; dq2 } ->
+  match R.read t ~addr with
+  | R.Data w -> w
+  | R.Status { dq7; dq6; dq5; dq2 } ->
     -1 - ((dq7 lsl 7) lor (dq6 lsl 6) lor (dq5 lsl 5) lor (dq2 lsl 2))
 
 let int_read t ~addr =
@@ -627,6 +680,9 @@ let () =
           case "digest determinism" test_digest_determinism;
           case "disturb feedback" test_disturb_feedback;
           case "warm launch allocation" test_warm_launch_allocation;
+          case "poll of a busy device allocates nothing" test_poll_allocation;
+          case "now is unboxed across modules (boxed under -opaque, --profile dev)"
+            test_now_unboxed_across_modules;
           prop_program_read_roundtrip;
           prop_busy_until_wait;
           prop_suspend_resume_transparent;

@@ -92,13 +92,6 @@ let test_csv_quoting () =
   in
   check_true "quoted label" (contains "\"a,b\"" out)
 
-let test_csv_table () =
-  let out = P.Csv.of_table ~header:[ "a"; "b" ] [ [ 1.; 2. ]; [ 3.; 4. ] ] in
-  let lines = String.split_on_char '\n' (String.trim out) in
-  Alcotest.(check int) "3 lines" 3 (List.length lines);
-  Alcotest.check_raises "ragged" (Invalid_argument "Csv.of_table: ragged row") (fun () ->
-      ignore (P.Csv.of_table ~header:[ "a" ] [ [ 1.; 2. ] ]))
-
 let test_file_roundtrips () =
   let dir = Filename.temp_file "gnrflash" "" in
   Sys.remove dir;
@@ -128,7 +121,6 @@ let () =
           case "svg escaping" test_svg_escapes;
           case "csv format" test_csv_format;
           case "csv quoting" test_csv_quoting;
-          case "csv table" test_csv_table;
           case "file save roundtrips" test_file_roundtrips;
         ] );
     ]

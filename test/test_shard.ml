@@ -80,12 +80,6 @@ let test_worker_index () =
     who;
   check_true "parent flag restored" (not (Shard.For_testing.in_worker ()))
 
-let test_shard_seed () =
-  let a = Shard.shard_seed ~seed:7 ~shard:1 in
-  check_true "deterministic" (a = Shard.shard_seed ~seed:7 ~shard:1);
-  check_true "matches splitmix" (a = Sweep.splitmix ~seed:7 ~index:1);
-  check_true "shard decorrelates" (a <> Shard.shard_seed ~seed:7 ~shard:2)
-
 (* ---- telemetry crosses the process boundary ---- *)
 
 let test_shard_telemetry_parity () =
@@ -150,7 +144,6 @@ let () =
         [
           case "slice boundaries" test_slice_boundaries;
           case "worker index" test_worker_index;
-          case "shard seed" test_shard_seed;
           case "telemetry parity" test_shard_telemetry_parity;
           case "killed worker is a typed error" test_killed_worker_is_typed_error;
           case "solver error crosses the frame" test_solver_error_crosses_frame;

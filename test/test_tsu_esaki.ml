@@ -46,15 +46,6 @@ let test_temperature_dependence_weak () =
   let j350 = Ts.current_density ~temp:350. ~phi_b ~field:1.4e9 ~thickness:5e-9 ~m_b ~ef () in
   check_in "weak T dependence" ~lo:0.5 ~hi:2.0 (j350 /. j300)
 
-let test_compare_models_rows () =
-  let rows = Ts.compare_models ~phi_b ~field:1.4e9 ~thickness:5e-9 ~m_b ~ef () in
-  Alcotest.(check int) "four rows" 4 (List.length rows);
-  List.iter
-    (fun (name, v) ->
-       check_true (name ^ " positive") (v > 0.);
-       check_true (name ^ " finite") (Float.is_finite v))
-    rows
-
 let prop_monotone =
   prop "Tsu-Esaki monotone in field" ~count:10
     QCheck2.Gen.(float_range 1.0e9 1.8e9)
@@ -118,7 +109,6 @@ let () =
           case "order of closed form" test_same_order_as_closed_form;
           case "models agree" test_models_agree_on_exponent;
           case "weak temperature dependence" test_temperature_dependence_weak;
-          case "compare_models rows" test_compare_models_rows;
           prop_monotone;
           prop_wkb_cache_bit_identity;
         ] );

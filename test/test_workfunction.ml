@@ -33,10 +33,6 @@ let test_si_sio2_reference () =
   (* the textbook Si/SiO2 electron barrier is 3.15-3.2 eV *)
   check_in "textbook" ~lo:3.15 ~hi:3.2 (W.barrier_height W.N_poly_si O.sio2)
 
-let test_names () =
-  Alcotest.(check string) "mlgnr" "MLGNR(3)" (W.name (W.Mlgnr 3));
-  Alcotest.(check string) "custom" "x" (W.name (W.Custom ("x", 5.)))
-
 let prop_barrier_decreases_with_affinity =
   prop "higher-affinity oxide gives lower barrier" ~count:20
     QCheck2.Gen.(float_range 4.0 5.2)
@@ -54,7 +50,6 @@ let () =
           case "CNT diameter dependence" test_cnt_diameter_dependence;
           case "barrier heights" test_barrier_height;
           case "Si/SiO2 textbook value" test_si_sio2_reference;
-          case "names" test_names;
           prop_barrier_decreases_with_affinity;
         ] );
     ]
