@@ -460,6 +460,64 @@ let sector_erase_test () =
   done;
   Test.make ~name:"kernel-sector-erase-832" (stage round)
 
+(* One 64-word x 13-bit program of the served path over a settled sector,
+   of varied data: [word_draws] draws in turn, too many for a branch
+   predictor to learn, as the served path's data is.
+   Every run programs a fresh copy of the sector, made outside the timed
+   stage: bechamel allocates one resource per run before it times a
+   batch, and each allocation blits the settled sector into the next of
+   [word_slots] slots of one store, so every run starts from the same
+   cells and memo answers and none is cycled toward oxide breakdown.
+   [word_cfg] keeps a batch (plus the resource bechamel allocates first)
+   within the ring. *)
+let word_slots = 128
+let word_draws = 61
+
+let word_program_test () =
+  let module S = Gnrflash_memory.Cell_store in
+  let module PE = Gnrflash_device.Program_erase in
+  let words = 64 and bits = 13 in
+  let sector = words * bits in
+  let s = S.create ~n:((word_slots + 1) * sector) (Gnrflash.Params.device ()) in
+  let pm = S.memo s and em = S.memo s in
+  for i = 0 to sector - 1 do
+    if i mod 2 = 0 then
+      ignore
+        (S.program_verify s ~memo:pm ~pulse:PE.default_program_pulse ~max_pulses:8 i)
+  done;
+  for _ = 1 to 8 do
+    ignore
+      (S.erase_round s ~memo:em ~pulse:PE.default_erase_pulse ~lo:0 ~hi:(sector - 1))
+  done;
+  let slot k = (1 + (k mod word_slots)) * sector in
+  let copied = ref 0 and programmed = ref 0 in
+  let copy () =
+    S.blit s ~src:0 ~dst:(slot !copied) ~len:sector;
+    incr copied
+  in
+  let data =
+    Array.init (word_draws * words) (fun i ->
+        Sweep.splitmix ~seed:2014 ~index:i land ((1 lsl bits) - 1))
+  in
+  let out = S.word_outcome () in
+  let program () =
+    let k = !programmed in
+    incr programmed;
+    let draw = k mod word_draws * words in
+    for w = 0 to words - 1 do
+      S.program_word s ~memo:pm ~pulse:PE.default_program_pulse ~max_pulses:8
+        ~base:(slot k + (w * bits)) ~bits ~data:data.(draw + w) out
+    done
+  in
+  (* warm-up: every draw once, so the settled charges' program
+     transitions are memoized *)
+  for _ = 1 to word_draws do
+    copy ();
+    program ()
+  done;
+  Test.make_with_resource ~name:"kernel-word-program-64x13" Test.multiple
+    ~allocate:copy ~free:ignore (stage program)
+
 let system_tests =
   [
     Test.make ~name:"system-poisson-solve"
@@ -512,13 +570,17 @@ let run_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
+  (* the default sampling times batches of 1, 2, .. 100 runs here *)
+  let word_cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.3) ~kde:(Some 100) () in
   let all_tests =
-    figure_tests @ extension_tests @ kernel_tests @ [ sector_erase_test () ]
-    @ system_tests
+    List.map (fun t -> (cfg, t))
+      (figure_tests @ extension_tests @ kernel_tests @ [ sector_erase_test () ])
+    @ [ (word_cfg, word_program_test ()) ]
+    @ List.map (fun t -> (cfg, t)) system_tests
   in
   Printf.printf "  %-28s %14s %10s\n" "benchmark" "time/run" "r^2";
   List.concat_map
-    (fun test ->
+    (fun (cfg, test) ->
        List.map
          (fun (name, result) ->
             let est = Analyze.one ols Instance.monotonic_clock result in

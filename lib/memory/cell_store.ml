@@ -129,6 +129,14 @@ let view t i =
   in
   { Cell.device = t.device; qfg = t.qfg.(i); wear }
 
+let blit t ~src ~dst ~len =
+  Array.blit t.qfg src t.qfg dst len;
+  Array.blit t.cls src t.cls dst len;
+  Array.blit t.fluence src t.fluence dst len;
+  Array.blit t.traps src t.traps dst len;
+  Array.blit t.cycles src t.cycles dst len;
+  Bytes.blit t.broken src t.broken dst len
+
 (* ---------- batched pulses ---------- *)
 
 (* Transition columns of one pulse, indexed by the starting charge's id:
@@ -282,43 +290,82 @@ type word_outcome = { mutable slowest : int; mutable total : int; mutable timed_
 
 let word_outcome () = { slowest = 0; total = 0; timed_out = false }
 
+let[@inline] sense_word t ~base ~bits =
+  let w = ref 0 in
+  for i = bits - 1 downto 0 do
+    w := (!w lsl 1) lor read_bit t (base + i)
+  done;
+  !w
+
+let sense t ~base ~bits =
+  if bits >= Sys.int_size then invalid_arg "Cell_store.sense: bits";
+  sense_word t ~base ~bits
+
+(* Bit positions by de Bruijn index: the top 5 bits of the 32-bit product
+   [b * 0x077CB531] differ for each power of two [b] below 2^32. *)
+let debruijn32 =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+(* The index of the lowest set bit of [x] (non-zero, non-negative),
+   without a branch: looked up in the low 32 bits, or in the high ones
+   when the low are all 0 (the only case where [low - 1] has its sign
+   bit set, which then shifts by 32). *)
+let[@inline] lowest_bit x =
+  let hi = (((x land 0xFFFF_FFFF) - 1) lsr (Sys.int_size - 1)) lsl 5 in
+  let y = x lsr hi in
+  let b = y land -y in
+  hi + Char.code (String.unsafe_get debruijn32 ((b * 0x077C_B531 land 0xFFFF_FFFF) lsr 27))
+
 (* The per-bit loop of an embedded word program, run here so no call
-   crosses a module boundary per cell. Only a target-0 bit still reading
-   1 is snapshotted and verified, and read again only if it took all
-   [max_pulses]. A failed pulse restores that bit's pre-program cell from
-   the unboxed snapshot (the record path only wrote a cell back after a
-   clean verify loop) and stops the word. *)
+   crosses a module boundary per cell. The word is read once: a target-1
+   bit reading 0 is a timeout, and the target-0 bits reading 1 are the
+   only ones visited, in ascending order (pulse order is what the engine's
+   surrogate promotions and a fault plan's evaluation count see). Each is
+   snapshotted, pulsed (it is known to read 1) and verified, so its last
+   readout tells a timeout. A failed pulse restores that bit's pre-program
+   cell from the unboxed snapshot (the record path only wrote a cell back
+   after a clean verify loop) and stops the word. *)
 let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
     ~max_pulses ~base ~bits ~data out =
   if bits >= Sys.int_size then invalid_arg "Cell_store.program_word: bits";
   check_memo t memo;
   let replay = replays_allowed () in
-  out.slowest <- 0;
-  out.total <- 0;
-  out.timed_out <- false;
-  for i = 0 to bits - 1 do
-    let idx = base + i in
-    if (data lsr i) land 1 = 1 then (if read_bit t idx = 0 then out.timed_out <- true)
-    else if read_bit t idx = 1 then begin
-      let q0 = t.qfg.(idx) and c0 = t.cls.(idx) in
-      let fl0 = t.fluence.(idx) and tr0 = t.traps.(idx) in
-      let cy0 = t.cycles.(idx) and bk0 = Bytes.get t.broken idx in
-      let p =
-        try verify_cell t memo ~rel:reliability ~replay ~pulse ~max_pulses idx
-        with Pulse_error _ as failed ->
-          t.qfg.(idx) <- q0;
-          t.cls.(idx) <- c0;
-          t.fluence.(idx) <- fl0;
-          t.traps.(idx) <- tr0;
-          t.cycles.(idx) <- cy0;
-          Bytes.set t.broken idx bk0;
-          raise failed
-      in
-      if p = max_pulses && read_bit t idx = 1 then out.timed_out <- true;
-      out.total <- out.total + p;
-      if p > out.slowest then out.slowest <- p
-    end
-  done
+  let mask = if bits > 0 then (1 lsl bits) - 1 else 0 in
+  let w = sense_word t ~base ~bits in
+  let timed_out = ref (data land lnot w land mask <> 0) in
+  let total = ref 0 and slowest = ref 0 in
+  let sel = ref (lnot data land w land mask) in
+  while !sel <> 0 do
+    let idx = base + lowest_bit !sel in
+    sel := !sel land (!sel - 1);
+    (* [sense_word] bound-checked every cell of the word *)
+    let q0 = Array.unsafe_get t.qfg idx and c0 = Array.unsafe_get t.cls idx in
+    let fl0 = Array.unsafe_get t.fluence idx and tr0 = Array.unsafe_get t.traps idx in
+    let cy0 = Array.unsafe_get t.cycles idx and bk0 = Bytes.unsafe_get t.broken idx in
+    let p = ref 0 and b = ref 1 in
+    (try
+       while !b = 1 && !p < max_pulses do
+         b := pulse_cell t memo ~rel:reliability ~replay ~pulse idx;
+         incr p
+       done
+     with Pulse_error _ as failed ->
+       t.qfg.(idx) <- q0;
+       t.cls.(idx) <- c0;
+       t.fluence.(idx) <- fl0;
+       t.traps.(idx) <- tr0;
+       t.cycles.(idx) <- cy0;
+       Bytes.set t.broken idx bk0;
+       out.slowest <- !slowest;
+       out.total <- !total;
+       raise failed);
+    if !b = 1 then timed_out := true;
+    total := !total + !p;
+    if !p > !slowest then slowest := !p
+  done;
+  out.slowest <- !slowest;
+  out.total <- !total;
+  out.timed_out <- !timed_out
 
 let all_erased t ~lo ~hi =
   let i = ref lo in
@@ -326,14 +373,6 @@ let all_erased t ~lo ~hi =
     incr i
   done;
   !i > hi
-
-let sense t ~base ~bits =
-  if bits >= Sys.int_size then invalid_arg "Cell_store.sense: bits";
-  let w = ref 0 in
-  for i = bits - 1 downto 0 do
-    w := (!w lsl 1) lor read_bit t (base + i)
-  done;
-  !w
 
 let apply_pulse_range ?reliability t ~memo ~pulse ~lo ~hi =
   match erase_round ?reliability t ~memo ~pulse ~lo ~hi with

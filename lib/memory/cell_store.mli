@@ -73,6 +73,12 @@ val bit : ?dvt_threshold:float -> t -> int -> int
 val view : t -> int -> Cell.t
 (** Boxed snapshot of cell [i] (shares the store's device record). *)
 
+val blit : t -> src:int -> dst:int -> len:int -> unit
+(** Copy cells [src .. src + len - 1] (charge, charge id and wear) onto
+    cells [dst .. dst + len - 1] of the same store, as [Array.blit]
+    would: the copies answer every memo as the originals do.
+    @raise Invalid_argument if either range is not in the store. *)
+
 (** {1 Batched pulse application} *)
 
 type memo
@@ -204,17 +210,22 @@ val program_word :
   word_outcome ->
   unit
 (** Embedded word program of cells [base .. base + bits - 1], bit [i] of
-    [data] being the target of cell [base + i]: {!program_verify} on
-    every target-0 bit, ascending; a target-1 bit reading [0] cannot be
-    raised and counts as a timeout (AND semantics), as does a target-0
-    bit still reading [1] after [max_pulses]. Fills the outcome with the
-    slowest bit's pulse count, the total and the timeout flag.
+    [data] being the target of cell [base + i] (bits of [data] at and
+    above [bits] are ignored). The word is read once, as {!sense} reads
+    it: a target-1 bit reading [0] cannot be raised and counts as a
+    timeout (AND semantics). The target-0 bits reading [1] are then
+    programmed one at a time in ascending order, the order the engine
+    and a fault plan see: each is pulsed and verified up to [max_pulses]
+    times, as by {!program_verify}, and one still reading [1] after
+    [max_pulses] counts as a timeout too. Fills the outcome with the
+    slowest bit's pulse count, the total and the timeout flag; a word of
+    [bits = 0] (or less) pulses nothing and reads [0 / 0 / false].
     {!Gnrflash_resilience.Fault.active} is read once per call.
     @raise Pulse_error on the first failed pulse: that bit's cell is
     restored to its state before the word's program (charge, charge id
-    and wear, snapshot held in unboxed locals), later bits are untouched, earlier
-    bits keep their pulses, and the outcome counts the earlier bits
-    only.
+    and wear, snapshot held in unboxed locals), later bits are untouched,
+    earlier bits keep their pulses, and [slowest] and [total] count the
+    earlier bits only; [timed_out] is unspecified.
     @raise Invalid_argument if [bits >= Sys.int_size]. *)
 
 val all_erased : t -> lo:int -> hi:int -> bool

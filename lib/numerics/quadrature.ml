@@ -21,18 +21,6 @@ let trapezoid_samples xs ys =
   done;
   !sum
 
-let simpson f a b ~n =
-  if n < 1 then invalid_arg "Quadrature.simpson: n < 1";
-  let f x = Tel.count "quad/fn_eval"; Budget.note_evals 1; f x in
-  let n = if n mod 2 = 0 then n else n + 1 in
-  let h = (b -. a) /. float_of_int n in
-  let sum = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let w = if i mod 2 = 1 then 4. else 2. in
-    sum := !sum +. (w *. f (a +. (float_of_int i *. h)))
-  done;
-  !sum *. h /. 3.
-
 let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 40) f a b =
   let f x = Tel.count "quad/fn_eval"; Budget.note_evals 1; f x in
   let simpson3 fa fm fb a b = (b -. a) /. 6. *. (fa +. (4. *. fm) +. fb) in
@@ -144,3 +132,17 @@ let integrate_to_inf ?(tol = 1e-12) ?(decades = 6.) f a =
     end
   done;
   !total
+
+module For_testing = struct
+  let simpson f a b ~n =
+    if n < 1 then invalid_arg "Quadrature.simpson: n < 1";
+    let f x = Tel.count "quad/fn_eval"; Budget.note_evals 1; f x in
+    let n = if n mod 2 = 0 then n else n + 1 in
+    let h = (b -. a) /. float_of_int n in
+    let sum = ref (f a +. f b) in
+    for i = 1 to n - 1 do
+      let w = if i mod 2 = 1 then 4. else 2. in
+      sum := !sum +. (w *. f (a +. (float_of_int i *. h)))
+    done;
+    !sum *. h /. 3.
+end

@@ -11,11 +11,6 @@ val trapezoid_samples : float array -> float array -> float
     the trapezoid rule. [xs] must be sorted increasing.
     @raise Invalid_argument on length mismatch or fewer than two points. *)
 
-(* lint: allow L14 — no program calls it; the L6 lint fixture calls it and test_quadrature pins it *)
-val simpson : (float -> float) -> float -> float -> n:int -> float
-(** [simpson f a b ~n] is composite Simpson with [n] subintervals ([n] is
-    rounded up to the next even integer). Exact for cubics. *)
-
 val adaptive_simpson :
   ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float -> float
 (** [adaptive_simpson f a b] integrates with recursive Simpson refinement to
@@ -38,3 +33,12 @@ val integrate_to_inf :
     least exponentially, by mapping successive geometric panels until a panel
     contributes less than [tol] (default [1e-12]) of the running total or
     [decades] (default 6) decades past [max a 1.] have been covered. *)
+
+(** The fixed-grid oracle [test/test_quadrature.ml] checks
+    {!adaptive_simpson} against. No program calls it. *)
+module For_testing : sig
+  val simpson : (float -> float) -> float -> float -> n:int -> float
+  (** [simpson f a b ~n] is composite Simpson with [n] subintervals ([n]
+      is rounded up to the next even integer). Exact for cubics.
+      @raise Invalid_argument if [n < 1]. *)
+end

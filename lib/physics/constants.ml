@@ -1,3 +1,6 @@
+(* Raw SI floats. Formulas that stay raw-float must not multiply two of
+   these directly (lint rule L4): the typed Gnrflash_units layer carries
+   the dimensions. *)
 let q = 1.602176634e-19
 let h = 6.62607015e-34
 let hbar = h /. (2. *. Float.pi)
@@ -11,10 +14,3 @@ let a_graphene = sqrt 3. *. a_cc
 let t_hopping = 2.7 *. ev
 let room_temperature = 300.
 let thermal_voltage t = k_b *. t /. q
-
-(* Unit-typed view of the charge above (same bits, dimension checked at
-   compile time — see Gnrflash_units). Formulas that stay raw-float must not
-   multiply two of the raw values above directly (lint rule L4). *)
-module U = Gnrflash_units
-
-let q_qty = U.coulomb q

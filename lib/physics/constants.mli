@@ -42,9 +42,3 @@ val room_temperature : float
 (* lint: allow L14 — no program calls it; test_constants pins it *)
 val thermal_voltage : float -> float
 (** [thermal_voltage t] is [kB·t/q] in volts. *)
-
-(** {1 Unit-typed view} *)
-
-(* lint: allow L14 — no program calls it; the L4 lint fixture reads it and test_qty pins it *)
-val q_qty : Gnrflash_units.coulomb Gnrflash_units.qty
-(** {!q} wrapped in its {!Gnrflash_units} dimension, bit-identical. *)

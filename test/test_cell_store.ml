@@ -342,16 +342,26 @@ let prop_side_by_side_exact =
   prop "SoA = record path, bit for bit (out-of-box exact)" ~count:8
     (gen_pulse_case ~inbox:false) all_agree
 
+(* A packed word holds at most [Sys.int_size - 1] cells. *)
+let width lo hi = min (hi - lo + 1) (Sys.int_size - 1)
+
+(* A word program over [lo..hi] whose data has bits set at and above the
+   word's top bit too: the kernel must ignore them, as the loop does. *)
+let gen_word range =
+  QCheck2.Gen.map2
+    (fun ((lo, hi), max_pulses) data -> Word (lo, width lo hi, data, max_pulses))
+    (QCheck2.Gen.pair range (QCheck2.Gen.int_range 1 word_max_pulses))
+    (QCheck2.Gen.int_bound (1 lsl 40))
+
 (* Every op, with charges straddling the 1 V read level (about
    -3.54e-18 C on this device) so verify loops run 0..max pulses and
-   rounds count both readouts; a few cells start broken. *)
-let gen_kernel_case ~cells ~faults =
+   rounds count both readouts; a few cells start broken. [word] draws the
+   word programs over a range of the store's cells. *)
+let gen_kernel_case ?(word = gen_word) ~cells ~faults () =
   QCheck2.Gen.(
     cells >>= fun n ->
     let cell = int_range 0 (n - 1) in
     let range = map2 (fun a b -> (min a b, max a b)) cell cell in
-    (* a packed word holds at most [Sys.int_size - 1] cells *)
-    let width lo hi = min (hi - lo + 1) (Sys.int_size - 1) in
     let gen_op =
       frequency
         [
@@ -360,10 +370,7 @@ let gen_kernel_case ~cells ~faults =
           (1, map (fun (lo, hi) -> Erange (lo, hi)) range);
           (4, map2 (fun i m -> Verify (i, m)) cell (int_range 1 8));
           (3, map (fun (lo, hi) -> Round (lo, hi)) range);
-          ( 3,
-            map2
-              (fun ((lo, hi), max_pulses) data -> Word (lo, width lo hi, data, max_pulses))
-              (pair range (int_range 1 word_max_pulses)) (int_bound 63) );
+          (3, word range);
           (1, map (fun (lo, hi) -> Erased (lo, hi)) range);
           (2, map (fun (lo, hi) -> Sense (lo, width lo hi)) range);
           (2, return Reset);
@@ -379,12 +386,34 @@ let gen_kernel_case ~cells ~faults =
 
 let prop_kernels =
   prop "fused kernels = per-cell loop" ~count:50
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:false)
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:false ())
     all_agree
 
 let prop_kernels_fault =
   prop "fused kernels = per-cell loop (fault plan)" ~count:10
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:true)
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:true ())
+    all_agree
+
+(* Words of 33 to 62 bits on stores of 40 to 62 cells: the word kernel's
+   bit scan reaches the high half of the word. *)
+let gen_wide_word range =
+  gen_word
+    (QCheck2.Gen.map
+       (fun (lo, hi) ->
+         let hi = max hi 32 in
+         (max 0 (min lo (hi - 32)), hi))
+       range)
+
+let prop_kernels_wide =
+  prop "fused kernels = per-cell loop (words over 32 bits)" ~count:20
+    (gen_kernel_case ~word:gen_wide_word ~cells:(QCheck2.Gen.int_range 40 62)
+       ~faults:false ())
+    all_agree
+
+let prop_kernels_wide_fault =
+  prop "fused kernels = per-cell loop (words over 32 bits, fault plan)" ~count:8
+    (gen_kernel_case ~word:gen_wide_word ~cells:(QCheck2.Gen.int_range 40 62)
+       ~faults:true ())
     all_agree
 
 (* word programs from erased cells with short exact pulses (about 5 per
@@ -418,7 +447,7 @@ let prop_word_fault =
    needs their verify bits *)
 let prop_kernels_rehash =
   prop "fused kernels = per-cell loop (memo rehash)" ~count:5
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 70 90) ~faults:false)
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 70 90) ~faults:false ())
     (fun c ->
       let n = Array.length c.charges in
       let sweep = List.init n (fun i -> Verify (i, 8)) @ [ Round (0, n - 1) ] in
@@ -450,7 +479,17 @@ let test_view_set_roundtrip () =
   check_false "not broken" v.Cell.wear.Rel.broken;
   (* untouched neighbours stay fresh *)
   check_true "slot 0 untouched" (same_f (S.qfg s 0) 0.);
-  Alcotest.(check int) "slot 2 untouched" 0 (S.cycles s 2)
+  Alcotest.(check int) "slot 2 untouched" 0 (S.cycles s 2);
+  (* a pulse gives cell 1 a charge id; blit copies charge, id and wear *)
+  check_ok "pulse" (S.For_testing.apply_pulse_at s ~memo:(S.memo s) ~pulse:prog_short 1);
+  S.blit s ~src:1 ~dst:2 ~len:1;
+  let v1 = S.view s 1 and v2 = S.view s 2 in
+  check_true "blit qfg bits" (same_f v2.Cell.qfg v1.Cell.qfg);
+  check_true "blit wear" (v2.Cell.wear = v1.Cell.wear);
+  check_true "blit charge id"
+    (S.For_testing.charge_id s 2 = S.For_testing.charge_id s 1
+     && S.For_testing.charge_id s 2 <> 0);
+  check_true "blit leaves slot 0" (same_f (S.qfg s 0) 0.)
 
 let test_scalar_readout_matches_cell () =
   let d = fresh_device () in
@@ -751,6 +790,28 @@ let prop_fsm_restores_on_error =
                 && w.Rel.cycles = S.cycles s i
                 && w.Rel.broken = S.broken s i)))
 
+(* A zero-bit word reads and pulses nothing, whatever its data, and
+   refills the outcome with 0 / 0 / false. *)
+let test_empty_word () =
+  let s = S.create ~n:2 (fresh_device ()) in
+  let m = S.memo s in
+  let out = S.word_outcome () in
+  (* a target 1 over a programmed cell times out, a target 0 pulses *)
+  S.set_qfg s 0 (-6e-18);
+  S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:2 ~data:0b01 out;
+  check_true "the 2-bit word pulsed and timed out" (out.S.total > 0 && out.S.timed_out);
+  let digest () = S.fold_digest s W.digest_fold W.digest_empty in
+  let before = digest () in
+  List.iter
+    (fun data ->
+      S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:0 ~data out;
+      Alcotest.(check (list int))
+        (Printf.sprintf "slowest, total, timeout at data %d" data)
+        [ 0; 0; 0 ]
+        [ out.S.slowest; out.S.total; Bool.to_int out.S.timed_out ])
+    [ 0; 1; -1; max_int ];
+  check_true "no cell changed" (digest () = before)
+
 (* A surrogate-off store has no table build to keep in step, so it admits
    every clean in-box pulse to its memo: the repeat on a second cell at
    the same charge replays by id without reaching the engine, and lands
@@ -822,10 +883,33 @@ let test_memo_hits_allocate_nothing () =
         ~bits:4 ~data:0b0110 out
     done
   in
+  (* 13-bit words of varied data, each program over a fresh copy of one
+     sector (cells [0, 52), given charge ids by an erase pulse) blitted
+     onto cells [52, 104) of a second store: the bit scan meets every
+     position of the word *)
+  let s13 = S.create ~n:104 d in
+  let pm13 = S.memo s13 in
+  for i = 0 to 51 do
+    S.set_qfg s13 i (if i mod 3 = 0 then -6e-18 else 0.)
+  done;
+  check_ok "ids" (S.apply_pulse_range s13 ~memo:(S.memo s13) ~pulse:erase_short ~lo:0 ~hi:51);
+  let draws = Array.init 64 (fun i -> ((i + 1) * 0x9E3779B1) lsr 7 land 0x1FFF) in
+  let draw = ref 0 in
+  let word13 () =
+    S.blit s13 ~src:0 ~dst:52 ~len:52;
+    for w = 0 to 3 do
+      S.program_word s13 ~memo:pm13 ~pulse:prog_short ~max_pulses:8 ~base:(52 + (13 * w))
+        ~bits:13 ~data:draws.((!draw + w) land 63) out
+    done;
+    draw := (!draw + 4) land 63
+  in
   let erased () = ignore (S.all_erased s ~lo:0 ~hi:(n - 1)) in
   let sense () = ignore (S.sense s ~base:0 ~bits:n) in
   (* warm-up: every starting charge each kernel meets is memoized *)
   List.iter (fun f -> reset (); f ()) [ at; verify; round; word ];
+  for _ = 1 to 16 do
+    word13 ()
+  done;
   let reps = 10_000 / n in
   let hits f =
     minor_words_during (fun () ->
@@ -839,6 +923,7 @@ let test_memo_hits_allocate_nothing () =
   Alcotest.(check (float 0.)) "program_verify hits" 0. (hits verify);
   Alcotest.(check (float 0.)) "erase_round hits" 0. (hits round);
   Alcotest.(check (float 0.)) "program_word hits" 0. (hits word);
+  Alcotest.(check (float 0.)) "program_word hits (13-bit, varied data)" 0. (hits word13);
   Alcotest.(check (float 0.)) "all_erased" 0. (hits erased);
   Alcotest.(check (float 0.)) "sense" 0. (hits sense);
   (* the replays really were replays of the warm-up answers *)
@@ -861,11 +946,14 @@ let () =
           case "foreign memo rejected" test_foreign_memo_rejected;
           case "ids bounded under a fault plan" test_ids_bounded_under_faults;
           case "memo without the surrogate" test_memo_without_surrogate;
+          case "zero-bit word" test_empty_word;
           prop_ids_consistent;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;
           prop_kernels;
           prop_kernels_fault;
+          prop_kernels_wide;
+          prop_kernels_wide_fault;
           prop_kernels_rehash;
           prop_word_fault;
           prop_fsm_restores_on_error;

@@ -25,9 +25,6 @@ let test_elementary_charge_exact () =
   check_bits "roundtrip 3.2 eV" (3.2 *. C.ev)
     (U.to_float (U.ev_to_joule (U.ev 3.2)))
 
-let test_constants_typed_views () =
-  check_bits "q_qty" C.q (U.to_float C.q_qty)
-
 (* --- operator algebra is plain IEEE arithmetic --- *)
 
 let test_operator_identities () =
@@ -156,7 +153,6 @@ let () =
       ( "qty",
         [
           case "elementary charge exact" test_elementary_charge_exact;
-          case "typed constants views" test_constants_typed_views;
           case "operator identities" test_operator_identities;
           case "areal crossings" test_areal_crossings;
           prop_fn_coefficients;

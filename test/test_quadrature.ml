@@ -10,10 +10,10 @@ let test_trapezoid_samples () =
 
 let test_simpson_cubic_exact () =
   (* Simpson is exact for cubics *)
-  check_close "∫x^3 over [0,2]" 4. (Q.simpson (fun x -> x ** 3.) 0. 2. ~n:2)
+  check_close "∫x^3 over [0,2]" 4. (Q.For_testing.simpson (fun x -> x ** 3.) 0. 2. ~n:2)
 
 let test_simpson_sin () =
-  check_close ~tol:1e-8 "∫sin over [0,pi]" 2. (Q.simpson sin 0. Float.pi ~n:200)
+  check_close ~tol:1e-8 "∫sin over [0,pi]" 2. (Q.For_testing.simpson sin 0. Float.pi ~n:200)
 
 let test_adaptive_simpson_exp () =
   check_close ~tol:1e-9 "∫e^x over [0,1]" (exp 1. -. 1.)
@@ -72,7 +72,7 @@ let prop_simpson_matches_adaptive =
   prop "composite vs adaptive on smooth f" QCheck2.Gen.(float_range 0.5 3.)
     (fun b ->
        let f x = sin (x *. x) in
-       let a = Q.simpson f 0. b ~n:2000 in
+       let a = Q.For_testing.simpson f 0. b ~n:2000 in
        let c = Q.adaptive_simpson ~tol:1e-11 f 0. b in
        abs_float (a -. c) < 1e-6)
 

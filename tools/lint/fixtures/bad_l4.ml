@@ -10,4 +10,4 @@ let allowed () =
   (* lint: allow L4 — fixture: derived constant *)
   C.hbar *. C.k_b (* EXPECT-SUPPRESSED L4 *)
 
-let typed () = U.to_float C.q_qty
+let typed () = U.to_float (U.coulomb C.q)

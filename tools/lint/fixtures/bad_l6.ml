@@ -15,7 +15,7 @@ let adaptive_transmission_per_node () =
 
 let adaptive_action_per_node () =
   Tel.span "lint_fixture/l6" @@ fun () ->
-  Quad.simpson (fun e -> Wkb.action_integral barrier ~energy:e) 0. 0.5 ~n:8 (* EXPECT L6 *)
+  Quad.adaptive_simpson (fun e -> Wkb.action_integral barrier ~energy:e) 0. 0.5 (* EXPECT L6 *)
 
 let allowed () =
   Tel.span "lint_fixture/l6" @@ fun () ->

@@ -237,7 +237,6 @@ let l3_targets =
       [
         "trapezoid";
         "trapezoid_samples";
-        "simpson";
         "adaptive_simpson";
         "gauss_legendre";
         "integrate_to_inf";
@@ -251,7 +250,6 @@ let quad_heads =
     [
       "trapezoid";
       "trapezoid_samples";
-      "simpson";
       "adaptive_simpson";
       "gauss_legendre";
       "integrate_to_inf";
