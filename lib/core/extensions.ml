@@ -86,10 +86,9 @@ let evaluate_design ~gcr ~xto_nm =
     feasible = peak_field < breakdown && Float.is_finite program_time;
   }
 
-let optimize_design ?(gcr_range = (0.45, 0.7)) ?(xto_range_nm = (4., 9.)) () =
-  let g0, g1 = gcr_range and x0, x1 = xto_range_nm in
-  let gcrs = Grid.linspace g0 g1 6 in
-  let xtos = Grid.linspace x0 x1 6 in
+let optimize_design () =
+  let gcrs = Grid.linspace 0.45 0.7 6 in
+  let xtos = Grid.linspace 4. 9. 6 in
   (* the full 6x6 design surface as one flat domain-parallel work queue *)
   let points =
     Sweep.grid (fun gcr xto_nm -> evaluate_design ~gcr ~xto_nm) ~outer:gcrs ~inner:xtos
@@ -230,7 +229,7 @@ let qcap_jv_figure () =
 
 (* ---------- Ext K: retention after cycling ---------- *)
 
-let retention_after_cycling ?(cycles_list = [ 0; 100; 1_000; 10_000 ]) () =
+let retention_after_cycling () =
   let t = Params.device () in
   let fn = Params.fn () in
   let rel = D.Reliability.default in
@@ -258,23 +257,25 @@ let retention_after_cycling ?(cycles_list = [ 0; 100; 1_000; 10_000 ]) () =
        in
        let multiplier = (j_fresh +. j_tat) /. j_fresh in
        (cycles, traps, multiplier))
-    cycles_list
+    [ 0; 100; 1_000; 10_000 ]
 
 (* ---------- Ext L: MLC error budget ---------- *)
 
-let mlc_error_budget ?(sigma_list = [ 0.05; 0.1; 0.2; 0.3; 0.45; 0.6 ]) () =
-  Sweep.map_list (fun sigma -> M.Ber.analyze ~sigma_dvt:sigma ()) sigma_list
+let mlc_error_budget () =
+  Sweep.map_list
+    (fun sigma -> M.Ber.analyze ~sigma_dvt:sigma ())
+    [ 0.05; 0.1; 0.2; 0.3; 0.45; 0.6 ]
 
 (* ---------- Ext M: temperature bake ---------- *)
 
-let bake_test ?(temps = [ 300.; 358.; 398.; 438. ]) ?(dvt0 = 2.0) () =
+let bake_test ?(dvt0 = 2.0) () =
   let t = Params.device () in
   let qfg0 = D.Fgt.qfg_for_threshold_shift t ~dvt:dvt0 in
   (* each temperature integrates a full retention trajectory - worth a domain *)
   let rows =
     Sweep.map_list
       (fun temp -> (temp, D.Retention.retention_time ~temp t ~qfg0 ~criterion:0.8))
-      temps
+      [ 300.; 358.; 398.; 438. ]
   in
   (* Arrhenius: ln t = Ea/kT + const, restricted to finite times *)
   let finite = List.filter (fun (_, time) -> Float.is_finite time) rows in

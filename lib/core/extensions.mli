@@ -27,12 +27,10 @@ type design_point = {
 val evaluate_design : gcr:float -> xto_nm:float -> design_point
 (** Evaluate one (GCR, XTO) candidate. *)
 
-val optimize_design :
-  ?gcr_range:(float * float) -> ?xto_range_nm:(float * float) -> unit ->
-  design_point * design_point list
-(** Grid-scan the design rectangle and return the fastest feasible design
-    that still sustains ≥ 10⁴ predicted cycles, plus all evaluated
-    points. *)
+val optimize_design : unit -> design_point * design_point list
+(** Grid-scan the 6 × 6 design rectangle GCR 0.45–0.7 × XTO 4–9 nm and
+    return the fastest feasible design that still sustains ≥ 10⁴
+    predicted cycles, plus all evaluated points. *)
 
 (** {1 Ext C: retention} *)
 
@@ -97,25 +95,23 @@ val nand_page_demo : ?pages:int -> ?strings:int -> unit -> (nand_summary, string
 
 (** {1 Ext K: retention after cycling} *)
 
-val retention_after_cycling :
-  ?cycles_list:int list -> unit -> (int * float * float) list
-(** For each P/E cycle count: [(cycles, trap density 1/m², 10-year
-    leakage-current multiplier)]. Cycling generates oxide traps (via the
+val retention_after_cycling : unit -> (int * float * float) list
+(** For each P/E cycle count 0, 100, 10³ and 10⁴: [(cycles, trap
+    density 1/m², 10-year leakage-current multiplier)]. Cycling generates oxide traps (via the
     reliability model); traps open the SILC path that multiplies the
     low-field leakage — the standard post-cycling retention failure. *)
 
 (** {1 Ext L: MLC error budget} *)
 
-val mlc_error_budget : ?sigma_list:float list -> unit -> Gnrflash_memory.Ber.analysis list
-(** The BER pipeline evaluated over a range of threshold-placement spreads
-    (default 0.05…0.6 V), plus the implied maximum tolerable spread. *)
+val mlc_error_budget : unit -> Gnrflash_memory.Ber.analysis list
+(** The BER pipeline evaluated at the threshold-placement spreads 0.05,
+    0.1, 0.2, 0.3, 0.45 and 0.6 V. *)
 
 (** {1 Ext M: temperature bake} *)
 
 val bake_test :
-  ?temps:float list -> ?dvt0:float -> unit ->
-  (float * float) list * float
-(** Retention bake: for each temperature [K] (default 300/358/398/438 K —
+  ?dvt0:float -> unit -> (float * float) list * float
+(** Retention bake: for each temperature [K] (300/358/398/438 K —
     25/85/125/165 °C), the time [s] for a [dvt0]-programmed cell (default
     2 V) to lose 20 % of its charge; plus the activation energy [eV]
     extracted from the Arrhenius plot [ln t vs 1/kT] by least squares.

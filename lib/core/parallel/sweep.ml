@@ -24,19 +24,14 @@ let resolve_jobs = function
   | Some j when j >= 1 -> j
   | Some _ -> invalid_arg "Sweep: jobs < 1"
 
-let validate_chunk = function
-  | None -> None
-  | Some c when c >= 1 -> Some c
-  | Some _ -> invalid_arg "Sweep: chunk < 1"
-
 let resolve_shards = function
   | None -> 1
   | Some s when s >= 1 -> s
   | Some _ -> invalid_arg "Sweep: shards < 1"
 
-(* Legacy fixed default, used only when the probe is disabled
-   ([serial_cutoff <= 0]) and no explicit [~chunk] was given. *)
-let legacy_chunk ~jobs ~n = max 1 (n / (8 * jobs))
+(* Fixed chunk size, used only when the probe is disabled
+   ([serial_cutoff <= 0]). *)
+let fixed_chunk ~jobs ~n = max 1 (n / (8 * jobs))
 
 (* Auto-tuned chunk size: big enough that one chunk claim carries
    [target_chunk_seconds] of work (so the atomic-queue traffic and cache
@@ -82,15 +77,12 @@ let run_chunked ~jobs ~chunk ~n ~pre f =
    element is evaluated twice — and both paths apply the same pure
    function to the same inputs in input order, so the decision never
    changes the output. *)
-let mapi_in_process ~jobs ~chunk ~serial_cutoff f n xs_get =
+let mapi_in_process ~jobs ~serial_cutoff f n xs_get =
   let f i = f i (xs_get i) in
   if jobs = 1 || n <= 1 then Array.init n f
   else if serial_cutoff <= 0. then begin
     (* heuristic disabled: the pure pool path, no probe *)
-    let chunk =
-      match chunk with Some c -> c | None -> legacy_chunk ~jobs ~n
-    in
-    run_chunked ~jobs ~chunk ~n ~pre:(fun _ -> None) f
+    run_chunked ~jobs ~chunk:(fixed_chunk ~jobs ~n) ~n ~pre:(fun _ -> None) f
   end
   else begin
     let probe i =
@@ -111,24 +103,18 @@ let mapi_in_process ~jobs ~chunk ~serial_cutoff f n xs_get =
     end
     else if n = 2 then [| y0; y1 |]
     else begin
-      let chunk =
-        match chunk with
-        | Some c -> c
-        | None -> auto_chunk ~per_element_s:per ~n ~jobs
-      in
-      run_chunked ~jobs ~chunk ~n
+      run_chunked ~jobs ~chunk:(auto_chunk ~per_element_s:per ~n ~jobs) ~n
         ~pre:(fun i -> if i = 0 then Some y0 else if i = 1 then Some y1 else None)
         f
     end
   end
 
-let mapi ?jobs ?chunk ?(serial_cutoff = default_serial_cutoff) ?shards f xs =
+let mapi ?jobs ?(serial_cutoff = default_serial_cutoff) ?shards f xs =
   let n = Array.length xs in
   let jobs = resolve_jobs jobs in
-  let chunk = validate_chunk chunk in
   let shards = resolve_shards shards in
   let slice ~lo ~len =
-    mapi_in_process ~jobs ~chunk ~serial_cutoff
+    mapi_in_process ~jobs ~serial_cutoff
       (fun k x -> f (lo + k) x)
       len
       (fun k -> xs.(lo + k))
@@ -136,22 +122,22 @@ let mapi ?jobs ?chunk ?(serial_cutoff = default_serial_cutoff) ?shards f xs =
   if shards = 1 || n <= 1 then slice ~lo:0 ~len:n
   else Shard.run ~shards ~n ~run_slice:slice
 
-let map ?jobs ?chunk ?serial_cutoff ?shards f xs =
-  mapi ?jobs ?chunk ?serial_cutoff ?shards (fun _ x -> f x) xs
+let map ?jobs ?serial_cutoff ?shards f xs =
+  mapi ?jobs ?serial_cutoff ?shards (fun _ x -> f x) xs
 
-let init ?jobs ?chunk ?serial_cutoff ?shards n f =
+let init ?jobs ?serial_cutoff ?shards n f =
   if n < 0 then invalid_arg "Sweep.init: n < 0";
-  mapi ?jobs ?chunk ?serial_cutoff ?shards (fun i () -> f i) (Array.make n ())
+  mapi ?jobs ?serial_cutoff ?shards (fun i () -> f i) (Array.make n ())
 
-let map_list ?jobs ?chunk ?serial_cutoff ?shards f xs =
-  Array.to_list (map ?jobs ?chunk ?serial_cutoff ?shards f (Array.of_list xs))
+let map_list ?jobs ?serial_cutoff ?shards f xs =
+  Array.to_list (map ?jobs ?serial_cutoff ?shards f (Array.of_list xs))
 
-let grid ?jobs ?chunk ?serial_cutoff ?shards f ~outer ~inner =
+let grid ?jobs ?serial_cutoff ?shards f ~outer ~inner =
   let no = Array.length outer and ni = Array.length inner in
   if no = 0 || ni = 0 then Array.make no [||]
   else begin
     let flat =
-      init ?jobs ?chunk ?serial_cutoff ?shards (no * ni)
+      init ?jobs ?serial_cutoff ?shards (no * ni)
         (fun k -> f outer.(k / ni) inner.(k mod ni))
     in
     Array.init no (fun i -> Array.sub flat (i * ni) ni)

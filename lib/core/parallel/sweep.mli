@@ -23,8 +23,8 @@
       [Worker_failed] solver error, never a hang.
 
     Results are assembled in input order whatever the tier, so the output
-    is {e bit-identical} to the serial path regardless of [jobs], [chunk],
-    [shards], or scheduling.
+    is {e bit-identical} to the serial path regardless of [jobs], chunk
+    size, [shards], or scheduling.
 
     Telemetry: pool workers adopt the submitting domain's span context
     ({!Gnrflash_telemetry.Telemetry.with_context_prefix}) and flush their
@@ -78,14 +78,12 @@ val pool_spawned : unit -> int
     [<= jobs]. *)
 
 val map :
-  ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
   ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f xs] is [Array.map f xs] evaluated on [jobs] domains.
 
-    [chunk] overrides the auto-tuned work-queue granularity (see
-    {!auto_chunk}; with the probe disabled the legacy default
-    [max 1 (n / (8*jobs))] applies). Prefer the auto-tuning — hardcoded
-    chunk sizes are what lint rule L7 flags.
+    The work-queue granularity is {!auto_chunk}'s choice from the probe;
+    with the probe disabled it is the fixed [max 1 (n / (8*jobs))].
 
     [serial_cutoff] (seconds, default {!default_serial_cutoff}) is the
     auto-serial heuristic: when a parallel run is requested, elements 0
@@ -108,28 +106,28 @@ val map :
     reassembled in order — see {!Shard} for the framing, error, and
     marshalability contract.
 
-    @raise Invalid_argument if [jobs < 1], [chunk < 1], or [shards < 1].
+    @raise Invalid_argument if [jobs < 1] or [shards < 1].
     @raise Gnrflash_resilience.Solver_error.Solver_failure with kind
     [Worker_failed] if a shard worker dies. *)
 
 val mapi :
-  ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
   (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Indexed {!map}. *)
 
 val init :
-  ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
   int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] evaluated on [jobs] domains.
     @raise Invalid_argument if [n < 0]. *)
 
 val map_list :
-  ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
   ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)
 
 val grid :
-  ?jobs:int -> ?chunk:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
   ('a -> 'b -> 'c) -> outer:'a array -> inner:'b array -> 'c array array
 (** [grid f ~outer ~inner] evaluates the full Cartesian product as one
     flat work queue — [(grid f ~outer ~inner).(i).(j) = f outer.(i)

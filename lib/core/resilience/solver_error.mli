@@ -21,7 +21,8 @@ type kind =
       (** the iteration entered a region where the function is not finite
           and could not step out of it *)
   | Step_underflow of { t : float; h : float }
-      (** adaptive step size shrank below [h_min] at time [t] *)
+      (** adaptive step size shrank below the integrator's 1e-300 floor at
+          time [t] *)
   | Max_steps of { steps : int; t : float }
       (** integrator step cap hit before reaching the horizon *)
   | Budget_exhausted of { evals : int; elapsed_s : float }

@@ -6,10 +6,10 @@ type t = {
   stages : int;
 }
 
-let make ?(v_diode = 0.3) ?(c_stage = 1e-12) ?(f_clk = 20e6) ~v_dd ~stages () =
-  if v_dd <= 0. || c_stage <= 0. || f_clk <= 0. || stages < 1 || v_diode < 0. then
+let make ~v_dd ~stages =
+  if v_dd <= 0. || stages < 1 then
     invalid_arg "Charge_pump.make: non-positive parameter";
-  { v_dd; v_diode; c_stage; f_clk; stages }
+  { v_dd; v_diode = 0.3; c_stage = 1e-12; f_clk = 20e6; stages }
 
 let per_stage_gain t ~i_load =
   t.v_dd -. t.v_diode -. (i_load /. (t.f_clk *. t.c_stage))

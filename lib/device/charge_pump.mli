@@ -14,10 +14,8 @@ type t = {
   stages : int;
 }
 
-val make :
-  ?v_diode:float -> ?c_stage:float -> ?f_clk:float ->
-  v_dd:float -> stages:int -> unit -> t
-(** Defaults: 0.3 V drop, 1 pF stages, 20 MHz clock.
+val make : v_dd:float -> stages:int -> t
+(** A pump with a 0.3 V drop, 1 pF stages and a 20 MHz clock.
     @raise Invalid_argument for non-positive parameters. *)
 
 val stages_for : ?margin:float -> t -> v_target:float -> i_load:float -> int

@@ -8,12 +8,12 @@ type params = {
   v_sat : float;
 }
 
-let of_channel ?(vt0 = 1.0) stack =
+let of_channel stack =
   (* on-state Fermi level ~1 eV above midgap: enough to open the first
      subband of a ~1.6 eV-gap ribbon in every layer *)
   let g = Mlgnr.sheet_conductance stack ~ef_ev:1.0 in
   {
-    vt0;
+    vt0 = 1.0;
     ss_mv_dec = 70.;
     i_off = 1e-12;
     g_on = g;

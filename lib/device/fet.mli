@@ -12,10 +12,10 @@ type params = {
   v_sat : float;         (** drain saturation voltage scale [V] *)
 }
 
-val of_channel :
-  ?vt0:float -> Gnrflash_materials.Mlgnr.t -> params
+val of_channel : Gnrflash_materials.Mlgnr.t -> params
 (** Derive the on-conductance from the MLGNR stack's Landauer limit
-    (channels at EF ≈ 1 eV) and use a near-ideal 70 mV/dec swing. *)
+    (channels at EF ≈ 1 eV) and use a near-ideal 70 mV/dec swing and
+    VT0 = 1 V. *)
 
 val default : params
 (** {!of_channel} on the 3-layer 12-AGNR stack, VT0 = 1 V. *)

@@ -23,16 +23,15 @@ let xto_qty t = U.metre t.xto
 let xco_qty t = U.metre t.xco
 let vs_qty t = U.volt t.vs
 
-let make_q ?(vs = U.volt 0.) ?(tunnel_oxide = Oxide.sio2) ?control_oxide
-    ?(channel = paper_electrode) ?(gate = paper_electrode) ~gcr ~xto ~xco
+let make_q ?(vs = U.volt 0.) ?(control_oxide = Oxide.sio2) ~gcr ~xto ~xco
     ~(area : U.m2 U.qty) () =
   if U.(xto <=@ zero) || U.(xco <=@ zero) then
     invalid_arg "Fgt.make: non-positive oxide thickness";
   if U.( <=@ ) area U.zero then invalid_arg "Fgt.make: non-positive area";
   if U.(xco <@ xto) then invalid_arg "Fgt.make: control oxide thinner than tunnel oxide";
   (* the control-gate interface is its own dielectric: both the blocking FN
-     barrier and the CFC parallel plate come from it, not the tunnel oxide *)
-  let control_oxide = Option.value control_oxide ~default:tunnel_oxide in
+     barrier and the CFC parallel plate come from it, not the SiO2 tunnel
+     oxide *)
   let cfc =
     Capacitance.parallel_plate_q ~eps_r:control_oxide.Oxide.eps_r ~area ~thickness:xco
   in
@@ -42,13 +41,13 @@ let make_q ?(vs = U.volt 0.) ?(tunnel_oxide = Oxide.sio2) ?control_oxide
     area = U.to_float area;
     xto = U.to_float xto;
     xco = U.to_float xco;
-    tunnel_fn = Fn.of_interface channel tunnel_oxide;
-    control_fn = Fn.of_interface gate control_oxide;
+    tunnel_fn = Fn.of_interface paper_electrode Oxide.sio2;
+    control_fn = Fn.of_interface paper_electrode control_oxide;
     vs = U.to_float vs;
   }
 
-let make ?(vs = 0.) ?tunnel_oxide ?control_oxide ?channel ?gate ~gcr ~xto ~xco ~area () =
-  make_q ~vs:(U.volt vs) ?tunnel_oxide ?control_oxide ?channel ?gate ~gcr
+let make ?(vs = 0.) ?control_oxide ~gcr ~xto ~xco ~area () =
+  make_q ~vs:(U.volt vs) ?control_oxide ~gcr
     ~xto:(U.metre xto) ~xco:(U.metre xco) ~area:(U.square_metre area) ()
 
 let paper_default =

@@ -26,21 +26,18 @@ type t = {
 
 val make_q :
   ?vs:Gnrflash_units.volt Gnrflash_units.qty ->
-  ?tunnel_oxide:Gnrflash_materials.Oxide.t ->
   ?control_oxide:Gnrflash_materials.Oxide.t ->
-  ?channel:Gnrflash_materials.Workfunction.electrode ->
-  ?gate:Gnrflash_materials.Workfunction.electrode ->
   gcr:float ->
   xto:Gnrflash_units.metre Gnrflash_units.qty ->
   xco:Gnrflash_units.metre Gnrflash_units.qty ->
   area:Gnrflash_units.m2 Gnrflash_units.qty -> unit -> t
 (** Build a device. Thicknesses are [metre qty] and the cell area an
     [m2 qty] (e.g. [U.area (U.metre 32e-9) (U.metre 32e-9)]), so swapping
-    an area for a thickness does not type-check. Defaults follow the
-    paper: SiO₂ oxides, MLGNR channel and CNT-contacted floating gate
-    (both defaulting to the textbook Si/SiO₂-like 3.2 eV barrier via
-    [channel]/[gate] of [Custom ("paper", 4.1)]), [vs = 0].
-    [control_oxide] (default: the tunnel oxide) sets the FG ↔
+    an area for a thickness does not type-check. The stack follows the
+    paper: an SiO₂ tunnel oxide, and an MLGNR channel and CNT-contacted
+    floating gate that both see the textbook Si/SiO₂-like 3.2 eV barrier
+    (a 4.1 eV electrode work function); [vs] defaults to 0.
+    [control_oxide] (default SiO₂, like the tunnel oxide) sets the FG ↔
     control-gate stack: both the blocking FN barrier ([control_fn]) and
     the [cfc] parallel-plate permittivity come from it, so a high-k
     blocking dielectric changes [j_out] without touching the channel-side
@@ -136,10 +133,7 @@ val qfg_for_threshold_shift : t -> dvt:float -> float
 module For_testing : sig
   val make :
     ?vs:float ->
-    ?tunnel_oxide:Gnrflash_materials.Oxide.t ->
     ?control_oxide:Gnrflash_materials.Oxide.t ->
-    ?channel:Gnrflash_materials.Workfunction.electrode ->
-    ?gate:Gnrflash_materials.Workfunction.electrode ->
     gcr:float -> xto:float -> xco:float -> area:float -> unit -> t
   (** Raw-float shim over {!make_q}: thicknesses in metres, area in m². *)
 

@@ -104,7 +104,7 @@ let solver = "Pulse_surrogate.build"
 let bound_headroom = 3.
 let bound_floor = 2e-6
 
-let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
+let build ?budget ?(box = paper_box) device ~vgs:v =
   Tel.span "surrogate/build" @@ fun () ->
   Tel.count "surrogate/build";
   (* lint: allow L9 — build_s is a telemetry field reporting construction
@@ -116,7 +116,7 @@ let build ?budget ?(box = paper_box) ?(span = 1.5) device ~vgs:v =
     if abs_float q_sat <= 1e-6 *. Fgt.ct device then
       Error (Err.make ~solver (Err.Invalid_input "degenerate fixed point"))
     else begin
-      let q_start = -.span *. q_sat in
+      let q_start = -1.5 *. q_sat in
       match
         Budget.with_opt budget (fun () ->
             Transient.run ~qfg0:q_start device ~vgs:v ~duration:box.duration_max)

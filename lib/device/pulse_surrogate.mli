@@ -62,11 +62,10 @@ type t
 
 val build :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?box:box -> ?span:float ->
-  Fgt.t -> vgs:float -> (t, error) result
+  ?box:box -> Fgt.t -> vgs:float -> (t, error) result
 (** Solve the trajectory once over [box.duration_max] starting from
-    [−span × q_sat] (default [span = 1.5], covering the overshoot range
-    that program/erase cycling visits) and certify the table against the
+    [−1.5 × q_sat] (covering the overshoot range that program/erase
+    cycling visits) and certify the table against the
     held-out samples. Runs under [Tel.span "surrogate/build"]. Errors
     are the underlying solver's ([saturation_charge] or the transient
     integration), or [Invalid_input] when the trajectory is degenerate. *)

@@ -23,11 +23,11 @@ let leakage_j (t : Fgt.t) ~temp ~qfg =
     j *. accel
   end
 
-let simulate ?(points_per_decade = 16) ?(temp = 300.) t ~qfg0 ~t_start ~t_end =
+let simulate ?(temp = 300.) t ~qfg0 ~t_start ~t_end =
   if qfg0 >= 0. then invalid_arg "Retention.simulate: qfg0 must be negative (programmed)";
   if t_start <= 0. || t_end <= t_start then invalid_arg "Retention.simulate: bad time range";
   let decades = log10 (t_end /. t_start) in
-  let n = max 2 (int_of_float (ceil (decades *. float_of_int points_per_decade))) in
+  let n = max 2 (int_of_float (ceil (decades *. 16.))) in
   let times = Gnrflash_numerics.Grid.geomspace t_start t_end n in
   let q = ref qfg0 in
   let prev_t = ref 0. in

@@ -11,10 +11,10 @@ type sample = {
 }
 
 val simulate :
-  ?points_per_decade:int -> ?temp:float ->
-  Fgt.t -> qfg0:float -> t_start:float -> t_end:float -> sample array
+  ?temp:float -> Fgt.t -> qfg0:float -> t_start:float -> t_end:float ->
+  sample array
 (** Leakage trajectory from [t_start] to [t_end] seconds (log-spaced,
-    default 16 points per decade). [qfg0] must be the programmed (negative)
+    16 points per decade). [qfg0] must be the programmed (negative)
     charge; [temp] scales an Arrhenius acceleration factor
     (activation 0.3 eV) applied to the leakage current, normalized to
     300 K. @raise Invalid_argument on non-negative [qfg0] or a bad time

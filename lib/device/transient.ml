@@ -102,12 +102,14 @@ let sample_of k ~time ~qfg =
 
 let initial_currents t ~vgs ~qfg = (Fgt.j_in t ~vgs ~qfg, Fgt.j_out t ~vgs ~qfg)
 
-let[@inline] imbalance k ~qfg ~threshold =
+(* The saturation event: |Jin − Jout|/(Jin + Jout) less the paper's 1%,
+   negative once saturated. *)
+let[@inline] imbalance k ~qfg =
   rates k qfg;
   let ji = k.j_in and jo = k.j_out in
   let s = ji +. jo in
   if s <= 0. then -1. (* nothing flowing: saturated by definition *)
-  else (abs_float (ji -. jo) /. s) -. threshold
+  else (abs_float (ji -. jo) /. s) -. 0.01
 
 (* Cold-start step size from the RHS scale at t = 0 (the standard
    [h0 = 0.01·|y|/|f|] heuristic, with the natural charge magnitude
@@ -130,9 +132,11 @@ let initial_step_size t ~vgs ~f0 ~duration =
    span and name themselves "Transient.run" in typed errors, so the ledger
    and the error text read the same whichever one a caller uses. [finish]
    turns the integrator's solution and the saturation time into the
-   caller's result. *)
-let solve ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
-    finish =
+   caller's result. [rtol] is the first rung of its tolerance-relaxation
+   ladder. *)
+let rtol = 1e-8
+
+let solve ~record ?budget ~qfg0 ?h0 t ~vgs ~duration finish =
   if duration <= 0. then
     Error (Err.make ~solver:"Transient.run" (Err.Invalid_input "duration <= 0"))
   else
@@ -151,7 +155,7 @@ let solve ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
     let io = Ode.io () in
     let rhs () = io.Ode.dy <- dqfg_dt k io.Ode.y in
     let event () =
-      io.Ode.g <- imbalance k ~qfg:io.Ode.y ~threshold:imbalance_threshold
+      io.Ode.g <- imbalance k ~qfg:io.Ode.y
     in
     let h0 =
       match h0 with
@@ -160,7 +164,7 @@ let solve ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
     in
     (* If the device starts already balanced (e.g. vgs = 0) the event
        function is negative at t0; integrate without the event. *)
-    let already_balanced = imbalance k ~qfg:qfg0 ~threshold:imbalance_threshold <= 0. in
+    let already_balanced = imbalance k ~qfg:qfg0 <= 0. in
     let attempt rtol () =
       if already_balanced then Tel.count "transient/already_balanced";
       match
@@ -190,9 +194,8 @@ let solve ~record ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
       ]
   end
 
-let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t ~vgs
-    ~duration =
-  solve ~record:true ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
+let run ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
+  solve ~record:true ?budget ~qfg0 ?h0 t ~vgs ~duration
     (fun k sol tsat ->
       let { Ode.times; states } = sol.Ode.points in
       let samples = Array.mapi (fun i time -> sample_of k ~time ~qfg:states.(i)) times in
@@ -205,9 +208,8 @@ let run ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t 
         h_first = sol.Ode.h_first;
       })
 
-let pulse ?budget ?(qfg0 = 0.) ?(imbalance_threshold = 0.01) ?(rtol = 1e-8) ?h0 t
-    ~vgs ~duration =
-  solve ~record:false ?budget ~qfg0 ~imbalance_threshold ~rtol ?h0 t ~vgs ~duration
+let pulse ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
+  solve ~record:false ?budget ~qfg0 ?h0 t ~vgs ~duration
     (fun _ sol tsat ->
       let qfg_final = sol.Ode.y_final in
       ({

@@ -4,7 +4,7 @@
     densities re-evaluated from equation (3) as the charge builds up. The
     dynamics approach the fixed point [Jin = Jout] asymptotically; following
     the paper we report [tsat] as the time where the normalized imbalance
-    [(Jin − Jout)/(Jin + Jout)] first falls below a threshold (default 1 %).
+    [(Jin − Jout)/(Jin + Jout)] first falls below 1 %.
 
     Failures are typed [Gnrflash_resilience.Solver_error.t] values; each
     solve runs a {!Gnrflash_resilience.Fallback} escalation ladder (e.g.
@@ -59,14 +59,15 @@ type result = {
 
 val run :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?qfg0:float -> ?imbalance_threshold:float -> ?rtol:float -> ?h0:float ->
+  ?qfg0:float -> ?h0:float ->
   Fgt.t -> vgs:float -> duration:float -> (result, error) Stdlib.result
 (** Integrate the charge balance for [duration] seconds at constant [vgs]
     (positive = programming, negative = erase) from initial charge [qfg0]
     (default 0, the paper's assumption). Integration stops early at the
-    saturation event. [rtol] defaults to [1e-8]; if the integration fails
-    at that tolerance a relaxation ladder retries at [rtol·1e2] then
-    [min 1e-3 (rtol·1e4)].
+    saturation event, where [|Jin − Jout| / (Jin + Jout)] falls to the
+    paper's 1%. The relative tolerance is [1e-8]; if the integration
+    fails at that tolerance a relaxation ladder retries at [1e-6] then
+    [1e-4].
 
     [h0] is the initial trial step size; when omitted (the cold-start
     case) it is derived from the RHS scale at [t = 0] as
@@ -78,7 +79,7 @@ val run :
 
 val pulse :
   ?budget:Gnrflash_resilience.Budget.t ->
-  ?qfg0:float -> ?imbalance_threshold:float -> ?rtol:float -> ?h0:float ->
+  ?qfg0:float -> ?h0:float ->
   Fgt.t -> vgs:float -> duration:float -> (final, error) Stdlib.result
 (** {!run}'s solve without its trajectory or samples: the same integration
     by the same driver, with the same relaxation ladder, counters, budget

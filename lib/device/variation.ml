@@ -144,7 +144,8 @@ let summarize samples =
     }
   end
 
-let sensitivity_xto ?(delta = 0.05e-9) base =
+let sensitivity_xto base =
+  let delta = 0.05e-9 in
   let time xto =
     let t = Fgt.with_xto base xto in
     match Transient.time_to_threshold_shift t ~vgs:15. ~dvt:2. ~max_time:10. with

@@ -66,7 +66,7 @@ val summarize : sample array -> (summary, string) result
     rule L1) when no sample has a finite programming time — an ensemble
     where every solve failed is a data condition, not a programming bug. *)
 
-val sensitivity_xto : ?delta:float -> Fgt.t -> float
-(** d(log10 t_prog)/d(XTO) in decades per nm at the base point — the
-    headline sensitivity (one ångström of oxide moves programming time by
-    [~0.1×this] decades). *)
+val sensitivity_xto : Fgt.t -> float
+(** d(log10 t_prog)/d(XTO) in decades per nm at the base point, by a
+    central difference of ±0.05 nm — the headline sensitivity (one
+    ångström of oxide moves programming time by [~0.1×this] decades). *)

@@ -58,7 +58,12 @@ type analysis = {
   acceptable : bool;
 }
 
-let analyze ?(config = Mlc.default_mlc) ?(codeword_data_bits = 64) ~sigma_dvt () =
+(* A 4 kB page of 64-data-bit SEC-DED words, acceptable below a page
+   failure rate of 1e-12. *)
+let codeword_data_bits = 64
+let page_failure_target = 1e-12
+
+let analyze ?(config = Mlc.default_mlc) ~sigma_dvt () =
   let raw_ber = mlc_raw_ber ~config ~sigma_dvt () in
   let codeword_bits = codeword_data_bits + Ecc.overhead codeword_data_bits in
   (* 4 kB page of user data *)
@@ -70,11 +75,13 @@ let analyze ?(config = Mlc.default_mlc) ?(codeword_data_bits = 64) ~sigma_dvt ()
     raw_ber;
     codeword_failure;
     page_failure;
-    acceptable = page_failure < 1e-12;
+    acceptable = page_failure < page_failure_target;
   }
 
-let max_tolerable_sigma ?(config = Mlc.default_mlc) ?(target = 1e-12) () =
-  let fails sigma = (analyze ~config ~sigma_dvt:sigma ()).page_failure > target in
+let max_tolerable_sigma ?(config = Mlc.default_mlc) () =
+  let fails sigma =
+    (analyze ~config ~sigma_dvt:sigma ()).page_failure > page_failure_target
+  in
   let lo = ref 1e-3 and hi = ref 2. in
   if fails !lo then !lo
   else begin

@@ -32,15 +32,11 @@ type analysis = {
   acceptable : bool;         (** page failure below 1e-12 *)
 }
 
-val analyze :
-  ?config:Mlc.config -> ?codeword_data_bits:int -> sigma_dvt:float -> unit ->
-  analysis
+val analyze : ?config:Mlc.config -> sigma_dvt:float -> unit -> analysis
 (** End-to-end: spread → raw BER → post-ECC page failure for a 4 kB page
-    protected by [codeword_data_bits]-data-bit SEC-DED words (default
-    64). *)
+    protected by 64-data-bit SEC-DED words. *)
 
-val max_tolerable_sigma :
-  ?config:Mlc.config -> ?target:float -> unit -> float
-(** Largest placement σ [V] keeping the page-failure rate below [target]
-    (default 1e-12) — the variation budget the cell designer must meet,
-    found by bisection. *)
+val max_tolerable_sigma : ?config:Mlc.config -> unit -> float
+(** Largest placement σ [V] keeping the page-failure rate below 1e-12 —
+    the variation budget the cell designer must meet, found by
+    bisection. *)

@@ -1,7 +1,6 @@
 module D = Gnrflash_device
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Q = Gnrflash_quantum
 
 type op_energy = {
   cell_energy : float;
@@ -9,9 +8,10 @@ type op_energy = {
   pump_stages : int;
 }
 
-let default_pump = D.Charge_pump.make ~v_dd:1.8 ~stages:12 ()
+(* A 12-stage pump from a 1.8 V supply, resized per operation below. *)
+let pump = D.Charge_pump.make ~v_dd:1.8 ~stages:12
 
-let fn_program_energy ?(pump = default_pump) device ~vgs ~pulse_width =
+let fn_program_energy device ~vgs ~pulse_width =
   (* integrate the injected charge over the pulse: the transient endpoint
      gives total charge moved; the supply sees it at VGS through the pump *)
   let injected, mean_current =
@@ -33,9 +33,7 @@ let fn_program_energy ?(pump = default_pump) device ~vgs ~pulse_width =
     pump_stages = stages;
   }
 
-let che_program_energy ?(pump = default_pump) ?(che = Q.Che.default_si)
-    ~drain_current ~vds ~vgs ~pulse_width () =
-  ignore che;
+let che_program_energy ~drain_current ~vds ~vgs ~pulse_width =
   (* drain path runs directly from a mid-rail supply; the gate is pumped
      but draws negligible current *)
   let drain_energy = drain_current *. vds *. pulse_width in
@@ -59,7 +57,7 @@ let page_program_comparison ~cells =
   (* CHE: 0.5 mA per cell at VDS = 5 V for 1 us (typical NOR numbers);
      cells must be programmed in small groups, but energy scales per cell *)
   let che =
-    che_program_energy ~drain_current:0.5e-3 ~vds:5. ~vgs:10. ~pulse_width:1e-6 ()
+    che_program_energy ~drain_current:0.5e-3 ~vds:5. ~vgs:10. ~pulse_width:1e-6
   in
   let che_total = che.supply_energy *. float_of_int cells in
   [

@@ -11,17 +11,14 @@ type op_energy = {
 }
 
 val fn_program_energy :
-  ?pump:Gnrflash_device.Charge_pump.t ->
   Gnrflash_device.Fgt.t -> vgs:float -> pulse_width:float -> op_energy
 (** Energy of one FN programming pulse: cell current is the tunneling
-    current integrated over the transient; the pump is sized for [vgs] at
-    that load. *)
+    current integrated over the transient; a pump fed from 1.8 V is sized
+    for [vgs] at that load. *)
 
 val che_program_energy :
-  ?pump:Gnrflash_device.Charge_pump.t ->
-  ?che:Gnrflash_quantum.Che.params ->
   drain_current:float -> vds:float -> vgs:float -> pulse_width:float ->
-  unit -> op_energy
+  op_energy
 (** Energy of one channel-hot-electron pulse: dominated by the drain
     current flowing for the whole pulse. *)
 

@@ -19,15 +19,12 @@ type t = {
   mutable stats : stats;
 }
 
-let create ?(ispp = D.Ispp.default) ?disturb device ~pages ~strings =
+let create ?(ispp = D.Ispp.default) device ~pages ~strings =
   if pages < 1 || strings < 1 then
     invalid_arg "Nand_block.create: non-positive dimensions";
   let disturb =
-    match disturb with
-    | Some d -> d
-    | None ->
-      D.Disturb.half_select ~vgs_program:ispp.D.Ispp.v_start
-        ~pulse_width:ispp.D.Ispp.pulse_width
+    D.Disturb.half_select ~vgs_program:ispp.D.Ispp.v_start
+      ~pulse_width:ispp.D.Ispp.pulse_width
   in
   let store = S.create ~n:(pages * strings) device in
   {

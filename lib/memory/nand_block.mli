@@ -24,11 +24,10 @@ type t
 
 val create :
   ?ispp:Gnrflash_device.Ispp.config ->
-  ?disturb:Gnrflash_device.Disturb.config ->
   Gnrflash_device.Fgt.t -> pages:int -> strings:int -> t
-(** Fresh block of erased cells over one shared device record. Defaults:
-    {!Gnrflash_device.Ispp.default} and the VGS/2 inhibit scheme at the
-    ISPP start voltage. @raise Invalid_argument for non-positive
+(** Fresh block of erased cells over one shared device record, with the
+    VGS/2 inhibit scheme at the ISPP start voltage. [ispp] defaults to
+    {!Gnrflash_device.Ispp.default}. @raise Invalid_argument for non-positive
     dimensions. *)
 
 val strings : t -> int

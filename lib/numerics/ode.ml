@@ -192,9 +192,12 @@ let no_trajectory = { times = [||]; states = [||] }
    when [record] asks for one. [event], when given, stops the integration
    at its first sign change (or exact zero) on an accepted step. The solver name
    stays "Ode.rkf45" in typed errors: it is the stable identifier the
-   resilience layer and its tests key on. *)
-let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200_000)
-    ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
+   resilience layer and its tests key on. A step shrunk below [h_min]
+   fails the integration. *)
+let h_min = 1e-300
+
+let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(max_steps = 200_000) ~record io
+    ~rhs ~event ~t0 ~y0 ~t1 () =
   let solver = "Ode.rkf45" in
   if t1 <= t0 then
     Error (Err.make ~solver (Err.Invalid_input "t1 <= t0"))
@@ -398,20 +401,20 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(h_min = 1e-300) ?(max_steps = 200
         }
   end
 
-let integrate ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
+let integrate ?rtol ?atol ?h0 ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
-  drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 ()
+  drive ?rtol ?atol ?h0 ?max_steps ~record io ~rhs ~event ~t0 ~y0 ~t1 ()
 
 (* The boxed-float protocol of the oracles over the driver's flat one. *)
 let boxed f =
   let io = io () in
   (io, fun () -> io.dy <- f io.t io.y)
 
-let rkf45 ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~t0 ~y0 ~t1 () =
+let rkf45 ?rtol ?atol ?h0 ?max_steps ~f ~t0 ~y0 ~t1 () =
   Err.protect @@ fun () ->
   let io, rhs = boxed f in
   match
-    drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs ~event:None ~t0 ~y0
+    drive ?rtol ?atol ?h0 ?max_steps ~record:true io ~rhs ~event:None ~t0 ~y0
       ~t1 ()
   with
   | Error e -> Error e
@@ -426,11 +429,11 @@ module For_testing = struct
     event_state : float option;
   }
 
-  let rkf45_event ?rtol ?atol ?h0 ?h_min ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
+  let rkf45_event ?rtol ?atol ?h0 ?max_steps ~f ~event ~t0 ~y0 ~t1 () =
     Err.protect @@ fun () ->
     let io, rhs = boxed f in
     match
-      drive ?rtol ?atol ?h0 ?h_min ?max_steps ~record:true io ~rhs
+      drive ?rtol ?atol ?h0 ?max_steps ~record:true io ~rhs
         ~event:(Some (fun () -> io.g <- event io.t io.y))
         ~t0 ~y0 ~t1 ()
     with

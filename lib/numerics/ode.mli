@@ -65,7 +65,7 @@ type solution = {
 }
 
 val integrate :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+  ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
   record:bool -> io -> rhs:(unit -> unit) -> event:(unit -> unit) option ->
   t0:float -> y0:float -> t1:float -> unit ->
   (solution, error) result
@@ -90,7 +90,7 @@ val integrate :
     calls them; {!integrate} is the driver's program entry. *)
 module For_testing : sig
   val rkf45 :
-    ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+    ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
     f:(float -> float -> float) ->
     t0:float -> y0:float -> t1:float -> unit ->
     (float trajectory, error) result
@@ -99,7 +99,7 @@ module For_testing : sig
       reused as the next step's first, so a trial step costs 6 RHS
       evaluations; one extra evaluation seeds the integration and one re-seeds
       after each non-finite trial). [rtol] defaults to [1e-8], [atol] to [1e-12]. Fails if the step size
-      underflows [h_min] or [max_steps] (default [200_000]) is exceeded.
+      underflows [1e-300] or [max_steps] (default [200_000]) is exceeded.
       A non-finite trial state (NaN {e or} infinity) shrinks the step rather
       than being accepted.
 
@@ -115,7 +115,7 @@ module For_testing : sig
   }
 
   val rkf45_event :
-    ?rtol:float -> ?atol:float -> ?h0:float -> ?h_min:float -> ?max_steps:int ->
+    ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
     f:(float -> float -> float) ->
     event:(float -> float -> float) ->
     t0:float -> y0:float -> t1:float -> unit ->

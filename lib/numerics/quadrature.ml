@@ -21,7 +21,7 @@ let trapezoid_samples xs ys =
   done;
   !sum
 
-let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 40) f a b =
+let adaptive_simpson ?(tol = 1e-10) f a b =
   let f x = Tel.count "quad/fn_eval"; Budget.note_evals 1; f x in
   let simpson3 fa fm fb a b = (b -. a) /. 6. *. (fa +. (4. *. fm) +. fb) in
   let rec go a fa b fb m fm whole tol depth =
@@ -35,7 +35,7 @@ let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 40) f a b =
     let left = simpson3 fa flm fm a m in
     let right = simpson3 fm frm fb m b in
     let delta = left +. right -. whole in
-    if depth >= max_depth || abs_float delta <= 15. *. tol then
+    if depth >= 40 || abs_float delta <= 15. *. tol then
       left +. right +. (delta /. 15.)
     else
       go a fa m fm lm flm left (tol /. 2.) (depth + 1)

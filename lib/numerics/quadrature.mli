@@ -11,10 +11,10 @@ val trapezoid_samples : float array -> float array -> float
     the trapezoid rule. [xs] must be sorted increasing.
     @raise Invalid_argument on length mismatch or fewer than two points. *)
 
-val adaptive_simpson :
-  ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float -> float
+val adaptive_simpson : ?tol:float -> (float -> float) -> float -> float -> float
 (** [adaptive_simpson f a b] integrates with recursive Simpson refinement to
-    absolute tolerance [tol] (default [1e-10]). *)
+    absolute tolerance [tol] (default [1e-10]), at most 40 halvings
+    deep. *)
 
 val gauss_legendre : ?order:int -> (float -> float) -> float -> float -> float
 (** [gauss_legendre ~order f a b] is Gauss–Legendre quadrature with [order]

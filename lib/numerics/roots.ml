@@ -187,7 +187,7 @@ let secant ?(tol = default_tol) ?(max_iter = 100) f x0 x1 =
   in
   loop x0 (f x0) x1 (f x1) 0
 
-let bracket_root ?(grow = 1.6) ?(max_iter = 60) f a b =
+let bracket_root ?(max_iter = 60) f a b =
   let solver = "Roots.bracket_root" in
   Err.protect @@ fun () ->
   let f = instrument ~solver f in
@@ -211,10 +211,10 @@ let bracket_root ?(grow = 1.6) ?(max_iter = 60) f a b =
         else begin
           Tel.count "roots/bracket_expand";
           if abs_float !fa < abs_float !fb then begin
-            a := !a -. (grow *. (!b -. !a));
+            a := !a -. (1.6 *. (!b -. !a));
             fa := f !a
           end else begin
-            b := !b +. (grow *. (!b -. !a));
+            b := !b +. (1.6 *. (!b -. !a));
             fb := f !b
           end;
           loop (i + 1)

@@ -44,8 +44,8 @@ val secant :
 (** [secant f x0 x1] is the secant method from the two initial guesses. *)
 
 val bracket_root :
-  ?grow:float -> ?max_iter:int -> (float -> float) -> float -> float ->
+  ?max_iter:int -> (float -> float) -> float -> float ->
   ((float * float), error) result
 (** [bracket_root f a b] expands the interval [[a, b]] geometrically
-    (factor [grow], default [1.6]) until [f] changes sign across it,
+    (by 1.6 times its width per step) until [f] changes sign across it,
     returning the bracketing pair. *)

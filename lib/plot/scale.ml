@@ -40,11 +40,12 @@ let nice_step raw =
   let nice = if norm <= 1. then 1. else if norm <= 2. then 2. else if norm <= 5. then 5. else 10. in
   nice *. mag
 
-let ticks ?(target = 6) t =
+(* About six ticks per axis. *)
+let ticks t =
   match t.kind with
   | Linear ->
     let span = t.hi -. t.lo in
-    let step = nice_step (span /. float_of_int (max 2 target)) in
+    let step = nice_step (span /. 6.) in
     let first = ceil (t.lo /. step) *. step in
     let rec go acc v =
       if v > t.hi +. (step /. 2.) then List.rev acc else go (v :: acc) (v +. step)
@@ -53,7 +54,7 @@ let ticks ?(target = 6) t =
   | Log10 ->
     let d0 = floor (log10 t.lo) and d1 = ceil (log10 t.hi) in
     let decades = int_of_float (d1 -. d0) in
-    let stride = max 1 (decades / max 1 target) in
+    let stride = max 1 (decades / 6) in
     let rec go acc d =
       if d > d1 +. 0.5 then List.rev acc
       else go ((10. ** d) :: acc) (d +. float_of_int stride)

@@ -20,9 +20,9 @@ val bounds : t -> float * float
 val project : t -> float -> float
 (** Map a data value into [[0, 1]] (clamped). *)
 
-val ticks : ?target:int -> t -> float array
-(** "Nice" tick positions: 1-2-5 progression for linear scales, powers of
-    ten for log scales. [target] is the desired tick count (default 6). *)
+val ticks : t -> float array
+(** "Nice" tick positions, about six of them: 1-2-5 progression for linear
+    scales, powers of ten for log scales. *)
 
 val tick_label : t -> float -> string
 (** Compact label for a tick value ([1e-3]-style for log scales and

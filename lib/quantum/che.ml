@@ -4,8 +4,6 @@ type params = {
   prefactor : float;
 }
 
-let default_si = { lambda = 9.2e-9; phi_b_ev = 3.2; prefactor = 2e-3 }
-
 let injection_probability p ~lateral_field =
   if lateral_field <= 0. then 0.
   else begin
@@ -23,3 +21,7 @@ let programming_current_budget p ~drain_current ~lateral_field ~cells =
   if cells < 0 then invalid_arg "Che.programming_current_budget: negative cells";
   ignore (injection_probability p ~lateral_field);
   float_of_int cells *. drain_current
+
+module For_testing = struct
+  let default_si = { lambda = 9.2e-9; phi_b_ev = 3.2; prefactor = 2e-3 }
+end

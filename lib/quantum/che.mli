@@ -9,9 +9,6 @@ type params = {
   prefactor : float;    (** empirical collection efficiency C, ~2e-3 *)
 }
 
-val default_si : params
-(** Textbook silicon parameters (λ = 9.2 nm, Φ_B = 3.2 eV, C = 2×10⁻³). *)
-
 (* lint: allow L14 — no program calls it; test_che pins it *)
 val injection_probability : params -> lateral_field:float -> float
 (** Lucky-electron probability [C·exp(−Φ_B/(q·λ·E_lat))]; [0.] for
@@ -28,3 +25,9 @@ val programming_current_budget :
 (** Total supply current [A] to program [cells] cells in parallel — the
     quantity that makes CHE ~10⁶× more power-hungry per cell than FN
     (paper Section II: 0.3–1 mA per cell vs < 1 nA). *)
+
+(** The parameter set [test/test_che.ml] runs the model on. *)
+module For_testing : sig
+  val default_si : params
+  (** Textbook silicon parameters (λ = 9.2 nm, Φ_B = 3.2 eV, C = 2×10⁻³). *)
+end

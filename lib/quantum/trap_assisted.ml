@@ -43,16 +43,16 @@ let step_transmissions (p : Fn.params) trap ~v_ox ~thickness =
   let t_out = Wkb.transmission barrier_out ~energy:(max trap_level 0.) in
   (t_in, t_out)
 
-let current_density ?(trap = mid_gap_trap) (p : Fn.params) ~trap_density ~v_ox ~thickness =
+let current_density (p : Fn.params) ~trap_density ~v_ox ~thickness =
   if trap_density < 0. then invalid_arg "Trap_assisted: negative trap density";
   if v_ox <= 0. then 0.
   else begin
-    let t_in, t_out = step_transmissions p trap ~v_ox ~thickness in
+    let t_in, t_out = step_transmissions p mid_gap_trap ~v_ox ~thickness in
     (* two sequential steps: rate limited by the slower one *)
     trap_density *. per_trap_prefactor *. min t_in t_out
   end
 
-let silc_ratio ?(trap = mid_gap_trap) p ~trap_density ~v_ox ~thickness =
-  let j_tat = current_density p ~trap ~trap_density ~v_ox ~thickness in
+let silc_ratio p ~trap_density ~v_ox ~thickness =
+  let j_tat = current_density p ~trap_density ~v_ox ~thickness in
   let j_dt = Direct_tunneling.current_density p ~v_ox ~thickness in
   if j_dt <= 0. then infinity else j_tat /. j_dt

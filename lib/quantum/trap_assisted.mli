@@ -27,14 +27,13 @@ val step_transmissions :
     @raise Invalid_argument for non-positive [thickness] or [v_ox]. *)
 
 val current_density :
-  ?trap:trap -> Fn.params -> trap_density:float -> v_ox:float ->
-  thickness:float -> float
-(** TAT current density [A/m²] for an areal trap density [1/m²].
+  Fn.params -> trap_density:float -> v_ox:float -> thickness:float -> float
+(** TAT current density [A/m²] for an areal trap density [1/m²] of
+    {!mid_gap_trap}s.
     Scales linearly with [trap_density]; returns [0.] for [v_ox <= 0.]. *)
 
 val silc_ratio :
-  ?trap:trap -> Fn.params -> trap_density:float -> v_ox:float ->
-  thickness:float -> float
+  Fn.params -> trap_density:float -> v_ox:float -> thickness:float -> float
 (** [J_TAT / J_direct] at the same bias — how much the cycling-generated
     traps multiply low-field leakage (the quantity that degrades retention
     with cycling). *)

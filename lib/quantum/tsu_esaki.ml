@@ -12,18 +12,13 @@ type transmission_model =
    only the energy varies between quadrature nodes — so the T(E) evaluator
    is built once per [current_density] call: the trapezoid is constructed a
    single time and, for the WKB model, the closed-form segment cache
-   ({!Wkb.Cache}) replaces one adaptive-Simpson recursion per node. The
-   [~wkb_cache:false] path runs the same closed-form arithmetic uncached
-   (bit-identical results; only the telemetry counters differ). *)
-let transmission_fn ~model ~wkb_cache ~phi_b ~field ~thickness ~m_b =
+   ({!Wkb.Cache}) replaces one adaptive-Simpson recursion per node. *)
+let transmission_fn ~model ~phi_b ~field ~thickness ~m_b =
   match model with
   | Wkb_model ->
     let b = Barrier.trapezoidal ~phi_b ~v_ox:(field *. thickness) ~thickness ~m_eff:m_b in
-    if wkb_cache then begin
-      let cache = Wkb.Cache.make b in
-      fun energy -> Wkb.Cache.transmission cache ~energy
-    end
-    else fun energy -> Wkb.transmission_closed b ~energy
+    let cache = Wkb.Cache.make b in
+    fun energy -> Wkb.Cache.transmission cache ~energy
   | Transfer_matrix_model steps ->
     let b = Barrier.trapezoidal ~phi_b ~v_ox:(field *. thickness) ~thickness ~m_eff:m_b in
     fun energy -> Transfer_matrix.transmission ~steps b ~energy
@@ -33,12 +28,12 @@ let transmission_fn ~model ~wkb_cache ~phi_b ~field ~thickness ~m_b =
       Triangular_exact.transmission ~phi1:phi_b ~phi2 ~thickness ~m_b ~m_e:C.m0 ~energy
 
 let current_density ?(model = Wkb_model) ?(temp = C.room_temperature)
-    ?(wkb_cache = true) ~phi_b ~field ~thickness ~m_b ~ef () =
+    ~phi_b ~field ~thickness ~m_b ~ef () =
   if field <= 0. then 0.
   else begin
     Tel.span "tsu_esaki/current_density" @@ fun () ->
     let transmission_at =
-      transmission_fn ~model ~wkb_cache ~phi_b ~field ~thickness ~m_b
+      transmission_fn ~model ~phi_b ~field ~thickness ~m_b
     in
     let qv = C.q *. field *. thickness in
     (* lint: allow L4 — the Tsu–Esaki supply prefactor q·m0·kB/(2π²ħ³) has

@@ -13,7 +13,7 @@ type transmission_model =
 (** Which T(E) evaluator to plug into the integral. *)
 
 val current_density :
-  ?model:transmission_model -> ?temp:float -> ?wkb_cache:bool ->
+  ?model:transmission_model -> ?temp:float ->
   phi_b:float -> field:float -> thickness:float -> m_b:float ->
   ef:float -> unit -> float
 (** [current_density ~phi_b ~field ~thickness ~m_b ~ef ()] is the net
@@ -23,10 +23,8 @@ val current_density :
     sets the supply-function bias. [temp] defaults to 300 K, [model] to
     {!Wkb_model}.
 
-    [wkb_cache] (default [true]) memoizes the WKB transmission via
-    {!Wkb.Cache}: the piecewise-linear barrier's per-segment closed-form
-    action coefficients are computed once per call and shared across all
-    quadrature nodes, replacing one adaptive-Simpson recursion per node.
-    Cached and uncached paths run identical arithmetic, so results are
-    bit-for-bit equal either way; only the [wkb/cache_build] /
-    [wkb/cache_hit] counters differ. Ignored for non-WKB models. *)
+    The WKB model always evaluates through {!Wkb.Cache}: the
+    piecewise-linear barrier's per-segment closed-form action
+    coefficients are computed once per call ([wkb/cache_build]) and
+    shared across all quadrature nodes ([wkb/cache_hit] each), replacing
+    one adaptive-Simpson recursion per node. *)

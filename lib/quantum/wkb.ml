@@ -36,10 +36,8 @@ let transmission b ~energy =
    sub-threshold endpoint simply vanishes). Flat segments reduce to
    width·√(V−E). The sum over segments equals the adaptive
    {!action_integral} to its quadrature tolerance but is exact, costs
-   O(segments) with no function evaluations, and — being a pure function
-   of the node table — is bit-reproducible, which is what lets the
-   memoized and uncached {!Tsu_esaki.current_density} paths agree
-   bit-for-bit. *)
+   O(segments) with no function evaluations, and is a pure function of
+   the node table. *)
 
 module Cache = struct
   type seg = {
@@ -93,22 +91,6 @@ module Cache = struct
     let a = action c ~energy in
     if a <= 0. then 1. else exp (-.a)
 end
-
-(* One-shot closed-form path: same arithmetic as the cache (so results are
-   bit-identical), but rebuilt per call and deliberately uncounted — this
-   is what [~wkb_cache:false] exercises. *)
-let transmission_closed b ~energy =
-  let nodes = b.Barrier.nodes in
-  let sqrt2m = sqrt (2. *. b.Barrier.m_eff) in
-  let acc = ref 0. in
-  for i = 0 to Array.length nodes - 2 do
-    let xa, va = nodes.(i) and xb, vb = nodes.(i + 1) in
-    let width = xb -. xa in
-    let s = { Cache.width; va; vb; slope = (vb -. va) /. width } in
-    acc := !acc +. Cache.seg_action ~sqrt2m ~energy s
-  done;
-  let a = if energy >= Barrier.max_height b then 0. else 2. /. C.hbar *. !acc in
-  if a <= 0. then 1. else exp (-.a)
 
 module For_testing = struct
   let transmission_triangular ~phi_b ~field ~m_eff =

@@ -37,12 +37,6 @@ module Cache : sig
   (** [exp (−action)], clamped to 1 above the barrier maximum. *)
 end
 
-val transmission_closed : Barrier.t -> energy:float -> float
-(** One-shot closed-form transmission: identical arithmetic to
-    {!Cache.transmission} (bit-for-bit), but recomputes the segment table
-    on every call and bumps no cache counters. This is the
-    [~wkb_cache:false] path of {!Tsu_esaki.current_density}. *)
-
 (** The closed-form oracle [test/test_wkb.ml] checks {!transmission}
     against. No program calls it. *)
 module For_testing : sig

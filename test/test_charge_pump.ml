@@ -1,7 +1,7 @@
 module P = Gnrflash_device.Charge_pump
 open Gnrflash_testing.Testing
 
-let pump = P.make ~v_dd:1.8 ~stages:12 ()
+let pump = P.make ~v_dd:1.8 ~stages:12
 
 let test_open_circuit_voltage () =
   (* V = Vdd + N(Vdd - Vd) - Vd = 1.8 + 12*1.5 - 0.3 = 19.5 V *)
@@ -16,7 +16,7 @@ let test_load_droop () =
 
 let test_make_validation () =
   Alcotest.check_raises "bad vdd" (Invalid_argument "Charge_pump.make: non-positive parameter")
-    (fun () -> ignore (P.make ~v_dd:0. ~stages:4 ()))
+    (fun () -> ignore (P.make ~v_dd:0. ~stages:4))
 
 let test_stages_for_paper_bias () =
   (* reaching 15 V for the paper's programming from a 1.8 V supply *)
@@ -49,15 +49,15 @@ let test_ramp_time () =
 
 let prop_voltage_monotone_in_stages =
   prop "more stages, more volts" QCheck2.Gen.(int_range 1 30) (fun n ->
-      let p1 = P.make ~v_dd:1.8 ~stages:n () in
-      let p2 = P.make ~v_dd:1.8 ~stages:(n + 1) () in
+      let p1 = P.make ~v_dd:1.8 ~stages:n in
+      let p2 = P.make ~v_dd:1.8 ~stages:(n + 1) in
       P.For_testing.output_voltage p2 ~i_load:1e-9
       > P.For_testing.output_voltage p1 ~i_load:1e-9)
 
 let prop_efficiency_decreases_with_stages =
   prop "stage count costs efficiency" QCheck2.Gen.(int_range 2 25) (fun n ->
-      let p1 = P.make ~v_dd:1.8 ~stages:n () in
-      let p2 = P.make ~v_dd:1.8 ~stages:(n + 2) () in
+      let p1 = P.make ~v_dd:1.8 ~stages:n in
+      let p2 = P.make ~v_dd:1.8 ~stages:(n + 2) in
       P.efficiency p2 ~i_load:1e-7 <= P.efficiency p1 ~i_load:1e-7 +. 1e-9)
 
 let () =

@@ -1,7 +1,7 @@
 module Che = Gnrflash_quantum.Che
 open Gnrflash_testing.Testing
 
-let p = Che.default_si
+let p = Che.For_testing.default_si
 
 let test_default_parameters () =
   check_close "lambda" 9.2e-9 p.Che.lambda;

@@ -12,7 +12,7 @@ let test_fn_program_energy () =
 
 let test_che_program_energy () =
   let e =
-    En.che_program_energy ~drain_current:0.5e-3 ~vds:5. ~vgs:10. ~pulse_width:1e-6 ()
+    En.che_program_energy ~drain_current:0.5e-3 ~vds:5. ~vgs:10. ~pulse_width:1e-6
   in
   (* drain path: 0.5mA * 5V * 1us = 2.5e-9 J *)
   check_close ~tol:1e-3 "drain energy" 2.5e-9 e.En.cell_energy;

@@ -6,14 +6,17 @@ open Gnrflash_testing.Testing
    bit-identical means the parallel assembly really is order-preserving *)
 let work x = (sin (x *. 1.7) *. exp (-.x *. x /. 50.)) +. (x /. 3.)
 
+(* ~serial_cutoff:0. forces the pool path, whose fixed chunk size
+   max 1 (n / (8·jobs)) then runs from 1 up to 12 elements over these
+   sizes, with and without a short last chunk. *)
 let prop_map_parity =
-  prop "map ~jobs ~chunk bit-identical to Array.map"
+  prop "map ~jobs bit-identical to Array.map"
     QCheck2.Gen.(
-      triple
-        (array_size (int_range 0 60) (float_range (-100.) 100.))
-        (int_range 1 6) (int_range 1 9))
-    (fun (xs, jobs, chunk) ->
-       Sweep.map ~jobs ~chunk work xs = Array.map work xs)
+      pair
+        (array_size (int_range 0 200) (float_range (-100.) 100.))
+        (int_range 1 6))
+    (fun (xs, jobs) ->
+       Sweep.map ~jobs ~serial_cutoff:0. work xs = Array.map work xs)
 
 let prop_mapi_parity =
   prop "mapi carries the right index to every element"
@@ -24,20 +27,22 @@ let prop_mapi_parity =
        = Array.mapi (fun i x -> (i, work x)) xs)
 
 let test_jobs_invariant () =
-  (* same ensemble for every pool size, including chunk sizes that do not
-     divide n evenly; ~serial_cutoff:0. forces the pool so this really
-     checks the parallel assembly, not the auto-serial shortcut *)
-  let xs = Array.init 41 (fun i -> (float_of_int i /. 7.) -. 2.) in
-  let reference = Sweep.map ~jobs:1 work xs in
+  (* same ensemble for every pool size; ~serial_cutoff:0. forces the pool
+     so this really checks the parallel assembly, not the auto-serial
+     shortcut. Its chunk size max 1 (n / (8·jobs)) is 1 at n = 2, 3 and
+     at n = 41 on 4 jobs, and leaves a short last chunk at n = 41 on 2
+     jobs (2), n = 100 (6 and 3) and n = 257 (16 and 8). *)
   List.iter
-    (fun jobs ->
+    (fun n ->
+       let xs = Array.init n (fun i -> (float_of_int i /. 7.) -. 2.) in
+       let reference = Array.map work xs in
        List.iter
-         (fun chunk ->
+         (fun jobs ->
             check_true
-              (Printf.sprintf "jobs=%d chunk=%d" jobs chunk)
-              (Sweep.map ~jobs ~chunk ~serial_cutoff:0. work xs = reference))
-         [ 1; 3; 41; 100 ])
-    [ 1; 2; 4 ]
+              (Printf.sprintf "n=%d jobs=%d" n jobs)
+              (Sweep.map ~jobs ~serial_cutoff:0. work xs = reference))
+         [ 1; 2; 4 ])
+    [ 2; 3; 41; 100; 257 ]
 
 let test_grid_layout () =
   let outer = [| 1.; 2.; 3. |] and inner = [| 10.; 20. |] in
@@ -66,18 +71,17 @@ let test_empty_and_edges () =
 let test_validation () =
   Alcotest.check_raises "jobs 0" (Invalid_argument "Sweep: jobs < 1") (fun () ->
       ignore (Sweep.map ~jobs:0 work [| 1.; 2. |]));
-  Alcotest.check_raises "chunk 0" (Invalid_argument "Sweep: chunk < 1") (fun () ->
-      ignore (Sweep.map ~jobs:2 ~chunk:0 work [| 1.; 2. |]));
   Alcotest.check_raises "shards 0" (Invalid_argument "Sweep: shards < 1")
     (fun () -> ignore (Sweep.map ~shards:0 work [| 1.; 2. |]));
   Alcotest.check_raises "negative init" (Invalid_argument "Sweep.init: n < 0")
     (fun () -> ignore (Sweep.init ~jobs:2 (-1) float_of_int))
 
 let test_exception_propagates () =
+  (* 48 elements on 3 jobs: chunks of 2 *)
   Alcotest.check_raises "worker exception reaches caller"
     (Failure "boom at 17") (fun () ->
       ignore
-        (Sweep.init ~jobs:3 ~chunk:2 ~serial_cutoff:0. 40 (fun i ->
+        (Sweep.init ~jobs:3 ~serial_cutoff:0. 48 (fun i ->
              if i = 17 then failwith "boom at 17" else i)));
   (* ... and through the auto-serial path, including from the probe itself *)
   Alcotest.check_raises "auto-serial exception reaches caller"
@@ -149,12 +153,12 @@ let test_default_jobs () =
 
 (* instrumented workload: counters + a span inside the mapped function, so
    the totals exercise the per-domain sinks and the pool-join merge *)
-let counted_run ~jobs =
+let counted_run ~jobs ~n =
   Tel.reset ();
   Tel.enable ();
   Fun.protect ~finally:Tel.disable (fun () ->
       let out =
-        Sweep.init ~jobs ~chunk:3 ~serial_cutoff:0. 32 (fun i ->
+        Sweep.init ~jobs ~serial_cutoff:0. n (fun i ->
             Tel.count "sweep_test/evals";
             Tel.span "sweep_test/inner" (fun () -> work (float_of_int i)))
       in
@@ -166,21 +170,26 @@ let counted_run ~jobs =
       in
       (out, evals, span_calls))
 
+(* n = 32 runs chunks of 2 on 2 jobs and of 1 on 4; n = 100 chunks of 6
+   and 3, each with a short last chunk *)
 let test_telemetry_totals_match_serial () =
-  let out1, evals1, calls1 = counted_run ~jobs:1 in
-  Alcotest.(check int) "serial evals" 32 evals1;
-  Alcotest.(check int) "serial span calls" 32 calls1;
   List.iter
-    (fun jobs ->
-       let outp, evalsp, callsp = counted_run ~jobs in
-       check_true "results match serial" (outp = out1);
-       Alcotest.(check int)
-         (Printf.sprintf "evals at jobs=%d" jobs)
-         evals1 evalsp;
-       Alcotest.(check int)
-         (Printf.sprintf "span calls at jobs=%d" jobs)
-         calls1 callsp)
-    [ 2; 4 ]
+    (fun n ->
+       let out1, evals1, calls1 = counted_run ~jobs:1 ~n in
+       Alcotest.(check int) "serial evals" n evals1;
+       Alcotest.(check int) "serial span calls" n calls1;
+       List.iter
+         (fun jobs ->
+            let outp, evalsp, callsp = counted_run ~jobs ~n in
+            check_true "results match serial" (outp = out1);
+            Alcotest.(check int)
+              (Printf.sprintf "evals at n=%d jobs=%d" n jobs)
+              evals1 evalsp;
+            Alcotest.(check int)
+              (Printf.sprintf "span calls at n=%d jobs=%d" n jobs)
+              calls1 callsp)
+         [ 2; 4 ])
+    [ 32; 100 ]
 
 let test_telemetry_context_prefix_adopted () =
   Tel.reset ();
@@ -188,7 +197,7 @@ let test_telemetry_context_prefix_adopted () =
   Fun.protect ~finally:Tel.disable (fun () ->
       Tel.span "outer_sweep" (fun () ->
           ignore
-            (Sweep.init ~jobs:2 ~chunk:1 ~serial_cutoff:0. 8 (fun i ->
+            (Sweep.init ~jobs:2 ~serial_cutoff:0. 8 (fun i ->
                  Tel.count "hit";
                  i)));
       (* workers counted under the submitting domain's span path, exactly

@@ -76,6 +76,24 @@ let prop_closed_form_agreement =
        let numeric = W.transmission b ~energy:0. in
        abs_float (log closed -. log numeric) < 1e-3)
 
+(* The closed-form cache against the adaptive quadrature, an independent
+   evaluation of the same action integral: over random trapezoidal
+   barriers (direct-tunneling and FN shapes), biases and energies up to
+   past the barrier top, the two exponents agree to the ~1e-9 relative
+   tolerance the adaptive path integrates to. *)
+let prop_cache_matches_adaptive =
+  prop "cache matches adaptive quadrature" ~count:200
+    QCheck2.Gen.(
+      quad (float_range 2.5 3.5) (float_range 0.5e9 1.8e9)
+        (float_range 3e-9 9e-9) (float_range 0. 1.1))
+    (fun (phi_ev, field, thickness, e_frac) ->
+       let phi_b = phi_ev *. ev in
+       let b = B.trapezoidal ~phi_b ~v_ox:(field *. thickness) ~thickness ~m_eff in
+       let energy = e_frac *. phi_b in
+       let cached = -.log (W.Cache.transmission (W.Cache.make b) ~energy) in
+       let adaptive = -.log (W.transmission b ~energy) in
+       abs_float (cached -. adaptive) <= 1e-9 *. adaptive)
+
 let () =
   Alcotest.run "wkb"
     [
@@ -92,5 +110,6 @@ let () =
           case "rectangular action" test_rectangular_barrier_action;
           prop_transmission_in_unit_interval;
           prop_closed_form_agreement;
+          prop_cache_matches_adaptive;
         ] );
     ]

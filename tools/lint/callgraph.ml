@@ -836,7 +836,7 @@ let analyze summaries =
                   (Printf.sprintf
                      "nondeterminism reachable from %s: %s%s — sweep \
                       results must be bit-identical to serial for any \
-                      --jobs/--chunk/--shards"
+                      --jobs/--shards"
                      origin nd.nd_what (chain_str chain)))
               sk.sk_nondet
           in

@@ -1,4 +1,5 @@
-(* gnrflash-lint: run the fourteen L1–L14 rules over the library tree.
+(* gnrflash-lint: run the thirteen rules L1–L14 (there is no L7) over the
+   library tree.
 
    Usage:
      gnrflash_lint.exe [--root DIR] [--subdir DIR] [--quiet] [--json]

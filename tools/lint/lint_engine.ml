@@ -1,5 +1,5 @@
 type rule =
-  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13 | L14
+  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L10 | L11 | L12 | L13 | L14
 
 let rule_id = function
   | L1 -> "L1"
@@ -8,7 +8,6 @@ let rule_id = function
   | L4 -> "L4"
   | L5 -> "L5"
   | L6 -> "L6"
-  | L7 -> "L7"
   | L8 -> "L8"
   | L9 -> "L9"
   | L10 -> "L10"
@@ -17,7 +16,7 @@ let rule_id = function
   | L13 -> "L13"
   | L14 -> "L14"
 
-let all_rules = [ L1; L2; L3; L4; L5; L6; L7; L8; L9; L10; L11; L12; L13; L14 ]
+let all_rules = [ L1; L2; L3; L4; L5; L6; L8; L9; L10; L11; L12; L13; L14 ]
 
 let rule_of_int = function
   | 1 -> Some L1
@@ -26,7 +25,6 @@ let rule_of_int = function
   | 4 -> Some L4
   | 5 -> Some L5
   | 6 -> Some L6
-  | 7 -> Some L7
   | 8 -> Some L8
   | 9 -> Some L9
   | 10 -> Some L10
@@ -264,19 +262,6 @@ let l6_targets =
 
 let span_wrappers = [ "Gnrflash_telemetry.Telemetry.span" ]
 
-(* L7 targets: Sweep entry points, under both the low-level library name
-   and the umbrella re-export. A hardcoded [~chunk] at these call sites
-   overrides the probe-based auto-tuning that keeps small work items from
-   drowning in queue traffic — the constant that looked right on one
-   machine is wrong on the next. *)
-let l7_targets =
-  List.concat_map
-    (fun m ->
-      List.map
-        (fun f -> m ^ "." ^ f)
-        [ "map"; "mapi"; "init"; "map_list"; "grid" ])
-    [ "Gnrflash_parallel.Sweep"; "Gnrflash.Sweep" ]
-
 let is_float_type ty =
   match Types.get_desc ty with
   | Tconstr (p, [], _) -> Path.same p Predef.path_float
@@ -427,32 +412,6 @@ let check_structure ~config ~basename (str : Typedtree.structure) =
                 node; build a Wkb.Cache once outside the integral and call \
                 Wkb.Cache.transmission per energy"
                cf);
-        (* L7: hardcoded ~chunk at a Sweep call site *)
-        (if List.mem cf l7_targets then
-           let rec is_const (e : Typedtree.expression) =
-             match e.exp_desc with
-             | Texp_constant _ -> true
-             | Texp_construct (_, cd, [ inner ]) when cd.cstr_name = "Some" ->
-                 is_const inner
-             | _ -> false
-           in
-           List.iter
-             (fun ((lbl : Asttypes.arg_label), a) ->
-               let is_chunk =
-                 match lbl with
-                 | Asttypes.Labelled l | Asttypes.Optional l -> l = "chunk"
-                 | Asttypes.Nolabel -> false
-               in
-               match a with
-               | Some e when is_chunk && is_const e ->
-                   add L7 loc
-                     (Printf.sprintf
-                        "hardcoded ~chunk at %s — trust the probe-based \
-                         auto-tuning (Sweep.auto_chunk), or justify the \
-                         constant"
-                        cf)
-               | _ -> ())
-             args);
         (* L4: multiplying two raw constants without going through Units *)
         if basename <> "constants.ml" && cf = "Stdlib.*." then
           let is_constant_ident (a : Typedtree.expression option) =
@@ -571,7 +530,7 @@ let run ?(config = default_config) ~root ~subdir () =
   let cmts = collect_cmts (Filename.concat root subdir) [] in
   let seen = Hashtbl.create 64 in
   let files = ref 0 in
-  (* per-file raw findings: the intra-file rules (L1–L7), the analyzer's
+  (* per-file raw findings: the intra-file rules (L1–L6), the analyzer's
      direct findings (L11/L12), then — once every summary is in — the
      reachability findings (L8/L9/L10) from phase 2 *)
   let per_file : (string, raw_finding list ref) Hashtbl.t = Hashtbl.create 64 in

@@ -14,9 +14,11 @@
     - [L6] a call to an adaptive WKB evaluator ([Wkb.action_integral] /
       [Wkb.transmission]) inside a [Quadrature] integrand — per-node
       adaptive recursion; build a {!Gnrflash_quantum.Wkb.Cache} once
-      outside the integral instead;
-    - [L7] a hardcoded [~chunk] constant at a [Sweep.*] call site,
-      overriding the probe-based chunk auto-tuning.
+      outside the integral instead.
+
+    There is no [L7]: it flagged a hardcoded [~chunk] at a [Sweep.*] call
+    site, and [Sweep] no longer takes one. The other rules keep their
+    numbers, so existing suppression comments stay valid.
 
     Inter-procedural rules (the {!Callgraph} two-phase analyzer; these
     certify the bit-identical-to-serial determinism contract of the
@@ -62,10 +64,10 @@
     the same tree the [.cmt]s were built from. *)
 
 type rule =
-  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13 | L14
+  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L10 | L11 | L12 | L13 | L14
 
 val rule_id : rule -> string
-(** ["L1"] … ["L14"]. *)
+(** ["L1"] … ["L14"] (no ["L7"]). *)
 
 val all_rules : rule list
 
