@@ -39,9 +39,6 @@ let with_budget t f =
   Atomic.set slot (Some t);
   Fun.protect ~finally:(fun () -> Atomic.set slot prev) f
 
-let with_opt opt f =
-  match opt with None -> f () | Some t -> with_budget t f
-
 let note_evals n =
   match Atomic.get slot with
   | None -> ()

@@ -4,7 +4,10 @@
     A budget is installed for a dynamic extent with {!with_budget} (it lives
     in a process-global slot, so it is visible to solver code regardless of
     call depth — including [Sweep] worker domains, which
-    share the slot). Solvers report work via {!note_evals} and poll
+    share the slot). Because the slot is process-wide, a caller installs a
+    budget around a whole command (as the CLI's [--budget-ms] does), never
+    around one element of a parallel sweep: two domains installing their
+    own would restore each other's slot mid-solve. Solvers report work via {!note_evals} and poll
     {!check} / {!check_exn}; exceeding the budget yields
     [Solver_error.Budget_exhausted]. With no budget installed every check
     passes and the overhead is one atomic load. *)
@@ -22,9 +25,6 @@ val exhausted : t -> bool
 val with_budget : t -> (unit -> 'a) -> 'a
 (** Install [t] as the ambient budget for the thunk (restoring the previous
     one afterwards, exception-safe). *)
-
-val with_opt : t option -> (unit -> 'a) -> 'a
-(** [with_opt None f] runs [f] with the ambient budget untouched. *)
 
 val note_evals : int -> unit
 (** Charge n evaluations against the ambient budget (no-op without one). *)

@@ -1,12 +1,12 @@
-(* Solver telemetry: named monotonic counters, gauges, and wall-clock span
+(* Solver telemetry: named monotonic counters and wall-clock span
    timers for the tunneling -> capacitive-network -> transient pipeline.
 
    Design constraints:
    - negligible overhead when disabled: every entry point is a single
      [if not !enabled] branch away from a no-op, so instrumentation can stay
      permanently wired into the numeric kernels;
-   - scoped attribution: [span] pushes its name onto a context stack and
-     every counter/gauge recorded inside is keyed under the caller's path
+   - scoped attribution: [span] extends the context path and every
+     counter recorded inside is keyed under the caller's path
      (e.g. "transient/run/ode/rhs_eval"), so nested solves attribute work to
      the figure or experiment that asked for it;
    - no dependencies beyond the stdlib + unix (for the wall clock), so the
@@ -16,10 +16,10 @@
    (Domain.DLS), so the hot path stays lock-free. Worker domains spawned by
    the Sweep pool call [flush_local] before they join, merging their sink
    into a mutex-protected global accumulator; counters and span calls add,
-   span times add (total work across domains), gauges are last-writer in
-   merge order. Accessors ([counter], [snapshot], ...) see the merge of the
-   global accumulator and the calling domain's local sink, so single-domain
-   callers observe exactly the old semantics. *)
+   span times add (total work across domains). Accessors ([counter],
+   [snapshot], ...) see the merge of the global accumulator and the calling
+   domain's local sink, so single-domain callers observe exactly the old
+   semantics. *)
 
 type span_stat = {
   calls : int;
@@ -28,27 +28,22 @@ type span_stat = {
 
 type sink = {
   sink_counters : (string, int ref) Hashtbl.t;
-  sink_gauges : (string, float) Hashtbl.t;
   sink_spans : (string, span_stat ref) Hashtbl.t;
-  (* Span-name stack plus its joined path, maintained on span entry/exit so
-     counter increments (the hot operation) never re-join the stack. The
-     prefix is "" at top level. *)
-  mutable context : string list;
+  (* The joined span path, extended on span entry and restored on exit so
+     counter increments (the hot operation) never re-join it. "" at top
+     level. *)
   mutable context_prefix : string;
 }
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * float) list;
   spans : (string * span_stat) list;
 }
 
 let make_sink () =
   {
     sink_counters = Hashtbl.create 64;
-    sink_gauges = Hashtbl.create 16;
     sink_spans = Hashtbl.create 16;
-    context = [];
     context_prefix = "";
   }
 
@@ -70,16 +65,14 @@ let is_enabled () = Atomic.get enabled
 
 let clear_sink s =
   Hashtbl.reset s.sink_counters;
-  Hashtbl.reset s.sink_gauges;
   Hashtbl.reset s.sink_spans;
-  s.context <- [];
   s.context_prefix <- ""
 
 let reset () =
   Mutex.protect merged_mutex (fun () -> clear_sink merged);
   clear_sink (local ())
 
-(* Fold [src] into [dst]: counters and span stats add, gauges overwrite. *)
+(* Fold [src] into [dst]: counters and span stats add. *)
 let merge_sink ~dst (src : sink) =
   (* lint: allow L9 — counter merge is commutative addition keyed by name;
      the iteration order over [src] cannot change any merged total *)
@@ -89,8 +82,6 @@ let merge_sink ~dst (src : sink) =
        | Some d -> d := !d + !r
        | None -> Hashtbl.add dst.sink_counters key (ref !r))
     src.sink_counters;
-  (* lint: allow L9 — last-writer-wins gauges are documented as approximate *)
-  Hashtbl.iter (fun key v -> Hashtbl.replace dst.sink_gauges key v) src.sink_gauges;
   (* lint: allow L9 — span stats add like counters; order-insensitive *)
   Hashtbl.iter
     (fun key r ->
@@ -109,16 +100,14 @@ let flush_local () =
   let s = local () in
   Mutex.protect merged_mutex (fun () -> merge_sink ~dst:merged s);
   Hashtbl.reset s.sink_counters;
-  Hashtbl.reset s.sink_gauges;
   Hashtbl.reset s.sink_spans
 
 (* Merge a snapshot produced by another process (a Shard worker) into the
    global accumulator, as if its domains had called [flush_local] here. *)
-let absorb ({ counters; gauges; spans } : snapshot) =
+let absorb ({ counters; spans } : snapshot) =
   if Atomic.get enabled then begin
     let src = make_sink () in
     List.iter (fun (k, v) -> Hashtbl.replace src.sink_counters k (ref v)) counters;
-    List.iter (fun (k, v) -> Hashtbl.replace src.sink_gauges k v) gauges;
     List.iter (fun (k, v) -> Hashtbl.replace src.sink_spans k (ref v)) spans;
     Mutex.protect merged_mutex (fun () -> merge_sink ~dst:merged src)
   end
@@ -145,26 +134,18 @@ let count ?(n = 1) name =
     | None -> Hashtbl.add s.sink_counters key (ref n)
   end
 
-let gauge name v =
-  if Atomic.get enabled then begin
-    let s = local () in
-    Hashtbl.replace s.sink_gauges (path s name) v
-  end
-
 let span name f =
   if not (Atomic.get enabled) then f ()
   else begin
     let s = local () in
     let saved_prefix = s.context_prefix in
     let key = path s name in
-    s.context <- name :: s.context;
     s.context_prefix <- key;
     (* lint: allow L9 — span durations are observability data alongside the
        sweep results, never an input to them *)
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
-        (match s.context with _ :: rest -> s.context <- rest | [] -> ());
         s.context_prefix <- saved_prefix;
         (* lint: allow L9 — see above: timing telemetry only *)
         let dt = Unix.gettimeofday () -. t0 in
@@ -189,22 +170,17 @@ let snapshot () : snapshot =
       in
       {
         counters = sorted view.sink_counters ( ! );
-        gauges = sorted view.sink_gauges Fun.id;
         spans = sorted view.sink_spans ( ! );
       })
 
 (* ---- renderers ---- *)
 
-let render_text ({ counters; gauges; spans } : snapshot) =
+let render_text ({ counters; spans } : snapshot) =
   let b = Buffer.create 512 in
   let section title = Buffer.add_string b (title ^ ":\n") in
   if counters <> [] then begin
     section "counters";
     List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-48s %d\n" k v)) counters
-  end;
-  if gauges <> [] then begin
-    section "gauges";
-    List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-48s %g\n" k v)) gauges
   end;
   if spans <> [] then begin
     section "spans";
@@ -238,7 +214,7 @@ let json_float v =
   if Float.is_integer v && abs_float v < 1e15 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.17g" v
 
-let render_json ({ counters; gauges; spans } : snapshot) =
+let render_json ({ counters; spans } : snapshot) =
   let b = Buffer.create 512 in
   let entries items emit_v =
     Buffer.add_char b '{';
@@ -252,8 +228,6 @@ let render_json ({ counters; gauges; spans } : snapshot) =
   in
   Buffer.add_string b "{\"counters\":";
   entries counters (fun v -> Buffer.add_string b (string_of_int v));
-  Buffer.add_string b ",\"gauges\":";
-  entries gauges (fun v -> Buffer.add_string b (json_float v));
   Buffer.add_string b ",\"spans\":";
   entries spans (fun s ->
       Buffer.add_string b
@@ -377,7 +351,6 @@ let snapshot_of_json text =
     Ok
       {
         counters = entries (fun v -> int_of_float (num v)) (assoc "counters" root);
-        gauges = entries num (assoc "gauges" root);
         spans =
           entries
             (fun v ->
@@ -392,7 +365,6 @@ let snapshot_of_json text =
   | Failure msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
 
 module For_testing = struct
-  let gauge = gauge
   let snapshot_of_json = snapshot_of_json
 
   let counter name =

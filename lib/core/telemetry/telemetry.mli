@@ -1,10 +1,10 @@
-(** Solver telemetry: named monotonic counters, gauges, and wall-clock span
+(** Solver telemetry: named monotonic counters and wall-clock span
     timers for the tunneling → capacitive-network → transient pipeline.
 
     Every entry point is one branch away from a no-op while disabled, so
     the instrumentation stays permanently wired into the numeric kernels.
-    [span] pushes its name onto a per-domain context stack; every counter,
-    gauge or nested span recorded inside is keyed under the caller's path
+    [span] extends a per-domain context path; every counter or nested
+    span recorded inside is keyed under the caller's path
     (e.g. ["transient/run/ode/rhs_eval"]), attributing work to the figure
     or experiment that asked for it.
 
@@ -22,7 +22,6 @@ type span_stat = {
 
 type snapshot = {
   counters : (string * int) list;
-  gauges : (string * float) list;
   spans : (string * span_stat) list;
 }
 (** A sorted, point-in-time view of every recorded metric. *)
@@ -49,7 +48,7 @@ val flush_count : unit -> int
 val absorb : snapshot -> unit
 (** Merge a snapshot produced elsewhere (e.g. a [Shard] worker process)
     into the global accumulator under the same rules as {!flush_local}:
-    counters and span stats add, gauges overwrite. No-op while
+    counters and span stats add. No-op while
     disabled. *)
 
 (** {1 Recording} *)
@@ -79,12 +78,9 @@ val snapshot : unit -> snapshot
 val render_text : snapshot -> string
 val render_json : snapshot -> string
 
-(** Point lookups, a gauge writer and the JSON reader for tests; programs
-    read a {!snapshot} and no solver records a gauge. *)
+(** Point lookups and the JSON reader for tests; programs read a
+    {!snapshot}. *)
 module For_testing : sig
-  val gauge : string -> float -> unit
-  (** Record a last-writer-wins value, keyed under the current context. *)
-
   val snapshot_of_json : string -> (snapshot, string) result
   (** Parse the output of {!render_json} back (round-trip reader). *)
 

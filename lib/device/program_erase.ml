@@ -1,6 +1,5 @@
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Budget = Gnrflash_resilience.Budget
 module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
@@ -76,7 +75,7 @@ let max_tables = 32
    cap the table well above that and reset wholesale if it ever fills. *)
 let max_replay_entries = 64
 
-let table_for ?budget e ~vgs =
+let table_for e ~vgs =
   let key = Int64.bits_of_float vgs in
   match Hashtbl.find_opt e.tables key with
   | Some (Ready t) -> Some t
@@ -90,13 +89,14 @@ let table_for ?budget e ~vgs =
     else begin
       Hashtbl.remove e.pending key;
       if Hashtbl.length e.tables >= max_tables then Hashtbl.reset e.tables;
-      match Pulse_surrogate.build ?budget e.device ~vgs with
+      match Pulse_surrogate.build e.device ~vgs with
       | Ok t ->
         Hashtbl.replace e.tables key (Ready t);
         Some t
       | Error { Err.kind = Err.Budget_exhausted _; _ } ->
-        (* transient starvation: leave the slot empty and retry on a
-           later, possibly better-funded, pulse *)
+        (* transient starvation: leave the slot empty and keep the vgs
+           promoted, so its next, possibly better-funded, consult retries *)
+        Hashtbl.replace e.pending key requests_before_build;
         None
       | Error err ->
         Tel.count ("surrogate/unusable/" ^ Err.label err);
@@ -107,11 +107,11 @@ let table_for ?budget e ~vgs =
 let in_box e pulse =
   Pulse_surrogate.in_box e.device ~vgs:pulse.vgs ~duration:pulse.duration
 
-let surrogate_response ?budget e ~qfg pulse =
+let surrogate_response e ~qfg pulse =
   let served =
     if not (in_box e pulse) then None
     else
-      Option.bind (table_for ?budget e ~vgs:pulse.vgs) (fun t ->
+      Option.bind (table_for e ~vgs:pulse.vgs) (fun t ->
           Pulse_surrogate.query t ~qfg ~duration:pulse.duration)
   in
   Tel.count (if Option.is_some served then "surrogate/hit" else "surrogate/fallback");
@@ -128,7 +128,7 @@ let memoizable e pulse =
       || (not (in_box e pulse))
       || Hashtbl.mem e.tables (Int64.bits_of_float pulse.vgs))
 
-let apply_pulse ?budget e ~qfg pulse =
+let apply_pulse e ~qfg pulse =
   if pulse.duration <= 0. then
     Error
       (Err.make ~solver:"Program_erase.apply_pulse"
@@ -137,7 +137,7 @@ let apply_pulse ?budget e ~qfg pulse =
     Tel.count "program_erase/pulse";
     let cached = not (Fault.active ()) in
     let sur =
-      if e.surrogate && cached then surrogate_response ?budget e ~qfg pulse else None
+      if e.surrogate && cached then surrogate_response e ~qfg pulse else None
     in
     match sur with
     | Some r ->
@@ -162,7 +162,6 @@ let apply_pulse ?budget e ~qfg pulse =
       let h0 = if cached then Hashtbl.find_opt e.h_last (pulse.vgs >= 0.) else None in
       if Option.is_some h0 then Tel.count "transient/warm_start_hit";
       (match
-         Budget.with_opt budget @@ fun () ->
          Transient.pulse ?h0 ~qfg0:qfg e.device ~vgs:pulse.vgs ~duration:pulse.duration
        with
        | Error err -> Error err
@@ -185,11 +184,9 @@ let apply_pulse ?budget e ~qfg pulse =
          end;
          Ok outcome)
 
-let program ?budget ?(pulse = default_program_pulse) e ~qfg =
-  apply_pulse ?budget e ~qfg pulse
+let program ?(pulse = default_program_pulse) e ~qfg = apply_pulse e ~qfg pulse
 
-let erase ?budget ?(pulse = default_erase_pulse) e ~qfg =
-  apply_pulse ?budget e ~qfg pulse
+let erase ?(pulse = default_erase_pulse) e ~qfg = apply_pulse e ~qfg pulse
 
 let cycle ?(program_pulse = default_program_pulse)
     ?(erase_pulse = default_erase_pulse) e ~qfg =

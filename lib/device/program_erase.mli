@@ -1,7 +1,8 @@
 (** Pulse-level program and erase operations built on {!Transient}.
 
-    Failures are typed [Gnrflash_resilience.Solver_error.t] values; an
-    optional [?budget] bounds the underlying transient solve. *)
+    Failures are typed [Gnrflash_resilience.Solver_error.t] values; the
+    ambient {!Gnrflash_resilience.Budget} bounds the underlying transient
+    solve and any surrogate build. *)
 
 type error = Gnrflash_resilience.Solver_error.t
 
@@ -26,7 +27,9 @@ type engine
 
     - the {!Pulse_surrogate} tables, one per [vgs], each built once its
       [vgs] has been asked for more than twice (a device pulsed once or
-      twice never pays for a build), and capped at 32 tables;
+      twice never pays for a build), and capped at 32 tables. A build the
+      ambient budget starves leaves the slot empty, and the [vgs]'s next
+      consult retries it;
     - an exact-replay table: a pulse whose [(vgs, duration, qfg)] repeats
       bit-for-bit returns the memoized outcome, bit-identical to a
       re-solve since the solve is a pure function of that key (capped at
@@ -49,7 +52,6 @@ val engine : ?surrogate:bool -> Fgt.t -> engine
     solver answers. *)
 
 val apply_pulse :
-  ?budget:Gnrflash_resilience.Budget.t ->
   engine -> qfg:float -> pulse -> (outcome, error) result
 (** Run one bias pulse on the engine's device from the given initial
     charge: surrogate table, else exact replay, else a warm-started exact
@@ -71,12 +73,10 @@ val memoizable : engine -> pulse -> bool
     different pulse. *)
 
 val program :
-  ?budget:Gnrflash_resilience.Budget.t ->
   ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
 (** One programming pulse; defaults to the paper's VGS = 15 V for 1 ms. *)
 
 val erase :
-  ?budget:Gnrflash_resilience.Budget.t ->
   ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
 (** One erase pulse; defaults to VGS = −15 V for 1 ms. *)
 

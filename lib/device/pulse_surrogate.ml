@@ -1,7 +1,6 @@
 module Interp = Gnrflash_numerics.Interp
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Budget = Gnrflash_resilience.Budget
 
 type error = Err.t
 
@@ -104,23 +103,20 @@ let solver = "Pulse_surrogate.build"
 let bound_headroom = 3.
 let bound_floor = 2e-6
 
-let build ?budget ?(box = paper_box) device ~vgs:v =
+let build ?(box = paper_box) device ~vgs:v =
   Tel.span "surrogate/build" @@ fun () ->
   Tel.count "surrogate/build";
   (* lint: allow L9 — build_s is a telemetry field reporting construction
      cost; interpolation tables themselves are deterministic in the knots *)
   let cpu0 = Sys.time () in
-  match Budget.with_opt budget (fun () -> Transient.saturation_charge device ~vgs:v) with
+  match Transient.saturation_charge device ~vgs:v with
   | Error e -> Error e
   | Ok q_sat ->
     if abs_float q_sat <= 1e-6 *. Fgt.ct device then
       Error (Err.make ~solver (Err.Invalid_input "degenerate fixed point"))
     else begin
       let q_start = -1.5 *. q_sat in
-      match
-        Budget.with_opt budget (fun () ->
-            Transient.run ~qfg0:q_start device ~vgs:v ~duration:box.duration_max)
-      with
+      match Transient.run ~qfg0:q_start device ~vgs:v ~duration:box.duration_max with
       | Error e -> Error e
       | Ok r ->
         (* keep only samples that strictly advance the charge toward the

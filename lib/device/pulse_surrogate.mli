@@ -60,15 +60,15 @@ val in_box : ?box:box -> Fgt.t -> vgs:float -> duration:float -> bool
 type t
 (** One tabulated trajectory: a single (device, vgs) pair. *)
 
-val build :
-  ?budget:Gnrflash_resilience.Budget.t ->
-  ?box:box -> Fgt.t -> vgs:float -> (t, error) result
+val build : ?box:box -> Fgt.t -> vgs:float -> (t, error) result
 (** Solve the trajectory once over [box.duration_max] starting from
     [−1.5 × q_sat] (covering the overshoot range that program/erase
     cycling visits) and certify the table against the
-    held-out samples. Runs under [Tel.span "surrogate/build"]. Errors
-    are the underlying solver's ([saturation_charge] or the transient
-    integration), or [Invalid_input] when the trajectory is degenerate. *)
+    held-out samples. Runs under [Tel.span "surrogate/build"] and the
+    ambient {!Gnrflash_resilience.Budget}. Errors are the underlying
+    solver's ([saturation_charge] or the transient integration, including
+    [Budget_exhausted]), or [Invalid_input] when the trajectory is
+    degenerate. *)
 
 val certified_bound : t -> float
 (** The published relative-divergence bound (see {!divergence}). *)

@@ -4,7 +4,6 @@ module Fn = Gnrflash_quantum.Fn
 module Roots = Gnrflash_numerics.Roots
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Budget = Gnrflash_resilience.Budget
 module Fallback = Gnrflash_resilience.Fallback
 
 type error = Err.t
@@ -136,12 +135,10 @@ let initial_step_size t ~vgs ~f0 ~duration =
    ladder. *)
 let rtol = 1e-8
 
-let solve ~record ?budget ~qfg0 ?h0 t ~vgs ~duration finish =
+let solve ~record ~qfg0 ?h0 t ~vgs ~duration finish =
   if duration <= 0. then
     Error (Err.make ~solver:"Transient.run" (Err.Invalid_input "duration <= 0"))
   else
-    Budget.with_opt budget @@ fun () ->
-    Err.protect @@ fun () ->
     Tel.span "transient/run" @@ fun () -> begin
     Tel.count "transient/solve";
     (* absolute tolerance scaled to the natural charge magnitude CT·VGS so
@@ -194,8 +191,8 @@ let solve ~record ?budget ~qfg0 ?h0 t ~vgs ~duration finish =
       ]
   end
 
-let run ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
-  solve ~record:true ?budget ~qfg0 ?h0 t ~vgs ~duration
+let run ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
+  solve ~record:true ~qfg0 ?h0 t ~vgs ~duration
     (fun k sol tsat ->
       let { Ode.times; states } = sol.Ode.points in
       let samples = Array.mapi (fun i time -> sample_of k ~time ~qfg:states.(i)) times in
@@ -208,8 +205,8 @@ let run ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
         h_first = sol.Ode.h_first;
       })
 
-let pulse ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
-  solve ~record:false ?budget ~qfg0 ?h0 t ~vgs ~duration
+let pulse ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
+  solve ~record:false ~qfg0 ?h0 t ~vgs ~duration
     (fun _ sol tsat ->
       let qfg_final = sol.Ode.y_final in
       ({
@@ -219,9 +216,7 @@ let pulse ?budget ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
         h_first = sol.Ode.h_first;
       } : final))
 
-let saturation_charge ?budget t ~vgs =
-  Budget.with_opt budget @@ fun () ->
-  Err.protect @@ fun () ->
+let saturation_charge t ~vgs =
   Tel.span "transient/saturation_charge" @@ fun () ->
   Tel.count "transient/fixed_point_solve";
   (* Jin − Jout through the fused kernel: bit-identical to the unit-typed
@@ -263,13 +258,11 @@ let saturation_charge ?budget t ~vgs =
       ]
   end
 
-let time_to_threshold_shift ?budget ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
+let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
   let solver = "Transient.time_to_threshold_shift" in
   if max_time <= 0. then
     Error (Err.make ~solver (Err.Invalid_input "max_time <= 0"))
   else
-    Budget.with_opt budget @@ fun () ->
-    Err.protect @@ fun () ->
     Tel.span "transient/time_to_threshold_shift" @@ fun () -> begin
     Tel.count "transient/ttts_solve";
     let q_target = U.to_float (Fgt.qfg_for_threshold_shift_q t ~dvt:(U.volt dvt)) in

@@ -9,8 +9,10 @@
     Failures are typed [Gnrflash_resilience.Solver_error.t] values; each
     solve runs a {!Gnrflash_resilience.Fallback} escalation ladder (e.g.
     tolerance relaxation, re-bracketing) before giving up, recorded under
-    the [resilience/...] telemetry counters. An optional [?budget] bounds
-    wall clock / function evaluations for the whole solve.
+    the [resilience/...] telemetry counters. The ambient
+    {!Gnrflash_resilience.Budget} ({!Gnrflash_resilience.Budget.with_budget})
+    bounds wall clock / function evaluations: the integrator and the root
+    finders charge and poll it.
 
     {b Rate kernel.} Each solve hoists the device constants once ([Fgt.gcr],
     [Fgt.ct], [vs], [xto], [xco], [area] and both interfaces' FN [(A, B)])
@@ -58,7 +60,6 @@ type result = {
 }
 
 val run :
-  ?budget:Gnrflash_resilience.Budget.t ->
   ?qfg0:float -> ?h0:float ->
   Fgt.t -> vgs:float -> duration:float -> (result, error) Stdlib.result
 (** Integrate the charge balance for [duration] seconds at constant [vgs]
@@ -78,7 +79,6 @@ val run :
     ({!Program_erase.apply_pulse} does this automatically). *)
 
 val pulse :
-  ?budget:Gnrflash_resilience.Budget.t ->
   ?qfg0:float -> ?h0:float ->
   Fgt.t -> vgs:float -> duration:float -> (final, error) Stdlib.result
 (** {!run}'s solve without its trajectory or samples: the same integration
@@ -100,7 +100,6 @@ val initial_currents : Fgt.t -> vgs:float -> qfg:float -> float * float
     Figure 4. *)
 
 val saturation_charge :
-  ?budget:Gnrflash_resilience.Budget.t ->
   Fgt.t -> vgs:float -> (float, error) Stdlib.result
 (** The fixed-point charge solving [Jin(q) = Jout(q)] directly by root
     finding — the "maximum charge that can be accumulated" of the paper,
@@ -110,7 +109,6 @@ val saturation_charge :
     devices still solve. *)
 
 val time_to_threshold_shift :
-  ?budget:Gnrflash_resilience.Budget.t ->
   ?qfg0:float -> Fgt.t -> vgs:float -> dvt:float -> max_time:float ->
   (float option, error) Stdlib.result
 (** Programming time needed to move the threshold by [dvt] volts: the event

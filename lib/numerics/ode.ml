@@ -5,47 +5,10 @@ module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
 
-type 'a trajectory = {
+type trajectory = {
   times : float array;
-  states : 'a array;
+  states : float array;
 }
-
-let axpy a x y =
-  (* y + a*x, freshly allocated *)
-  Array.mapi (fun i yi -> yi +. (a *. x.(i))) y
-
-let fixed_step_method step ~f ~t0 ~y0 ~t1 ~steps =
-  (* lint: allow L1 — steps < 1 is a misuse of the API (documented
-     precondition), not a runtime solve failure; keep Invalid_argument *)
-  if steps < 1 then invalid_arg "Ode: steps < 1";
-  let f t y = Tel.count "ode/rhs_eval_fixed"; Budget.note_evals 1; f t y in
-  Tel.count ~n:steps "ode/fixed_step";
-  let h = (t1 -. t0) /. float_of_int steps in
-  let times = Array.make (steps + 1) t0 in
-  let states = Array.make (steps + 1) (Array.copy y0) in
-  let y = ref (Array.copy y0) in
-  for i = 1 to steps do
-    let t = t0 +. (float_of_int (i - 1) *. h) in
-    y := step f t !y h;
-    times.(i) <- t0 +. (float_of_int i *. h);
-    states.(i) <- Array.copy !y
-  done;
-  times.(steps) <- t1;
-  { times; states }
-
-let euler_step f t y h = axpy h (f t y) y
-
-let rk4_step f t y h =
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 2.)) (axpy (h /. 2.) k1 y) in
-  let k3 = f (t +. (h /. 2.)) (axpy (h /. 2.) k2 y) in
-  let k4 = f (t +. h) (axpy h k3 y) in
-  Array.mapi
-    (fun i yi -> yi +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
-    y
-
-let euler ~f ~t0 ~y0 ~t1 ~steps = fixed_step_method euler_step ~f ~t0 ~y0 ~t1 ~steps
-let rk4 ~f ~t0 ~y0 ~t1 ~steps = fixed_step_method rk4_step ~f ~t0 ~y0 ~t1 ~steps
 
 (* ---------- Dormand–Prince 5(4) with FSAL and dense output ---------- *)
 
@@ -168,7 +131,7 @@ type io = {
 let io () = { t = 0.; y = 0.; dy = 0.; g = 0. }
 
 type solution = {
-  points : float trajectory;
+  points : trajectory;
   y_final : float;
   h_first : float option;
   t_event : float option;
@@ -424,7 +387,7 @@ module For_testing = struct
   let rkf45 = rkf45
 
   type event_result = {
-    trajectory : float trajectory;
+    trajectory : trajectory;
     event_time : float option;
     event_state : float option;
   }

@@ -1,32 +1,19 @@
 (** Initial-value problem solvers.
 
-    The adaptive solvers integrate a scalar equation [dy/dt = f t y]: every
-    caller in the library evolves one state (the floating-gate charge).
-    They fail with a typed [Gnrflash_resilience.Solver_error.t]
-    ([Step_underflow], [Max_steps], [Nan_region], [Budget_exhausted], ...);
-    RHS evaluations are charged against the ambient
-    {!Gnrflash_resilience.Budget} and the budget is polled at step
-    boundaries. The fixed-step baselines {!euler} and {!rk4} integrate
-    systems with [float array] states; right-hand sides must not mutate
-    their argument. *)
+    One integrator, the adaptive Dormand–Prince 5(4) pair ({!integrate}),
+    solves a scalar equation [dy/dt = f t y]: every caller in the library
+    evolves one state (the floating-gate charge). It fails with a typed
+    [Gnrflash_resilience.Solver_error.t] ([Step_underflow], [Max_steps],
+    [Nan_region], [Budget_exhausted], ...); RHS evaluations are charged
+    against the ambient {!Gnrflash_resilience.Budget} and the budget is
+    polled at step boundaries. *)
 
 type error = Gnrflash_resilience.Solver_error.t
 
-type 'a trajectory = {
-  times : float array;  (** accepted step times, increasing *)
-  states : 'a array;    (** [states.(i)] is the state at [times.(i)] *)
+type trajectory = {
+  times : float array;   (** accepted step times, increasing *)
+  states : float array;  (** [states.(i)] is the state at [times.(i)] *)
 }
-
-(* lint: allow L14 — no program calls it; test_ode pins it *)
-val euler : f:(float -> float array -> float array) ->
-  t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
-(** Fixed-step forward Euler ([steps] uniform steps). Mostly useful as a
-    baseline in convergence tests. *)
-
-(* lint: allow L14 — no program calls it; test_ode pins it *)
-val rk4 : f:(float -> float array -> float array) ->
-  t0:float -> y0:float array -> t1:float -> steps:int -> float array trajectory
-(** Classical fixed-step 4th-order Runge–Kutta. *)
 
 (** {1 Unboxed right-hand-side protocol}
 
@@ -50,7 +37,7 @@ val io : unit -> io
 (** A zeroed record. *)
 
 type solution = {
-  points : float trajectory;
+  points : trajectory;
       (** the accepted points, as {!For_testing.rkf45} returns them;
           empty unless [~record:true] *)
   y_final : float;  (** state at the last point (the event's, if it fired) *)
@@ -93,7 +80,7 @@ module For_testing : sig
     ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
     f:(float -> float -> float) ->
     t0:float -> y0:float -> t1:float -> unit ->
-    (float trajectory, error) result
+    (trajectory, error) result
   (** Adaptive embedded Runge–Kutta with standard step control. The stepper
       is the FSAL Dormand–Prince 5(4) pair (an accepted step's last stage is
       reused as the next step's first, so a trial step costs 6 RHS
@@ -108,7 +95,7 @@ module For_testing : sig
       accepted step adds only its trajectory slot. *)
 
   type event_result = {
-    trajectory : float trajectory; (** trajectory up to and including the event *)
+    trajectory : trajectory; (** trajectory up to and including the event *)
     event_time : float option; (** time at which the event function crossed zero,
                                    or [None] if no crossing occurred before [t1] *)
     event_state : float option; (** state at the event time *)

@@ -161,6 +161,48 @@ let test_surrogate_precedence_deterministic () =
       (Ps.divergence tab ~exact:exact.Pe.qfg_after ~approx:s1.Pe.qfg_after
        <= Ps.certified_bound tab)
 
+(* A surrogate build starved by the ambient budget leaves its vgs slot
+   empty. The pulse that triggered it gets the exact path's answer, which
+   under the same spent budget is the typed [Budget_exhausted] error; the
+   next consult, with no budget installed, builds the table. *)
+let test_budget_starved_build () =
+  let module B = Gnrflash_resilience.Budget in
+  let module E = Gnrflash_resilience.Solver_error in
+  let module Tel = Gnrflash_telemetry.Telemetry in
+  let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
+  let en = engine () in
+  (* two pre-promotion consults take the exact path *)
+  ignore (check_ok "consult 1" (Pe.apply_pulse en ~qfg:0. pulse));
+  ignore (check_ok "consult 2" (Pe.apply_pulse en ~qfg:1e-18 pulse));
+  check_true "slot not settled before the build" (not (Pe.memoizable en pulse));
+  Tel.reset ();
+  Tel.enable ();
+  Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
+  let starved =
+    B.with_budget (B.make ~max_evals:50 ()) (fun () ->
+        Pe.apply_pulse en ~qfg:2e-18 pulse)
+  in
+  Alcotest.(check int) "the third consult attempted a build" 1
+    (Tel.For_testing.counter_total "surrogate/build");
+  Alcotest.(check int) "and fell back" 1
+    (Tel.For_testing.counter_total "surrogate/fallback");
+  (match starved with
+   | Ok _ -> Alcotest.fail "a spent budget must starve the exact fallback too"
+   | Error e -> Alcotest.(check string) "typed budget error" "budget_exhausted" (E.label e));
+  check_true "starved build leaves the slot empty" (not (Pe.memoizable en pulse));
+  Tel.reset ();
+  let served = check_ok "consult 4" (Pe.apply_pulse en ~qfg:2e-18 pulse) in
+  Alcotest.(check int) "the next consult builds the table" 1
+    (Tel.For_testing.counter_total "surrogate/build");
+  Alcotest.(check int) "and serves from it" 1
+    (Tel.For_testing.counter_total "surrogate/hit");
+  check_true "slot settled" (Pe.memoizable en pulse);
+  let exact =
+    check_ok "exact" (Pe.apply_pulse (engine ~surrogate:false ()) ~qfg:2e-18 pulse)
+  in
+  check_close ~tol:1e-2 "served charge matches the exact solve" exact.Pe.qfg_after
+    served.Pe.qfg_after
+
 let prop_longer_pulse_more_charge =
   prop "longer pulses move at least as much charge" ~count:6
     QCheck2.Gen.(float_range 1e-9 1e-7)
@@ -187,6 +229,7 @@ let () =
           case "warm-start counters and parity" test_warm_start_counters;
           case "warm replay bit-identical" test_warm_replay_bit_identical;
           case "surrogate precedence deterministic" test_surrogate_precedence_deterministic;
+          case "budget-starved surrogate build" test_budget_starved_build;
           prop_longer_pulse_more_charge;
         ] );
     ]

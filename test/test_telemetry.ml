@@ -71,22 +71,13 @@ let test_counter_total_suffix_sum () =
   T.count "xode/rhs_eval_extra";
   Alcotest.(check int) "no substring matches" 9 (T.For_testing.counter_total "ode/rhs_eval")
 
-let test_gauges () =
-  T.For_testing.gauge "h_last" 1.5e-7;
-  T.For_testing.gauge "h_last" 2.5e-7;
-  let snap = T.snapshot () in
-  Alcotest.(check (list (pair string (float 0.)))) "gauge keeps last value"
-    [ ("h_last", 2.5e-7) ] snap.T.gauges
-
 let test_disabled_is_noop () =
   T.disable ();
   T.count "never";
-  T.For_testing.gauge "never_g" 1.;
   let r = T.span "never_span" (fun () -> T.count "inside"; 7) in
   Alcotest.(check int) "span still transparent" 7 r;
   let snap = T.snapshot () in
   check_true "no counters" (snap.T.counters = []);
-  check_true "no gauges" (snap.T.gauges = []);
   check_true "no spans" (snap.T.spans = [])
 
 let test_snapshot_sorted () =
@@ -101,9 +92,8 @@ let test_json_round_trip () =
   T.count ~n:17 "ode/step_accepted";
   T.span "transient/run" (fun () ->
       T.count ~n:123456 "ode/rhs_eval";
-      T.For_testing.gauge "h_final" 3.0517578125e-05;
       ignore (T.span "lookup/build" (fun () -> ())));
-  T.For_testing.gauge "weird \"name\"\n" (-1.25e-300);
+  T.count "weird \"name\"\n";
   let snap = T.snapshot () in
   let json = T.render_json snap in
   match T.For_testing.snapshot_of_json json with
@@ -111,8 +101,6 @@ let test_json_round_trip () =
   | Ok back ->
     Alcotest.(check (list (pair string int))) "counters round-trip"
       snap.T.counters back.T.counters;
-    Alcotest.(check (list (pair string (float 0.)))) "gauges round-trip"
-      snap.T.gauges back.T.gauges;
     List.iter2
       (fun (k1, (s1 : T.span_stat)) (k2, s2) ->
          Alcotest.(check string) "span name" k1 k2;
@@ -132,21 +120,20 @@ let contains ~needle haystack =
 
 let test_text_render () =
   T.count ~n:3 "a/b";
-  T.For_testing.gauge "g" 2.5;
   ignore (T.span "s" (fun () -> ()));
   let text = T.render_text (T.snapshot ()) in
   List.iter
     (fun needle ->
        check_true (Printf.sprintf "text mentions %s" needle) (contains ~needle text))
-    [ "a/b"; "3"; "g"; "2.5"; "s"; "calls" ]
+    [ "a/b"; "3"; "s"; "calls" ]
 
 let test_reset_clears () =
   T.count "x";
-  ignore (T.span "y" (fun () -> T.For_testing.gauge "z" 1.));
+  ignore (T.span "y" (fun () -> T.count "z"));
   T.reset ();
   let snap = T.snapshot () in
   check_true "reset clears everything"
-    (snap.T.counters = [] && snap.T.gauges = [] && snap.T.spans = [])
+    (snap.T.counters = [] && snap.T.spans = [])
 
 let prop_counter_equals_sum_of_increments =
   prop "counter equals the sum of its positive increments" ~count:100
@@ -170,7 +157,6 @@ let () =
           case "span pops context on exception"
             (with_fresh test_span_pops_context_on_exception);
           case "counter_total suffix sum" (with_fresh test_counter_total_suffix_sum);
-          case "gauges" (with_fresh test_gauges);
           case "disabled is a no-op" (with_fresh test_disabled_is_noop);
           case "snapshot sorted" (with_fresh test_snapshot_sorted);
           case "json round-trip" (with_fresh test_json_round_trip);

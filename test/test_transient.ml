@@ -218,7 +218,8 @@ let test_budget_exhaustion_surfaces () =
   let module E = Gnrflash.Resilience.Solver_error in
   let e =
     check_serr "starved run"
-      (Tr.run ~budget:(B.make ~max_evals:10 ()) t ~vgs:15. ~duration:10.)
+      (B.with_budget (B.make ~max_evals:10 ()) (fun () ->
+           Tr.run t ~vgs:15. ~duration:10.))
   in
   Alcotest.(check string) "typed budget error" "budget_exhausted" (E.label e)
 
@@ -445,12 +446,12 @@ let prop_pulse_matches_run =
          | Error _ -> 0.
        in
        let qfg0 = start *. q_sat and duration = 10. ** log_duration in
-       let run budget () = Tr.run ?budget ?h0 ~qfg0 dev ~vgs ~duration in
-       let pulse budget () = Tr.pulse ?budget ?h0 ~qfg0 dev ~vgs ~duration in
-       let r, run_evals = rhs_evals (run None) in
-       let p, pulse_evals = rhs_evals (pulse None) in
-       let faulted f () = Fault.For_testing.with_faults ~seed ?limit mode (f None) in
-       let starved f () = f (Some (B.make ~max_evals ())) () in
+       let run () = Tr.run ?h0 ~qfg0 dev ~vgs ~duration in
+       let pulse () = Tr.pulse ?h0 ~qfg0 dev ~vgs ~duration in
+       let r, run_evals = rhs_evals run in
+       let p, pulse_evals = rhs_evals pulse in
+       let faulted f () = Fault.For_testing.with_faults ~seed ?limit mode f in
+       let starved f () = B.with_budget (B.make ~max_evals ()) f in
        pulse_matches_run ~run:(fun () -> r) ~pulse:(fun () -> p)
        && run_evals = pulse_evals
        && pulse_matches_run ~run:(faulted run) ~pulse:(faulted pulse)
@@ -463,7 +464,7 @@ let prop_pulse_matches_run =
    from 16), their samples, and the fixed setup. The bound leaves 15%
    headroom; a float boxed per kernel evaluation (6 words, ~3400 here),
    or a per-stage array in the stepper, breaks it. *)
-let run_words = 1998.
+let run_words = 1902.
 
 let minor_words_of f =
   ignore (f ());
@@ -482,11 +483,11 @@ let test_run_allocation () =
 
 (* [pulse] keeps no trajectory, so a solve allocates a constant: the
    closures, records and options of one solve, [pulse_words] at most
-   (measured 244-270 over these pulses). The pulses span 55 to 649 RHS
+   (measured 162-174 over these pulses on the release build). The pulses span 55 to 649 RHS
    evaluations, cold and warm-started, saturating or not; one boxed float
    per evaluation or one slot per step would exceed the bound on the
    longer ones. *)
-let pulse_words = 270.
+let pulse_words = 174.
 
 let test_pulse_allocation () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();

@@ -230,7 +230,7 @@ let suppression allows ~line ~rule =
 let l3_targets =
   let mk m fns = List.map (fun f -> "Gnrflash_numerics." ^ m ^ "." ^ f) fns in
   mk "Roots" [ "bisect"; "brent"; "newton"; "secant"; "bracket_root" ]
-  @ mk "Ode" [ "euler"; "rk4"; "integrate" ]
+  @ mk "Ode" [ "integrate" ]
   @ mk "Quadrature"
       [
         "trapezoid";
