@@ -253,7 +253,6 @@ type scaling = {
   pool_jobs : int;
   grid : scaling_row;
   monte_carlo : scaling_row;
-  shard : scaling_row;
   pool_spawned : int;  (* pool domains spawned for the in-process rows *)
   mc_flushes : int;    (* most telemetry flushes in one parallel MC sweep *)
 }
@@ -313,8 +312,8 @@ let sweep_scaling () =
   let grid jobs () =
     Marshal.to_string (Sweep.grid ~jobs program_to_saturation ~outer:devices ~inner:vgs) []
   in
-  let mc ?shards jobs () =
-    Gnrflash_device.Variation.sample_devices ~jobs ?shards
+  let mc jobs () =
+    Gnrflash_device.Variation.sample_devices ~jobs
       ~base:Gnrflash_device.Fgt.paper_default ~n:mc_devices ()
   in
   (* Fastest of [scaling_rounds] alternating rounds per side; the outputs
@@ -352,11 +351,6 @@ let sweep_scaling () =
     rounds (mc 1) (mc pool_jobs)
   in
   let pool_spawned = Sweep.pool_spawned () in
-  (* multi-process tier: forked shard workers, compared per field at the
-     Int64 bit level — NaNs defeat (=), and Marshal bytes of a recombined
-     sharded ensemble differ from serial because cross-slice string
-     sharing is lost in pipe transit, so neither is the right oracle *)
-  let msh, tmsh = time_wall (mc ~shards:2 1) in
   let row serial_s parallel_s identical pool_rounds =
     { serial_s; parallel_s; identical; pool_rounds }
   in
@@ -377,35 +371,10 @@ let sweep_scaling () =
     row tm1 tmp (String.equal (Marshal.to_string m1 []) (Marshal.to_string mp []))
       mc_pool_rounds
   in
-  let samples_identical (a : Gnrflash_device.Variation.sample array) b =
-    let module V = Gnrflash_device.Variation in
-    let fb = Int64.bits_of_float in
-    Array.length a = Array.length b
-    && Array.for_all Fun.id
-         (Array.mapi
-            (fun i (x : V.sample) ->
-              let y : V.sample = b.(i) in
-              fb x.V.xto = fb y.V.xto
-              && fb x.V.phi_b_ev = fb y.V.phi_b_ev
-              && fb x.V.gcr = fb y.V.gcr
-              && fb x.V.program_time = fb y.V.program_time
-              && fb x.V.dvt_fixed_pulse = fb y.V.dvt_fixed_pulse
-              && x.V.solve_failed = y.V.solve_failed
-              && Option.map Gnrflash_resilience.Solver_error.to_string x.V.failure
-                 = Option.map Gnrflash_resilience.Solver_error.to_string y.V.failure)
-            a)
-  in
-  let shard = row tm1 tmsh (samples_identical m1 msh) 0 in
   report
     (Printf.sprintf "fig6+fig7 %dx%d transients" (Array.length devices) grid_vgs_points)
     grid grid_times;
   report (Printf.sprintf "variation n=%d" mc_devices) monte_carlo mc_times;
-  Printf.printf
-    "  %-24s serial %7.1f ms  2-shard  %7.1f ms  speedup %.2fx  output %s\n"
-    (Printf.sprintf "variation n=%d (fork)" mc_devices) (shard.serial_s *. 1e3)
-    (shard.parallel_s *. 1e3)
-    (shard.serial_s /. shard.parallel_s)
-    (if shard.identical then "identical" else "DIFFERS");
   Printf.printf
     "  overhead budget: pool spawned %d domain(s) (<= %d jobs), %d telemetry \
      flush(es) on the parallel MC sweep (<= %d jobs)\n"
@@ -414,7 +383,7 @@ let sweep_scaling () =
     Printf.printf
       "  (host has %d core(s) for %d domains: oversubscribed, no speedup expected)\n"
       cores pool_jobs;
-  { cores; pool_jobs; grid; monte_carlo; shard; pool_spawned; mc_flushes }
+  { cores; pool_jobs; grid; monte_carlo; pool_spawned; mc_flushes }
 
 (* The scale-out gate: outputs must be identical on every tier, overhead
    must stay inside budget everywhere, every parallel round of the
@@ -425,7 +394,7 @@ let sweep_scaling () =
    win). *)
 let scaling_ok (s : scaling) =
   let speedup (r : scaling_row) = r.serial_s /. r.parallel_s in
-  let identical = s.grid.identical && s.monte_carlo.identical && s.shard.identical in
+  let identical = s.grid.identical && s.monte_carlo.identical in
   let pool_ran =
     s.grid.pool_rounds = scaling_rounds && s.monte_carlo.pool_rounds = scaling_rounds
   in
@@ -1027,7 +996,7 @@ module Wkl = Gnrflash_memory.Workload
    mirrors every journaled physical op onto the JEDEC command FSM. Gates:
    zero lost ops, zero data mismatches, zero protocol errors, FTL
    invariants intact, the fleet's folded trace/state digests bit-identical
-   across the execution tiers (--jobs 2 and --shards 2 vs the serial run)
+   across the execution tiers (--jobs 2 vs the serial run)
    AND equal to the seed record-based cell path on the reference workload,
    plus (full mode) the throughput floor and the minor-heap allocation
    budget below. --quick runs a reduced fleet with the correctness gates
@@ -1080,22 +1049,20 @@ type service_stats = {
   svc_trace_digest : int;
   svc_state_digest : int;
   svc_jobs_identical : bool;
-  svc_shards_identical : bool;
   svc_ref_identical : bool;
       (* reference-workload digests match the record-based path *)
   svc_alloc_words_per_op : float;
   svc_perf_gated : bool; (* full mode: throughput + alloc gates apply *)
   svc_wall_s : float;
   svc_jobs2_wall_s : float; (* data only: no wall-clock gate on the tiers *)
-  svc_shards2_wall_s : float;
   svc_ops_per_s : float;
   svc_latency : Svc.latency_summary;
 }
 
-let service_fleet ~jobs ~shards ~instances ~per_instance ~seed =
+let service_fleet ~jobs ~instances ~per_instance ~seed =
   (* serial_cutoff 0: force the pool path so the jobs tier is actually
      exercised, not auto-serialized away *)
-  Gnrflash.Sweep.init ~jobs ~shards ~serial_cutoff:0. instances (fun i ->
+  Gnrflash.Sweep.init ~jobs ~serial_cutoff:0. instances (fun i ->
       let seed_i = Gnrflash.Sweep.splitmix ~seed ~index:i in
       let s = Svc.create (Gnrflash.Params.device ()) in
       Svc.run_trace ~seed:seed_i ~ops:per_instance s)
@@ -1125,14 +1092,13 @@ let service_report ~quick () =
     in
     (Gc.minor_words () -. m0) /. float_of_int alloc_ops
   in
-  let timed_fleet ~jobs ~shards =
+  let timed_fleet ~jobs =
     let t0 = Unix.gettimeofday () in
-    let r = service_fleet ~jobs ~shards ~instances ~per_instance ~seed in
+    let r = service_fleet ~jobs ~instances ~per_instance ~seed in
     (r, Unix.gettimeofday () -. t0)
   in
-  let base, wall = timed_fleet ~jobs:1 ~shards:1 in
-  let jobs2, jobs2_wall = timed_fleet ~jobs:2 ~shards:1 in
-  let shards2, shards2_wall = timed_fleet ~jobs:1 ~shards:2 in
+  let base, wall = timed_fleet ~jobs:1 in
+  let jobs2, jobs2_wall = timed_fleet ~jobs:2 in
   let td, sd = fleet_digests base in
   (* record-path equality: in quick mode the base fleet IS the 8 x 250
      reference workload; in full mode rerun the 8 x 13_000 reference *)
@@ -1140,7 +1106,7 @@ let service_report ~quick () =
     if quick then (td, sd) = svc_ref_quick
     else
       fleet_digests
-        (service_fleet ~jobs:1 ~shards:1 ~instances ~per_instance:13_000 ~seed)
+        (service_fleet ~jobs:1 ~instances ~per_instance:13_000 ~seed)
       = svc_ref_full
   in
   let sum f = Array.fold_left (fun a r -> a + f r) 0 base in
@@ -1162,13 +1128,11 @@ let service_report ~quick () =
     svc_trace_digest = td;
     svc_state_digest = sd;
     svc_jobs_identical = fleet_digests jobs2 = (td, sd);
-    svc_shards_identical = fleet_digests shards2 = (td, sd);
     svc_ref_identical = ref_identical;
     svc_alloc_words_per_op = alloc_w;
     svc_perf_gated = not quick;
     svc_wall_s = wall;
     svc_jobs2_wall_s = jobs2_wall;
-    svc_shards2_wall_s = shards2_wall;
     svc_ops_per_s = float_of_int ops /. Float.max wall 1e-9;
     svc_latency =
       Svc.latency_summary (Array.map (fun r -> r.Svc.latency) base);
@@ -1177,7 +1141,7 @@ let service_report ~quick () =
 let service_ok s =
   s.svc_lost = 0 && s.svc_mismatches = 0 && s.svc_bad_sequences = 0
   && s.svc_invariant_failures = [] && s.svc_jobs_identical
-  && s.svc_shards_identical && s.svc_ref_identical
+  && s.svc_ref_identical
   && (not s.svc_perf_gated
       || s.svc_ops >= 1_000_000
          && s.svc_ops_per_s >= svc_ops_per_s_floor
@@ -1198,8 +1162,8 @@ let print_service s =
     (if not s.svc_perf_gated then "not gated (--quick)"
      else if s.svc_alloc_words_per_op <= svc_alloc_budget then "ok"
      else "OVER BUDGET");
-  Printf.printf "  tier wall        %.2f s --jobs 2, %.2f s --shards 2 (not gated)\n"
-    s.svc_jobs2_wall_s s.svc_shards2_wall_s;
+  Printf.printf "  tier wall        %.2f s --jobs 2 (not gated)\n"
+    s.svc_jobs2_wall_s;
   Printf.printf "  latency p50/p95/p99  %.3e / %.3e / %.3e s (model)\n"
     s.svc_latency.Svc.p50 s.svc_latency.Svc.p95 s.svc_latency.Svc.p99;
   Printf.printf "  lost ops         %d  %s\n" s.svc_lost
@@ -1215,8 +1179,6 @@ let print_service s =
   Printf.printf "  state digest     0x%016X\n" s.svc_state_digest;
   Printf.printf "  --jobs 2 tier    %s\n"
     (if s.svc_jobs_identical then "bit-identical" else "DIVERGED");
-  Printf.printf "  --shards 2 tier  %s\n"
-    (if s.svc_shards_identical then "bit-identical" else "DIVERGED");
   Printf.printf "  record-path ref  %s\n"
     (if s.svc_ref_identical then "bit-identical" else "DIVERGED");
   service_ok s
@@ -1299,10 +1261,10 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
   Buffer.add_string b
     (Printf.sprintf
        "},\"sweep\":{\"cores\":%d,\"jobs\":%d,\"grid\":%s,\"monte_carlo\":%s,\
-        \"shard\":%s,\"rounds\":%d,\"overhead\":{\"pool_spawned\":%d,\"mc_flushes\":%d},\
+        \"rounds\":%d,\"overhead\":{\"pool_spawned\":%d,\"mc_flushes\":%d},\
         \"scaling_ok\":%b}"
        scaling.cores scaling.pool_jobs (scaling_row scaling.grid)
-       (scaling_row scaling.monte_carlo) (scaling_row scaling.shard) scaling_rounds
+       (scaling_row scaling.monte_carlo) scaling_rounds
        scaling.pool_spawned scaling.mc_flushes (scaling_ok scaling));
   Buffer.add_string b ",\"resilience\":{";
   List.iteri
@@ -1341,23 +1303,23 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
   Buffer.add_string b
     (Printf.sprintf
        ",\"service\":{\"instances\":%d,\"ops\":%d,\"ops_per_s\":%.1f,\
-        \"wall_s\":%.3f,\"jobs2_wall_s\":%.3f,\"shards2_wall_s\":%.3f,\
+        \"wall_s\":%.3f,\"jobs2_wall_s\":%.3f,\
         \"ops_per_s_floor\":%.0f,\"alloc_words_per_op\":%.1f,\
         \"alloc_budget\":%.1f,\
         \"latency_model_s\":{\"p50\":%.6e,\"p95\":%.6e,\"p99\":%.6e},\
         \"lost_ops\":%d,\"mismatches\":%d,\"bad_sequences\":%d,\
         \"invariant_failures\":%d,\"trace_digest\":\"0x%016X\",\
         \"state_digest\":\"0x%016X\",\"jobs_identical\":%b,\
-        \"shards_identical\":%b,\"ref_identical\":%b,\"ok\":%b}"
+        \"ref_identical\":%b,\"ok\":%b}"
        service.svc_instances service.svc_ops service.svc_ops_per_s
-       service.svc_wall_s service.svc_jobs2_wall_s service.svc_shards2_wall_s
+       service.svc_wall_s service.svc_jobs2_wall_s
        svc_ops_per_s_floor service.svc_alloc_words_per_op svc_alloc_budget
        service.svc_latency.Svc.p50 service.svc_latency.Svc.p95
        service.svc_latency.Svc.p99 service.svc_lost
        service.svc_mismatches service.svc_bad_sequences
        (List.length service.svc_invariant_failures) service.svc_trace_digest
        service.svc_state_digest service.svc_jobs_identical
-       service.svc_shards_identical service.svc_ref_identical
+       service.svc_ref_identical
        (service_ok service));
   Buffer.add_string b ",\"bechamel\":{";
   List.iteri

@@ -23,20 +23,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let shards_arg =
-  let doc =
-    "Fork $(docv) worker processes for the sweep (multi-process tier on \
-     top of --jobs). 1 stays in-process; output is bit-identical for \
-     every $(docv)."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"S" ~doc)
-
-let check_shards shards =
-  if shards < 1 then begin
-    prerr_endline "gnrflash: --shards must be >= 1";
-    exit 2
-  end
-
 let with_jobs jobs f =
   if jobs < 1 then begin
     prerr_endline "gnrflash: --jobs must be >= 1";
@@ -83,8 +69,14 @@ let with_budget budget_ms f =
     end;
     (try Resilience.Budget.with_budget (Resilience.Budget.make ~wall_ms:ms ()) f
      with Resilience.Solver_error.Solver_failure e ->
-       prerr_endline ("budget exhausted: " ^ Resilience.Solver_error.to_string e);
-       exit 3)
+       let msg = Resilience.Solver_error.to_string e in
+       match e.Resilience.Solver_error.kind with
+       | Resilience.Solver_error.Budget_exhausted _ ->
+         prerr_endline ("budget exhausted: " ^ msg);
+         exit 3
+       | _ ->
+         prerr_endline ("solver failure: " ^ msg);
+         exit 1)
 
 (* Run [f] with telemetry enabled when requested, then print the snapshot. *)
 let with_stats stats f =
@@ -256,14 +248,12 @@ let endurance_cmd =
   let ensemble_arg =
     let doc =
       "Cycle $(docv) variation-perturbed cells (instead of the single-cell \
-       curve) and report the survival distribution; honors --jobs and \
-       --shards."
+       curve) and report the survival distribution; honors --jobs."
     in
     Arg.(value & opt int 1 & info [ "ensemble" ] ~docv:"N" ~doc)
   in
-  let run cycles ensemble format out_dir no_surrogate stats jobs shards =
+  let run cycles ensemble format out_dir no_surrogate stats jobs =
     with_jobs jobs @@ fun () ->
-    check_shards shards;
     with_stats stats @@ fun () ->
     let surrogate = not no_surrogate in
     if ensemble < 1 then begin
@@ -271,8 +261,8 @@ let endurance_cmd =
       exit 2
     end;
     if ensemble = 1 then begin
-      (* single-cell cycling is inherently serial; --shards has nothing to
-         fan out and is ignored *)
+      (* single-cell cycling is inherently serial; --jobs has nothing to
+         fan out *)
       let fig, survived =
         Gnrflash.Extensions.endurance_curve ~cycles ~surrogate ()
       in
@@ -282,7 +272,7 @@ let endurance_cmd =
     else begin
       let s =
         Gnrflash.Extensions.endurance_ensemble ~cells:ensemble ~cycles
-          ~surrogate ~jobs ~shards ()
+          ~surrogate ~jobs ()
       in
       Printf.printf "endurance ensemble of %d cells (budget %d cycles):\n"
         s.Gnrflash.Extensions.cells cycles;
@@ -296,7 +286,7 @@ let endurance_cmd =
   let doc = "Endurance cycling experiment." in
   Cmd.v (Cmd.info "endurance" ~doc)
     Term.(const run $ cycles_arg $ ensemble_arg $ format_arg $ out_dir_arg
-          $ no_surrogate_arg $ stats_arg $ jobs_arg $ shards_arg)
+          $ no_surrogate_arg $ stats_arg $ jobs_arg)
 
 (* ---- pulse command ---- *)
 
@@ -416,13 +406,12 @@ let optimize_cmd =
 let variation_cmd =
   let n_arg = Arg.(value & opt int 200 & info [ "n" ] ~doc:"Ensemble size.") in
   let seed_arg = Arg.(value & opt int 2014 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let run n seed jobs shards budget_ms =
+  let run n seed jobs budget_ms =
     with_jobs jobs @@ fun () ->
-    check_shards shards;
     with_budget budget_ms @@ fun () ->
     let module V = Gnrflash_device.Variation in
     let base = Gnrflash.Params.device () in
-    let samples = V.sample_devices ~seed ~jobs ~shards ~base ~n () in
+    let samples = V.sample_devices ~seed ~jobs ~base ~n () in
     let s =
       match V.summarize samples with
       | Ok s -> s
@@ -443,7 +432,7 @@ let variation_cmd =
   in
   let doc = "Monte-Carlo process-variation analysis." in
   Cmd.v (Cmd.info "variation" ~doc)
-    Term.(const run $ n_arg $ seed_arg $ jobs_arg $ shards_arg $ budget_ms_arg)
+    Term.(const run $ n_arg $ seed_arg $ jobs_arg $ budget_ms_arg)
 
 (* ---- ftl command ---- *)
 
@@ -496,9 +485,8 @@ let serve_cmd =
              ~doc:"DQ6 status-poll interval in model seconds; 0 uses \
                    RY/BY#-style waits.")
   in
-  let run ops instances seed poll jobs shards =
+  let run ops instances seed poll jobs =
     with_jobs jobs @@ fun () ->
-    check_shards shards;
     if ops < 1 || instances < 1 then begin
       prerr_endline "gnrflash: --ops and --instances must be >= 1";
       exit 2
@@ -509,7 +497,7 @@ let serve_cmd =
     let config = { S.default_config with S.poll_interval = poll } in
     let t0 = Unix.gettimeofday () in
     let results =
-      Gnrflash.Sweep.init ~shards instances (fun i ->
+      Gnrflash.Sweep.init instances (fun i ->
           let seed_i = Gnrflash.Sweep.splitmix ~seed ~index:i in
           let s = S.create ~config (Gnrflash.Params.device ()) in
           S.run_trace ~seed:seed_i ~ops:per_instance s)
@@ -573,7 +561,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ ops_arg $ instances_arg $ seed_arg $ poll_arg
-          $ jobs_arg $ shards_arg)
+          $ jobs_arg)
 
 (* ---- energy command ---- *)
 

@@ -164,16 +164,15 @@ type endurance_ensemble_summary = {
 }
 
 let endurance_ensemble ?(cells = 16) ?(cycles = 1_000) ?(seed = 2014)
-    ?surrogate ?jobs ?shards () =
+    ?surrogate ?jobs () =
   if cells < 1 then invalid_arg "Extensions.endurance_ensemble: cells < 1";
   let base = Params.device () in
   let short_pulse v = { D.Program_erase.vgs = v; duration = 100e-6 } in
-  (* cell [index] cycles the same perturbed device for every jobs/shards
-     setting (Variation.perturbed seeds from splitmix(seed, index)), and
-     cycles_survived is pure data, so the ensemble is reproducible and
-     marshalable across the shard tier *)
+  (* cell [index] cycles the same perturbed device for every jobs setting
+     (Variation.perturbed seeds from splitmix(seed, index)), so the
+     ensemble is reproducible *)
   let survived =
-    Sweep.init ?jobs ?shards cells (fun index ->
+    Sweep.init ?jobs cells (fun index ->
         let t = D.Variation.perturbed ~seed ~index ~base () in
         let run =
           M.Endurance.cycle_cell ~program_pulse:(short_pulse 15.)

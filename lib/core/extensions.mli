@@ -58,15 +58,14 @@ type endurance_ensemble_summary = {
 
 val endurance_ensemble :
   ?cells:int -> ?cycles:int -> ?seed:int -> ?surrogate:bool ->
-  ?jobs:int -> ?shards:int -> unit -> endurance_ensemble_summary
+  ?jobs:int -> unit -> endurance_ensemble_summary
 (** Cycle an ensemble of [cells] (default 16) variation-perturbed devices
     for up to [cycles] (default 1000) program/erase cycles each and
     summarize the survival distribution. Cell [i]'s device comes from
     {!Gnrflash_device.Variation.perturbed}[ ~seed ~index:i], so the
-    ensemble is identical for every [jobs] (in-process domains) and
-    [shards] (forked worker processes) setting — this is the
-    fleet-scale-endurance entry point behind the CLI's
-    [endurance --ensemble N --shards S].
+    ensemble is identical for every [jobs] (in-process domains) setting —
+    this is the fleet-scale-endurance entry point behind the CLI's
+    [endurance --ensemble N --jobs J].
     @raise Invalid_argument if [cells < 1]. *)
 
 (** {1 Ext E: quantum-capacitance correction} *)

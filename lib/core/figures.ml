@@ -42,10 +42,7 @@ let fig2_band_diagram () =
 let transient_series () =
   let t = Params.device () in
   match D.Transient.run t ~vgs:Params.vgs_program ~duration:10. with
-  | Error e ->
-    failwith
-      ("figures: transient failed: "
-       ^ Gnrflash_resilience.Solver_error.to_string e)
+  | Error e -> raise (Gnrflash_resilience.Solver_error.Solver_failure e)
   | Ok r -> r
 
 let fig4_initial_currents () =

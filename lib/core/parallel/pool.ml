@@ -57,8 +57,8 @@ let make_state () =
     busy = false;
   }
 
-(* A [ref] rather than a flat global so [quiesce]/[reset_after_fork] can
-   swap in a fresh state atomically with respect to later submissions. *)
+(* A [ref] rather than a flat global so [For_testing.quiesce] can swap in a
+   fresh state atomically with respect to later submissions. *)
 let state = ref (make_state ())
 
 let spawned_total = Atomic.make 0
@@ -116,20 +116,26 @@ let worker_loop st =
    benignly: exactly one wins the compare-and-set and installs the hook. *)
 let exit_hook_installed = Atomic.make false
 
-let shutdown_state st =
-  Mutex.lock st.mutex;
+(* Under [st.mutex]: tell the workers to exit and hand back their domains
+   for the caller to join once it has released the mutex. *)
+let stop_locked st =
   st.shutdown <- true;
   Condition.broadcast st.work_ready;
   let ds = st.domains in
   st.domains <- [];
   st.size <- 0;
+  ds
+
+let shutdown_state st =
+  Mutex.lock st.mutex;
+  let ds = stop_locked st in
   Mutex.unlock st.mutex;
   List.iter Domain.join ds
 
 let ensure_workers st want =
   if Atomic.compare_and_set exit_hook_installed false true then
-    (* lint: allow L8 — the hook runs once, at process exit, after every
-       sweep has drained; [state] swaps only in quiesce/reset_after_fork *)
+    (* the hook runs once, at process exit, after every sweep has
+       drained; [state] swaps only in For_testing.quiesce *)
     at_exit (fun () -> shutdown_state !state);
   while st.size < want do
     let d = Domain.spawn (fun () -> worker_loop st) in
@@ -152,7 +158,7 @@ let run ~helpers ~nchunks work =
       Mutex.lock st.mutex;
       if st.busy || st.shutdown then begin
         (* nested submission (a sweep inside a mapped function) or a pool
-           mid-quiesce: the serial loop is bit-identical and deadlock-free *)
+           mid-shutdown: the serial loop is bit-identical and deadlock-free *)
         Mutex.unlock st.mutex;
         run_serial ~nchunks work
       end
@@ -191,31 +197,23 @@ let run ~helpers ~nchunks work =
     end
   end
 
-let quiesce () =
-  let st = !state in
-  Mutex.lock st.mutex;
-  if st.busy then begin
-    Mutex.unlock st.mutex;
-    false
-  end
-  else begin
-    st.shutdown <- true;
-    Condition.broadcast st.work_ready;
-    let ds = st.domains in
-    st.domains <- [];
-    st.size <- 0;
-    Mutex.unlock st.mutex;
-    List.iter Domain.join ds;
-    state := make_state ();
-    true
-  end
-
-let reset_after_fork () =
-  state := make_state ();
-  Atomic.set spawned_total 0
-
 module For_testing = struct
   let size () =
     let st = !state in
     Mutex.protect st.mutex (fun () -> st.size)
+
+  let quiesce () =
+    let st = !state in
+    Mutex.lock st.mutex;
+    if st.busy then begin
+      Mutex.unlock st.mutex;
+      false
+    end
+    else begin
+      let ds = stop_locked st in
+      Mutex.unlock st.mutex;
+      List.iter Domain.join ds;
+      state := make_state ();
+      true
+    end
 end

@@ -4,7 +4,7 @@
     by every later one, amortizing the ~1 ms-per-domain spawn cost that
     made per-call spawning slower than serial on small work items. The
     pool grows to the largest [helpers] ever requested (capped) and is
-    joined by an [at_exit] hook. *)
+    joined by an [at_exit] hook. It is the sweeps' only scale-out path. *)
 
 val run : helpers:int -> nchunks:int -> (int -> unit) -> unit
 (** [run ~helpers ~nchunks work] evaluates [work ci] for every chunk index
@@ -24,19 +24,13 @@ val max_workers : int
 (** Hard cap on pool domains, leaving headroom under OCaml's domain
     limit. *)
 
-val quiesce : unit -> bool
-(** Join every pool domain and reset to the empty (lazily respawning)
-    state. Returns [false] without touching the pool if a task is in
-    flight. Called by {!Shard} before [Unix.fork]: forking with live
-    domains is unsafe in OCaml 5 (the child's runtime can wait on domains
-    that do not exist there). *)
-
-val reset_after_fork : unit -> unit
-(** In a freshly forked child: discard inherited pool bookkeeping (the
-    parent's domains do not exist here) and zero the spawn counter. *)
-
 module For_testing : sig
   val size : unit -> int
   (** Current number of live pool domains (0 until the first parallel
       sweep; the pool persists afterwards). *)
+
+  val quiesce : unit -> bool
+  (** Join every pool domain and reset to the empty (lazily respawning)
+      state, so a test can start from a fresh pool. Returns [false]
+      without touching the pool if a task is in flight. *)
 end

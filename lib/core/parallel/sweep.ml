@@ -1,11 +1,9 @@
 (* Sweep engine front end. See sweep.mli for the execution model.
 
-   Three tiers, all bit-identical to serial by construction:
+   Two tiers, both bit-identical to serial by construction:
    - serial: [jobs = 1], tiny inputs, or the auto-serial probe decision;
    - in-process: chunks of the index space pulled off [Pool]'s persistent
-     domain pool (spawn cost amortized across every call in the process);
-   - multi-process: [~shards] contiguous slices forked via [Shard], each
-     slice running the in-process tier on its own pool. *)
+     domain pool (spawn cost amortized across every call in the process). *)
 
 module Telemetry = Gnrflash_telemetry.Telemetry
 
@@ -23,11 +21,6 @@ let resolve_jobs = function
   | None -> default_jobs ()
   | Some j when j >= 1 -> j
   | Some _ -> invalid_arg "Sweep: jobs < 1"
-
-let resolve_shards = function
-  | None -> 1
-  | Some s when s >= 1 -> s
-  | Some _ -> invalid_arg "Sweep: shards < 1"
 
 (* Fixed chunk size, used only when the probe is disabled
    ([serial_cutoff <= 0]). *)
@@ -51,9 +44,8 @@ let run_pool ~jobs ~nchunks work = Pool.run ~helpers:(jobs - 1) ~nchunks work
 
 let default_serial_cutoff = 5e-3
 
-(* The in-process tier over [n] elements of [get : int -> 'a] with [f]
-   applied at global indices; [pre] returns probed results so no element is
-   evaluated twice. *)
+(* The pool path over indices [0 .. n-1] of [f]; [pre] returns probed
+   results so no element is evaluated twice. *)
 let run_chunked ~jobs ~chunk ~n ~pre f =
   let nchunks = (n + chunk - 1) / chunk in
   let out = Array.make nchunks [||] in
@@ -77,8 +69,9 @@ let run_chunked ~jobs ~chunk ~n ~pre f =
    element is evaluated twice — and both paths apply the same pure
    function to the same inputs in input order, so the decision never
    changes the output. *)
-let mapi_in_process ~jobs ~serial_cutoff f n xs_get =
-  let f i = f i (xs_get i) in
+let mapi ?jobs ?(serial_cutoff = default_serial_cutoff) f xs =
+  let jobs = resolve_jobs jobs and n = Array.length xs in
+  let f i = f i xs.(i) in
   if jobs = 1 || n <= 1 then Array.init n f
   else if serial_cutoff <= 0. then begin
     (* heuristic disabled: the pure pool path, no probe *)
@@ -86,12 +79,11 @@ let mapi_in_process ~jobs ~serial_cutoff f n xs_get =
   end
   else begin
     let probe i =
-      (* lint: allow L9 — the probe time only picks the chunk size; the
-         element values y are what the sweep returns, and those are
-         computed identically for any chunking *)
+      (* the probe time only picks the chunk size; the element values y
+         are what the sweep returns, and those are computed identically
+         for any chunking *)
       let t0 = Unix.gettimeofday () in
       let y = f i in
-      (* lint: allow L9 — see above: timing steers scheduling, not results *)
       (y, Unix.gettimeofday () -. t0)
     in
     let y0, p0 = probe 0 in
@@ -109,35 +101,22 @@ let mapi_in_process ~jobs ~serial_cutoff f n xs_get =
     end
   end
 
-let mapi ?jobs ?(serial_cutoff = default_serial_cutoff) ?shards f xs =
-  let n = Array.length xs in
-  let jobs = resolve_jobs jobs in
-  let shards = resolve_shards shards in
-  let slice ~lo ~len =
-    mapi_in_process ~jobs ~serial_cutoff
-      (fun k x -> f (lo + k) x)
-      len
-      (fun k -> xs.(lo + k))
-  in
-  if shards = 1 || n <= 1 then slice ~lo:0 ~len:n
-  else Shard.run ~shards ~n ~run_slice:slice
+let map ?jobs ?serial_cutoff f xs =
+  mapi ?jobs ?serial_cutoff (fun _ x -> f x) xs
 
-let map ?jobs ?serial_cutoff ?shards f xs =
-  mapi ?jobs ?serial_cutoff ?shards (fun _ x -> f x) xs
-
-let init ?jobs ?serial_cutoff ?shards n f =
+let init ?jobs ?serial_cutoff n f =
   if n < 0 then invalid_arg "Sweep.init: n < 0";
-  mapi ?jobs ?serial_cutoff ?shards (fun i () -> f i) (Array.make n ())
+  mapi ?jobs ?serial_cutoff (fun i () -> f i) (Array.make n ())
 
-let map_list ?jobs ?serial_cutoff ?shards f xs =
-  Array.to_list (map ?jobs ?serial_cutoff ?shards f (Array.of_list xs))
+let map_list ?jobs ?serial_cutoff f xs =
+  Array.to_list (map ?jobs ?serial_cutoff f (Array.of_list xs))
 
-let grid ?jobs ?serial_cutoff ?shards f ~outer ~inner =
+let grid ?jobs ?serial_cutoff f ~outer ~inner =
   let no = Array.length outer and ni = Array.length inner in
   if no = 0 || ni = 0 then Array.make no [||]
   else begin
     let flat =
-      init ?jobs ?serial_cutoff ?shards (no * ni)
+      init ?jobs ?serial_cutoff (no * ni)
         (fun k -> f outer.(k / ni) inner.(k mod ni))
     in
     Array.init no (fun i -> Array.sub flat (i * ni) ni)

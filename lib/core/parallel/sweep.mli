@@ -3,7 +3,7 @@
     Monte-Carlo {!Gnrflash_device.Variation} ensembles, and the
     retention/disturb/array sweeps.
 
-    Execution model, in three tiers:
+    Execution model, in two tiers:
     - {b serial} — [~jobs:1] (the default unless {!set_default_jobs} was
       called), tiny inputs, or the auto-serial probe decision; never
       touches a domain.
@@ -16,23 +16,17 @@
       paid once per process, not per call — and chunk size is auto-tuned
       from the probe (see below) so each chunk claim carries
       {!target_chunk_seconds} of work.
-    - {b multi-process} — [~shards] forks worker processes, each running
-      the in-process tier over a contiguous slice and shipping results
-      back as length-prefixed binary frames ({!Shard}). Results must be
-      marshalable pure data; a dead worker surfaces as a typed
-      [Worker_failed] solver error, never a hang.
 
     Results are assembled in input order whatever the tier, so the output
     is {e bit-identical} to the serial path regardless of [jobs], chunk
-    size, [shards], or scheduling.
+    size, or scheduling.
 
     Telemetry: pool workers adopt the submitting domain's span context
     ({!Gnrflash_telemetry.Telemetry.with_context_prefix}) and flush their
     domain-local sinks into the global accumulator {e once per sweep}
-    (not per chunk); shard workers ship a snapshot home in the result
-    frame. Counter totals — and the keys they are recorded under — match
-    a serial run exactly. Span [total_s] sums the time spent in {e all}
-    domains (CPU-time-like, may exceed wall clock).
+    (not per chunk). Counter totals — and the keys they are recorded
+    under — match a serial run exactly. Span [total_s] sums the time spent
+    in {e all} domains (CPU-time-like, may exceed wall clock).
 
     Exceptions raised by the mapped function are caught in the worker,
     the sweep drains, and the first one observed is re-raised in the
@@ -54,9 +48,8 @@ val splitmix : seed:int -> index:int -> int
     re-exported from {!Gnrflash_prng.Splitmix}). Use as the per-element
     PRNG seed of a randomized sweep so every element draws an independent
     stream: the result depends only on [(seed, index)], never on
-    chunking, job count, or shard count, which is what makes e.g.
-    [Variation.sample_devices] reproducible across [--jobs]/[--shards]
-    settings. *)
+    chunking or job count, which is what makes e.g.
+    [Variation.sample_devices] reproducible across [--jobs] settings. *)
 
 val default_serial_cutoff : float
 (** Default [serial_cutoff]: 5 ms — roughly the cost of waking the pool
@@ -78,8 +71,7 @@ val pool_spawned : unit -> int
     [<= jobs]. *)
 
 val map :
-  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
-  ('a -> 'b) -> 'a array -> 'b array
+  ?jobs:int -> ?serial_cutoff:float -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f xs] is [Array.map f xs] evaluated on [jobs] domains.
 
     The work-queue granularity is {!auto_chunk}'s choice from the probe;
@@ -96,38 +88,27 @@ val map :
     Probed results are reused in both paths (no element is evaluated
     twice), and since both paths apply the same pure function to the same
     inputs in input order, the decision never changes the result: output
-    stays bit-identical across [jobs], chunking, sharding, and the
-    heuristic. Pass [~serial_cutoff:0.] to disable the probe and force
+    stays bit-identical across [jobs], chunking, and the heuristic. Pass [~serial_cutoff:0.] to disable the probe and force
     the pool path.
 
-    [shards] (default 1) adds the multi-process tier: the index space
-    splits into [min shards n] contiguous slices, slices beyond the first
-    run in forked worker processes ([jobs] domains each), and results are
-    reassembled in order — see {!Shard} for the framing, error, and
-    marshalability contract.
-
-    @raise Invalid_argument if [jobs < 1] or [shards < 1].
-    @raise Gnrflash_resilience.Solver_error.Solver_failure with kind
-    [Worker_failed] if a shard worker dies. *)
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val mapi :
-  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float ->
   (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Indexed {!map}. *)
 
 val init :
-  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
-  int -> (int -> 'a) -> 'a array
+  ?jobs:int -> ?serial_cutoff:float -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] evaluated on [jobs] domains.
     @raise Invalid_argument if [n < 0]. *)
 
 val map_list :
-  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
-  ('a -> 'b) -> 'a list -> 'b list
+  ?jobs:int -> ?serial_cutoff:float -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)
 
 val grid :
-  ?jobs:int -> ?serial_cutoff:float -> ?shards:int ->
+  ?jobs:int -> ?serial_cutoff:float ->
   ('a -> 'b -> 'c) -> outer:'a array -> inner:'b array -> 'c array array
 (** [grid f ~outer ~inner] evaluates the full Cartesian product as one
     flat work queue — [(grid f ~outer ~inner).(i).(j) = f outer.(i)

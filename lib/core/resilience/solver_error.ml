@@ -8,7 +8,6 @@ type kind =
   | Max_steps of { steps : int; t : float }
   | Budget_exhausted of { evals : int; elapsed_s : float }
   | Fault_injected of { eval : int }
-  | Worker_failed of { shard : int; detail : string }
 
 type t = { solver : string; kind : kind }
 
@@ -30,7 +29,6 @@ let kind_label = function
   | Max_steps _ -> "max_steps"
   | Budget_exhausted _ -> "budget_exhausted"
   | Fault_injected _ -> "fault_injected"
-  | Worker_failed _ -> "worker_failed"
 
 let label e = kind_label e.kind
 
@@ -51,7 +49,5 @@ let message = function
   | Budget_exhausted { evals; elapsed_s } ->
     Printf.sprintf "budget exhausted after %d evals / %.3f s" evals elapsed_s
   | Fault_injected { eval } -> Printf.sprintf "injected fault at eval %d" eval
-  | Worker_failed { shard; detail } ->
-    Printf.sprintf "shard %d worker failed: %s" shard detail
 
 let to_string e = e.solver ^ ": " ^ message e.kind

@@ -29,10 +29,6 @@ type kind =
       (** the cooperative {!Budget} (wall clock and/or eval cap) ran out *)
   | Fault_injected of { eval : int }
       (** deterministic test fault from {!Fault} (never in production) *)
-  | Worker_failed of { shard : int; detail : string }
-      (** a multi-process sweep shard died or returned a malformed frame
-          (see [Shard] in [gnrflash_parallel]); [detail] carries the wait
-          status or framing error *)
 
 type t = {
   solver : string;  (** e.g. ["Roots.brent"], ["Transient.run"] *)

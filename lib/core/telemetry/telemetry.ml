@@ -13,9 +13,9 @@
      numerics layer can depend on this module without cycles.
 
    Domain-safety: every domain records into its own domain-local sink
-   (Domain.DLS), so the hot path stays lock-free. Worker domains spawned by
-   the Sweep pool call [flush_local] before they join, merging their sink
-   into a mutex-protected global accumulator; counters and span calls add,
+   (Domain.DLS), so the hot path stays lock-free. The Sweep pool's worker
+   domains call [flush_local] once per task, after draining, merging their
+   sink into a mutex-protected global accumulator; counters and span calls add,
    span times add (total work across domains). Accessors ([counter],
    [snapshot], ...) see the merge of the global accumulator and the calling
    domain's local sink, so single-domain callers observe exactly the old
@@ -61,7 +61,6 @@ let merged_mutex = Mutex.create ()
 
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
 
 let clear_sink s =
   Hashtbl.reset s.sink_counters;
@@ -74,15 +73,15 @@ let reset () =
 
 (* Fold [src] into [dst]: counters and span stats add. *)
 let merge_sink ~dst (src : sink) =
-  (* lint: allow L9 — counter merge is commutative addition keyed by name;
-     the iteration order over [src] cannot change any merged total *)
+  (* counter merge is commutative addition keyed by name; the iteration
+     order over [src] cannot change any merged total *)
   Hashtbl.iter
     (fun key r ->
        match Hashtbl.find_opt dst.sink_counters key with
        | Some d -> d := !d + !r
        | None -> Hashtbl.add dst.sink_counters key (ref !r))
     src.sink_counters;
-  (* lint: allow L9 — span stats add like counters; order-insensitive *)
+  (* span stats add like counters; order-insensitive *)
   Hashtbl.iter
     (fun key r ->
        match Hashtbl.find_opt dst.sink_spans key with
@@ -101,16 +100,6 @@ let flush_local () =
   Mutex.protect merged_mutex (fun () -> merge_sink ~dst:merged s);
   Hashtbl.reset s.sink_counters;
   Hashtbl.reset s.sink_spans
-
-(* Merge a snapshot produced by another process (a Shard worker) into the
-   global accumulator, as if its domains had called [flush_local] here. *)
-let absorb ({ counters; spans } : snapshot) =
-  if Atomic.get enabled then begin
-    let src = make_sink () in
-    List.iter (fun (k, v) -> Hashtbl.replace src.sink_counters k (ref v)) counters;
-    List.iter (fun (k, v) -> Hashtbl.replace src.sink_spans k (ref v)) spans;
-    Mutex.protect merged_mutex (fun () -> merge_sink ~dst:merged src)
-  end
 
 (* Context propagation for the Sweep pool: a worker domain adopts the
    submitting domain's span path so parallel work is keyed identically to
@@ -365,6 +354,7 @@ let snapshot_of_json text =
   | Failure msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
 
 module For_testing = struct
+  let is_enabled () = Atomic.get enabled
   let snapshot_of_json = snapshot_of_json
 
   let counter name =

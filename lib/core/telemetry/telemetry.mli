@@ -9,9 +9,10 @@
     or experiment that asked for it.
 
     Domain-safety: each domain records into its own lock-free
-    [Domain.DLS] sink. Worker domains spawned by the Sweep pool call
-    {!flush_local} before joining, merging into a mutex-protected global
-    accumulator; the read accessors see the merge of the global
+    [Domain.DLS] sink. The Sweep pool's worker domains call
+    {!flush_local} once per task, after draining, merging into a
+    mutex-protected global accumulator (the only way another domain's
+    counts reach it); the read accessors see the merge of the global
     accumulator and the calling domain's local sink, so single-domain
     callers observe exactly serial semantics. *)
 
@@ -30,7 +31,6 @@ type snapshot = {
 
 val enable : unit -> unit
 val disable : unit -> unit
-val is_enabled : unit -> bool
 
 val reset : unit -> unit
 (** Drop all recorded values (global accumulator and this domain's sink);
@@ -44,12 +44,6 @@ val flush_count : unit -> int
 (** Number of {!flush_local} calls in this process so far. The bench uses
     the delta across a [Sweep] call to assert telemetry is batched (one
     flush per participating worker, not one per chunk). *)
-
-val absorb : snapshot -> unit
-(** Merge a snapshot produced elsewhere (e.g. a [Shard] worker process)
-    into the global accumulator under the same rules as {!flush_local}:
-    counters and span stats add. No-op while
-    disabled. *)
 
 (** {1 Recording} *)
 
@@ -81,6 +75,8 @@ val render_json : snapshot -> string
 (** Point lookups and the JSON reader for tests; programs read a
     {!snapshot}. *)
 module For_testing : sig
+  val is_enabled : unit -> bool
+
   val snapshot_of_json : string -> (snapshot, string) result
   (** Parse the output of {!render_json} back (round-trip reader). *)
 

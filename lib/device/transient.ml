@@ -272,7 +272,8 @@ let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
     let rhs () = io.Ode.dy <- dqfg_dt k io.Ode.y in
     let event () = io.Ode.g <- (io.Ode.y -. q_target) *. sign in
     let atol = 1e-10 *. Fgt.ct t *. (1. +. abs_float vgs) in
-    let h0 = initial_step_size t ~vgs ~f0:(dqfg_dt k qfg0) ~duration:max_time in
+    let f0 = dqfg_dt k qfg0 in
+    let h0 = initial_step_size t ~vgs ~f0 ~duration:max_time in
     let attempt rtol () =
       match
         Ode.integrate ?rtol ~atol ~h0 ~record:false io ~rhs ~event:(Some event) ~t0:0.
@@ -284,6 +285,12 @@ let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
     (* A start at or past the target needs no time: the event would begin
        on or beyond its zero and never see a crossing. *)
     if (qfg0 -. q_target) *. sign <= 0. then Ok (Some 0.)
+    (* The charge of a 1-D autonomous flow moves monotonically and never
+       crosses a zero of its rate, so the target is out of reach when the
+       rate at the start points away from it, or when the rate at the
+       target points back (a fixed point lies between them). Both tests
+       are strict; a zero rate is left to the solve. *)
+    else if f0 *. sign > 0. || dqfg_dt k q_target *. sign > 0. then Ok None
     else
       Fallback.run
         [

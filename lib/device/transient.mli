@@ -114,4 +114,6 @@ val time_to_threshold_shift :
 (** Programming time needed to move the threshold by [dvt] volts: the event
     time where [ΔVT(t) = dvt], or [None] if the target exceeds what the
     bias can reach within [max_time]. A start charge [qfg0] already at or
-    past the target takes [Some 0.]. *)
+    past the target takes [Some 0.]. A target beyond the bias's fixed
+    point (the rate at the start points away from it, or the rate at the
+    target points back) answers [None] without integrating. *)

@@ -72,15 +72,14 @@ let perturbed ?(spread = default_spread) ~seed ~index ~base () =
   let t, _, _, _ = perturbed_device ~base ~spread state in
   t
 
-let sample_devices ?(spread = default_spread) ?(seed = 2014) ?jobs ?shards ~base ~n
-    () =
+let sample_devices ?(spread = default_spread) ?(seed = 2014) ?jobs ~base ~n () =
   (* lint: allow L1 — n < 1 is a caller programming bug on a pure sampling
      helper, not a solver data condition; Invalid_argument is the contract *)
   if n < 1 then invalid_arg "Variation.sample_devices: n < 1";
   (* each sample seeds its own PRNG from splitmix(seed, index), so the draw
      depends only on (seed, index) - never on chunking or job count - and
      the ensemble is identical for any [jobs] *)
-  Sweep.init ?jobs ?shards n (fun index ->
+  Sweep.init ?jobs n (fun index ->
       let state = Random.State.make [| Sweep.splitmix ~seed ~index |] in
       let device, xto, phi_b_ev, gcr = perturbed_device ~base ~spread state in
       let program_time, dvt_fixed_pulse, failure = evaluate device in

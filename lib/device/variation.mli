@@ -29,20 +29,17 @@ val perturbed :
 (** The device drawn for ensemble slot [index] — the same perturbation
     {!sample_devices} would evaluate, without evaluating it. Lets other
     ensembles (e.g. endurance cycling) share the variation model and its
-    chunking/shard-independent seeding. *)
+    chunking-independent seeding. *)
 
 val sample_devices :
-  ?spread:spread -> ?seed:int -> ?jobs:int -> ?shards:int ->
+  ?spread:spread -> ?seed:int -> ?jobs:int ->
   base:Fgt.t -> n:int -> unit -> sample array
 (** Draw [n] devices around [base] with independent Gaussian parameter
     perturbations (Box–Muller from a seeded PRNG) and evaluate each.
     Sample [i] seeds its own PRNG from [Sweep.splitmix ~seed ~index:i], so
-    the ensemble is identical for every [jobs] (and chunking, and
-    [shards]) setting; [jobs] (default
-    {!Gnrflash_parallel.Sweep.default_jobs}) spreads the transient solves
-    across the persistent domain pool, and [shards] (default 1) fans the
-    ensemble out across forked worker processes — samples are pure data,
-    so they cross the {!Gnrflash_parallel.Shard} frame contract as is.
+    the ensemble is identical for every [jobs] (and chunking) setting;
+    [jobs] (default {!Gnrflash_parallel.Sweep.default_jobs}) spreads the
+    transient solves across the persistent domain pool.
     @raise Invalid_argument if [n < 1]. *)
 
 type summary = {

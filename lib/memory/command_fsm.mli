@@ -185,7 +185,7 @@ val state_name : t -> string
 val state_digest : t -> int
 (** Order-sensitive digest of the full device state: cell charges and
     wear (bit patterns of the floats), command state, clock, counters.
-    Bit-identical runs produce equal digests across jobs/shards tiers. *)
+    Bit-identical runs produce equal digests for every [--jobs]. *)
 
 module For_testing : sig
   (** {!read_word}'s answer as a variant. *)

@@ -13,7 +13,7 @@
     instance, so a warm read compares two ints.
     All timing is model time (see {!Command_fsm}), which makes latency
     percentiles and the trace digest bit-identical across execution
-    tiers ([--jobs]/[--shards]) for a fixed seed. Latencies are sums of
+    tiers (serial and [--jobs]) for a fixed seed. Latencies are sums of
     fixed-width program and erase pulses and whole bus cycles, so an
     instance sees few distinct values: it counts them in an exact table
     (distinct latency -> commands), whose size grows with the distinct
@@ -104,7 +104,7 @@ val latency_summary : latency_table array -> latency_summary
     (0-based) in ascending order, and [max] the largest; all are 0 when
     [n = 0]. The tables' counts of equal values add up, so the result
     does not depend on the order of the tables — identical across
-    [--jobs]/[--shards] tiers for a fixed seed. *)
+    [--jobs] settings for a fixed seed. *)
 
 val report : t -> report
 (** Totals since [create]; computes the final verify scan (every live

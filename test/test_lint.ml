@@ -149,6 +149,7 @@ let test_engine_api () =
   check_true "rule_of_string L14" (E.rule_of_string "L14" = Some E.L14);
   check_true "rule_of_string out of range" (E.rule_of_string "L15" = None);
   check_true "rule_of_string retired L7" (E.rule_of_string "L7" = None);
+  check_true "rule_of_string retired L10" (E.rule_of_string "L10" = None);
   check_true "rule_of_string junk" (E.rule_of_string "Lx" = None);
   let report = E.run ~config:fixture_config ~root ~subdir:fixtures_subdir () in
   let counts = E.by_rule report in

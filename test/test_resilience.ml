@@ -31,8 +31,6 @@ let test_labels () =
     (l (Err.Budget_exhausted { evals = 1; elapsed_s = 0. }));
   Alcotest.(check string) "fault_injected" "fault_injected"
     (l (Err.Fault_injected { eval = 0 }));
-  Alcotest.(check string) "worker_failed" "worker_failed"
-    (l (Err.Worker_failed { shard = 1; detail = "exited with code 7" }));
   let e = Err.make ~solver:"X" (Err.Step_underflow { t = 0.; h = 1e-301 }) in
   Alcotest.(check string) "label of t" "step_underflow" (Err.label e)
 

@@ -71,8 +71,6 @@ let test_empty_and_edges () =
 let test_validation () =
   Alcotest.check_raises "jobs 0" (Invalid_argument "Sweep: jobs < 1") (fun () ->
       ignore (Sweep.map ~jobs:0 work [| 1.; 2. |]));
-  Alcotest.check_raises "shards 0" (Invalid_argument "Sweep: shards < 1")
-    (fun () -> ignore (Sweep.map ~shards:0 work [| 1.; 2. |]));
   Alcotest.check_raises "negative init" (Invalid_argument "Sweep.init: n < 0")
     (fun () -> ignore (Sweep.init ~jobs:2 (-1) float_of_int))
 
@@ -274,7 +272,7 @@ let test_pool_persists_across_calls () =
    busy fall back to the serial loop, so the race is safe by construction;
    this pins it. *)
 let test_first_submission_race () =
-  ignore (Gnrflash_parallel.Pool.quiesce ());
+  ignore (Gnrflash_parallel.Pool.For_testing.quiesce ());
   let xs = Array.init 128 float_of_int in
   let expected = Array.map work xs in
   let domains =

@@ -97,12 +97,34 @@ let test_time_to_threshold () =
     let r = check_ok "confirm" (Tr.run t ~vgs:15. ~duration:ts) in
     check_close ~tol:0.05 "dVT at that time" 2. r.Tr.dvt_final
 
+(* Targets beyond the bias's fixed point answer [None] without an ODE
+   step: at 15 V the bias can shift VT by at most ~6.7 V, so 20 V is past
+   the fixed point, and an erase bias (-17 V) moves VT down, away from a
+   +1 V target. The fixed point from Brent's method on Jin - Jout (an
+   independent path) confirms each target lies beyond it. *)
 let test_time_to_threshold_unreachable () =
-  (* the bias can shift VT by at most ~6.7 V; 20 V is unreachable *)
-  let time =
-    check_ok "ttts" (Tr.time_to_threshold_shift t ~vgs:15. ~dvt:20. ~max_time:0.1)
-  in
-  check_true "unreachable" (time = None)
+  Tel.reset ();
+  Tel.enable ();
+  Fun.protect ~finally:(fun () -> Tel.disable (); Tel.reset ()) @@ fun () ->
+  List.iter
+    (fun (vgs, dvt) ->
+       let label = Printf.sprintf "vgs=%g dvt=%g" vgs dvt in
+       Tel.reset ();
+       let time =
+         check_ok label (Tr.time_to_threshold_shift t ~vgs ~dvt ~max_time:1.)
+       in
+       check_true (label ^ " unreachable") (time = None);
+       Alcotest.(check int) (label ^ " no RHS evaluation") 0
+         (Tel.For_testing.counter_total "ode/rhs_eval");
+       let q_sat = check_ok label (Tr.saturation_charge t ~vgs) in
+       check_true (label ^ " fixed point short of the target")
+         (F.threshold_shift t ~qfg:q_sat < dvt))
+    [ (15., 20.); (-17., 1.) ];
+  (* a reachable target still integrates *)
+  Tel.reset ();
+  ignore (check_ok "reachable" (Tr.time_to_threshold_shift t ~vgs:15. ~dvt:2. ~max_time:1.));
+  check_true "reachable target integrates"
+    (Tel.For_testing.counter_total "ode/rhs_eval" > 0)
 
 let test_higher_vgs_faster () =
   let time v =
@@ -167,7 +189,7 @@ let test_instrumentation_consistency () =
 
 let test_disabled_records_nothing () =
   Tel.reset ();
-  check_false "disabled by default in tests" (Tel.is_enabled ());
+  check_false "disabled by default in tests" (Tel.For_testing.is_enabled ());
   let _ = check_ok "uninstrumented run" (Tr.run t ~vgs:15. ~duration:1e-3) in
   check_true "no counters recorded" ((Tel.snapshot ()).Tel.counters = [])
 

@@ -31,9 +31,7 @@ type site = {
   st_file : string;
   st_line : int;
   st_entry : string;
-  st_sharded : bool;
   st_roots : sink;
-  st_marshal : string list;
   st_owner : string option;
 }
 
@@ -79,7 +77,7 @@ let is_arrow ty =
 type scope_entry = Snode of string | Svalue
 
 (* [Fvalue] is a named non-function toplevel binding, [Finit] a toplevel
-   effect ([let () = ...]); neither is a call-graph node for L8–L10, so
+   effect ([let () = ...]); neither is a call-graph node for L8/L9, so
    module-load writes stay exempt there, but L14 follows their references *)
 type frame = Fnode of string | Fvalue of string | Finit | Froots
 
@@ -364,39 +362,13 @@ let extract ~modname ~file (str : Typedtree.structure) =
         (* parallel entry points: record the site and collect worker roots *)
         match pick E.entry_of with
         | Some short ->
-            let sharded =
-              List.exists (fun h -> E.is_shard_entry h) heads
-              || List.exists
-                   (fun ((lbl : Asttypes.arg_label), a) ->
-                     match (lbl, a) with
-                     | (Asttypes.Labelled l | Asttypes.Optional l), Some arg
-                       -> (
-                         l = "shards"
-                         &&
-                         (* an omitted optional arg is materialized by the
-                            typer as a literal [None] — that is absence,
-                            not a shard request *)
-                         match (arg : Typedtree.expression).exp_desc with
-                         | Texp_construct (_, cd, []) ->
-                             cd.Types.cstr_name <> "None"
-                         | _ -> true)
-                     | _ -> false)
-                   args
-            in
-            let marshal =
-              if sharded && not (is_arrow e.exp_type) then
-                E.marshal_hazards e.exp_type
-              else []
-            in
             let roots = fresh_sink () in
             sites :=
               {
                 st_file = file;
                 st_line = apply_line;
                 st_entry = short;
-                st_sharded = sharded;
                 st_roots = roots;
-                st_marshal = marshal;
                 st_owner = owner_of_stack ();
               }
               :: !sites;
@@ -788,15 +760,6 @@ let analyze summaries =
             Printf.sprintf "the %s worker at %s:%d" st.st_entry st.st_file
               st.st_line
           in
-          List.iter
-            (fun d ->
-              emit 10 st.st_file st.st_line
-                (Printf.sprintf
-                   "%s crosses the %s process boundary — shard frames must \
-                    round-trip through Marshal; return plain data from \
-                    sharded workers"
-                   d st.st_entry))
-            st.st_marshal;
           let check_sink ~file ~chain (sk : sink) =
             if not sk.sk_locks then begin
               List.iter
@@ -836,7 +799,7 @@ let analyze summaries =
                   (Printf.sprintf
                      "nondeterminism reachable from %s: %s%s — sweep \
                       results must be bit-identical to serial for any \
-                      --jobs/--shards"
+                      --jobs"
                      origin nd.nd_what (chain_str chain)))
               sk.sk_nondet
           in

@@ -1,17 +1,18 @@
-(** The two-phase inter-procedural analyzer behind rules L8–L12 and L14.
+(** The two-phase inter-procedural analyzer behind rules L8, L9, L11, L12
+    and L14.
 
     Phase 1 ({!extract}) walks one [.cmt] typedtree and produces a
     {!file_summary}: a module-qualified node per function (top-level and
     nested [let]-bound), a per-node effect sink (referenced identifiers,
     in-place writes, nondeterminism sources, lock acquisition), the
     module-level mutable-state allocations ([Hazard]s), every
-    [Sweep]/[Pool]/[Shard] call site with the effects of its inline worker
+    [Sweep]/[Pool] call site with the effects of its inline worker
     closures, and the direct (non-reachability) findings L11/L12.
 
     Phase 2 ({!analyze}) merges all summaries, resolves reference
     candidates against the global node/hazard tables, and runs a BFS from
     each call site's worker roots to report L8 (unsynchronized shared
-    state), L9 (nondeterminism) and L10 (marshal-unsafe shard frames).
+    state) and L9 (nondeterminism).
     {!dead_exports} runs a second reachability, from the program roots,
     for L14 (library exports nothing reaches).
 
@@ -24,9 +25,7 @@
       boundary: its own shared-state accesses are exempt from L8, but the
       exemption does not propagate to its callees;
     - aliases of mutable globals through intermediate [let]s escape the
-      hazard table;
-    - marshal scanning ({!Effects.marshal_hazards}) does not expand type
-      abbreviations. *)
+      hazard table. *)
 
 type nondet = { nd_what : string; nd_line : int }
 
@@ -52,10 +51,7 @@ type site = {
   st_file : string;
   st_line : int;
   st_entry : string;  (** display name, e.g. ["Sweep.map"] *)
-  st_sharded : bool;  (** crosses a process boundary (marshalled frames) *)
   st_roots : sink;    (** effects of inline worker closures + named roots *)
-  st_marshal : string list;
-      (** marshal-unsafe parts of the frame type (L10), empty when safe *)
   st_owner : string option;
       (** the innermost enclosing node or toplevel value, [None] at a
           toplevel effect (L14 attributes the worker's references to it) *)
@@ -71,7 +67,7 @@ type file_summary = {
   fs_nodes : node list;
   fs_values : node list;
       (** named non-function toplevel bindings; L14 follows their
-          references, L8–L10 treat them as module-load initialization *)
+          references, L8 and L9 treat them as module-load initialization *)
   fs_init : sink;  (** toplevel effects ([let () = ...]): L14 roots *)
   fs_modaliases : (string * string) list;
       (** [module M = Target] aliases, functor instances and
@@ -99,7 +95,7 @@ type analysis = {
       (** hazard ids written from at least one function (module-load
           initialization writes are exempt) *)
   an_findings : (string * raw) list;
-      (** (file, finding) for L8/L9/L10 and abbreviation-resolved L11 *)
+      (** (file, finding) for L8/L9 and abbreviation-resolved L11 *)
 }
 
 val analyze : file_summary list -> analysis

@@ -114,49 +114,6 @@ let is_boxed_type ty =
         || Path.same p Predef.path_unit)
   | _ -> false
 
-(* Known marshal-unsafe type constructors: custom blocks, OS handles, and
-   containers whose identity (not contents) is the point. *)
-let marshal_deny name =
-  match name with
-  | "Stdlib.Mutex.t" -> Some "Mutex.t (custom block)"
-  | "Stdlib.Condition.t" -> Some "Condition.t (custom block)"
-  | "Stdlib.Semaphore.Counting.t" | "Stdlib.Semaphore.Binary.t" ->
-      Some "Semaphore.t (custom block)"
-  | "Stdlib.Domain.t" -> Some "Domain.t (thread handle)"
-  | "Stdlib.Domain.DLS.key" -> Some "Domain.DLS.key (per-domain identity)"
-  | "Stdlib.Atomic.t" -> Some "Atomic.t (loses atomicity across processes)"
-  | "Unix.file_descr" -> Some "Unix.file_descr (OS handle)"
-  | "Stdlib.in_channel" | "in_channel" -> Some "in_channel (OS handle)"
-  | "Stdlib.out_channel" | "out_channel" -> Some "out_channel (OS handle)"
-  | "Stdlib.Lazy.t" | "CamlinternalLazy.t" ->
-      Some "Lazy.t (suspension is a closure)"
-  | _ -> None
-
-let marshal_hazards ty =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let push d = if not (List.mem d !out) then out := d :: !out in
-  let rec go ty =
-    let id = Types.get_id ty in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      match Types.get_desc ty with
-      | Tarrow _ -> push "a function value (closure)"
-      | Tobject _ -> push "an object (methods are closures)"
-      | Tpackage _ -> push "a first-class module"
-      | Ttuple tys -> List.iter go tys
-      | Tpoly (t, _) -> go t
-      | Tconstr (p, args, _) ->
-          (match marshal_deny (normalize_name (Path.name p)) with
-          | Some d -> push d
-          | None -> ());
-          List.iter go args
-      | _ -> ()
-    end
-  in
-  go ty;
-  List.rev !out
-
 let ends_with ~suffix s =
   let ns = String.length s and nx = String.length suffix in
   ns >= nx && String.sub s (ns - nx) nx = suffix
@@ -183,11 +140,6 @@ let entry_of id =
   | None -> (
       match id with
       | "Gnrflash_parallel.Pool.run" -> Some "Pool.run"
-      | "Gnrflash_parallel.Shard.run" | "Gnrflash.Shard.run" ->
-          Some "Shard.run"
       | _ -> None)
-
-let is_shard_entry id =
-  id = "Gnrflash_parallel.Shard.run" || id = "Gnrflash.Shard.run"
 
 let is_dls_new_key id = id = "Stdlib.Domain.DLS.new_key"

@@ -53,14 +53,6 @@ val is_boxed_type : Types.type_expr -> bool
     records/variants/tuples/arrows, false for immediates ([int], [bool],
     [char], [unit]) and for type variables (can't tell). *)
 
-val marshal_hazards : Types.type_expr -> string list
-(** Structural scan of a type for values [Marshal] cannot round-trip
-    across the [Shard] process boundary: arrows (closures), first-class
-    modules, objects, and known custom/abstract blocks ([Mutex.t],
-    [in_channel], [Atomic.t], ...). Only syntactically visible structure
-    is scanned — abbreviations are not expanded (documented
-    approximation). Returns human-readable descriptions, deduplicated. *)
-
 val is_solver_error_name : string -> bool
 (** The typed solver-error payload ([..Solver_error.t]), by canonical
     name. [Types.get_desc] does not expand abbreviations
@@ -74,11 +66,8 @@ val is_result_name : string -> bool
 val entry_of : string -> string option
 (** [Some short] when [id] is a parallel entry point whose worker-closure
     arguments start sweep-reachable code: [Sweep.map]/[mapi]/[init]/
-    [map_list]/[grid] (library and umbrella spellings), [Pool.run], and
-    [Shard.run]. [short] is the display name (e.g. ["Sweep.map"]). *)
-
-val is_shard_entry : string -> bool
-(** Entry points whose frames cross a process boundary ([Shard.run]). *)
+    [map_list]/[grid] (library and umbrella spellings) and [Pool.run].
+    [short] is the display name (e.g. ["Sweep.map"]). *)
 
 val is_dls_new_key : string -> bool
 (** [Domain.DLS.new_key] — the L12 target. *)

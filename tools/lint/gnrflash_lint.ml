@@ -1,5 +1,5 @@
-(* gnrflash-lint: run the thirteen rules L1–L14 (there is no L7) over the
-   library tree.
+(* gnrflash-lint: run the twelve rules L1–L14 (there is no L7 or L10)
+   over the library tree.
 
    Usage:
      gnrflash_lint.exe [--root DIR] [--subdir DIR] [--quiet] [--json]

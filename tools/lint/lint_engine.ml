@@ -1,5 +1,5 @@
 type rule =
-  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L10 | L11 | L12 | L13 | L14
+  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L11 | L12 | L13 | L14
 
 let rule_id = function
   | L1 -> "L1"
@@ -10,13 +10,12 @@ let rule_id = function
   | L6 -> "L6"
   | L8 -> "L8"
   | L9 -> "L9"
-  | L10 -> "L10"
   | L11 -> "L11"
   | L12 -> "L12"
   | L13 -> "L13"
   | L14 -> "L14"
 
-let all_rules = [ L1; L2; L3; L4; L5; L6; L8; L9; L10; L11; L12; L13; L14 ]
+let all_rules = [ L1; L2; L3; L4; L5; L6; L8; L9; L11; L12; L13; L14 ]
 
 let rule_of_int = function
   | 1 -> Some L1
@@ -27,7 +26,6 @@ let rule_of_int = function
   | 6 -> Some L6
   | 8 -> Some L8
   | 9 -> Some L9
-  | 10 -> Some L10
   | 11 -> Some L11
   | 12 -> Some L12
   | 13 -> Some L13
@@ -532,7 +530,7 @@ let run ?(config = default_config) ~root ~subdir () =
   let files = ref 0 in
   (* per-file raw findings: the intra-file rules (L1–L6), the analyzer's
      direct findings (L11/L12), then — once every summary is in — the
-     reachability findings (L8/L9/L10) from phase 2 *)
+     reachability findings (L8/L9) from phase 2 *)
   let per_file : (string, raw_finding list ref) Hashtbl.t = Hashtbl.create 64 in
   let raws_for src =
     match Hashtbl.find_opt per_file src with

@@ -17,12 +17,14 @@
       outside the integral instead.
 
     There is no [L7]: it flagged a hardcoded [~chunk] at a [Sweep.*] call
-    site, and [Sweep] no longer takes one. The other rules keep their
-    numbers, so existing suppression comments stay valid.
+    site, and [Sweep] no longer takes one. There is no [L10]: it flagged
+    marshal-unsafe values crossing the forked-process sweep tier, which no
+    longer exists. The other rules keep their numbers, so existing
+    suppression comments stay valid.
 
     Inter-procedural rules (the {!Callgraph} two-phase analyzer; these
     certify the bit-identical-to-serial determinism contract of the
-    [Sweep]/[Pool]/[Shard] scale-out tiers):
+    [Sweep]/[Pool] scale-out tier):
     - [L8] unsynchronized module-level mutable state ([ref], [Hashtbl],
       [Buffer], arrays, mutable record fields) written — or read while
       written elsewhere — in code reachable from a sweep worker closure,
@@ -31,9 +33,6 @@
       [Random] PRNG, wall/process clocks ([Unix.gettimeofday],
       [Sys.time]), hash-order dependent [Hashtbl.fold]/[iter], physical
       equality on boxed values;
-    - [L10] marshal-unsafe values (closures, first-class modules, custom
-      blocks like [Mutex.t]/channels) in the frame type of a [Shard]
-      process-boundary call;
     - [L11] typed-error erasure: a wildcard pattern matching a
       [Solver_error.t] payload, or [Result.get_ok] on a solver result;
     - [L12] [Domain.DLS.new_key] in non-toplevel position (leaks one DLS
@@ -64,10 +63,10 @@
     the same tree the [.cmt]s were built from. *)
 
 type rule =
-  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L10 | L11 | L12 | L13 | L14
+  | L1 | L2 | L3 | L4 | L5 | L6 | L8 | L9 | L11 | L12 | L13 | L14
 
 val rule_id : rule -> string
-(** ["L1"] … ["L14"] (no ["L7"]). *)
+(** ["L1"] … ["L14"] (no ["L7"], no ["L10"]). *)
 
 val all_rules : rule list
 
