@@ -682,8 +682,6 @@ let resilience_rows snap =
 
      - program_erase pulse RHS evals: seed 3,292,338 -> budget /3
        (FSAL stepper + warm-started pulse trains + limit-cycle replay)
-     - fixed-step re-integration RHS evals: seed 315,200 -> budget /10
-       (event times now read off the dense interpolant; expected 0)
      - WKB quadrature fn evals inside Tsu-Esaki: seed 223,396 -> budget /5
        (memoized closed-form transmission, one adaptive recursion per node
         replaced by an O(segments) closed form)
@@ -1022,14 +1020,14 @@ let svc_ops_per_s_floor = 115_800.
    and unmapped reads allocate nothing. The residual is the commands
    themselves, the mapped reads' [Data] answers, the report, and the
    first-occurrence solves' boxed RHS calls and trajectories — see
-   DESIGN.md "Cell store" and "Exact transient". Measured 20.4 words/op
-   on a 2-vCPU x86-64 VM, before and after the latency table replaced
-   the per-command latency buffer (39.7 before the in-place journal and
-   the unboxed clock and op state, 291 before the streamed command
-   generation and the unboxed report, 429 before the allocation-free
-   transient, 546 before the packed words, 630 before the fused
-   kernels); the budget leaves ~15% headroom. *)
-let svc_alloc_budget = 23.5
+   DESIGN.md "Cell store" and "Exact transient". Measured 13.38 words/op
+   on a 2-vCPU x86-64 VM with OCaml 5.1.1 (the probe is deterministic:
+   20.4 when the latency table replaced the per-command latency buffer,
+   39.7 before the in-place journal and the unboxed clock and op state, 291
+   before the streamed command generation and the unboxed report, 429
+   before the allocation-free transient, 546 before the packed words, 630
+   before the fused kernels); the budget leaves ~15% headroom. *)
+let svc_alloc_budget = 15.4
 
 (* Fleet digests of the seed record-based cell path on the reference
    workloads (8 instances, seed 2014, splitmix per-instance seeds,

@@ -197,8 +197,8 @@ let escape_string s =
     s;
   Buffer.contents b
 
-(* %.17g round-trips IEEE doubles exactly, which the snapshot round-trip
-   test relies on. *)
+(* %.17g round-trips IEEE doubles exactly; integer values print as
+   [%.1f] so they still read as floats. *)
 let json_float v =
   if Float.is_integer v && abs_float v < 1e15 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.17g" v
@@ -224,138 +224,8 @@ let render_json ({ counters; spans } : snapshot) =
   Buffer.add_string b "}";
   Buffer.contents b
 
-(* ---- minimal JSON reader, just enough to round-trip [render_json] ---- *)
-
-type json = Num of float | Str of string | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char b '"'; advance ()
-         | Some '\\' -> Buffer.add_char b '\\'; advance ()
-         | Some '/' -> Buffer.add_char b '/'; advance ()
-         | Some 'n' -> Buffer.add_char b '\n'; advance ()
-         | Some 't' -> Buffer.add_char b '\t'; advance ()
-         | Some 'r' -> Buffer.add_char b '\r'; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-           pos := !pos + 4;
-           if code < 0x80 then Buffer.add_char b (Char.chr code)
-           else fail "non-ascii \\u escape unsupported"
-         | _ -> fail "bad escape");
-        go ()
-      | Some c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-    do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' -> parse_obj ()
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | _ -> fail "expected value"
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin advance (); Obj [] end
-    else begin
-      let rec members acc =
-        let key = (skip_ws (); parse_string ()) in
-        expect ':';
-        let v = parse_value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); members ((key, v) :: acc)
-        | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-        | _ -> fail "expected ',' or '}'"
-      in
-      members []
-    end
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let snapshot_of_json text =
-  try
-    let assoc name = function
-      | Obj fields ->
-        (match List.assoc_opt name fields with
-         | Some v -> v
-         | None -> raise (Parse_error ("missing field " ^ name)))
-      | _ -> raise (Parse_error "expected object")
-    in
-    let entries f = function
-      | Obj fields -> List.map (fun (k, v) -> (k, f v)) fields
-      | _ -> raise (Parse_error "expected object of entries")
-    in
-    let num = function Num v -> v | _ -> raise (Parse_error "expected number") in
-    let root = parse_json text in
-    Ok
-      {
-        counters = entries (fun v -> int_of_float (num v)) (assoc "counters" root);
-        spans =
-          entries
-            (fun v ->
-               {
-                 calls = int_of_float (num (assoc "calls" v));
-                 total_s = num (assoc "total_s" v);
-               })
-            (assoc "spans" root);
-      }
-  with
-  | Parse_error msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
-  | Failure msg -> Error ("Telemetry.snapshot_of_json: " ^ msg)
-
 module For_testing = struct
   let is_enabled () = Atomic.get enabled
-  let snapshot_of_json = snapshot_of_json
 
   let counter name =
     let get s = match Hashtbl.find_opt s.sink_counters name with Some r -> !r | None -> 0 in

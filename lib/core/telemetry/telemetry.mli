@@ -70,15 +70,16 @@ val snapshot : unit -> snapshot
 (** {1 Rendering} *)
 
 val render_text : snapshot -> string
-val render_json : snapshot -> string
 
-(** Point lookups and the JSON reader for tests; programs read a
-    {!snapshot}. *)
+val render_json : snapshot -> string
+(** One line: [{"counters":{NAME:INT,...},"spans":{NAME:{"calls":INT,
+    "total_s":FLOAT},...}}] in the snapshot's order. Names are JSON-escaped.
+    [total_s] prints with 17 significant digits, so it reads back as the
+    same float; an integer value below 10¹⁵ prints with one decimal. *)
+
+(** Point lookups for tests; programs read a {!snapshot}. *)
 module For_testing : sig
   val is_enabled : unit -> bool
-
-  val snapshot_of_json : string -> (snapshot, string) result
-  (** Parse the output of {!render_json} back (round-trip reader). *)
 
   val counter : string -> int
   (** Exact-key counter lookup (0 if absent). *)

@@ -5,7 +5,6 @@ type electrode =
   | Titanium_nitride
   | Graphene
   | Mlgnr of int
-  | Cnt of float
   | Custom of string * float
 
 let graphene_wf = 4.56
@@ -22,12 +21,6 @@ let work_function = function
        (Hibino et al. 2009 measured ~0.05 eV span over 1..4 layers). *)
     let n = max 1 n in
     graphite_wf -. ((graphite_wf -. graphene_wf) *. exp (-.float_of_int (n - 1) /. 2.))
-  | Cnt d ->
-    (* Diameter dependence around 4.8 eV (Shiraishi & Ata 2001):
-       smaller tubes have slightly higher work function. *)
-    let d_nm = d *. 1e9 in
-    if d_nm <= 0. then invalid_arg "Workfunction: non-positive CNT diameter";
-    4.8 +. (0.1 /. d_nm *. 0.5)
   | Custom (_, wf) -> wf
 
 let barrier_height e (ox : Oxide.t) = work_function e -. ox.electron_affinity

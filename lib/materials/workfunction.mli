@@ -8,13 +8,11 @@ type electrode =
   | Titanium_nitride
   | Graphene        (** monolayer graphene at charge neutrality *)
   | Mlgnr of int    (** multilayer graphene nanoribbon with the given layer count *)
-  | Cnt of float    (** carbon nanotube of the given diameter [m] *)
   | Custom of string * float  (** name and work function [eV] *)
 
 val work_function : electrode -> float
 (** Work function in eV. MLGNR converges from the monolayer value toward
-    graphite (≈ 4.6 eV) as layers are added; CNT work function decreases
-    slightly with diameter around ≈ 4.8 eV. *)
+    graphite (≈ 4.6 eV) as layers are added. *)
 
 val barrier_height : electrode -> Oxide.t -> float
 (** [barrier_height e ox] is the electron tunneling barrier

@@ -60,11 +60,6 @@ let[@inline] read_bit t i =
   let b = Char.code (Bytes.unsafe_get t.ch_bit t.cls.(i)) in
   if b < 2 then b else bit_of_charge t (Array.unsafe_get t.qfg i)
 
-let bit ?dvt_threshold t i =
-  match dvt_threshold with
-  | None -> read_bit t i
-  | Some th -> if -.t.qfg.(i) /. t.cfc > th then 0 else 1
-
 (* ---------- charge ids ---------- *)
 
 let[@inline] probe_hash h =

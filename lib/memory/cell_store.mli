@@ -58,13 +58,6 @@ val dvt : t -> int -> float
     {!Gnrflash_device.Fgt.threshold_shift} (the control-coupling
     capacitance is hoisted at [create]). *)
 
-val bit : ?dvt_threshold:float -> t -> int -> int
-(** O(1) readout: [0] (programmed) when [dvt] exceeds the decision level
-    (default 1 V), else [1] — the {!Cell.For_testing.state}/{!Cell.to_bit}
-    composition without the record round-trip. At the default level a
-    cell with a charge id reads its id's bit, computed with the same
-    expression when the id was made; any other level divides. *)
-
 (** {1 Cell views}
 
     {!Cell.t} stays the single-cell currency for APIs and tests; these
@@ -128,7 +121,8 @@ val program_verify :
     {!For_testing.apply_pulse_at} does; returns the number of pulses applied. The
     verify read after a replayed pulse is the new id's bit, and {!Gnrflash_resilience.Fault.active} is read once per call, so a
     call whose pulses all hit allocates nothing. Bit-identical to the
-    loop [while bit t i = 1 && p < max_pulses do For_testing.apply_pulse_at ...].
+    loop [while sense t ~base:i ~bits:1 = 1 && p < max_pulses do
+    For_testing.apply_pulse_at ...].
     @raise Pulse_error on the first failed pulse; pulses before it keep
     their updates and the failed one leaves the cell unchanged. *)
 
@@ -185,7 +179,8 @@ val pe_cycle :
     program, erase verify and read run inside this module, so no call
     crosses a module boundary per cell and no readout float is boxed,
     under dune's [-opaque] dev profile too. Each kernel is bit-identical
-    to the per-cell loop of {!program_verify} / {!bit} it replaces. *)
+    to the per-cell loop of {!program_verify} / one-cell {!sense} it
+    replaces. *)
 
 type word_outcome = {
   mutable slowest : int;  (** most pulses any bit of the word took *)
@@ -234,7 +229,11 @@ val all_erased : t -> lo:int -> hi:int -> bool
 
 val sense : t -> base:int -> bits:int -> int
 (** The packed readout of cells [base .. base + bits - 1] (at 1 V): bit
-    [i] of the result is {!bit} of cell [base + i]. Allocates nothing.
+    [i] of the result is [0] (programmed) when cell [base + i]'s {!dvt}
+    exceeds 1 V, else [1] — the {!Cell.For_testing.state}/{!Cell.to_bit}
+    composition without the record round-trip. A cell with a charge id
+    reads its id's bit, computed with the same expression when the id was
+    made. Allocates nothing.
     @raise Invalid_argument if [bits >= Sys.int_size]. *)
 
 val apply_pulse_range :

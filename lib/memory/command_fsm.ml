@@ -1,5 +1,5 @@
 [@@@gnrflash.hot]
-(* lint: this module's program/erase/disturb loops are the bench-critical
+(* lint: this module's program/erase loops are the bench-critical
    hot path — L13 flags allocating record updates and closures inside
    them (the SoA Cell_store keeps them allocation-free). *)
 
@@ -12,13 +12,8 @@ type config = {
   words_per_sector : int;
   word_bits : int;
   write_buffer_words : int;
-  t_cycle : float;
   program_pulse : D.Program_erase.pulse;
-  erase_pulse : D.Program_erase.pulse;
   max_pulses : int;
-  disturb : D.Disturb.config option;
-      (* when set, every program pulse feeds its gate disturb back into the
-         erased cells of the sector's unselected words *)
 }
 
 let default_config =
@@ -27,12 +22,12 @@ let default_config =
     words_per_sector = 32;
     word_bits = 13;
     write_buffer_words = 16;
-    t_cycle = 100e-9;
     program_pulse = D.Program_erase.default_program_pulse;
-    erase_pulse = D.Program_erase.default_erase_pulse;
     max_pulses = 8;
-    disturb = None;
   }
+
+let t_cycle = 100e-9 (* every bus cycle [s] *)
+let erase_pulse = D.Program_erase.default_erase_pulse (* every erase round *)
 
 type error =
   | Bad_sequence of { state : string; addr : int; data : int }
@@ -112,9 +107,6 @@ type t = {
   store : S.t; (* cell [addr * word_bits + bit] *)
   pmemo : S.memo; (* program-pulse transitions, by starting charge id *)
   ememo : S.memo; (* erase-pulse transitions *)
-  dmemo : (int64 * int, float) Hashtbl.t;
-  (* disturb outcomes keyed by (victim charge bits, event count) — hoisted
-     to the instance so repeated programs at the same charge reuse it *)
   word : S.word_outcome; (* refilled by every word program *)
   tm : timing;
   mutable seq : seq;
@@ -136,7 +128,7 @@ type t = {
 let create ?(config = default_config) device =
   if config.sectors < 1 || config.words_per_sector < 1 || config.word_bits < 1
      || config.write_buffer_words < 1 || config.max_pulses < 1
-     || config.word_bits >= Sys.int_size || config.t_cycle <= 0.
+     || config.word_bits >= Sys.int_size
   then invalid_arg "Command_fsm.create: bad geometry";
   let words = config.sectors * config.words_per_sector in
   let store = S.create ~n:(words * config.word_bits) device in
@@ -148,7 +140,6 @@ let create ?(config = default_config) device =
     store;
     pmemo = S.memo store;
     ememo = S.memo store;
-    dmemo = Hashtbl.create 16;
     word = S.word_outcome ();
     tm = { clock = 0.; ends_at = 0.; remaining = 0. };
     seq = Idle;
@@ -192,7 +183,6 @@ let wrap t addr =
     let a = addr mod t.words in
     if a < 0 then a + t.words else a
 
-let sector_of t ~addr = wrap t addr / t.cfg.words_per_sector
 let now t = t.tm.clock
 
 let state_name t =
@@ -212,7 +202,7 @@ let commit t =
   if t.op <> op_none && t.tm.clock >= t.tm.ends_at then t.op <- op_none
 
 let tick t =
-  t.tm.clock <- t.tm.clock +. t.cfg.t_cycle;
+  t.tm.clock <- t.tm.clock +. t_cycle;
   t.ms.bus_cycles <- t.ms.bus_cycles + 1;
   commit t
 
@@ -221,7 +211,7 @@ let[@inline] step_to t target =
   commit t
 
 let step_quarter_erase_pulse t =
-  step_to t (t.tm.clock +. (0.25 *. t.cfg.erase_pulse.D.Program_erase.duration))
+  step_to t (t.tm.clock +. (0.25 *. erase_pulse.D.Program_erase.duration))
 
 let ready t = t.op = op_none
 
@@ -232,44 +222,6 @@ let wait_ready t =
   end
 
 (* ---------- physics ---------- *)
-
-(* Feed the counted gate-disturb events back into the victim cells: every
-   erased cell of the sector's unselected words integrates [events] disturb
-   pulses from its current charge. Victims at the same charge share one
-   solve (fresh erased cells are all identical), memoized on the instance,
-   so repeated programs at the same charge cost zero transients. *)
-let apply_disturb t ~addr ~events =
-  match t.cfg.disturb with
-  | None -> ()
-  | Some dcfg ->
-    let sector = sector_of t ~addr in
-    let shifted q =
-      let key = (Int64.bits_of_float q, events) in
-      match Hashtbl.find_opt t.dmemo key with
-      | Some q' -> q'
-      | None -> (
-        match
-          D.Disturb.qfg_after_events ~config:dcfg (S.device t.store) ~qfg0:q
-            ~events
-        with
-        | Error e -> raise (S.Pulse_error e)
-        | Ok q' ->
-          Hashtbl.add t.dmemo key q';
-          q')
-    in
-    let victims = ref 0 in
-    let base_word = sector * t.cfg.words_per_sector in
-    for w = base_word to base_word + t.cfg.words_per_sector - 1 do
-      if w <> addr then
-        for i = 0 to t.cfg.word_bits - 1 do
-          let idx = (w * t.cfg.word_bits) + i in
-          if S.bit t.store idx = 1 then begin
-            S.set_qfg t.store idx (shifted (S.qfg t.store idx));
-            incr victims
-          end
-        done
-    done;
-    if !victims > 0 then Tel.count ~n:!victims "command_fsm/disturb_feedback"
 
 (* Embedded program of one word: pulse-and-verify per target-0 bit, bits in
    parallel on the word line (busy time = the slowest bit's pulse count,
@@ -293,7 +245,6 @@ let program_word_cells t ~addr ~data =
   (* every program pulse gate-disturbs the unselected words of the sector *)
   t.ms.disturb_events <-
     t.ms.disturb_events + (slowest * (t.cfg.words_per_sector - 1));
-  if slowest > 0 then apply_disturb t ~addr ~events:slowest;
   if o.S.timed_out then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
   t.ms.words_programmed <- t.ms.words_programmed + 1;
   slowest
@@ -312,7 +263,7 @@ let erase_sector_cells t ~sector =
   let rounds = ref 0 in
   while !pending && !rounds < t.cfg.max_pulses do
     pending :=
-      S.erase_round t.store ~memo:t.ememo ~pulse:t.cfg.erase_pulse ~lo ~hi > 0;
+      S.erase_round t.store ~memo:t.ememo ~pulse:erase_pulse ~lo ~hi > 0;
     t.ms.erase_pulses <- t.ms.erase_pulses + ncells;
     incr rounds
   done;
@@ -417,7 +368,7 @@ let[@inline] program_buffer t =
 (* Erases every sector in turn; returns the busy time, the per-sector
    durations summed in that order. *)
 let erase_chip_cells t =
-  let pulse_s = t.cfg.erase_pulse.D.Program_erase.duration in
+  let pulse_s = erase_pulse.D.Program_erase.duration in
   let d = ref 0. in
   for sector = 0 to t.cfg.sectors - 1 do
     d := !d +. (float_of_int (erase_sector_cells t ~sector) *. pulse_s)
@@ -567,7 +518,7 @@ let write t ~addr ~data =
           t.ms.sector_erases <- t.ms.sector_erases + 1;
           Tel.count "command_fsm/sector_erase";
           launch t op_sector_erase ~arg:sector
-            (float_of_int rounds *. t.cfg.erase_pulse.D.Program_erase.duration);
+            (float_of_int rounds *. erase_pulse.D.Program_erase.duration);
           Ok ())
     | Erase_unlocked when addr = t.u1 && data = 0x10 -> (
       t.seq <- Idle;

@@ -9,7 +9,7 @@
     instance's own {!Cell_store} engine),
     so busy durations, over-erase drift and wear are consequences of the
     paper's floating-gate model rather than datasheet constants. Time is
-    {e model time} in seconds — each bus cycle costs [t_cycle] and each
+    {e model time} in seconds — each bus cycle costs 100 ns and each
     embedded operation holds the device busy for its accumulated pulse
     time — which makes latency measurements bit-deterministic and
     independent of the execution tier running the simulation.
@@ -48,22 +48,15 @@ type config = {
   words_per_sector : int;
   word_bits : int;            (** cells per word (data + ECC bits) *)
   write_buffer_words : int;   (** capacity of the program buffer *)
-  t_cycle : float;            (** bus cycle time [s] *)
   program_pulse : Gnrflash_device.Program_erase.pulse;
-  erase_pulse : Gnrflash_device.Program_erase.pulse;
   max_pulses : int;           (** internal program/erase verify retries *)
-  disturb : Gnrflash_device.Disturb.config option;
-  (** when set, the gate disturb counted in [disturb_events] is fed back
-      into the stored charge of the erased cells of the sector's
-      unselected words (one {!Gnrflash_device.Disturb} transient per
-      distinct victim charge); [None] (default) keeps disturb as pure
-      accounting *)
 }
+(** Every bus cycle takes 100 ns, and every erase pulse is
+    {!Gnrflash_device.Program_erase.default_erase_pulse} (−15 V, 1 ms). *)
 
 val default_config : config
-(** 8 sectors × 32 words × 13 bits, 16-word buffer, 100 ns cycles,
-    the paper's ±15 V / 1 ms pulses, 8 verify retries,
-    disturb feedback off. *)
+(** 8 sectors × 32 words × 13 bits, 16-word buffer, the paper's
+    15 V / 1 ms program pulse, 8 verify retries. *)
 
 type t
 (** Mutable device instance (one word line of cells per word, flat).
@@ -117,8 +110,6 @@ val words : t -> int
 (** Total word span ([sectors × words_per_sector]); addresses wrap
     modulo this into [\[0, words)], negative ones included. *)
 
-val sector_of : t -> addr:int -> int
-
 val now : t -> float
 (** Model clock [s]. One field load from a flat float record, small
     enough for ocamlopt to inline into a caller in another module when
@@ -131,7 +122,7 @@ val ready : t -> bool
     erase with no nested program reports ready). *)
 
 val write : t -> addr:int -> data:int -> (unit, error) result
-(** One bus write cycle (advances the clock by [t_cycle]). Drives the
+(** One bus write cycle (advances the clock by 100 ns). Drives the
     command state machine; completed unlock sequences launch embedded
     operations. For the program data cycle, [data] is the target word:
     bit [i] of [data] is the target for cell [i] (AND semantics — a 1
@@ -143,7 +134,7 @@ val write : t -> addr:int -> data:int -> (unit, error) result
     apart from the consumed bus cycle and the [bad_sequences] counter. *)
 
 val read_word : t -> addr:int -> int
-(** One bus read cycle (advances the clock by [t_cycle]), allocating
+(** One bus read cycle (advances the clock by 100 ns), allocating
     nothing. Returns the sensed word, packed and non-negative: bit [i] is
     the readout of cell [i] of the word (its [word_bits] low bits; the
     rest are 0). While the device is busy, or for addresses in the
@@ -155,7 +146,7 @@ val read_word : t -> addr:int -> int
     an internal verify timeout. *)
 
 val step_quarter_erase_pulse : t -> unit
-(** Advance the model clock by a quarter of [erase_pulse]'s duration,
+(** Advance the model clock by a quarter of the erase pulse's duration,
     completing any operation whose busy window ends by then: a host
     letting an erase run before suspending it, with no float to box. *)
 

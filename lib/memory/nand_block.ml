@@ -67,26 +67,23 @@ let program_page t ~page ~data =
   in
   (* every ISPP pulse exposes the inhibited (data = 1) cells on this word
      line; apply the accumulated exposure once per inhibited cell *)
-  let rec disturb duration s =
+  let rec disturb events s =
     if s = t.strings then Ok ()
-    else if data.(s) <> 1 then disturb duration (s + 1)
+    else if data.(s) <> 1 then disturb events (s + 1)
     else
       match
-        D.Transient.pulse ~qfg0:(S.qfg t.store (base + s)) device
-          ~vgs:t.disturb.D.Disturb.v_disturb ~duration
+        D.Disturb.qfg_after_events ~config:t.disturb device
+          ~qfg0:(S.qfg t.store (base + s)) ~events
       with
-      | Error e -> Error (Gnrflash_resilience.Solver_error.to_string e)
-      | Ok r ->
-        S.set_qfg t.store (base + s) r.D.Transient.qfg_final;
-        disturb duration (s + 1)
+      | Error e -> Error e
+      | Ok q ->
+        S.set_qfg t.store (base + s) q;
+        disturb events (s + 1)
   in
   match program 0 0 0 with
   | Error e -> Error e
   | Ok (failures, events) ->
-    let disturbed =
-      if events = 0 then Ok ()
-      else disturb (float_of_int events *. t.disturb.D.Disturb.pulse_width) 0
-    in
+    let disturbed = if events = 0 then Ok () else disturb events 0 in
     Result.map
       (fun () ->
          t.stats <-

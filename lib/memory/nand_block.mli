@@ -37,9 +37,9 @@ val program_page : t -> page:int -> data:int array -> (unit, string) result
 (** Program the page to [data] (1 bit per string; 0 = program the cell,
     1 = leave erased). Programmed cells run the ISPP loop; inhibited cells
     on the same word line then see one disturb exposure per ISPP pulse
-    used, applied as a single transient of that many pulse widths at the
-    inhibit bias. @raise Invalid_argument on a bad page or a data-length
-    mismatch. *)
+    used: each takes {!Gnrflash_device.Disturb.qfg_after_events} of that
+    many events from its charge. @raise Invalid_argument on a bad page or
+    a data-length mismatch. *)
 
 val erase_block : t -> (unit, string) result
 (** Erase every cell of the block with the default erase pulse. *)

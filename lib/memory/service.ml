@@ -1,14 +1,10 @@
 [@@@gnrflash.hot]
-module D = Gnrflash_device
 module Tel = Gnrflash_telemetry.Telemetry
 
 type config = {
   ftl : Ftl.config;
   strings : int;
   poll_interval : float;
-  t_cycle : float;
-  max_pulses : int;
-  disturb : Gnrflash_device.Disturb.config option;
 }
 
 let default_config =
@@ -16,9 +12,6 @@ let default_config =
     ftl = Ftl.default_config;
     strings = 8;
     poll_interval = 0.;
-    t_cycle = 100e-9;
-    max_pulses = 8;
-    disturb = None;
   }
 
 type latency_table = {
@@ -105,9 +98,6 @@ let create ?(config = default_config) device =
       sectors = config.ftl.Ftl.blocks;
       words_per_sector = config.ftl.Ftl.pages_per_block;
       word_bits = word_bits_for config.strings;
-      t_cycle = config.t_cycle;
-      max_pulses = config.max_pulses;
-      disturb = config.disturb;
     }
   in
   let ftl = Ftl.create config.ftl in

@@ -24,18 +24,14 @@ type config = {
   strings : int;         (** data bits per page (GNR strings) *)
   poll_interval : float; (** >0: DQ6 data-toggle polling every this many
                              model seconds; 0: RY/BY#-style wait *)
-  t_cycle : float;       (** bus cycle time [s] *)
-  max_pulses : int;      (** device-internal verify retries *)
-  disturb : Gnrflash_device.Disturb.config option;
-  (** forwarded to {!Command_fsm}: when set, counted gate-disturb events
-      shift the charge of erased victim cells; [None] (default) keeps
-      disturb as pure accounting *)
 }
+(** The device runs {!Command_fsm.default_config}'s pulses and verify
+    retries, with one sector per FTL block, one word per page and one
+    cell per codeword bit. *)
 
 val default_config : config
 (** {!Ftl.default_config} geometry, 8 data bits (13-bit codewords),
-    RY/BY# waits, 100 ns cycles, 8 retries, disturb
-    feedback off. *)
+    RY/BY# waits. *)
 
 type t
 (** Mutable service instance (owns a {!Command_fsm.t} and an {!Ftl.t}).

@@ -1,50 +1,3 @@
-let check_len x y name =
-  if Array.length x <> Array.length y then invalid_arg ("Linalg." ^ name ^ ": length mismatch")
-
-let dot x y =
-  check_len x y "dot";
-  let s = ref 0. in
-  Array.iteri (fun i xi -> s := !s +. (xi *. y.(i))) x;
-  !s
-
-let norm2 x = sqrt (dot x x)
-
-let scale a x = Array.map (fun xi -> a *. xi) x
-
-let add x y =
-  check_len x y "add";
-  Array.mapi (fun i xi -> xi +. y.(i)) x
-
-let sub x y =
-  check_len x y "sub";
-  Array.mapi (fun i xi -> xi -. y.(i)) x
-
-let mat_vec a x =
-  Array.map (fun row -> dot row x) a
-
-let mat_mul a b =
-  let n = Array.length a in
-  let p = Array.length b in
-  if p = 0 then invalid_arg "Linalg.mat_mul: empty";
-  let m = Array.length b.(0) in
-  Array.init n (fun i ->
-      if Array.length a.(i) <> p then invalid_arg "Linalg.mat_mul: dimension mismatch";
-      Array.init m (fun j ->
-          let s = ref 0. in
-          for k = 0 to p - 1 do
-            s := !s +. (a.(i).(k) *. b.(k).(j))
-          done;
-          !s))
-
-let transpose a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else
-    let m = Array.length a.(0) in
-    Array.init m (fun j -> Array.init n (fun i -> a.(i).(j)))
-
-let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1. else 0.))
-
 let solve_tridiag ~sub ~diag ~sup rhs =
   let n = Array.length diag in
   if Array.length sub <> n || Array.length sup <> n || Array.length rhs <> n then

@@ -23,6 +23,9 @@ let fresh_device () =
 let bits = Int64.bits_of_float
 let same_f a b = Int64.equal (bits a) (bits b)
 
+(* One cell's readout at 1 V *)
+let bit s i = S.sense s ~base:i ~bits:1
+
 (* in-box pulses (surrogate-served once promoted)... *)
 let prog_pulse = PE.default_program_pulse
 let erase_pulse = PE.default_erase_pulse
@@ -79,7 +82,7 @@ let word_failed e total = Error (Printf.sprintf "%s (after %d pulses)" e total)
 (* The per-cell [apply_pulse_at] + [bit] loops the fused kernels replace. *)
 let loop_verify s m ~pulse ~max_pulses i =
   let p = ref 0 and err = ref None in
-  while Option.is_none !err && S.bit s i = 1 && !p < max_pulses do
+  while Option.is_none !err && bit s i = 1 && !p < max_pulses do
     match S.For_testing.apply_pulse_at s ~memo:m ~pulse i with
     | Ok () -> incr p
     | Error e -> err := Some e
@@ -90,7 +93,7 @@ let loop_round s m ~pulse ~lo ~hi =
   let zeros = ref 0 and err = ref None and i = ref lo in
   while Option.is_none !err && !i <= hi do
     (match S.For_testing.apply_pulse_at s ~memo:m ~pulse !i with
-     | Ok () -> if S.bit s !i = 0 then incr zeros
+     | Ok () -> if bit s !i = 0 then incr zeros
      | Error e -> err := Some e);
     incr i
   done;
@@ -105,12 +108,12 @@ let loop_word s m ~pulse ~max_pulses ~base ~bits ~data =
     else
       let idx = base + i in
       if (data lsr i) land 1 = 1 then
-        go (i + 1) slowest total (timeout || S.bit s idx = 0)
+        go (i + 1) slowest total (timeout || bit s idx = 0)
       else
         let before = S.view s idx in
         match loop_verify s m ~pulse ~max_pulses idx with
         | Ok p ->
-          go (i + 1) (max slowest p) (total + p) (timeout || S.bit s idx = 1)
+          go (i + 1) (max slowest p) (total + p) (timeout || bit s idx = 1)
         | Error e ->
           S.For_testing.set s idx before;
           word_failed e total
@@ -120,14 +123,14 @@ let loop_word s m ~pulse ~max_pulses ~base ~bits ~data =
 let loop_erased s ~lo ~hi =
   let z = ref 0 in
   for i = lo to hi do
-    if S.bit s i = 0 then incr z
+    if bit s i = 0 then incr z
   done;
   [ Bool.to_int (!z = 0) ]
 
 let loop_sense s ~base ~bits =
   let w = ref 0 in
   for i = 0 to bits - 1 do
-    w := !w lor (S.bit s (base + i) lsl i)
+    w := !w lor (bit s (base + i) lsl i)
   done;
   [ !w ]
 
@@ -501,7 +504,7 @@ let test_scalar_readout_matches_cell () =
     check_true "dvt bits" (same_f (S.dvt s i) (Cell.dvt v));
     Alcotest.(check int) "bit"
       (Cell.to_bit (Cell.For_testing.state v))
-      (S.bit s i)
+      (bit s i)
   done
 
 let test_range_equals_per_cell_loop () =
@@ -589,8 +592,7 @@ let ids_consistent s =
     (fun i ->
       let c = T.charge_id s i in
       (c = 0 || c = T.id_of_charge s (S.qfg s i))
-      && S.bit s i = (if S.dvt s i > 1.0 then 0 else 1)
-      && S.bit s i = S.bit ~dvt_threshold:1.0 s i)
+      && bit s i = (if S.dvt s i > 1.0 then 0 else 1))
     (List.init (S.length s) Fun.id)
 
 type id_op =
@@ -929,7 +931,7 @@ let test_memo_hits_allocate_nothing () =
   (* the replays really were replays of the warm-up answers *)
   reset ();
   verify ();
-  check_true "programmed" (S.bit s 1 = 0)
+  check_true "programmed" (bit s 1 = 0)
 
 let () =
   Alcotest.run "cell_store"

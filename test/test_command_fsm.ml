@@ -85,8 +85,11 @@ let test_negative_address_wraps () =
   Alcotest.(check int) "read -1" 0b01010 (word_at t ~addr:(-1));
   Alcotest.(check int) "read 7" 0b01010 (word_at t ~addr:7);
   Alcotest.(check int) "sense -9" 0b01010 (C.sense_word t ~addr:(-9));
-  Alcotest.(check int) "sector of -1" 1 (C.sector_of t ~addr:(-1));
-  Alcotest.(check int) "sector of -5" 0 (C.sector_of t ~addr:(-5))
+  (* the erase address -4 wraps to word 4, in sector 1 *)
+  program t ~addr:0 ~data:0;
+  erase t ~sector:(-1);
+  Alcotest.(check int) "sector 1 erased" all_ones (word_at t ~addr:7);
+  Alcotest.(check int) "sector 0 kept" 0 (word_at t ~addr:0)
 
 let test_busy_status_and_rejection () =
   let t = mk () in
@@ -115,7 +118,7 @@ let test_model_time_advances () =
   (* at least 4 bus cycles plus one program pulse of busy time *)
   check_true "busy window charged"
     (C.now t -. t0
-     >= (4. *. cfg.C.t_cycle) +. cfg.C.program_pulse.Gnrflash_device.Program_erase.duration)
+     >= (4. *. 100e-9) +. cfg.C.program_pulse.Gnrflash_device.Program_erase.duration)
 
 let test_and_semantics_need_erase () =
   let t = mk () in
@@ -336,34 +339,20 @@ let test_digest_determinism () =
   check_true "different history, different digest"
     (C.state_digest c <> C.state_digest a)
 
-(* Disturb feedback: with [disturb = Some _] the gate-disturb events that
-   were previously pure accounting shift the stored charge of the erased
-   cells in the sector's unselected words. The shift must track the event
-   count (no pulses -> no shift), stay deterministic, and leave the
-   counted statistics identical to the accounting-only run. *)
-let test_disturb_feedback () =
-  let dcfg =
-    Gnrflash_device.Disturb.half_select ~vgs_program:15. ~pulse_width:10e-6
-  in
-  let run disturb ~data =
-    let t = C.create ~config:{ small with C.disturb } F.paper_default in
+(* Disturb accounting: every program pulse counts one gate-disturb event
+   per unselected word of the sector; programming all-ones over erased
+   cells needs no pulse, so it counts none. *)
+let test_disturb_accounting () =
+  let events ~data =
+    let t = mk () in
     program t ~addr:0 ~data;
-    t
+    (C.stats t).C.disturb_events
   in
-  let off = run None ~data:0 and on_ = run (Some dcfg) ~data:0 in
-  check_true "events were counted" ((C.stats on_).C.disturb_events > 0);
-  Alcotest.(check int) "feedback does not change the event count"
-    (C.stats off).C.disturb_events (C.stats on_).C.disturb_events;
-  check_true "feedback shifts the victim cells"
-    (C.state_digest on_ <> C.state_digest off);
-  Alcotest.(check int) "feedback is deterministic" (C.state_digest on_)
-    (C.state_digest (run (Some dcfg) ~data:0));
-  (* programming all-ones over erased cells needs zero pulses, so there
-     are no disturb events and the feedback path must not fire at all *)
-  let off1 = run None ~data:all_ones and on1 = run (Some dcfg) ~data:all_ones in
-  Alcotest.(check int) "no pulses, no events" 0 (C.stats on1).C.disturb_events;
-  Alcotest.(check int) "no events, no feedback" (C.state_digest off1)
-    (C.state_digest on1)
+  let n = events ~data:0 in
+  check_true "programming 0s counts events" (n > 0);
+  Alcotest.(check int) "whole pulses over the unselected words" 0
+    (n mod (small.C.words_per_sector - 1));
+  Alcotest.(check int) "no pulses, no events" 0 (events ~data:all_ones)
 
 (* ---- properties ------------------------------------------------------ *)
 
@@ -678,7 +667,7 @@ let () =
           case "reset and bad sequences" test_reset_and_bad_sequences;
           case "poll ready" test_poll_ready;
           case "digest determinism" test_digest_determinism;
-          case "disturb feedback" test_disturb_feedback;
+          case "disturb accounting" test_disturb_accounting;
           case "warm launch allocation" test_warm_launch_allocation;
           case "poll of a busy device allocates nothing" test_poll_allocation;
           case "now is unboxed across modules (boxed under -opaque, --profile dev)"

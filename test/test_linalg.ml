@@ -1,40 +1,6 @@
 module L = Gnrflash_numerics.Linalg
 open Gnrflash_testing.Testing
 
-let test_dot () = check_close "dot" 32. (L.dot [| 1.; 2.; 3. |] [| 4.; 5.; 6. |])
-
-let test_norm2 () = check_close "norm" 5. (L.norm2 [| 3.; 4. |])
-
-let test_vector_ops () =
-  let a = [| 1.; 2. |] and b = [| 3.; 5. |] in
-  check_close "add" 4. (L.add a b).(0);
-  check_close "sub" (-3.) (L.sub a b).(1);
-  check_close "scale" 4. (L.scale 2. a).(1)
-
-let test_mat_vec () =
-  let m = [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let v = L.mat_vec m [| 1.; 1. |] in
-  check_close "row0" 3. v.(0);
-  check_close "row1" 7. v.(1)
-
-let test_mat_mul () =
-  let a = [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  let c = L.mat_mul a b in
-  check_close "swap columns" 2. c.(0).(0);
-  check_close "swap columns" 1. c.(0).(1)
-
-let test_transpose () =
-  let t = L.transpose [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  Alcotest.(check int) "rows" 3 (Array.length t);
-  check_close "t(0,1)" 4. t.(0).(1)
-
-let test_identity_mul () =
-  let a = [| [| 2.; 1. |]; [| 7.; 3. |] |] in
-  let i = L.identity 2 in
-  let ai = L.mat_mul a i in
-  check_close "a*i = a" a.(1).(0) ai.(1).(0)
-
 let test_solve_tridiag () =
   let sub = [| 0.; 1.; 1. |] and diag = [| 2.; 2.; 2. |] and sup = [| 1.; 1.; 0. |] in
   let x = check_ok "tridiag" (L.solve_tridiag ~sub ~diag ~sup [| 3.; 4.; 3. |]) in
@@ -62,13 +28,6 @@ let () =
     [
       ( "linalg",
         [
-          case "dot" test_dot;
-          case "norm2" test_norm2;
-          case "vector ops" test_vector_ops;
-          case "mat_vec" test_mat_vec;
-          case "mat_mul" test_mat_mul;
-          case "transpose" test_transpose;
-          case "identity" test_identity_mul;
           case "tridiagonal" test_solve_tridiag;
           case "complex 2x2 multiply" test_cmat2;
           case "complex 2x2 identity" test_cmat2_identity;

@@ -1,9 +1,10 @@
 (* Self-test for gnrflash-lint: every (* EXPECT L<n> *) marker in the
    fixture directory (.ml and .mli) must produce exactly one finding of
    that rule on that line, (* EXPECT-SUPPRESSED L<n> *) exactly one
-   suppressed finding, and nothing else may fire. Also asserts the repo
-   itself is lint-clean, L14 included: every lib/ export is reached from
-   bin/, bench/, examples/ or perfbench/. *)
+   suppressed finding, and nothing else may fire (a stale allow comment
+   is a finding too). Also asserts the repo itself is lint-clean, L14 and
+   stale allows included: every lib/ export is reached from bin/, bench/,
+   examples/ or perfbench/, and every allow comment suppresses a finding. *)
 
 module E = Gnrflash_lint_engine.Lint_engine
 open Gnrflash_testing.Testing
@@ -169,11 +170,28 @@ let test_engine_api () =
   check_true "json has per-rule counts" (contains json "\"by_rule\"");
   check_true "json mentions L8" (contains json "\"L8\"")
 
+(* An allow is checked against the findings of its rule only when the
+   rule ran: without a root .cmt, L14 does not run, so bad_l14.mli's
+   allows (the stale one included) report nothing, while the other
+   rules' stale allows still do. *)
+let test_unused_allow_needs_the_rule () =
+  let config = { fixture_config with E.roots = [] } in
+  let report = E.run ~config ~root ~subdir:fixtures_subdir () in
+  Alcotest.(check int) "no roots scanned" 0 report.E.roots_scanned;
+  check_true "no L14 finding"
+    (List.for_all (fun f -> f.E.rule <> E.L14) report.E.findings);
+  check_true "stale L2 allow still reported"
+    (List.exists
+       (fun f ->
+         f.E.rule = E.L2 && (not f.E.suppressed)
+         && f.E.file = Filename.concat fixtures_subdir "stale_allow.ml")
+       report.E.findings)
+
 (* Ratchet on test-only exports: each suppressed L14 finding is a lib/
    export that only tests reach. The count may only go down, so a new
    test-only export cannot slip in under a suppression; lower this bound
    whenever one is retired. *)
-let max_l14_suppressions = 73
+let max_l14_suppressions = 54
 
 let test_repo_clean () =
   let report = E.run ~root ~subdir:"lib" () in
@@ -198,6 +216,7 @@ let () =
           case "all rules covered" test_every_rule_covered;
           case "call graph shapes" test_callgraph;
           case "engine api" test_engine_api;
+          case "unused allow needs its rule to run" test_unused_allow_needs_the_rule;
           case "repo is lint-clean" test_repo_clean;
         ] );
     ]

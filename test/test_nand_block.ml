@@ -128,6 +128,33 @@ let test_disturb_exposures () =
   Alcotest.(check (float 0.)) "other word line unexposed" 0.
     (Nb.dvt b ~page:1 ~string_:1)
 
+(* An inhibited cell takes exactly the charge Disturb.qfg_after_events
+   gives for the page's ISPP pulse count from its charge before the
+   program, read bit for bit through its threshold shift. Two programs of
+   the same page start the second from the first's disturbed charge. *)
+let test_disturb_matches_qfg_after_events () =
+  let dev = F.paper_default in
+  let config =
+    D.Disturb.half_select ~vgs_program:D.Ispp.default.D.Ispp.v_start
+      ~pulse_width:D.Ispp.default.D.Ispp.pulse_width
+  in
+  let b = Nb.create dev ~pages:2 ~strings:4 in
+  let data = [| 0; 1; 0; 1 |] in
+  let program qfg0 =
+    let before = (Nb.stats b).Nb.disturb_events in
+    check_ok "program" (Nb.program_page b ~page:0 ~data);
+    let events = (Nb.stats b).Nb.disturb_events - before in
+    let q = check_ok "disturb" (D.Disturb.qfg_after_events ~config dev ~qfg0 ~events) in
+    Alcotest.(check int64) "inhibited charge bits"
+      (Int64.bits_of_float (F.threshold_shift dev ~qfg:q))
+      (Int64.bits_of_float (Nb.dvt b ~page:0 ~string_:3));
+    (events, q)
+  in
+  let events1, q1 = program 0. in
+  check_true "first program pulsed" (events1 > 0);
+  check_true "first program disturbed" (q1 <> 0.);
+  ignore (program q1 : int * float)
+
 let test_wear_summary () =
   let b = block () in
   let mean0, fluence0, broken0 = Nb.wear_summary b in
@@ -163,6 +190,7 @@ let () =
           case "program/erase cycles" test_program_erase_cycles;
           case "program failures counted" test_program_failures_counted;
           case "disturb exposures counted" test_disturb_exposures;
+          case "disturb matches qfg_after_events" test_disturb_matches_qfg_after_events;
           case "wear summary" test_wear_summary;
         ] );
     ]

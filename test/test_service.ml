@@ -157,27 +157,6 @@ let test_rejects_non_bit_data () =
   Alcotest.(check int) "nothing written" 0 r.S.writes;
   Alcotest.(check int) "FTL untouched" 0 r.S.ftl.Ftl.host_writes
 
-(* Disturb feedback threads through the service config down to the FSM:
-   the enabled run counts the same events but lands on a different final
-   cell state, deterministically. *)
-let test_disturb_feedback_threaded () =
-  let dcfg =
-    Gnrflash_device.Disturb.half_select ~vgs_program:15. ~pulse_width:10e-6
-  in
-  let run disturb =
-    let s = mk ~config:{ small_cfg with S.disturb } () in
-    S.run_trace ~profile ~seed:21 ~ops:40 s
-  in
-  let off = run None and on_ = run (Some dcfg) in
-  check_true "events counted" (on_.S.fsm.C.disturb_events > 0);
-  Alcotest.(check int) "same events either way" off.S.fsm.C.disturb_events
-    on_.S.fsm.C.disturb_events;
-  Alcotest.(check int) "no op lost with feedback on" 0 on_.S.lost_ops;
-  check_true "feedback shifts the final state"
-    (on_.S.state_digest <> off.S.state_digest);
-  Alcotest.(check int) "feedback is deterministic" on_.S.state_digest
-    (run (Some dcfg)).S.state_digest
-
 (* Native code only, like every allocation pin below. A warm read
    (mapped page, codeword already decoded once) allocates nothing: the
    bus answers through the unboxed [Command_fsm.read_word], and the FTL
@@ -417,7 +396,6 @@ let () =
           case "single commands" test_exec_single_commands;
           case "negative lpn wraps" test_negative_lpn_wraps;
           case "non-bit data rejected" test_rejects_non_bit_data;
-          case "disturb feedback threaded" test_disturb_feedback_threaded;
           case "warm read allocation" test_warm_read_allocation;
           case "warm write allocation" test_warm_write_allocation;
           case "warm suspended write allocation"

@@ -88,30 +88,48 @@ let test_snapshot_sorted () =
   let names = List.map fst snap.T.counters in
   Alcotest.(check (list string)) "sorted" [ "aa"; "mm"; "zz" ] names
 
-let test_json_round_trip () =
-  T.count ~n:17 "ode/step_accepted";
-  T.span "transient/run" (fun () ->
-      T.count ~n:123456 "ode/rhs_eval";
-      ignore (T.span "lookup/build" (fun () -> ())));
-  T.count "weird \"name\"\n";
-  let snap = T.snapshot () in
-  let json = T.render_json snap in
-  match T.For_testing.snapshot_of_json json with
-  | Error e -> Alcotest.fail e
-  | Ok back ->
-    Alcotest.(check (list (pair string int))) "counters round-trip"
-      snap.T.counters back.T.counters;
-    List.iter2
-      (fun (k1, (s1 : T.span_stat)) (k2, s2) ->
-         Alcotest.(check string) "span name" k1 k2;
-         Alcotest.(check int) "span calls" s1.T.calls s2.T.calls;
-         check_abs ~tol:0. "span total_s exact" s1.T.total_s s2.T.total_s)
-      snap.T.spans back.T.spans
+(* [render_json] byte for byte on a hand-built snapshot: names escape
+   quote, backslash, newline and other control characters; an integer
+   [total_s] keeps a decimal point; an empty section is [{}]. *)
+let test_json_golden () =
+  let span calls total_s = { T.calls; total_s } in
+  Alcotest.(check string) "empty snapshot" {|{"counters":{},"spans":{}}|}
+    (T.render_json { T.counters = []; spans = [] });
+  Alcotest.(check string) "escapes and number formats"
+    {|{"counters":{"ode/rhs_eval":123456,"w\"e\\i\nr\u0001d":1},"spans":{}}|}
+    (T.render_json
+       { T.counters = [ ("ode/rhs_eval", 123456); ("w\"e\\i\nr\001d", 1) ]; spans = [] });
+  Alcotest.(check string) "spans"
+    {|{"counters":{},"spans":{"lookup/build":{"calls":3,"total_s":2.0},"t\tab":{"calls":1,"total_s":0.10000000000000001}}}|}
+    (T.render_json
+       { T.counters = []; spans = [ ("lookup/build", span 3 2.); ("t\tab", span 1 0.1) ] })
 
-let test_json_rejects_garbage () =
-  check_error "not json" (T.For_testing.snapshot_of_json "hello");
-  check_error "truncated" (T.For_testing.snapshot_of_json "{\"counters\":{");
-  check_error "missing fields" (T.For_testing.snapshot_of_json "{\"counters\":{}}")
+(* A span's [total_s] is the one float [render_json] prints: 17
+   significant digits (one decimal for an integer below 10^15), which
+   read back to the same bits. *)
+let prop_total_s_round_trips =
+  prop "total_s prints as %.17g and reads back exactly" ~count:500
+    QCheck2.Gen.(
+      oneof
+        [
+          float_bound_inclusive 1e4;
+          map (fun e -> 10. ** float_of_int e) (int_range (-300) 300);
+          map float_of_int (int_range 0 1_000_000);
+        ])
+    (fun total_s ->
+       let json =
+         T.render_json { T.counters = []; spans = [ ("s", { T.calls = 1; total_s }) ] }
+       in
+       let prefix = {|{"counters":{},"spans":{"s":{"calls":1,"total_s":|} in
+       let np = String.length prefix in
+       String.starts_with ~prefix json
+       && String.ends_with ~suffix:"}}}" json
+       &&
+       let text = String.sub json np (String.length json - np - 3) in
+       (if Float.is_integer total_s && total_s < 1e15 then
+          text = Printf.sprintf "%.1f" total_s
+        else text = Printf.sprintf "%.17g" total_s)
+       && Int64.equal (Int64.bits_of_float (float_of_string text)) (Int64.bits_of_float total_s))
 
 let contains ~needle haystack =
   let nh = String.length haystack and nn = String.length needle in
@@ -159,10 +177,10 @@ let () =
           case "counter_total suffix sum" (with_fresh test_counter_total_suffix_sum);
           case "disabled is a no-op" (with_fresh test_disabled_is_noop);
           case "snapshot sorted" (with_fresh test_snapshot_sorted);
-          case "json round-trip" (with_fresh test_json_round_trip);
-          case "json rejects garbage" (with_fresh test_json_rejects_garbage);
+          case "json golden" test_json_golden;
           case "text render" (with_fresh test_text_render);
           case "reset clears" (with_fresh test_reset_clears);
           prop_counter_equals_sum_of_increments;
+          prop_total_s_round_trips;
         ] );
     ]

@@ -16,12 +16,6 @@ let test_mlgnr_monotone_to_graphite () =
   check_true "increases with layers" (w3 > w1);
   check_close ~tol:1e-3 "approaches graphite" 4.6 w20
 
-let test_cnt_diameter_dependence () =
-  let small = W.work_function (W.Cnt 0.8e-9) in
-  let large = W.work_function (W.Cnt 2.0e-9) in
-  check_true "smaller tube, larger wf" (small > large);
-  check_in "around 4.8" ~lo:4.7 ~hi:5.0 small
-
 let test_barrier_height () =
   check_close "paper barrier" 3.2
     (W.barrier_height (W.Custom ("paper", 4.1)) O.sio2);
@@ -47,7 +41,6 @@ let () =
         [
           case "reference values" test_reference_values;
           case "MLGNR approach to graphite" test_mlgnr_monotone_to_graphite;
-          case "CNT diameter dependence" test_cnt_diameter_dependence;
           case "barrier heights" test_barrier_height;
           case "Si/SiO2 textbook value" test_si_sio2_reference;
           prop_barrier_decreases_with_affinity;

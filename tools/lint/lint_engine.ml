@@ -214,12 +214,11 @@ let allows_of_file path =
 
 (* A finding is suppressed by an allow on its own line or the line above;
    L5 (whole-file) by an allow anywhere. *)
+let covers a ~line ~rule =
+  List.mem rule a.a_rules && (rule = L5 || a.a_line = line || a.a_line = line - 1)
+
 let suppression allows ~line ~rule =
-  let matches a =
-    List.mem rule a.a_rules
-    && (rule = L5 || a.a_line = line || a.a_line = line - 1)
-  in
-  match List.find_opt matches allows with
+  match List.find_opt (fun a -> covers a ~line ~rule) allows with
   | Some a -> Some (Option.value a.a_reason ~default:"")
   | None -> None
 
@@ -541,6 +540,7 @@ let run ?(config = default_config) ~root ~subdir () =
         r
   in
   let summaries = ref [] in
+  let lib_sources = ref [] in
   let root_summaries = ref [] in
   let lib_summaries = ref [] in
   let exports = ref [] in
@@ -553,6 +553,7 @@ let run ?(config = default_config) ~root ~subdir () =
           | Implementation str, Some src
             when Filename.check_suffix src ".ml" && not (Hashtbl.mem seen src) ->
               Hashtbl.add seen src ();
+              lib_sources := src :: !lib_sources;
               incr files;
               let basename = Filename.basename src in
               let raw = check_structure ~config ~basename str in
@@ -650,27 +651,66 @@ let run ?(config = default_config) ~root ~subdir () =
                        (String.concat ", " config.roots);
                  };
                ]);
+  (* every scanned source and interface, findings or not: an allow that
+     covers no finding of its rule is itself a finding, unless the rule
+     did not run (L14 without roots) *)
+  let sources =
+    List.concat_map
+      (fun src ->
+        let mli = src ^ "i" in
+        if Sys.file_exists (Filename.concat root mli) then [ src; mli ] else [ src ])
+      !lib_sources
+    @ Hashtbl.fold (fun src _ acc -> src :: acc) per_file []
+    |> List.sort_uniq compare
+  in
   let findings = ref [] in
-  Hashtbl.iter
-    (fun src cell ->
-      if !cell <> [] then begin
-        let allows = allows_of_file (Filename.concat root src) in
-        List.iter
-          (fun r ->
-            let supp = suppression allows ~line:r.r_line ~rule:r.r_rule in
-            findings :=
-              {
-                rule = r.r_rule;
-                file = src;
-                line = r.r_line;
-                message = r.r_message;
-                suppressed = supp <> None;
-                reason = (match supp with Some "" -> None | other -> other);
-              }
-              :: !findings)
-          !cell
-      end)
-    per_file;
+  List.iter
+    (fun src ->
+      let raws = match Hashtbl.find_opt per_file src with Some c -> !c | None -> [] in
+      let allows = allows_of_file (Filename.concat root src) in
+      List.iter
+        (fun r ->
+          let supp = suppression allows ~line:r.r_line ~rule:r.r_rule in
+          findings :=
+            {
+              rule = r.r_rule;
+              file = src;
+              line = r.r_line;
+              message = r.r_message;
+              suppressed = supp <> None;
+              reason = (match supp with Some "" -> None | other -> other);
+            }
+            :: !findings)
+        raws;
+      List.iter
+        (fun a ->
+          List.iter
+            (fun rule ->
+              let ran = rule <> L14 || roots_scanned > 0 in
+              if
+                ran
+                && not
+                     (List.exists
+                        (fun r -> r.r_rule = rule && covers a ~line:r.r_line ~rule)
+                        raws)
+              then
+                findings :=
+                  {
+                    rule;
+                    file = src;
+                    line = a.a_line;
+                    message =
+                      Printf.sprintf
+                        "this allow comment suppresses no %s finding — \
+                         delete it, or drop %s from its rule list"
+                        (rule_id rule) (rule_id rule);
+                    suppressed = false;
+                    reason = None;
+                  }
+                  :: !findings)
+            a.a_rules)
+        allows)
+    sources;
   let ordered =
     List.sort
       (fun a b ->

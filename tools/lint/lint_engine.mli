@@ -57,7 +57,10 @@
 
     Any rule is suppressible with a comment on the finding's line or the
     line above: [(* lint: allow L<n> — reason *)] ([L5]: anywhere in the
-    file). The engine runs over a dune build tree: [root] is the directory
+    file). An allow that covers no finding of a rule it names is itself an
+    unsuppressed finding of that rule, on the comment's closing line, so a
+    suppression cannot outlive its finding; a rule that did not run ([L14]
+    without roots) is not checked. The engine runs over a dune build tree: [root] is the directory
     that contains the compiled [lib/] (normally [_build/default]), where
     dune also copies the sources, so suppression comments are read from
     the same tree the [.cmt]s were built from. *)
@@ -112,7 +115,7 @@ type report = {
 
 val run : ?config:config -> root:string -> subdir:string -> unit -> report
 (** Scan every [.cmt] under [root/subdir] (recursively, including dune's
-    hidden [.objs] directories) and apply all fourteen rules. L14 also
+    hidden [.objs] directories) and apply all twelve rules. L14 also
     needs the [.cmt]s of {!config.roots} (dune's [@check] alias of each
     root directory); without any, it does not run and [roots_scanned] is
     [0]. *)
