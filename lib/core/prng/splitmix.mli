@@ -5,7 +5,7 @@
 
 val hash : seed:int -> index:int -> int
 (** A non-negative 62-bit hash of [(seed, index)] (splitmix64 finalizer).
-    The result depends only on [(seed, index)] — never on chunking, job
-    count, or shard count — which is what makes randomized sweeps
+    The result depends only on [(seed, index)] — never on chunking or
+    job count — which is what makes randomized sweeps
     reproducible across every execution tier. Re-exported as
     [Sweep.splitmix]. *)

@@ -2,10 +2,13 @@ type codeword = int array
 
 let check_bit name b = if b <> 0 && b <> 1 then invalid_arg ("Ecc." ^ name ^ ": non-bit value")
 
+(* The least [r >= 2] with [2^r >= k + r + 1]. Toplevel, not a closure
+   over [k] inside [parity_bits], so a packed decode allocates nothing. *)
+let rec parity_count k r = if 1 lsl r >= k + r + 1 then r else parity_count k (r + 1)
+
 let parity_bits k =
   if k <= 0 then invalid_arg "Ecc.parity_bits: k <= 0";
-  let rec go r = if 1 lsl r >= k + r + 1 then r else go (r + 1) in
-  go 2
+  parity_count k 2
 
 let is_power_of_two n = n land (n - 1) = 0
 

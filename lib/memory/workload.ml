@@ -11,7 +11,7 @@ type pattern =
 
 (* Per-op deterministic randomness: every draw is a pure function of
    (seed, op index, draw slot), so traces depend only on the seed — never
-   on evaluation order, chunking, job count or shard count. *)
+   on evaluation order, chunking or job count. *)
 let unit_float h = float_of_int h *. 0x1p-62 (* hash is 62-bit *)
 
 let zipf_cdf ~exponent ~n =
@@ -53,9 +53,9 @@ let bits ~h ~first n =
   done;
   data
 
-let validate_pattern = function
+let validate_pattern ~caller = function
   | Zipf exponent when exponent <= 0. ->
-    invalid_arg "Workload.generate: zipf exponent <= 0"
+    invalid_arg (caller ^ ": zipf exponent <= 0")
   | _ -> ()
 
 let cdf_of_pattern ~pages = function
@@ -66,7 +66,7 @@ let generate ~seed pattern ~pages ~strings ~ops ~read_fraction =
   if pages < 1 || strings < 1 || ops < 0 then invalid_arg "Workload.generate: bad sizes";
   if read_fraction < 0. || read_fraction > 1. then
     invalid_arg "Workload.generate: read_fraction out of [0, 1]";
-  validate_pattern pattern;
+  validate_pattern ~caller:"Workload.generate" pattern;
   let cdf = cdf_of_pattern ~pages pattern in
   let op_at i =
     let h = Sm.hash ~seed ~index:i in
@@ -116,7 +116,7 @@ let commands ~seed ~profile =
   then invalid_arg "Workload.commands: fractions out of range";
   if suspend_fraction < 0. || suspend_fraction > 1. then
     invalid_arg "Workload.commands: suspend_fraction out of [0, 1]";
-  validate_pattern pattern;
+  validate_pattern ~caller:"Workload.commands" pattern;
   let cdf = cdf_of_pattern ~pages pattern in
   fun i ->
     let h = Sm.hash ~seed ~index:i in

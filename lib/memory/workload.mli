@@ -3,7 +3,7 @@
 
     Every draw is a pure function of [(seed, op index, draw slot)] via
     {!Gnrflash_prng.Splitmix}, so a trace depends only on its seed: not
-    on list-construction order, job count, chunking or shard count. This
+    on list-construction order, job count or chunking. This
     is what makes golden-trace digests and cross-tier identity checks
     meaningful. *)
 

@@ -11,20 +11,3 @@ let geomspace a b n =
   if n < 2 then invalid_arg "Grid.geomspace: n < 2";
   if a <= 0. || b <= 0. then invalid_arg "Grid.geomspace: non-positive endpoint";
   logspace (log10 a) (log10 b) n
-
-let arange ?(step = 1.0) a b =
-  if step <= 0. then invalid_arg "Grid.arange: step <= 0";
-  if b < a then invalid_arg "Grid.arange: b < a";
-  let n = int_of_float (ceil ((b -. a) /. step -. 1e-12)) in
-  let n = max n 0 in
-  Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let midpoints xs =
-  let n = Array.length xs in
-  if n < 2 then [||]
-  else Array.init (n - 1) (fun i -> 0.5 *. (xs.(i) +. xs.(i + 1)))
-
-let map2 f xs ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Grid.map2: length mismatch";
-  Array.init n (fun i -> f xs.(i) ys.(i))

@@ -17,19 +17,3 @@ val geomspace : float -> float -> int -> float array
 (** [geomspace a b n] is [n] points spaced geometrically from [a] to [b]
     inclusive. Both endpoints must be strictly positive.
     @raise Invalid_argument if [n < 2] or an endpoint is non-positive. *)
-
-(* lint: allow L14 — no program calls it; test_grid pins it *)
-val arange : ?step:float -> float -> float -> float array
-(** [arange ?step a b] is the points [a, a+step, ...] strictly below [b]
-    ([step] defaults to [1.0]).
-    @raise Invalid_argument if [step <= 0.] or [b < a]. *)
-
-(* lint: allow L14 — no program calls it; test_grid pins it *)
-val midpoints : float array -> float array
-(** [midpoints xs] is the array of midpoints of consecutive elements;
-    its length is [Array.length xs - 1]. *)
-
-(* lint: allow L14 — no program calls it; test_grid pins it *)
-val map2 : (float -> float -> float) -> float array -> float array -> float array
-(** Pointwise combination of two equal-length arrays.
-    @raise Invalid_argument on length mismatch. *)

@@ -1,11 +1,7 @@
-type kind =
-  | Linear
-  | Hermite of float array (* derivative at each knot *)
-
 type t = {
   xs : float array;
   ys : float array;
-  kind : kind;
+  d : float array; (* derivative at each knot *)
 }
 
 let validate xs ys =
@@ -15,10 +11,6 @@ let validate xs ys =
   for i = 0 to n - 2 do
     if xs.(i + 1) <= xs.(i) then invalid_arg "Interp: xs not strictly increasing"
   done
-
-let linear xs ys =
-  validate xs ys;
-  { xs = Array.copy xs; ys = Array.copy ys; kind = Linear }
 
 (* Fritsch--Carlson monotone slopes. *)
 let pchip xs ys =
@@ -51,7 +43,7 @@ let pchip xs ys =
     d.(0) <- endpoint_slope h.(0) h.(1) delta.(0) delta.(1);
     d.(n - 1) <- endpoint_slope h.(n - 2) h.(n - 3) delta.(n - 2) delta.(n - 3)
   end;
-  { xs = Array.copy xs; ys = Array.copy ys; kind = Hermite d }
+  { xs = Array.copy xs; ys = Array.copy ys; d }
 
 let segment_index (xs : float array) (x : float) =
   (* Largest i with xs.(i) <= x, clamped to [0, n-2]. The annotation keeps
@@ -73,17 +65,10 @@ let eval t x =
   let i = segment_index t.xs x in
   let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
   let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
-  match t.kind with
-  | Linear -> y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
-  | Hermite d ->
-    let h = x1 -. x0 in
-    let s = (x -. x0) /. h in
-    let h00 = ((1. +. (2. *. s)) *. (1. -. s)) *. (1. -. s) in
-    let h10 = (s *. (1. -. s)) *. (1. -. s) in
-    let h01 = s *. s *. (3. -. (2. *. s)) in
-    let h11 = s *. s *. (s -. 1.) in
-    (h00 *. y0) +. (h10 *. h *. d.(i)) +. (h01 *. y1) +. (h11 *. h *. d.(i + 1))
-
-let eval_array t xs = Array.map (eval t) xs
-
-let knots t = (Array.copy t.xs, Array.copy t.ys)
+  let h = x1 -. x0 in
+  let s = (x -. x0) /. h in
+  let h00 = ((1. +. (2. *. s)) *. (1. -. s)) *. (1. -. s) in
+  let h10 = (s *. (1. -. s)) *. (1. -. s) in
+  let h01 = s *. s *. (3. -. (2. *. s)) in
+  let h11 = s *. s *. (s -. 1.) in
+  (h00 *. y0) +. (h10 *. h *. t.d.(i)) +. (h01 *. y1) +. (h11 *. h *. t.d.(i + 1))

@@ -1,51 +1,3 @@
-let phi = (sqrt 5. -. 1.) /. 2.
-
-let golden_section ?(tol = 1e-10) ?(max_iter = 200) f a b =
-  let a = ref (min a b) and b = ref (max a b) in
-  let x1 = ref (!b -. (phi *. (!b -. !a))) in
-  let x2 = ref (!a +. (phi *. (!b -. !a))) in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  let i = ref 0 in
-  while !b -. !a > tol *. (1. +. abs_float !a +. abs_float !b) && !i < max_iter do
-    incr i;
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1; f2 := !f1;
-      x1 := !b -. (phi *. (!b -. !a));
-      f1 := f !x1
-    end else begin
-      a := !x1;
-      x1 := !x2; f1 := !f2;
-      x2 := !a +. (phi *. (!b -. !a));
-      f2 := f !x2
-    end
-  done;
-  let xm = 0.5 *. (!a +. !b) in
-  (xm, f xm)
-
-let grid_search_1d ~n f a b =
-  if n < 2 then invalid_arg "Optimize.grid_search_1d: n < 2";
-  let best_x = ref a and best_f = ref (f a) in
-  for i = 1 to n - 1 do
-    let x = a +. ((b -. a) *. float_of_int i /. float_of_int (n - 1)) in
-    let fx = f x in
-    if fx < !best_f then begin best_x := x; best_f := fx end
-  done;
-  (!best_x, !best_f)
-
-let grid_search_2d ~nx ~ny f (x0, x1) (y0, y1) =
-  if nx < 2 || ny < 2 then invalid_arg "Optimize.grid_search_2d: n < 2";
-  let best = ref ((x0, y0), f x0 y0) in
-  for i = 0 to nx - 1 do
-    let x = x0 +. ((x1 -. x0) *. float_of_int i /. float_of_int (nx - 1)) in
-    for j = 0 to ny - 1 do
-      let y = y0 +. ((y1 -. y0) *. float_of_int j /. float_of_int (ny - 1)) in
-      let fxy = f x y in
-      if fxy < snd !best then best := ((x, y), fxy)
-    done
-  done;
-  !best
-
 let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) ?(scale = 0.1) f x0 =
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Optimize.nelder_mead: empty point";
@@ -121,7 +73,3 @@ let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) ?(scale = 0.1) f x0 =
     order ()
   done;
   (Array.copy simplex.(0), values.(0))
-
-let minimize_penalized ~penalty f x0 =
-  let x, _ = nelder_mead (fun x -> f x +. penalty x) x0 in
-  (x, f x)

@@ -1,38 +1,25 @@
 (** One-dimensional numerical integration. *)
 
-(* lint: allow L14 — no program calls it; test_quadrature pins it *)
-val trapezoid : (float -> float) -> float -> float -> n:int -> float
-(** [trapezoid f a b ~n] is the composite trapezoid rule with [n]
-    subintervals. @raise Invalid_argument if [n < 1]. *)
-
-(* lint: allow L14 — no program calls it; test_quadrature pins it *)
-val trapezoid_samples : float array -> float array -> float
-(** [trapezoid_samples xs ys] integrates tabulated samples [(xs, ys)] with
-    the trapezoid rule. [xs] must be sorted increasing.
-    @raise Invalid_argument on length mismatch or fewer than two points. *)
-
 val adaptive_simpson : ?tol:float -> (float -> float) -> float -> float -> float
 (** [adaptive_simpson f a b] integrates with recursive Simpson refinement to
     absolute tolerance [tol] (default [1e-10]), at most 40 halvings
     deep. *)
 
-val gauss_legendre : ?order:int -> (float -> float) -> float -> float -> float
-(** [gauss_legendre ~order f a b] is Gauss–Legendre quadrature with [order]
-    nodes (default 16). Nodes and weights are computed by Newton iteration on
-    the Legendre polynomial and cached per order; exact for polynomials of
-    degree [2*order - 1]. @raise Invalid_argument if [order < 1]. *)
+type rule
+(** A Gauss–Legendre rule: its nodes and weights on [[-1, 1]]. Nothing can
+    change one once built, so a rule built at module initialisation is
+    shared by every domain. *)
 
-val gauss_legendre_nodes : int -> (float array * float array)
-(** [gauss_legendre_nodes n] is the pair [(nodes, weights)] on [[-1, 1]].
-    Results are cached. *)
+val gauss_legendre_rule : int -> rule
+(** [gauss_legendre_rule n] is the [n]-point rule, its nodes found by
+    Newton iteration on the Legendre polynomial [P_n]. Build it once and
+    pass it to every {!gauss_legendre} call.
+    @raise Invalid_argument if [n < 1]. *)
 
-(* lint: allow L14 — no program calls it; test_quadrature pins it *)
-val integrate_to_inf :
-  ?tol:float -> ?decades:float -> (float -> float) -> float -> float
-(** [integrate_to_inf f a] approximates [∫_a^∞ f] for integrands decaying at
-    least exponentially, by mapping successive geometric panels until a panel
-    contributes less than [tol] (default [1e-12]) of the running total or
-    [decades] (default 6) decades past [max a 1.] have been covered. *)
+val gauss_legendre : rule -> (float -> float) -> float -> float -> float
+(** [gauss_legendre rule f a b] integrates [f] over [[a, b]] on the rule's
+    nodes; exact for polynomials of degree [2n - 1] with an [n]-point
+    rule. *)
 
 (** The fixed-grid oracle [test/test_quadrature.ml] checks
     {!adaptive_simpson} against. No program calls it. *)

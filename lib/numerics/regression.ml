@@ -50,17 +50,3 @@ let wls ~weights xs ys =
   end
 
 let ols xs ys = wls ~weights:(Array.make (Array.length xs) 1.) xs ys
-
-let through_origin xs ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then Error "Regression: length mismatch"
-  else if n < 1 then Error "Regression: empty data"
-  else begin
-    let sxy = ref 0. and sxx = ref 0. in
-    for i = 0 to n - 1 do
-      sxy := !sxy +. (xs.(i) *. ys.(i));
-      sxx := !sxx +. (xs.(i) *. xs.(i))
-    done;
-    if Float.equal !sxx 0. then Error "Regression: all abscissae zero"
-    else Ok (!sxy /. !sxx)
-  end

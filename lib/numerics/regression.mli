@@ -17,7 +17,3 @@ val ols : float array -> float array -> (fit, string) result
 val wls : weights:float array -> float array -> float array -> (fit, string) result
 (** Weighted least squares with the given non-negative weights (standard
     errors are reported relative to the weighted residuals). *)
-
-(* lint: allow L14 — no program calls it; test_regression pins it *)
-val through_origin : float array -> float array -> (float, string) result
-(** Best-fit slope of a line forced through the origin. *)

@@ -132,61 +132,6 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
            (Err.No_convergence { iterations = !i; best = !b; f_best = !fb }))
   end
 
-let newton ?(tol = default_tol) ?(max_iter = 100) ~f ~df x0 =
-  let solver = "Roots.newton" in
-  Err.protect @@ fun () ->
-  let f = instrument ~solver f in
-  let df x = Tel.count "roots/fn_eval"; Budget.note_evals 1; df x in
-  let rec loop x i =
-    if i >= max_iter then
-      Error
-        (Err.make ~solver
-           (Err.No_convergence { iterations = i; best = x; f_best = f x }))
-    else begin
-      Tel.count "roots/newton_iter";
-      match Budget.check ~solver () with
-      | Error e -> Error e
-      | Ok () ->
-        let fx = f x in
-        if Float.equal fx 0. then Ok x
-        else
-          let dfx = df x in
-          if Float.equal dfx 0. then Error (Err.make ~solver (Err.Zero_derivative { x }))
-          else
-            let x' = x -. (fx /. dfx) in
-            if Float.is_nan x' || Float.is_nan fx then
-              Error (Err.make ~solver (Err.Nan_region { at = x }))
-            else if close tol x x' then Ok x'
-            else loop x' (i + 1)
-    end
-  in
-  loop x0 0
-
-let secant ?(tol = default_tol) ?(max_iter = 100) f x0 x1 =
-  let solver = "Roots.secant" in
-  Err.protect @@ fun () ->
-  let f = instrument ~solver f in
-  let rec loop x0 f0 x1 f1 i =
-    Tel.count "roots/secant_iter";
-    match Budget.check ~solver () with
-    | Error e -> Error e
-    | Ok () ->
-      if i >= max_iter then
-        Error
-          (Err.make ~solver
-             (Err.No_convergence { iterations = i; best = x1; f_best = f1 }))
-      else if Float.equal f1 0. then Ok x1
-      else if Float.equal f1 f0 then
-        Error (Err.make ~solver (Err.Zero_derivative { x = x1 }))
-      else
-        let x2 = x1 -. (f1 *. (x1 -. x0) /. (f1 -. f0)) in
-        if Float.is_nan x2 then
-          Error (Err.make ~solver (Err.Nan_region { at = x1 }))
-        else if close tol x1 x2 then Ok x2
-        else loop x1 f1 x2 (f x2) (i + 1)
-  in
-  loop x0 (f x0) x1 (f x1) 0
-
 let bracket_root ?(max_iter = 60) f a b =
   let solver = "Roots.bracket_root" in
   Err.protect @@ fun () ->

@@ -29,20 +29,6 @@ val brent :
     returns [No_convergence] carrying the best iterate — never a silently
     unconverged [Ok]. *)
 
-(* lint: allow L14 — no program calls it; test_roots pins it *)
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  float -> (float, error) result
-(** [newton ~f ~df x0] is Newton–Raphson from initial guess [x0]. Fails if
-    the derivative vanishes ([Zero_derivative]) or the iteration does not
-    converge. *)
-
-(* lint: allow L14 — no program calls it; test_roots pins it *)
-val secant :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float ->
-  (float, error) result
-(** [secant f x0 x1] is the secant method from the two initial guesses. *)
-
 val bracket_root :
   ?max_iter:int -> (float -> float) -> float -> float ->
   ((float * float), error) result

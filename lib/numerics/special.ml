@@ -17,41 +17,6 @@ let erfc x =
   let ans = t *. exp ((-.z *. z) +. poly) in
   if x >= 0. then ans else 2. -. ans
 
-(* Lanczos approximation, g = 7, 9 coefficients. *)
-let lanczos_coeffs =
-  [|
-    0.99999999999980993; 676.5203681218851; -1259.1392167224028;
-    771.32342877765313; -176.61502916214059; 12.507343278686905;
-    -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7;
-  |]
-
-let rec gamma x =
-  if x < 0.5 then
-    (* reflection formula *)
-    Float.pi /. (sin (Float.pi *. x) *. gamma (1. -. x))
-  else begin
-    let x = x -. 1. in
-    let a = ref lanczos_coeffs.(0) in
-    let t = x +. 7.5 in
-    for i = 1 to 8 do
-      a := !a +. (lanczos_coeffs.(i) /. (x +. float_of_int i))
-    done;
-    sqrt (2. *. Float.pi) *. (t ** (x +. 0.5)) *. exp (-.t) *. !a
-  end
-
-let ln_gamma x =
-  if x <= 0. then invalid_arg "Special.ln_gamma: x <= 0";
-  if x < 0.5 then log (abs_float (gamma x))
-  else begin
-    let x = x -. 1. in
-    let a = ref lanczos_coeffs.(0) in
-    let t = x +. 7.5 in
-    for i = 1 to 8 do
-      a := !a +. (lanczos_coeffs.(i) /. (x +. float_of_int i))
-    done;
-    (0.5 *. log (2. *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !a
-  end
-
 (* ---------- Airy functions ---------- *)
 
 let ai0 = 0.3550280538878172392600631860041831763980

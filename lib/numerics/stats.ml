@@ -69,27 +69,3 @@ let histogram ~bins xs =
        counts.(i) <- counts.(i) + 1)
     xs;
   { edges; counts }
-
-let geometric_mean xs =
-  non_empty "geometric_mean" xs;
-  let s =
-    Array.fold_left
-      (fun acc x ->
-         if x <= 0. then invalid_arg "Stats.geometric_mean: non-positive sample";
-         acc +. log x)
-      0. xs
-  in
-  exp (s /. float_of_int (Array.length xs))
-
-let rms_log_ratio a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Stats.rms_log_ratio: length mismatch";
-  non_empty "rms_log_ratio" a;
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    if a.(i) <= 0. || b.(i) <= 0. then
-      invalid_arg "Stats.rms_log_ratio: non-positive sample";
-    let d = log10 (a.(i) /. b.(i)) in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt (!acc /. float_of_int n)

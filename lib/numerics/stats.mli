@@ -28,13 +28,3 @@ type histogram = {
 val histogram : bins:int -> float array -> histogram
 (** Equal-width histogram between the sample min and max (the max falls in
     the last bin). @raise Invalid_argument if [bins < 1]. *)
-
-(* lint: allow L14 — no program calls it; test_stats pins it *)
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive samples. *)
-
-(* lint: allow L14 — no program calls it; test_stats pins it *)
-val rms_log_ratio : float array -> float array -> float
-(** Root-mean-square of [log10 (a/b)] over paired positive samples — a
-    scale-free "how far apart are two curves" metric used in the
-    experiment reports. *)

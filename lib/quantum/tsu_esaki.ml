@@ -8,6 +8,11 @@ type transmission_model =
   | Transfer_matrix_model of int
   | Exact_airy
 
+(* The supply-function integral's two panels: 48 points below the Fermi
+   level, 64 above it. Built once here and shared by every domain. *)
+let rule_below_ef = Quad.gauss_legendre_rule 48
+let rule_above_ef = Quad.gauss_legendre_rule 64
+
 (* The barrier shape is fixed across the whole supply-function integral —
    only the energy varies between quadrature nodes — so the T(E) evaluator
    is built once per [current_density] call: the trapezoid is constructed a
@@ -54,8 +59,8 @@ let current_density ?(model = Wkb_model) ?(temp = C.room_temperature)
        range so the quadrature resolves it. *)
     let split = min ef e_max in
     let j1 =
-      if split > 1e-25 then Quad.gauss_legendre ~order:48 integrand 1e-25 split else 0.
+      if split > 1e-25 then Quad.gauss_legendre rule_below_ef integrand 1e-25 split else 0.
     in
-    let j2 = Quad.gauss_legendre ~order:64 integrand (max split 1e-25) e_max in
+    let j2 = Quad.gauss_legendre rule_above_ef integrand (max split 1e-25) e_max in
     prefactor *. (j1 +. j2)
   end

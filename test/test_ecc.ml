@@ -104,6 +104,29 @@ let test_decode_packed_exhaustive () =
     (Invalid_argument "Ecc.decode_packed: width mismatch") (fun () ->
       ignore (E.decode_packed ~k (1 lsl n)))
 
+(* Native code only, like the service's allocation pins: a packed decode
+   allocates nothing, clean or corrected. Measured on the 256 codewords
+   of the 8-bit data word and one single-flip neighbour of each. *)
+let test_decode_packed_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let k = 8 in
+  let n = k + E.overhead k in
+  let pack bits = Array.fold_right (fun b w -> (w lsl 1) lor b) bits 0 in
+  let clean =
+    Array.init 256 (fun d -> pack (E.encode (Array.init k (fun i -> (d lsr i) land 1))))
+  in
+  let words =
+    Array.append clean (Array.mapi (fun d cw -> cw lxor (1 lsl (d mod n))) clean)
+  in
+  let failed = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length words - 1 do
+    if E.decode_packed ~k words.(i) < 0 then incr failed
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int (Array.length words) in
+  Alcotest.(check (float 0.)) "minor words per decode" 0. per_call;
+  Alcotest.(check int) "every word decoded" 0 !failed
+
 let prop_roundtrip_any_data =
   prop "encode/decode roundtrip" ~count:100
     QCheck2.Gen.(array_size (int_range 1 40) (int_range 0 1))
@@ -135,6 +158,7 @@ let () =
           case "double errors detected" test_double_error_detected;
           case "exhaustive double errors (k=4)" test_all_double_errors_exhaustive_small;
           case "validation" test_validation;
+          case "packed decode allocates nothing" test_decode_packed_allocation;
           case "packed decode = decode (exhaustive, k=8)"
             test_decode_packed_exhaustive;
           prop_roundtrip_any_data;

@@ -43,27 +43,6 @@ let test_geomspace_negative () =
     (Invalid_argument "Grid.geomspace: non-positive endpoint") (fun () ->
       ignore (G.geomspace (-1.) 10. 3))
 
-let test_arange () =
-  let xs = G.arange ~step:0.5 0. 2. in
-  Alcotest.(check int) "length" 4 (Array.length xs);
-  check_close "last" 1.5 xs.(3)
-
-let test_arange_excludes_stop () =
-  let xs = G.arange 0. 3. in
-  Alcotest.(check int) "length" 3 (Array.length xs);
-  check_close "last" 2. xs.(2)
-
-let test_midpoints () =
-  let m = G.midpoints [| 0.; 2.; 6. |] in
-  Alcotest.(check int) "length" 2 (Array.length m);
-  check_close "m0" 1. m.(0);
-  check_close "m1" 4. m.(1)
-
-let test_map2 () =
-  let z = G.map2 ( +. ) [| 1.; 2. |] [| 10.; 20. |] in
-  check_close "sum" 11. z.(0);
-  check_close "sum" 22. z.(1)
-
 let prop_linspace_monotone =
   prop "linspace monotone for a < b"
     QCheck2.Gen.(pair (float_range (-100.) 100.) (int_range 2 50))
@@ -94,10 +73,6 @@ let () =
           case "logspace decades" test_logspace;
           case "geomspace ratios" test_geomspace;
           case "geomspace rejects negatives" test_geomspace_negative;
-          case "arange with step" test_arange;
-          case "arange excludes stop" test_arange_excludes_stop;
-          case "midpoints" test_midpoints;
-          case "map2" test_map2;
           prop_linspace_monotone;
           prop_geomspace_positive;
         ] );

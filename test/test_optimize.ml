@@ -1,34 +1,6 @@
 module O = Gnrflash_numerics.Optimize
 open Gnrflash_testing.Testing
 
-let test_golden_parabola () =
-  let x, fx = O.golden_section (fun x -> (x -. 2.) ** 2.) 0. 5. in
-  check_close ~tol:1e-6 "minimum location" 2. x;
-  check_abs ~tol:1e-10 "minimum value" 0. fx
-
-let test_golden_cosine () =
-  let x, _ = O.golden_section cos 2. 4. in
-  check_close ~tol:1e-6 "pi" Float.pi x
-
-let test_golden_reversed_bracket () =
-  let x, _ = O.golden_section (fun x -> (x -. 1.) ** 2.) 3. (-2.) in
-  check_close ~tol:1e-6 "handles swapped bounds" 1. x
-
-let test_grid_search_1d () =
-  let x, fx = O.grid_search_1d ~n:101 (fun x -> abs_float (x -. 0.42)) 0. 1. in
-  check_close ~tol:2e-2 "coarse location" 0.42 x;
-  check_true "small residual" (fx < 0.01)
-
-let test_grid_search_2d () =
-  let (x, y), fxy =
-    O.grid_search_2d ~nx:21 ~ny:21
-      (fun x y -> ((x -. 1.) ** 2.) +. ((y +. 2.) ** 2.))
-      (-3., 3.) (-4., 0.)
-  in
-  check_close ~tol:0.2 "x" 1. x;
-  check_close ~tol:0.2 "y" (-2.) y;
-  check_true "near zero" (fxy < 0.2)
-
 let test_nelder_mead_rosenbrock () =
   let rosen x =
     let a = 1. -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
@@ -52,18 +24,6 @@ let test_nelder_mead_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Optimize.nelder_mead: empty point")
     (fun () -> ignore (O.nelder_mead (fun _ -> 0.) [||]))
 
-let test_minimize_penalized () =
-  (* minimize x^2 subject to x >= 1 via penalty *)
-  let penalty x = if x.(0) < 1. then 1000. *. ((1. -. x.(0)) ** 2.) else 0. in
-  let x, fx = O.minimize_penalized ~penalty (fun x -> x.(0) ** 2.) [| 3. |] in
-  check_close ~tol:0.05 "constrained minimum" 1. x.(0);
-  check_close ~tol:0.1 "objective" 1. fx
-
-let prop_golden_finds_shifted_parabola =
-  prop "golden section on (x-c)^2" QCheck2.Gen.(float_range (-5.) 5.) (fun c ->
-      let x, _ = O.golden_section (fun x -> (x -. c) ** 2.) (-10.) 10. in
-      abs_float (x -. c) < 1e-5)
-
 let prop_nelder_mead_never_worse_than_start =
   prop "result no worse than initial point" ~count:50
     QCheck2.Gen.(pair (float_range (-5.) 5.) (float_range (-5.) 5.))
@@ -78,16 +38,9 @@ let () =
     [
       ( "optimize",
         [
-          case "golden parabola" test_golden_parabola;
-          case "golden cosine" test_golden_cosine;
-          case "golden reversed bracket" test_golden_reversed_bracket;
-          case "grid search 1d" test_grid_search_1d;
-          case "grid search 2d" test_grid_search_2d;
           case "nelder-mead rosenbrock" test_nelder_mead_rosenbrock;
           case "nelder-mead 3d quadratic" test_nelder_mead_quadratic_3d;
           case "nelder-mead empty input" test_nelder_mead_empty;
-          case "penalized minimize" test_minimize_penalized;
-          prop_golden_finds_shifted_parabola;
           prop_nelder_mead_never_worse_than_start;
         ] );
     ]

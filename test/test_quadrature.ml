@@ -1,13 +1,6 @@
 module Q = Gnrflash_numerics.Quadrature
 open Gnrflash_testing.Testing
 
-let test_trapezoid_linear () =
-  check_close "∫x over [0,1]" 0.5 (Q.trapezoid (fun x -> x) 0. 1. ~n:3)
-
-let test_trapezoid_samples () =
-  let xs = [| 0.; 1.; 3. |] and ys = [| 0.; 2.; 2. |] in
-  check_close "piecewise area" 5. (Q.trapezoid_samples xs ys)
-
 let test_simpson_cubic_exact () =
   (* Simpson is exact for cubics *)
   check_close "∫x^3 over [0,2]" 4. (Q.For_testing.simpson (fun x -> x ** 3.) 0. 2. ~n:2)
@@ -28,7 +21,8 @@ let test_adaptive_simpson_peak () =
 let test_gauss_legendre_poly () =
   (* order n integrates degree 2n-1 exactly: order 5 handles x^9 *)
   let f x = x ** 9. in
-  check_close ~tol:1e-12 "∫x^9 over [0,1]" 0.1 (Q.gauss_legendre ~order:5 f 0. 1.)
+  check_close ~tol:1e-12 "∫x^9 over [0,1]" 0.1
+    (Q.gauss_legendre (Q.gauss_legendre_rule 5) f 0. 1.)
 
 let test_adaptive_simpson_budget_exhaustion () =
   (* quadrature cannot return a result mid-recursion, so a starved budget
@@ -46,27 +40,40 @@ let test_adaptive_simpson_budget_exhaustion () =
           "Quadrature.adaptive_simpson" e.E.solver)
 
 let test_gauss_legendre_nodes_symmetry () =
-  let nodes, weights = Q.gauss_legendre_nodes 8 in
-  for i = 0 to 3 do
-    check_close ~tol:1e-12 "node symmetry" (-.nodes.(i)) nodes.(7 - i);
-    check_close ~tol:1e-12 "weight symmetry" weights.(i) weights.(7 - i)
+  (* odd moments over [-1, 1] cancel only if nodes and weights are
+     symmetric; the zeroth moment is the weight sum *)
+  let rule = Q.gauss_legendre_rule 8 in
+  for k = 0 to 7 do
+    let p = float_of_int ((2 * k) + 1) in
+    check_abs ~tol:1e-15 "odd moment" 0. (Q.gauss_legendre rule (fun x -> x ** p) (-1.) 1.)
   done;
-  let total = Array.fold_left ( +. ) 0. weights in
-  check_close ~tol:1e-12 "weights sum to 2" 2. total
+  check_close ~tol:1e-12 "weights sum to 2" 2.
+    (Q.gauss_legendre rule (fun _ -> 1.) (-1.) 1.)
+
+(* The rules the Tsu–Esaki current runs on: an n-point rule integrates
+   x^(2n-1) over [0, 1] to 1/(2n), and its weights sum to 2. *)
+let test_gauss_legendre_tsu_esaki_orders () =
+  List.iter
+    (fun n ->
+       let rule = Q.gauss_legendre_rule n in
+       let p = float_of_int ((2 * n) - 1) in
+       check_close ~tol:1e-12
+         (Printf.sprintf "n = %d: ∫x^%d over [0,1]" n ((2 * n) - 1))
+         (1. /. float_of_int (2 * n))
+         (Q.gauss_legendre rule (fun x -> x ** p) 0. 1.);
+       check_close ~tol:1e-12 (Printf.sprintf "n = %d: weights sum to 2" n) 2.
+         (Q.gauss_legendre rule (fun _ -> 1.) (-1.) 1.))
+    [ 48; 64 ];
+  Alcotest.check_raises "no 0-point rule"
+    (Invalid_argument "Quadrature.gauss_legendre_rule: n < 1") (fun () ->
+      ignore (Q.gauss_legendre_rule 0))
 
 let test_gauss_legendre_gaussian () =
   let f x = exp (-.(x *. x)) in
   let erf1 = 0.842700792949715 *. sqrt Float.pi /. 1. in
   (* ∫_{-1}^{1} e^{-x^2} = sqrt(pi) erf(1) *)
-  check_close ~tol:1e-10 "gaussian" erf1 (Q.gauss_legendre ~order:24 f (-1.) 1.)
-
-let test_integrate_to_inf () =
-  check_close ~tol:1e-8 "∫e^{-x} over [0,inf)" 1.
-    (Q.integrate_to_inf (fun x -> exp (-.x)) 0.)
-
-let test_integrate_to_inf_shifted () =
-  check_close ~tol:1e-8 "∫e^{-x} over [2,inf)" (exp (-2.))
-    (Q.integrate_to_inf (fun x -> exp (-.x)) 2.)
+  check_close ~tol:1e-10 "gaussian" erf1
+    (Q.gauss_legendre (Q.gauss_legendre_rule 24) f (-1.) 1.)
 
 let prop_simpson_matches_adaptive =
   prop "composite vs adaptive on smooth f" QCheck2.Gen.(float_range 0.5 3.)
@@ -76,21 +83,21 @@ let prop_simpson_matches_adaptive =
        let c = Q.adaptive_simpson ~tol:1e-11 f 0. b in
        abs_float (a -. c) < 1e-6)
 
+let rule4 = Q.gauss_legendre_rule 4
+
 let prop_gl_linear_exact =
   prop "gauss-legendre exact on affine"
     QCheck2.Gen.(pair (float_range (-5.) 5.) (float_range (-5.) 5.))
     (fun (m, c) ->
        let f x = (m *. x) +. c in
        let exact = (m /. 2. *. ((3. ** 2.) -. 1.)) +. (c *. 2.) in
-       abs_float (Q.gauss_legendre ~order:4 f 1. 3. -. exact) < 1e-9 *. (1. +. abs_float exact))
+       abs_float (Q.gauss_legendre rule4 f 1. 3. -. exact) < 1e-9 *. (1. +. abs_float exact))
 
 let () =
   Alcotest.run "quadrature"
     [
       ( "quadrature",
         [
-          case "trapezoid linear" test_trapezoid_linear;
-          case "trapezoid samples" test_trapezoid_samples;
           case "simpson cubic exact" test_simpson_cubic_exact;
           case "simpson sin" test_simpson_sin;
           case "adaptive exp" test_adaptive_simpson_exp;
@@ -99,8 +106,7 @@ let () =
           case "gauss-legendre degree 9" test_gauss_legendre_poly;
           case "gauss-legendre node symmetry" test_gauss_legendre_nodes_symmetry;
           case "gauss-legendre gaussian" test_gauss_legendre_gaussian;
-          case "semi-infinite exp" test_integrate_to_inf;
-          case "semi-infinite shifted" test_integrate_to_inf_shifted;
+          case "gauss-legendre 48 and 64 points" test_gauss_legendre_tsu_esaki_orders;
           prop_simpson_matches_adaptive;
           prop_gl_linear_exact;
         ] );

@@ -34,13 +34,6 @@ let test_wls_negative_weight () =
     (Invalid_argument "Regression.wls: negative weight") (fun () ->
       ignore (R.wls ~weights:[| 1.; -1. |] [| 0.; 1. |] [| 0.; 1. |]))
 
-let test_through_origin () =
-  let s = check_ok "origin" (R.through_origin [| 1.; 2.; 3. |] [| 2.; 4.; 6. |]) in
-  check_close "slope" 2. s
-
-let test_through_origin_zero_x () =
-  check_error "degenerate" (R.through_origin [| 0.; 0. |] [| 1.; 2. |])
-
 let test_r_squared_flat () =
   (* constant ys: residuals are zero, r2 defined as 1 *)
   let f = check_ok "flat" (R.ols [| 0.; 1.; 2. |] [| 5.; 5.; 5. |]) in
@@ -78,8 +71,6 @@ let () =
           case "constant x" test_ols_constant_x;
           case "wls outlier" test_wls_downweights_outlier;
           case "wls negative weight" test_wls_negative_weight;
-          case "through origin" test_through_origin;
-          case "through origin degenerate" test_through_origin_zero_x;
           case "flat data r2" test_r_squared_flat;
           prop_ols_recovers_line;
           prop_wls_uniform_equals_ols;

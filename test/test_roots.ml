@@ -35,20 +35,6 @@ let test_brent_tiny_root () =
   let x = check_ok "brent tiny" (R.brent f 0. 1e-16) in
   check_close ~tol:1e-9 "tiny root" 3.2e-17 x
 
-let test_newton () =
-  let x =
-    check_ok "newton"
-      (R.newton ~f:(fun x -> (x *. x) -. 2.) ~df:(fun x -> 2. *. x) 1.)
-  in
-  check_close ~tol:1e-12 "sqrt2" (sqrt 2.) x
-
-let test_newton_zero_derivative () =
-  check_error "flat" (R.newton ~f:(fun x -> (x *. x) +. 1.) ~df:(fun _ -> 0.) 0.)
-
-let test_secant () =
-  let x = check_ok "secant" (R.secant (fun x -> exp x -. 3.) 0. 2.) in
-  check_close ~tol:1e-10 "ln3" (log 3.) x
-
 let test_bracket_root () =
   let lo, hi = check_ok "bracket" (R.bracket_root cubic 0. 0.5) in
   check_true "sign change" (cubic lo *. cubic hi <= 0.)
@@ -87,22 +73,6 @@ let prop_brent_finds_linear_roots =
        | Ok x -> abs_float (x -. r) <= 1e-7 *. (1. +. abs_float r)
        | Error _ -> false)
 
-let prop_newton_quadratic =
-  prop "newton solves x^2 = c" QCheck2.Gen.(float_range 0.1 1000.) (fun c ->
-      match R.newton ~f:(fun x -> (x *. x) -. c) ~df:(fun x -> 2. *. x) (c +. 1.) with
-      | Ok x -> abs_float (x -. sqrt c) <= 1e-6 *. sqrt c
-      | Error _ -> false)
-
-let test_secant_flat_function () =
-  (* regression for the lint L2 pass: the f1 = f0 guard now uses
-     Float.equal and must still catch a flat secant step *)
-  let module E = Gnrflash_resilience.Solver_error in
-  match R.secant (fun _ -> 1.) 0. 1. with
-  | Error e ->
-    check_true "zero derivative reported"
-      (match e.E.kind with E.Zero_derivative _ -> true | _ -> false)
-  | Ok _ -> Alcotest.fail "expected Zero_derivative on a flat function"
-
 let () =
   Alcotest.run "roots"
     [
@@ -110,19 +80,14 @@ let () =
         [
           case "bisect cubic" test_bisect_cubic;
           case "bisect endpoint root" test_bisect_exact_endpoint;
-          case "secant flat function" test_secant_flat_function;
           case "bisect needs sign change" test_bisect_no_sign_change;
           case "brent cubic" test_brent_cubic;
           case "brent cos" test_brent_cos;
           case "brent tiny-magnitude root" test_brent_tiny_root;
-          case "newton sqrt2" test_newton;
-          case "newton zero derivative" test_newton_zero_derivative;
-          case "secant ln3" test_secant;
           case "bracket_root expands" test_bracket_root;
           case "bracket_root fails cleanly" test_bracket_root_fails;
           case "brent max_iter is No_convergence" test_brent_max_iter_unconverged;
           case "brent honors the eval budget" test_brent_budget_exhausted;
           prop_brent_finds_linear_roots;
-          prop_newton_quadratic;
         ] );
     ]

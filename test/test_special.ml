@@ -22,22 +22,6 @@ let test_erfc_tail () =
   (* erfc(3) = 2.20904970e-5 *)
   check_close ~tol:1e-4 "erfc 3" 2.2090497e-5 (S.erfc 3.)
 
-let test_gamma_integers () =
-  check_close ~tol:1e-10 "gamma 1" 1. (S.gamma 1.);
-  check_close ~tol:1e-10 "gamma 5 = 24" 24. (S.gamma 5.);
-  check_close ~tol:1e-10 "gamma 8 = 5040" 5040. (S.gamma 8.)
-
-let test_gamma_half () =
-  check_close ~tol:1e-10 "gamma 1/2 = sqrt pi" (sqrt Float.pi) (S.gamma 0.5)
-
-let test_gamma_reflection () =
-  (* gamma(-0.5) = -2 sqrt(pi) *)
-  check_close ~tol:1e-9 "gamma -1/2" (-2. *. sqrt Float.pi) (S.gamma (-0.5))
-
-let test_ln_gamma () =
-  check_close ~tol:1e-10 "ln gamma 10" (log (S.gamma 10.)) (S.ln_gamma 10.);
-  check_close ~tol:1e-9 "ln gamma large" 359.1342053696 (S.ln_gamma 100.)
-
 let test_airy_at_zero () =
   let ai, ai', bi, bi' = S.airy_all 0. in
   check_close ~tol:1e-12 "Ai(0)" 0.3550280538878172 ai;
@@ -118,10 +102,6 @@ let () =
           case "erf odd" test_erf_odd;
           case "erfc complement" test_erfc_complement;
           case "erfc tail" test_erfc_tail;
-          case "gamma integers" test_gamma_integers;
-          case "gamma half" test_gamma_half;
-          case "gamma reflection" test_gamma_reflection;
-          case "ln_gamma" test_ln_gamma;
           case "airy at 0" test_airy_at_zero;
           case "airy at 1" test_airy_at_one;
           case "airy negative axis" test_airy_negative;

@@ -46,13 +46,6 @@ let test_histogram_degenerate () =
   let h = S.histogram ~bins:3 [| 5.; 5.; 5. |] in
   Alcotest.(check int) "all in some bin" 3 (Array.fold_left ( + ) 0 h.S.counts)
 
-let test_geometric_mean () =
-  check_close "gm of 1,10,100" 10. (S.geometric_mean [| 1.; 10.; 100. |])
-
-let test_rms_log_ratio () =
-  check_close "identical curves" 0. (S.rms_log_ratio [| 1.; 2. |] [| 1.; 2. |]);
-  check_close "one decade apart" 1. (S.rms_log_ratio [| 10.; 100. |] [| 1.; 10. |])
-
 let test_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.mean: empty sample")
     (fun () -> ignore (S.mean [||]))
@@ -95,8 +88,6 @@ let () =
           case "percentile range check" test_percentile_range;
           case "histogram" test_histogram;
           case "histogram degenerate" test_histogram_degenerate;
-          case "geometric mean" test_geometric_mean;
-          case "rms log ratio" test_rms_log_ratio;
           case "empty rejected" test_empty_rejected;
           prop_mean_bounded;
           prop_percentile_monotone;

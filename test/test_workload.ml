@@ -45,6 +45,21 @@ let test_generate_validation () =
     (Invalid_argument "Workload.generate: zipf exponent <= 0") (fun () ->
       ignore (W.generate ~seed:1 (W.Zipf 0.) ~pages:2 ~strings:2 ~ops:5 ~read_fraction:0.))
 
+(* [commands] checks its profile once, when partially applied, and each
+   failure names [commands] itself, not [generate] *)
+let test_commands_validation () =
+  let p = W.default_profile in
+  let rejects msg profile =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (W.commands ~seed:1 ~profile : int -> W.host_cmd))
+  in
+  rejects "Workload.commands: bad sizes" { p with W.pages = 0 };
+  rejects "Workload.commands: fractions out of range"
+    { p with W.read_fraction = 0.7; trim_fraction = 0.4 };
+  rejects "Workload.commands: suspend_fraction out of [0, 1]"
+    { p with W.suspend_fraction = -0.1 };
+  rejects "Workload.commands: zipf exponent <= 0" { p with W.pattern = W.Zipf 0. }
+
 (* ---- PR regression: structural determinism of the generator ---------- *)
 
 (* Golden digest, pinned. Op [i] is a pure function of [(seed, i)] via
@@ -153,6 +168,7 @@ let () =
           case "sequential pattern" test_sequential_pattern;
           case "zipf skew" test_zipf_skew;
           case "generate validation" test_generate_validation;
+          case "commands validation" test_commands_validation;
           case "golden trace digest" test_golden_trace_digest;
           case "golden command digest" test_golden_command_digest;
           case "prefix stability" test_prefix_stability;

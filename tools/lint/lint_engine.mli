@@ -102,6 +102,13 @@ val default_config : config
 (** The library's solver modules and numeric kernels; roots [bin],
     [bench], [examples] and [perfbench]. *)
 
+val matched_names : string list
+(** Every qualified library value the typed-tree rules match by name
+    ([Gnrflash_numerics.Roots.brent], ...): the L3 entry points, the L6
+    quadrature calls and adaptive WKB evaluators, and the span wrappers
+    that satisfy L3 and open an L6 context. A name with no [val] in its
+    library's [.mli] never matches, so its rule silently checks less. *)
+
 type report = {
   findings : finding list;   (** sorted by file, line, rule *)
   files_scanned : int;
