@@ -641,38 +641,6 @@ let run_benchmarks () =
 
 (* ---------- part 4: telemetry artifact ---------- *)
 
-(* Per-figure fallback/budget counter totals. Counters bumped while a
-   figure regenerates carry that figure's span-context prefix
-   (e.g. figure/fig5/transient/run/resilience/fallback_used), so summing
-   every counter under figure/<name>/ that ends with the resilience key
-   gives the figure's total. On the golden parameter set every figure must
-   solve on the first rung: any fallback use is a regression. *)
-type resilience_row = {
-  fig : string;
-  fallback_used : int;
-  budget_exhausted_n : int;
-}
-
-let resilience_rows snap =
-  let total fig key =
-    let prefix = "figure/" ^ fig ^ "/" in
-    let suffix = "resilience/" ^ key in
-    List.fold_left
-      (fun acc (name, v) ->
-         if String.starts_with ~prefix name && String.ends_with ~suffix name
-         then acc + v
-         else acc)
-      0 snap.Tel.counters
-  in
-  List.map
-    (fun (fig, _) ->
-       {
-         fig;
-         fallback_used = total fig "fallback_used";
-         budget_exhausted_n = total fig "budget_exhausted";
-       })
-    figure_generators
-
 (* ---------- hot-path RHS/quadrature budgets ---------- *)
 
 (* Counter-budget regression gate for the hot-path acceleration work
@@ -1223,8 +1191,8 @@ let run_lint () =
 (* Machine-readable bench trajectory: per-figure wall-clock timings, the
    serial-vs-parallel scaling rows, the Bechamel rows, plus the full
    counter/span snapshot, written next to the repo's other BENCH data. *)
-let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
-    ~surrogate ~service ~bechamel ~lint snap =
+let write_bench_telemetry ~path ~checks_passed ~scaling ~perf ~surrogate ~service
+    ~bechamel ~lint snap =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"schema\":\"gnrflash-bench-telemetry/1\",";
   Buffer.add_string b
@@ -1264,15 +1232,6 @@ let write_bench_telemetry ~path ~checks_passed ~scaling ~resilience ~perf
        scaling.cores scaling.pool_jobs (scaling_row scaling.grid)
        (scaling_row scaling.monte_carlo) scaling_rounds
        scaling.pool_spawned scaling.mc_flushes (scaling_ok scaling));
-  Buffer.add_string b ",\"resilience\":{";
-  List.iteri
-    (fun i r ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (Printf.sprintf "\"%s\":{\"fallback_used\":%d,\"budget_exhausted\":%d}"
-            r.fig r.fallback_used r.budget_exhausted_n))
-    resilience;
-  Buffer.add_char b '}';
   Buffer.add_string b ",\"perf\":{";
   List.iteri
     (fun i r ->
@@ -1394,24 +1353,13 @@ let () =
   end;
   let scaling = sweep_scaling () in
   let bechamel = run_benchmarks () in
-  let resilience = resilience_rows snap in
   let lint = run_lint () in
-  write_bench_telemetry ~path:"BENCH_telemetry.json" ~checks_passed ~scaling
-    ~resilience ~perf ~surrogate:sur ~service ~bechamel ~lint snap;
-  hr "Resilience (per-figure fallback/budget counters)";
-  List.iter
-    (fun r ->
-       Printf.printf "  %-6s fallback_used=%d budget_exhausted=%d\n" r.fig
-         r.fallback_used r.budget_exhausted_n)
-    resilience;
-  let fallbacks_used = List.exists (fun r -> r.fallback_used > 0) resilience in
-  if fallbacks_used then
-    prerr_endline
-      "bench: a figure needed a fallback rung on the golden parameter set";
+  write_bench_telemetry ~path:"BENCH_telemetry.json" ~checks_passed ~scaling ~perf
+    ~surrogate:sur ~service ~bechamel ~lint snap;
   let lint_failed = Lint.unsuppressed lint <> [] in
   let scale_ok = scaling_ok scaling in
   hr "Done";
-  if not checks_passed || fallbacks_used || lint_failed || not perf_ok
+  if not checks_passed || lint_failed || not perf_ok
      || not sur_ok || not scale_ok || not service_passed
   then begin
     if not checks_passed then

@@ -2,5 +2,3 @@
    without depending on the low-level gnrflash_resilience library directly. *)
 module Solver_error = Gnrflash_resilience.Solver_error
 module Budget = Gnrflash_resilience.Budget
-module Fallback = Gnrflash_resilience.Fallback
-module Fault = Gnrflash_resilience.Fault

@@ -2,12 +2,10 @@ type kind =
   | Invalid_input of string
   | Bracket_failure of { lo : float; hi : float; f_lo : float; f_hi : float }
   | No_convergence of { iterations : int; best : float; f_best : float }
-  | Zero_derivative of { x : float }
   | Nan_region of { at : float }
   | Step_underflow of { t : float; h : float }
   | Max_steps of { steps : int; t : float }
   | Budget_exhausted of { evals : int; elapsed_s : float }
-  | Fault_injected of { eval : int }
 
 type t = { solver : string; kind : kind }
 
@@ -15,20 +13,16 @@ let make ~solver kind = { solver; kind }
 
 exception Solver_failure of t
 
-let fail ~solver kind = raise (Solver_failure { solver; kind })
-
 let protect f = try f () with Solver_failure e -> Error e
 
 let kind_label = function
   | Invalid_input _ -> "invalid_input"
   | Bracket_failure _ -> "bracket_failure"
   | No_convergence _ -> "no_convergence"
-  | Zero_derivative _ -> "zero_derivative"
   | Nan_region _ -> "nan_region"
   | Step_underflow _ -> "step_underflow"
   | Max_steps _ -> "max_steps"
   | Budget_exhausted _ -> "budget_exhausted"
-  | Fault_injected _ -> "fault_injected"
 
 let label e = kind_label e.kind
 
@@ -40,7 +34,6 @@ let message = function
   | No_convergence { iterations; best; f_best } ->
     Printf.sprintf "no convergence after %d iterations (best x = %g, f = %g)"
       iterations best f_best
-  | Zero_derivative { x } -> Printf.sprintf "zero derivative at x = %g" x
   | Nan_region { at } -> Printf.sprintf "non-finite function value at %g" at
   | Step_underflow { t; h } ->
     Printf.sprintf "step size underflow at t = %g (h = %g)" t h
@@ -48,6 +41,5 @@ let message = function
     Printf.sprintf "max steps (%d) exceeded at t = %g" steps t
   | Budget_exhausted { evals; elapsed_s } ->
     Printf.sprintf "budget exhausted after %d evals / %.3f s" evals elapsed_s
-  | Fault_injected { eval } -> Printf.sprintf "injected fault at eval %d" eval
 
 let to_string e = e.solver ^ ": " ^ message e.kind

@@ -15,8 +15,6 @@ type kind =
   | No_convergence of { iterations : int; best : float; f_best : float }
       (** iteration cap hit before the tolerance was met; [best] is the
           last (best) iterate rather than a silently-returned "root" *)
-  | Zero_derivative of { x : float }
-      (** Newton/secant step undefined (flat function) *)
   | Nan_region of { at : float }
       (** the iteration entered a region where the function is not finite
           and could not step out of it *)
@@ -27,8 +25,6 @@ type kind =
       (** integrator step cap hit before reaching the horizon *)
   | Budget_exhausted of { evals : int; elapsed_s : float }
       (** the cooperative {!Budget} (wall clock and/or eval cap) ran out *)
-  | Fault_injected of { eval : int }
-      (** deterministic test fault from {!Fault} (never in production) *)
 
 type t = {
   solver : string;  (** e.g. ["Roots.brent"], ["Transient.run"] *)
@@ -38,12 +34,9 @@ type t = {
 val make : solver:string -> kind -> t
 
 exception Solver_failure of t
-(** Escape hatch for solvers that cannot return a [result] (quadrature,
-    fault injection deep in an RHS). Public result-returning entry points
+(** Escape hatch for solvers that cannot return a [result] (quadrature's
+    budget poll deep in an integrand). Public result-returning entry points
     catch it via {!protect} so it never leaks to callers. *)
-
-val fail : solver:string -> kind -> 'a
-(** [fail ~solver kind] raises {!Solver_failure}. *)
 
 val protect : (unit -> ('a, t) result) -> ('a, t) result
 (** Run a thunk, converting an escaping {!Solver_failure} into [Error]. *)

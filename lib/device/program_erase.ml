@@ -1,6 +1,5 @@
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
 
@@ -40,10 +39,7 @@ let default_erase_pulse = { vgs = -15.; duration = 1e-3 }
      cold-start step-size search ([transient/warm_start_hit]).
 
    An engine's answers are a function of the pulses it has served, in
-   order, and of nothing else: nothing is shared between engines. Under an
-   active fault-injection plan all three layers are bypassed: a
-   fault-poisoned solve must not be memoized, and a memoized clean outcome
-   must not mask the fault path. *)
+   order, and of nothing else: nothing is shared between engines. *)
 
 type slot =
   | Ready of Pulse_surrogate.t
@@ -123,7 +119,6 @@ let surrogate_response e ~qfg pulse =
    remembered outcome without moving any later table build. *)
 let memoizable e pulse =
   pulse.duration > 0.
-  && (not (Fault.active ()))
   && ((not e.surrogate)
       || (not (in_box e pulse))
       || Hashtbl.mem e.tables (Int64.bits_of_float pulse.vgs))
@@ -135,10 +130,7 @@ let apply_pulse e ~qfg pulse =
          (Err.Invalid_input "duration <= 0"))
   else Tel.span "program_erase/pulse" @@ fun () ->
     Tel.count "program_erase/pulse";
-    let cached = not (Fault.active ()) in
-    let sur =
-      if e.surrogate && cached then surrogate_response e ~qfg pulse else None
-    in
+    let sur = if e.surrogate then surrogate_response e ~qfg pulse else None in
     match sur with
     | Some r ->
       if r.Pulse_surrogate.saturated then Tel.count "program_erase/saturated";
@@ -153,13 +145,13 @@ let apply_pulse e ~qfg pulse =
         }
     | None ->
     let key = (pulse.vgs, pulse.duration, qfg) in
-    match if cached then Hashtbl.find_opt e.replays key else None with
+    match Hashtbl.find_opt e.replays key with
     | Some outcome ->
       Tel.count "program_erase/pulse_replay";
       if outcome.saturated then Tel.count "program_erase/saturated";
       Ok outcome
     | None ->
-      let h0 = if cached then Hashtbl.find_opt e.h_last (pulse.vgs >= 0.) else None in
+      let h0 = Hashtbl.find_opt e.h_last (pulse.vgs >= 0.) in
       if Option.is_some h0 then Tel.count "transient/warm_start_hit";
       (match
          Transient.pulse ?h0 ~qfg0:qfg e.device ~vgs:pulse.vgs ~duration:pulse.duration
@@ -176,12 +168,10 @@ let apply_pulse e ~qfg pulse =
              saturated = Option.is_some r.Transient.tsat;
            }
          in
-         if cached then begin
-           Option.iter (Hashtbl.replace e.h_last (pulse.vgs >= 0.)) r.Transient.h_first;
-           if Hashtbl.length e.replays >= max_replay_entries then
-             Hashtbl.reset e.replays;
-           Hashtbl.replace e.replays key outcome
-         end;
+         Option.iter (Hashtbl.replace e.h_last (pulse.vgs >= 0.)) r.Transient.h_first;
+         if Hashtbl.length e.replays >= max_replay_entries then
+           Hashtbl.reset e.replays;
+         Hashtbl.replace e.replays key outcome;
          Ok outcome)
 
 let program ?(pulse = default_program_pulse) e ~qfg = apply_pulse e ~qfg pulse

@@ -55,8 +55,7 @@ val apply_pulse :
   engine -> qfg:float -> pulse -> (outcome, error) result
 (** Run one bias pulse on the engine's device from the given initial
     charge: surrogate table, else exact replay, else a warm-started exact
-    solve (see {!type-engine}). An active fault-injection plan bypasses
-    all three and forces a cold exact solve that is not remembered.
+    solve (see {!type-engine}).
 
     Telemetry: [program_erase/pulse] (count and span) per pulse,
     [surrogate/{hit,fallback}] per surrogate consult, [surrogate/build]
@@ -65,10 +64,10 @@ val apply_pulse :
 
 val memoizable : engine -> pulse -> bool
 (** Whether a caller may memoize this pulse's outcome by starting charge
-    and skip later consults: the duration is positive, no fault plan is
-    active, and either the surrogate is off, the pulse lies outside the
-    operating box (its consults never touch the promotion counters), or
-    its [vgs] table slot is settled (built or unusable). Until then every
+    and skip later consults: the duration is positive, and either the
+    surrogate is off, the pulse lies outside the operating box (its
+    consults never touch the promotion counters), or its [vgs] table slot
+    is settled (built or unusable). Until then every
     pulse must reach {!apply_pulse}, or the table build would land on a
     different pulse. *)
 

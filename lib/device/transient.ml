@@ -4,7 +4,6 @@ module Fn = Gnrflash_quantum.Fn
 module Roots = Gnrflash_numerics.Roots
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
-module Fallback = Gnrflash_resilience.Fallback
 
 type error = Err.t
 
@@ -131,8 +130,7 @@ let initial_step_size t ~vgs ~f0 ~duration =
    span and name themselves "Transient.run" in typed errors, so the ledger
    and the error text read the same whichever one a caller uses. [finish]
    turns the integrator's solution and the saturation time into the
-   caller's result. [rtol] is the first rung of its tolerance-relaxation
-   ladder. *)
+   caller's result. *)
 let rtol = 1e-8
 
 let solve ~record ~qfg0 ?h0 t ~vgs ~duration finish =
@@ -146,8 +144,8 @@ let solve ~record ~qfg0 ?h0 t ~vgs ~duration finish =
     let atol = 1e-10 *. Fgt.ct t *. (1. +. abs_float vgs) in
     (* One fused kernel serves the RHS, the saturation event and the
        samples. Only the RHS calls made by the integrator count as
-       [ode/rhs_eval] and meet the fault injector; the [h0] probe, the event
-       and the samples go straight to the kernel. *)
+       [ode/rhs_eval]; the [h0] probe, the event and the samples go
+       straight to the kernel. *)
     let k = kernel t ~vgs in
     let io = Ode.io () in
     let rhs () = io.Ode.dy <- dqfg_dt k io.Ode.y in
@@ -162,33 +160,21 @@ let solve ~record ~qfg0 ?h0 t ~vgs ~duration finish =
     (* If the device starts already balanced (e.g. vgs = 0) the event
        function is negative at t0; integrate without the event. *)
     let already_balanced = imbalance k ~qfg:qfg0 <= 0. in
-    let attempt rtol () =
-      if already_balanced then Tel.count "transient/already_balanced";
-      match
-        Ode.integrate ~rtol ~atol ~h0 ~record io ~rhs
-          ~event:(if already_balanced then None else Some event)
-          ~t0:0. ~y0:qfg0 ~t1:duration ()
-      with
-      | Error e -> Error e
-      | Ok sol ->
-        let tsat = if already_balanced then Some 0. else sol.Ode.t_event in
-        (match tsat with
-         | Some ts ->
-           Tel.count "transient/tsat_event";
-           if ts < duration then Tel.count "transient/early_stop"
-         | None -> ());
-        Ok (finish k sol tsat)
-    in
-    (* Tolerance-relaxation ladder: a transiently NaN-poisoned or stiff RHS
-       that defeats the tight tolerance often integrates fine a couple of
-       orders looser; accuracy degrades gracefully instead of the solve
-       dying outright. *)
-    Fallback.run
-      [
-        Fallback.rung "rtol" (attempt rtol);
-        Fallback.rung "rtol_x100" (attempt (rtol *. 1e2));
-        Fallback.rung "rtol_x10000" (attempt (Float.min 1e-3 (rtol *. 1e4)));
-      ]
+    if already_balanced then Tel.count "transient/already_balanced";
+    match
+      Ode.integrate ~rtol ~atol ~h0 ~record io ~rhs
+        ~event:(if already_balanced then None else Some event)
+        ~t0:0. ~y0:qfg0 ~t1:duration ()
+    with
+    | Error e -> Error e
+    | Ok sol ->
+      let tsat = if already_balanced then Some 0. else sol.Ode.t_event in
+      (match tsat with
+       | Some ts ->
+         Tel.count "transient/tsat_event";
+         if ts < duration then Tel.count "transient/early_stop"
+       | None -> ());
+      Ok (finish k sol tsat)
   end
 
 let run ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
@@ -237,26 +223,17 @@ let saturation_charge t ~vgs =
      currents equal up to the last ulp, and both-zero is balanced too). *)
   if ji0 +. jo0 <= 0. || abs_float (ji0 -. jo0) <= 1e-12 *. (ji0 +. jo0) then
     Ok 0.
-  else begin
-    (* expand slightly beyond the divider point to guarantee a sign change *)
-    let q_hi = q_star *. 1.05 in
-    (* widest sensible search span: the divider estimate or the full-swing
-       charge CT·(1+|vgs|), whichever is larger — covers erase polarity and
-       high-GCR devices where the fixed point sits outside [0, 1.05·q*] *)
-    let span = Float.max (abs_float q_hi) (Fgt.ct t *. (1. +. abs_float vgs)) in
-    Fallback.run
-      [
-        Fallback.rung "brent_divider" (fun () -> Roots.brent f 0. q_hi);
-        Fallback.rung "rebracket_brent" (fun () ->
-            match Roots.bracket_root f 0. q_star with
-            | Error e -> Error e
-            | Ok (lo, hi) -> Roots.brent f lo hi);
-        Fallback.rung "wide_bisect" (fun () ->
-            match Roots.bracket_root ~max_iter:120 f (-.span) span with
-            | Error e -> Error e
-            | Ok (lo, hi) -> Roots.bisect f lo hi);
-      ]
-  end
+  else
+    (* expand slightly beyond the divider point, the exact fixed point when
+       both oxides share FN coefficients *)
+    match Roots.brent f 0. (q_star *. 1.05) with
+    | Error { Err.kind = Err.Bracket_failure _; _ } -> (
+      (* a tunnel barrier lower than the control one (a [Variation] draw)
+         moves the fixed point past 1.05·q*: expand from [0, q*] *)
+      match Roots.bracket_root f 0. q_star with
+      | Error e -> Error e
+      | Ok (lo, hi) -> Roots.brent f lo hi)
+    | r -> r
 
 let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
   let solver = "Transient.time_to_threshold_shift" in
@@ -274,14 +251,6 @@ let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
     let atol = 1e-10 *. Fgt.ct t *. (1. +. abs_float vgs) in
     let f0 = dqfg_dt k qfg0 in
     let h0 = initial_step_size t ~vgs ~f0 ~duration:max_time in
-    let attempt rtol () =
-      match
-        Ode.integrate ?rtol ~atol ~h0 ~record:false io ~rhs ~event:(Some event) ~t0:0.
-          ~y0:qfg0 ~t1:max_time ()
-      with
-      | Error e -> Error e
-      | Ok sol -> Ok sol.Ode.t_event
-    in
     (* A start at or past the target needs no time: the event would begin
        on or beyond its zero and never see a crossing. *)
     if (qfg0 -. q_target) *. sign <= 0. then Ok (Some 0.)
@@ -292,9 +261,8 @@ let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
        are strict; a zero rate is left to the solve. *)
     else if f0 *. sign > 0. || dqfg_dt k q_target *. sign > 0. then Ok None
     else
-      Fallback.run
-        [
-          Fallback.rung "rtol" (attempt None);
-          Fallback.rung "rtol_x100" (attempt (Some 1e-6));
-        ]
+      Result.map
+        (fun sol -> sol.Ode.t_event)
+        (Ode.integrate ~atol ~h0 ~record:false io ~rhs ~event:(Some event) ~t0:0.
+           ~y0:qfg0 ~t1:max_time ())
   end

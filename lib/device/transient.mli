@@ -6,13 +6,11 @@
     the paper we report [tsat] as the time where the normalized imbalance
     [(Jin − Jout)/(Jin + Jout)] first falls below 1 %.
 
-    Failures are typed [Gnrflash_resilience.Solver_error.t] values; each
-    solve runs a {!Gnrflash_resilience.Fallback} escalation ladder (e.g.
-    tolerance relaxation, re-bracketing) before giving up, recorded under
-    the [resilience/...] telemetry counters. The ambient
-    {!Gnrflash_resilience.Budget} ({!Gnrflash_resilience.Budget.with_budget})
-    bounds wall clock / function evaluations: the integrator and the root
-    finders charge and poll it.
+    Failures are typed [Gnrflash_resilience.Solver_error.t] values. The
+    ambient {!Gnrflash_resilience.Budget}
+    ({!Gnrflash_resilience.Budget.with_budget}) bounds wall clock /
+    function evaluations: the integrator and the root finders charge and
+    poll it.
 
     {b Rate kernel.} Each solve hoists the device constants once ([Fgt.gcr],
     [Fgt.ct], [vs], [xto], [xco], [area] and both interfaces' FN [(A, B)])
@@ -26,9 +24,8 @@
     bit-identical to the unit-typed [Fgt] path ([test/test_transient.ml]
     checks this by [Int64.bits_of_float] against an integration through
     [Fgt.dqfg_dt], [Fgt.j_in], [Fgt.j_out] and [Fgt.vfg]). Only the
-    integrator's RHS calls count as [ode/rhs_eval] and meet the fault
-    injector; the cold-start [h0] probe, the event and the samples do
-    not. *)
+    integrator's RHS calls count as [ode/rhs_eval]; the cold-start [h0]
+    probe, the event and the samples do not. *)
 
 type error = Gnrflash_resilience.Solver_error.t
 
@@ -66,9 +63,7 @@ val run :
     (positive = programming, negative = erase) from initial charge [qfg0]
     (default 0, the paper's assumption). Integration stops early at the
     saturation event, where [|Jin − Jout| / (Jin + Jout)] falls to the
-    paper's 1%. The relative tolerance is [1e-8]; if the integration
-    fails at that tolerance a relaxation ladder retries at [1e-6] then
-    [1e-4].
+    paper's 1%. The relative tolerance is [1e-8].
 
     [h0] is the initial trial step size; when omitted (the cold-start
     case) it is derived from the RHS scale at [t = 0] as
@@ -82,14 +77,13 @@ val pulse :
   ?qfg0:float -> ?h0:float ->
   Fgt.t -> vgs:float -> duration:float -> (final, error) Stdlib.result
 (** {!run}'s solve without its trajectory or samples: the same integration
-    by the same driver, with the same relaxation ladder, counters, budget
-    and fault-injection behaviour, returning only the final state. Its
-    [tsat], [qfg_final], [dvt_final] and [h_first] are bit-identical to
-    {!run}'s for the same arguments ([test/test_transient.ml] checks this
-    by [Int64.bits_of_float] over the paper box, and that both spend the
-    same [ode/rhs_eval] count and fail with the same typed error under a
-    fault plan or a spent budget). Every RHS and event evaluation writes
-    into flat float records, and no trajectory is kept, so a solve
+    by the same driver, with the same counters and budget behaviour,
+    returning only the final state. Its [tsat], [qfg_final], [dvt_final]
+    and [h_first] are bit-identical to {!run}'s for the same arguments
+    ([test/test_transient.ml] checks this by [Int64.bits_of_float] over
+    the paper box, and that both spend the same [ode/rhs_eval] count and
+    fail with the same typed error under a spent budget). Every RHS and
+    event evaluation writes into flat float records, and no trajectory is kept, so a solve
     allocates a small constant whatever its step count. It is recorded
     under the same [transient/run] span and [transient/solve] counter as
     {!run}. The pulse engine ({!Program_erase.apply_pulse}) and every
@@ -103,10 +97,13 @@ val saturation_charge :
   Fgt.t -> vgs:float -> (float, error) Stdlib.result
 (** The fixed-point charge solving [Jin(q) = Jout(q)] directly by root
     finding — the "maximum charge that can be accumulated" of the paper,
-    without running the transient. Falls back from a Brent solve on the
-    voltage-divider bracket to [bracket_root] expansion (either side of 0)
-    and finally a wide symmetric bisection, so erase-polarity and high-GCR
-    devices still solve. *)
+    without running the transient. A Brent solve on the voltage-divider
+    bracket [0, 1.05·q*], where [q*] is the charge that sets
+    [VFG = VGS·XTO/(XTO + XCO)]: the exact fixed point when both oxides
+    share FN coefficients (and [VS = 0]). When that bracket has no sign
+    change (a tunnel barrier below the control one moves the fixed point
+    past it) the bracket is expanded from [0, q*] by [bracket_root] and
+    solved again. *)
 
 val time_to_threshold_shift :
   ?qfg0:float -> Fgt.t -> vgs:float -> dvt:float -> max_time:float ->

@@ -213,27 +213,24 @@ let[@inline] replay_cell t m c i =
 let[@inline] solved m c = c < Array.length m.next && Array.unsafe_get m.next c <> no_id
 
 (* One pulse on cell [i], returning its readout bit at 1 V afterwards.
-   Broken oxide fails first. [replay] is false under a fault plan, so no
-   memo masks a fault path: every pulse reaches the engine. *)
-let[@inline] pulse_cell t m ~rel ~replay ~pulse i =
+   Broken oxide fails first. *)
+let[@inline] pulse_cell t m ~rel ~pulse i =
   if Bytes.get t.broken i <> '\000' then raise (Pulse_error "Cell: oxide broken");
   let c = Array.unsafe_get t.cls i in
   let c = if c <> no_id then c else resolve t i in
-  if replay && solved m c then replay_cell t m c i else solve_cell t m ~rel ~pulse i
-
-let replays_allowed () = not (Gnrflash_resilience.Fault.active ())
+  if solved m c then replay_cell t m c i else solve_cell t m ~rel ~pulse i
 
 let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
   check_memo t memo;
-  match pulse_cell t memo ~rel:reliability ~replay:(replays_allowed ()) ~pulse i with
+  match pulse_cell t memo ~rel:reliability ~pulse i with
   | _ -> Ok ()
   | exception Pulse_error e -> Error e
 
-let verify_cell t m ~rel ~replay ~pulse ~max_pulses i =
+let verify_cell t m ~rel ~pulse ~max_pulses i =
   let p = ref 0 in
   let b = ref (read_bit t i) in
   while !b = 1 && !p < max_pulses do
-    b := pulse_cell t m ~rel ~replay ~pulse i;
+    b := pulse_cell t m ~rel ~pulse i;
     incr p
   done;
   !p
@@ -241,15 +238,13 @@ let verify_cell t m ~rel ~replay ~pulse ~max_pulses i =
 let program_verify ?(reliability = D.Reliability.default) t ~memo ~pulse
     ~max_pulses i =
   check_memo t memo;
-  verify_cell t memo ~rel:reliability ~replay:(replays_allowed ()) ~pulse
-    ~max_pulses i
+  verify_cell t memo ~rel:reliability ~pulse ~max_pulses i
 
 let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
   check_memo t memo;
-  let replay = replays_allowed () in
   let zeros = ref 0 in
   for i = lo to hi do
-    if pulse_cell t memo ~rel:reliability ~replay ~pulse i = 0 then incr zeros
+    if pulse_cell t memo ~rel:reliability ~pulse i = 0 then incr zeros
   done;
   !zeros
 
@@ -273,10 +268,9 @@ let[@inline] effective_vt t ~rel i =
 let pe_cycle t ~reliability ~pmemo ~ememo ~program ~erase i out =
   check_memo t pmemo;
   check_memo t ememo;
-  let replay = replays_allowed () in
-  ignore (pulse_cell t pmemo ~rel:reliability ~replay ~pulse:program i : int);
+  ignore (pulse_cell t pmemo ~rel:reliability ~pulse:program i : int);
   out.vt_programmed <- effective_vt t ~rel:reliability i;
-  ignore (pulse_cell t ememo ~rel:reliability ~replay ~pulse:erase i : int);
+  ignore (pulse_cell t ememo ~rel:reliability ~pulse:erase i : int);
   out.vt_erased <- effective_vt t ~rel:reliability i
 
 (* ---------- word-level kernels ---------- *)
@@ -316,7 +310,7 @@ let[@inline] lowest_bit x =
    crosses a module boundary per cell. The word is read once: a target-1
    bit reading 0 is a timeout, and the target-0 bits reading 1 are the
    only ones visited, in ascending order (pulse order is what the engine's
-   surrogate promotions and a fault plan's evaluation count see). Each is
+   surrogate promotions and a budget's evaluation count see). Each is
    snapshotted, pulsed (it is known to read 1) and verified, so its last
    readout tells a timeout. A failed pulse restores that bit's pre-program
    cell from the unboxed snapshot (the record path only wrote a cell back
@@ -325,7 +319,6 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
     ~max_pulses ~base ~bits ~data out =
   if bits >= Sys.int_size then invalid_arg "Cell_store.program_word: bits";
   check_memo t memo;
-  let replay = replays_allowed () in
   let mask = if bits > 0 then (1 lsl bits) - 1 else 0 in
   let w = sense_word t ~base ~bits in
   let timed_out = ref (data land lnot w land mask <> 0) in
@@ -341,7 +334,7 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
     let p = ref 0 and b = ref 1 in
     (try
        while !b = 1 && !p < max_pulses do
-         b := pulse_cell t memo ~rel:reliability ~replay ~pulse idx;
+         b := pulse_cell t memo ~rel:reliability ~pulse idx;
          incr p
        done
      with Pulse_error _ as failed ->

@@ -89,8 +89,8 @@ type memo
     builds on exactly the same pulse as on the record-based path. Ids
     compare charges by their full bits, so [q] and [-.q], [0.] and
     [-0.] get distinct ids. A cell whose charge has no id (fresh,
-    {!set_qfg}, a fault-plan pulse) is looked up by its charge at its
-    next pulse. *)
+    {!set_qfg}, a pulse the engine did not yet admit) is looked up by its
+    charge at its next pulse. *)
 
 val memo : t -> memo
 (** An empty memo bound to the store. The kernels below raise
@@ -118,9 +118,9 @@ val program_verify :
   int -> int
 (** Pulse-and-verify of cell [i]: while it reads [1] (at 1 V) and fewer
     than [max_pulses] pulses were applied, apply one pulse as
-    {!For_testing.apply_pulse_at} does; returns the number of pulses applied. The
-    verify read after a replayed pulse is the new id's bit, and {!Gnrflash_resilience.Fault.active} is read once per call, so a
-    call whose pulses all hit allocates nothing. Bit-identical to the
+    {!For_testing.apply_pulse_at} does; returns the number of pulses
+    applied. The verify read after a replayed pulse is the new id's bit,
+    so a call whose pulses all hit allocates nothing. Bit-identical to the
     loop [while sense t ~base:i ~bits:1 = 1 && p < max_pulses do
     For_testing.apply_pulse_at ...].
     @raise Pulse_error on the first failed pulse; pulses before it keep
@@ -169,7 +169,6 @@ val pe_cycle :
     across a module boundary; the default profile (root [dune-workspace])
     builds without [-opaque]. A cycle whose two pulses replay from the
     memos allocates nothing.
-    {!Gnrflash_resilience.Fault.active} is read once per call.
     @raise Pulse_error on a failed pulse (broken oxide first, or a solver
     error), leaving the cell as {!For_testing.apply_pulse_at} would. *)
 
@@ -210,12 +209,11 @@ val program_word :
     it: a target-1 bit reading [0] cannot be raised and counts as a
     timeout (AND semantics). The target-0 bits reading [1] are then
     programmed one at a time in ascending order, the order the engine
-    and a fault plan see: each is pulsed and verified up to [max_pulses]
+    sees: each is pulsed and verified up to [max_pulses]
     times, as by {!program_verify}, and one still reading [1] after
     [max_pulses] counts as a timeout too. Fills the outcome with the
     slowest bit's pulse count, the total and the timeout flag; a word of
     [bits = 0] (or less) pulses nothing and reads [0 / 0 / false].
-    {!Gnrflash_resilience.Fault.active} is read once per call.
     @raise Pulse_error on the first failed pulse: that bit's cell is
     restored to its state before the word's program (charge, charge id
     and wear, snapshot held in unboxed locals), later bits are untouched,
@@ -268,8 +266,7 @@ module For_testing : sig
       repeated charge replays its id's transition in O(1) with no solve and
       no allocation, and a fresh charge makes one
       {!Gnrflash_device.Program_erase.apply_pulse} call and memoizes when
-      sound (see {!type-memo}). An active fault plan skips the memo. Solver
-      errors are returned (never memoized) with the cell unchanged. This
+      sound (see {!type-memo}). Solver errors are returned (never memoized) with the cell unchanged. This
       is the per-cell step the batched kernels are specified against; no
       program calls it directly. *)
 

@@ -1,7 +1,6 @@
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
 module Budget = Gnrflash_resilience.Budget
-module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
 
@@ -169,16 +168,11 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(max_steps = 200_000) ~record io
        one to seed the first step, and one re-seed after every non-finite
        trial); counting at the wrapped callable keeps the bookkeeping honest
        even if the tableau changes. Evaluations are charged to the ambient
-       budget and exposed to the fault injector (a NaN fault poisons the
-       slope, which exercises the same shrink path as a genuine non-finite
-       region). *)
+       budget. *)
     let eval () =
       Tel.count "ode/rhs_eval";
       Budget.note_evals 1;
-      match Fault.outcome () with
-      | `Pass -> rhs ()
-      | `Nan -> io.dy <- Float.nan
-      | `Fail eval -> Err.fail ~solver (Err.Fault_injected { eval })
+      rhs ()
     in
     let tr =
       if record then { bt = Array.make 16 0.; by = Array.make 16 0.; len = 0 }
@@ -203,7 +197,7 @@ let drive ?(rtol = 1e-8) ?(atol = 1e-12) ?h0 ?(max_steps = 200_000) ~record io
     let h = ref (match h0 with Some h -> h | None -> (t1 -. t0) /. 100.) in
     let t = ref t0 and y = ref y0 in
     (* FSAL slope cache: f(!t, !y). Invalidated whenever a trial goes
-       non-finite, so a fault-poisoned slope cannot pin the integration in
+       non-finite, so a non-finite slope cannot pin the integration in
        the shrink loop forever. *)
     let k1 = ref 0. and k1_valid = ref false in
     let steps = ref 0 in

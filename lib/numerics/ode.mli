@@ -63,9 +63,8 @@ val integrate :
     {!For_testing.rkf45_event} describes: the first sign change across an
     accepted step (or an exact [0.]) is located by bisection on the step's
     dense output and integration stops there. Every evaluation counts as
-    [ode/rhs_eval], is charged to the ambient budget with
-    [Budget.note_evals] and meets [Fault.outcome]; errors carry the solver
-    name ["Ode.rkf45"]. The boxed oracles wrap this same driver, so every
+    [ode/rhs_eval] and is charged to the ambient budget with
+    [Budget.note_evals]; errors carry the solver name ["Ode.rkf45"]. The boxed oracles wrap this same driver, so every
     accepted point, [y_final], [h_first] and the event are bit-identical
     to theirs for the same functions. A trial step allocates nothing; with
     [~record:false] an accepted step allocates nothing either, so a whole

@@ -1,7 +1,6 @@
 module Tel = Gnrflash_telemetry.Telemetry
 module Err = Gnrflash_resilience.Solver_error
 module Budget = Gnrflash_resilience.Budget
-module Fault = Gnrflash_resilience.Fault
 
 type error = Err.t
 
@@ -13,49 +12,12 @@ let default_tol = 1e-12
 let close tol a b =
   abs_float (b -. a) <= (tol *. max (abs_float a) (abs_float b)) +. 1e-300
 
-(* Every function evaluation is counted, charged against the ambient
-   budget, and exposed to the fault injector. *)
-let instrument ~solver f x =
+(* Every function evaluation is counted and charged against the ambient
+   budget. *)
+let instrument f x =
   Tel.count "roots/fn_eval";
   Budget.note_evals 1;
-  match Fault.outcome () with
-  | `Pass -> f x
-  | `Nan -> Float.nan
-  | `Fail eval -> Err.fail ~solver (Err.Fault_injected { eval })
-
-let bisect ?(tol = default_tol) ?(max_iter = 200) f a b =
-  let solver = "Roots.bisect" in
-  Err.protect @@ fun () ->
-  let f = instrument ~solver f in
-  let fa = f a and fb = f b in
-  if Float.equal fa 0. then Ok a
-  else if Float.equal fb 0. then Ok b
-  else if fa *. fb > 0. then begin
-    Tel.count "roots/bracket_fail";
-    Error (Err.make ~solver (Err.Bracket_failure { lo = a; hi = b; f_lo = fa; f_hi = fb }))
-  end
-  else begin
-    let rec loop a fa b i =
-      Tel.count "roots/bisect_iter";
-      match Budget.check ~solver () with
-      | Error e -> Error e
-      | Ok () ->
-        let m = 0.5 *. (a +. b) in
-        if close tol a b then Ok m
-        else if i >= max_iter then
-          Error
-            (Err.make ~solver
-               (Err.No_convergence { iterations = i; best = m; f_best = fa }))
-        else
-          let fm = f m in
-          if Float.is_nan fm then
-            Error (Err.make ~solver (Err.Nan_region { at = m }))
-          else if Float.equal fm 0. then Ok m
-          else if fa *. fm < 0. then loop a fa m (i + 1)
-          else loop m fm b (i + 1)
-    in
-    loop a fa b 0
-  end
+  f x
 
 (* Brent (1973): keep a bracketing pair (a, b) with b the best iterate; try
    inverse quadratic / secant interpolation, fall back to bisection whenever
@@ -63,7 +25,7 @@ let bisect ?(tol = default_tol) ?(max_iter = 200) f a b =
 let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
   let solver = "Roots.brent" in
   Err.protect @@ fun () ->
-  let f = instrument ~solver f in
+  let f = instrument f in
   let fa = f a and fb = f b in
   if Float.equal fa 0. then Ok a
   else if Float.equal fb 0. then Ok b
@@ -132,10 +94,10 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
            (Err.No_convergence { iterations = !i; best = !b; f_best = !fb }))
   end
 
-let bracket_root ?(max_iter = 60) f a b =
+let bracket_root f a b =
   let solver = "Roots.bracket_root" in
   Err.protect @@ fun () ->
-  let f = instrument ~solver f in
+  let f = instrument f in
   if Float.equal a b then
     Error (Err.make ~solver (Err.Invalid_input "empty interval"))
   else begin
@@ -146,7 +108,7 @@ let bracket_root ?(max_iter = 60) f a b =
       | Error e -> Error e
       | Ok () ->
         if !fa *. !fb <= 0. then Ok (!a, !b)
-        else if i >= max_iter then begin
+        else if i >= 60 then begin
           Tel.count "roots/bracket_fail";
           Error
             (Err.make ~solver

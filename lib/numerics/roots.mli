@@ -10,28 +10,22 @@
 
 type error = Gnrflash_resilience.Solver_error.t
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float ->
-  (float, error) result
-(** [bisect f a b] finds a root of [f] on the bracket [[a, b]].
-    Requires [f a] and [f b] to have opposite signs (an exact zero at an
-    endpoint is accepted). [tol] (default [1e-12]) bounds the final bracket
-    width relative to the magnitude of the endpoints. Exhausting [max_iter]
-    before the tolerance holds is a [No_convergence] error. *)
-
 val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float ->
   (float, error) result
 (** [brent f a b] is Brent's method on the bracket [[a, b]]: inverse
     quadratic interpolation and secant steps guarded by bisection.
-    Same bracket requirement as {!bisect}; typically converges
+    Requires [f a] and [f b] to have opposite signs (an exact zero at an
+    endpoint is accepted). [tol] (default [1e-12]) bounds the final bracket
+    width relative to the magnitude of the endpoints. Typically converges
     super-linearly. Exhausting [max_iter] without meeting the tolerance
     returns [No_convergence] carrying the best iterate — never a silently
     unconverged [Ok]. *)
 
 val bracket_root :
-  ?max_iter:int -> (float -> float) -> float -> float ->
+  (float -> float) -> float -> float ->
   ((float * float), error) result
 (** [bracket_root f a b] expands the interval [[a, b]] geometrically
     (by 1.6 times its width per step) until [f] changes sign across it,
-    returning the bracketing pair. *)
+    returning the bracketing pair, or a [Bracket_failure] after 60
+    expansions. *)

@@ -13,7 +13,7 @@ module F = Gnrflash_device.Fgt
 module PE = Gnrflash_device.Program_erase
 module Rel = Gnrflash_device.Reliability
 module C = Gnrflash_memory.Command_fsm
-module Fault = Gnrflash_resilience.Fault
+module Budget = Gnrflash_resilience.Budget
 module Tel = Gnrflash_telemetry.Telemetry
 open Gnrflash_testing.Testing
 
@@ -51,22 +51,19 @@ type case = {
   charges : float array; (* starting charge per cell *)
   broken_at : int list;
   ops : op list;
-  fault_seed : int option; (* rerun the ops under a Fail_every 30 plan *)
+  budget : int option; (* run the ops under a budget of this many evals *)
   inbox : bool; (* surrogate-served pulses, else out-of-box exact *)
 }
 
 let pulses c =
   if c.inbox then (prog_pulse, erase_pulse) else (prog_short, erase_short)
 
-(* A faulted case runs its ops clean first, so the memos are warm when
-   the fault plan is installed and a hit would have to be refused. *)
-let with_fault_phase c ~reset go =
-  match c.fault_seed with
+(* A starved case runs its ops under a fresh eval budget: solves fail
+   once it is spent, replays (which spend no evals) still succeed. *)
+let with_case_budget c go =
+  match c.budget with
   | None -> go ()
-  | Some seed ->
-    let clean = go () in
-    reset ();
-    clean @ Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) go
+  | Some max_evals -> Budget.with_budget (Budget.make ~max_evals ()) go
 
 (* ---------- the implementations under comparison ---------- *)
 
@@ -187,13 +184,13 @@ let run_store ~fused c =
       reset ();
       Ok [ 0 ]
   in
-  (s, with_fault_phase c ~reset (fun () -> List.map step c.ops))
+  (s, with_case_budget c (fun () -> List.map step c.ops))
 
 (* The record-based reference: boxed cells through Cell.program/erase on
    one engine, no store and no memo; a range op is the seed's ascending
-   per-cell loop stopping at the first error. Under a fault plan this is
-   what tells a bypassed memo from one that replayed a pulse and so
-   shifted every later fault. *)
+   per-cell loop stopping at the first error. Under a starved budget this
+   is what tells a memo that replays a pulse from one that solves it
+   again, since only a solve spends evals and so moves the failure. *)
 let run_record c =
   let d = fresh_device () in
   let engine = PE.engine d in
@@ -277,7 +274,7 @@ let run_record c =
       reset ();
       Ok [ 0 ]
   in
-  (cells, with_fault_phase c ~reset (fun () -> List.map step c.ops))
+  (cells, with_case_budget c (fun () -> List.map step c.ops))
 
 let fbits x = Int64.to_int (Int64.bits_of_float x)
 
@@ -335,7 +332,7 @@ let gen_pulse_case ~inbox =
     in
     list_size (int_range 1 24) gen_op >>= fun ops ->
     return
-      { charges = Array.make n 0.; broken_at = []; ops; fault_seed = None; inbox })
+      { charges = Array.make n 0.; broken_at = []; ops; budget = None; inbox })
 
 let prop_side_by_side_inbox =
   prop "SoA = record path, bit for bit (surrogate in-box)" ~count:8
@@ -360,7 +357,7 @@ let gen_word range =
    -3.54e-18 C on this device) so verify loops run 0..max pulses and
    rounds count both readouts; a few cells start broken. [word] draws the
    word programs over a range of the store's cells. *)
-let gen_kernel_case ?(word = gen_word) ~cells ~faults () =
+let gen_kernel_case ?(word = gen_word) ~cells () =
   QCheck2.Gen.(
     cells >>= fun n ->
     let cell = int_range 0 (n - 1) in
@@ -383,18 +380,11 @@ let gen_kernel_case ?(word = gen_word) ~cells ~faults () =
     >>= fun charges ->
     list_size (int_range 0 2) cell >>= fun broken_at ->
     list_size (int_range 1 16) gen_op >>= fun ops ->
-    (if faults then map Option.some (int_range 0 1000) else return None)
-    >>= fun fault_seed ->
-    bool >>= fun inbox -> return { charges; broken_at; ops; fault_seed; inbox })
+    bool >>= fun inbox -> return { charges; broken_at; ops; budget = None; inbox })
 
 let prop_kernels =
   prop "fused kernels = per-cell loop" ~count:50
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:false ())
-    all_agree
-
-let prop_kernels_fault =
-  prop "fused kernels = per-cell loop (fault plan)" ~count:10
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ~faults:true ())
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 2 6) ())
     all_agree
 
 (* Words of 33 to 62 bits on stores of 40 to 62 cells: the word kernel's
@@ -409,22 +399,15 @@ let gen_wide_word range =
 
 let prop_kernels_wide =
   prop "fused kernels = per-cell loop (words over 32 bits)" ~count:20
-    (gen_kernel_case ~word:gen_wide_word ~cells:(QCheck2.Gen.int_range 40 62)
-       ~faults:false ())
-    all_agree
-
-let prop_kernels_wide_fault =
-  prop "fused kernels = per-cell loop (words over 32 bits, fault plan)" ~count:8
-    (gen_kernel_case ~word:gen_wide_word ~cells:(QCheck2.Gen.int_range 40 62)
-       ~faults:true ())
+    (gen_kernel_case ~word:gen_wide_word ~cells:(QCheck2.Gen.int_range 40 62) ())
     all_agree
 
 (* word programs from erased cells with short exact pulses (about 5 per
-   bit), so a 1-in-30 fault plan fails many words part-way through a
-   bit's verify loop: the restore of that bit and the partial pulse total
-   must match the loop's *)
-let prop_word_fault =
-  prop "fused kernels = per-cell loop (word program, fault plan)" ~count:10
+   bit) under a budget of 1 to 200 evals, which a word's ~170 runs out
+   part-way, so words fail inside a bit's verify loop: the restore of
+   that bit and the partial pulse total must match the loop's *)
+let prop_word_starved =
+  prop "fused kernels = per-cell loop (word program, starved budget)" ~count:10
     QCheck2.Gen.(
       int_range 4 8 >>= fun n ->
       let word =
@@ -434,13 +417,13 @@ let prop_word_fault =
       in
       list_size (int_range 2 8) (frequency [ (4, word); (1, return Reset) ])
       >>= fun ops ->
-      int_range 0 1000 >>= fun seed ->
+      int_range 1 200 >>= fun max_evals ->
       return
         {
           charges = Array.make n 0.;
           broken_at = [];
           ops;
-          fault_seed = Some seed;
+          budget = Some max_evals;
           inbox = false;
         })
     all_agree
@@ -450,7 +433,7 @@ let prop_word_fault =
    needs their verify bits *)
 let prop_kernels_rehash =
   prop "fused kernels = per-cell loop (memo rehash)" ~count:5
-    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 70 90) ~faults:false ())
+    (gen_kernel_case ~cells:(QCheck2.Gen.int_range 70 90) ())
     (fun c ->
       let n = Array.length c.charges in
       let sweep = List.init n (fun i -> Verify (i, 8)) @ [ Round (0, n - 1) ] in
@@ -597,8 +580,7 @@ let ids_consistent s =
 
 type id_op =
   | Pulse of int * bool (* apply_pulse_at, program (true) or erase pulse *)
-  | Id_word of int * int * int * int option
-  (* program_word: base, bits, data, under a fault plan of that seed *)
+  | Id_word of int * int * int (* program_word: base, bits, data *)
   | Id_round of int * int (* erase_round over lo..hi *)
   | Copy_q of int * int (* set_qfg i to cell j's charge *)
   | Copy_cell of int * int (* set i to view j *)
@@ -614,11 +596,7 @@ let prop_ids_consistent =
         frequency
           [
             (3, map2 (fun i p -> Pulse (i, p)) cell bool);
-            ( 3,
-              map3
-                (fun (lo, hi) data fault -> Id_word (lo, hi - lo + 1, data, fault))
-                range (int_bound 255)
-                (opt ~ratio:0.3 (int_range 0 1000)) );
+            (3, map2 (fun (lo, hi) data -> Id_word (lo, hi - lo + 1, data)) range (int_bound 255));
             (2, map (fun (lo, hi) -> Id_round (lo, hi)) range);
             (2, map2 (fun i j -> Copy_q (i, j)) cell cell);
             (1, map2 (fun i j -> Copy_cell (i, j)) cell cell);
@@ -638,15 +616,10 @@ let prop_ids_consistent =
           ignore
             (S.For_testing.apply_pulse_at s ~memo:(if prog then pm else em)
                ~pulse:(if prog then pp else ep) i)
-        | Id_word (base, bits, data, fault) ->
-          let go () =
-            attempt (fun () ->
-                S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses
-                  ~base ~bits ~data out)
-          in
-          (match fault with
-           | None -> go ()
-           | Some seed -> Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) go)
+        | Id_word (base, bits, data) ->
+          attempt (fun () ->
+              S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses ~base ~bits
+                ~data out)
         | Id_round (lo, hi) ->
           attempt (fun () -> ignore (S.erase_round s ~memo:em ~pulse:ep ~lo ~hi))
         | Copy_q (i, j) -> S.set_qfg s i (S.qfg s j)
@@ -696,28 +669,6 @@ let test_foreign_memo_rejected () =
         (S.word_outcome ()));
   Alcotest.(check int) "nothing pulsed" 0 (S.cycles a 0)
 
-(* Only an admitted (memoizable) outcome interns a charge: under a fault
-   plan, pulses from hundreds of fresh charges add no id. *)
-let test_ids_bounded_under_faults () =
-  let n = 8 in
-  let s = S.create ~n (fresh_device ()) in
-  let pm = S.memo s and em = S.memo s in
-  for i = 0 to n - 1 do
-    ignore (S.program_verify s ~memo:pm ~pulse:prog_short ~max_pulses:8 i)
-  done;
-  ignore (S.erase_round s ~memo:em ~pulse:erase_short ~lo:0 ~hi:(n - 1));
-  let warm = T.ids s in
-  check_true "clean pulses interned" (warm > 0);
-  Fault.For_testing.with_faults ~seed:7 (Fault.Fail_every 30) (fun () ->
-      for k = 1 to 300 do
-        let i = k mod n in
-        S.set_qfg s i (-1e-20 *. float_of_int k);
-        ignore (S.For_testing.apply_pulse_at s ~memo:(if k mod 2 = 0 then pm else em)
-                  ~pulse:(if k mod 2 = 0 then prog_short else erase_short) i)
-      done);
-  Alcotest.(check int) "no id added under the fault plan" warm (T.ids s);
-  check_true "ids consistent" (ids_consistent s)
-
 (* The seed word program on a bare store: per target-0 bit, pulse while
    it reads 1; a failed pulse restores that bit's pre-program cell and
    stops the word. [Command_fsm.program_word_cells] must leave the same
@@ -738,8 +689,9 @@ let seed_program_word s m ~pulse ~max_pulses ~base ~bits ~data =
   in
   go 0
 
-(* short exact pulses take ~5 to program a cell, so a 1-in-30 eval fault
-   plan fails about half the words part-way through a bit's loop *)
+(* short exact pulses take ~5 to program a cell, and a word from erased
+   cells spends about 170 evals (5 solves, the rest replays), so a budget
+   of 1 to 200 evals fails most words inside a bit's loop *)
 let small_fsm =
   {
     C.default_config with
@@ -753,16 +705,17 @@ let small_fsm =
 let prop_fsm_restores_on_error =
   prop "program_word_cells restores a failed bit" ~count:12
     QCheck2.Gen.(
-      triple (int_range 0 1000) (int_range 0 3) (int_range 0 ((1 lsl 6) - 2)))
-    (fun (seed, addr, data) ->
+      triple (int_range 1 200) (int_range 0 3) (int_range 0 ((1 lsl 6) - 2)))
+    (fun (max_evals, addr, data) ->
       let cfg = small_fsm in
       let fsm = C.create ~config:cfg (fresh_device ()) in
       let bits = cfg.C.word_bits in
       let n = cfg.C.words_per_sector * bits in
       let s = S.create ~n (fresh_device ()) in
       let m = S.memo s in
+      let starved f = Budget.with_budget (Budget.make ~max_evals ()) f in
       let fsm_err =
-        Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+        starved (fun () ->
             let w a d = ignore (C.write fsm ~addr:a ~data:d) in
             w (0x555 mod C.words fsm) 0xAA;
             w (0x2AA mod C.words fsm) 0x55;
@@ -773,7 +726,7 @@ let prop_fsm_restores_on_error =
             | Error e -> Some (C.error_to_string e))
       in
       let ref_err =
-        Fault.For_testing.with_faults ~seed (Fault.Fail_every 30) (fun () ->
+        starved (fun () ->
             match
               seed_program_word s m ~pulse:cfg.C.program_pulse
                 ~max_pulses:cfg.C.max_pulses ~base:(addr * bits) ~bits ~data
@@ -946,18 +899,15 @@ let () =
           case "memo keys per distinct charge" test_memo_replays_distinct_charges;
           case "ids keep the sign" test_ids_keep_sign;
           case "foreign memo rejected" test_foreign_memo_rejected;
-          case "ids bounded under a fault plan" test_ids_bounded_under_faults;
           case "memo without the surrogate" test_memo_without_surrogate;
           case "zero-bit word" test_empty_word;
           prop_ids_consistent;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;
           prop_kernels;
-          prop_kernels_fault;
           prop_kernels_wide;
-          prop_kernels_wide_fault;
           prop_kernels_rehash;
-          prop_word_fault;
+          prop_word_starved;
           prop_fsm_restores_on_error;
           case "memo hits allocate nothing" test_memo_hits_allocate_nothing;
         ] );

@@ -237,6 +237,31 @@ let test_matched_names_exist () =
       | _ -> Alcotest.failf "%s: expected Library.Module.value" name)
     E.matched_names
 
+(* Telemetry's per-domain sink is the one piece of ambient state in lib/:
+   anything else a solve depends on (a fault plan, a cache keyed by record
+   identity) is passed explicitly, so no other source may name
+   [Domain.DLS]. *)
+let test_no_ambient_dls () =
+  let rec sources dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun e ->
+           let p = Filename.concat dir e in
+           if Sys.is_directory p then if e.[0] = '.' then [] else sources p
+           else if Filename.check_suffix e ".ml" || Filename.check_suffix e ".mli" then [ p ]
+           else [])
+  in
+  let lib = Filename.concat root "lib" in
+  let telemetry = Filename.concat lib "core/telemetry/" in
+  let files = sources lib in
+  check_true "lib/ sources found" (List.length files > 50);
+  Alcotest.(check (list string))
+    "Domain.DLS outside lib/core/telemetry/" []
+    (List.filter
+       (fun p ->
+         (not (String.starts_with ~prefix:telemetry p))
+         && contains (In_channel.with_open_bin p In_channel.input_all) "Domain.DLS")
+       files)
+
 (* Ratchet on test-only exports: each suppressed L14 finding is a lib/
    export that only tests reach. The count may only go down, so a new
    test-only export cannot slip in under a suppression; lower this bound
@@ -269,5 +294,6 @@ let () =
           case "unused allow needs its rule to run" test_unused_allow_needs_the_rule;
           case "matched names are declared" test_matched_names_exist;
           case "repo is lint-clean" test_repo_clean;
+          case "no Domain.DLS outside Telemetry" test_no_ambient_dls;
         ] );
     ]

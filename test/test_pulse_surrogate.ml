@@ -3,7 +3,6 @@ module Pe = Gnrflash_device.Program_erase
 module T = Gnrflash_device.Transient
 module F = Gnrflash_device.Fgt
 module Tel = Gnrflash_telemetry.Telemetry
-module Fault = Gnrflash_resilience.Fault
 module Sweep = Gnrflash_parallel.Sweep
 open Gnrflash_testing.Testing
 
@@ -364,33 +363,7 @@ let test_fig6_9_window_pins () =
          (abs_float (on -. off) <= 1e-3))
     corner_window_pins
 
-(* ---------- composition with warm start, faults, parallelism ---------- *)
-
-let test_fault_plan_bypasses_surrogate () =
-  with_counters @@ fun () ->
-  let device = mk ~gcr:0.6 ~xto_nm:5. in
-  let pulse = { Pe.vgs = 15.; duration = 100e-6 } in
-  (* prime a table so a hit *would* be served without the plan *)
-  let e = Pe.engine device in
-  prime e ~qfg:0. pulse;
-  check_true "primed" (Tel.For_testing.counter_total "surrogate/hit" > 0);
-  Tel.reset ();
-  (* a plan with limit 0 never fires a fault, so the exact path runs clean —
-     but its presence alone must force the exact solver *)
-  let faulted =
-    Fault.For_testing.with_faults ~limit:0 (Fault.Nan_every 1_000_000) (fun () ->
-        check_sok "under plan" (Pe.apply_pulse e ~qfg:0. pulse))
-  in
-  Alcotest.(check int) "no surrogate hit under a fault plan" 0
-    (Tel.For_testing.counter_total "surrogate/hit");
-  Alcotest.(check int) "not even a fallback probe" 0
-    (Tel.For_testing.counter_total "surrogate/fallback");
-  check_true "exact solve actually ran" (Tel.For_testing.counter_total "ode/rhs_eval" > 0);
-  let clean =
-    check_sok "clean exact"
-      (Pe.apply_pulse (Pe.engine ~surrogate:false device) ~qfg:0. pulse)
-  in
-  assert_bit_identical "plan-bypassed pulse is the exact answer" faulted clean
+(* ---------- composition with warm start and parallelism ---------- *)
 
 let test_jobs_invariance () =
   (* a surrogate-served workload split across domains: each element builds
@@ -446,7 +419,6 @@ let () =
           case "fig5 tsat pin (surrogate)" test_fig5_tsat_pin;
           case "fig5 ttts pin (surrogate vs exact)" test_fig5_ttts_pin;
           case "fig6-9 corner window pins" test_fig6_9_window_pins;
-          case "fault plan bypasses surrogate" test_fault_plan_bypasses_surrogate;
           case "jobs invariance" test_jobs_invariance;
         ] );
     ]

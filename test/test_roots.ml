@@ -9,17 +9,6 @@ let cubic x = (x *. x *. x) -. (2. *. x) -. 5.
 (* real root near 2.0945514815423265 *)
 let cubic_root = 2.0945514815423265
 
-let test_bisect_cubic () =
-  let x = check_ok "bisect" (R.bisect cubic 1. 3.) in
-  check_close ~tol:1e-10 "cubic root" cubic_root x
-
-let test_bisect_exact_endpoint () =
-  let x = check_ok "bisect" (R.bisect (fun x -> x) 0. 5.) in
-  check_close "root at endpoint" 0. x
-
-let test_bisect_no_sign_change () =
-  check_error "no bracket" (R.bisect (fun x -> (x *. x) +. 1.) (-1.) 1.)
-
 let test_brent_cubic () =
   let x = check_ok "brent" (R.brent cubic 1. 3.) in
   check_close ~tol:1e-12 "cubic root" cubic_root x
@@ -78,9 +67,6 @@ let () =
     [
       ( "roots",
         [
-          case "bisect cubic" test_bisect_cubic;
-          case "bisect endpoint root" test_bisect_exact_endpoint;
-          case "bisect needs sign change" test_bisect_no_sign_change;
           case "brent cubic" test_brent_cubic;
           case "brent cos" test_brent_cos;
           case "brent tiny-magnitude root" test_brent_tiny_root;

@@ -5,10 +5,10 @@ module Tel = Gnrflash_telemetry.Telemetry
 
 let f x = (x *. x) -. 2.
 
-let unattributed () = Roots.bisect f 0. 2. (* EXPECT L3 *)
+let unattributed () = Roots.brent f 0. 2. (* EXPECT L3 *)
 
-let attributed () = Tel.span "lint_fixture/ok" @@ fun () -> Roots.bisect f 0. 2.
+let attributed () = Tel.span "lint_fixture/ok" @@ fun () -> Roots.brent f 0. 2.
 
 let allowed () =
   (* lint: allow L3 — fixture: attribution handled by the caller *)
-  Roots.bisect f 0. 2. (* EXPECT-SUPPRESSED L3 *)
+  Roots.brent f 0. 2. (* EXPECT-SUPPRESSED L3 *)

@@ -226,7 +226,7 @@ let suppression allows ~line ~rule =
 
 let l3_targets =
   let mk m fns = List.map (fun f -> "Gnrflash_numerics." ^ m ^ "." ^ f) fns in
-  mk "Roots" [ "bisect"; "brent"; "bracket_root" ]
+  mk "Roots" [ "brent"; "bracket_root" ]
   @ mk "Ode" [ "integrate" ]
   @ mk "Quadrature" [ "adaptive_simpson"; "gauss_legendre" ]
 
