@@ -598,11 +598,151 @@ let ber_cmd =
   let doc = "MLC bit-error-rate and ECC budget analysis." in
   Cmd.v (Cmd.info "ber" ~doc) Term.(const run $ sigma_arg)
 
+(* ---- ablations command ---- *)
+
+let hr title =
+  Printf.printf "\n=== %s %s\n" title (String.make (max 0 (66 - String.length title)) '=')
+
+(* Ablations of design choices called out in DESIGN.md, and the
+   extensions no other subcommand prints. *)
+let ablations_cmd =
+  let run () =
+    hr "Ext E: quantum-capacitance correction";
+    List.iter
+      (fun (n, g0, g_eff) ->
+         Printf.printf "  %d-layer FG: geometric GCR %.3f -> effective %.3f\n" n g0 g_eff)
+      (Gnrflash.Extensions.qcap_comparison ~layers:[ 1; 2; 3; 5; 10 ]);
+    hr "Ext F: NAND page program";
+    (match Gnrflash.Extensions.nand_page_demo () with
+     | Error e -> Printf.printf "  FAILED: %s\n" e
+     | Ok s ->
+       Printf.printf "  pages=%d verify_failures=%d max_disturb_dVT=%.4f V mean_pulses=%.1f\n"
+         s.Gnrflash.Extensions.pages_written s.Gnrflash.Extensions.verify_failures
+         s.Gnrflash.Extensions.disturb_dvt_max s.Gnrflash.Extensions.mean_pulses);
+    hr "Ablation: image-force barrier lowering";
+    let phi = 3.2 *. Gnrflash_physics.Constants.ev in
+    let m = 0.42 *. Gnrflash_physics.Constants.m0 in
+    List.iter
+      (fun field_mv ->
+         let field = field_mv *. 1e8 in
+         let bare = Gnrflash_quantum.Barrier.triangular ~phi_b:phi ~field ~m_eff:m in
+         let rounded = Gnrflash_quantum.Barrier.with_image_force ~eps_r:3.9 bare in
+         let e = 0.05 *. Gnrflash_physics.Constants.ev in
+         let t_bare = Gnrflash_quantum.Wkb.transmission bare ~energy:e in
+         let t_img = Gnrflash_quantum.Wkb.transmission rounded ~energy:e in
+         Printf.printf "  %5.1f MV/cm: T_bare=%.3e  T_image=%.3e  boost=%.1fx\n" field_mv
+           t_bare t_img (t_img /. t_bare))
+      [ 8.; 12.; 16. ];
+    hr "Ablation: eq(3) divider vs 1D Poisson";
+    let stack = Gnrflash_device.Electrostatics.of_fgt (Gnrflash.Params.device ()) in
+    List.iter
+      (fun sigma ->
+         match Gnrflash_device.Electrostatics.solve stack ~vgs:15. ~vs:0. ~sigma_fg:sigma with
+         | Ok s ->
+           let divider =
+             Gnrflash_device.Electrostatics.vfg_divider stack ~vgs:15. ~vs:0.
+               ~sigma_fg:sigma
+           in
+           Printf.printf "  sigma=%9.2e C/m^2: VFG poisson=%.4f V divider=%.4f V\n" sigma
+             s.Gnrflash_device.Electrostatics.vfg divider
+         | Error e -> Printf.printf "  poisson failed: %s\n" e)
+      [ 0.; -0.005; -0.02 ];
+    hr "Ablation: SILC (trap-assisted) retention multiplier";
+    let fn = Gnrflash.Params.fn () in
+    List.iter
+      (fun nt ->
+         let r =
+           Gnrflash_quantum.Trap_assisted.silc_ratio fn ~trap_density:nt ~v_ox:1.2
+             ~thickness:5e-9
+         in
+         Printf.printf "  N_t=%8.1e /m^2: J_TAT/J_direct = %.3e\n" nt r)
+      [ 1e13; 1e14; 1e15 ];
+    hr "Ablation: transfer-matrix staircase convergence";
+    let barrier = Gnrflash_quantum.Barrier.triangular ~phi_b:phi ~field:1.2e9 ~m_eff:m in
+    let e = 0.2 *. Gnrflash_physics.Constants.ev in
+    let reference =
+      Gnrflash_quantum.Transfer_matrix.transmission ~steps:3200 barrier ~energy:e
+    in
+    List.iter
+      (fun steps ->
+         let t = Gnrflash_quantum.Transfer_matrix.transmission ~steps barrier ~energy:e in
+         Printf.printf "  %5d steps: T=%.6e (vs 3200-step ref: %+.2f%%)\n" steps t
+           (100. *. ((t /. reference) -. 1.)))
+      [ 50; 100; 200; 400; 800 ];
+    hr "Ext K: retention after cycling (SILC)";
+    List.iter
+      (fun (cycles, traps, mult) ->
+         Printf.printf "  %6d cycles: N_t=%9.2e /m^2  leakage x%.3f\n" cycles traps mult)
+      (Gnrflash.Extensions.retention_after_cycling ());
+    hr "Ablation: square vs ramped program pulse";
+    (* same total time; the ramp reaches nearly the same dVT while the peak
+       tunnel-oxide field (the oxide-wear driver) is much lower *)
+    let device = Gnrflash.Params.device () in
+    let peak_field_of segments =
+      (* peak field occurs at each segment start, before charge accumulates *)
+      let q = ref 0. and peak = ref 0. in
+      List.iter
+        (fun (vgs, duration) ->
+           if vgs <> 0. then begin
+             peak :=
+               max !peak
+                 (abs_float (Gnrflash_device.Fgt.tunnel_field device ~vgs ~qfg:!q));
+             match Gnrflash_device.Transient.run ~qfg0:!q device ~vgs ~duration with
+             | Ok r -> q := r.Gnrflash_device.Transient.qfg_final
+             | Error _ -> ()
+           end)
+        segments;
+      (!peak, Gnrflash_device.Fgt.threshold_shift device ~qfg:!q)
+    in
+    (* (vgs, duration) segments *)
+    let square = [ (15., 100e-6) ] in
+    let ramp = List.init 9 (fun i -> (11. +. (float_of_int i *. 0.5), 100e-6 /. 9.)) in
+    let peak_sq, dvt_sq = peak_field_of square in
+    let peak_rp, dvt_rp = peak_field_of ramp in
+    Printf.printf "  square 15 V/100 us: peak field %.1f MV/cm, dVT = %.2f V\n"
+      (peak_sq /. 1e8) dvt_sq;
+    Printf.printf "  ramp 11->15 V:      peak field %.1f MV/cm, dVT = %.2f V\n"
+      (peak_rp /. 1e8) dvt_rp;
+    hr "Ablation: dynamic MLGNR quantum-capacitance feedback";
+    List.iter
+      (fun layers ->
+         let stack =
+           Gnrflash_materials.Mlgnr.make
+             (Gnrflash_materials.Gnr.make Gnrflash_materials.Gnr.Armchair 12)
+             ~layers
+         in
+         match Gnrflash_device.Qcap.run ~stack (Gnrflash.Params.device ()) ~vgs:15.
+                 ~duration:1e-2 with
+         | Ok r ->
+           Printf.printf
+             "  %d-layer FG: dVT %.3f V (metal ref %.3f V), window shrink %.1f%%, EF %.3f eV\n"
+             layers r.Gnrflash_device.Qcap.dvt_final
+             r.Gnrflash_device.Qcap.dvt_final_metal
+             (100. *. r.Gnrflash_device.Qcap.window_shrink)
+             r.Gnrflash_device.Qcap.ef_final_ev
+         | Error e -> Printf.printf "  %d-layer FG: failed (%s)\n" layers e)
+      [ 1; 3; 8 ];
+    hr "Ext M: temperature bake (Arrhenius)";
+    let bake_rows, ea = Gnrflash.Extensions.bake_test () in
+    List.iter
+      (fun (temp, time) ->
+         Printf.printf "  T=%3.0f K (%3.0f C): t(80%% charge) = %s\n" temp (temp -. 273.)
+           (if Float.is_finite time then Printf.sprintf "%.3e s" time else ">100 years"))
+      bake_rows;
+    Printf.printf "  extracted Ea = %.3f eV (model: 0.300 eV)\n" ea
+  in
+  let doc =
+    "Design-choice ablations (image force, divider vs Poisson, SILC, TMM \
+     convergence, square vs ramped pulse, dynamic quantum capacitance) and \
+     Ext E, F, K and M."
+  in
+  Cmd.v (Cmd.info "ablations" ~doc) Term.(const run $ const ())
+
 let main =
   let doc = "MLGNR-CNT floating-gate flash memory model (SOCC 2014 reproduction)" in
   Cmd.group (Cmd.info "gnrflash" ~version:"1.0.0" ~doc)
     [ fig_cmd; check_cmd; transient_cmd; pulse_cmd; retention_cmd;
       endurance_cmd; models_cmd; optimize_cmd; variation_cmd; ftl_cmd;
-      serve_cmd; energy_cmd; ber_cmd ]
+      serve_cmd; energy_cmd; ber_cmd; ablations_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -156,20 +156,3 @@ let render checks =
     (Printf.sprintf "  %d/%d shape checks passed\n"
        (List.length checks - failed) (List.length checks));
   Buffer.contents buf
-
-let series_table fig ~max_rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (fig.Plot.Figure.title ^ "\n");
-  List.iter
-    (fun s ->
-       Buffer.add_string buf (Printf.sprintf "  %s:\n" s.Plot.Series.label);
-       let pts = s.Plot.Series.points in
-       let n = Array.length pts in
-       let stride = max 1 (n / max_rows) in
-       Array.iteri
-         (fun i (x, y) ->
-            if i mod stride = 0 || i = n - 1 then
-              Buffer.add_string buf (Printf.sprintf "    %12.5g  %12.5g\n" x y))
-         pts)
-    fig.Plot.Figure.series;
-  Buffer.contents buf

@@ -1,5 +1,5 @@
 (** Shape checks and textual summaries: does each regenerated figure show
-    the qualitative behaviour the paper reports? Used by the bench harness
+    the qualitative behaviour the paper reports? Used by [gnrflash_cli check]
     and by EXPERIMENTS.md. *)
 
 type check = {
@@ -36,7 +36,3 @@ val all_checks : unit -> check list
 
 val render : check list -> string
 (** Multi-line PASS/FAIL table. *)
-
-val series_table : Gnrflash_plot.Figure.t -> max_rows:int -> string
-(** The numeric rows of a figure (down-sampled to [max_rows] per series) —
-    what the bench harness prints as "the same rows the paper reports". *)

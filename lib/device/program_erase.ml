@@ -173,16 +173,3 @@ let apply_pulse e ~qfg pulse =
            Hashtbl.reset e.replays;
          Hashtbl.replace e.replays key outcome;
          Ok outcome)
-
-let program ?(pulse = default_program_pulse) e ~qfg = apply_pulse e ~qfg pulse
-
-let erase ?(pulse = default_erase_pulse) e ~qfg = apply_pulse e ~qfg pulse
-
-let cycle ?(program_pulse = default_program_pulse)
-    ?(erase_pulse = default_erase_pulse) e ~qfg =
-  match program ~pulse:program_pulse e ~qfg with
-  | Error err -> Error err
-  | Ok p ->
-    (match erase ~pulse:erase_pulse e ~qfg:p.qfg_after with
-     | Error err -> Error err
-     | Ok er -> Ok (p, er))

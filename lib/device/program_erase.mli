@@ -71,18 +71,8 @@ val memoizable : engine -> pulse -> bool
     pulse must reach {!apply_pulse}, or the table build would land on a
     different pulse. *)
 
-val program :
-  ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
-(** One programming pulse; defaults to the paper's VGS = 15 V for 1 ms. *)
-
-val erase :
-  ?pulse:pulse -> engine -> qfg:float -> (outcome, error) result
-(** One erase pulse; defaults to VGS = −15 V for 1 ms. *)
-
 val default_program_pulse : pulse
-val default_erase_pulse : pulse
+(** The paper's program pulse: VGS = 15 V for 1 ms. *)
 
-val cycle :
-  ?program_pulse:pulse -> ?erase_pulse:pulse -> engine -> qfg:float ->
-  ((outcome * outcome), error) result
-(** One full program-then-erase cycle; returns both outcomes. *)
+val default_erase_pulse : pulse
+(** VGS = −15 V for 1 ms. *)

@@ -61,13 +61,10 @@ type t = {
   t_sat : float option;  (* saturation-event time on the trajectory *)
   bound : float;
   measured : float;
-  build_s : float;
   knots : int;
 }
 
-let certified_bound t = t.bound
 let qfg_range t = (t.q_lo, t.q_hi)
-let build_seconds t = t.build_s
 
 let[@inline] divergence t ~exact ~approx =
   abs_float (approx -. exact) /. Float.max (abs_float exact) (1e-3 *. t.q_scale)
@@ -106,9 +103,6 @@ let bound_floor = 2e-6
 let build ?(box = paper_box) device ~vgs:v =
   Tel.span "surrogate/build" @@ fun () ->
   Tel.count "surrogate/build";
-  (* lint: allow L9 — build_s is a telemetry field reporting construction
-     cost; interpolation tables themselves are deterministic in the knots *)
-  let cpu0 = Sys.time () in
   match Transient.saturation_charge device ~vgs:v with
   | Error e -> Error e
   | Ok q_sat ->
@@ -198,7 +192,7 @@ let build ?(box = paper_box) device ~vgs:v =
           let table =
             {
               vgs = v; q_of_t; t_of_q; q_lo; q_hi; q_scale; t_end; q_end;
-              t_sat; bound = 0.; measured = 0.; build_s = 0.; knots = nk;
+              t_sat; bound = 0.; measured = 0.; knots = nk;
             }
           in
           (* certification against the held-out samples: direct q_of_t
@@ -236,17 +230,12 @@ let build ?(box = paper_box) device ~vgs:v =
              the coarse-grid measurement stays an upper bound for the
              served table. *)
           let q_of_t, t_of_q = interp_pair ft fq in
-          Ok
-            {
-              table with
-              q_of_t; t_of_q; bound; measured; knots = m;
-              (* lint: allow L9 — see above: reported cost, not a result *)
-              build_s = Sys.time () -. cpu0;
-            }
+          Ok { table with q_of_t; t_of_q; bound; measured; knots = m }
         end
     end
 
 module For_testing = struct
+  let certified_bound t = t.bound
   let max_measured_divergence t = t.measured
   let vgs t = t.vgs
   let knot_count t = t.knots

@@ -70,24 +70,18 @@ val build : ?box:box -> Fgt.t -> vgs:float -> (t, error) result
     [Budget_exhausted]), or [Invalid_input] when the trajectory is
     degenerate. *)
 
-val certified_bound : t -> float
-(** The published relative-divergence bound (see {!divergence}). *)
-
 val qfg_range : t -> float * float
 (** [(q_lo, q_hi)] — initial charges the table serves. The saturated end
     stops strictly {e before} the event charge, so every in-range query
     still has the saturation event ahead of it. *)
 
-val build_seconds : t -> float
-(** CPU seconds spent building (trajectory solve + certification). *)
-
 val divergence : t -> exact:float -> approx:float -> float
 (** The certification metric: [|approx − exact| / max(|exact|, 1e-3·q_scale)]
     where [q_scale] is the table's charge range. The floor keeps the metric
     meaningful when an erase trajectory crosses [qfg = 0] (where a plain
-    relative error blows up on physically negligible absolute error). Tests
-    and the bench gate use {e this} function, so the measured and enforced
-    quantities are identical by construction. *)
+    relative error blows up on physically negligible absolute error). The
+    tests use {e this} function, so the measured and enforced quantities
+    are identical by construction. *)
 
 type response = {
   qfg_after : float;
@@ -103,6 +97,9 @@ val query : t -> qfg:float -> duration:float -> response option
 (** Table inspection and trajectory-time readers the golden-pin tests check
     a built table through; the served path only calls {!query}. *)
 module For_testing : sig
+  val certified_bound : t -> float
+  (** The published relative-divergence bound (see {!divergence}). *)
+
   val max_measured_divergence : t -> float
   (** The raw held-out measurement the bound was derived from. *)
 

@@ -76,6 +76,26 @@ let word_max_pulses = 8
 
 let word_failed e total = Error (Printf.sprintf "%s (after %d pulses)" e total)
 
+(* A budget error's message ends its eval count with the wall time the
+   budget ran for ("... after N evals / 0.001 s"), which differs between
+   two runs of the same work: outcomes are compared without it. *)
+let untimed e =
+  let key = " evals / " in
+  let rec find sub i =
+    if i + String.length sub > String.length e then None
+    else if String.sub e i (String.length sub) = sub then Some i
+    else find sub (i + 1)
+  in
+  match find key 0 with
+  | None -> e
+  | Some i ->
+    (match find " s" (i + String.length key) with
+     | None -> e
+     | Some j ->
+       String.sub e 0 (i + 6) ^ String.sub e (j + 2) (String.length e - j - 2))
+
+let untimed_outcomes = List.map (Result.map_error untimed)
+
 (* The per-cell [apply_pulse_at] + [bit] loops the fused kernels replace. *)
 let loop_verify s m ~pulse ~max_pulses i =
   let p = ref 0 and err = ref None in
@@ -308,7 +328,8 @@ let all_agree c =
   let s, rs = run_store ~fused:true c in
   let _, rl = run_store ~fused:false c in
   let cells, rr = run_record c in
-  rs = rl && rs = rr
+  let rs = untimed_outcomes rs in
+  rs = untimed_outcomes rl && rs = untimed_outcomes rr
   && store_matches_records s cells
   && S.fold_digest s W.digest_fold W.digest_empty = record_digest cells
 
@@ -734,7 +755,7 @@ let prop_fsm_restores_on_error =
             | Ok () -> None
             | Error e -> Some e)
       in
-      fsm_err = ref_err
+      Option.map untimed fsm_err = Option.map untimed ref_err
       && Array.for_all Fun.id
            (Array.init n (fun i ->
                 let (c : Cell.t) = C.For_testing.cell fsm ~idx:i in

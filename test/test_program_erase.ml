@@ -11,6 +11,10 @@ let t = F.paper_default
 (* a cold engine per test: no test sees another's pulse caches *)
 let engine ?surrogate () = Pe.engine ?surrogate t
 
+(* the paper's default program and erase pulses *)
+let program en ~qfg = Pe.apply_pulse en ~qfg Pe.default_program_pulse
+let erase en ~qfg = Pe.apply_pulse en ~qfg Pe.default_erase_pulse
+
 let test_default_pulses () =
   check_close "program bias" 15. Pe.default_program_pulse.Pe.vgs;
   check_close "erase bias" (-15.) Pe.default_erase_pulse.Pe.vgs;
@@ -18,7 +22,7 @@ let test_default_pulses () =
     (Pe.default_program_pulse.Pe.duration > 0. && Pe.default_erase_pulse.Pe.duration > 0.)
 
 let test_program_outcome () =
-  let o = check_ok "program" (Pe.program (engine ()) ~qfg:0.) in
+  let o = check_ok "program" (program (engine ()) ~qfg:0.) in
   check_close "records initial charge" 0. o.Pe.qfg_before;
   check_true "stores electrons" (o.Pe.qfg_after < 0.);
   check_true "positive shift" (o.Pe.dvt_after > 1.);
@@ -27,8 +31,8 @@ let test_program_outcome () =
 
 let test_erase_outcome () =
   let en = engine () in
-  let p = check_ok "program" (Pe.program en ~qfg:0.) in
-  let e = check_ok "erase" (Pe.erase en ~qfg:p.Pe.qfg_after) in
+  let p = check_ok "program" (program en ~qfg:0.) in
+  let e = check_ok "erase" (erase en ~qfg:p.Pe.qfg_after) in
   check_true "charge removed" (e.Pe.qfg_after > p.Pe.qfg_after);
   check_true "threshold drops" (e.Pe.dvt_after < p.Pe.dvt_after)
 
@@ -36,7 +40,7 @@ let test_short_pulse_partial () =
   let short = { Pe.vgs = 15.; duration = 1e-9 } in
   let en = engine () in
   let o = check_ok "short" (Pe.apply_pulse en ~qfg:0. short) in
-  let full = check_ok "full" (Pe.program en ~qfg:0.) in
+  let full = check_ok "full" (program en ~qfg:0.) in
   check_true "partial programming" (o.Pe.dvt_after < full.Pe.dvt_after);
   check_true "some charge still moved" (o.Pe.dvt_after > 0.01)
 
@@ -45,7 +49,9 @@ let test_pulse_validation () =
     (Pe.apply_pulse (engine ()) ~qfg:0. { Pe.vgs = 15.; duration = 0. })
 
 let test_cycle () =
-  let p, e = check_ok "cycle" (Pe.cycle (engine ()) ~qfg:0.) in
+  let en = engine () in
+  let p = check_ok "program" (program en ~qfg:0.) in
+  let e = check_ok "erase" (erase en ~qfg:p.Pe.qfg_after) in
   check_true "programmed then erased" (p.Pe.qfg_after < 0. && e.Pe.qfg_after > p.Pe.qfg_after);
   (* symmetric device: erase overshoots to the positive mirror charge *)
   check_close ~tol:0.05 "mirror" (-.p.Pe.qfg_after) e.Pe.qfg_after
@@ -53,8 +59,8 @@ let test_cycle () =
 let test_idempotent_saturation () =
   (* programming an already saturated cell moves almost no charge *)
   let en = engine () in
-  let o1 = check_ok "first" (Pe.program en ~qfg:0.) in
-  let o2 = check_ok "second" (Pe.program en ~qfg:o1.Pe.qfg_after) in
+  let o1 = check_ok "first" (program en ~qfg:0.) in
+  let o2 = check_ok "second" (program en ~qfg:o1.Pe.qfg_after) in
   check_true "second pulse injects far less"
     (o2.Pe.injected_charge < o1.Pe.injected_charge /. 100.)
 
@@ -159,7 +165,7 @@ let test_surrogate_precedence_deterministic () =
   | Ok tab ->
     check_true "within certified bound of the shadowed exact answer"
       (Ps.divergence tab ~exact:exact.Pe.qfg_after ~approx:s1.Pe.qfg_after
-       <= Ps.certified_bound tab)
+       <= Ps.For_testing.certified_bound tab)
 
 (* A surrogate build starved by the ambient budget leaves its vgs slot
    empty. The pulse that triggered it gets the exact path's answer, which

@@ -38,20 +38,39 @@ let test_build_basics () =
   let tab = build_exn paper ~vgs:15. in
   check_true "enough knots" (Ps.For_testing.knot_count tab >= 8);
   check_close "records vgs" 15. (Ps.For_testing.vgs tab);
-  check_true "bound positive" (Ps.certified_bound tab > 0.);
+  check_true "bound positive" (Ps.For_testing.certified_bound tab > 0.);
   check_true "bound from measurement"
-    (Ps.certified_bound tab > Ps.For_testing.max_measured_divergence tab);
+    (Ps.For_testing.certified_bound tab > Ps.For_testing.max_measured_divergence tab);
   (* the paper device at 15 V certifies to well under a percent *)
   check_true
-    (Printf.sprintf "bound %.3e below 1e-2" (Ps.certified_bound tab))
-    (Ps.certified_bound tab < 1e-2);
+    (Printf.sprintf "bound %.3e below 1e-2" (Ps.For_testing.certified_bound tab))
+    (Ps.For_testing.certified_bound tab < 1e-2);
   let lo, hi = Ps.qfg_range tab in
   check_true "range spans the neutral cell" (lo < 0. && hi > 0.);
   (* polarity symmetry of the device carries over to the tables *)
   let te = build_exn paper ~vgs:(-15.) in
   let lo', hi' = Ps.qfg_range te in
   check_close ~tol:1e-6 "mirrored range lo" (-.hi) lo';
-  check_close ~tol:1e-6 "mirrored range hi" (-.lo) hi'
+  check_close ~tol:1e-6 "mirrored range hi" (-.lo) hi';
+  (* both paper tables serve within their bound of an exact solve at fixed
+     (charge fraction, duration) points spanning range and durations *)
+  List.iter
+    (fun (tab, vgs) ->
+       let lo, hi = Ps.qfg_range tab in
+       List.iter
+         (fun (u, duration) ->
+            let qfg = lo +. (u *. (hi -. lo)) in
+            match Ps.query tab ~qfg ~duration with
+            | None -> ()
+            | Some r ->
+              let exact = exact_final paper ~vgs ~duration ~qfg in
+              check_true
+                (Printf.sprintf "vgs=%g u=%g duration=%g within bound" vgs u duration)
+                (Ps.divergence tab ~exact ~approx:r.Ps.qfg_after
+                 <= Ps.For_testing.certified_bound tab))
+         [ (0., 1e-6); (0.15, 1e-5); (0.35, 1e-4); (0.5, 3e-4); (0.65, 1e-3);
+           (0.85, 1e-2); (1., 1e-5); (0.5, 1e-9); (0.5, 1e-1) ])
+    [ (tab, 15.); (te, -15.) ]
 
 let test_query_semantics () =
   let tab = build_exn paper ~vgs:15. in
@@ -107,7 +126,7 @@ let prop_certified_bound =
              | Some r ->
                let exact = exact_final device ~vgs ~duration ~qfg in
                Ps.divergence tab ~exact ~approx:r.Ps.qfg_after
-               <= Ps.certified_bound tab)))
+               <= Ps.For_testing.certified_bound tab)))
 
 let prop_monotone_in_duration =
   (* PCHIP preserves the trajectory's monotonicity: a longer pulse at the
@@ -265,6 +284,9 @@ let test_opt_out_is_silent () =
   for _ = 1 to 3 do
     ignore (check_sok "opt-out" (Pe.apply_pulse e ~qfg:0. pulse))
   done;
+  (* out of the box too: an opted-out engine does not count a fallback *)
+  ignore (check_sok "opt-out, vgs above box"
+            (Pe.apply_pulse e ~qfg:0. { pulse with Pe.vgs = 18. }));
   Alcotest.(check int) "no hits" 0 (Tel.For_testing.counter_total "surrogate/hit");
   Alcotest.(check int) "no fallbacks" 0 (Tel.For_testing.counter_total "surrogate/fallback");
   Alcotest.(check int) "no builds" 0 (Tel.For_testing.counter_total "surrogate/build")
@@ -337,13 +359,15 @@ let corner_window_pins =
    table-building third ones. *)
 let window ~surrogate dev =
   let en = Pe.engine ~surrogate dev in
+  let program ~qfg = Pe.apply_pulse en ~qfg Pe.default_program_pulse
+  and erase ~qfg = Pe.apply_pulse en ~qfg Pe.default_erase_pulse in
   if surrogate then
     for _ = 1 to 2 do
-      ignore (check_sok "warm-up program" (Pe.program en ~qfg:0.));
-      ignore (check_sok "warm-up erase" (Pe.erase en ~qfg:0.))
+      ignore (check_sok "warm-up program" (program ~qfg:0.));
+      ignore (check_sok "warm-up erase" (erase ~qfg:0.))
     done;
-  let p = check_sok "program" (Pe.program en ~qfg:0.) in
-  let e = check_sok "erase" (Pe.erase en ~qfg:p.Pe.qfg_after) in
+  let p = check_sok "program" (program ~qfg:0.) in
+  let e = check_sok "erase" (erase ~qfg:p.Pe.qfg_after) in
   p.Pe.dvt_after -. e.Pe.dvt_after
 
 let test_fig6_9_window_pins () =

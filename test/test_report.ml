@@ -42,20 +42,6 @@ let test_render_format () =
   check_true "fail marker" (contains "[FAIL] beta" out);
   check_true "summary" (contains "1/2" out)
 
-let test_series_table () =
-  let fig = Gnrflash.Figures.fig6_program_gcr () in
-  let table = R.series_table fig ~max_rows:5 in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_true "title row" (contains "Fig 6" table);
-  check_true "series label" (contains "GCR = 60%" table);
-  (* down-sampled: far fewer rows than the full 60-point sweep x4 *)
-  let lines = List.length (String.split_on_char '\n' table) in
-  check_true "down-sampled" (lines < 40)
-
 let () =
   Alcotest.run "report"
     [
@@ -69,6 +55,5 @@ let () =
           case "fig9 shape" test_fig9_checks;
           case "all checks pass" test_all_checks_pass;
           case "render format" test_render_format;
-          case "series table" test_series_table;
         ] );
     ]

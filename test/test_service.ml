@@ -383,6 +383,64 @@ let prop_no_op_lost =
        && r.S.invariant_error = None
        && r.S.reads + r.S.writes + r.S.rejected_full + r.S.trims = r.S.ops)
 
+(* ---------- reference fleets ---------- *)
+
+(* The default-config service on the paper device, driven through [ops]
+   host commands of the default profile, seeded per instance as `serve`
+   seeds its fleet. *)
+let reference_instance ~index ~ops =
+  let s = S.create (Gnrflash.Params.device ()) in
+  S.run_trace ~seed:(Gnrflash.Sweep.splitmix ~seed:2014 ~index) ~ops s
+
+(* The fleet digests of the record-based cell path that the SoA cell
+   store replaced, captured on it before the refactor: 8 instances, run
+   serially here. The store must reproduce both fleets bit for bit. *)
+let test_record_path_fleets () =
+  let fleet ~per_instance =
+    let results = Array.init 8 (fun index -> reference_instance ~index ~ops:per_instance) in
+    let fold f =
+      Array.fold_left (fun acc r -> W.digest_fold acc (f r)) W.digest_empty results
+    in
+    (fold (fun r -> r.S.trace_digest), fold (fun r -> r.S.state_digest))
+  in
+  List.iter
+    (fun (per_instance, (trace, state)) ->
+      let t, st = fleet ~per_instance in
+      let name what = Printf.sprintf "8 x %d %s digest" per_instance what in
+      Alcotest.(check int) (name "trace") trace t;
+      Alcotest.(check int) (name "state") state st)
+    [
+      (250, (0x2B1EBC781D8A520D, 0x329D851F83DC4DF0));
+      (13_000, (0x220177D6E385E5D6, 0x359CE3F68DF1567C));
+    ]
+
+(* Native only. Minor words per host command over one reference instance
+   of 13,000 commands, report included and [Service.create] not. The
+   stores replay memoized pulses and verify reads without allocating and
+   warm writes, trims and unmapped reads allocate nothing (the pins
+   above); the residual is the commands themselves, the mapped reads'
+   [Data] answers, the report, and the first-occurrence exact solves.
+   Measured 13.1 on a 2-vCPU x86-64 VM with OCaml 5.1.1 (20.4 before the
+   latency table, 630 before the fused kernels); the budget leaves ~15%
+   headroom. A polymorphic compare or a closure per command in
+   [Workload.commands], or a boxed float in [exec]'s latency count, blows
+   it. *)
+let trace_words_per_op = 15.4
+
+let test_trace_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let ops = 13_000 in
+  let w0 = Gc.minor_words () in
+  let s = S.create (Gnrflash.Params.device ()) in
+  let setup = Gc.minor_words () -. w0 in
+  let (_ : S.report) =
+    S.run_trace ~seed:(Gnrflash.Sweep.splitmix ~seed:2014 ~index:0) ~ops s
+  in
+  let per_op = (Gc.minor_words () -. w0 -. setup) /. float_of_int ops in
+  check_true
+    (Printf.sprintf "%.2f minor words/op within %.1f" per_op trace_words_per_op)
+    (per_op <= trace_words_per_op)
+
 let () =
   Alcotest.run "service"
     [
@@ -404,6 +462,8 @@ let () =
           case "streamed trace matches array" test_streamed_trace_matches_array;
           case "latency table counts observed latencies"
             test_table_counts_observed_latencies;
+          case "record-path fleet digests" test_record_path_fleets;
+          case "reference trace allocation" test_trace_allocation;
           prop_no_op_lost;
           prop_summary_matches_sorted_oracle;
         ] );

@@ -258,7 +258,7 @@ type raw_finding = { r_rule : rule; r_line : int; r_message : string }
 
 (* L13 scope: a module opts into the hot-loop allocation rule with the
    floating attribute [[@@@gnrflash.hot]] — the FSM/service modules whose
-   loops the bench's words-per-op budget gates. *)
+   loops test_service's words-per-op pin gates. *)
 let hot_attribute = "gnrflash.hot"
 
 let is_hot_module (str : Typedtree.structure) =

@@ -39,8 +39,8 @@
       slot per call and defeats the per-domain cache).
 
     Hot-loop rule (only in modules annotated with the floating attribute
-    [[@@@gnrflash.hot]] — the FSM/service modules whose loops the bench's
-    allocation budget gates):
+    [[@@@gnrflash.hot]] — the FSM/service modules whose loops
+    test_service's allocation pins gate):
     - [L13] a minor-heap allocation inside a [for]/[while] loop body: an
       allocating functional record update ([{ e with ... }]) or a closure
       ([fun]/[function]). Hoist the value out of the loop or mutate a
