@@ -23,21 +23,9 @@ val stages_for : ?margin:float -> t -> v_target:float -> i_load:float -> int
     0.05) at the load, using the same per-stage parameters.
     @raise Invalid_argument if unreachable (per-stage gain <= 0). *)
 
-(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
-val efficiency : t -> i_load:float -> float
-(** Power efficiency [P_out/P_in]: ideal Dickson input current is
-    [(N+1)·I_load] from [V_dd] (plus nothing else in this lossless-clock
-    model), so η = V_out/((N+1)·V_dd). In (0, 1]. *)
-
 val energy_per_program :
   t -> i_load:float -> pulse_width:float -> float
 (** Energy drawn from the supply for one programming pulse [J]. *)
-
-(* lint: allow L14 — no program calls it; test_charge_pump pins it *)
-val ramp_time : t -> load_capacitance:float -> v_target:float -> float
-(** Time to charge a capacitive load to [v_target] with the pump's output
-    current capability [f·C·(V_dd − V_d)] per stage-step (single-slope
-    estimate). *)
 
 (** The closed form [test/test_charge_pump.ml] checks {!stages_for}
     against. No program calls it. *)

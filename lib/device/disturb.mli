@@ -16,10 +16,3 @@ val qfg_after_events :
 (** Stored charge of the victim cell after [events] neighbouring program
     pulses — the feedback quantity an array model writes back into the
     victim so accumulated disturb becomes visible to later reads. *)
-
-(* lint: allow L14 — no program calls it; test_disturb pins it *)
-val events_to_failure :
-  ?config:config -> Fgt.t -> qfg0:float -> dvt_fail:float -> max_events:int ->
-  (int option, string) result
-(** Number of disturb events before the drift reaches [dvt_fail], or
-    [None] within [max_events]. Uses doubling search over event counts. *)

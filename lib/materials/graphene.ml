@@ -1,48 +1,8 @@
 module C = Gnrflash_physics.Constants
-module Quad = Gnrflash_numerics.Quadrature
-module Roots = Gnrflash_numerics.Roots
 
 (* lint: allow L4 — ħ·v_F (J·m) is a derived constant outside the
    units-layer per-algebra, which only names the FN/FGT dimensions *)
 let hv = C.hbar *. C.v_fermi_graphene
-
-let dispersion k = hv *. abs_float k
-
-let density_of_states e = 2. *. abs_float e /. (Float.pi *. hv *. hv)
-
-let degenerate_density ef =
-  let s = if ef >= 0. then 1. else -1. in
-  s *. ef *. ef /. (Float.pi *. hv *. hv)
-
-let carrier_density ~ef ~t =
-  if t <= 0. then degenerate_density ef
-  else begin
-    let kt = C.k_b *. t in
-    (* electrons in the conduction band minus holes in the valence band;
-       each integral decays exponentially past a few kT beyond |ef|. The
-       quadrature tolerance must be scaled to the integral's magnitude
-       (~1e16 m^-2 in SI) — an absolute tolerance would force the adaptive
-       rule to its maximum depth everywhere. *)
-    let upper = (10. *. kt) +. (3. *. abs_float ef) in
-    let scale = density_of_states (abs_float ef +. kt) *. upper in
-    let tol = 1e-10 *. scale in
-    let electrons =
-      (* lint: allow L3 — materials is a leaf library kept free of the
-         telemetry dependency; charge integrals are attributed by callers *)
-      Quad.adaptive_simpson ~tol
-        (fun e -> density_of_states e *. Gnrflash_physics.Fermi.occupation ~ef ~t e)
-        0. upper
-    in
-    let holes =
-      (* lint: allow L3 — see above: leaf library, no telemetry dep *)
-      Quad.adaptive_simpson ~tol
-        (fun e ->
-           density_of_states e
-           *. (1. -. Gnrflash_physics.Fermi.occupation ~ef ~t (-.e)))
-        0. upper
-    in
-    electrons -. holes
-  end
 
 let quantum_capacitance ~ef ~t =
   let pref = 2. *. C.q *. C.q /. (Float.pi *. hv *. hv) in
@@ -56,29 +16,4 @@ let quantum_capacitance ~ef ~t =
       else log (2. *. (1. +. cosh x))
     in
     pref *. kt *. lncosh_term
-  end
-
-let fermi_level_for_density ~n ~t =
-  if Float.equal n 0. then 0.
-  else begin
-    let f ef = carrier_density ~ef ~t -. n in
-    let guess =
-      (* invert the degenerate relation for a starting bracket *)
-      let s = if n >= 0. then 1. else -1. in
-      s *. sqrt (abs_float n *. Float.pi) *. hv
-    in
-    let a = min (guess /. 4.) (guess *. 4.) -. (C.k_b *. max t 1. *. 20.) in
-    let b = max (guess /. 4.) (guess *. 4.) +. (C.k_b *. max t 1. *. 20.) in
-    (* lint: allow L3 — see above: leaf library, no telemetry dep *)
-    match Roots.bracket_root f a b with
-    (* lint: allow L11 — leaf material library: no telemetry dep to count
-       the class; falling back to the analytic guess is the contract *)
-    | Error _ -> guess
-    | Ok (lo, hi) ->
-      (* lint: allow L3 — see above: leaf library, no telemetry dep *)
-      (match Roots.brent f lo hi with
-       | Ok x -> x
-       (* lint: allow L11 — see above: analytic-guess fallback, no
-          telemetry dep in the material layer *)
-       | Error _ -> guess)
   end

@@ -3,22 +3,11 @@ module C = Gnrflash_physics.Constants
 type t = {
   ribbon : Gnr.t;
   layers : int;
-  interlayer : float;
 }
 
-let graphite_spacing = 0.335e-9
-
-let make ?(interlayer = graphite_spacing) ribbon ~layers =
+let make ribbon ~layers =
   if layers < 1 then invalid_arg "Mlgnr.make: layers < 1";
-  if interlayer <= 0. then invalid_arg "Mlgnr.make: interlayer <= 0";
-  { ribbon; layers; interlayer }
-
-let thickness s =
-  (* one atomic layer (~0.34 nm van der Waals thickness) plus spacings *)
-  graphite_spacing +. (float_of_int (s.layers - 1) *. s.interlayer)
-
-let bandgap_ev s =
-  Gnr.bandgap_ev s.ribbon /. (1. +. (0.5 *. float_of_int (s.layers - 1)))
+  { ribbon; layers }
 
 let screening_factor = 0.53
 

@@ -1,30 +1,18 @@
 (** Multilayer graphene nanoribbon (MLGNR) stacks — the floating gate and
     channel material of the proposed device.
 
-    The stack model captures the three MLGNR effects the device layer
-    needs: (i) gap shrinkage with layer count, (ii) total quantum
-    capacitance of the stack (series/parallel combination with interlayer
-    screening), and (iii) areal charge-storage capacity of the floating
-    gate. *)
+    The stack model captures the MLGNR effects the device layer needs:
+    (i) total quantum capacitance of the stack (parallel combination with
+    interlayer screening), (ii) areal charge-storage capacity of the
+    floating gate, and (iii) the Landauer conductance of the channel. *)
 
 type t = {
   ribbon : Gnr.t;     (** per-layer ribbon geometry *)
   layers : int;       (** number of stacked layers, >= 1 *)
-  interlayer : float; (** interlayer spacing [m], default graphite 0.335 nm *)
 }
 
-val make : ?interlayer:float -> Gnr.t -> layers:int -> t
+val make : Gnr.t -> layers:int -> t
 (** Build a stack descriptor. @raise Invalid_argument if [layers < 1]. *)
-
-(* lint: allow L14 — no program calls it; test_mlgnr pins it *)
-val thickness : t -> float
-(** Physical stack thickness [m] ([interlayer × (layers-1)] plus one layer). *)
-
-(* lint: allow L14 — no program calls it; test_mlgnr pins it *)
-val bandgap_ev : t -> float
-(** Effective gap: the monolayer tight-binding gap divided by an
-    interlayer-coupling factor [1 + 0.5·(layers - 1)] — multilayer AGNRs
-    close their gap quickly with layer count (Sahu et al., PRB 2008). *)
 
 val quantum_capacitance : t -> ef_ev:float -> temp:float -> float
 (** Stack quantum capacitance per unit area [F/m²]. The top layer feels the

@@ -8,8 +8,8 @@ type t = {
 }
 
 (* Parameter sources: Robertson, "High dielectric constant oxides" (2004)
-   for affinities/gaps; Lenzlinger & Snow and Depas et al. for SiO2 m_ox;
-   breakdown fields are the usual intrinsic values. *)
+   for affinity/gap; Lenzlinger & Snow and Depas et al. for m_ox; the
+   breakdown field is the usual intrinsic value. *)
 
 let sio2 =
   {
@@ -20,55 +20,3 @@ let sio2 =
     m_ox = 0.42;
     breakdown_field = 1.0e9 (* ~10 MV/cm *);
   }
-
-let si3n4 =
-  {
-    name = "Si3N4";
-    eps_r = 7.5;
-    electron_affinity = 2.1;
-    bandgap = 5.3;
-    m_ox = 0.4;
-    breakdown_field = 6.0e8;
-  }
-
-let al2o3 =
-  {
-    name = "Al2O3";
-    eps_r = 9.0;
-    electron_affinity = 1.4;
-    bandgap = 8.8;
-    m_ox = 0.3;
-    breakdown_field = 7.0e8;
-  }
-
-let hfo2 =
-  {
-    name = "HfO2";
-    eps_r = 22.0;
-    electron_affinity = 2.4;
-    bandgap = 5.8;
-    m_ox = 0.17;
-    breakdown_field = 4.0e8;
-  }
-
-let hbn =
-  {
-    name = "hBN";
-    eps_r = 3.8;
-    electron_affinity = 1.3;
-    bandgap = 6.0;
-    m_ox = 0.5;
-    breakdown_field = 8.0e8;
-  }
-
-let all = [ sio2; si3n4; al2o3; hfo2; hbn ]
-
-let by_name name =
-  let lower = String.lowercase_ascii name in
-  List.find_opt (fun o -> String.lowercase_ascii o.name = lower) all
-
-let permittivity o = Gnrflash_physics.Constants.eps0 *. o.eps_r
-
-let capacitance_per_area o ~thickness =
-  if thickness <= 0. then invalid_arg "Oxide.capacitance_per_area: thickness <= 0";
-  permittivity o /. thickness

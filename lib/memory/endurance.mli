@@ -44,6 +44,12 @@ val cycle_cell :
 val predicted_endurance :
   ?reliability:Gnrflash_device.Reliability.model ->
   Gnrflash_device.Fgt.t -> vgs:float -> float
-(** Closed-form endurance estimate: charge-to-breakdown at the programming
-    field divided by the per-cycle fluence (from the saturation charge) —
-    cross-checks the simulation. *)
+(** Closed-form endurance estimate: the charge-to-breakdown at the tunnel
+    field of an uncharged gate at [vgs], divided by a per-cycle fluence of
+    [2·|q_sat|] (one saturation charge per pulse, as from an uncharged
+    gate). A {!cycle_cell} run with saturating pulses swings the charge
+    between the two saturation charges, [|q_sat(vgs) − q_sat(−vgs)|] per
+    pulse, so its oxide breaks after the estimate times
+    [|q_sat| / |q_sat(vgs) − q_sat(−vgs)|] cycles: half the estimate for
+    the symmetric paper stack. [test/test_endurance.ml] checks that
+    relation against a simulated breakdown to 1% and one cycle. *)

@@ -1,4 +1,9 @@
-let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) ?(scale = 0.1) f x0 =
+(* Converged once the spread of vertex values is within [tol] of the best
+   value's magnitude; otherwise stop after [max_iter] iterations. *)
+let tol = 1e-10
+let max_iter = 2000
+
+let nelder_mead ?(scale = 0.1) f x0 =
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Optimize.nelder_mead: empty point";
   (* simplex of n+1 vertices *)

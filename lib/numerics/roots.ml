@@ -4,12 +4,13 @@ module Budget = Gnrflash_resilience.Budget
 
 type error = Err.t
 
-let default_tol = 1e-12
+(* Final bracket width relative to the magnitude of the endpoints. *)
+let tol = 1e-12
 
 (* Relative closeness with a tiny absolute floor so roots at (or near) zero
    still converge; the floor must stay far below any physically meaningful
    magnitude (charges of 1e-17 C appear in the device layer). *)
-let close tol a b =
+let close a b =
   abs_float (b -. a) <= (tol *. max (abs_float a) (abs_float b)) +. 1e-300
 
 (* Every function evaluation is counted and charged against the ambient
@@ -22,7 +23,7 @@ let instrument f x =
 (* Brent (1973): keep a bracketing pair (a, b) with b the best iterate; try
    inverse quadratic / secant interpolation, fall back to bisection whenever
    the candidate step is not clearly contracting. *)
-let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
+let brent ?(max_iter = 200) f a b =
   let solver = "Roots.brent" in
   Err.protect @@ fun () ->
   let f = instrument f in
@@ -48,7 +49,7 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
       match Budget.check ~solver () with
       | Error e -> result := Some (Error e)
       | Ok () ->
-        if Float.equal !fb 0. || close tol !a !b then result := Some (Ok !b)
+        if Float.equal !fb 0. || close !a !b then result := Some (Ok !b)
         else begin
           let s =
             if (not (Float.equal !fa !fc)) && not (Float.equal !fb !fc) then
@@ -85,7 +86,7 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
     match !result with
     | Some r -> r
     | None ->
-      (* Iteration cap hit before [close tol] held: the best iterate is NOT
+      (* Iteration cap hit before [close] held: the best iterate is NOT
          a converged root. Silently returning it (the old behavior) let
          unconverged values flow into device solves; fail loudly with the
          best iterate attached so callers/fallbacks can still use it. *)

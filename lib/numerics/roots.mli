@@ -11,14 +11,15 @@
 type error = Gnrflash_resilience.Solver_error.t
 
 val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float ->
+  ?max_iter:int -> (float -> float) -> float -> float ->
   (float, error) result
 (** [brent f a b] is Brent's method on the bracket [[a, b]]: inverse
     quadratic interpolation and secant steps guarded by bisection.
     Requires [f a] and [f b] to have opposite signs (an exact zero at an
-    endpoint is accepted). [tol] (default [1e-12]) bounds the final bracket
-    width relative to the magnitude of the endpoints. Typically converges
-    super-linearly. Exhausting [max_iter] without meeting the tolerance
+    endpoint is accepted). It stops once the bracket is narrower than
+    [1e-12] times the magnitude of the endpoints. Typically converges
+    super-linearly. Exhausting [max_iter] (default 200) without meeting
+    that tolerance
     returns [No_convergence] carrying the best iterate — never a silently
     unconverged [Ok]. *)
 

@@ -9,8 +9,5 @@ let k_b = 1.380649e-23
 let eps0 = 8.8541878128e-12
 let ev = q
 let v_fermi_graphene = 1.0e6
-let a_cc = 0.142e-9
-let a_graphene = sqrt 3. *. a_cc
 let t_hopping = 2.7 *. ev
 let room_temperature = 300.
-let thermal_voltage t = k_b *. t /. q

@@ -24,21 +24,9 @@ val ev : float
 val v_fermi_graphene : float
 (** Fermi velocity of graphene, ≈ 1×10⁶ m/s. *)
 
-(* lint: allow L14 — no program calls it; test_constants pins it *)
-val a_cc : float
-(** Graphene carbon–carbon bond length [m] (0.142 nm). *)
-
-(* lint: allow L14 — no program calls it; test_constants pins it *)
-val a_graphene : float
-(** Graphene lattice constant [m] (√3·a_cc ≈ 0.246 nm). *)
-
 val t_hopping : float
 (** Nearest-neighbour tight-binding hopping energy of graphene [J]
     (≈ 2.7 eV). *)
 
 val room_temperature : float
 (** 300 K. *)
-
-(* lint: allow L14 — no program calls it; test_constants pins it *)
-val thermal_voltage : float -> float
-(** [thermal_voltage t] is [kB·t/q] in volts. *)

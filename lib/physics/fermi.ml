@@ -1,16 +1,3 @@
-let occupation ~ef ~t e =
-  if t <= 0. then (if e < ef then 1. else if e > ef then 0. else 0.5)
-  else begin
-    let x = (e -. ef) /. (Constants.k_b *. t) in
-    if x > 500. then 0.
-    else if x < -500. then 1.
-    else 1. /. (1. +. exp x)
-  end
-
-let maxwell_boltzmann ~ef ~t e =
-  if t <= 0. then invalid_arg "Fermi.maxwell_boltzmann: t <= 0";
-  exp (-.(e -. ef) /. (Constants.k_b *. t))
-
 (* ln(1 + exp x) computed without overflow. *)
 let log1p_exp x =
   if x > 40. then x
@@ -23,12 +10,3 @@ let supply_difference ~ef ~t ~qv e =
   let x1 = (ef -. e) /. kt in
   let x2 = (ef -. e -. qv) /. kt in
   kt *. (log1p_exp x1 -. log1p_exp x2)
-
-(* Bednarczyk & Bednarczyk (1978): F_1/2(η) ≈ (e^{-η} + 3√π/4 · a^{-3/8})^{-1}. *)
-let fermi_integral_half eta =
-  let a =
-    (eta ** 4.)
-    +. 50.
-    +. (33.6 *. eta *. (1. -. (0.68 *. exp (-0.17 *. ((eta +. 1.) ** 2.)))))
-  in
-  1. /. (exp (-.eta) +. (3. *. sqrt Float.pi /. 4. *. (a ** (-0.375))))

@@ -5,15 +5,6 @@ type t = {
 
 let make ~label points = { label; points = Array.copy points }
 
-let of_arrays ~label xs ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Series.of_arrays: length mismatch";
-  { label; points = Array.init n (fun i -> (xs.(i), ys.(i))) }
-
-let of_fn ~label ~xs f = { label; points = Array.map (fun x -> (x, f x)) xs }
-
-let map_y f t = { t with points = Array.map (fun (x, y) -> (x, f y)) t.points }
-
 let filter p t = { t with points = Array.of_list (List.filter p (Array.to_list t.points)) }
 
 let ys t = Array.map snd t.points

@@ -1,5 +1,7 @@
 (** Fowler–Nordheim tunneling current density — the closed form the paper's
     equations (1), (4), (6), (7) are built on (Lenzlinger & Snow 1969).
+    The oxide fields of eq (6) come from the floating-gate divider
+    in [Fgt], not from here.
 
     [J = A·E²·exp(−B/E)] with
     [A = q³·m0 / (8π·h·m_ox·Φ_B)]  (A/V²) and
@@ -49,33 +51,3 @@ val current_density_q :
 
 val current_density : params -> field:float -> float
 (** Raw shim over {!current_density_q}: [A/m²] at [field] [V/m]. *)
-
-(* lint: allow L14 — no program calls it; test_qty pins it *)
-val current_from_voltages_q :
-  params -> vfg:Gnrflash_units.volt Gnrflash_units.qty ->
-  vs:Gnrflash_units.volt Gnrflash_units.qty ->
-  xto:Gnrflash_units.metre Gnrflash_units.qty ->
-  Gnrflash_units.a_per_m2 Gnrflash_units.qty
-(** Paper equation (6): field [E = (VFG − VS)/XTO], then
-    {!current_density_q}. Returns [0.] when [vfg <= vs].
-    @raise Invalid_argument when [xto <= 0]. *)
-
-(* lint: allow L14 — no program calls it; test_fn pins it *)
-val current_from_voltages : params -> vfg:float -> vs:float -> xto:float -> float
-(** Raw shim over {!current_from_voltages_q}; [xto] in metres. *)
-
-(* lint: allow L14 — no program calls it; test_fn pins it *)
-val paper_eq7 : params -> vfg:float -> xto:float -> float
-(** Paper equation (7): the [VS = 0] special case. *)
-
-(* lint: allow L14 — no program calls it; test_fn pins it *)
-val field_for_current : params -> j:float -> (float, string) result
-(** Invert [J(E)]: the field [V/m] at which the current density reaches
-    [j] [A/m²] (Newton on ln J, monotone for E > 0). *)
-
-(* lint: allow L14 — no program calls it; test_fn pins it *)
-val log10_current : params -> field:float -> float
-(** [log10 (J)] computed in log space — usable even where [J] underflows a
-    float. Total on the full real line: non-positive fields return
-    [neg_infinity], consistent with {!current_density} returning [0.]
-    there ([10^(-inf) = 0]). *)

@@ -38,28 +38,6 @@ let test_disturb_much_slower_than_program () =
 let test_negative_events_rejected () =
   check_error "negative" (drift t ~qfg0:0. ~events:(-1))
 
-let test_events_to_failure_finds_crossing () =
-  (* pick a failure level the 7.5 V disturb can actually reach *)
-  match check_ok "etf" (D.events_to_failure t ~qfg0:0. ~dvt_fail:0.05 ~max_events:(1 lsl 20)) with
-  | None -> Alcotest.fail "expected failure within budget"
-  | Some n ->
-    check_true "positive" (n >= 1);
-    (* verify the crossing: n events reach the level, fewer do not *)
-    let at = check_ok "at" (drift t ~qfg0:0. ~events:n) in
-    check_true "reaches level" (at >= 0.05);
-    if n > 1 then begin
-      let before = check_ok "before" (drift t ~qfg0:0. ~events:(n - 1)) in
-      check_true "tight crossing" (before < 0.05)
-    end
-
-let test_events_to_failure_none () =
-  (* a fail level above the disturb-bias saturation window is unreachable *)
-  let r = check_ok "etf" (D.events_to_failure t ~qfg0:0. ~dvt_fail:10. ~max_events:1024) in
-  check_true "unreachable" (r = None)
-
-let test_events_to_failure_validation () =
-  check_error "bad level" (D.events_to_failure t ~qfg0:0. ~dvt_fail:0. ~max_events:10)
-
 let () =
   Alcotest.run "disturb"
     [
@@ -70,8 +48,5 @@ let () =
           case "drift grows" test_drift_grows_with_events;
           case "disturb << program" test_disturb_much_slower_than_program;
           case "negative events" test_negative_events_rejected;
-          case "events-to-failure crossing" test_events_to_failure_finds_crossing;
-          case "unreachable failure" test_events_to_failure_none;
-          case "validation" test_events_to_failure_validation;
         ] );
     ]

@@ -5,32 +5,6 @@ open Gnrflash_testing.Testing
 let ev = C.ev
 let t300 = 300.
 
-let test_occupation_at_fermi_level () =
-  check_close "f(EF) = 1/2" 0.5 (F.occupation ~ef:(0.5 *. ev) ~t:t300 (0.5 *. ev))
-
-let test_occupation_deep_states () =
-  check_close ~tol:1e-6 "deep below EF" 1.
-    (F.occupation ~ef:(1. *. ev) ~t:t300 0.);
-  check_abs ~tol:1e-12 "far above EF" 0.
-    (F.occupation ~ef:0. ~t:t300 (2. *. ev))
-
-let test_occupation_zero_temperature () =
-  check_close "below" 1. (F.occupation ~ef:1. ~t:0. 0.5);
-  check_close "above" 0. (F.occupation ~ef:1. ~t:0. 1.5);
-  check_close "at" 0.5 (F.occupation ~ef:1. ~t:0. 1.)
-
-let test_occupation_no_overflow () =
-  let v = F.occupation ~ef:0. ~t:1e-3 (10. *. ev) in
-  check_true "finite" (Float.is_finite v);
-  check_abs ~tol:1e-300 "zero" 0. v
-
-let test_boltzmann_limit () =
-  (* far above EF, FD -> MB *)
-  let e = 0.6 *. ev and ef = 0.1 *. ev in
-  let fd = F.occupation ~ef ~t:t300 e in
-  let mb = F.maxwell_boltzmann ~ef ~t:t300 e in
-  check_close ~tol:1e-8 "non-degenerate limit" mb fd
-
 let test_supply_zero_bias () =
   check_abs ~tol:1e-25 "no bias, no net supply" 0.
     (F.supply_difference ~ef:(0.2 *. ev) ~t:t300 ~qv:0. (0.1 *. ev))
@@ -46,28 +20,24 @@ let test_supply_degenerate_limit () =
   let n = F.supply_difference ~ef ~t:t300 ~qv:(5. *. ev) e in
   check_close ~tol:2e-2 "degenerate supply" (ef -. e) n
 
-let test_fermi_integral_limits () =
-  (* non-degenerate: F_1/2(eta) -> e^eta for eta << 0 *)
-  check_close ~tol:0.05 "boltzmann tail" (exp (-5.)) (F.fermi_integral_half (-5.));
-  (* degenerate: F_1/2(eta) -> (4/3/sqrt(pi)) eta^{3/2} for eta >> 0 *)
-  let eta = 30. in
-  let sommerfeld = 4. /. (3. *. sqrt Float.pi) *. (eta ** 1.5) in
-  check_close ~tol:0.02 "sommerfeld limit" sommerfeld (F.fermi_integral_half eta)
+let test_boltzmann_limit () =
+  (* far above EF, under a drop that empties the far side, the supply
+     falls to the Maxwell-Boltzmann tail kT exp(-(E - EF)/kT) *)
+  let e = 0.6 *. ev and ef = 0.1 *. ev in
+  let kt = C.k_b *. t300 in
+  let mb = kt *. exp (-.(e -. ef) /. kt) in
+  check_close ~tol:1e-8 "non-degenerate limit" mb
+    (F.supply_difference ~ef ~t:t300 ~qv:(5. *. ev) e)
 
-let prop_occupation_in_unit_interval =
-  prop "0 <= f <= 1"
-    QCheck2.Gen.(pair (float_range (-2.) 2.) (float_range (-2.) 2.))
-    (fun (e_ev, ef_ev) ->
-       let f = F.occupation ~ef:(ef_ev *. ev) ~t:t300 (e_ev *. ev) in
-       f >= 0. && f <= 1.)
-
-let prop_occupation_monotone_decreasing =
-  prop "f decreasing in E"
-    QCheck2.Gen.(pair (float_range (-1.) 1.) (float_range 0.001 0.5))
-    (fun (e_ev, d_ev) ->
-       let f1 = F.occupation ~ef:0. ~t:t300 (e_ev *. ev) in
-       let f2 = F.occupation ~ef:0. ~t:t300 ((e_ev +. d_ev) *. ev) in
-       f2 <= f1 +. 1e-12)
+let test_supply_no_overflow () =
+  (* at 1 mK every exponent is thousands of kT: below EF the supply is the
+     whole drop, far above it nothing, and neither overflows *)
+  let t = 1e-3 in
+  let below = F.supply_difference ~ef:(0.5 *. ev) ~t ~qv:(0.2 *. ev) (0.1 *. ev) in
+  check_true "finite" (Float.is_finite below);
+  check_close ~tol:1e-9 "full drop" (0.2 *. ev) below;
+  check_abs ~tol:1e-300 "zero" 0.
+    (F.supply_difference ~ef:0. ~t ~qv:(0.2 *. ev) (10. *. ev))
 
 let prop_supply_nonneg_forward =
   prop "supply non-negative under forward bias"
@@ -81,17 +51,11 @@ let () =
     [
       ( "fermi",
         [
-          case "occupation at EF" test_occupation_at_fermi_level;
-          case "occupation deep states" test_occupation_deep_states;
-          case "occupation T=0" test_occupation_zero_temperature;
-          case "no overflow" test_occupation_no_overflow;
+          case "no overflow" test_supply_no_overflow;
           case "boltzmann limit" test_boltzmann_limit;
           case "supply zero bias" test_supply_zero_bias;
           case "supply forward bias" test_supply_positive_bias;
           case "supply degenerate" test_supply_degenerate_limit;
-          case "fermi integral limits" test_fermi_integral_limits;
-          prop_occupation_in_unit_interval;
-          prop_occupation_monotone_decreasing;
           prop_supply_nonneg_forward;
         ] );
     ]

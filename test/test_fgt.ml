@@ -127,7 +127,17 @@ let test_control_oxide_decoupled () =
     F.For_testing.make ?control_oxide ~gcr ~xto ~xco ~area ()
   in
   let sio2 = build () in
-  let hik = build ~control_oxide:Gnrflash_materials.Oxide.al2o3 () in
+  let al2o3 =
+    {
+      Gnrflash_materials.Oxide.name = "Al2O3";
+      eps_r = 9.0;
+      electron_affinity = 1.4;
+      bandgap = 8.8;
+      m_ox = 0.3;
+      breakdown_field = 7.0e8;
+    }
+  in
+  let hik = build ~control_oxide:al2o3 () in
   check_close ~tol:1e-12 "tunnel barrier unchanged"
     sio2.F.tunnel_fn.Gnrflash_quantum.Fn.phi_b_ev
     hik.F.tunnel_fn.Gnrflash_quantum.Fn.phi_b_ev;

@@ -31,47 +31,11 @@ let test_current_zero_for_reverse () =
   check_close "no reverse current" 0. (Fn.current_density p ~field:(-1e9));
   check_close "zero field" 0. (Fn.current_density p ~field:0.)
 
-let test_eq6_eq7_consistency () =
-  let j7 = Fn.paper_eq7 p ~vfg:9. ~xto:5e-9 in
-  let j6 = Fn.current_from_voltages p ~vfg:9. ~vs:0. ~xto:5e-9 in
-  check_close "eq7 is eq6 with VS=0" j6 j7;
-  let j6' = Fn.current_from_voltages p ~vfg:9. ~vs:0.05 ~xto:5e-9 in
-  check_true "source bias reduces J" (j6' < j6)
-
-let test_eq7_negative_vfg () =
-  check_close "no current for negative drop" 0. (Fn.paper_eq7 p ~vfg:(-1.) ~xto:5e-9)
-
 let test_of_interface () =
   let p' = Fn.of_interface (W.Custom ("paper", 4.1)) O.sio2 in
   check_close ~tol:1e-9 "same barrier as direct construction" p.Fn.a p'.Fn.a;
   check_close ~tol:1e-9 "same B" p.Fn.b p'.Fn.b;
   check_close "phi recorded" 3.2 p'.Fn.phi_b_ev
-
-let test_log10_total_at_nonpositive_field () =
-  (* regression: log10_current used to raise Invalid_argument for
-     field <= 0 while current_density returned 0. — the contract is now
-     total and consistent: J = 0 maps to log10 J = -inf *)
-  check_true "zero field" (Fn.log10_current p ~field:0. = neg_infinity);
-  check_true "negative field" (Fn.log10_current p ~field:(-1.8e9) = neg_infinity)
-
-let test_log10_current () =
-  let field = 1.2e9 in
-  let direct = log10 (Fn.current_density p ~field) in
-  check_close ~tol:1e-9 "log-space agrees" direct (Fn.log10_current p ~field)
-
-let test_log10_underflow_regime () =
-  (* at very low fields J underflows but log10 is still finite *)
-  let l = Fn.log10_current p ~field:2e7 in
-  check_true "finite log" (Float.is_finite l);
-  check_true "deeply negative" (l < -300.)
-
-let test_field_for_current () =
-  let j = Fn.current_density p ~field:1.5e9 in
-  let e = check_ok "invert" (Fn.field_for_current p ~j) in
-  check_close ~tol:1e-6 "roundtrip" 1.5e9 e
-
-let test_field_for_current_invalid () =
-  check_error "j <= 0" (Fn.field_for_current p ~j:0.)
 
 let prop_monotone_in_field =
   prop "J strictly increasing in field"
@@ -88,15 +52,6 @@ let prop_higher_barrier_less_current =
        let e = 1.2e9 in
        Fn.current_density p2 ~field:e < Fn.current_density p1 ~field:e)
 
-let prop_field_inversion_roundtrip =
-  prop "field_for_current inverts current_density" ~count:50
-    QCheck2.Gen.(float_range 8e8 2.2e9)
-    (fun e ->
-       let j = Fn.current_density p ~field:e in
-       match Fn.field_for_current p ~j with
-       | Ok e' -> abs_float (e' -. e) <= 1e-5 *. e
-       | Error _ -> false)
-
 let () =
   Alcotest.run "fn"
     [
@@ -107,16 +62,8 @@ let () =
           case "validation" test_validation;
           case "reference current" test_current_at_reference_field;
           case "polarity handling" test_current_zero_for_reverse;
-          case "eq6/eq7 consistency" test_eq6_eq7_consistency;
-          case "eq7 negative VFG" test_eq7_negative_vfg;
           case "interface-derived params" test_of_interface;
-          case "log-space evaluation" test_log10_current;
-          case "log-space total at E <= 0" test_log10_total_at_nonpositive_field;
-          case "log-space underflow" test_log10_underflow_regime;
-          case "field inversion" test_field_for_current;
-          case "field inversion invalid" test_field_for_current_invalid;
           prop_monotone_in_field;
           prop_higher_barrier_less_current;
-          prop_field_inversion_roundtrip;
         ] );
     ]

@@ -4,38 +4,14 @@ open Gnrflash_testing.Testing
 
 let ev = C.ev
 
-let test_dispersion_linear () =
-  let k = 1e9 in
-  check_close ~tol:1e-12 "E = hbar vF k" (C.hbar *. 1e6 *. k) (G.dispersion k);
-  check_close "doubles with k" (2. *. G.dispersion k) (G.dispersion (2. *. k))
-
-let test_dos_linear () =
-  let e = 0.1 *. ev in
-  check_close "DOS doubles with E" (2. *. G.density_of_states e)
-    (G.density_of_states (2. *. e));
-  check_close "symmetric" (G.density_of_states e) (G.density_of_states (-.e));
-  (* textbook magnitude at 0.1 eV: ~1.47e17 states/eV/m^2 *)
-  check_close ~tol:0.01 "magnitude" 1.47e17 (G.density_of_states e *. ev)
-
 let test_degenerate_density () =
-  (* n(EF) = EF^2/(pi (hbar vF)^2); at 0.2 eV ~ 2.95e16 m^-2 *)
-  let n = G.carrier_density ~ef:(0.2 *. ev) ~t:0. in
-  check_close ~tol:0.01 "n at 0.2 eV" 2.95e16 n
-
-let test_density_sign () =
-  check_true "electrons" (G.carrier_density ~ef:(0.1 *. ev) ~t:0. > 0.);
-  check_true "holes" (G.carrier_density ~ef:(-0.1 *. ev) ~t:0. < 0.);
-  check_close "neutral" 0. (G.carrier_density ~ef:0. ~t:0.)
-
-let test_finite_t_approaches_degenerate () =
-  let ef = 0.3 *. ev in
-  let n0 = G.carrier_density ~ef ~t:0. in
-  let n300 = G.carrier_density ~ef ~t:300. in
-  check_close ~tol:0.05 "near-degenerate" n0 n300
-
-let test_neutrality_finite_t () =
-  check_abs ~tol:1e12 "electron-hole symmetry at Dirac point" 0.
-    (G.carrier_density ~ef:0. ~t:300.)
+  (* n(EF) = EF^2/(pi (hbar vF)^2), ~2.95e16 m^-2 at 0.2 eV: the charge a
+     single-layer floating gate stores while its Fermi level rises by EF *)
+  let monolayer =
+    Gnrflash_materials.Mlgnr.make Gnrflash_materials.Gnr.(make Armchair 12) ~layers:1
+  in
+  let sigma = Gnrflash_materials.Mlgnr.storable_charge monolayer ~ef_max_ev:0.2 in
+  check_close ~tol:0.01 "n at 0.2 eV" 2.95e16 (sigma /. C.q)
 
 let test_quantum_capacitance_degenerate () =
   let ef = 0.2 *. ev in
@@ -52,45 +28,21 @@ let test_quantum_capacitance_large_ef_no_overflow () =
   let cq = G.quantum_capacitance ~ef:(2. *. ev) ~t:300. in
   check_true "finite" (Float.is_finite cq)
 
-let test_fermi_level_inversion () =
-  let n = 5e16 in
-  let ef = G.fermi_level_for_density ~n ~t:300. in
-  let back = G.carrier_density ~ef ~t:300. in
-  check_close ~tol:1e-4 "roundtrip" n back
-
-let test_fermi_level_inversion_holes () =
-  let ef = G.fermi_level_for_density ~n:(-3e16) ~t:300. in
-  check_true "negative EF for holes" (ef < 0.)
-
 let prop_cq_increases_with_ef =
   prop "Cq monotone in |EF|" QCheck2.Gen.(float_range 0.01 0.5) (fun ef_ev ->
       let c1 = G.quantum_capacitance ~ef:(ef_ev *. ev) ~t:300. in
       let c2 = G.quantum_capacitance ~ef:((ef_ev +. 0.05) *. ev) ~t:300. in
       c2 > c1)
 
-let prop_density_odd =
-  prop "n(-EF) = -n(EF) at T=0" QCheck2.Gen.(float_range 0.01 0.6) (fun ef_ev ->
-      let n1 = G.carrier_density ~ef:(ef_ev *. ev) ~t:0. in
-      let n2 = G.carrier_density ~ef:(-.ef_ev *. ev) ~t:0. in
-      abs_float (n1 +. n2) <= 1e-9 *. abs_float n1)
-
 let () =
   Alcotest.run "graphene"
     [
       ( "graphene",
         [
-          case "linear dispersion" test_dispersion_linear;
-          case "linear DOS" test_dos_linear;
           case "degenerate density" test_degenerate_density;
-          case "density sign" test_density_sign;
-          case "finite-T ~ degenerate" test_finite_t_approaches_degenerate;
-          case "neutrality at Dirac point" test_neutrality_finite_t;
           case "Cq degenerate limit" test_quantum_capacitance_degenerate;
           case "Cq thermal floor" test_quantum_capacitance_thermal_floor;
           case "Cq no overflow" test_quantum_capacitance_large_ef_no_overflow;
-          case "EF(n) inversion" test_fermi_level_inversion;
-          case "EF(n) holes" test_fermi_level_inversion_holes;
           prop_cq_increases_with_ef;
-          prop_density_odd;
         ] );
     ]

@@ -8,22 +8,6 @@ let test_make_validation () =
   Alcotest.check_raises "layers" (Invalid_argument "Mlgnr.make: layers < 1") (fun () ->
       ignore (M.make ribbon ~layers:0))
 
-let test_thickness () =
-  let s1 = M.make ribbon ~layers:1 in
-  let s4 = M.make ribbon ~layers:4 in
-  check_close ~tol:1e-9 "monolayer vdW thickness" 0.335e-9 (M.thickness s1);
-  check_close ~tol:1e-9 "4 layers" (0.335e-9 +. (3. *. 0.335e-9)) (M.thickness s4)
-
-let test_custom_interlayer () =
-  let s = M.make ~interlayer:0.4e-9 ribbon ~layers:3 in
-  check_close ~tol:1e-9 "custom spacing" (0.335e-9 +. 0.8e-9) (M.thickness s)
-
-let test_gap_shrinks_with_layers () =
-  let gap n = M.bandgap_ev (M.make ribbon ~layers:n) in
-  check_close "monolayer equals GNR" (G.bandgap_ev ribbon) (gap 1);
-  check_true "bilayer smaller" (gap 2 < gap 1);
-  check_true "5 layers smaller still" (gap 5 < gap 2)
-
 let test_quantum_capacitance_scaling () =
   let cq n = M.quantum_capacitance (M.make ribbon ~layers:n) ~ef_ev:0.2 ~temp:300. in
   check_true "more layers, more Cq" (cq 3 > cq 1);
@@ -62,9 +46,6 @@ let () =
       ( "mlgnr",
         [
           case "constructor validation" test_make_validation;
-          case "thickness" test_thickness;
-          case "custom interlayer" test_custom_interlayer;
-          case "gap shrinks with layers" test_gap_shrinks_with_layers;
           case "quantum capacitance scaling" test_quantum_capacitance_scaling;
           case "storable charge" test_storable_charge;
           case "sheet conductance" test_sheet_conductance;

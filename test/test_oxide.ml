@@ -1,5 +1,6 @@
 module O = Gnrflash_materials.Oxide
-module C = Gnrflash_physics.Constants
+module Cap = Gnrflash_device.Capacitance
+module U = Gnrflash_units
 open Gnrflash_testing.Testing
 
 let test_sio2_parameters () =
@@ -8,48 +9,26 @@ let test_sio2_parameters () =
   check_close "gap" 9.0 O.sio2.O.bandgap;
   check_close "m_ox" 0.42 O.sio2.O.m_ox
 
-let test_high_k_ordering () =
-  check_true "hfo2 higher k" (O.hfo2.O.eps_r > O.sio2.O.eps_r);
-  check_true "al2o3 higher k" (O.al2o3.O.eps_r > O.sio2.O.eps_r);
-  check_true "hfo2 smaller gap" (O.hfo2.O.bandgap < O.sio2.O.bandgap);
-  check_true "hfo2 weaker breakdown" (O.hfo2.O.breakdown_field < O.sio2.O.breakdown_field)
-
-let test_all_physical () =
-  List.iter
-    (fun o ->
-       check_true (o.O.name ^ " eps_r > 1") (o.O.eps_r > 1.);
-       check_true (o.O.name ^ " gap positive") (o.O.bandgap > 0.);
-       check_true (o.O.name ^ " affinity positive") (o.O.electron_affinity > 0.);
-       check_true (o.O.name ^ " mass physical") (o.O.m_ox > 0. && o.O.m_ox < 1.);
-       check_true (o.O.name ^ " breakdown positive") (o.O.breakdown_field > 0.))
-    O.all
-
-let test_by_name () =
-  (match O.by_name "sio2" with
-   | Some o -> Alcotest.(check string) "case-insensitive" "SiO2" o.O.name
-   | None -> Alcotest.fail "SiO2 not found");
-  check_true "unknown" (O.by_name "diamond" = None)
-
-let test_permittivity () =
-  check_close ~tol:1e-9 "absolute permittivity" (3.9 *. C.eps0) (O.permittivity O.sio2)
+(* a unit-area SiO2 film of the given thickness, through the parallel-plate
+   formula the device builds its control-gate capacitance with *)
+let sio2_film thickness =
+  U.to_float
+    (Cap.parallel_plate_q ~eps_r:O.sio2.O.eps_r ~area:(U.square_metre 1.)
+       ~thickness:(U.metre thickness))
 
 let test_capacitance_per_area () =
   (* SiO2 at 10 nm: ~3.45e-3 F/m^2 = 345 nF/cm^2 *)
-  let c = O.capacitance_per_area O.sio2 ~thickness:10e-9 in
-  check_close ~tol:1e-3 "10nm SiO2" 3.4531e-3 c
+  check_close ~tol:1e-3 "10nm SiO2" 3.4531e-3 (sio2_film 10e-9)
 
 let test_capacitance_invalid () =
   Alcotest.check_raises "zero thickness"
-    (Invalid_argument "Oxide.capacitance_per_area: thickness <= 0") (fun () ->
-      ignore (O.capacitance_per_area O.sio2 ~thickness:0.))
+    (Invalid_argument "Capacitance.parallel_plate: thickness <= 0") (fun () ->
+      ignore (sio2_film 0.))
 
 let prop_capacitance_inverse_thickness =
   prop "capacitance halves when thickness doubles"
     QCheck2.Gen.(float_range 1e-9 50e-9)
-    (fun t ->
-       let c1 = O.capacitance_per_area O.sio2 ~thickness:t in
-       let c2 = O.capacitance_per_area O.sio2 ~thickness:(2. *. t) in
-       abs_float ((c1 /. c2) -. 2.) < 1e-9)
+    (fun t -> abs_float ((sio2_film t /. sio2_film (2. *. t)) -. 2.) < 1e-9)
 
 let () =
   Alcotest.run "oxide"
@@ -57,10 +36,6 @@ let () =
       ( "oxide",
         [
           case "SiO2 parameters" test_sio2_parameters;
-          case "high-k ordering" test_high_k_ordering;
-          case "all materials physical" test_all_physical;
-          case "lookup by name" test_by_name;
-          case "absolute permittivity" test_permittivity;
           case "parallel plate" test_capacitance_per_area;
           case "invalid thickness" test_capacitance_invalid;
           prop_capacitance_inverse_thickness;

@@ -67,18 +67,6 @@ let prop_fn_current_density =
       bits (Fn.current_density p ~field)
       = bits (U.to_float (Fn.current_density_q p ~field:(U.v_per_m field))))
 
-let prop_fn_current_from_voltages =
-  prop "Fn.current_from_voltages_q bit-identical"
-    QCheck2.Gen.(triple (float_range (-20.) 20.) (float_range 0. 0.5)
-                   (float_range 1e-9 20e-9))
-    (fun (vfg, vs, xto) ->
-      let p = Fn.coefficients ~phi_b_ev:3.2 ~m_ox_rel:0.42 in
-      bits (Fn.current_from_voltages p ~vfg ~vs ~xto)
-      = bits
-          (U.to_float
-             (Fn.current_from_voltages_q p ~vfg:(U.volt vfg) ~vs:(U.volt vs)
-                ~xto:(U.metre xto))))
-
 let gen_caps =
   QCheck2.Gen.(quad (float_range 1e-19 1e-16) (float_range 1e-19 1e-16)
                  (float_range 1e-19 1e-16) (float_range 1e-19 1e-16))
@@ -157,7 +145,6 @@ let () =
           case "areal crossings" test_areal_crossings;
           prop_fn_coefficients;
           prop_fn_current_density;
-          prop_fn_current_from_voltages;
           prop_capacitance;
           prop_fgt_potentials;
           prop_fgt_charge_balance;

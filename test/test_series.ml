@@ -9,24 +9,6 @@ let test_make_copies () =
   src.(0) <- (99., 99.);
   check_close "input copied" 0. (fst s.S.points.(0))
 
-let test_of_arrays () =
-  let s = S.of_arrays ~label:"a" [| 1.; 2. |] [| 10.; 20. |] in
-  Alcotest.(check int) "length" 2 (Array.length s.S.points);
-  check_close "zip" 20. (snd s.S.points.(1))
-
-let test_of_arrays_mismatch () =
-  Alcotest.check_raises "mismatch" (Invalid_argument "Series.of_arrays: length mismatch")
-    (fun () -> ignore (S.of_arrays ~label:"a" [| 1. |] [| 1.; 2. |]))
-
-let test_of_fn () =
-  let s = S.of_fn ~label:"sq" ~xs:[| 1.; 2.; 3. |] (fun x -> x *. x) in
-  check_close "f(3)" 9. (snd s.S.points.(2))
-
-let test_map_y () =
-  let s = S.map_y (fun y -> y *. 10.) (S.make ~label:"a" pts) in
-  check_close "scaled" 30. (snd s.S.points.(1));
-  check_close "x untouched" 1. (fst s.S.points.(1))
-
 let test_filter () =
   let s = S.filter (fun (_, y) -> y > 1.5) (S.make ~label:"a" pts) in
   Alcotest.(check int) "two survive" 2 (Array.length s.S.points)
@@ -54,10 +36,6 @@ let () =
       ( "series",
         [
           case "make copies input" test_make_copies;
-          case "of_arrays" test_of_arrays;
-          case "of_arrays mismatch" test_of_arrays_mismatch;
-          case "of_fn" test_of_fn;
-          case "map_y" test_map_y;
           case "filter" test_filter;
           case "xs/ys" test_xs_ys;
           case "extent" test_extent;
