@@ -9,11 +9,8 @@ type t = {
 }
 
 let cfc_qty t = U.farad t.cfc
-let cfs_qty t = U.farad t.cfs
-let cfb_qty t = U.farad t.cfb
-let cfd_qty t = U.farad t.cfd
 
-let make_q ~cfc ~cfs ~cfb ~cfd =
+let make ~cfc ~cfs ~cfb ~cfd =
   if U.(cfc <@ zero) || U.(cfs <@ zero) || U.(cfb <@ zero) || U.(cfd <@ zero) then
     invalid_arg "Capacitance.make: negative component";
   if U.(cfc +@ cfs +@ cfb +@ cfd <=@ zero) then
@@ -25,16 +22,16 @@ let make_q ~cfc ~cfs ~cfb ~cfd =
     cfd = U.to_float cfd;
   }
 
-let total_q t = U.(cfc_qty t +@ cfs_qty t +@ cfb_qty t +@ cfd_qty t)
+let total_q t = U.(cfc_qty t +@ farad t.cfs +@ farad t.cfb +@ farad t.cfd)
 let total t = U.to_float (total_q t)
 
 let gcr t = U.ratio (cfc_qty t) (total_q t)
 
-let of_gcr_q ~gcr ~cfc =
+let of_gcr ~gcr ~cfc =
   if gcr <= 0. || gcr > 1. then invalid_arg "Capacitance.of_gcr: gcr out of (0, 1]";
   if U.(cfc <=@ zero) then invalid_arg "Capacitance.of_gcr: cfc <= 0";
   let rest = U.scale ((1. /. gcr) -. 1.) cfc in
-  make_q ~cfc ~cfs:(U.scale 0.25 rest) ~cfb:(U.scale 0.5 rest) ~cfd:(U.scale 0.25 rest)
+  make ~cfc ~cfs:(U.scale 0.25 rest) ~cfb:(U.scale 0.5 rest) ~cfd:(U.scale 0.25 rest)
 
 let parallel_plate_q ~eps_r ~area ~thickness =
   if U.(thickness <=@ zero) then invalid_arg "Capacitance.parallel_plate: thickness <= 0";
@@ -45,18 +42,8 @@ let parallel_plate_q ~eps_r ~area ~thickness =
      name in the per-algebra, so this is a sanctioned boundary computation. *)
   U.farad (C.eps0 *. eps_r *. U.to_float area /. U.to_float thickness)
 
-let with_quantum_capacitance_q t ~cq =
-  if U.(cq <=@ zero) then invalid_arg "Capacitance.with_quantum_capacitance: cq <= 0";
+let with_quantum_capacitance t ~cq =
+  if cq <= 0. then invalid_arg "Capacitance.with_quantum_capacitance: cq <= 0";
   (* series combination cfc·cq/(cfc + cq): the F² intermediate has no name
-     in the per-algebra — computed raw in the historical order. *)
-  let cq = U.to_float cq in
+     in the per-algebra, so this is computed raw. *)
   { t with cfc = t.cfc *. cq /. (t.cfc +. cq) }
-
-let with_quantum_capacitance t ~cq = with_quantum_capacitance_q t ~cq:(U.farad cq)
-
-module For_testing = struct
-  let make ~cfc ~cfs ~cfb ~cfd =
-    make_q ~cfc:(U.farad cfc) ~cfs:(U.farad cfs) ~cfb:(U.farad cfb) ~cfd:(U.farad cfd)
-
-  let of_gcr ~gcr ~cfc = of_gcr_q ~gcr ~cfc:(U.farad cfc)
-end

@@ -84,15 +84,11 @@ let areal_cap ~eps_r ~thickness =
      per-algebra, so this constructor is the sanctioned boundary. *)
   U.f_per_m2 (C.eps0 *. eps_r /. thickness)
 
-let vfg_divider_q stack ~vgs ~vs ~sigma_fg =
+let vfg_divider stack ~vgs ~vs ~sigma_fg =
   let c_co = areal_cap ~eps_r:stack.eps_r_co ~thickness:stack.xco in
   let c_to = areal_cap ~eps_r:stack.eps_r_to ~thickness:stack.xto in
   let num =
-    U.(areal_displacement c_co ~v:vgs +@ areal_displacement c_to ~v:vs +@ sigma_fg)
+    U.(areal_displacement c_co ~v:(volt vgs) +@ areal_displacement c_to ~v:(volt vs)
+       +@ c_per_m2 sigma_fg)
   in
-  U.voltage_across_areal num U.(c_co +@ c_to)
-
-let vfg_divider stack ~vgs ~vs ~sigma_fg =
-  U.to_float
-    (vfg_divider_q stack ~vgs:(U.volt vgs) ~vs:(U.volt vs)
-       ~sigma_fg:(U.c_per_m2 sigma_fg))
+  U.to_float (U.voltage_across_areal num U.(c_co +@ c_to))

@@ -18,7 +18,7 @@ type stack = {
 
 val of_fgt : ?nodes_per_layer:int -> Fgt.t -> stack
 (** Extract the stack geometry from a device (both oxides share the
-    device's tunnel-oxide permittivity, as in {!Fgt.make_q}). *)
+    device's tunnel-oxide permittivity, as in {!Fgt.make}). *)
 
 type solution = {
   x : float array;        (** node positions, 0 at the control gate [m] *)
@@ -33,17 +33,9 @@ val solve :
 (** Solve Poisson with floating-gate sheet-charge density [sigma_fg]
     [C/m²]. Fails only on a degenerate discretization. *)
 
-val vfg_divider_q :
-  stack ->
-  vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  vs:Gnrflash_units.volt Gnrflash_units.qty ->
-  sigma_fg:Gnrflash_units.c_per_m2 Gnrflash_units.qty ->
-  Gnrflash_units.volt Gnrflash_units.qty
-(** The closed-form series-capacitor solution of the same problem:
-    [VFG = (C_co·VGS + C_to·VS + σ_FG) / (C_co + C_to)] — the equation-(3)
-    model restricted to the two plate capacitances, with the areal
-    charge/capacitance algebra checked ([F/m²·V = C/m²],
-    [C/m² ÷ F/m² = V]). Used to validate {!solve}. *)
-
 val vfg_divider : stack -> vgs:float -> vs:float -> sigma_fg:float -> float
-(** Raw shim over {!vfg_divider_q}. *)
+(** The closed-form series-capacitor solution of the same problem:
+    [VFG = (C_co·VGS + C_to·VS + σ_FG) / (C_co + C_to)] [V] — the
+    equation-(3) model restricted to the two plate capacitances, with the
+    areal charge/capacitance algebra checked inside ([F/m²·V = C/m²],
+    [C/m² ÷ F/m² = V]). Used to validate {!solve}. *)

@@ -18,12 +18,7 @@ type t = {
    SiO2's 0.9 eV affinity reproduces that barrier. *)
 let paper_electrode = Wf.Custom ("paper-default", 4.1)
 
-let area_qty t = U.square_metre t.area
-let xto_qty t = U.metre t.xto
-let xco_qty t = U.metre t.xco
-let vs_qty t = U.volt t.vs
-
-let make_q ?(vs = U.volt 0.) ?(control_oxide = Oxide.sio2) ~gcr ~xto ~xco
+let make ?(vs = U.volt 0.) ?(control_oxide = Oxide.sio2) ~gcr ~xto ~xco
     ~(area : U.m2 U.qty) () =
   if U.(xto <=@ zero) || U.(xco <=@ zero) then
     invalid_arg "Fgt.make: non-positive oxide thickness";
@@ -35,7 +30,7 @@ let make_q ?(vs = U.volt 0.) ?(control_oxide = Oxide.sio2) ~gcr ~xto ~xco
   let cfc =
     Capacitance.parallel_plate_q ~eps_r:control_oxide.Oxide.eps_r ~area ~thickness:xco
   in
-  let caps = Capacitance.of_gcr_q ~gcr ~cfc in
+  let caps = Capacitance.of_gcr ~gcr ~cfc in
   {
     caps;
     area = U.to_float area;
@@ -46,16 +41,12 @@ let make_q ?(vs = U.volt 0.) ?(control_oxide = Oxide.sio2) ~gcr ~xto ~xco
     vs = U.to_float vs;
   }
 
-let make ?(vs = 0.) ?control_oxide ~gcr ~xto ~xco ~area () =
-  make_q ~vs:(U.volt vs) ?control_oxide ~gcr
-    ~xto:(U.metre xto) ~xco:(U.metre xco) ~area:(U.square_metre area) ()
-
 let paper_default =
-  make_q ~gcr:0.6 ~xto:(U.metre 5e-9) ~xco:(U.metre 10e-9)
+  make ~gcr:0.6 ~xto:(U.metre 5e-9) ~xco:(U.metre 10e-9)
     ~area:(U.area (U.metre 32e-9) (U.metre 32e-9)) ()
 
 let with_gcr t g =
-  let caps = Capacitance.of_gcr_q ~gcr:g ~cfc:(Capacitance.cfc_qty t.caps) in
+  let caps = Capacitance.of_gcr ~gcr:g ~cfc:(Capacitance.cfc_qty t.caps) in
   { t with caps }
 
 let with_xto t xto =
@@ -64,67 +55,71 @@ let with_xto t xto =
 
 let gcr t = Capacitance.gcr t.caps
 let ct t = Capacitance.total t.caps
-let ct_qty t = Capacitance.total_q t.caps
 
-let vfg_q t ~vgs ~qfg = U.(scale (gcr t) vgs +@ (qfg //@ ct_qty t))
+(* The unit-typed bodies of eqs (1), (3), (6) and (7). [Capacitance.total]
+   and [Fn.current_density] are raw floats; [ct_q] and [fn_density] are
+   where they cross into the typed world. *)
+let ct_q t = U.farad (ct t)
 
-let vfg t ~vgs ~qfg = U.to_float (vfg_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
+let fn_density p field = U.a_per_m2 (Fn.current_density p ~field:(U.to_float field))
 
-let tunnel_field_q t ~vgs ~qfg = U.((vfg_q t ~vgs ~qfg -@ vs_qty t) /@ xto_qty t)
+let vfg_q t ~vgs ~qfg = U.(scale (gcr t) vgs +@ (qfg //@ ct_q t))
 
-let tunnel_field t ~vgs ~qfg =
-  U.to_float (tunnel_field_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
+let tunnel_field_at t vfg = U.((vfg -@ volt t.vs) /@ metre t.xto)
 
-let control_field_q t ~vgs ~qfg = U.((vgs -@ vfg_q t ~vgs ~qfg) /@ xco_qty t)
+let control_field_at t ~vgs vfg = U.((vgs -@ vfg) /@ metre t.xco)
 
-let control_field t ~vgs ~qfg =
-  U.to_float (control_field_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
-
-let j_in_q t ~vgs ~qfg =
-  let et = tunnel_field_q t ~vgs ~qfg in
-  let ec = control_field_q t ~vgs ~qfg in
+(* Both FN paths at floating-gate potential [vfg]: injection through the
+   tunnel oxide plus from the control gate, extraction to the control gate
+   plus back to the channel, each only for a field of its polarity. *)
+let j_in_at t ~vgs vfg =
+  let et = tunnel_field_at t vfg in
+  let ec = control_field_at t ~vgs vfg in
   let from_channel =
-    if U.(et >@ zero) then Fn.current_density_q t.tunnel_fn ~field:et else U.a_per_m2 0.
+    if U.(et >@ zero) then fn_density t.tunnel_fn et else U.a_per_m2 0.
   in
   let from_gate =
-    if U.(ec <@ zero) then Fn.current_density_q t.control_fn ~field:(U.neg ec)
-    else U.a_per_m2 0.
+    if U.(ec <@ zero) then fn_density t.control_fn (U.neg ec) else U.a_per_m2 0.
   in
   U.(from_channel +@ from_gate)
 
-let j_in t ~vgs ~qfg = U.to_float (j_in_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
-
-let j_out_q t ~vgs ~qfg =
-  let et = tunnel_field_q t ~vgs ~qfg in
-  let ec = control_field_q t ~vgs ~qfg in
-  let to_gate =
-    if U.(ec >@ zero) then Fn.current_density_q t.control_fn ~field:ec else U.a_per_m2 0.
-  in
+let j_out_at t ~vgs vfg =
+  let et = tunnel_field_at t vfg in
+  let ec = control_field_at t ~vgs vfg in
+  let to_gate = if U.(ec >@ zero) then fn_density t.control_fn ec else U.a_per_m2 0. in
   let to_channel =
-    if U.(et <@ zero) then Fn.current_density_q t.tunnel_fn ~field:(U.neg et)
-    else U.a_per_m2 0.
+    if U.(et <@ zero) then fn_density t.tunnel_fn (U.neg et) else U.a_per_m2 0.
   in
   U.(to_gate +@ to_channel)
 
-let j_out t ~vgs ~qfg = U.to_float (j_out_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
+let vfg t ~vgs ~qfg = U.to_float (vfg_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
 
-let dqfg_dt_q t ~vgs ~qfg =
-  U.neg U.((j_in_q t ~vgs ~qfg -@ j_out_q t ~vgs ~qfg) *@ area_qty t)
+let tunnel_field t ~vgs ~qfg =
+  U.to_float (tunnel_field_at t (vfg_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg)))
 
-let dqfg_dt t ~vgs ~qfg = U.to_float (dqfg_dt_q t ~vgs:(U.volt vgs) ~qfg:(U.coulomb qfg))
+let j_in t ~vgs ~qfg =
+  let vgs = U.volt vgs in
+  U.to_float (j_in_at t ~vgs (vfg_q t ~vgs ~qfg:(U.coulomb qfg)))
 
-let threshold_shift_q t ~qfg = U.(neg qfg //@ Capacitance.cfc_qty t.caps)
+let j_out t ~vgs ~qfg =
+  let vgs = U.volt vgs in
+  U.to_float (j_out_at t ~vgs (vfg_q t ~vgs ~qfg:(U.coulomb qfg)))
 
-let threshold_shift t ~qfg = U.to_float (threshold_shift_q t ~qfg:(U.coulomb qfg))
+let charging_rate t ~vgs ~vfg =
+  let vgs = U.volt vgs and vfg = U.volt vfg in
+  U.to_float
+    (U.neg U.((j_in_at t ~vgs vfg -@ j_out_at t ~vgs vfg) *@ square_metre t.area))
 
-let qfg_for_threshold_shift_q t ~dvt = U.(Capacitance.cfc_qty t.caps *@ neg dvt)
+let threshold_shift t ~qfg =
+  U.to_float U.(neg (coulomb qfg) //@ Capacitance.cfc_qty t.caps)
 
 let qfg_for_threshold_shift t ~dvt =
-  U.to_float (qfg_for_threshold_shift_q t ~dvt:(U.volt dvt))
+  U.to_float U.(Capacitance.cfc_qty t.caps *@ neg (volt dvt))
 
 module For_testing = struct
-  let make = make
-  let control_field = control_field
-  let dqfg_dt_q = dqfg_dt_q
-  let dqfg_dt = dqfg_dt
+  let control_field t ~vgs ~qfg =
+    let vgs = U.volt vgs in
+    U.to_float (control_field_at t ~vgs (vfg_q t ~vgs ~qfg:(U.coulomb qfg)))
+
+  let dqfg_dt t ~vgs ~qfg = charging_rate t ~vgs ~vfg:(vfg t ~vgs ~qfg)
 end

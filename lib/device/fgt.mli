@@ -7,10 +7,11 @@
     the FG, [j_out] electron extraction, both non-negative current
     densities [A/m²].
 
-    The [_q] functions are the unit-typed primaries over
-    {!Gnrflash_units} quantities (volts, metres, m², coulombs, A/m², A);
-    the raw-float API is a thin bit-identical shim kept for the
-    figure/CLI/test boundary. *)
+    Each quantity has one exported name. {!make} takes typed
+    {!Gnrflash_units} lengths and an area; the physics takes and returns
+    raw floats, but its bodies are written over typed volts, metres,
+    coulombs and A/m² inside this module, so every formula is
+    dimension-checked. *)
 
 type t = {
   caps : Capacitance.t;     (** the equation-(2) network *)
@@ -24,7 +25,7 @@ type t = {
   vs : float;               (** source bias during operations [V], usually 0 *)
 }
 
-val make_q :
+val make :
   ?vs:Gnrflash_units.volt Gnrflash_units.qty ->
   ?control_oxide:Gnrflash_materials.Oxide.t ->
   gcr:float ->
@@ -42,7 +43,7 @@ val make_q :
     the [cfc] parallel-plate permittivity come from it, so a high-k
     blocking dielectric changes [j_out] without touching the channel-side
     [j_in]. [gcr] fixes the capacitance network via
-    {!Capacitance.of_gcr_q} with [cfc] from the control-oxide parallel
+    {!Capacitance.of_gcr} with [cfc] from the control-oxide parallel
     plate. @raise Invalid_argument for non-physical geometry. *)
 
 val paper_default : t
@@ -60,48 +61,6 @@ val gcr : t -> float
 
 val ct : t -> float
 (** Total capacitance CT [F]. *)
-
-val ct_qty : t -> Gnrflash_units.farad Gnrflash_units.qty
-(** Typed total capacitance. *)
-
-val xto_qty : t -> Gnrflash_units.metre Gnrflash_units.qty
-val xco_qty : t -> Gnrflash_units.metre Gnrflash_units.qty
-val vs_qty : t -> Gnrflash_units.volt Gnrflash_units.qty
-
-val vfg_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.volt Gnrflash_units.qty
-(** Paper equation (3), typed: [VFG = GCR·VGS + QFG/CT] — the charge/total-
-    capacitance division is the checked [coulomb //@ farad = volt]. *)
-
-val tunnel_field_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.v_per_m Gnrflash_units.qty
-
-val control_field_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.v_per_m Gnrflash_units.qty
-
-val j_in_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.a_per_m2 Gnrflash_units.qty
-
-val j_out_q :
-  t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-  qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.a_per_m2 Gnrflash_units.qty
-
-val threshold_shift_q :
-  t -> qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-  Gnrflash_units.volt Gnrflash_units.qty
-
-val qfg_for_threshold_shift_q :
-  t -> dvt:Gnrflash_units.volt Gnrflash_units.qty ->
-  Gnrflash_units.coulomb Gnrflash_units.qty
 
 val vfg : t -> vgs:float -> qfg:float -> float
 (** Paper equation (3): [VFG = GCR·VGS + QFG/CT]. *)
@@ -127,28 +86,21 @@ val threshold_shift : t -> qfg:float -> float
 val qfg_for_threshold_shift : t -> dvt:float -> float
 (** Inverse of {!threshold_shift}. *)
 
-(** The raw-float constructor and the unit-typed per-call physics that the
-    fused {!Gnrflash_device.Transient} kernel is checked against bit for
-    bit. *)
-module For_testing : sig
-  val make :
-    ?vs:float ->
-    ?control_oxide:Gnrflash_materials.Oxide.t ->
-    gcr:float -> xto:float -> xco:float -> area:float -> unit -> t
-  (** Raw-float shim over {!make_q}: thicknesses in metres, area in m². *)
+val charging_rate : t -> vgs:float -> vfg:float -> float
+(** Net charging rate [C/s] with the floating gate at potential [vfg]:
+    [−area·(Jin − Jout)] (eqs (6)–(7)), both oxide fields taken from
+    [vfg]. At [vfg = vfg t ~vgs ~qfg] it is the transient's [dQFG/dt];
+    {!Qcap} passes a band-filling-corrected potential instead. *)
 
+(** The per-call physics that the fused {!Gnrflash_device.Transient}
+    kernel is checked against bit for bit. *)
+module For_testing : sig
   val control_field : t -> vgs:float -> qfg:float -> float
   (** Signed field across the control oxide, [(VGS − VFG)/XCO]; positive
       drives electrons from the FG toward the control gate. *)
 
-  val dqfg_dt_q :
-    t -> vgs:Gnrflash_units.volt Gnrflash_units.qty ->
-    qfg:Gnrflash_units.coulomb Gnrflash_units.qty ->
-    Gnrflash_units.ampere Gnrflash_units.qty
-  (** Net charging rate as a typed current (C/s):
-      [−(j_in − j_out)·area] with the checked [a_per_m2 *@ m2 = ampere]. *)
-
   val dqfg_dt : t -> vgs:float -> qfg:float -> float
-  (** Net charging rate [C/s]: [−area·(j_in − j_out)] (electron influx makes
-      the stored charge more negative). *)
+  (** Net charging rate [C/s] at charge [qfg]: {!charging_rate} at the
+      eq-(3) potential (electron influx makes the stored charge more
+      negative). *)
 end

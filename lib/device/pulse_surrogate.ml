@@ -29,7 +29,7 @@ let paper_box =
     duration_max = 1e-1;
   }
 
-(* GCR round-trips through Capacitance.of_gcr_q (a handful of ulps); XTO is a
+(* GCR round-trips through Capacitance.of_gcr (a handful of ulps); XTO is a
    stored float compared against literals. Tiny absolute slacks keep a
    device *constructed at* a box corner inside the box. *)
 let gcr_slack = 1e-9

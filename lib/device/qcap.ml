@@ -50,26 +50,8 @@ type result = {
 let run ?(stack = default_stack ()) t ~vgs ~duration =
   if duration <= 0. then Error "Qcap.run: duration <= 0"
   else begin
-    let j_net qfg =
-      let vfg = vfg_effective t ~stack ~vgs ~qfg in
-      let et = (vfg -. t.Fgt.vs) /. t.Fgt.xto in
-      let ec = (vgs -. vfg) /. t.Fgt.xco in
-      let j_in =
-        (if et > 0. then Gnrflash_quantum.Fn.current_density t.Fgt.tunnel_fn ~field:et
-         else 0.)
-        +. (if ec < 0. then
-              Gnrflash_quantum.Fn.current_density t.Fgt.control_fn ~field:(-.ec)
-            else 0.)
-      in
-      let j_out =
-        (if ec > 0. then Gnrflash_quantum.Fn.current_density t.Fgt.control_fn ~field:ec
-         else 0.)
-        +. (if et < 0. then
-              Gnrflash_quantum.Fn.current_density t.Fgt.tunnel_fn ~field:(-.et)
-            else 0.)
-      in
-      -.t.Fgt.area *. (j_in -. j_out)
-    in
+    (* dQFG/dt through both FN paths, at the band-filling-corrected VFG *)
+    let j_net qfg = Fgt.charging_rate t ~vgs ~vfg:(vfg_effective t ~stack ~vgs ~qfg) in
     (* Integrate with damped steps until either the time budget runs out or
        the charge is within 0.1% of the fixed point; then snap to the fixed
        point found by root finding (the charge balance is monotone in q, so
@@ -77,9 +59,8 @@ let run ?(stack = default_stack ()) t ~vgs ~duration =
     let q_scale = Fgt.ct t *. (1. +. abs_float vgs) in
     let q_star =
       Tel.span "qcap/equilibrium" @@ fun () ->
-      let g q = j_net q in
       let bound = -.1.2 *. q_scale in
-      match Roots.brent g (if vgs >= 0. then bound else 0.)
+      match Roots.brent j_net (if vgs >= 0. then bound else 0.)
               (if vgs >= 0. then 0. else -.bound) with
       | Ok q -> q
       | Error e ->

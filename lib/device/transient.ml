@@ -1,5 +1,4 @@
 module Ode = Gnrflash_numerics.Ode
-module U = Gnrflash_units
 module Fn = Gnrflash_quantum.Fn
 module Roots = Gnrflash_numerics.Roots
 module Tel = Gnrflash_telemetry.Telemetry
@@ -33,10 +32,10 @@ type result = {
 (* The fused FN rate kernel of one solve. The device constants are hoisted
    out of [Fgt] once, [rates] computes the oxide fields once and both current
    densities from them, and the results land in the record's mutable float
-   fields, so an evaluation allocates nothing. Every expression repeats
-   [Fgt.vfg_q], [Fgt.j_in_q], [Fgt.j_out_q] and [Fgt.dqfg_dt_q] operation for
-   operation (and [Fn.current_density_q] per interface), so its values are
-   bit-identical to the unit-typed path. *)
+   fields, so an evaluation allocates nothing. Every expression repeats the
+   unit-typed bodies of [Fgt.vfg], [Fgt.j_in], [Fgt.j_out] and
+   [Fgt.charging_rate] operation for operation (and [Fn.current_density]
+   per interface), so its values are bit-identical to theirs. *)
 type kernel = {
   vgs : float;
   gcr : float;
@@ -72,7 +71,7 @@ let kernel (t : Fgt.t) ~vgs =
     j_out = 0.;
   }
 
-(* [Fn.current_density_q]: A·E²·exp(−B/E), zero for a non-positive field *)
+(* [Fn.current_density]: A·E²·exp(−B/E), zero for a non-positive field *)
 let[@inline] fn_density a b field =
   if field <= 0. then 0. else exp (-.(b /. field)) *. (a *. field *. field)
 
@@ -205,9 +204,9 @@ let pulse ?(qfg0 = 0.) ?h0 t ~vgs ~duration =
 let saturation_charge t ~vgs =
   Tel.span "transient/saturation_charge" @@ fun () ->
   Tel.count "transient/fixed_point_solve";
-  (* Jin − Jout through the fused kernel: bit-identical to the unit-typed
-     [Fgt.j_in_q −@ Fgt.j_out_q], without a boxed float per
-     cross-module call *)
+  (* Jin − Jout through the fused kernel: bit-identical to
+     [Fgt.j_in −. Fgt.j_out], without a boxed float per cross-module
+     call *)
   let k = kernel t ~vgs in
   let f q =
     rates k q;
@@ -242,7 +241,7 @@ let time_to_threshold_shift ?(qfg0 = 0.) t ~vgs ~dvt ~max_time =
   else
     Tel.span "transient/time_to_threshold_shift" @@ fun () -> begin
     Tel.count "transient/ttts_solve";
-    let q_target = U.to_float (Fgt.qfg_for_threshold_shift_q t ~dvt:(U.volt dvt)) in
+    let q_target = Fgt.qfg_for_threshold_shift t ~dvt in
     let k = kernel t ~vgs in
     let sign = if dvt >= 0. then 1. else -1. in
     let io = Ode.io () in

@@ -19,9 +19,9 @@
     integrator through {!Gnrflash_numerics.Ode.integrate}'s unboxed
     protocol, so no RHS or event evaluation boxes a float. The kernel serves the ODE
     right-hand side, the saturation event and every {!sample}. Its
-    expressions are those of [Fgt.vfg_q], [Fgt.j_in_q], [Fgt.j_out_q] and
-    [Fgt.dqfg_dt_q] operation for operation, so every value it returns is
-    bit-identical to the unit-typed [Fgt] path ([test/test_transient.ml]
+    expressions are those of the unit-typed bodies of [Fgt.vfg], [Fgt.j_in],
+    [Fgt.j_out] and [Fgt.charging_rate] operation for operation, so every
+    value it returns is bit-identical to the [Fgt] path ([test/test_transient.ml]
     checks this by [Int64.bits_of_float] against an integration through
     [Fgt.dqfg_dt], [Fgt.j_in], [Fgt.j_out] and [Fgt.vfg]). Only the
     integrator's RHS calls count as [ode/rhs_eval]; the cold-start [h0]

@@ -1,10 +1,8 @@
 (** Gate-dielectric materials. All energies in eV, fields in V/m. *)
 
 type t = {
-  name : string;
   eps_r : float;              (** relative permittivity *)
   electron_affinity : float;  (** χ, eV below vacuum of the conduction band *)
-  bandgap : float;            (** eV *)
   m_ox : float;               (** effective tunneling electron mass, units of m0 *)
   breakdown_field : float;    (** intrinsic breakdown field, V/m *)
 }

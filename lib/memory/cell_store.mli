@@ -17,8 +17,8 @@
     default level is one byte load per cell.
 
     Bit-identity contract: every update applies exactly the float
-    expressions of {!Cell.apply_bias_pulse} /
-    {!Gnrflash_device.Reliability.after_pulse} (memoized per distinct
+    expressions of {!Cell.program} / {!Cell.erase}, a bias pulse and its
+    {!Gnrflash_device.Reliability.after_pulse} wear (memoized per distinct
     starting charge once {!Gnrflash_device.Program_erase.memoizable}
     allows it), so charges, wear and digests stay Int64-bit-identical to
     the seed record-based path. The side-by-side qcheck property in

@@ -75,13 +75,15 @@ let cycle_cell ?(reliability = D.Reliability.default)
   { samples = List.rev !samples; cycles_survived = !survived; failure = !failure }
 
 let predicted_endurance ?(reliability = D.Reliability.default) device ~vgs =
-  match D.Transient.saturation_charge device ~vgs with
-  | Error e ->
+  let sat vgs = D.Transient.saturation_charge device ~vgs in
+  match (sat vgs, sat (-.vgs)) with
+  | Error e, _ | _, Error e ->
     Tel.count ("endurance/saturation_fallback/" ^ Err.label e);
     0.
-  | Ok q_sat ->
-    let per_cycle = 2. *. abs_float q_sat in
-    (* program + erase both stress the tunnel oxide *)
+  | Ok q_prog, Ok q_erase ->
+    (* a saturated cycle swings the charge from one saturation charge to
+       the other and back, and both pulses stress the tunnel oxide *)
+    let per_cycle = 2. *. abs_float (q_prog -. q_erase) in
     let field = abs_float (D.Fgt.tunnel_field device ~vgs ~qfg:0.) in
     D.Reliability.endurance_cycles reliability ~charge_per_cycle:per_cycle
       ~area:device.D.Fgt.area ~field

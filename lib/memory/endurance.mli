@@ -45,11 +45,9 @@ val predicted_endurance :
   ?reliability:Gnrflash_device.Reliability.model ->
   Gnrflash_device.Fgt.t -> vgs:float -> float
 (** Closed-form endurance estimate: the charge-to-breakdown at the tunnel
-    field of an uncharged gate at [vgs], divided by a per-cycle fluence of
-    [2·|q_sat|] (one saturation charge per pulse, as from an uncharged
-    gate). A {!cycle_cell} run with saturating pulses swings the charge
-    between the two saturation charges, [|q_sat(vgs) − q_sat(−vgs)|] per
-    pulse, so its oxide breaks after the estimate times
-    [|q_sat| / |q_sat(vgs) − q_sat(−vgs)|] cycles: half the estimate for
-    the symmetric paper stack. [test/test_endurance.ml] checks that
-    relation against a simulated breakdown to 1% and one cycle. *)
+    field of an uncharged gate at [vgs], divided by the per-cycle fluence
+    [2·|q_sat(vgs) − q_sat(−vgs)|] of a cycle whose pulses saturate (each
+    swings the charge from one saturation charge to the other), as in a
+    {!cycle_cell} run. [test/test_endurance.ml] checks it against a
+    simulated breakdown to 1% and one cycle. [0.] when either saturation
+    charge cannot be found. *)

@@ -10,6 +10,7 @@ module S = Gnrflash_memory.Cell_store
 module Cell = Gnrflash_memory.Cell
 module W = Gnrflash_memory.Workload
 module F = Gnrflash_device.Fgt
+module U = Gnrflash_units
 module PE = Gnrflash_device.Program_erase
 module Rel = Gnrflash_device.Reliability
 module C = Gnrflash_memory.Command_fsm
@@ -18,7 +19,8 @@ module Tel = Gnrflash_telemetry.Telemetry
 open Gnrflash_testing.Testing
 
 let fresh_device () =
-  F.For_testing.make ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
+  F.make ~gcr:0.6 ~xto:(U.metre 5e-9) ~xco:(U.metre 10e-9)
+    ~area:(U.square_metre (32e-9 *. 32e-9)) ()
 
 let bits = Int64.bits_of_float
 let same_f a b = Int64.equal (bits a) (bits b)

@@ -72,14 +72,13 @@ let test_predicted_endurance () =
 (* The closed form against the simulation it summarises. With Q_BD a
    tenth of the default, the paper cell cycled by the default 1 ms, +-15 V
    pulses breaks its oxide after several hundred cycles, with its 13 V
-   window still open. The closed form makes two approximations, and each
-   maps to a factor the test computes:
-   - charge: it counts |q_sat| per pulse, while a saturating pulse swings
-     the charge between the two saturation charges;
+   window still open. The closed form charges each pulse the swing
+   between the two saturation charges, as the simulation does, and makes
+   one approximation, which maps to a factor the test computes:
    - field: it reads Q_BD at the tunnel field of an uncharged gate, while
      a pulse is charged at the field of its midpoint charge.
-   Neither covers pulses that stop short of saturation or a breakdown that
-   lands at pulse granularity: 1% and one cycle. *)
+   It does not cover pulses that stop short of saturation or a breakdown
+   that lands at pulse granularity: 1% and one cycle. *)
 let test_predicted_vs_breakdown () =
   let reliability = { Rel.default with Rel.qbd0 = Rel.default.Rel.qbd0 *. 0.1 } in
   let vgs = 15. in
@@ -89,11 +88,10 @@ let test_predicted_vs_breakdown () =
     check_sok "saturation charge" (Gnrflash_device.Transient.saturation_charge t ~vgs:v)
   in
   let q_prog = sat vgs and q_erase = sat (-.vgs) in
-  let charge = abs_float q_prog /. abs_float (q_prog -. q_erase) in
   let qbd_at v q = Rel.qbd reliability ~field:(abs_float (F.tunnel_field t ~vgs:v ~qfg:q)) in
   let q_mid = 0.5 *. (q_prog +. q_erase) in
   let field v = qbd_at v q_mid /. qbd_at vgs 0. in
-  let expected = E.predicted_endurance ~reliability t ~vgs *. charge in
+  let expected = E.predicted_endurance ~reliability t ~vgs in
   let lo = expected *. Float.min (field vgs) (field (-.vgs))
   and hi = expected *. Float.max (field vgs) (field (-.vgs)) in
   check_in "cycles to breakdown" ~lo:((0.99 *. lo) -. 1.) ~hi:((1.01 *. hi) +. 1.)

@@ -1,5 +1,6 @@
 module F = Gnrflash_device.Fgt
 module Cap = Gnrflash_device.Capacitance
+module U = Gnrflash_units
 open Gnrflash_testing.Testing
 
 let t = F.paper_default
@@ -65,10 +66,15 @@ let test_with_xto () =
 let test_make_validation () =
   Alcotest.check_raises "control thinner than tunnel"
     (Invalid_argument "Fgt.make: control oxide thinner than tunnel oxide") (fun () ->
-      ignore (F.For_testing.make ~gcr:0.6 ~xto:10e-9 ~xco:5e-9 ~area:1e-15 ()))
+      ignore
+        (F.make ~gcr:0.6 ~xto:(U.metre 10e-9) ~xco:(U.metre 5e-9)
+           ~area:(U.square_metre 1e-15) ()))
 
 let test_source_bias () =
-  let t2 = F.For_testing.make ~vs:0.05 ~gcr:0.6 ~xto:5e-9 ~xco:10e-9 ~area:1e-15 () in
+  let t2 =
+    F.make ~vs:(U.volt 0.05) ~gcr:0.6 ~xto:(U.metre 5e-9) ~xco:(U.metre 10e-9)
+      ~area:(U.square_metre 1e-15) ()
+  in
   check_true "source bias lowers tunnel field"
     (F.tunnel_field t2 ~vgs:15. ~qfg:0. < F.tunnel_field t ~vgs:15. ~qfg:0.)
 
@@ -115,6 +121,28 @@ let prop_fn_currents_match_paper_equations =
          let j_out = fn d.F.control_fn e_c +. fn d.F.tunnel_fn (-.e_t) in
          close (F.j_in d ~vgs ~qfg) j_in && close (F.j_out d ~vgs ~qfg) j_out)
 
+(* [charging_rate] at the eq-(3) potential is the transient's dQFG/dt, bit
+   for bit: [For_testing.dqfg_dt], the per-call rate the fused [Transient]
+   kernel is checked against, and [−(Jin − Jout)·area] from the exported
+   currents. [Qcap] calls the same export at its band-filling-corrected
+   potential. Over the paper's box in both polarities, with the stored
+   charge within ±1.5·CT·|VGS|. *)
+let prop_charging_rate_at_vfg =
+  let bits = Int64.bits_of_float in
+  prop "charging_rate at the eq (3) VFG is dQFG/dt" ~count:200
+    QCheck2.Gen.(
+      pair
+        (triple (float_range 8. 17.) bool (float_range 0.45 0.60))
+        (pair (float_range 5e-9 9e-9) (float_range (-1.5) 1.5)))
+    (fun ((vmag, program, gcr), (xto, frac)) ->
+       let vgs = if program then vmag else -.vmag in
+       let d = F.with_gcr (F.with_xto t xto) gcr in
+       let qfg = frac *. F.ct d *. vmag in
+       let rate = F.charging_rate d ~vgs ~vfg:(F.vfg d ~vgs ~qfg) in
+       bits rate = bits (F.For_testing.dqfg_dt d ~vgs ~qfg)
+       && bits rate
+          = bits (-.((F.j_in d ~vgs ~qfg -. F.j_out d ~vgs ~qfg) *. d.F.area)))
+
 let test_control_oxide_decoupled () =
   (* regression: the control-gate stack must come from the control oxide.
      Same geometry with a high-k Al2O3 blocking dielectric: at (vgs, qfg=0)
@@ -124,15 +152,14 @@ let test_control_oxide_decoupled () =
   let geometry = (0.6, 5e-9, 10e-9, 32e-9 *. 32e-9) in
   let build ?control_oxide () =
     let gcr, xto, xco, area = geometry in
-    F.For_testing.make ?control_oxide ~gcr ~xto ~xco ~area ()
+    F.make ?control_oxide ~gcr ~xto:(U.metre xto) ~xco:(U.metre xco)
+      ~area:(U.square_metre area) ()
   in
   let sio2 = build () in
   let al2o3 =
     {
-      Gnrflash_materials.Oxide.name = "Al2O3";
-      eps_r = 9.0;
+      Gnrflash_materials.Oxide.eps_r = 9.0;
       electron_affinity = 1.4;
-      bandgap = 8.8;
       m_ox = 0.3;
       breakdown_field = 7.0e8;
     }
@@ -186,5 +213,6 @@ let () =
           prop_vfg_linear_in_vgs;
           prop_currents_nonnegative;
           prop_fn_currents_match_paper_equations;
+          prop_charging_rate_at_vfg;
         ] );
     ]

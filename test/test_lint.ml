@@ -237,19 +237,19 @@ let test_matched_names_exist () =
       | _ -> Alcotest.failf "%s: expected Library.Module.value" name)
     E.matched_names
 
+let rec sources dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun e ->
+         let p = Filename.concat dir e in
+         if Sys.is_directory p then if e.[0] = '.' then [] else sources p
+         else if Filename.check_suffix e ".ml" || Filename.check_suffix e ".mli" then [ p ]
+         else [])
+
 (* Telemetry's per-domain sink is the one piece of ambient state in lib/:
    anything else a solve depends on (a fault plan, a cache keyed by record
    identity) is passed explicitly, so no other source may name
    [Domain.DLS]. *)
 let test_no_ambient_dls () =
-  let rec sources dir =
-    Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.concat_map (fun e ->
-           let p = Filename.concat dir e in
-           if Sys.is_directory p then if e.[0] = '.' then [] else sources p
-           else if Filename.check_suffix e ".ml" || Filename.check_suffix e ".mli" then [ p ]
-           else [])
-  in
   let lib = Filename.concat root "lib" in
   let telemetry = Filename.concat lib "core/telemetry/" in
   let files = sources lib in
@@ -261,6 +261,42 @@ let test_no_ambient_dls () =
          (not (String.starts_with ~prefix:telemetry p))
          && contains (In_channel.with_open_bin p In_channel.input_all) "Domain.DLS")
        files)
+
+(* One exported name per quantity: no lib/ interface may declare both
+   [val x] and a unit-typed twin [val x_q] or [val x_qty], For_testing
+   included. A formula's typed body stays private to its module. *)
+let val_names text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | "val" :: name :: _ -> Some (List.hd (String.split_on_char ':' name))
+         | _ -> None)
+
+let typed_twins names =
+  List.concat_map
+    (fun x ->
+      List.filter_map
+        (fun twin -> if List.mem twin names then Some (x ^ "/" ^ twin) else None)
+        [ x ^ "_q"; x ^ "_qty" ])
+    names
+
+let test_no_typed_twins () =
+  check_true "a twin is caught"
+    (typed_twins (val_names "val vfg : t\nmodule For_testing : sig\n  val vfg_q: t\nend")
+     = [ "vfg/vfg_q" ]);
+  let lib = Filename.concat root "lib" in
+  let mlis = List.filter (fun p -> Filename.check_suffix p ".mli") (sources lib) in
+  check_true "lib/ interfaces found" (List.length mlis > 50);
+  let skip = String.length root + 1 in
+  let relative p = String.sub p skip (String.length p - skip) in
+  Alcotest.(check (list string))
+    "val x declared beside val x_q or val x_qty" []
+    (List.concat_map
+       (fun p ->
+         List.map
+           (fun twin -> relative p ^ ": " ^ twin)
+           (typed_twins (val_names (In_channel.with_open_bin p In_channel.input_all))))
+       mlis)
 
 (* Ratchet on suppressions: each rule may carry at most this many
    reasoned [lint: allow] findings in lib/. A new suppression of any rule
@@ -310,5 +346,6 @@ let () =
           case "matched names are declared" test_matched_names_exist;
           case "repo is lint-clean" test_repo_clean;
           case "no Domain.DLS outside Telemetry" test_no_ambient_dls;
+          case "no typed twin exports" test_no_typed_twins;
         ] );
     ]

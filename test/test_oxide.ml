@@ -6,7 +6,6 @@ open Gnrflash_testing.Testing
 let test_sio2_parameters () =
   check_close "eps_r" 3.9 O.sio2.O.eps_r;
   check_close "affinity" 0.9 O.sio2.O.electron_affinity;
-  check_close "gap" 9.0 O.sio2.O.bandgap;
   check_close "m_ox" 0.42 O.sio2.O.m_ox
 
 (* a unit-area SiO2 film of the given thickness, through the parallel-plate

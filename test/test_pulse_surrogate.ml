@@ -2,6 +2,7 @@ module Ps = Gnrflash_device.Pulse_surrogate
 module Pe = Gnrflash_device.Program_erase
 module T = Gnrflash_device.Transient
 module F = Gnrflash_device.Fgt
+module U = Gnrflash_units
 module Tel = Gnrflash_telemetry.Telemetry
 module Sweep = Gnrflash_parallel.Sweep
 open Gnrflash_testing.Testing
@@ -9,7 +10,8 @@ open Gnrflash_testing.Testing
 let paper = F.paper_default
 
 let mk ~gcr ~xto_nm =
-  F.For_testing.make ~gcr ~xto:(xto_nm *. 1e-9) ~xco:10e-9 ~area:(32e-9 *. 32e-9) ()
+  F.make ~gcr ~xto:(U.metre (xto_nm *. 1e-9)) ~xco:(U.metre 10e-9)
+    ~area:(U.square_metre (32e-9 *. 32e-9)) ()
 
 let build_exn ?box device ~vgs = check_sok "surrogate build" (Ps.build ?box device ~vgs)
 

@@ -6,10 +6,8 @@ open Gnrflash_testing.Testing
    1.5 eV above SiO2's, so every electrode sees a lower barrier into it. *)
 let hfo2 =
   {
-    O.name = "HfO2";
-    eps_r = 22.0;
+    O.eps_r = 22.0;
     electron_affinity = 2.4;
-    bandgap = 5.8;
     m_ox = 0.17;
     breakdown_field = 4.0e8;
   }
