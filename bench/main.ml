@@ -415,6 +415,11 @@ let kernel_tests =
            ignore
              (Gnrflash_device.Transient.run Gnrflash_device.Fgt.paper_default ~vgs:15.
                 ~duration:10.)));
+    (* Ext D's curve at 10,000 cycles: its run settles within the first
+       100, so (this row - ext-d-endurance-100) / 9,900 is the cost of one
+       settled cycle *)
+    Test.make ~name:"kernel-endurance-10000"
+      (stage (fun () -> ignore (Gnrflash.Extensions.endurance_curve ~cycles:10_000 ())));
   ]
 
 (* One 64-word x 13-bit sector of the served path, half of it programmed,

@@ -280,7 +280,8 @@ let endurance_cmd =
         s.Gnrflash.Extensions.survived_all s.Gnrflash.Extensions.cells;
       Printf.printf "  cycles min/median/max %d / %d / %d\n"
         s.Gnrflash.Extensions.cycles_min s.Gnrflash.Extensions.cycles_median
-        s.Gnrflash.Extensions.cycles_max
+        s.Gnrflash.Extensions.cycles_max;
+      Printf.printf "  digest                0x%016X\n" s.Gnrflash.Extensions.digest
     end
   in
   let doc = "Endurance cycling experiment." in

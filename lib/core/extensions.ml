@@ -161,7 +161,25 @@ type endurance_ensemble_summary = {
   cycles_min : int;
   cycles_median : int;
   cycles_max : int;
+  digest : int;
 }
+
+(* perfbench's endurance_ensemble fold, cell by cell: cycles survived, how
+   the run ended (0 budget, 1 window closed, 2 oxide broken, 3 any other
+   failure), then each sample's window bits *)
+let fold_run h (r : M.Endurance.run) =
+  let outcome =
+    match r.M.Endurance.failure with
+    | None -> 0
+    | Some "window closed" -> 1
+    | Some "Cell: oxide broken" -> 2
+    | Some _ -> 3
+  in
+  let fold = M.Workload.digest_fold in
+  List.fold_left
+    (fun h s -> fold h (Int64.to_int (Int64.bits_of_float s.M.Endurance.window)))
+    (fold (fold h r.M.Endurance.cycles_survived) outcome)
+    r.M.Endurance.samples
 
 let endurance_ensemble ?(cells = 16) ?(cycles = 1_000) ?(seed = 2014)
     ?surrogate ?jobs () =
@@ -171,15 +189,13 @@ let endurance_ensemble ?(cells = 16) ?(cycles = 1_000) ?(seed = 2014)
   (* cell [index] cycles the same perturbed device for every jobs setting
      (Variation.perturbed seeds from splitmix(seed, index)), so the
      ensemble is reproducible *)
-  let survived =
+  let runs =
     Sweep.init ?jobs cells (fun index ->
         let t = D.Variation.perturbed ~seed ~index ~base () in
-        let run =
-          M.Endurance.cycle_cell ~program_pulse:(short_pulse 15.)
-            ~erase_pulse:(short_pulse (-15.)) ?surrogate t ~cycles
-        in
-        run.M.Endurance.cycles_survived)
+        M.Endurance.cycle_cell ~program_pulse:(short_pulse 15.)
+          ~erase_pulse:(short_pulse (-15.)) ?surrogate t ~cycles)
   in
+  let survived = Array.map (fun r -> r.M.Endurance.cycles_survived) runs in
   let sorted = Array.copy survived in
   Array.sort compare sorted;
   {
@@ -189,6 +205,7 @@ let endurance_ensemble ?(cells = 16) ?(cycles = 1_000) ?(seed = 2014)
     cycles_min = sorted.(0);
     cycles_median = sorted.(cells / 2);
     cycles_max = sorted.(cells - 1);
+    digest = Array.fold_left fold_run M.Workload.digest_empty runs;
   }
 
 (* ---------- Ext E: quantum capacitance ---------- *)

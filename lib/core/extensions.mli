@@ -54,6 +54,12 @@ type endurance_ensemble_summary = {
   cycles_min : int;
   cycles_median : int;
   cycles_max : int;
+  digest : int;
+      (** {!Gnrflash_memory.Workload.digest_fold} over the cells in index
+          order of each run's cycles survived, its ending (0 full budget,
+          1 window closed, 2 oxide broken, 3 another failure) and every
+          sample's window bits: the fold perfbench's [endurance_ensemble]
+          pins *)
 }
 
 val endurance_ensemble :
@@ -61,10 +67,11 @@ val endurance_ensemble :
   ?jobs:int -> unit -> endurance_ensemble_summary
 (** Cycle an ensemble of [cells] (default 16) variation-perturbed devices
     for up to [cycles] (default 1000) program/erase cycles each and
-    summarize the survival distribution. Cell [i]'s device comes from
-    {!Gnrflash_device.Variation.perturbed}[ ~seed ~index:i], so the
-    ensemble is identical for every [jobs] (in-process domains) setting —
-    this is the fleet-scale-endurance entry point behind the CLI's
+    summarize the survival distribution and its digest. Cell [i]'s
+    device comes from {!Gnrflash_device.Variation.perturbed}[ ~seed
+    ~index:i], so the ensemble is identical for every [jobs] (in-process
+    domains) setting — this is the fleet-scale-endurance entry point
+    behind the CLI's
     [endurance --ensemble N --jobs J].
     @raise Invalid_argument if [cells < 1]. *)
 

@@ -10,13 +10,15 @@ type stack = {
   nodes_per_layer : int;
 }
 
-let of_fgt ?(nodes_per_layer = 50) (t : Fgt.t) =
+let of_fgt (t : Fgt.t) =
   {
     xco = t.Fgt.xco;
     xto = t.Fgt.xto;
-    eps_r_co = 3.9;
-    eps_r_to = 3.9;
-    nodes_per_layer;
+    (* the permittivity whose parallel plate is the device's cfc, so the
+       stack's control oxide couples as the eq-(3) network does *)
+    eps_r_co = t.Fgt.caps.Capacitance.cfc *. t.Fgt.xco /. (C.eps0 *. t.Fgt.area);
+    eps_r_to = Gnrflash_materials.Oxide.sio2.Gnrflash_materials.Oxide.eps_r;
+    nodes_per_layer = 50;
   }
 
 type solution = {

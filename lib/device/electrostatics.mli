@@ -16,9 +16,12 @@ type stack = {
   nodes_per_layer : int;  (** FD resolution per oxide *)
 }
 
-val of_fgt : ?nodes_per_layer:int -> Fgt.t -> stack
-(** Extract the stack geometry from a device (both oxides share the
-    device's tunnel-oxide permittivity, as in {!Fgt.make}). *)
+val of_fgt : Fgt.t -> stack
+(** Extract the stack from a device, at 50 nodes per oxide: its two
+    thicknesses, the SiO₂ tunnel oxide of {!Fgt.make}, and the
+    control-oxide permittivity [cfc·xco/(ε₀·area)] read back from the
+    device's [cfc], so the stack's control-oxide plate is the device's
+    [cfc] whatever [?control_oxide] it was built with. *)
 
 type solution = {
   x : float array;        (** node positions, 0 at the control gate [m] *)

@@ -51,5 +51,5 @@ module For_testing : sig
     ?reliability:Gnrflash_device.Reliability.model -> t -> float
   (** Threshold including both stored charge and wear-induced drift —
       the quantity whose program/erase window closes with cycling.
-      {!Cell_store.pe_cycle} computes it in place, bit for bit. *)
+      {!Cell_store.run_cycles} computes it in place, bit for bit. *)
 end

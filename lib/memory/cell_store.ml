@@ -248,7 +248,7 @@ let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
   done;
   !zeros
 
-(* ---------- the program/erase cycle kernel ---------- *)
+(* ---------- the program/erase run kernel ---------- *)
 
 type pe_readout = { mutable vt_programmed : float; mutable vt_erased : float }
 
@@ -265,13 +265,96 @@ let[@inline] effective_vt t ~rel i =
   vt0 +. (-.Array.unsafe_get t.qfg i /. t.cfc)
   +. (rel.D.Reliability.dvt_per_trap *. Array.unsafe_get t.traps i)
 
-let pe_cycle t ~reliability ~pmemo ~ememo ~program ~erase i out =
+(* Cell [i] is intact at an id [a] with [a -> b] in [pm] and [b -> a] in
+   [em]: every later cycle replays the same two transitions. *)
+let[@inline] settled t pm em i =
+  Bytes.unsafe_get t.broken i = '\000'
+  &&
+  let a = Array.unsafe_get t.cls i in
+  solved pm a
+  &&
+  let b = Array.unsafe_get pm.next a in
+  b < Array.length em.next && Array.unsafe_get em.next b = a
+
+(* Cycles of a settled cell, [n] done so far, until [cycles] are done or a
+   window closes: [replay_cell] twice and [effective_vt] twice per cycle,
+   operation for operation, on the two transitions' deltas, the two
+   charges and the two threshold bases [vt0 +. (-.q /. cfc)] held in
+   locals ([effective_vt] parses as [base +. dvt_per_trap *. traps]). The
+   wear columns are written back on exit. A program pulse that breaks the
+   oxide leaves the cell at [b] and raises where the erase pulse would. An
+   erase pulse that breaks it ends the run after its cycle; the next
+   program pulse, outside this loop, raises. Returns the cycles done. *)
+let settled_run t pm em ~rel ~window_min ~cycles i out n =
+  let a = Array.unsafe_get t.cls i in
+  let b = Array.unsafe_get pm.next a in
+  let dfl_p = Array.unsafe_get pm.dfl a and dtr_p = Array.unsafe_get pm.dtr a in
+  let qbd_p = Array.unsafe_get pm.qbd a in
+  let dfl_e = Array.unsafe_get em.dfl b and dtr_e = Array.unsafe_get em.dtr b in
+  let qbd_e = Array.unsafe_get em.qbd b in
+  let k = rel.D.Reliability.dvt_per_trap in
+  let base_a = vt0 +. (-.Array.unsafe_get t.ch_q a /. t.cfc) in
+  let base_b = vt0 +. (-.Array.unsafe_get t.ch_q b /. t.cfc) in
+  let fl = ref (Array.unsafe_get t.fluence i) and tr = ref (Array.unsafe_get t.traps i) in
+  let cy = ref (Array.unsafe_get t.cycles i) and n = ref n in
+  let vp = ref out.vt_programmed and ve = ref out.vt_erased in
+  (* 0 running, 1 stopped at [a], 2 stopped at [a] broken, 3 stopped at [b] broken *)
+  let stop = ref 0 in
+  while !stop = 0 do
+    let f = !fl +. dfl_p in
+    tr := !tr +. dtr_p;
+    vp := base_b +. (k *. !tr);
+    if f >= qbd_p then begin
+      fl := f;
+      cy := !cy + 1;
+      stop := 3
+    end
+    else begin
+      let f = f +. dfl_e in
+      fl := f;
+      tr := !tr +. dtr_e;
+      cy := !cy + 2;
+      ve := base_a +. (k *. !tr);
+      n := !n + 1;
+      if f >= qbd_e then stop := 2
+      else if !vp -. !ve < window_min || !n >= cycles then stop := 1
+    end
+  done;
+  Array.unsafe_set t.fluence i !fl;
+  Array.unsafe_set t.traps i !tr;
+  Array.unsafe_set t.cycles i !cy;
+  out.vt_programmed <- !vp;
+  out.vt_erased <- !ve;
+  if !stop >= 2 then Bytes.unsafe_set t.broken i '\001';
+  if !stop = 3 then begin
+    Array.unsafe_set t.cls i b;
+    Array.unsafe_set t.qfg i (Array.unsafe_get t.ch_q b);
+    raise (Pulse_error "Cell: oxide broken")
+  end;
+  !n
+
+let run_cycles t ~reliability:rel ~pmemo ~ememo ~program ~erase ~window_min ~cycles i out =
   check_memo t pmemo;
   check_memo t ememo;
-  ignore (pulse_cell t pmemo ~rel:reliability ~pulse:program i : int);
-  out.vt_programmed <- effective_vt t ~rel:reliability i;
-  ignore (pulse_cell t ememo ~rel:reliability ~pulse:erase i : int);
-  out.vt_erased <- effective_vt t ~rel:reliability i
+  if i < 0 || i >= length t then invalid_arg "Cell_store.run_cycles: cell";
+  let n = ref 0 and closed = ref false in
+  while (not !closed) && !n < cycles do
+    if settled t pmemo ememo i then begin
+      n := settled_run t pmemo ememo ~rel ~window_min ~cycles i out !n;
+      closed := out.vt_programmed -. out.vt_erased < window_min
+    end
+    else begin
+      ignore (pulse_cell t pmemo ~rel ~pulse:program i : int);
+      let vp = effective_vt t ~rel i in
+      out.vt_programmed <- vp;
+      ignore (pulse_cell t ememo ~rel ~pulse:erase i : int);
+      let ve = effective_vt t ~rel i in
+      out.vt_erased <- ve;
+      n := !n + 1;
+      closed := vp -. ve < window_min
+    end
+  done;
+  !n
 
 (* ---------- word-level kernels ---------- *)
 

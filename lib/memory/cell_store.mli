@@ -139,38 +139,50 @@ val erase_round :
     hits. @raise Pulse_error at the first failed pulse (cells before it
     keep their updates, matching the seed per-cell loop). *)
 
-(** {1 Program/erase cycle kernel} *)
+(** {1 Program/erase run kernel} *)
 
 type pe_readout = {
   mutable vt_programmed : float;  (** threshold after the program pulse [V] *)
   mutable vt_erased : float;  (** threshold after the erase pulse [V] *)
 }
-(** Caller-owned result of {!pe_cycle}. All its fields are floats, so it
-    is stored flat and the kernel writes it without boxing. *)
+(** Caller-owned thresholds of the last cycle {!run_cycles} completed.
+    All its fields are floats, so it is stored flat and the kernel writes
+    it without boxing (an [int] field would box both thresholds). *)
 
 val pe_readout : unit -> pe_readout
 
-val pe_cycle :
+val run_cycles :
   t ->
   reliability:Gnrflash_device.Reliability.model ->
   pmemo:memo ->
   ememo:memo ->
   program:Gnrflash_device.Program_erase.pulse ->
   erase:Gnrflash_device.Program_erase.pulse ->
-  int -> pe_readout -> unit
-(** One endurance cycle of cell [i]: a program pulse as {!For_testing.apply_pulse_at}
-    with [pmemo], the cell's effective threshold, an erase pulse with
-    [ememo], and the threshold again. The thresholds land in the
-    readout. Each is [Cell.For_testing.effective_vt ~reliability]
-    of {!view}, computed in place as
-    [(vt0 +. dvt) +. dvt_per_trap *. traps], so it is bit-identical.
-    The arithmetic sits here, not in [Endurance], because it was written
-    for dune's dev profile, whose [-opaque] boxes every float returned
-    across a module boundary; the default profile (root [dune-workspace])
-    builds without [-opaque]. A cycle whose two pulses replay from the
-    memos allocates nothing.
+  window_min:float ->
+  cycles:int ->
+  int -> pe_readout -> int
+(** Endurance cycles of cell [i], up to [cycles] of them: each is a
+    program pulse as {!For_testing.apply_pulse_at} with [pmemo], the
+    cell's effective threshold, an erase pulse with [ememo], and the
+    threshold again. Stops after the first cycle whose window
+    [vt_programmed -. vt_erased] is below [window_min]; returns the
+    cycles completed, with the last one's thresholds in the readout (left
+    as it was when none completed). Each threshold is
+    [Cell.For_testing.effective_vt ~reliability] of {!view}, bit for bit.
+
+    A cell that is intact at a charge id [a] with [a -> b] in [pmemo] and
+    [b -> a] in [ememo] (a bit-exact two-cycle of the memos) runs its
+    cycles on the two transitions' wear deltas, the two charges and the
+    two threshold bases held in locals, and writes its columns back once;
+    any other cell runs one pulse at a time until it reaches such a pair.
+    Either way the charges, wear and thresholds are those of the per-pulse
+    loop, operation for operation, and a cycle whose two pulses replay
+    from the memos allocates nothing.
     @raise Pulse_error on a failed pulse (broken oxide first, or a solver
-    error), leaving the cell as {!For_testing.apply_pulse_at} would. *)
+    error), leaving the cell as {!For_testing.apply_pulse_at} would: the
+    store's [cycles] column then counts the pulses applied, so on a fresh
+    store [cycles / 2] is the number of cycles completed.
+    @raise Invalid_argument if [i] is not a cell of the store. *)
 
 (** {1 Word-level kernels}
 

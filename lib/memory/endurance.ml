@@ -34,28 +34,28 @@ let cycle_cell ?(reliability = D.Reliability.default)
   if cycles < 1 then invalid_arg "Endurance.cycle_cell: cycles < 1";
   let checkpoints = log_spaced_checkpoints cycles in
   (* P/E cycling alternates exactly two charge states once the loop
-     settles, so a 1-cell store with per-pulse memos turns the long
-     cycling run into O(1) replays after the first few solves; the cycle
-     itself and both threshold readouts run inside [Cell_store.pe_cycle],
-     so a replayed cycle allocates nothing and only a checkpoint builds a
-     sample *)
+     settles; [Cell_store.run_cycles] runs one checkpoint interval per
+     call on a 1-cell store with per-pulse memos, and a settled interval
+     replays that two-cycle without a call or an allocation per cycle.
+     Only a checkpoint builds a sample. *)
   let store = Cell_store.create ?surrogate ~n:1 device in
   let pmemo = Cell_store.memo store and ememo = Cell_store.memo store in
   let vt = Cell_store.pe_readout () in
   let samples = ref [] in
   let failure = ref None in
-  let survived = ref 0 in
-  let next = ref 0 in
+  let done_ = ref 0 and next = ref 0 in
   (try
-     for i = 1 to cycles do
-       Cell_store.pe_cycle store ~reliability ~pmemo ~ememo
-         ~program:program_pulse ~erase:erase_pulse 0 vt;
-       survived := i;
+     while !next < Array.length checkpoints do
+       let checkpoint = checkpoints.(!next) in
+       done_ :=
+         !done_
+         + Cell_store.run_cycles store ~reliability ~pmemo ~ememo ~program:program_pulse
+             ~erase:erase_pulse ~window_min ~cycles:(checkpoint - !done_) 0 vt;
        let window = vt.Cell_store.vt_programmed -. vt.Cell_store.vt_erased in
-       if i = checkpoints.(!next) then begin
+       if !done_ = checkpoint then begin
          samples :=
            {
-             cycle = i;
+             cycle = checkpoint;
              vt_programmed = vt.Cell_store.vt_programmed;
              vt_erased = vt.Cell_store.vt_erased;
              window;
@@ -72,7 +72,12 @@ let cycle_cell ?(reliability = D.Reliability.default)
    with
    | Exit -> ()
    | Cell_store.Pulse_error e -> failure := Some e);
-  { samples = List.rev !samples; cycles_survived = !survived; failure = !failure }
+  (* a fresh store counts every pulse applied *)
+  {
+    samples = List.rev !samples;
+    cycles_survived = Cell_store.cycles store 0 / 2;
+    failure = !failure;
+  }
 
 let predicted_endurance ?(reliability = D.Reliability.default) device ~vgs =
   let sat vgs = D.Transient.saturation_charge device ~vgs in

@@ -33,13 +33,14 @@ val cycle_cell :
     intended fleet-scale cycling path; pass [false] to force every pulse
     through the exact ODE solve.
 
-    Each cycle is one {!Cell_store.pe_cycle} call on a one-cell store, and
-    the next checkpoint is an index into an int array, so once the cell
-    settles into its two-state limit cycle a cycle allocates nothing; only
-    a checkpoint builds a sample. The thresholds are
-    [Cell.For_testing.effective_vt] of the cell, bit for bit
-    ([test/test_endurance.ml] checks every sample, [cycles_survived] and
-    [failure] against that record-path loop). *)
+    Each interval between two checkpoints is one {!Cell_store.run_cycles}
+    call on a one-cell store, so a cycle that replays from the memos
+    allocates nothing, and once the cell settles into a two-state limit
+    cycle the kernel runs it without a call per cycle; only a checkpoint
+    builds a sample. [cycles_survived] is the store's pulse count halved.
+    The thresholds are [Cell.For_testing.effective_vt] of the cell, bit
+    for bit ([test/test_endurance.ml] checks every sample,
+    [cycles_survived] and [failure] against that record-path loop). *)
 
 val predicted_endurance :
   ?reliability:Gnrflash_device.Reliability.model ->

@@ -43,8 +43,8 @@ let test_source_bias () =
   check_close ~tol:1e-6 "source bias handled" divider s.E.vfg
 
 let test_resolution_independence () =
-  let coarse = E.of_fgt ~nodes_per_layer:10 F.paper_default in
-  let fine = E.of_fgt ~nodes_per_layer:200 F.paper_default in
+  let coarse = { stack with E.nodes_per_layer = 10 } in
+  let fine = { stack with E.nodes_per_layer = 200 } in
   let sc = check_ok "coarse" (E.solve coarse ~vgs:15. ~vs:0. ~sigma_fg:(-0.02)) in
   let sf = check_ok "fine" (E.solve fine ~vgs:15. ~vs:0. ~sigma_fg:(-0.02)) in
   check_close ~tol:1e-9 "grid independent (piecewise-linear exact)" sf.E.vfg sc.E.vfg
@@ -66,6 +66,30 @@ let test_eq3_agreement_with_fgt () =
   let drop_poisson = 5. -. s.E.vfg in
   let drop_eq3 = 9. -. vfg_eq3 in
   check_in "charge term same scale" ~lo:(drop_eq3 /. 3.) ~hi:(drop_eq3 *. 3.) drop_poisson
+
+(* A device whose blocking dielectric is Al2O3 (test_fgt's fixture): the
+   stack's control oxide is the plate behind the device's own cfc, not
+   SiO2's, and its tunnel oxide stays SiO2. *)
+let test_control_oxide_from_device () =
+  let al2o3 =
+    {
+      Gnrflash_materials.Oxide.eps_r = 9.0;
+      electron_affinity = 1.4;
+      m_ox = 0.3;
+      breakdown_field = 7.0e8;
+    }
+  in
+  let module U = Gnrflash_units in
+  let t =
+    F.make ~control_oxide:al2o3 ~gcr:0.6 ~xto:(U.metre 5e-9) ~xco:(U.metre 10e-9)
+      ~area:(U.square_metre (32e-9 *. 32e-9)) ()
+  in
+  let s = E.of_fgt t in
+  let c_co = Gnrflash_physics.Constants.eps0 *. s.E.eps_r_co /. s.E.xco in
+  check_close ~tol:1e-12 "control-oxide plate x area = cfc"
+    t.F.caps.Gnrflash_device.Capacitance.cfc (c_co *. t.F.area);
+  check_close ~tol:1e-12 "control oxide is Al2O3" 9.0 s.E.eps_r_co;
+  check_close ~tol:0. "tunnel oxide is SiO2" 3.9 s.E.eps_r_to
 
 let test_degenerate_grid () =
   let bad = { stack with E.nodes_per_layer = 1 } in
@@ -90,6 +114,7 @@ let () =
           case "source bias" test_source_bias;
           case "grid independence" test_resolution_independence;
           case "eq(3) agreement" test_eq3_agreement_with_fgt;
+          case "control oxide from the device" test_control_oxide_from_device;
           case "degenerate grid" test_degenerate_grid;
           prop_linearity_in_vgs;
         ] );

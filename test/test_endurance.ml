@@ -136,8 +136,8 @@ let test_repeatable_on_one_record () =
   Alcotest.(check (list (list (pair int64 int64)))) "Ext D points" pts1 pts2;
   Alcotest.(check int) "Ext D is the same run" a.E.cycles_survived survived1
 
-(* The cycle loop as it stood before [Cell_store.pe_cycle]: one pulse at a
-   time through the store's per-cell step, and each threshold read as
+(* The cycle loop without a cycle kernel: one pulse at a time through the
+   store's per-cell step, and each threshold read as
    [Cell.For_testing.effective_vt] of a boxed [Cell_store.view]. It is the
    oracle [cycle_cell] must match bit for bit. *)
 let reference ~reliability ~program_pulse ~erase_pulse ~window_min ~surrogate device
@@ -194,6 +194,11 @@ let same_run (a : E.run) (b : E.run) =
    cell cycled at the paper's biases breaks within tens of cycles. *)
 let fragile = { Rel.default with Rel.qbd0 = Rel.default.Rel.qbd0 *. 1e-3 }
 
+(* Cell 4 of seed 2014, whose charges cycle through four ids under the
+   +-15 V / 100 us pulses: the run kernel never finds a settled pair. *)
+let unsettled () =
+  Gnrflash_device.Variation.perturbed ~seed:2014 ~index:4 ~base:(Gnrflash.Params.device ()) ()
+
 let prop_cycle_matches_reference =
   let open QCheck2.Gen in
   let pulse sign =
@@ -219,38 +224,160 @@ let prop_cycle_matches_reference =
          (reference ~reliability ~program_pulse ~erase_pulse ~window_min ~surrogate device
             ~cycles))
 
+let pulse_100us v = { Pe.vgs = v; duration = 100e-6 }
+
+(* A store's cell 0 as bits: its charge id, then the [Cell_store.fold_digest]
+   of its charge and wear. *)
+let cell_bits store =
+  ( S.For_testing.charge_id store 0,
+    S.fold_digest store Gnrflash_memory.Workload.digest_fold
+      Gnrflash_memory.Workload.digest_empty )
+
+(* Cell [device] pulsed through the store's per-cell step, program and
+   erase in turn at +-15 V / 100 us, until [pulses] are applied or one
+   fails. Returns the charge id after each applied pulse, each cycle's
+   window, the index of the pulse that failed (-1 if none did) and the
+   cell's final {!cell_bits}. *)
+let pulse_by_pulse ?(reliability = Rel.default) device ~pulses =
+  let store = S.create ~n:1 device in
+  let pmemo = S.memo store and ememo = S.memo store in
+  let ids = Array.make pulses 0 and vt = Array.make pulses 0. in
+  let rec go p =
+    if p >= pulses then -1
+    else
+      let memo, v = if p mod 2 = 0 then (pmemo, 15.) else (ememo, -15.) in
+      match S.For_testing.apply_pulse_at ~reliability store ~memo ~pulse:(pulse_100us v) 0 with
+      | Error _ -> p
+      | Ok () ->
+        ids.(p) <- S.For_testing.charge_id store 0;
+        vt.(p) <- Cell.For_testing.effective_vt ~reliability (S.view store 0);
+        go (p + 1)
+  in
+  let failed = go 0 in
+  let applied = if failed < 0 then pulses else failed in
+  let windows = Array.init (applied / 2) (fun c -> vt.(2 * c) -. vt.(2 * c + 1)) in
+  (Array.sub ids 0 applied, windows, failed, cell_bits store)
+
+(* [Cell_store.run_cycles] on a fresh one-cell store, in one call: its
+   count or its pulse error, and the cell's final {!cell_bits}. *)
+let kernel_run ?(reliability = Rel.default) ?(window_min = 1.) device ~cycles =
+  let store = S.create ~n:1 device in
+  let pmemo = S.memo store and ememo = S.memo store in
+  let r =
+    match
+      S.run_cycles store ~reliability ~pmemo ~ememo ~program:(pulse_100us 15.)
+        ~erase:(pulse_100us (-15.)) ~window_min ~cycles 0 (S.pe_readout ())
+    with
+    | n -> Ok n
+    | exception S.Pulse_error e -> Error e
+  in
+  (r, cell_bits store)
+
+(* The [n] pulses before pulse [upto] alternate between two charge ids:
+   the memos hold a two-cycle, the cell is settled. *)
+let settled_before ids ~upto n =
+  let a = ids.(upto - 1) and b = ids.(upto - 2) in
+  a <> 0 && b <> 0 && a <> b
+  && List.for_all
+    (fun k -> ids.(upto - 1 - k) = if k mod 2 = 0 then a else b)
+    (List.init n Fun.id)
+
 (* The property's generator reaches every ending: a full budget, a
-   closed window and a broken oxide. *)
+   closed window and a broken oxide. Then the exits of the run kernel's
+   settled loop, each against the record path: an oxide that breaks on a
+   program pulse or on an erase pulse after at least 100 settled cycles,
+   a window that closes between two checkpoints of a settled run, and a
+   cell whose charges never form a two-cycle. *)
 let test_reference_endings () =
-  let pulse v = { Pe.vgs = v; duration = 100e-6 } in
-  let run ?(reliability = Rel.default) ?(window_min = 1.) cycles =
+  let run ?(reliability = Rel.default) ?(window_min = 1.) ?(device = t) cycles =
     let r =
-      E.cycle_cell ~reliability ~program_pulse:(pulse 15.) ~erase_pulse:(pulse (-15.))
-        ~window_min t ~cycles
+      E.cycle_cell ~reliability ~program_pulse:(pulse_100us 15.)
+        ~erase_pulse:(pulse_100us (-15.)) ~window_min device ~cycles
     in
     let o =
-      reference ~reliability ~program_pulse:(pulse 15.) ~erase_pulse:(pulse (-15.))
-        ~window_min ~surrogate:true t ~cycles
+      reference ~reliability ~program_pulse:(pulse_100us 15.)
+        ~erase_pulse:(pulse_100us (-15.)) ~window_min ~surrogate:true device ~cycles
     in
     check_true "matches the record path" (same_run r o);
-    r.E.failure
+    r
   in
-  Alcotest.(check (option string)) "budget" None (run 500);
-  Alcotest.(check (option string)) "window" (Some "window closed") (run ~window_min:20. 500);
+  let failure ?reliability ?window_min cycles = (run ?reliability ?window_min cycles).E.failure in
+  Alcotest.(check (option string)) "budget" None (failure 500);
+  Alcotest.(check (option string)) "window" (Some "window closed") (failure ~window_min:20. 500);
   Alcotest.(check (option string)) "oxide" (Some "Cell: oxide broken")
-    (run ~reliability:fragile 500)
+    (failure ~reliability:fragile 500);
+  (* breakdown fluences 3% and 1.5% of the default: the paper cell,
+     settled from cycle 5, breaks its oxide on the program pulse of cycle
+     210 and on the erase pulse of cycle 105 *)
+  let breakdown scale ~breaks_on =
+    let reliability = { Rel.default with Rel.qbd0 = Rel.default.Rel.qbd0 *. scale } in
+    let ids, _, failed, bits = pulse_by_pulse ~reliability t ~pulses:2000 in
+    (* the pulse before the failed one broke the oxide *)
+    let parity = if breaks_on = "program" then 0 else 1 in
+    check_true (breaks_on ^ " pulse breaks the oxide") (failed > 0 && (failed - 1) mod 2 = parity);
+    check_true "after 100 settled cycles" (settled_before ids ~upto:failed 200);
+    let r = run ~reliability 2000 in
+    Alcotest.(check (option string)) ("oxide, " ^ breaks_on) (Some "Cell: oxide broken") r.E.failure;
+    Alcotest.(check int) ("cycles before the " ^ breaks_on ^ " breakdown") (failed / 2)
+      r.E.cycles_survived;
+    (* the kernel leaves the cell as the failed per-pulse step does *)
+    let k, kbits = kernel_run ~reliability t ~cycles:2000 in
+    check_true "kernel raises the breakdown" (k = Error "Cell: oxide broken");
+    check_true "kernel leaves the per-pulse cell" (kbits = bits)
+  in
+  breakdown 0.03 ~breaks_on:"program";
+  breakdown 0.015 ~breaks_on:"erase";
+  (* A trap drift 10^4 times the default lifts both thresholds by tens of
+     volts over the run, so their rounding moves the settled window by an
+     ulp now and then: the smallest window of the first 150 cycles closes
+     at a later cycle that is no checkpoint. *)
+  let reliability = { Rel.default with Rel.dvt_per_trap = Rel.default.Rel.dvt_per_trap *. 1e4 } in
+  let device =
+    Gnrflash_device.Variation.perturbed ~seed:2014 ~index:1 ~base:(Gnrflash.Params.device ()) ()
+  in
+  let ids, windows, _, _ = pulse_by_pulse ~reliability device ~pulses:4000 in
+  (* the first cycle whose window is below [w], if any *)
+  let first_below w =
+    let c = ref 0 in
+    while !c < Array.length windows && windows.(!c) >= w do incr c done;
+    if !c < Array.length windows then Some (!c + 1) else None
+  in
+  let closing window_min =
+    let r = run ~reliability ~window_min ~device 2000 in
+    Alcotest.(check (option string)) "settled window" (Some "window closed") r.E.failure;
+    Alcotest.(check (option int)) "closing cycle" (first_below window_min)
+      (Some r.E.cycles_survived);
+    check_true "between checkpoints"
+      (List.for_all (fun s -> s.E.cycle <> r.E.cycles_survived) r.E.samples);
+    check_true "closes in a settled run"
+      (settled_before ids ~upto:(2 * (r.E.cycles_survived - 1)) 100);
+    let k, _ = kernel_run ~reliability ~window_min device ~cycles:2000 in
+    check_true "kernel stops at the closing cycle" (k = Ok r.E.cycles_survived);
+    r.E.cycles_survived
+  in
+  let first = closing (Array.fold_left Float.min infinity (Array.sub windows 0 150)) in
+  (* a window equal to the bound stays open: the next lower one closes *)
+  ignore (closing windows.(first - 1) : int);
+  (* cell 4 of seed 2014 settles into four charges, not two *)
+  let ids, _, _, _ = pulse_by_pulse (unsettled ()) ~pulses:400 in
+  check_true "no two-cycle" (not (settled_before ids ~upto:400 4));
+  let r = run ~device:(unsettled ()) 3000 in
+  Alcotest.(check (option string)) "unsettled budget" None r.E.failure
 
-(* Allocation pin (native code only). Two runs from cold stores on the
+(* Allocation pins (native code only). Two runs from cold stores on the
    same device and pulses, with budgets past the settling point and the
    same number of checkpoints, do the same solves and build the same
    samples; the longer one's extra 400 cycles all replay from the memos
-   inside [Cell_store.pe_cycle], and must allocate nothing. *)
-let test_warm_cycle_allocation () =
+   inside [Cell_store.run_cycles], and must allocate nothing. The settled
+   paper cell replays its two-cycle in the kernel's settled loop; the
+   unsettled cell one pulse at a time, whose readout record must stay
+   all-float to keep its thresholds unboxed. *)
+let warm_cycle_allocation run () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
   let words cycles =
-    ignore (run_cycles cycles);
+    ignore (run cycles);
     let before = Gc.minor_words () in
-    let r = run_cycles cycles in
+    let r = run cycles in
     let w = Gc.minor_words () -. before in
     Alcotest.(check int) "full budget" cycles r.E.cycles_survived;
     (w, List.length r.E.samples)
@@ -260,6 +387,10 @@ let test_warm_cycle_allocation () =
   check_true
     (Printf.sprintf "%.0f extra minor words over 400 warm cycles" (w2 -. w1))
     (w2 -. w1 <= 0.)
+
+let run_unsettled cycles =
+  E.cycle_cell ~program_pulse:(pulse_100us 15.) ~erase_pulse:(pulse_100us (-15.))
+    (unsettled ()) ~cycles
 
 let () =
   Alcotest.run "endurance"
@@ -278,6 +409,7 @@ let () =
           case "predicted endurance vs simulated breakdown" test_predicted_vs_breakdown;
           prop_cycle_matches_reference;
           case "oracle reaches every ending" test_reference_endings;
-          case "warm cycles allocate nothing" test_warm_cycle_allocation;
+          case "warm cycles allocate nothing" (warm_cycle_allocation run_cycles);
+          case "warm unsettled cycles allocate nothing" (warm_cycle_allocation run_unsettled);
         ] );
     ]
