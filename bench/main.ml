@@ -9,8 +9,9 @@
    3. times the sweep engine serial vs on the domain pool (the scale-out
       gate);
    4. times every workload, the per-layer kernels and a served service
-      instance with Bechamel, and gates the service row on an ops/s
-      floor;
+      instance with Bechamel, before part 3 spawns the pool, and gates
+      the service row on an ops/s floor and the FSM's kept word readout
+      on its speed over a cell sense;
    and writes the rows and gate results to BENCH_telemetry.json.
    [--quick] (the `dune runtest` smoke) runs parts 1 and 2 only.
 
@@ -393,9 +394,15 @@ let kernel_tests =
   let phi = 3.2 *. Gnrflash_physics.Constants.ev in
   let m = 0.42 *. Gnrflash_physics.Constants.m0 in
   let barrier = Gnrflash_quantum.Barrier.triangular ~phi_b:phi ~field:1.2e9 ~m_eff:m in
+  (* a fixed sweep of 64 fields over the paper's 8-16 MV/cm, so a run
+     spans far more than the clock's resolution *)
+  let fields = Array.init 64 (fun k -> 0.8e9 +. (float_of_int k *. 0.8e9 /. 63.)) in
   [
-    Test.make ~name:"kernel-fn-closed-form"
-      (stage (fun () -> ignore (Gnrflash_quantum.Fn.current_density fn ~field:1.2e9)));
+    Test.make ~name:"kernel-fn-closed-form-64"
+      (stage (fun () ->
+           for k = 0 to Array.length fields - 1 do
+             ignore (Gnrflash_quantum.Fn.current_density fn ~field:fields.(k))
+           done));
     Test.make ~name:"kernel-wkb-quadrature"
       (stage (fun () ->
            ignore (Gnrflash_quantum.Wkb.transmission barrier ~energy:1e-21)));
@@ -415,11 +422,71 @@ let kernel_tests =
            ignore
              (Gnrflash_device.Transient.run Gnrflash_device.Fgt.paper_default ~vgs:15.
                 ~duration:10.)));
-    (* Ext D's curve at 10,000 cycles: its run settles within the first
-       100, so (this row - ext-d-endurance-100) / 9,900 is the cost of one
-       settled cycle *)
-    Test.make ~name:"kernel-endurance-10000"
-      (stage (fun () -> ignore (Gnrflash.Extensions.endurance_curve ~cycles:10_000 ())));
+  ]
+
+(* A warm store's settled P/E cycles alone: one cell at Ext D's
+   +-15 V / 100 us pulses, cycled until its charges form a two-cycle, then
+   [settled_cycles] cycles a run on the settled loop of
+   [Cell_store.run_cycles]. Its Q_BD is infinite and no window closes it,
+   so every run replays the same two transitions: the row over
+   [settled_cycles] is one settled cycle's cost. *)
+let settled_cycles = 1_000
+
+let settled_cycles_test () =
+  let module S = Gnrflash_memory.Cell_store in
+  let module D = Gnrflash_device in
+  let pulse vgs = { D.Program_erase.vgs; duration = 100e-6 } in
+  let reliability = { D.Reliability.default with D.Reliability.qbd0 = infinity } in
+  let s = S.create ~n:1 (Gnrflash.Params.device ()) in
+  let pmemo = S.memo s and ememo = S.memo s in
+  let out = S.pe_readout () in
+  let run cycles =
+    ignore
+      (S.run_cycles s ~reliability ~pmemo ~ememo ~program:(pulse 15.)
+         ~erase:(pulse (-15.)) ~window_min:neg_infinity ~cycles 0 out
+        : int)
+  in
+  (* Ext D's cell settles within its first 100 cycles *)
+  run settled_cycles;
+  Test.make ~name:"kernel-settled-cycles-1000" (stage (fun () -> run settled_cycles))
+
+(* A served-size device ([Command_fsm.default_config]: 256 words of 13
+   bits), every word programmed to varied data. A run reads each word
+   once: [fsm-read-word] through the bus, whose data answer is the
+   device's kept per-word readout, and [fsm-sense-word] through the
+   cells, the readout's oracle. The read row must be at least
+   [fsm_read_gate] times faster: the kept readout pays for itself. *)
+let fsm_read_gate = 2.
+
+let fsm_read_tests () =
+  let module C = Gnrflash_memory.Command_fsm in
+  let t = C.create (Gnrflash.Params.device ()) in
+  let n = C.words t in
+  let w ~addr ~data =
+    match C.write t ~addr ~data with
+    | Ok () -> ()
+    | Error e -> failwith (C.error_to_string e)
+  in
+  let u1 = 0x555 mod n and u2 = 0x2AA mod n in
+  let mask = (1 lsl C.default_config.C.word_bits) - 1 in
+  for addr = 0 to n - 1 do
+    w ~addr:u1 ~data:0xAA;
+    w ~addr:u2 ~data:0x55;
+    w ~addr:u1 ~data:0xA0;
+    w ~addr ~data:(Sweep.splitmix ~seed:2014 ~index:addr land mask);
+    C.wait_ready t
+  done;
+  [
+    Test.make ~name:"fsm-read-word"
+      (stage (fun () ->
+           for addr = 0 to n - 1 do
+             ignore (C.read_word t ~addr : int)
+           done));
+    Test.make ~name:"fsm-sense-word"
+      (stage (fun () ->
+           for addr = 0 to n - 1 do
+             ignore (C.sense_word t ~addr : int)
+           done));
   ]
 
 (* One 64-word x 13-bit sector of the served path, half of it programmed,
@@ -488,8 +555,9 @@ let word_program_test () =
     incr programmed;
     let draw = k mod word_draws * words in
     for w = 0 to words - 1 do
-      S.program_word s ~memo:pm ~pulse:PE.default_program_pulse ~max_pulses:8
-        ~base:(slot k + (w * bits)) ~bits ~data:data.(draw + w) out
+      let base = slot k + (w * bits) in
+      S.program_word s ~memo:pm ~pulse:PE.default_program_pulse ~max_pulses:8 ~base
+        ~bits ~sensed:(S.sense s ~base ~bits) ~data:data.(draw + w) out
     done
   in
   (* warm-up: every draw once, so the settled charges' program
@@ -565,52 +633,81 @@ let service_test =
 let svc_ops_per_s_floor = 115_800.
 let service_max_ns = float_of_int service_ops *. 1e9 /. svc_ops_per_s_floor
 
-(* Returns each row's OLS time per run [ns] and r^2, for the JSON. *)
+(* A row is timed again, up to [max_takes] times in all, while its fit
+   reads r^2 below [min_r_square]. On a shared host the machine's speed
+   shifts for tenths of a second at a time (runs of consecutive samples
+   read 40% faster, or twice as slow, as the rest of the row), and a fit
+   across such a shift prices no unit cost. A row keeps its last take,
+   and the JSON records how many it took. *)
+let min_r_square = 0.9
+let max_takes = 3
+
+type row = { name : string; ns : float; r2 : float; takes : int }
+
+(* Times every row; each row's OLS time per run [ns], r^2 and takes go to
+   the JSON. *)
 let run_benchmarks () =
   hr "Bechamel microbenchmarks";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:(Some 100) () in
+  (* No GC compaction before each sample (bechamel's [stabilize]): on a
+     row of a few us it costs far more than the batch, so the quota ran
+     out on batches too small to fit. *)
+  let cfg = Benchmark.cfg ~limit:1000 ~stabilize:false ~quota:(Time.second 0.3) () in
+  (* the word-program row's batches stay within its ring: 1, 2, .. 100 runs *)
+  let word_cfg = Benchmark.cfg ~limit:100 ~stabilize:false ~quota:(Time.second 0.3) () in
   let instances = Instance.[ monotonic_clock ] in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  (* the default sampling times batches of 1, 2, .. 100 runs here *)
-  let word_cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.3) ~kde:(Some 100) () in
+  let fit cfg elt =
+    let est = Analyze.one ols Instance.monotonic_clock (Benchmark.run cfg instances elt) in
+    let ns = match Analyze.OLS.estimates est with Some [ e ] -> e | _ -> nan in
+    (ns, match Analyze.OLS.r_square est with Some r -> r | None -> nan)
+  in
+  let rec take cfg elt takes =
+    let ns, r2 = fit cfg elt in
+    if r2 >= min_r_square || takes >= max_takes then
+      { name = Test.Elt.name elt; ns; r2; takes }
+    else take cfg elt (takes + 1)
+  in
   let all_tests =
     List.map (fun t -> (cfg, t))
-      (workload_tests @ kernel_tests @ [ sector_erase_test () ])
+      (workload_tests @ kernel_tests
+      @ [ settled_cycles_test (); sector_erase_test () ]
+      @ fsm_read_tests ())
     @ [ (word_cfg, word_program_test ()) ]
     @ List.map (fun t -> (cfg, t)) (system_tests @ [ service_test ])
   in
-  Printf.printf "  %-28s %14s %10s\n" "benchmark" "time/run" "r^2";
+  Printf.printf "  %-28s %14s %10s %6s\n" "benchmark" "time/run" "r^2" "takes";
   List.concat_map
     (fun (cfg, test) ->
        List.map
-         (fun (name, result) ->
-            let est = Analyze.one ols Instance.monotonic_clock result in
-            let ns =
-              match Analyze.OLS.estimates est with
-              | Some [ e ] -> e
-              | _ -> nan
-            in
-            let r2 = match Analyze.OLS.r_square est with Some r -> r | None -> nan in
+         (fun elt ->
+            let r = take cfg elt 1 in
             let time_str =
-              if ns > 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-              else if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-              else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-              else Printf.sprintf "%.1f ns" ns
+              if r.ns > 1e9 then Printf.sprintf "%.3f s" (r.ns /. 1e9)
+              else if r.ns > 1e6 then Printf.sprintf "%.3f ms" (r.ns /. 1e6)
+              else if r.ns > 1e3 then Printf.sprintf "%.3f us" (r.ns /. 1e3)
+              else Printf.sprintf "%.1f ns" r.ns
             in
-            Printf.printf "  %-28s %14s %10.4f\n" name time_str r2;
-            (name, ns, r2))
-         (Benchmark.all cfg instances test |> Hashtbl.to_seq |> List.of_seq
-          |> List.sort compare))
+            Printf.printf "  %-28s %14s %10.4f %6d\n" r.name time_str r.r2 r.takes;
+            r)
+         (Test.elements test))
     all_tests
 
-let service_ns bechamel =
-  match List.find_opt (fun (name, _, _) -> name = service_row) bechamel with
-  | Some (_, ns, _) -> ns
+let row_ns bechamel row =
+  match List.find_opt (fun r -> r.name = row) bechamel with
+  | Some r -> r.ns
   | None -> nan
 
+let service_ns bechamel = row_ns bechamel service_row
 let service_ok ns = ns <= service_max_ns
+
+(* the sense row over the read row; nan (failing the gate) if either fit
+   failed *)
+let fsm_read_speedup bechamel =
+  row_ns bechamel "fsm-sense-word" /. row_ns bechamel "fsm-read-word"
+
+let fsm_read_ok bechamel = fsm_read_speedup bechamel >= fsm_read_gate
 
 let print_service ns =
   hr "Service: ops/s floor";
@@ -619,6 +716,12 @@ let print_service ns =
     (float_of_int service_ops *. 1e9 /. ns)
     svc_ops_per_s_floor (service_max_ns /. 1e6)
     (if service_ok ns then "ok" else "BELOW FLOOR")
+
+let print_fsm_read bechamel =
+  hr "Command_fsm: kept readout vs cell sense";
+  Printf.printf "  fsm-sense-word / fsm-read-word = %.2fx (gate %.1fx)  %s\n"
+    (fsm_read_speedup bechamel) fsm_read_gate
+    (if fsm_read_ok bechamel then "ok" else "FAILED")
 
 (* ---------- BENCH_telemetry.json ---------- *)
 
@@ -667,13 +770,16 @@ let write_bench_telemetry ~path ~scaling ~perf ~surrogate ~bechamel =
        service_row service_ops (num ns) service_max_ns
        (num (float_of_int service_ops *. 1e9 /. ns))
        svc_ops_per_s_floor (service_ok ns));
+  Buffer.add_string b
+    (Printf.sprintf ",\"fsm_read\":{\"speedup\":%s,\"gate\":%.1f,\"ok\":%b}"
+       (num (fsm_read_speedup bechamel)) fsm_read_gate (fsm_read_ok bechamel));
   Buffer.add_string b ",\"bechamel\":{";
   List.iteri
-    (fun i (name, ns, r2) ->
+    (fun i r ->
        if i > 0 then Buffer.add_char b ',';
        Buffer.add_string b
-         (Printf.sprintf "\"%s\":{\"ns_per_run\":%s,\"r_square\":%s}" name (num ns)
-            (num r2)))
+         (Printf.sprintf "\"%s\":{\"ns_per_run\":%s,\"r_square\":%s,\"takes\":%d}"
+            r.name (num r.ns) (num r.r2) r.takes))
     bechamel;
   Buffer.add_string b "}}\n";
   let oc = open_out path in
@@ -699,10 +805,15 @@ let () =
   let gates =
     if quick then gates
     else begin
-      let scaling = sweep_scaling () in
+      (* the rows run before the scale-out part spawns the domain pool:
+         while its domains idle, every minor GC is a stop-the-world
+         handshake with them, which made allocating rows up to a third
+         slower *)
       let bechamel = run_benchmarks () in
+      let scaling = sweep_scaling () in
       let ns = service_ns bechamel in
       print_service ns;
+      print_fsm_read bechamel;
       write_bench_telemetry ~path:"BENCH_telemetry.json" ~scaling ~perf ~surrogate
         ~bechamel;
       gates
@@ -711,6 +822,7 @@ let () =
             "parallel scale-out gate FAILED (non-identical output, sub-0.9x \
              speedup on a multi-core host, or overhead over budget)" );
           (service_ok ns, "service ops/s floor FAILED");
+          (fsm_read_ok bechamel, "Command_fsm kept-readout speed gate FAILED");
         ]
     end
   in

@@ -358,9 +358,14 @@ let run_cycles t ~reliability:rel ~pmemo ~ememo ~program ~erase ~window_min ~cyc
 
 (* ---------- word-level kernels ---------- *)
 
-type word_outcome = { mutable slowest : int; mutable total : int; mutable timed_out : bool }
+type word_outcome = {
+  mutable slowest : int;
+  mutable total : int;
+  mutable timed_out : bool;
+  mutable word : int;
+}
 
-let word_outcome () = { slowest = 0; total = 0; timed_out = false }
+let word_outcome () = { slowest = 0; total = 0; timed_out = false; word = 0 }
 
 let[@inline] sense_word t ~base ~bits =
   let w = ref 0 in
@@ -390,27 +395,29 @@ let[@inline] lowest_bit x =
   hi + Char.code (String.unsafe_get debruijn32 ((b * 0x077C_B531 land 0xFFFF_FFFF) lsr 27))
 
 (* The per-bit loop of an embedded word program, run here so no call
-   crosses a module boundary per cell. The word is read once: a target-1
-   bit reading 0 is a timeout, and the target-0 bits reading 1 are the
-   only ones visited, in ascending order (pulse order is what the engine's
-   surrogate promotions and a budget's evaluation count see). Each is
-   snapshotted, pulsed (it is known to read 1) and verified, so its last
-   readout tells a timeout. A failed pulse restores that bit's pre-program
-   cell from the unboxed snapshot (the record path only wrote a cell back
-   after a clean verify loop) and stops the word. *)
+   crosses a module boundary per cell. The word is the caller's [sensed]
+   readout: a target-1 bit reading 0 is a timeout, and the target-0 bits
+   reading 1 are the only ones visited, in ascending order (pulse order is
+   what the engine's surrogate promotions and a budget's evaluation count
+   see). Each is snapshotted, pulsed (it is known to read 1) and verified,
+   so its last readout is its bit of [out.word]. A failed pulse restores
+   that bit's pre-program cell from the unboxed snapshot (the record path
+   only wrote a cell back after a clean verify loop) and stops the word. *)
 let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
-    ~max_pulses ~base ~bits ~data out =
+    ~max_pulses ~base ~bits ~sensed ~data out =
   if bits >= Sys.int_size then invalid_arg "Cell_store.program_word: bits";
   check_memo t memo;
+  if bits > 0 && (base < 0 || base + bits > length t) then
+    invalid_arg "Cell_store.program_word: word out of range";
   let mask = if bits > 0 then (1 lsl bits) - 1 else 0 in
-  let w = sense_word t ~base ~bits in
-  let timed_out = ref (data land lnot w land mask <> 0) in
-  let total = ref 0 and slowest = ref 0 in
-  let sel = ref (lnot data land w land mask) in
+  let timed_out = ref (data land lnot sensed land mask <> 0) in
+  let total = ref 0 and slowest = ref 0 and word = ref sensed in
+  let sel = ref (lnot data land sensed land mask) in
   while !sel <> 0 do
-    let idx = base + lowest_bit !sel in
-    sel := !sel land (!sel - 1);
-    (* [sense_word] bound-checked every cell of the word *)
+    let lowest = !sel land - !sel in
+    let idx = base + lowest_bit lowest in
+    sel := !sel lxor lowest;
+    (* the word's cells were bound-checked above *)
     let q0 = Array.unsafe_get t.qfg idx and c0 = Array.unsafe_get t.cls idx in
     let fl0 = Array.unsafe_get t.fluence idx and tr0 = Array.unsafe_get t.traps idx in
     let cy0 = Array.unsafe_get t.cycles idx and bk0 = Bytes.unsafe_get t.broken idx in
@@ -429,14 +436,16 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
        Bytes.set t.broken idx bk0;
        out.slowest <- !slowest;
        out.total <- !total;
+       out.word <- !word;
        raise failed);
-    if !b = 1 then timed_out := true;
+    if !b = 1 then timed_out := true else word := !word lxor lowest;
     total := !total + !p;
     if !p > !slowest then slowest := !p
   done;
   out.slowest <- !slowest;
   out.total <- !total;
-  out.timed_out <- !timed_out
+  out.timed_out <- !timed_out;
+  out.word <- !word
 
 let all_erased t ~lo ~hi =
   let i = ref lo in

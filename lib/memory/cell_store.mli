@@ -198,6 +198,8 @@ type word_outcome = {
   mutable total : int;  (** pulses summed over the word's bits *)
   mutable timed_out : bool;
       (** a bit still misreads its target after verify *)
+  mutable word : int;
+      (** the word's readout after the program, packed as {!sense}'s *)
 }
 (** Caller-owned result of {!program_word}, refilled by every call so
     the kernel allocates nothing. *)
@@ -212,26 +214,35 @@ val program_word :
   max_pulses:int ->
   base:int ->
   bits:int ->
+  sensed:int ->
   data:int ->
   word_outcome ->
   unit
 (** Embedded word program of cells [base .. base + bits - 1], bit [i] of
     [data] being the target of cell [base + i] (bits of [data] at and
-    above [bits] are ignored). The word is read once, as {!sense} reads
-    it: a target-1 bit reading [0] cannot be raised and counts as a
-    timeout (AND semantics). The target-0 bits reading [1] are then
-    programmed one at a time in ascending order, the order the engine
-    sees: each is pulsed and verified up to [max_pulses]
-    times, as by {!program_verify}, and one still reading [1] after
-    [max_pulses] counts as a timeout too. Fills the outcome with the
-    slowest bit's pulse count, the total and the timeout flag; a word of
-    [bits = 0] (or less) pulses nothing and reads [0 / 0 / false].
+    above [bits] are ignored). [sensed] is the word's current readout and
+    must equal [sense t ~base ~bits]: the kernel does not read the word
+    itself, so a caller that keeps each word's readout (as
+    {!Command_fsm} does) skips that scan. A target-1 bit reading [0]
+    cannot be raised and counts as a timeout (AND semantics). The
+    target-0 bits reading [1] are then programmed one at a time in
+    ascending order, the order the engine sees: each is pulsed and
+    verified up to [max_pulses] times, as by {!program_verify}, and one
+    still reading [1] after [max_pulses] counts as a timeout too. Fills
+    the outcome with the slowest bit's pulse count, the total, the
+    timeout flag and [word], the readout afterwards: [sensed] with the
+    visited bits that verified [0] cleared, so [word = sense t ~base
+    ~bits] once the call returns. A word of [bits = 0] (or less) pulses
+    nothing and reads [0 / 0 / false], with [word = sensed].
     @raise Pulse_error on the first failed pulse: that bit's cell is
     restored to its state before the word's program (charge, charge id
     and wear, snapshot held in unboxed locals), later bits are untouched,
     earlier bits keep their pulses, and [slowest] and [total] count the
-    earlier bits only; [timed_out] is unspecified.
-    @raise Invalid_argument if [bits >= Sys.int_size]. *)
+    earlier bits only; [word] is the readout after the restore (the
+    earlier bits' results, the failed and later bits as in [sensed]), so
+    it still equals {!sense}; [timed_out] is unspecified.
+    @raise Invalid_argument if [bits >= Sys.int_size], or if [bits > 0]
+    and the word's cells are not all in the store. *)
 
 val all_erased : t -> lo:int -> hi:int -> bool
 (** Every cell in [lo..hi] inclusive reads [1] (at 1 V): the erase's

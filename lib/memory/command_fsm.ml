@@ -108,6 +108,7 @@ type t = {
   pmemo : S.memo; (* program-pulse transitions, by starting charge id *)
   ememo : S.memo; (* erase-pulse transitions *)
   word : S.word_outcome; (* refilled by every word program *)
+  sensed : int array; (* word -> [sense_word]'s answer, kept by the kernels *)
   tm : timing;
   mutable seq : seq;
   mutable op : int; (* [op_*] tag; busy until [tm.ends_at] *)
@@ -132,6 +133,7 @@ let create ?(config = default_config) device =
   then invalid_arg "Command_fsm.create: bad geometry";
   let words = config.sectors * config.words_per_sector in
   let store = S.create ~n:(words * config.word_bits) device in
+  let bits = config.word_bits in
   {
     cfg = config;
     words;
@@ -141,6 +143,7 @@ let create ?(config = default_config) device =
     pmemo = S.memo store;
     ememo = S.memo store;
     word = S.word_outcome ();
+    sensed = Array.init words (fun a -> S.sense store ~base:(a * bits) ~bits);
     tm = { clock = 0.; ends_at = 0.; remaining = 0. };
     seq = Idle;
     op = op_none;
@@ -228,18 +231,22 @@ let wait_ready t =
    which this returns). AND semantics: a target 1 over a programmed cell
    cannot raise it — that is a verify timeout, not an error, exactly like
    hardware. A failed pulse restores its bit (see [S.program_word]) and
-   stops the word; the earlier bits' pulses still count. *)
+   stops the word; the earlier bits' pulses still count. The kernel starts
+   from the word's kept readout and leaves the new one in [o.word], on
+   both paths. *)
 let program_word_cells t ~addr ~data =
   let o = t.word in
   (match
      S.program_word t.store ~memo:t.pmemo ~pulse:t.cfg.program_pulse
        ~max_pulses:t.cfg.max_pulses ~base:(addr * t.cfg.word_bits)
-       ~bits:t.cfg.word_bits ~data o
+       ~bits:t.cfg.word_bits ~sensed:t.sensed.(addr) ~data o
    with
    | () -> ()
    | exception (S.Pulse_error _ as failed) ->
+     t.sensed.(addr) <- o.S.word;
      t.ms.program_pulses <- t.ms.program_pulses + o.S.total;
      raise failed);
+  t.sensed.(addr) <- o.S.word;
   t.ms.program_pulses <- t.ms.program_pulses + o.S.total;
   let slowest = o.S.slowest in
   (* every program pulse gate-disturbs the unselected words of the sector *)
@@ -249,25 +256,44 @@ let program_word_cells t ~addr ~data =
   t.ms.words_programmed <- t.ms.words_programmed + 1;
   slowest
 
+let resense_sector t ~sector =
+  let wps = t.cfg.words_per_sector and bits = t.cfg.word_bits in
+  for a = sector * wps to ((sector + 1) * wps) - 1 do
+    t.sensed.(a) <- S.sense t.store ~base:(a * bits) ~bits
+  done
+
 (* Embedded sector erase: erase pulses hit every cell of the sector each
    round (over-erasing already-clean cells — the real NOR over-erase
    hazard), verify per cell, repeat until the whole sector reads erased.
    Each round's kernel returns the cells still reading 0, so only the
    first verify needs its own scan, which stops at the first programmed
-   cell. Returns the number of rounds. *)
+   cell. Returns the number of rounds. A sector that verifies erased reads
+   all ones; after a timeout or a failed pulse part-way through a round,
+   its kept readouts are sensed again from the cells. *)
 let erase_sector_cells t ~sector =
-  let lo = sector * t.cfg.words_per_sector * t.cfg.word_bits in
-  let ncells = t.cfg.words_per_sector * t.cfg.word_bits in
+  let wps = t.cfg.words_per_sector in
+  let lo = sector * wps * t.cfg.word_bits in
+  let ncells = wps * t.cfg.word_bits in
   let hi = lo + ncells - 1 in
   let pending = ref (not (S.all_erased t.store ~lo ~hi)) in
   let rounds = ref 0 in
-  while !pending && !rounds < t.cfg.max_pulses do
-    pending :=
-      S.erase_round t.store ~memo:t.ememo ~pulse:erase_pulse ~lo ~hi > 0;
-    t.ms.erase_pulses <- t.ms.erase_pulses + ncells;
-    incr rounds
-  done;
-  if !pending then t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
+  (match
+     while !pending && !rounds < t.cfg.max_pulses do
+       pending :=
+         S.erase_round t.store ~memo:t.ememo ~pulse:erase_pulse ~lo ~hi > 0;
+       t.ms.erase_pulses <- t.ms.erase_pulses + ncells;
+       incr rounds
+     done
+   with
+   | () -> ()
+   | exception (S.Pulse_error _ as failed) ->
+     resense_sector t ~sector;
+     raise failed);
+  if !pending then begin
+    t.ms.verify_timeouts <- t.ms.verify_timeouts + 1;
+    resense_sector t ~sector
+  end
+  else Array.fill t.sensed (sector * wps) wps ((1 lsl t.cfg.word_bits) - 1);
   !rounds
 
 let[@inline] launch t op ~arg duration =
@@ -315,7 +341,8 @@ let read_word t ~addr =
     status_read t ~addr ~toggle6:false
   else begin
     t.ms.data_reads <- t.ms.data_reads + 1;
-    S.sense t.store ~base:(addr * t.cfg.word_bits) ~bits:t.cfg.word_bits
+    (* [addr] is wrapped into the array's span *)
+    Array.unsafe_get t.sensed addr
   end
 
 let poll_ready t ~interval =

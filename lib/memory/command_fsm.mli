@@ -137,7 +137,13 @@ val read_word : t -> addr:int -> int
 (** One bus read cycle (advances the clock by 100 ns), allocating
     nothing. Returns the sensed word, packed and non-negative: bit [i] is
     the readout of cell [i] of the word (its [word_bits] low bits; the
-    rest are 0). While the device is busy, or for addresses in the
+    rest are 0). The data answer is one load from the readout the device
+    keeps per word: {!create} senses every word once, a word program
+    stores the word's readout after its last verify (on a failed pulse
+    too), and a sector or chip erase sets its sectors' words to all ones
+    when they verify erased or senses them again from the cells when they
+    time out or a pulse fails. It therefore always equals {!sense_word},
+    the cell-level oracle. While the device is busy, or for addresses in the
     suspended sector while an erase is suspended, it returns a status
     answer instead: a negative int with DQ7, DQ6, DQ5 and DQ2 at bits 7,
     6, 5 and 2. DQ7 is the complement of the bit being programmed (0
@@ -163,8 +169,9 @@ val poll_ready : t -> interval:float -> int
 val sense_word : t -> addr:int -> int
 (** Direct array sense for verification harnesses: bypasses the bus (no
     clock advance, no status gating, works while busy or suspended).
-    Packed as {!read_word}'s data answer is, by one {!Cell_store.sense} call;
-    allocates nothing. *)
+    Packed as {!read_word}'s data answer is, by one {!Cell_store.sense}
+    call over the word's cells rather than the kept readout, so it is the
+    independent oracle for {!read_word}; allocates nothing. *)
 
 val stats : t -> stats
 (** A copy of the counters; later bus cycles do not update it. *)

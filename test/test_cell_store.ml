@@ -189,13 +189,20 @@ let run_store ~fused c =
       | z -> Ok [ z ]
       | exception S.Pulse_error e -> Error e)
     | Round (lo, hi) -> loop_round s em ~pulse:ep ~lo ~hi
-    | Word (base, bits, data, max_pulses) when fused -> (
-      match
-        S.program_word s ~memo:pm ~pulse:pp ~max_pulses ~base
-          ~bits ~data out
-      with
-      | () -> Ok [ out.S.slowest; out.S.total; Bool.to_int out.S.timed_out ]
-      | exception S.Pulse_error e -> word_failed e out.S.total)
+    | Word (base, bits, data, max_pulses) when fused ->
+      (* the kernel starts from the word's readout and must leave the new
+         one in [out.word], after a failed pulse too *)
+      let sensed = S.sense s ~base ~bits in
+      let r =
+        match
+          S.program_word s ~memo:pm ~pulse:pp ~max_pulses ~base
+            ~bits ~sensed ~data out
+        with
+        | () -> Ok [ out.S.slowest; out.S.total; Bool.to_int out.S.timed_out ]
+        | exception S.Pulse_error e -> word_failed e out.S.total
+      in
+      if out.S.word = S.sense s ~base ~bits then r
+      else Error "out.word is not the word's readout"
     | Word (base, bits, data, max_pulses) ->
       loop_word s pm ~pulse:pp ~max_pulses ~base ~bits ~data
     | Erased (lo, hi) when fused -> Ok [ Bool.to_int (S.all_erased s ~lo ~hi) ]
@@ -642,7 +649,7 @@ let prop_ids_consistent =
         | Id_word (base, bits, data) ->
           attempt (fun () ->
               S.program_word s ~memo:pm ~pulse:pp ~max_pulses:word_max_pulses ~base ~bits
-                ~data out)
+                ~sensed:(S.sense s ~base ~bits) ~data out)
         | Id_round (lo, hi) ->
           attempt (fun () -> ignore (S.erase_round s ~memo:em ~pulse:ep ~lo ~hi))
         | Copy_q (i, j) -> S.set_qfg s i (S.qfg s j)
@@ -688,8 +695,8 @@ let test_foreign_memo_rejected () =
   refused "apply_pulse_range" (fun () ->
       S.apply_pulse_range a ~memo:m ~pulse:erase_short ~lo:0 ~hi:3);
   refused "program_word" (fun () ->
-      S.program_word a ~memo:m ~pulse:prog_short ~max_pulses:4 ~base:0 ~bits:4 ~data:0
-        (S.word_outcome ()));
+      S.program_word a ~memo:m ~pulse:prog_short ~max_pulses:4 ~base:0 ~bits:4
+        ~sensed:0b1111 ~data:0 (S.word_outcome ()));
   Alcotest.(check int) "nothing pulsed" 0 (S.cycles a 0)
 
 (* The seed word program on a bare store: per target-0 bit, pulse while
@@ -768,6 +775,32 @@ let prop_fsm_restores_on_error =
                 && w.Rel.cycles = S.cycles s i
                 && w.Rel.broken = S.broken s i)))
 
+(* [out.word] is the word's readout after the program: on a clean word,
+   and on one whose bit 2 has a broken oxide, so its first pulse fails
+   after bits 0 and 1 have programmed and the word stops there. *)
+let test_word_readout () =
+  let d = fresh_device () in
+  let s = S.create ~n:8 d in
+  let m = S.memo s in
+  let out = S.word_outcome () in
+  let program ~base ~data =
+    S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base ~bits:4
+      ~sensed:(S.sense s ~base ~bits:4) ~data out
+  in
+  program ~base:0 ~data:0b1010;
+  check_true "clean: no timeout" (not out.S.timed_out);
+  Alcotest.(check int) "clean: the targets" 0b1010 out.S.word;
+  Alcotest.(check int) "clean: the cells' readout" (S.sense s ~base:0 ~bits:4) out.S.word;
+  S.For_testing.set s 6
+    { Cell.device = d; qfg = 0.;
+      wear = { Rel.fluence = 0.; traps = 0.; cycles = 0; broken = true } };
+  (match program ~base:4 ~data:0 with
+   | () -> Alcotest.fail "a broken bit must fail the word"
+   | exception S.Pulse_error _ -> ());
+  Alcotest.(check int) "failed: bits 0 and 1 programmed, 2 and 3 as before" 0b1100
+    out.S.word;
+  Alcotest.(check int) "failed: the cells' readout" (S.sense s ~base:4 ~bits:4) out.S.word
+
 (* A zero-bit word reads and pulses nothing, whatever its data, and
    refills the outcome with 0 / 0 / false. *)
 let test_empty_word () =
@@ -776,13 +809,15 @@ let test_empty_word () =
   let out = S.word_outcome () in
   (* a target 1 over a programmed cell times out, a target 0 pulses *)
   S.set_qfg s 0 (-6e-18);
-  S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:2 ~data:0b01 out;
+  S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:2
+    ~sensed:(S.sense s ~base:0 ~bits:2) ~data:0b01 out;
   check_true "the 2-bit word pulsed and timed out" (out.S.total > 0 && out.S.timed_out);
   let digest () = S.fold_digest s W.digest_fold W.digest_empty in
   let before = digest () in
   List.iter
     (fun data ->
-      S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:0 ~data out;
+      S.program_word s ~memo:m ~pulse:prog_short ~max_pulses:8 ~base:0 ~bits:0 ~sensed:0
+        ~data out;
       Alcotest.(check (list int))
         (Printf.sprintf "slowest, total, timeout at data %d" data)
         [ 0; 0; 0 ]
@@ -858,7 +893,7 @@ let test_memo_hits_allocate_nothing () =
   let word () =
     for base = 0 to (n / 4) - 1 do
       S.program_word s ~memo:pm ~pulse:prog_short ~max_pulses:8 ~base:(4 * base)
-        ~bits:4 ~data:0b0110 out
+        ~bits:4 ~sensed:(S.sense s ~base:(4 * base) ~bits:4) ~data:0b0110 out
     done
   in
   (* 13-bit words of varied data, each program over a fresh copy of one
@@ -876,8 +911,9 @@ let test_memo_hits_allocate_nothing () =
   let word13 () =
     S.blit s13 ~src:0 ~dst:52 ~len:52;
     for w = 0 to 3 do
-      S.program_word s13 ~memo:pm13 ~pulse:prog_short ~max_pulses:8 ~base:(52 + (13 * w))
-        ~bits:13 ~data:draws.((!draw + w) land 63) out
+      let base = 52 + (13 * w) in
+      S.program_word s13 ~memo:pm13 ~pulse:prog_short ~max_pulses:8 ~base ~bits:13
+        ~sensed:(S.sense s13 ~base ~bits:13) ~data:draws.((!draw + w) land 63) out
     done;
     draw := (!draw + 4) land 63
   in
@@ -924,6 +960,7 @@ let () =
           case "foreign memo rejected" test_foreign_memo_rejected;
           case "memo without the surrogate" test_memo_without_surrogate;
           case "zero-bit word" test_empty_word;
+          case "program_word's word is the readout" test_word_readout;
           prop_ids_consistent;
           prop_side_by_side_inbox;
           prop_side_by_side_exact;

@@ -643,6 +643,167 @@ let prop_int_read_matches_variant =
           && C.stats a = C.stats b
           && C.state_digest a = C.state_digest b))
 
+(* ---- the kept readout against the cells ------------------------------ *)
+
+(* [read_word] answers data reads from a readout the device keeps per
+   word; [sense_word] senses the cells. Random bus sequences run on one of
+   two devices. The paper device with a program pulse short enough (out
+   of the surrogate's box, about 5 exact solves per bit) that a starved
+   eval budget fails words inside a bit's verify loop; its first erase
+   rounds solve exactly, so a budget fails them part-way through the
+   sector. And a thick tunnel oxide, whose -15 V erase pulses take several
+   rounds and can run out of [max_pulses] with the sector part-erased. *)
+module Budget = Gnrflash_resilience.Budget
+module U = Gnrflash_units
+
+let starvable =
+  {
+    small with
+    C.program_pulse = { Gnrflash_device.Program_erase.vgs = 15.; duration = 0.5e-9 };
+    max_pulses = 8;
+  }
+
+let slow_erase =
+  { starvable with C.program_pulse = { Gnrflash_device.Program_erase.vgs = 22.; duration = 1e-3 } }
+
+let slow_erase_device =
+  F.make ~gcr:0.6 ~xto:(U.metre 11.5e-9) ~xco:(U.metre 23e-9)
+    ~area:(U.square_metre (32e-9 *. 32e-9)) ()
+
+type kept_op =
+  | K_program of int * int (* addr, data *)
+  | K_buffer of int * (int * int) list
+      (* sector, loads; the first address is loaded again last *)
+  | K_erase of int * bool (* sector; suspend, read, resume *)
+  | K_chip
+  | K_reset
+  | K_raw of int * int (* a cycle no sequence may accept *)
+  | K_wait
+  | K_starved of int * kept_op (* the op under a budget of this many evals *)
+
+let rec print_kept_op = function
+  | K_program (a, d) -> Printf.sprintf "Program(%d,%d)" a d
+  | K_buffer (s, l) ->
+    Printf.sprintf "Buffer(%d,[%s])" s
+      (String.concat ";" (List.map (fun (a, d) -> Printf.sprintf "%d,%d" a d) l))
+  | K_erase (s, sus) -> Printf.sprintf "Erase(%d,%b)" s sus
+  | K_chip -> "Chip"
+  | K_reset -> "Reset"
+  | K_raw (a, d) -> Printf.sprintf "Raw(%d,0x%X)" a d
+  | K_wait -> "Wait"
+  | K_starved (n, op) -> Printf.sprintf "Starved(%d,%s)" n (print_kept_op op)
+
+let gen_kept_ops =
+  let open QCheck2.Gen in
+  let wps = starvable.C.words_per_sector in
+  let data = int_range 0 ((1 lsl starvable.C.word_bits) - 1) in
+  let sector = int_range 0 (starvable.C.sectors - 1) in
+  let buffer =
+    sector >>= fun s ->
+    list_size (int_range 1 (starvable.C.write_buffer_words - 1))
+      (pair (int_range 0 (wps - 1)) data)
+    >>= fun loads ->
+    data >|= fun again ->
+    let at (o, d) = ((s * wps) + o, d) in
+    K_buffer (s, List.map at (loads @ [ (fst (List.hd loads), again) ]))
+  in
+  let physics =
+    frequency
+      [
+        (4, map2 (fun a d -> K_program (a, d)) (int_range 0 (n_words - 1)) data);
+        (2, buffer);
+        (3, map2 (fun s sus -> K_erase (s, sus)) sector bool);
+        (1, return K_chip);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, physics);
+        ( 3,
+          map2
+            (fun n op -> K_starved (n, op))
+            (oneof [ int_range 1 300; int_range 1 5000 ])
+            physics );
+        (1, return K_reset);
+        (1, map2 (fun a d -> K_raw (a, d)) (int_range 0 (n_words - 1)) (oneofl [ 0x29; 0xA0; 0x55; 0x10 ]));
+        (4, return K_wait);
+      ]
+  in
+  pair bool (list_size (int_range 1 25) op)
+
+(* Every word whose read answers data reads what its cells sense. *)
+let kept_readout_holds t =
+  List.for_all
+    (fun addr ->
+      let r = C.read_word t ~addr in
+      r < 0 || r = C.sense_word t ~addr)
+    (List.init (C.words t) Fun.id)
+
+let prop_kept_readout =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"read_word's data = sense_word after every cycle"
+       ~print:(fun (slow, ops) ->
+           Printf.sprintf "%s: %s"
+             (if slow then "slow erase" else "paper")
+             (String.concat " " (List.map print_kept_op ops)))
+       gen_kept_ops
+       (fun (slow, ops) ->
+          let t =
+            if slow then C.create ~config:slow_erase slow_erase_device
+            else C.create ~config:starvable F.paper_default
+          in
+          let held = ref true in
+          let w ~addr ~data =
+            ignore (C.write t ~addr ~data : (unit, C.error) result);
+            if not (kept_readout_holds t) then held := false
+          in
+          let unlock () =
+            w ~addr:(u1 t) ~data:0xAA;
+            w ~addr:(u2 t) ~data:0x55
+          in
+          let rec run = function
+            | K_program (addr, data) ->
+              unlock ();
+              w ~addr:(u1 t) ~data:0xA0;
+              w ~addr ~data
+            | K_buffer (sector, loads) ->
+              let sa = sector * starvable.C.words_per_sector in
+              unlock ();
+              w ~addr:sa ~data:0x25;
+              w ~addr:sa ~data:(List.length loads - 1);
+              List.iter (fun (addr, data) -> w ~addr ~data) loads;
+              w ~addr:sa ~data:0x29
+            | K_erase (sector, suspend) ->
+              let sa = sector * starvable.C.words_per_sector in
+              unlock ();
+              w ~addr:(u1 t) ~data:0x80;
+              unlock ();
+              w ~addr:sa ~data:0x30;
+              if suspend then begin
+                w ~addr:sa ~data:0xB0;
+                ignore (C.read_word t ~addr:sa : int);
+                w ~addr:sa ~data:0x30
+              end
+            | K_chip ->
+              unlock ();
+              w ~addr:(u1 t) ~data:0x80;
+              unlock ();
+              w ~addr:(u1 t) ~data:0x10
+            | K_reset -> w ~addr:0 ~data:0xF0
+            | K_raw (addr, data) -> w ~addr ~data
+            | K_wait ->
+              C.wait_ready t;
+              if not (kept_readout_holds t) then held := false
+            | K_starved (max_evals, op) ->
+              C.wait_ready t;
+              Budget.with_budget (Budget.make ~max_evals ()) (fun () -> run op)
+          in
+          List.iter run ops;
+          C.wait_ready t;
+          !held && kept_readout_holds t))
+
 let () =
   Alcotest.run "command_fsm"
     [
@@ -677,5 +838,6 @@ let () =
           prop_suspend_resume_transparent;
           prop_garbage_cycle_rejected_then_recovers;
           prop_int_read_matches_variant;
+          prop_kept_readout;
         ] );
     ]
