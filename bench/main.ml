@@ -226,6 +226,7 @@ type scaling_row = {
 type scaling = {
   cores : int;
   pool_jobs : int;
+  host_parallelism : float; (* see [host_parallelism] *)
   grid : scaling_row;
   monte_carlo : scaling_row;
   pool_spawned : int;  (* pool domains spawned for the in-process rows *)
@@ -252,6 +253,34 @@ let scaling_rounds = 5
    probe would send the grid serial). *)
 let grid_vgs_points = 64
 let mc_devices = 600
+
+(* A CPU-bound spin: integer mixing with no allocation. *)
+let spin () =
+  let h = ref 0 in
+  for i = 1 to 20_000_000 do
+    h := Sweep.splitmix ~seed:!h ~index:i
+  done;
+  ignore (Sys.opaque_identity !h)
+
+(* The parallelism the host gives this process right now: twice the wall
+   time of one spin over that of two spins run at once on two domains,
+   each side the fastest of [scaling_rounds] alternating rounds. About 2
+   when two cores are free, about 1 when only one is (a loaded host), so
+   a pool speed-up near 1x reads as a busy host, not a pool that stopped
+   scaling, when this reads near 1 too. *)
+let host_parallelism () =
+  let one = ref infinity and two = ref infinity in
+  for _ = 1 to scaling_rounds do
+    one := Float.min !one (snd (time_wall spin));
+    let (), t =
+      time_wall (fun () ->
+          let d = Domain.spawn spin in
+          spin ();
+          Domain.join d)
+    in
+    two := Float.min !two t
+  done;
+  2. *. !one /. !two
 
 (* Serial vs domain-pool wall clock on the two hottest sweep shapes: a
    (device, VGS) grid of exact program transients to saturation over the
@@ -358,7 +387,11 @@ let sweep_scaling () =
     Printf.printf
       "  (host has %d core(s) for %d domains: oversubscribed, no speedup expected)\n"
       cores pool_jobs;
-  { cores; pool_jobs; grid; monte_carlo; pool_spawned; mc_flushes }
+  let host_parallelism = host_parallelism () in
+  Printf.printf
+    "  host parallelism %.2fx (two concurrent spins against one; ~1 means a loaded host)\n"
+    host_parallelism;
+  { cores; pool_jobs; host_parallelism; grid; monte_carlo; pool_spawned; mc_flushes }
 
 (* The scale-out gate: outputs must be identical on every tier, overhead
    must stay inside budget everywhere, every parallel round of the
@@ -569,6 +602,38 @@ let word_program_test () =
   Test.make_with_resource ~name:"kernel-word-program-64x13" Test.multiple
     ~allocate:copy ~free:ignore (stage program)
 
+(* The FTL layer of the served write path: 1,000 uniform rewrites of a
+   warm, full default-geometry FTL per run, the journal cleared after each
+   write as [Service] does once it has mirrored it. The endurance limit is
+   lifted so the row's millions of writes never retire a block (a served
+   instance's writes stay far below the default limit); the state runs on
+   from run to run, in its GC steady state. *)
+let ftl_served_test () =
+  let module F = Gnrflash_memory.Ftl in
+  let ftl = F.create { F.default_config with F.endurance_limit = max_int } in
+  let capacity = F.logical_capacity ftl in
+  let next = ref 0 in
+  let write () =
+    let lpn = Sweep.splitmix ~seed:2014 ~index:!next mod capacity in
+    incr next;
+    (match F.write_in_place ftl ~lpn with
+     | Ok () -> ()
+     | Error e -> failwith (F.error_to_string e));
+    F.clear_journal ftl
+  in
+  for lpn = 0 to capacity - 1 do
+    ignore (F.write_in_place ftl ~lpn : (unit, F.error) result);
+    F.clear_journal ftl
+  done;
+  for _ = 1 to 20 * capacity do
+    write ()
+  done;
+  Test.make ~name:"ftl-write-served-1000"
+    (stage (fun () ->
+         for _ = 1 to 1000 do
+           write ()
+         done))
+
 let system_tests =
   [
     Test.make ~name:"system-poisson-solve"
@@ -672,7 +737,7 @@ let run_benchmarks () =
   let all_tests =
     List.map (fun t -> (cfg, t))
       (workload_tests @ kernel_tests
-      @ [ settled_cycles_test (); sector_erase_test () ]
+      @ [ settled_cycles_test (); sector_erase_test (); ftl_served_test () ]
       @ fsm_read_tests ())
     @ [ (word_cfg, word_program_test ()) ]
     @ List.map (fun t -> (cfg, t)) (system_tests @ [ service_test ])
@@ -739,10 +804,11 @@ let write_bench_telemetry ~path ~scaling ~perf ~surrogate ~bechamel =
   in
   Buffer.add_string b
     (Printf.sprintf
-       "\"sweep\":{\"cores\":%d,\"jobs\":%d,\"grid\":%s,\"monte_carlo\":%s,\
-        \"rounds\":%d,\"overhead\":{\"pool_spawned\":%d,\"mc_flushes\":%d},\
-        \"scaling_ok\":%b}"
-       scaling.cores scaling.pool_jobs (scaling_row scaling.grid)
+       "\"sweep\":{\"cores\":%d,\"jobs\":%d,\"host_parallelism\":%s,\"grid\":%s,\
+        \"monte_carlo\":%s,\"rounds\":%d,\"overhead\":{\"pool_spawned\":%d,\
+        \"mc_flushes\":%d},\"scaling_ok\":%b}"
+       scaling.cores scaling.pool_jobs (num scaling.host_parallelism)
+       (scaling_row scaling.grid)
        (scaling_row scaling.monte_carlo) scaling_rounds
        scaling.pool_spawned scaling.mc_flushes (scaling_ok scaling));
   Buffer.add_string b ",\"perf\":{";

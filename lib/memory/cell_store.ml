@@ -220,6 +220,14 @@ let[@inline] pulse_cell t m ~rel ~pulse i =
   let c = if c <> no_id then c else resolve t i in
   if solved m c then replay_cell t m c i else solve_cell t m ~rel ~pulse i
 
+(* [pulse_cell] on a bound-checked cell: an intact cell whose id the memo
+   has solved replays at once, anything else takes [pulse_cell]'s checks
+   (broken oxide, an id-less cell, a solve). *)
+let[@inline] pulse_checked t m ~rel ~pulse i =
+  let c = Array.unsafe_get t.cls i in
+  if Bytes.unsafe_get t.broken i = '\000' && solved m c then replay_cell t m c i
+  else pulse_cell t m ~rel ~pulse i
+
 let apply_pulse_at ?(reliability = D.Reliability.default) t ~memo ~pulse i =
   check_memo t memo;
   match pulse_cell t memo ~rel:reliability ~pulse i with
@@ -242,9 +250,11 @@ let program_verify ?(reliability = D.Reliability.default) t ~memo ~pulse
 
 let erase_round ?(reliability = D.Reliability.default) t ~memo ~pulse ~lo ~hi =
   check_memo t memo;
+  if lo <= hi && (lo < 0 || hi >= length t) then
+    invalid_arg "Cell_store.erase_round: range out of the store";
   let zeros = ref 0 in
   for i = lo to hi do
-    if pulse_cell t memo ~rel:reliability ~pulse i = 0 then incr zeros
+    if pulse_checked t memo ~rel:reliability ~pulse i = 0 then incr zeros
   done;
   !zeros
 
@@ -424,7 +434,7 @@ let program_word ?(reliability = D.Reliability.default) t ~memo ~pulse
     let p = ref 0 and b = ref 1 in
     (try
        while !b = 1 && !p < max_pulses do
-         b := pulse_cell t memo ~rel:reliability ~pulse idx;
+         b := pulse_checked t memo ~rel:reliability ~pulse idx;
          incr p
        done
      with Pulse_error _ as failed ->

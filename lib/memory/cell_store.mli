@@ -136,7 +136,13 @@ val erase_round :
     {!For_testing.apply_pulse_at} does; returns how many of those cells read [0] (at
     1 V) after their pulse. One solve per distinct charge in the range,
     deltas replayed across the rest, allocation-free when every pulse
-    hits. @raise Pulse_error at the first failed pulse (cells before it
+    hits: an intact cell whose charge id the memo has solved replays
+    straight away, and only the others go through the per-cell checks
+    (broken oxide, a cell without an id, a solve). An empty range
+    ([lo > hi]) pulses nothing and returns [0].
+    @raise Invalid_argument if the range is not empty and reaches outside
+    the store ([lo < 0] or [hi >= length t]), before any cell is pulsed.
+    @raise Pulse_error at the first failed pulse (cells before it
     keep their updates, matching the seed per-cell loop). *)
 
 (** {1 Program/erase run kernel} *)
@@ -264,7 +270,8 @@ val apply_pulse_range :
   pulse:Gnrflash_device.Program_erase.pulse ->
   lo:int -> hi:int -> (unit, string) result
 (** {!erase_round} with its count ignored and its {!Pulse_error} turned
-    into [Error]. *)
+    into [Error]. @raise Invalid_argument on a range outside the store,
+    as {!erase_round}, with no cell pulsed. *)
 
 val fold_digest : t -> (int -> int -> int) -> int -> int
 (** [fold_digest t f h] folds [f] over every cell in address order —

@@ -41,9 +41,10 @@ type journal = {
    [block * pages_per_block + page] holding the resident lpn, [p_free] or
    [p_invalid]; the logical map holds the flat physical location or
    [unmapped]. Per-block Free/Invalid populations are maintained
-   incrementally so allocation, GC-victim selection and space accounting
-   are O(blocks) instead of O(blocks * pages_per_block) scans with
-   polymorphic equality.
+   incrementally so allocation and GC-victim selection are O(blocks)
+   instead of O(blocks * pages_per_block) scans with polymorphic
+   equality, and the device-wide free-page and fully-free-block totals
+   are kept beside them, so the space check every write makes is O(1).
 
    One mutable handle, updated in place. The only copy of the state is
    [undo], preallocated at [create] and filled only when a write is about
@@ -62,6 +63,8 @@ type t = {
   retired : bool array;
   free_cnt : int array; (* per-block Free pages, maintained incrementally *)
   invalid_cnt : int array; (* per-block Invalid pages, ditto *)
+  mutable free_total : int; (* Free pages over live blocks *)
+  mutable fully_free : int; (* live blocks with every page Free, open one included *)
   mutable wp_block : int; (* open block, -1 when none *)
   mutable wp_page : int; (* next page in the open block; may equal ppb *)
   mutable host_writes : int;
@@ -98,6 +101,8 @@ let rec fresh config ~undo =
     retired = Array.make config.blocks false;
     free_cnt = Array.make config.blocks config.pages_per_block;
     invalid_cnt = Array.make config.blocks 0;
+    free_total = config.blocks * config.pages_per_block;
+    fully_free = config.blocks;
     wp_block = -1;
     wp_page = 0;
     host_writes = 0;
@@ -120,12 +125,7 @@ let create config =
 
 let logical_capacity t = Array.length t.mapping
 
-let free_pages t =
-  let n = ref 0 in
-  for b = 0 to t.config.blocks - 1 do
-    if not t.retired.(b) then n := !n + t.free_cnt.(b)
-  done;
-  !n
+let free_pages t = t.free_total
 
 (* Pick the block with the lowest erase count among blocks that are fully
    free (candidates to open for writing); earliest block wins erase-count
@@ -143,15 +143,10 @@ let pick_open_block t =
 
 (* Fully-free blocks not currently open for writing — the GC headroom. *)
 let fully_free_blocks t =
-  let n = ref 0 in
-  for b = 0 to t.config.blocks - 1 do
-    if
-      (not t.retired.(b))
-      && b <> t.wp_block
-      && t.free_cnt.(b) = t.config.pages_per_block
-    then incr n
-  done;
-  !n
+  let b = t.wp_block in
+  if b >= 0 && (not t.retired.(b)) && t.free_cnt.(b) = t.config.pages_per_block then
+    t.fully_free - 1
+  else t.fully_free
 
 let open_room t =
   if t.wp_block >= 0 then t.config.pages_per_block - t.wp_page else 0
@@ -200,7 +195,9 @@ let program_page t ~lpn ~gc =
     let ppb = t.config.pages_per_block in
     let b = t.wp_block and p = t.wp_page in
     t.pages.((b * ppb) + p) <- lpn;
+    if t.free_cnt.(b) = ppb then t.fully_free <- t.fully_free - 1;
     t.free_cnt.(b) <- t.free_cnt.(b) - 1;
+    t.free_total <- t.free_total - 1;
     (* invalidate the previous location *)
     let old = t.mapping.(lpn) in
     if old >= 0 then begin
@@ -238,13 +235,24 @@ let pick_victim t =
   done;
   !best
 
+(* [b] is a GC victim: live, and not fully free (it holds an Invalid
+   page), so its erase adds one fully-free block unless it retires it. *)
 let erase_block t b =
   let ppb = t.config.pages_per_block in
+  let was_free = t.free_cnt.(b) in
   Array.fill t.pages (b * ppb) ppb p_free;
   t.free_cnt.(b) <- ppb;
   t.invalid_cnt.(b) <- 0;
   t.erase_counts.(b) <- t.erase_counts.(b) + 1;
-  if t.erase_counts.(b) >= t.config.endurance_limit then t.retired.(b) <- true;
+  if t.erase_counts.(b) >= t.config.endurance_limit then begin
+    (* a retired block leaves both totals *)
+    t.retired.(b) <- true;
+    t.free_total <- t.free_total - was_free
+  end
+  else begin
+    t.free_total <- t.free_total + (ppb - was_free);
+    t.fully_free <- t.fully_free + 1
+  end;
   t.erases <- t.erases + 1;
   if t.wp_block = b then begin
     t.wp_block <- -1;
@@ -289,6 +297,8 @@ let overwrite dst src =
   Array.blit src.retired 0 dst.retired 0 (Array.length dst.retired);
   copy_ints src.free_cnt dst.free_cnt;
   copy_ints src.invalid_cnt dst.invalid_cnt;
+  dst.free_total <- src.free_total;
+  dst.fully_free <- src.fully_free;
   dst.wp_block <- src.wp_block;
   dst.wp_page <- src.wp_page;
   dst.host_writes <- src.host_writes;
@@ -462,7 +472,9 @@ let check_invariants t =
              fail "page (%d,%d) holds lpn %d but mapping disagrees" b p s
          end)
       t.pages;
-    (* the incremental per-block populations agree with the page map *)
+    (* the incremental per-block populations and the device totals agree
+       with the page map *)
+    let free_total = ref 0 and fully_free = ref 0 in
     for b = 0 to t.config.blocks - 1 do
       let free = ref 0 and invalid = ref 0 in
       for p = 0 to ppb - 1 do
@@ -474,8 +486,17 @@ let check_invariants t =
           !free;
       if t.invalid_cnt.(b) <> !invalid then
         fail "block %d invalid count %d disagrees with page map (%d)" b
-          t.invalid_cnt.(b) !invalid
+          t.invalid_cnt.(b) !invalid;
+      if not t.retired.(b) then begin
+        free_total := !free_total + !free;
+        if !free = ppb then incr fully_free
+      end
     done;
+    if t.free_total <> !free_total then
+      fail "free page total %d disagrees with page map (%d)" t.free_total !free_total;
+    if t.fully_free <> !fully_free then
+      fail "fully-free block total %d disagrees with page map (%d)" t.fully_free
+        !fully_free;
     (* write point sanity *)
     if t.wp_block >= 0 then begin
       if not (t.wp_block < t.config.blocks && t.wp_page >= 0 && t.wp_page <= ppb)
@@ -549,7 +570,19 @@ module For_testing = struct
                 t.mapping.(lpn) <- loc)
            row)
       pages;
+    t.free_total <- 0;
+    t.fully_free <- 0;
+    for b = 0 to cfg.blocks - 1 do
+      if not t.retired.(b) then begin
+        t.free_total <- t.free_total + t.free_cnt.(b);
+        if t.free_cnt.(b) = ppb then t.fully_free <- t.fully_free + 1
+      end
+    done;
     t
+
+  let set_free_totals t ~free_total ~fully_free =
+    t.free_total <- free_total;
+    t.fully_free <- fully_free
 
   let columns t =
     [
@@ -560,6 +593,9 @@ module For_testing = struct
       ("free_cnt", Array.copy t.free_cnt);
       ("invalid_cnt", Array.copy t.invalid_cnt);
       ( "scalars",
-        [| t.wp_block; t.wp_page; t.host_writes; t.device_writes; t.gc_runs; t.erases |] );
+        [|
+          t.wp_block; t.wp_page; t.host_writes; t.device_writes; t.gc_runs; t.erases;
+          t.free_total; t.fully_free;
+        |] );
     ]
 end

@@ -80,10 +80,14 @@ val logical_capacity : t -> int
 
 val free_pages : t -> int
 (** Free physical pages over non-retired blocks (includes pages the
-    allocator cannot reach; see {!writable}). *)
+    allocator cannot reach; see {!writable}). O(1): a total kept up to
+    date by every program and erase, which {!check_invariants} recounts
+    from the page map. *)
 
 val fully_free_blocks : t -> int
-(** Fully-free non-open blocks — the garbage collector's headroom. *)
+(** Fully-free non-open blocks — the garbage collector's headroom. O(1),
+    like {!free_pages}: a kept total of fully-free live blocks, less the
+    open block when it is itself fully free. *)
 
 val writable : t -> bool
 (** Whether the allocator can place one more page right now: the open
@@ -133,7 +137,9 @@ val location : t -> lpn:int -> int
 
 val check_invariants : t -> (unit, string) result
 (** Structural self-check: the logical-to-physical mapping and the page
-    state array agree in both directions (no aliasing), the write point
+    state array agree in both directions (no aliasing), the per-block
+    Free/Invalid counts and the two space totals behind {!free_pages} and
+    {!fully_free_blocks} equal a recount of the page map, the write point
     is sane, [device_writes >= host_writes], and the erase counter equals
     the per-block sum. [Error] carries a description of the first
     violation found; the description is formatted only then, so a
@@ -184,8 +190,13 @@ module For_testing : sig
       @raise Invalid_argument on dimension mismatch, negative erase
       counts, out-of-range or duplicate logical page numbers. *)
 
+  val set_free_totals : t -> free_total:int -> fully_free:int -> unit
+  (** Overwrite the two space totals behind {!free_pages} and
+      {!fully_free_blocks} (the open block counted in [fully_free]), to
+      build a state {!check_invariants} must refuse. *)
+
   val columns : t -> (string * int array) list
   (** A copy of every column of the handle, by name ([retired] as 0/1,
-      and the write point and counters as one ["scalars"] row), so a test
-      can compare whole states. *)
+      and the write point, the counters and the two space totals as one
+      ["scalars"] row), so a test can compare whole states. *)
 end

@@ -48,6 +48,7 @@ type op =
   | Erased of int * int (* every cell of lo..hi reads 1 *)
   | Sense of int * int (* packed readout: base, bits *)
   | Reset (* every cell back to its starting charge, wear kept *)
+  | Wear of int (* fluence past breakdown: the cell's next pulse breaks it *)
 
 type case = {
   charges : float array; (* starting charge per cell *)
@@ -75,6 +76,10 @@ let with_case_budget c go =
    A failed [Word] also reports the pulses its earlier bits took. *)
 
 let word_max_pulses = 8
+
+(* A fluence past any breakdown fluence of the default reliability
+   model (about 1e10 C/m^2 at the lowest stress field). *)
+let worn_fluence = 1e12
 
 let word_failed e total = Error (Printf.sprintf "%s (after %d pulses)" e total)
 
@@ -212,6 +217,11 @@ let run_store ~fused c =
     | Reset ->
       reset ();
       Ok [ 0 ]
+    | Wear i ->
+      let v = S.view s i in
+      S.For_testing.set s i
+        { v with Cell.wear = { v.Cell.wear with Rel.fluence = worn_fluence } };
+      Ok [ 0 ]
   in
   (s, with_case_budget c (fun () -> List.map step c.ops))
 
@@ -302,6 +312,10 @@ let run_record c =
     | Reset ->
       reset ();
       Ok [ 0 ]
+    | Wear i ->
+      let cell = cells.(i) in
+      cells.(i) <- { cell with Cell.wear = { cell.Cell.wear with Rel.fluence = worn_fluence } };
+      Ok [ 0 ]
   in
   (cells, with_case_budget c (fun () -> List.map step c.ops))
 
@@ -385,8 +399,10 @@ let gen_word range =
 
 (* Every op, with charges straddling the 1 V read level (about
    -3.54e-18 C on this device) so verify loops run 0..max pulses and
-   rounds count both readouts; a few cells start broken. [word] draws the
-   word programs over a range of the store's cells. *)
+   rounds count both readouts; a few cells start broken, and [Wear] makes
+   a cell whose next pulse breaks it, so it keeps a charge id while
+   broken. [word] draws the word programs over a range of the store's
+   cells. *)
 let gen_kernel_case ?(word = gen_word) ~cells () =
   QCheck2.Gen.(
     cells >>= fun n ->
@@ -404,6 +420,7 @@ let gen_kernel_case ?(word = gen_word) ~cells () =
           (1, map (fun (lo, hi) -> Erased (lo, hi)) range);
           (2, map (fun (lo, hi) -> Sense (lo, width lo hi)) range);
           (2, return Reset);
+          (1, map (fun i -> Wear i) cell);
         ]
     in
     array_size (return n) (map (fun k -> -1e-19 *. float_of_int k) (int_range 0 120))
@@ -468,6 +485,58 @@ let prop_kernels_rehash =
       let n = Array.length c.charges in
       let sweep = List.init n (fun i -> Verify (i, 8)) @ [ Round (0, n - 1) ] in
       all_agree { c with ops = sweep @ (Reset :: sweep) @ c.ops })
+
+(* The kernels' memo-hit guard, on exact pulses (each outcome memoized
+   at once). One round, then one word program, meets in ascending order a
+   memo hit, a cell without a charge id (its charge's transition is
+   solved), and a broken cell whose charge id has a solved transition too
+   (its oxide broke on a replayed pulse, [Wear]). The hit replays, the
+   id-less cell resolves its id and replays, and the broken cell must fail
+   the kernel, not replay. One other cell solves the transitions the
+   others replay. *)
+let guard_round_setup =
+  (* cell 4 solves 0 -> e1 -> e2; cell 3 breaks at e1; cell 1 replays to e1 *)
+  [ Wear 3; Round (4, 4); Round (4, 4); Round (3, 3); Round (1, 1) ]
+
+(* cell 1 (hit), cell 2 (id-less), cell 3 (broken with an id) *)
+let guard_round = Round (1, 3)
+
+let guard_word_setup =
+  (* all cells back at charge 0 without ids (cell 3 stays broken); cell 0
+     solves 0 -> p1 -> p2; cell 4 breaks at p1; cell 1 replays to p1 *)
+  [ Reset; Wear 4; Word (0, 1, 0, 1); Word (0, 1, 0, 1); Word (4, 1, 0, 1); Word (1, 1, 0, 1) ]
+
+(* bits 0..3 are cell 1 (hit), cell 2 (id-less), cell 3 (broken and id-less,
+   target 1 so it is not visited) and cell 4 (broken with an id) *)
+let guard_word = Word (1, 4, 0b0100, word_max_pulses)
+
+let guard_case ops =
+  { charges = Array.make 5 0.; broken_at = []; ops; budget = None; inbox = false }
+
+let test_kernel_guards () =
+  (* the ops of [setup] after the first [skip] all succeed *)
+  let cells_as_meant name ?(skip = 0) setup ~broken =
+    let s, outcomes = run_store ~fused:true (guard_case setup) in
+    check_true (name ^ ": setup ran")
+      (List.for_all Result.is_ok (List.filteri (fun i _ -> i >= skip) outcomes));
+    check_true (name ^ ": cell 1 has an id") (S.For_testing.charge_id s 1 <> 0);
+    check_true (name ^ ": cell 2 has none") (S.For_testing.charge_id s 2 = 0);
+    check_true (name ^ ": a broken cell keeps its id")
+      (S.broken s broken && S.For_testing.charge_id s broken <> 0)
+  in
+  cells_as_meant "round" guard_round_setup ~broken:3;
+  let round = guard_round_setup @ [ guard_round ] in
+  cells_as_meant "word" ~skip:(List.length round) (round @ guard_word_setup) ~broken:4;
+  let case = guard_case (round @ guard_word_setup @ [ guard_word ]) in
+  let _, outcomes = run_store ~fused:true case in
+  let broken = Error "Cell: oxide broken" in
+  check_true "the round fails at the broken cell"
+    (List.nth outcomes (List.length guard_round_setup) = broken);
+  check_true "the word fails at the broken cell"
+    (match List.nth outcomes (List.length case.ops - 1) with
+     | Error e -> String.starts_with ~prefix:"Cell: oxide broken (after " e
+     | Ok _ -> false);
+  check_true "fused kernels = per-cell loop = record path" (all_agree case)
 
 (* ---------- unit tests ---------- *)
 
@@ -577,6 +646,30 @@ let test_range_stops_at_broken () =
   Alcotest.(check int) "cell 3 untouched" 0 (S.cycles s 3);
   Alcotest.(check int) "cell 4 untouched" 0 (S.cycles s 4);
   check_true "cell 3 charge unchanged" (same_f (S.qfg s 3) 0.)
+
+(* A range reaching outside the store is refused before any cell is
+   pulsed, by the round and by the range pulse alike. *)
+let test_range_rejected_up_front () =
+  let s = S.create ~n:8 (fresh_device ()) in
+  let m = S.memo s in
+  let digest () = S.fold_digest s W.digest_fold W.digest_empty in
+  let before = digest () in
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Cell_store.erase_round: range out of the store") (fun () ->
+        ignore (f ()))
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let name = Printf.sprintf "%d..%d" lo hi in
+      refused ("erase_round " ^ name) (fun () ->
+          S.erase_round s ~memo:m ~pulse:erase_short ~lo ~hi);
+      refused ("apply_pulse_range " ^ name) (fun () ->
+          S.apply_pulse_range s ~memo:m ~pulse:erase_short ~lo ~hi))
+    [ (4, 9); (-1, 3); (-2, 8); (0, 8) ];
+  check_true "no cell pulsed" (digest () = before);
+  Alcotest.(check int) "an empty range pulses nothing" 0
+    (S.erase_round s ~memo:m ~pulse:erase_short ~lo:9 ~hi:8)
 
 let test_memo_replays_distinct_charges () =
   (* two cells at the same charge, one at a different charge: the memo
@@ -955,6 +1048,7 @@ let () =
           case "dvt/bit match Cell" test_scalar_readout_matches_cell;
           case "range = per-cell loop" test_range_equals_per_cell_loop;
           case "range stops at broken cell" test_range_stops_at_broken;
+          case "out-of-store range rejected up front" test_range_rejected_up_front;
           case "memo keys per distinct charge" test_memo_replays_distinct_charges;
           case "ids keep the sign" test_ids_keep_sign;
           case "foreign memo rejected" test_foreign_memo_rejected;
@@ -967,6 +1061,7 @@ let () =
           prop_kernels;
           prop_kernels_wide;
           prop_kernels_rehash;
+          case "kernel guards: hit, id-less, broken" test_kernel_guards;
           prop_word_starved;
           prop_fsm_restores_on_error;
           case "memo hits allocate nothing" test_memo_hits_allocate_nothing;

@@ -242,7 +242,106 @@ let test_invariant_messages () =
     (state
        ~erase_counts:(Array.init small.F.blocks (fun b -> if b = 1 then 1000 else 0))
        (Some (1, 0)));
-  check_ok "a sane write point passes" (F.check_invariants (state (Some (1, 0))))
+  check_ok "a sane write point passes" (F.check_invariants (state (Some (1, 0))));
+  (* 4 live blocks x 8 Free pages, every block fully free *)
+  let totals ~free_total ~fully_free =
+    let t = state None in
+    F.For_testing.set_free_totals t ~free_total ~fully_free;
+    t
+  in
+  expect "free page total 31 disagrees with page map (32)"
+    (totals ~free_total:31 ~fully_free:4);
+  expect "fully-free block total 3 disagrees with page map (4)"
+    (totals ~free_total:32 ~fully_free:3)
+
+(* [free_pages] and [fully_free_blocks], which the FTL keeps as running
+   totals, against a recount of the page map, the retirement column and
+   the write point. *)
+let recounted_space t =
+  let cols = F.For_testing.columns t in
+  let pages = List.assoc "pages" cols and retired = List.assoc "retired" cols in
+  let wp_block = (List.assoc "scalars" cols).(0) in
+  let ppb = Array.length pages / Array.length retired in
+  let free = ref 0 and fully_free = ref 0 in
+  Array.iteri
+    (fun b r ->
+      if r = 0 then begin
+        let n = ref 0 in
+        for p = 0 to ppb - 1 do
+          if pages.((b * ppb) + p) = -1 then incr n
+        done;
+        free := !free + !n;
+        if !n = ppb && b <> wp_block then incr fully_free
+      end)
+    retired;
+  (!free, !fully_free)
+
+let space_as_recounted t = (F.free_pages t, F.fully_free_blocks t) = recounted_space t
+
+(* The open block is fully free only in a state built out of policy (the
+   allocator programs a page as soon as it opens one): it is headroom
+   neither before nor after. *)
+let test_fully_free_open_block () =
+  let ppb = small.F.pages_per_block in
+  let t =
+    F.For_testing.of_state ~config:small
+      ~pages:(Array.init small.F.blocks (fun _ -> Array.make ppb F.Free))
+      ~write_point:(Some (2, 0)) ()
+  in
+  Alcotest.(check int) "open block is not headroom" 3 (F.fully_free_blocks t);
+  Alcotest.(check int) "but its pages are free" 32 (F.free_pages t);
+  check_fok "write" (F.write_in_place t ~lpn:0);
+  Alcotest.(check int) "after a write into it" 3 (F.fully_free_blocks t);
+  Alcotest.(check int) "one page fewer" 31 (F.free_pages t);
+  check_ok "invariants" (F.check_invariants t)
+
+(* Random out-of-policy starting states (pages Free, Invalid or Valid,
+   some blocks retired, the write point anywhere, on a fully-free block
+   too), then random writes and trims to retirement: after every step the
+   two totals equal the recount. *)
+let prop_space_totals_recounted =
+  prop "free_pages and fully_free_blocks = page-map recount" ~count:60
+    QCheck2.Gen.(
+      let ppb = small.F.pages_per_block in
+      quad
+        (array_size (return small.F.blocks)
+           (array_size (return ppb) (int_range 0 2)))
+        (array_size (return small.F.blocks) (int_range 0 4))
+        (opt (pair (int_range 0 (small.F.blocks - 1)) (int_range 0 ppb)))
+        (int_range 0 100_000))
+    (fun (kinds, wear, write_point, seed) ->
+      let cfg = { small with F.endurance_limit = 4 } in
+      (* a write point is on a live block, and its pages from the write
+         point on are Free *)
+      let write_point =
+        Option.bind write_point (fun (b, p) -> if wear.(b) >= 4 then None else Some (b, p))
+      in
+      let lpns = ref 0 in
+      let capacity = F.logical_capacity (F.create cfg) in
+      let pages =
+        Array.mapi
+          (fun b ->
+            Array.mapi (fun p k ->
+                let ahead = match write_point with Some (w, q) -> w = b && p >= q | None -> false in
+                if ahead || k = 0 || (k = 2 && !lpns >= capacity) then F.Free
+                else if k = 1 then F.Invalid
+                else begin
+                  incr lpns;
+                  F.Valid (!lpns - 1)
+                end))
+          kinds
+      in
+      let t = F.For_testing.of_state ~config:cfg ~erase_counts:wear ~pages ~write_point () in
+      let ok = ref (space_as_recounted t) and step = ref 0 in
+      while !ok && !step < 300 && (F.stats t).F.retired_blocks < cfg.F.blocks do
+        let h = Sm.hash ~seed ~index:!step in
+        let lpn = h mod capacity in
+        (if (h lsr 32) mod 5 = 0 then F.trim_in_place t ~lpn
+         else ignore (F.write_in_place t ~lpn : (unit, F.error) result));
+        ok := space_as_recounted t;
+        incr step
+      done;
+      !ok)
 
 (* Native code only. A passing self-check formats no message: it
    allocates only its two iteration closures, however large the device. *)
@@ -601,12 +700,14 @@ let () =
           case "Device_full rolls back GC" test_device_full_rolls_back_gc;
           case "GC allocates no major-heap words" test_gc_does_not_allocate_major;
           case "invariant violation messages" test_invariant_messages;
+          case "a fully-free open block is not headroom" test_fully_free_open_block;
           case "passing invariant check allocation" test_passing_check_allocation;
           case "journal grows keeping every entry" test_journal_grows_keeping_entries;
           case "rejected write keeps the journal" test_rejected_write_keeps_journal;
           prop_mapping_consistent_after_random_trace;
           prop_written_pages_stay_mapped;
           prop_random_ops_to_exhaustion;
+          prop_space_totals_recounted;
           prop_rejected_write_leaves_state;
           prop_rejected_write_leaves_state_default_limit;
           prop_journal_mirrors_counters;
